@@ -18,13 +18,13 @@ from .chains.build import brutal_truncation, concentrated, unit_complex, \
 from .chains.cochain import dualize_map
 from .chains.complexes import ChainMap, LiftingProblem, chain_map_equal
 from .chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
-from .chains.tensor import interval_cylinder
-from .exact.matrix import Matrix
+from .chains.tensor import cylinder_map, interval_cylinder
 from .exact.modules import ModuleMap, PresentedModule, map_equal
 from .exact.rings import RingSpec, ZZ
 from .exact.splitting import is_split_epi, is_split_mono
 from .io.document import (chain_map_from_json, chain_map_to_json,
-                          complex_to_json, parse_chain_complex, DocumentError)
+                          complex_to_json, parse_chain_complex,
+                          parse_components, DocumentError)
 from .models.classify import (MCofibrationWitness, bousfield_classify,
                               classify, h_cofibration_bit, h_fibration_bit,
                               q_cofibration_bit, quasi_iso_bit,
@@ -385,12 +385,8 @@ def _pred_brutal(case, cfg):
     quotient, q = brutal_truncation(C)
     ring = cfg.ring
     try:
-        H_parts = [ModuleMap(A.module(n), quotient.module(n + 1),
-                             Matrix(ring, quotient.module(n + 1).generators,
-                                    A.module(n).generators,
-                                    case["h"][n] if case["h"][n] else None))
-                   for n in range(max(A.top, quotient.top) + 1)]
-    except (ValueError, IndexError):
+        H_parts = parse_components(case["h"], A, quotient, "h", shift=1)
+    except DocumentError:
         return INVALID
     fbar = q.compose(f_tilde)
     # define g := fbar + dH + Hd, a genuine homotopy endpoint by construction
@@ -402,30 +398,7 @@ def _pred_brutal(case, cfg):
         g_parts.append(gn)
     gbar = ChainMap(A, quotient, g_parts)
     lay, i0, i1, r = interval_cylinder(A, interval(ring))
-    G_parts = []
-    for m in range(lay.top + 1):
-        rows = quotient.module(m).generators
-        cols = lay.module(m).generators
-        out = [[0] * cols for _ in range(rows)]
-        for (i, jj) in lay.pairs(m):
-            off = lay.offset(m, i)
-            gx = A.module(i).generators
-            if jj == 0:
-                fb = fbar.component(i).action
-                gb = gbar.component(i).action
-                for a in range(rows):
-                    for b in range(gx):
-                        out[a][off + 2 * b] = fb[a, b]
-                        out[a][off + 2 * b + 1] = gb[a, b]
-            else:
-                hb = H_parts[i].action
-                sign = -1 if i % 2 else 1
-                for a in range(rows):
-                    for b in range(gx):
-                        out[a][off + b] = sign * hb[a, b]
-        G_parts.append(ModuleMap(lay.module(m), quotient.module(m),
-                                 Matrix(ring, rows, cols, out), check=False))
-    G = ChainMap(lay.complex(), quotient, G_parts)
+    G = cylinder_map(fbar, gbar, H_parts)
     problem = LiftingProblem(i0, q, f_tilde, G)
     lift = find_lift(problem)
     if lift is None:

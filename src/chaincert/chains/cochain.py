@@ -60,12 +60,6 @@ class CochainComplex:
     def __repr__(self) -> str:
         return f"CochainComplex({self.ring}, gens {[m.generators for m in self.mods]})"
 
-    def to_json(self) -> dict:
-        return {
-            "degrees": [m.to_json() for m in self.mods],
-            "differentials": [d.action.to_json() for d in self.diffs],
-        }
-
 
 class CochainMap:
     __slots__ = ("source", "target", "parts")
@@ -91,9 +85,6 @@ class CochainMap:
         if 0 <= n < len(self.parts):
             return self.parts[n]
         return ModuleMap.zero_map(self.source.module(n), self.target.module(n))
-
-    def to_json(self) -> dict:
-        return {"components": [p.action.to_json() for p in self.parts]}
 
 
 def dualize(C: ChainComplex) -> CochainComplex:

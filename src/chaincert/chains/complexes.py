@@ -73,12 +73,6 @@ class ChainComplex:
         ranks = [m.generators for m in self.mods]
         return f"ChainComplex({self.ring}, gens by degree {ranks})"
 
-    def to_json(self) -> dict:
-        return {
-            "degrees": [m.to_json() for m in self.mods],
-            "differentials": [d.action.to_json() for d in self.diffs],
-        }
-
 
 def validate(C: ChainComplex) -> bool:
     return C.validate(strict=False)
@@ -158,9 +152,6 @@ class ChainMap:
     def __repr__(self) -> str:
         return f"ChainMap({[p.action.to_lists() for p in self.parts]})"
 
-    def to_json(self) -> dict:
-        return {"components": [p.action.to_json() for p in self.parts]}
-
 
 def chain_map_equal(f: ChainMap, g: ChainMap) -> bool:
     if f.source != g.source or f.target != g.target:
@@ -210,9 +201,6 @@ class ChainHomotopy:
                     raise ValueError(f"homotopy relation fails at degree {n}")
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {"components": [p.action.to_json() for p in self.parts]}
 
 
 class LiftingProblem:

@@ -171,12 +171,6 @@ def _evaluation_window_matrix(hw: HomWindow, n: int, at: Matrix) -> Matrix:
     return Matrix(ring, gB, total, rows)
 
 
-def path_space(B: ChainComplex) -> tuple[Truncation, HomWindow]:
-    """B^I = tau_{>=0} Hom(I, B)."""
-    hw = HomWindow(interval(B.ring), B)
-    return good_truncation(hw.window()), hw
-
-
 def mapping_cocylinder(p: ChainMap) -> CocylinderData:
     E, B = p.source, p.target
     ring = E.ring

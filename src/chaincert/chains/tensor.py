@@ -8,8 +8,11 @@ d(x (x) y) = d(x) (x) y + (-1)^{|x|} x (x) d(y).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule, direct_sum, tensor_module
+from .build import interval
 from .complexes import ChainComplex, ChainMap
 
 
@@ -204,3 +207,39 @@ def interval_cylinder(X: ChainComplex, I: ChainComplex
     i1 = ChainMap(X, cyl, i1_parts)
     r = ChainMap(cyl, X, r_parts)
     return lay, i0, i1, r
+
+
+def cylinder_map(f: ChainMap, g: ChainMap,
+                 H: Sequence[ModuleMap]) -> ChainMap:
+    """The map X (x) I -> Y of a homotopy H from f to g.
+
+    G(x (x) e0) = f(x), G(x (x) e1) = g(x), G(x (x) e) = (-1)^{|x|} H(x),
+    with the cylinder of interval_cylinder(X, interval(ring)); H_n is the
+    component X_n -> Y_{n+1}.
+    """
+    X, Y = f.source, f.target
+    lay = TensorLayout(X, interval(X.ring))
+    parts = []
+    for m in range(lay.top + 1):
+        rows = Y.module(m).generators
+        cols = lay.module(m).generators
+        out = [[0] * cols for _ in range(rows)]
+        for (i, j) in lay.pairs(m):
+            off = lay.offset(m, i)
+            gx = X.module(i).generators
+            if j == 0:
+                fb = f.component(i).action
+                gb = g.component(i).action
+                for a in range(rows):
+                    for b in range(gx):
+                        out[a][off + 2 * b] = fb[a, b]
+                        out[a][off + 2 * b + 1] = gb[a, b]
+            else:
+                hb = H[i].action
+                sign = -1 if i % 2 else 1
+                for a in range(rows):
+                    for b in range(gx):
+                        out[a][off + b] = sign * hb[a, b]
+        parts.append(ModuleMap(lay.module(m), Y.module(m),
+                               Matrix(X.ring, rows, cols, out), check=False))
+    return ChainMap(lay.complex(), Y, parts)

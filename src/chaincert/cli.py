@@ -18,7 +18,7 @@ from .chains.homcx import hom_complex
 from .chains.tensor import tensor_complex
 from .chains.truncate import good_truncation, window_of_complex
 from .exact.rings import RingSpec, ZZ, Zmod
-from .io.document import (DocumentError, complex_to_json, document_to_json,
+from .io.document import (DocumentError, complex_to_json, map_to_json,
                           parse_document, simplicial_to_json)
 from .io.reports import (bousfield_report, classification_report, dump,
                          lift_report, verify_report)
@@ -185,17 +185,17 @@ def cmd_ez_aw(args) -> int:
         "kind": "ez_aw",
         "ring": doc.ring.to_json(),
         "aw_ez_identity": identity_ok,
-        "ez": E.to_json(),
-        "aw": W.to_json(),
-        "homotopy": homotopy.to_json(),
+        "ez": map_to_json(E),
+        "aw": map_to_json(W),
+        "homotopy": map_to_json(homotopy),
         "homotopy_degrees": list(range(T.normalized.top + 1)),
     }
     if args.dual:
         dual = ez_aw_dual_ops(A, B, through=args.through)
         report["dual"] = {
-            "ez_star": dual.ez_star.to_json(),
-            "aw_star": dual.aw_star.to_json(),
-            "homotopy": dual.homotopy.to_json(),
+            "ez_star": map_to_json(dual.ez_star),
+            "aw_star": map_to_json(dual.aw_star),
+            "homotopy": map_to_json(dual.homotopy),
         }
     _emit(report, args.out)
     return 0 if identity_ok else 1
@@ -244,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chaincert",
         description="exact-arithmetic model-structure certification "
                     "for chain complexes and simplicial modules")
-    parser.add_argument("--format", choices=["json"], default="json",
-                        help="report format (json only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_doc(p):

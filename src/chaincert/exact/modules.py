@@ -83,10 +83,6 @@ class PresentedModule:
         rel = Matrix.diagonal(self.ring, n, len(factors), list(factors))
         return PresentedModule(self.ring, n, rel)
 
-    def element_is_zero(self, column: Matrix) -> bool:
-        """True iff the generator-coefficient column lies in the relations."""
-        return solve(self.relations, column) is not None
-
     def to_json(self) -> dict:
         return {"generators": self.generators, "relations": self.relations.to_json()}
 
@@ -264,15 +260,6 @@ def tensor_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     rel_left = M.relations.kron(Matrix.identity(ring, N.generators))
     rel_right = Matrix.identity(ring, M.generators).kron(N.relations)
     return PresentedModule(ring, gens, _drop_zero_columns(rel_left.hstack(rel_right)))
-
-
-def tensor_map(f: ModuleMap, g: ModuleMap, *, source: PresentedModule | None = None,
-               target: PresentedModule | None = None) -> ModuleMap:
-    if source is None:
-        source = tensor_module(f.source, g.source)
-    if target is None:
-        target = tensor_module(f.target, g.target)
-    return ModuleMap(source, target, f.action.kron(g.action), check=False)
 
 
 class HomSpace:

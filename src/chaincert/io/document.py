@@ -1,17 +1,32 @@
-"""The JSON fixture format: named objects and maps over one ring.
+"""The JSON wire format of chain data, and the only module that knows it.
 
-Matrices are nested integer arrays (row major); names are the only
-cross-reference mechanism.  Parsing validates everything it touches and
-raises DocumentError with the location of the offending entry, so a bad
-fixture names its own degree.
+Fixture documents, reports and certify cases store modules, complexes,
+maps and homotopies in one format, and every reader and writer of it
+lives here:
+
+* a matrix is a list of integer rows (row major);
+* a module is ``{"generators": g, "relations": <g x r matrix>}``;
+* a complex is ``{"degrees": [module, ...], "differentials": [...]}``,
+  tagged ``"type": "chain_complex"`` or ``"cochain_complex"`` where it
+  stands on its own;
+* a map or a homotopy is the list of its degreewise components, stored
+  under ``"components"``, beside ``"source"`` and ``"target"`` when the
+  reader does not hold the endpoints already.
+
+Components are always decoded against endpoints the caller already
+holds (component n of a homotopy raises the degree by one).  Missing
+trailing degrees mean zero; more components than the endpoints have
+degrees is an error.  Decoding validates everything it touches and
+raises DocumentError with the JSON path of the offending entry, so a bad
+document or report names its own degree.  Within a document, names are
+the only cross-reference mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Sequence
 
-from ..chains.build import pad_to_top
 from ..chains.cochain import CochainComplex, CochainMap
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.truncate import WindowComplex
@@ -29,8 +44,25 @@ class DocumentError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-def _matrix(ring: RingSpec, data: Any, rows: int, cols: int,
-            location: str) -> Matrix:
+def get_field(data: Any, key: str, location: str = "") -> Any:
+    """``data[key]``; ``location`` is the JSON path of ``data``."""
+    if not isinstance(data, dict):
+        raise DocumentError(location or "$", "expected a JSON object")
+    if key not in data:
+        raise DocumentError(f"{location}.{key}" if location else key,
+                            "required field is missing")
+    return data[key]
+
+
+def parse_ring(data: Any, location: str = "ring") -> RingSpec:
+    try:
+        return RingSpec.from_json(data)
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise DocumentError(location, f"invalid ring: {exc}")
+
+
+def parse_matrix(ring: RingSpec, data: Any, rows: int, cols: int,
+                 location: str) -> Matrix:
     if not isinstance(data, list):
         raise DocumentError(location, "matrix must be a list of rows")
     if rows == 0 or cols == 0:
@@ -46,64 +78,83 @@ def _matrix(ring: RingSpec, data: Any, rows: int, cols: int,
     return Matrix(ring, rows, cols, data)
 
 
-def _module(ring: RingSpec, data: Any, location: str) -> PresentedModule:
-    if not isinstance(data, dict) or "generators" not in data:
-        raise DocumentError(location, "module needs a 'generators' field")
-    gens = data["generators"]
+def parse_module(ring: RingSpec, data: Any, location: str) -> PresentedModule:
+    gens = get_field(data, "generators", location)
     if not isinstance(gens, int) or gens < 0:
         raise DocumentError(location, "'generators' must be a natural number")
     rel_data = data.get("relations", [])
     cols = len(rel_data[0]) if rel_data and gens else 0
-    rel = _matrix(ring, rel_data, gens if rel_data else 0, cols,
-                  f"{location}.relations")
+    rel = parse_matrix(ring, rel_data, gens if rel_data else 0, cols,
+                       f"{location}.relations")
     if rel.rows != gens:
         rel = Matrix.zero(ring, gens, 0)
     return PresentedModule(ring, gens, rel)
 
 
-def _complex_data(ring: RingSpec, data: dict, location: str
-                  ) -> tuple[list[PresentedModule], list[Matrix]]:
-    degrees = data.get("degrees")
+def parse_module_map(data: Any, source: PresentedModule,
+                     target: PresentedModule, location: str) -> ModuleMap:
+    """A well-defined map ``source -> target`` on generators."""
+    action = parse_matrix(source.ring, data, target.generators,
+                          source.generators, location)
+    try:
+        return ModuleMap(source, target, action)
+    except ValueError as exc:
+        raise DocumentError(location, str(exc))
+
+
+def parse_components(data: Any, source: ChainComplex | CochainComplex,
+                     target: ChainComplex | CochainComplex, location: str, *,
+                     shift: int = 0) -> list[ModuleMap]:
+    """Degreewise components ``source_n -> target_{n + shift}``.
+
+    ``source`` and ``target`` are chain or cochain complexes the caller
+    already holds; ``shift`` is 0 for a map and 1 for a homotopy.
+    """
+    top = max(source.top, target.top)
+    if not isinstance(data, list):
+        raise DocumentError(location, "components must be a list of matrices")
+    if len(data) > top + 1:
+        raise DocumentError(location, f"expected at most {top + 1} "
+                                      f"components, got {len(data)}")
+    return [parse_module_map(data[n], source.module(n),
+                             target.module(n + shift), f"{location}[{n}]")
+            if n < len(data) else
+            ModuleMap.zero_map(source.module(n), target.module(n + shift))
+            for n in range(top + 1)]
+
+
+def _complex_data(ring: RingSpec, data: Any, location: str
+                  ) -> tuple[list[PresentedModule], list]:
+    degrees = get_field(data, "degrees", location)
     if not isinstance(degrees, list) or not degrees:
         raise DocumentError(location, "complex needs a non-empty 'degrees' list")
-    mods = [_module(ring, d, f"{location}.degrees[{n}]")
+    mods = [parse_module(ring, d, f"{location}.degrees[{n}]")
             for n, d in enumerate(degrees)]
     raw_diffs = data.get("differentials", [])
-    if len(raw_diffs) != len(mods) - 1:
+    if not isinstance(raw_diffs, list) or len(raw_diffs) != len(mods) - 1:
         raise DocumentError(f"{location}.differentials",
-                            f"expected {len(mods) - 1} matrices, "
-                            f"got {len(raw_diffs)}")
+                            f"expected {len(mods) - 1} matrices")
     return mods, raw_diffs
 
 
-def parse_chain_complex(ring: RingSpec, data: dict, location: str
+def parse_chain_complex(ring: RingSpec, data: Any, location: str
                         ) -> ChainComplex:
     mods, raw_diffs = _complex_data(ring, data, location)
-    diffs = []
-    for n, raw in enumerate(raw_diffs, start=1):
-        action = _matrix(ring, raw, mods[n - 1].generators, mods[n].generators,
-                         f"{location}.differentials[{n - 1}]")
-        try:
-            diffs.append(ModuleMap(mods[n], mods[n - 1], action))
-        except ValueError as exc:
-            raise DocumentError(f"{location}.differentials[{n - 1}]", str(exc))
+    diffs = [parse_module_map(raw, mods[n], mods[n - 1],
+                              f"{location}.differentials[{n - 1}]")
+             for n, raw in enumerate(raw_diffs, start=1)]
     try:
         return ChainComplex(ring, mods, diffs)
     except ValueError as exc:
         raise DocumentError(location, str(exc))
 
 
-def parse_cochain_complex(ring: RingSpec, data: dict, location: str
+def parse_cochain_complex(ring: RingSpec, data: Any, location: str
                           ) -> CochainComplex:
     mods, raw_diffs = _complex_data(ring, data, location)
-    diffs = []
-    for n, raw in enumerate(raw_diffs):
-        action = _matrix(ring, raw, mods[n + 1].generators, mods[n].generators,
-                         f"{location}.differentials[{n}]")
-        try:
-            diffs.append(ModuleMap(mods[n], mods[n + 1], action))
-        except ValueError as exc:
-            raise DocumentError(f"{location}.differentials[{n}]", str(exc))
+    diffs = [parse_module_map(raw, mods[n], mods[n + 1],
+                              f"{location}.differentials[{n}]")
+             for n, raw in enumerate(raw_diffs)]
     try:
         return CochainComplex(ring, mods, diffs)
     except ValueError as exc:
@@ -113,17 +164,18 @@ def parse_cochain_complex(ring: RingSpec, data: dict, location: str
 def parse_window_complex(ring: RingSpec, data: dict, location: str
                          ) -> WindowComplex:
     mods, raw_diffs = _complex_data(ring, data, location)
-    minus_one = _module(ring, data.get("minus_one", {"generators": 0}),
-                        f"{location}.minus_one")
+    minus_one = parse_module(ring, data.get("minus_one", {"generators": 0}),
+                             f"{location}.minus_one")
     d0_raw = data.get("d0", [])
-    d0 = _matrix(ring, d0_raw, minus_one.generators, mods[0].generators,
-                 f"{location}.d0")
+    d0 = parse_matrix(ring, d0_raw, minus_one.generators, mods[0].generators,
+                      f"{location}.d0")
     modules = {-1: minus_one}
     modules.update({n: m for n, m in enumerate(mods)})
     diffs = {0: ModuleMap(mods[0], minus_one, d0, check=False)}
     for n, raw in enumerate(raw_diffs, start=1):
-        action = _matrix(ring, raw, mods[n - 1].generators, mods[n].generators,
-                         f"{location}.differentials[{n - 1}]")
+        action = parse_matrix(ring, raw, mods[n - 1].generators,
+                              mods[n].generators,
+                              f"{location}.differentials[{n - 1}]")
         diffs[n] = ModuleMap(mods[n], mods[n - 1], action, check=False)
     try:
         return WindowComplex(ring, modules, diffs)
@@ -143,6 +195,37 @@ def parse_simplicial(ring: RingSpec, data: dict, location: str
         return gamma(normalized, cap=cap)
     except AssertionError as exc:
         raise DocumentError(location, str(exc))
+
+
+def _build_map(map_class: type, src, tgt, data: Any, location: str):
+    comps = parse_components(get_field(data, "components", location),
+                             src, tgt, f"{location}.components")
+    try:
+        return map_class(src, tgt, comps)
+    except ValueError as exc:
+        raise DocumentError(location, str(exc))
+
+
+def _map_from_json(ring: RingSpec, data: Any, location: str,
+                   parse_complex: Callable, map_class: type):
+    src = parse_complex(ring, get_field(data, "source", location),
+                        f"{location}.source")
+    tgt = parse_complex(ring, get_field(data, "target", location),
+                        f"{location}.target")
+    return _build_map(map_class, src, tgt, data, location)
+
+
+def chain_map_from_json(ring: RingSpec, data: Any, location: str = "map"
+                        ) -> ChainMap:
+    """A chain map stored with its endpoints (see chain_map_to_json)."""
+    return _map_from_json(ring, data, location, parse_chain_complex, ChainMap)
+
+
+def cochain_map_from_json(ring: RingSpec, data: Any, location: str = "map"
+                          ) -> CochainMap:
+    """A cochain map stored with its endpoints (see chain_map_to_json)."""
+    return _map_from_json(ring, data, location, parse_cochain_complex,
+                          CochainMap)
 
 
 @dataclass
@@ -202,12 +285,7 @@ def parse_document(data: dict) -> Document:
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise DocumentError("version", f"unsupported version {version!r}")
-    ring_data = data.get("ring")
-    try:
-        ring = RingSpec.from_json(ring_data)
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        raise DocumentError("ring", f"invalid ring: {exc}")
-    doc = Document(ring)
+    doc = Document(parse_ring(data.get("ring")))
     for name, odata in sorted(data.get("objects", {}).items()):
         loc = f"objects.{name}"
         if not isinstance(odata, dict) or "type" not in odata:
@@ -215,7 +293,7 @@ def parse_document(data: dict) -> Document:
         parser = _OBJECT_PARSERS.get(odata["type"])
         if parser is None:
             raise DocumentError(loc, f"unknown object type {odata['type']!r}")
-        doc.objects[name] = parser(ring, odata, loc)
+        doc.objects[name] = parser(doc.ring, odata, loc)
         doc.object_kinds[name] = odata["type"]
     for name, mdata in sorted(data.get("maps", {}).items()):
         loc = f"maps.{name}"
@@ -224,113 +302,71 @@ def parse_document(data: dict) -> Document:
 
 
 def _parse_map(doc: Document, name: str, data: Any, location: str) -> MapEntry:
-    if not isinstance(data, dict):
-        raise DocumentError(location, "map must be an object")
-    for fieldname in ("source", "target", "components"):
-        if fieldname not in data:
-            raise DocumentError(location, f"map needs a '{fieldname}' field")
-    src_name, tgt_name = data["source"], data["target"]
+    src_name = get_field(data, "source", location)
+    tgt_name = get_field(data, "target", location)
     for ref in (src_name, tgt_name):
         if ref not in doc.objects:
             raise DocumentError(location, f"dangling reference {ref!r}")
     src_kind = doc.object_kinds[src_name]
-    tgt_kind = doc.object_kinds[tgt_name]
-    if src_kind != tgt_kind:
+    if src_kind != doc.object_kinds[tgt_name]:
         raise DocumentError(location, "maps must relate objects of one kind")
-    ring = doc.ring
     src, tgt = doc.objects[src_name], doc.objects[tgt_name]
     if src_kind == "simplicial_module":
-        src_c, tgt_c = src.normalized, tgt.normalized
-    else:
-        src_c, tgt_c = src, tgt
-    comps_raw = data["components"]
-    top = max(src_c.top, tgt_c.top)
-    comps = []
-    for n in range(top + 1):
-        raw = comps_raw[n] if n < len(comps_raw) else []
-        action = _matrix(ring, raw, tgt_c.module(n).generators,
-                         src_c.module(n).generators,
-                         f"{location}.components[{n}]")
-        try:
-            comps.append(ModuleMap(src_c.module(n), tgt_c.module(n), action))
-        except ValueError as exc:
-            raise DocumentError(f"{location}.components[{n}]", str(exc))
-    try:
-        if src_kind == "cochain_complex":
-            value = CochainMap(src, tgt, comps)
-            kind = "cochain"
-        else:
-            value = ChainMap(src_c, tgt_c, comps)
-            kind = "simplicial" if src_kind == "simplicial_module" else "chain"
-    except ValueError as exc:
-        raise DocumentError(location, str(exc))
+        src, tgt = src.normalized, tgt.normalized
+    kind = {"cochain_complex": "cochain",
+            "simplicial_module": "simplicial"}.get(src_kind, "chain")
+    value = _build_map(CochainMap if kind == "cochain" else ChainMap,
+                       src, tgt, data, location)
     return MapEntry(name, src_name, tgt_name, value, kind)
 
 
 # -- serialization ------------------------------------------------------
 
 
-def module_to_json(m: PresentedModule) -> dict:
-    return {"generators": m.generators, "relations": m.relations.to_json()}
-
-
-def complex_to_json(C: ChainComplex) -> dict:
-    return {"type": "chain_complex", "degrees": [module_to_json(m) for m in C.mods],
+def graded_to_json(C: ChainComplex | CochainComplex) -> dict:
+    """The degrees and differentials of a complex, without a type tag."""
+    return {"degrees": [m.to_json() for m in C.mods],
             "differentials": [d.action.to_json() for d in C.diffs]}
 
 
-def cochain_to_json(C: CochainComplex) -> dict:
-    return {"type": "cochain_complex",
-            "degrees": [module_to_json(m) for m in C.mods],
-            "differentials": [d.action.to_json() for d in C.diffs]}
+def complex_to_json(C: ChainComplex | CochainComplex) -> dict:
+    kind = ("cochain_complex" if isinstance(C, CochainComplex)
+            else "chain_complex")
+    return {"type": kind, **graded_to_json(C)}
 
 
 def simplicial_to_json(A: SimplicialModule) -> dict:
     return {"type": "simplicial_module",
-            "normalized": {"degrees": [module_to_json(m)
-                                       for m in A.normalized.mods],
-                           "differentials": [d.action.to_json()
-                                             for d in A.normalized.diffs]},
-            "cap": A.cap}
+            "normalized": graded_to_json(A.normalized), "cap": A.cap}
 
 
-def chain_map_to_json(f: ChainMap) -> dict:
+def components_to_json(parts: Sequence[ModuleMap]) -> list:
+    """The degreewise components of a map or a homotopy (its ``parts``)."""
+    return [p.action.to_json() for p in parts]
+
+
+def map_to_json(f) -> dict:
+    """A map or a homotopy whose endpoints the reader already holds."""
+    return {"components": components_to_json(f.parts)}
+
+
+def chain_map_to_json(f: ChainMap | CochainMap) -> dict:
+    """A chain or cochain map together with its endpoints."""
     return {"source": complex_to_json(f.source),
             "target": complex_to_json(f.target),
-            "components": [p.action.to_json() for p in f.parts]}
-
-
-def chain_map_from_json(ring: RingSpec, data: dict, location: str = "map"
-                        ) -> ChainMap:
-    src = parse_chain_complex(ring, data["source"], f"{location}.source")
-    tgt = parse_chain_complex(ring, data["target"], f"{location}.target")
-    comps = []
-    top = max(src.top, tgt.top)
-    for n in range(top + 1):
-        raw = data["components"][n] if n < len(data["components"]) else []
-        action = _matrix(ring, raw, tgt.module(n).generators,
-                         src.module(n).generators,
-                         f"{location}.components[{n}]")
-        comps.append(ModuleMap(src.module(n), tgt.module(n), action))
-    return ChainMap(src, tgt, comps)
+            "components": components_to_json(f.parts)}
 
 
 def document_to_json(doc: Document) -> dict:
     objects = {}
     for name, obj in doc.objects.items():
         kind = doc.object_kinds[name]
-        if kind == "chain_complex":
-            objects[name] = complex_to_json(obj)
-        elif kind == "cochain_complex":
-            objects[name] = cochain_to_json(obj)
-        elif kind == "simplicial_module":
+        if kind == "simplicial_module":
             objects[name] = simplicial_to_json(obj)
-        else:
-            continue
-    maps = {}
-    for name, entry in doc.maps.items():
-        value = entry.value
-        maps[name] = {"source": entry.source_name, "target": entry.target_name,
-                      "components": [p.action.to_json() for p in value.parts]}
+        elif kind != "window_complex":
+            objects[name] = complex_to_json(obj)
+    maps = {name: {"source": entry.source_name, "target": entry.target_name,
+                   "components": components_to_json(entry.value.parts)}
+            for name, entry in doc.maps.items()}
     return {"version": FORMAT_VERSION, "ring": doc.ring.to_json(),
             "objects": objects, "maps": maps}

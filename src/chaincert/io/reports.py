@@ -9,19 +9,18 @@ any other file.
 from __future__ import annotations
 
 import json
-from typing import Any
 
-from ..chains.cochain import CochainComplex, CochainMap, undualize_map
-from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap, \
-    chain_map_equal
+from ..chains.cochain import CochainMap, undualize_map
+from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
 from ..chains.homotopy import quasi_iso
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, map_equal
-from ..exact.rings import RingSpec
 from ..models.classify import bousfield_classify, classify
 from ..models.verdict import Verdict
-from .document import (chain_map_from_json, chain_map_to_json, cochain_to_json,
-                       parse_cochain_complex, DocumentError)
+from .document import (chain_map_from_json, chain_map_to_json,
+                       cochain_map_from_json, components_to_json, get_field,
+                       parse_components, parse_matrix, parse_module,
+                       parse_module_map, parse_ring)
 
 
 def classification_report(f: ChainMap, flavor: str, verdict: Verdict) -> dict:
@@ -41,9 +40,7 @@ def bousfield_report(g: CochainMap, verdict: Verdict) -> dict:
         "flavor": "bousfield",
         "ring": g.source.ring.to_json(),
         "data": "cochain",
-        "map": {"source": cochain_to_json(g.source),
-                "target": cochain_to_json(g.target),
-                "components": [p.action.to_json() for p in g.parts]},
+        "map": chain_map_to_json(g),
         "verdict": verdict.to_json(),
     }
 
@@ -62,7 +59,7 @@ def lift_report(problem, outcome, flavor: str) -> dict:
         "prechecks": outcome.prechecks,
     }
     if outcome.found:
-        data["lift"] = [p.action.to_json() for p in outcome.lift.parts]
+        data["lift"] = components_to_json(outcome.lift.parts)
     else:
         data["obstruction_degree"] = outcome.obstruction_degree
     return data
@@ -75,108 +72,76 @@ def dump(report: dict) -> str:
 # -- verification -------------------------------------------------------
 
 
-def _cochain_map_from_json(ring: RingSpec, data: dict) -> CochainMap:
-    src = parse_cochain_complex(ring, data["source"], "map.source")
-    tgt = parse_cochain_complex(ring, data["target"], "map.target")
-    comps = []
-    top = max(src.top, tgt.top)
-    for n in range(top + 1):
-        raw = data["components"][n] if n < len(data["components"]) else []
-        action = Matrix(ring, tgt.module(n).generators,
-                        src.module(n).generators,
-                        raw if raw else None)
-        comps.append(ModuleMap(src.module(n), tgt.module(n), action))
-    return CochainMap(src, tgt, comps)
-
-
-def _witness_matrix(ring, data, rows, cols) -> Matrix:
-    return Matrix(ring, rows, cols, data if (rows and cols) else None)
-
-
-def _check_retractions(f, degrees_data: dict, expected: set[int],
-                       problems: list[str], *, component) -> None:
+def _check_one_sided_inverses(degrees_data: dict, expected: set[int],
+                              problems: list[str], location: str, *,
+                              component, retraction: bool) -> None:
+    """Retractions r f_n = id, or sections f_n s = id, degree by degree."""
+    name = "retraction" if retraction else "section"
     stored = {int(k) for k in degrees_data}
     if stored != expected:
-        problems.append(f"retraction degrees {sorted(stored)} do not match "
+        problems.append(f"{name} degrees {sorted(stored)} do not match "
                         f"the convention {sorted(expected)}")
     for key, mat in degrees_data.items():
         n = int(key)
         fn = component(n)
-        r = ModuleMap(fn.target, fn.source,
-                      _witness_matrix(fn.source.ring, mat,
-                                      fn.source.generators,
-                                      fn.target.generators))
-        if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
-            problems.append(f"retraction at degree {n} fails")
-
-
-def _check_sections(f, degrees_data: dict, expected: set[int],
-                    problems: list[str], *, component) -> None:
-    stored = {int(k) for k in degrees_data}
-    if stored != expected:
-        problems.append(f"section degrees {sorted(stored)} do not match "
-                        f"the convention {sorted(expected)}")
-    for key, mat in degrees_data.items():
-        n = int(key)
-        fn = component(n)
-        s = ModuleMap(fn.target, fn.source,
-                      _witness_matrix(fn.source.ring, mat,
-                                      fn.source.generators,
-                                      fn.target.generators))
-        if not map_equal(fn.compose(s), ModuleMap.identity(fn.target)):
-            problems.append(f"section at degree {n} fails")
+        inv = parse_module_map(mat, fn.target, fn.source, f"{location}.{key}")
+        if retraction:
+            holds = map_equal(inv.compose(fn), ModuleMap.identity(fn.source))
+        else:
+            holds = map_equal(fn.compose(inv), ModuleMap.identity(fn.target))
+        if not holds:
+            problems.append(f"{name} at degree {n} fails")
 
 
 def _check_homotopy_equivalence(f: ChainMap, witness: dict,
-                                problems: list[str]) -> None:
-    ring = f.source.ring
+                                problems: list[str], location: str) -> None:
+    X, Y = f.source, f.target
+
+    def components(key, source, target, shift=0):
+        loc = f"{location}.{key}"
+        return parse_components(
+            get_field(get_field(witness, key, location), "components", loc),
+            source, target, f"{loc}.components", shift=shift)
+
+    inverse = components("inverse", Y, X)
+    h_parts = components("homotopy_source", X, X, shift=1)
+    k_parts = components("homotopy_target", Y, Y, shift=1)
     try:
-        inv = chain_map_from_json(ring, witness["inverse"], "witness.inverse")
-        src_h = witness["homotopy_source"]["components"]
-        tgt_h = witness["homotopy_target"]["components"]
-        X, Y = f.source, f.target
-        h_parts = [ModuleMap(X.module(n), X.module(n + 1),
-                             _witness_matrix(ring, src_h[n],
-                                             X.module(n + 1).generators,
-                                             X.module(n).generators))
-                   for n in range(len(src_h))]
-        k_parts = [ModuleMap(Y.module(n), Y.module(n + 1),
-                             _witness_matrix(ring, tgt_h[n],
-                                             Y.module(n + 1).generators,
-                                             Y.module(n).generators))
-                   for n in range(len(tgt_h))]
-        g = ChainMap(X if inv.source == X else inv.source, inv.target,
-                     list(inv.parts))
+        g = ChainMap(Y, X, inverse)
         ChainHomotopy(g.compose(f), ChainMap.identity(X), h_parts)
         ChainHomotopy(f.compose(g), ChainMap.identity(Y), k_parts)
-    except (ValueError, KeyError, IndexError) as exc:
+    except ValueError as exc:
         problems.append(f"homotopy equivalence witness fails: {exc}")
 
 
 def _check_surjectivity(f, degrees_data: dict, expected: set[int],
-                        problems: list[str]) -> None:
+                        problems: list[str], location: str) -> None:
     stored = {int(k) for k in degrees_data}
     if stored != expected:
         problems.append(f"surjectivity degrees {sorted(stored)} do not match "
                         f"{sorted(expected)}")
     for key, cert in degrees_data.items():
         n = int(key)
+        loc = f"{location}.{key}"
         fn = f.component(n)
         ring = fn.source.ring
         gY, gX = fn.target.generators, fn.source.generators
-        X = _witness_matrix(ring, cert["preimages"], gX, gY)
-        Z = _witness_matrix(ring, cert["relation_part"],
-                            fn.target.relations.cols, gY)
+        X = parse_matrix(ring, get_field(cert, "preimages", loc), gX, gY,
+                         f"{loc}.preimages")
+        Z = parse_matrix(ring, get_field(cert, "relation_part", loc),
+                         fn.target.relations.cols, gY, f"{loc}.relation_part")
         got = fn.action @ X + fn.target.relations @ Z
         if got != Matrix.identity(ring, gY):
             problems.append(f"surjectivity certificate at degree {n} fails")
 
 
-def _check_q_cofibration(f, degrees_data: dict, problems: list[str]) -> None:
+def _check_q_cofibration(f, degrees_data: dict, problems: list[str],
+                         location: str) -> None:
     from ..exact.modules import PresentedModule, cokernel, kernel
 
     for key, cert in degrees_data.items():
         n = int(key)
+        loc = f"{location}.{key}"
         fn = f.component(n)
         ring = fn.source.ring
         ker, incl = kernel(fn)
@@ -185,85 +150,84 @@ def _check_q_cofibration(f, degrees_data: dict, problems: list[str]) -> None:
             continue
         gens = incl.action
         if gens.cols:
-            fact = _witness_matrix(ring, cert["kernel_factorization"],
-                                   fn.source.relations.cols, gens.cols)
+            fact = parse_matrix(ring,
+                                get_field(cert, "kernel_factorization", loc),
+                                fn.source.relations.cols, gens.cols,
+                                f"{loc}.kernel_factorization")
             if fn.source.relations @ fact != gens:
                 problems.append(f"kernel factorization fails at degree {n}")
-        coker_data = cert["cokernel"]
-        coker = PresentedModule(
-            ring, coker_data["generators"],
-            _witness_matrix(ring, coker_data["relations"],
-                            coker_data["generators"],
-                            len(coker_data["relations"][0])
-                            if coker_data["relations"] else 0))
+        coker = parse_module(ring, get_field(cert, "cokernel", loc),
+                             f"{loc}.cokernel")
         recomputed, _ = cokernel(fn)
         if not recomputed.is_isomorphic(coker):
             problems.append(f"stored cokernel mismatches at degree {n}")
-        section = ModuleMap(coker, PresentedModule.free(ring, coker.generators),
-                            _witness_matrix(ring, cert["cokernel_section"],
-                                            coker.generators, coker.generators))
-        projection = ModuleMap(PresentedModule.free(ring, coker.generators),
-                               coker, Matrix.identity(ring, coker.generators),
+        free = PresentedModule.free(ring, coker.generators)
+        section = parse_module_map(get_field(cert, "cokernel_section", loc),
+                                   coker, free, f"{loc}.cokernel_section")
+        projection = ModuleMap(free, coker,
+                               Matrix.identity(ring, coker.generators),
                                check=False)
         if not map_equal(projection.compose(section),
                          ModuleMap.identity(coker)):
             problems.append(f"cokernel section fails at degree {n}")
-        r = ModuleMap(fn.target, fn.source,
-                      _witness_matrix(ring, cert["retraction"],
-                                      fn.source.generators,
-                                      fn.target.generators))
+        r = parse_module_map(get_field(cert, "retraction", loc), fn.target,
+                             fn.source, f"{loc}.retraction")
         if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
             problems.append(f"q-cofibration retraction fails at degree {n}")
 
 
 def verify_classification(data: dict) -> list[str]:
     problems: list[str] = []
-    ring = RingSpec.from_json(data["ring"])
-    flavor = data["flavor"]
+    ring = parse_ring(get_field(data, "ring"))
+    flavor = get_field(data, "flavor")
     if data.get("data") == "cochain":
-        g = _cochain_map_from_json(ring, data["map"])
+        g = cochain_map_from_json(ring, get_field(data, "map"))
         recomputed = bousfield_classify(g)
         top = max(g.source.top, g.target.top)
         conventions = {"fibration": set(range(top + 1)),
                        "cofibration": set(range(1, top + 1))}
         f_for_bits = g
-        component = g.component
         he_map = undualize_map(g)
     else:
-        f = chain_map_from_json(ring, data["map"])
+        f = chain_map_from_json(ring, get_field(data, "map"))
         recomputed = classify(f, flavor)
         top = max(f.source.top, f.target.top)
         conventions = {"fibration": set(range(1, top + 1)),
                        "cofibration": set(range(top + 1))}
         f_for_bits = f
-        component = f.component
         he_map = f
 
-    stored = Verdict.from_json(data["verdict"])
+    verdict = get_field(data, "verdict")
     for bit_name in ("cofibration", "fibration", "weak_equivalence"):
-        bit = getattr(stored, bit_name)
+        bit = get_field(verdict, bit_name, "verdict")
+        status = get_field(bit, "status", f"verdict.{bit_name}")
         fresh = getattr(recomputed, bit_name)
-        if bit.status != fresh.status:
-            problems.append(f"{bit_name} status {bit.status!r} disagrees with "
+        if status != fresh.status:
+            problems.append(f"{bit_name} status {status!r} disagrees with "
                             f"recomputation {fresh.status!r}")
-        if bit.status != "yes" or bit.witness is None:
+        witness = bit.get("witness")
+        if status != "yes" or witness is None:
             continue
-        wtype = bit.witness.get("type")
-        if wtype == "degreewise_retractions":
-            _check_retractions(f_for_bits, bit.witness["degrees"],
-                               conventions["cofibration"], problems,
-                               component=component)
-        elif wtype == "degreewise_sections":
-            _check_sections(f_for_bits, bit.witness["degrees"],
-                            conventions["fibration"], problems,
-                            component=component)
+        loc = f"verdict.{bit_name}.witness"
+        wtype = get_field(witness, "type", loc)
+        if wtype in ("degreewise_retractions", "degreewise_sections"):
+            retraction = wtype == "degreewise_retractions"
+            _check_one_sided_inverses(
+                get_field(witness, "degrees", loc),
+                conventions["cofibration" if retraction else "fibration"],
+                problems, f"{loc}.degrees", component=f_for_bits.component,
+                retraction=retraction)
         elif wtype in ("homotopy_equivalence", "cochain_homotopy_equivalence"):
-            _check_homotopy_equivalence(he_map, bit.witness, problems)
+            _check_homotopy_equivalence(he_map, witness, problems, loc)
         elif wtype == "degreewise_surjectivity":
-            _check_surjectivity(f_for_bits, bit.witness["degrees"],
-                                conventions["fibration"], problems)
+            _check_surjectivity(f_for_bits,
+                                get_field(witness, "degrees", loc),
+                                conventions["fibration"], problems,
+                                f"{loc}.degrees")
         elif wtype == "q_cofibration":
-            _check_q_cofibration(f_for_bits, bit.witness["degrees"], problems)
+            _check_q_cofibration(f_for_bits,
+                                 get_field(witness, "degrees", loc),
+                                 problems, f"{loc}.degrees")
         elif wtype == "cone_exactness":
             if not quasi_iso(he_map):
                 problems.append("cone exactness claim fails recomputation")
@@ -274,23 +238,16 @@ def verify_classification(data: dict) -> list[str]:
 
 def verify_lift(data: dict) -> list[str]:
     problems: list[str] = []
-    ring = RingSpec.from_json(data["ring"])
-    left = chain_map_from_json(ring, data["left"], "left")
-    right = chain_map_from_json(ring, data["right"], "right")
-    top = chain_map_from_json(ring, data["top"], "top")
-    bottom = chain_map_from_json(ring, data["bottom"], "bottom")
+    ring = parse_ring(get_field(data, "ring"))
+    left, right, top, bottom = (chain_map_from_json(ring, get_field(data, leg),
+                                                    leg)
+                                for leg in ("left", "right", "top", "bottom"))
     if not chain_map_equal(right.compose(top), bottom.compose(left)):
         problems.append("stored square does not commute")
     if not data.get("found"):
         return problems
-    comps = []
     X, E = left.target, right.source
-    for n in range(max(X.top, E.top) + 1):
-        raw = data["lift"][n] if n < len(data["lift"]) else []
-        comps.append(ModuleMap(X.module(n), E.module(n),
-                               _witness_matrix(ring, raw,
-                                               E.module(n).generators,
-                                               X.module(n).generators)))
+    comps = parse_components(get_field(data, "lift"), X, E, "lift")
     try:
         lift = ChainMap(X, E, comps)
     except ValueError as exc:
@@ -304,7 +261,7 @@ def verify_lift(data: dict) -> list[str]:
 
 
 def verify_report(data: dict) -> tuple[bool, list[str]]:
-    kind = data.get("kind")
+    kind = get_field(data, "kind")
     if kind == "classification":
         problems = verify_classification(data)
     elif kind == "lift":

@@ -23,6 +23,7 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, cokernel, kernel
 from ..exact.snf import solve
 from ..exact.splitting import is_split_epi, is_split_mono, projective_section
+from ..io.document import graded_to_json, map_to_json
 from .verdict import ClassBit, Verdict, no, unknown, yes
 
 FLAVORS = ("h", "q", "m")
@@ -62,9 +63,9 @@ def homotopy_equivalence_bit(f: ChainMap) -> ClassBit:
 def homotopy_equivalence_witness(he: HomotopyEquivalence) -> dict:
     return {
         "type": "homotopy_equivalence",
-        "inverse": he.inverse.to_json(),
-        "homotopy_source": he.source_homotopy.to_json(),
-        "homotopy_target": he.target_homotopy.to_json(),
+        "inverse": map_to_json(he.inverse),
+        "homotopy_source": map_to_json(he.source_homotopy),
+        "homotopy_target": map_to_json(he.target_homotopy),
     }
 
 
@@ -132,7 +133,7 @@ def quasi_iso_bit(f: ChainMap) -> ClassBit:
             inv = H.minimal_presentation().minimal_invariants()
             return no(degree=n, reason=f"cone homology {inv} in degree {n}")
         invariants[str(n)] = {"free_rank": 0, "factors": []}
-    return yes({"type": "cone_exactness", "cone": cone.complex.to_json(),
+    return yes({"type": "cone_exactness", "cone": graded_to_json(cone.complex),
                 "degrees": invariants})
 
 

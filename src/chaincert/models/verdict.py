@@ -35,11 +35,6 @@ class ClassBit:
             out["obstruction"] = self.obstruction
         return out
 
-    @staticmethod
-    def from_json(data: dict) -> "ClassBit":
-        return ClassBit(data["status"], data.get("witness"),
-                        data.get("obstruction"))
-
 
 @dataclass
 class Verdict:
@@ -55,15 +50,6 @@ class Verdict:
             "fibration": self.fibration.to_json(),
             "weak_equivalence": self.weak_equivalence.to_json(),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Verdict":
-        return Verdict(
-            data["flavor"],
-            ClassBit.from_json(data["cofibration"]),
-            ClassBit.from_json(data["fibration"]),
-            ClassBit.from_json(data["weak_equivalence"]),
-        )
 
 
 def yes(witness: dict | None = None) -> ClassBit:

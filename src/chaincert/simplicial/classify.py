@@ -17,7 +17,7 @@ from ..chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
 from ..chains.homotopy import (chain_homotopic, is_chain_homotopy_equivalence,
                                nullhomotopy)
-from ..chains.tensor import TensorLayout, interval_cylinder
+from ..chains.tensor import cylinder_map, interval_cylinder
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..models.classify import classify
@@ -50,33 +50,7 @@ def simplicial_homotopic(f: SimplicialMap, g: SimplicialMap
         return None
     A, B = f.source, f.target
     ring = A.ring
-    NA, NB = A.normalized, B.normalized
-    lay, c0, c1, _ = interval_cylinder(NA, interval(ring))
-    # G(x (x) e0) = f(x), G(x (x) e1) = g(x), G(x (x) e) = (-1)^{|x|} H(x)
-    parts = []
-    for m in range(lay.top + 1):
-        rows = NB.module(m).generators
-        cols = lay.module(m).generators
-        out = [[0] * cols for _ in range(rows)]
-        for (i, j) in lay.pairs(m):
-            off = lay.offset(m, i)
-            gx = NA.module(i).generators
-            if j == 0:
-                fb = f.normalized_map.component(i).action
-                gb = g.normalized_map.component(i).action
-                for a in range(rows):
-                    for b in range(gx):
-                        out[a][off + 2 * b] = fb[a, b]
-                        out[a][off + 2 * b + 1] = gb[a, b]
-            else:
-                hb = H.component(i).action
-                sign = -1 if i % 2 else 1
-                for a in range(rows):
-                    for b in range(gx):
-                        out[a][off + b] = sign * hb[a, b]
-        parts.append(ModuleMap(lay.module(m), NB.module(m),
-                               Matrix(ring, rows, cols, out), check=False))
-    G = ChainMap(lay.complex(), NB, parts)
+    G = cylinder_map(f.normalized_map, g.normalized_map, H.parts)
     T = degreewise_tensor(A, interval_object(ring))
     aw_map = aw(A, interval_object(ring), T)
     transported = SimplicialMap(T, B, G.compose(aw_map))
@@ -155,7 +129,6 @@ class IntervalCotensor:
     data: CotensorData
     ev0: SimplicialMap
     ev1: SimplicialMap
-    unit_iso: list[Matrix]  # cotensor-by-unit degree n -> N(B)_n
 
 
 def interval_cotensor(B: SimplicialModule) -> IntervalCotensor:
@@ -166,7 +139,7 @@ def interval_cotensor(B: SimplicialModule) -> IntervalCotensor:
                          _gamma_levels_of(data.complex), data.complex.top + 1)
     ev0 = _evaluation_map(data, B, P, end=0)
     ev1 = _evaluation_map(data, B, P, end=1)
-    return IntervalCotensor(P, data, ev0, ev1, [])
+    return IntervalCotensor(P, data, ev0, ev1)
 
 
 def _gamma_levels_of(C: ChainComplex):

@@ -140,9 +140,6 @@ class SimplicialModule:
     def degeneracy(self, n: int, j: int) -> Matrix:
         return self.levels.degeneracy(n, j)
 
-    def to_json(self) -> dict:
-        return {"normalized": self.normalized.to_json(), "cap": self.cap}
-
     def __repr__(self) -> str:
         return f"SimplicialModule(top={self.top}, cap={self.cap})"
 

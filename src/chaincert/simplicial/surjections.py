@@ -21,10 +21,6 @@ def from_jumps(n: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(values)
 
 
-def jumps_of(eta: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i for i in range(1, len(eta)) if eta[i] == eta[i - 1] + 1)
-
-
 @lru_cache(maxsize=None)
 def surjections(n: int) -> tuple[tuple[int, ...], ...]:
     """All order-preserving surjections out of [n], canonically ordered."""

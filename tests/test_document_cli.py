@@ -7,9 +7,22 @@ import sys
 
 import pytest
 
+from chaincert.chains.build import zero_complex
+from chaincert.chains.cochain import undualize_map
+from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.cli import main
-from chaincert.io.document import (DocumentError, document_to_json,
-                                   parse_document)
+from chaincert.exact.modules import PresentedModule
+from chaincert.exact.rings import RingSpec
+from chaincert.io.document import (DocumentError, chain_map_from_json,
+                                   chain_map_to_json, cochain_map_from_json,
+                                   components_to_json, document_to_json,
+                                   graded_to_json, parse_chain_complex,
+                                   parse_components, parse_document,
+                                   parse_matrix, parse_module,
+                                   parse_module_map)
+from chaincert.io.reports import classification_report, dump, lift_report
+from chaincert.models.classify import classify
+from chaincert.models.lifting import solve_lifting
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -132,15 +145,192 @@ def test_cli_classify_zmod6(capsys):
     assert data["verdict"]["fibration"]["status"] == "yes"
 
 
-def test_cli_witness_verify_roundtrip(tmp_path, capsys):
+# the interval's end inclusions are homotopy equivalences, so their h and
+# Bousfield reports carry an inverse and two homotopies
+ROUNDTRIP_COMMANDS = {
+    "brutal-q": ["classify", "--doc", fixture("brutal_truncation.json"),
+                 "--map", "q", "--flavor", "q"],
+    "interval-h": ["classify", "--doc", fixture("interval.json"),
+                   "--map", "e0", "--flavor", "h"],
+    "interval-bousfield": ["bousfield", "--doc", fixture("interval.json"),
+                           "--map", "e0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUNDTRIP_COMMANDS))
+def test_cli_witness_verify_roundtrip(tmp_path, capsys, command):
     witness = tmp_path / "w.json"
-    code, _ = run_cli(["classify", "--doc", fixture("brutal_truncation.json"),
-                       "--map", "q", "--flavor", "q",
-                       "--out", str(witness)], capsys)
+    code, _ = run_cli(ROUNDTRIP_COMMANDS[command] + ["--out", str(witness)],
+                      capsys)
     assert code == 0
     code, out = run_cli(["verify", str(witness)], capsys)
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+def test_cli_verify_rejects_tampered_inverse(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    run_cli(ROUNDTRIP_COMMANDS["interval-h"] + ["--out", str(witness)],
+            capsys)
+    data = json.loads(witness.read_text())
+    inverse = data["verdict"]["weak_equivalence"]["witness"]["inverse"]
+    inverse["components"][0][0][0] += 1
+    witness.write_text(json.dumps(data))
+    code, out = run_cli(["verify", str(witness)], capsys)
+    assert code == 1
+    assert not json.loads(out)["ok"]
+
+
+def interval_lift_report():
+    """e0 : R -> I against I -> 0, with e0 on top: the identity of I lifts."""
+    with open(fixture("interval.json")) as fh:
+        doc = parse_document(json.load(fh))
+    e0 = doc.map("e0").value
+    I = e0.target
+    to_zero = ChainMap.zero(I, zero_complex(doc.ring))
+    problem = LiftingProblem(e0, to_zero, e0, to_zero)
+    report = json.loads(dump(lift_report(problem, solve_lifting(problem, "h"),
+                                         "h")))
+    assert report["found"]
+    return report
+
+
+def _drop_lift(report):
+    del report["lift"]
+
+
+def _drop_left_source(report):
+    del report["left"]["source"]
+
+
+def _string_entry(report):
+    report["lift"][0][0][0] = "1"
+
+
+def _short_matrix(report):
+    report["lift"][0] = report["lift"][0][:1]
+
+
+def interval_h_report():
+    with open(fixture("interval.json")) as fh:
+        e0 = parse_document(json.load(fh)).map("e0").value
+    return json.loads(dump(classification_report(e0, "h", classify(e0, "h"))))
+
+
+def _drop_status(report):
+    del report["verdict"]["fibration"]["status"]
+
+
+@pytest.mark.parametrize("make, damage, location", [
+    (interval_lift_report, _drop_lift, "lift"),
+    (interval_lift_report, _drop_left_source, "left.source"),
+    (interval_lift_report, _string_entry, "lift[0][0]"),
+    (interval_lift_report, _short_matrix, "lift[0]"),
+    (interval_h_report, _drop_status, "verdict.fibration.status")])
+def test_cli_verify_malformed_report_names_location(tmp_path, capsys, make,
+                                                    damage, location):
+    report = make()
+    damage(report)
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 2
+    assert f"error: {location}: " in capsys.readouterr().err
+
+
+def reencode_witness(ring, f, he_map, witness):
+    """Decode every chain-data field of a witness and encode it again."""
+    kind = witness["type"]
+    out = dict(witness)
+    if kind in ("degreewise_retractions", "degreewise_sections"):
+        out["degrees"] = {}
+        for key, mat in witness["degrees"].items():
+            fn = f.component(int(key))
+            out["degrees"][key] = parse_module_map(
+                mat, fn.target, fn.source, key).action.to_json()
+    elif kind in ("homotopy_equivalence", "cochain_homotopy_equivalence"):
+        X, Y = he_map.source, he_map.target
+        for key, source, target, shift in (("inverse", Y, X, 0),
+                                           ("homotopy_source", X, X, 1),
+                                           ("homotopy_target", Y, Y, 1)):
+            parts = parse_components(witness[key]["components"], source,
+                                     target, key, shift=shift)
+            out[key] = {"components": components_to_json(parts)}
+    elif kind == "degreewise_surjectivity":
+        out["degrees"] = {}
+        for key, cert in witness["degrees"].items():
+            fn = f.component(int(key))
+            gY, gX = fn.target.generators, fn.source.generators
+            out["degrees"][key] = {
+                "preimages": parse_matrix(ring, cert["preimages"], gX, gY,
+                                          key).to_json(),
+                "relation_part": parse_matrix(
+                    ring, cert["relation_part"], fn.target.relations.cols,
+                    gY, key).to_json()}
+    elif kind == "q_cofibration":
+        out["degrees"] = {}
+        for key, cert in witness["degrees"].items():
+            fn = f.component(int(key))
+            coker = parse_module(ring, cert["cokernel"], key)
+            free = PresentedModule.free(ring, coker.generators)
+            out["degrees"][key] = {
+                **cert, "cokernel": coker.to_json(),
+                "cokernel_section": parse_module_map(
+                    cert["cokernel_section"], coker, free, key
+                ).action.to_json(),
+                "retraction": parse_module_map(
+                    cert["retraction"], fn.target, fn.source, key
+                ).action.to_json()}
+    elif kind == "cone_exactness":
+        out["cone"] = graded_to_json(parse_chain_complex(ring, witness["cone"],
+                                                         "cone"))
+    return out
+
+
+# one report of each kind on the fixtures, covering every witness type
+CODEC_REPORTS = {
+    "h": ["classify", "--doc", fixture("interval.json"), "--map", "e0",
+          "--flavor", "h"],
+    "q": ["classify", "--doc", fixture("nonqhm.json"), "--map", "i",
+          "--flavor", "q"],
+    "q-cone": ["classify", "--doc", fixture("interval.json"), "--map", "e0",
+               "--flavor", "q"],
+    "m": ["classify", "--doc", fixture("nonqhm.json"), "--map", "i",
+          "--flavor", "m"],
+    "bousfield": ROUNDTRIP_COMMANDS["interval-bousfield"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CODEC_REPORTS) + ["lift"])
+def test_codec_reencodes_reports_exactly(kind, capsys):
+    if kind == "lift":
+        report = interval_lift_report()
+    else:
+        code, out = run_cli(CODEC_REPORTS[kind], capsys)
+        assert code == 0
+        report = json.loads(out)
+    ring = RingSpec.from_json(report["ring"])
+    if kind == "lift":
+        legs = {leg: chain_map_from_json(ring, report[leg], leg)
+                for leg in ("left", "right", "top", "bottom")}
+        assert {leg: chain_map_to_json(f) for leg, f in legs.items()} == \
+            {leg: report[leg] for leg in legs}
+        lift = parse_components(report["lift"], legs["left"].target,
+                                legs["right"].source, "lift")
+        assert components_to_json(lift) == report["lift"]
+        return
+    if report["data"] == "cochain":
+        f = cochain_map_from_json(ring, report["map"])
+        he_map = undualize_map(f)
+    else:
+        f = he_map = chain_map_from_json(ring, report["map"])
+    assert chain_map_to_json(f) == report["map"]
+    witnesses = 0
+    for bit in report["verdict"].values():
+        if isinstance(bit, dict) and "witness" in bit:
+            witnesses += 1
+            assert reencode_witness(ring, f, he_map, bit["witness"]) == \
+                bit["witness"]
+    assert witnesses
 
 
 def test_cli_verify_rejects_tampered_witness(tmp_path, capsys):
