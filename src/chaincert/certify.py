@@ -26,9 +26,8 @@ from .io.document import (chain_map_from_json, chain_map_to_json,
                           complex_to_json, parse_chain_complex,
                           parse_components, DocumentError)
 from .models.classify import (MCofibrationWitness, bousfield_classify,
-                              classify, h_cofibration_bit, h_fibration_bit,
-                              q_cofibration_bit, quasi_iso_bit,
-                              verify_m_cofibration)
+                              h_cofibration_bit, h_fibration_bit, model_bit,
+                              q_cofibration_bit, verify_m_cofibration)
 from .models.generators import (random_chain_map, random_complex,
                                 random_map_for_agreement, random_q_cofibration,
                                 random_split_mono, twist_complex_with_iso)
@@ -337,16 +336,13 @@ def _pred_fibrant(case, cfg):
         X = parse_chain_complex(cfg.ring, case["complex"], "complex")
     except DocumentError:
         return INVALID
-    from .models.classify import _degree_range, surjectivity_bit
-
     to0, from0 = _to_zero(X), _from_zero(X)
-    positive = [n for n in _degree_range(to0) if n >= 1]
     checks = [
         h_fibration_bit(to0).holds,
         h_cofibration_bit(from0).holds,
-        surjectivity_bit(to0, positive).holds,   # q- and m-fibration
-        bousfield_classify(dualize_map(to0)).fibration.holds,
-        bousfield_classify(dualize_map(from0)).cofibration.holds,
+        model_bit(to0, "q", "fibration").holds,
+        model_bit(dualize_map(to0), "bousfield", "fibration").holds,
+        model_bit(dualize_map(from0), "bousfield", "cofibration").holds,
         h_fibration_bit(gamma_map(to0).normalized_map).holds,
         h_cofibration_bit(gamma_map(from0).normalized_map).holds,
     ]

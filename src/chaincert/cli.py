@@ -12,7 +12,7 @@ import json
 import sys
 
 from .certify import CertifyConfig, SUITES, run_suite
-from .chains.cochain import dualize, dualize_map
+from .chains.cochain import dualize_map
 from .chains.complexes import ChainMap, LiftingProblem
 from .chains.homcx import hom_complex
 from .chains.tensor import tensor_complex
@@ -20,9 +20,9 @@ from .chains.truncate import good_truncation, window_of_complex
 from .exact.rings import RingSpec, ZZ, Zmod
 from .io.document import (DocumentError, complex_to_json, map_to_json,
                           parse_document, simplicial_to_json)
-from .io.reports import (bousfield_report, classification_report, dump,
-                         lift_report, verify_report)
-from .models.classify import bousfield_classify, classify
+from .io.reports import (classification_report, dump, lift_report,
+                         verify_report)
+from .models.classify import check_data, classify
 from .models.lifting import solve_lifting
 from .simplicial.cotensor import ez_aw_dual_ops
 from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
@@ -76,21 +76,13 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     doc = _load_document(args.document)
+    f = doc.map(args.map).value
     try:
-        entry = doc.map(args.map)
-    except DocumentError as exc:
-        _fail(str(exc))
-    if args.flavor == "bousfield":
-        if entry.kind != "cochain":
-            _fail(f"maps.{args.map}: bousfield flavor needs cochain data")
-        verdict = bousfield_classify(entry.value)
-        report = bousfield_report(entry.value, verdict)
-    else:
-        if entry.kind == "cochain":
-            _fail(f"maps.{args.map}: flavor {args.flavor} needs chain data")
-        verdict = classify(entry.value, args.flavor)
-        report = classification_report(entry.value, args.flavor, verdict)
-    _emit(report, args.out)
+        check_data(f, args.flavor)
+    except ValueError as exc:
+        _fail(f"maps.{args.map}: {exc}")
+    _emit(classification_report(f, args.flavor, classify(f, args.flavor)),
+          args.out)
     return 0
 
 
@@ -204,12 +196,9 @@ def cmd_ez_aw(args) -> int:
 def cmd_bousfield(args) -> int:
     doc = _load_document(args.document)
     entry = doc.map(args.map)
-    if entry.kind == "cochain":
-        g = entry.value
-    else:
-        g = dualize_map(entry.value)
-    verdict = bousfield_classify(g)
-    _emit(bousfield_report(g, verdict), args.out)
+    g = entry.value if entry.kind == "cochain" else dualize_map(entry.value)
+    _emit(classification_report(g, "bousfield", classify(g, "bousfield")),
+          args.out)
     return 0
 
 

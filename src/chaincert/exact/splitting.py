@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..errors import CertificateError
 from .equations import MapVariable, MatrixRelation, solve_map_relations
 from .matrix import Matrix
 from .modules import ModuleMap, PresentedModule, map_equal
@@ -30,7 +31,8 @@ def is_split_epi(f: ModuleMap) -> ModuleMap | None:
     if sol is None:
         return None
     section = ModuleMap(C, B, sol["s"])
-    assert map_equal(f.compose(section), ModuleMap.identity(C))
+    if not map_equal(f.compose(section), ModuleMap.identity(C)):
+        raise CertificateError("computed section s fails f o s = id")
     return section
 
 
@@ -48,7 +50,8 @@ def is_split_mono(f: ModuleMap) -> ModuleMap | None:
     if sol is None:
         return None
     retraction = ModuleMap(C, B, sol["r"])
-    assert map_equal(retraction.compose(f), ModuleMap.identity(B))
+    if not map_equal(retraction.compose(f), ModuleMap.identity(B)):
+        raise CertificateError("computed retraction r fails r o f = id")
     return retraction
 
 

@@ -304,7 +304,10 @@ def parse_document(data: dict) -> Document:
 def _parse_map(doc: Document, name: str, data: Any, location: str) -> MapEntry:
     src_name = get_field(data, "source", location)
     tgt_name = get_field(data, "target", location)
-    for ref in (src_name, tgt_name):
+    for key, ref in (("source", src_name), ("target", tgt_name)):
+        if not isinstance(ref, str):
+            raise DocumentError(f"{location}.{key}",
+                                "expected the name of an object")
         if ref not in doc.objects:
             raise DocumentError(location, f"dangling reference {ref!r}")
     src_kind = doc.object_kinds[src_name]

@@ -9,40 +9,36 @@ any other file.
 from __future__ import annotations
 
 import json
+import re
 
 from ..chains.cochain import CochainMap, undualize_map
 from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
 from ..chains.homotopy import quasi_iso
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, map_equal
-from ..models.classify import bousfield_classify, classify
+from ..exact.modules import (ModuleMap, PresentedModule, cokernel, kernel,
+                             map_equal)
+from ..models.classify import bit_degrees, check_data, classify, flavor_data
 from ..models.verdict import Verdict
-from .document import (chain_map_from_json, chain_map_to_json,
+from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
                        cochain_map_from_json, components_to_json, get_field,
                        parse_components, parse_matrix, parse_module,
                        parse_module_map, parse_ring)
 
 
-def classification_report(f: ChainMap, flavor: str, verdict: Verdict) -> dict:
+def classification_report(f: ChainMap | CochainMap, flavor: str,
+                          verdict: Verdict) -> dict:
     return {
         "kind": "classification",
         "flavor": flavor,
         "ring": f.source.ring.to_json(),
-        "data": "chain",
+        "data": flavor_data(flavor),
         "map": chain_map_to_json(f),
         "verdict": verdict.to_json(),
     }
 
 
 def bousfield_report(g: CochainMap, verdict: Verdict) -> dict:
-    return {
-        "kind": "classification",
-        "flavor": "bousfield",
-        "ring": g.source.ring.to_json(),
-        "data": "cochain",
-        "map": chain_map_to_json(g),
-        "verdict": verdict.to_json(),
-    }
+    return classification_report(g, "bousfield", verdict)
 
 
 def lift_report(problem, outcome, flavor: str) -> dict:
@@ -72,25 +68,95 @@ def dump(report: dict) -> str:
 # -- verification -------------------------------------------------------
 
 
-def _check_one_sided_inverses(degrees_data: dict, expected: set[int],
-                              problems: list[str], location: str, *,
-                              component, retraction: bool) -> None:
-    """Retractions r f_n = id, or sections f_n s = id, degree by degree."""
-    name = "retraction" if retraction else "section"
-    stored = {int(k) for k in degrees_data}
-    if stored != expected:
-        problems.append(f"{name} degrees {sorted(stored)} do not match "
-                        f"the convention {sorted(expected)}")
-    for key, mat in degrees_data.items():
-        n = int(key)
-        fn = component(n)
-        inv = parse_module_map(mat, fn.target, fn.source, f"{location}.{key}")
-        if retraction:
-            holds = map_equal(inv.compose(fn), ModuleMap.identity(fn.source))
-        else:
-            holds = map_equal(fn.compose(inv), ModuleMap.identity(fn.target))
-        if not holds:
-            problems.append(f"{name} at degree {n} fails")
+def _degree_entries(witness: dict, name: str, expected: range,
+                    problems: list[str], location: str) -> list[tuple]:
+    """``(n, location, entry)`` for each degree a witness stores.
+
+    The stored degrees must be exactly ``expected``, the degrees the
+    convention tests for this bit.
+    """
+    loc = f"{location}.degrees"
+    degrees = get_field(witness, "degrees", location)
+    if not isinstance(degrees, dict):
+        raise DocumentError(loc, "expected an object keyed by degree")
+    entries = []
+    for key, entry in degrees.items():
+        if not re.fullmatch("0|[1-9][0-9]*", key):
+            raise DocumentError(f"{loc}.{key}",
+                                "a degree key must be a natural number")
+        entries.append((int(key), f"{loc}.{key}", entry))
+    stored = sorted(n for n, _, _ in entries)
+    if stored != list(expected):
+        problems.append(f"{name} degrees {stored} do not match "
+                        f"the convention {list(expected)}")
+    return entries
+
+
+def _check_retraction(fn: ModuleMap, cert, n: int, location: str,
+                      problems: list[str]) -> None:
+    r = parse_module_map(cert, fn.target, fn.source, location)
+    if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
+        problems.append(f"retraction at degree {n} fails")
+
+
+def _check_section(fn: ModuleMap, cert, n: int, location: str,
+                   problems: list[str]) -> None:
+    s = parse_module_map(cert, fn.target, fn.source, location)
+    if not map_equal(fn.compose(s), ModuleMap.identity(fn.target)):
+        problems.append(f"section at degree {n} fails")
+
+
+def _check_surjectivity(fn: ModuleMap, cert, n: int, location: str,
+                        problems: list[str]) -> None:
+    ring = fn.source.ring
+    gY, gX = fn.target.generators, fn.source.generators
+    X = parse_matrix(ring, get_field(cert, "preimages", location), gX, gY,
+                     f"{location}.preimages")
+    Z = parse_matrix(ring, get_field(cert, "relation_part", location),
+                     fn.target.relations.cols, gY, f"{location}.relation_part")
+    if fn.action @ X + fn.target.relations @ Z != Matrix.identity(ring, gY):
+        problems.append(f"surjectivity certificate at degree {n} fails")
+
+
+def _check_q_cofibration(fn: ModuleMap, cert, n: int, loc: str,
+                         problems: list[str]) -> None:
+    ring = fn.source.ring
+    ker, incl = kernel(fn)
+    if not ker.is_zero_module():
+        problems.append(f"kernel is nonzero at degree {n}")
+        return
+    gens = incl.action
+    if gens.cols:
+        fact = parse_matrix(ring, get_field(cert, "kernel_factorization", loc),
+                            fn.source.relations.cols, gens.cols,
+                            f"{loc}.kernel_factorization")
+        if fn.source.relations @ fact != gens:
+            problems.append(f"kernel factorization fails at degree {n}")
+    coker = parse_module(ring, get_field(cert, "cokernel", loc),
+                         f"{loc}.cokernel")
+    recomputed, _ = cokernel(fn)
+    if not recomputed.is_isomorphic(coker):
+        problems.append(f"stored cokernel mismatches at degree {n}")
+    free = PresentedModule.free(ring, coker.generators)
+    section = parse_module_map(get_field(cert, "cokernel_section", loc),
+                               coker, free, f"{loc}.cokernel_section")
+    projection = ModuleMap(free, coker, Matrix.identity(ring, coker.generators),
+                           check=False)
+    if not map_equal(projection.compose(section), ModuleMap.identity(coker)):
+        problems.append(f"cokernel section fails at degree {n}")
+    r = parse_module_map(get_field(cert, "retraction", loc), fn.target,
+                         fn.source, f"{loc}.retraction")
+    if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
+        problems.append(f"q-cofibration retraction fails at degree {n}")
+
+
+# witness type -> (name in problems, check of one degree's entry)
+_DEGREEWISE_CHECKS = {
+    "degreewise_retractions": ("retraction", _check_retraction),
+    "degreewise_sections": ("section", _check_section),
+    "degreewise_surjectivity": ("surjectivity", _check_surjectivity),
+    "q_cofibration": ("q-cofibration", _check_q_cofibration),
+}
 
 
 def _check_homotopy_equivalence(f: ChainMap, witness: dict,
@@ -114,88 +180,20 @@ def _check_homotopy_equivalence(f: ChainMap, witness: dict,
         problems.append(f"homotopy equivalence witness fails: {exc}")
 
 
-def _check_surjectivity(f, degrees_data: dict, expected: set[int],
-                        problems: list[str], location: str) -> None:
-    stored = {int(k) for k in degrees_data}
-    if stored != expected:
-        problems.append(f"surjectivity degrees {sorted(stored)} do not match "
-                        f"{sorted(expected)}")
-    for key, cert in degrees_data.items():
-        n = int(key)
-        loc = f"{location}.{key}"
-        fn = f.component(n)
-        ring = fn.source.ring
-        gY, gX = fn.target.generators, fn.source.generators
-        X = parse_matrix(ring, get_field(cert, "preimages", loc), gX, gY,
-                         f"{loc}.preimages")
-        Z = parse_matrix(ring, get_field(cert, "relation_part", loc),
-                         fn.target.relations.cols, gY, f"{loc}.relation_part")
-        got = fn.action @ X + fn.target.relations @ Z
-        if got != Matrix.identity(ring, gY):
-            problems.append(f"surjectivity certificate at degree {n} fails")
-
-
-def _check_q_cofibration(f, degrees_data: dict, problems: list[str],
-                         location: str) -> None:
-    from ..exact.modules import PresentedModule, cokernel, kernel
-
-    for key, cert in degrees_data.items():
-        n = int(key)
-        loc = f"{location}.{key}"
-        fn = f.component(n)
-        ring = fn.source.ring
-        ker, incl = kernel(fn)
-        if not ker.is_zero_module():
-            problems.append(f"kernel is nonzero at degree {n}")
-            continue
-        gens = incl.action
-        if gens.cols:
-            fact = parse_matrix(ring,
-                                get_field(cert, "kernel_factorization", loc),
-                                fn.source.relations.cols, gens.cols,
-                                f"{loc}.kernel_factorization")
-            if fn.source.relations @ fact != gens:
-                problems.append(f"kernel factorization fails at degree {n}")
-        coker = parse_module(ring, get_field(cert, "cokernel", loc),
-                             f"{loc}.cokernel")
-        recomputed, _ = cokernel(fn)
-        if not recomputed.is_isomorphic(coker):
-            problems.append(f"stored cokernel mismatches at degree {n}")
-        free = PresentedModule.free(ring, coker.generators)
-        section = parse_module_map(get_field(cert, "cokernel_section", loc),
-                                   coker, free, f"{loc}.cokernel_section")
-        projection = ModuleMap(free, coker,
-                               Matrix.identity(ring, coker.generators),
-                               check=False)
-        if not map_equal(projection.compose(section),
-                         ModuleMap.identity(coker)):
-            problems.append(f"cokernel section fails at degree {n}")
-        r = parse_module_map(get_field(cert, "retraction", loc), fn.target,
-                             fn.source, f"{loc}.retraction")
-        if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
-            problems.append(f"q-cofibration retraction fails at degree {n}")
-
-
 def verify_classification(data: dict) -> list[str]:
     problems: list[str] = []
     ring = parse_ring(get_field(data, "ring"))
     flavor = get_field(data, "flavor")
-    if data.get("data") == "cochain":
-        g = cochain_map_from_json(ring, get_field(data, "map"))
-        recomputed = bousfield_classify(g)
-        top = max(g.source.top, g.target.top)
-        conventions = {"fibration": set(range(top + 1)),
-                       "cofibration": set(range(1, top + 1))}
-        f_for_bits = g
-        he_map = undualize_map(g)
-    else:
-        f = chain_map_from_json(ring, get_field(data, "map"))
-        recomputed = classify(f, flavor)
-        top = max(f.source.top, f.target.top)
-        conventions = {"fibration": set(range(1, top + 1)),
-                       "cofibration": set(range(top + 1))}
-        f_for_bits = f
-        he_map = f
+    decode = (cochain_map_from_json if data.get("data") == "cochain"
+              else chain_map_from_json)
+    f = decode(ring, get_field(data, "map"))
+    try:
+        check_data(f, flavor)
+    except ValueError as exc:
+        raise DocumentError("flavor", str(exc))
+    recomputed = classify(f, flavor)
+    # homotopy equivalences and cone exactness live on the chain side
+    chain_f = undualize_map(f) if isinstance(f, CochainMap) else f
 
     verdict = get_field(data, "verdict")
     for bit_name in ("cofibration", "fibration", "weak_equivalence"):
@@ -205,34 +203,26 @@ def verify_classification(data: dict) -> list[str]:
         if status != fresh.status:
             problems.append(f"{bit_name} status {status!r} disagrees with "
                             f"recomputation {fresh.status!r}")
+            continue
         witness = bit.get("witness")
         if status != "yes" or witness is None:
             continue
         loc = f"verdict.{bit_name}.witness"
         wtype = get_field(witness, "type", loc)
-        if wtype in ("degreewise_retractions", "degreewise_sections"):
-            retraction = wtype == "degreewise_retractions"
-            _check_one_sided_inverses(
-                get_field(witness, "degrees", loc),
-                conventions["cofibration" if retraction else "fibration"],
-                problems, f"{loc}.degrees", component=f_for_bits.component,
-                retraction=retraction)
-        elif wtype in ("homotopy_equivalence", "cochain_homotopy_equivalence"):
-            _check_homotopy_equivalence(he_map, witness, problems, loc)
-        elif wtype == "degreewise_surjectivity":
-            _check_surjectivity(f_for_bits,
-                                get_field(witness, "degrees", loc),
-                                conventions["fibration"], problems,
-                                f"{loc}.degrees")
-        elif wtype == "q_cofibration":
-            _check_q_cofibration(f_for_bits,
-                                 get_field(witness, "degrees", loc),
-                                 problems, f"{loc}.degrees")
+        if wtype != fresh.witness["type"]:
+            problems.append(f"{bit_name} witness type {wtype!r} is not the "
+                            f"convention's {fresh.witness['type']!r}")
+        elif wtype in _DEGREEWISE_CHECKS:
+            name, check = _DEGREEWISE_CHECKS[wtype]
+            for n, where, cert in _degree_entries(
+                    witness, name, bit_degrees(f, flavor, bit_name),
+                    problems, loc):
+                check(f.component(n), cert, n, where, problems)
         elif wtype == "cone_exactness":
-            if not quasi_iso(he_map):
+            if not quasi_iso(chain_f):
                 problems.append("cone exactness claim fails recomputation")
-        else:
-            problems.append(f"unknown witness type {wtype!r}")
+        else:  # a homotopy equivalence, of chain or cochain maps
+            _check_homotopy_equivalence(chain_f, witness, problems, loc)
     return problems
 
 

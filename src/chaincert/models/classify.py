@@ -1,12 +1,28 @@
-"""Witness-producing classifiers for the h, q, m and Bousfield structures.
+"""The model-structure conventions, and the deciders behind each bit.
 
-Degree conventions (explicit, per flavor):
-  * h- and q- and m-fibrations are tested in degrees >= 1 only;
-  * h-, q- and m-cofibrations are tested in every degree;
-  * the Bousfield dual on cochain complexes swaps the asymmetry:
-    fibrations are tested in all degrees, cofibrations only in degrees >= 1.
-Acyclicity means chain homotopy equivalence for h and Bousfield, and
-quasi-isomorphism for q and m; the two notions are never conflated.
+This module is the only one that knows which decider makes up each bit
+of each structure and which degrees it covers.  Every classifier,
+pushout-product check, lifting precheck and `verify` asks `model_bit`,
+`bit_degrees` and `classify`:
+
+  flavor     data     cofibration            fibration           weak equiv.
+  h          chain    split mono, n >= 0     split epi, n >= 1   homotopy equiv.
+  q          chain    q-cofibration, n >= 0  surjective, n >= 1  quasi-iso
+  m          chain    unknown                split epi, n >= 1   quasi-iso
+  bousfield  cochain  split mono, n >= 1     split epi, n >= 0   homotopy equiv.
+
+Degreewise bits test degrees up to the larger top of the two endpoints.
+A q-cofibration is, in every degree, an injection with projective
+cokernel (so a split mono).  The m-cofibrations are defined by a lifting
+property, so that bit stays unknown and is certified only from a
+factorization witness (`verify_m_cofibration`).  The Bousfield dual on
+cochain complexes swaps which class skips degree 0, and decides its
+weak equivalences on the grading-reversed chain map.  Chain homotopy
+equivalence and quasi-isomorphism are never conflated.  Simplicial maps
+are classified by their normalization in the h structure.
+
+Deciders are looked up as module globals at call time, so that a tracer
+which rebinds them sees every call.
 """
 
 from __future__ import annotations
@@ -17,20 +33,73 @@ from ..chains.cochain import CochainMap, undualize_map
 from ..chains.complexes import ChainMap, chain_map_equal
 from ..chains.cones import mapping_cone
 from ..chains.homology import homology_data
-from ..chains.homotopy import (HomotopyEquivalence, is_chain_homotopy_equivalence,
-                               quasi_iso)
+from ..chains.homotopy import HomotopyEquivalence, is_chain_homotopy_equivalence
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, cokernel, kernel
+from ..exact.modules import cokernel, kernel
 from ..exact.snf import solve
 from ..exact.splitting import is_split_epi, is_split_mono, projective_section
 from ..io.document import graded_to_json, map_to_json
 from .verdict import ClassBit, Verdict, no, unknown, yes
 
-FLAVORS = ("h", "q", "m")
+FLAVORS = ("h", "q", "m", "bousfield")
+BITS = ("cofibration", "fibration", "weak_equivalence")
 
 
-def _degree_range(f: ChainMap) -> range:
-    return range(max(f.source.top, f.target.top) + 1)
+def flavor_data(flavor: str) -> str:
+    """The data a flavor classifies: "cochain" for Bousfield, else "chain"."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return "cochain" if flavor == "bousfield" else "chain"
+
+
+def check_data(f: ChainMap | CochainMap, flavor: str) -> None:
+    """Raise ValueError unless ``f`` is the kind of data ``flavor`` takes."""
+    data = flavor_data(flavor)
+    if isinstance(f, CochainMap) != (data == "cochain"):
+        raise ValueError(f"flavor {flavor} needs {data} data")
+
+
+def bit_degrees(f: ChainMap | CochainMap, flavor: str, kind: str) -> range:
+    """The degrees the cofibration or fibration bit of ``flavor`` tests."""
+    check_data(f, flavor)
+    if kind not in ("cofibration", "fibration"):
+        raise ValueError(f"the {kind} bit is not decided degreewise")
+    skips_zero = (kind == "fibration") != (flavor == "bousfield")
+    return range(1 if skips_zero else 0, max(f.source.top, f.target.top) + 1)
+
+
+def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str) -> ClassBit:
+    """One bit (``kind`` in BITS) of ``f`` in one structure, with witness."""
+    check_data(f, flavor)
+    if kind == "weak_equivalence":
+        if flavor == "h":
+            return homotopy_equivalence_bit(f)
+        if flavor == "bousfield":
+            return _cochain_homotopy_equivalence_bit(f)
+        return quasi_iso_bit(f)
+    if kind == "cofibration":
+        if flavor == "m":
+            return unknown("m-cofibrations are defined by a lifting property; "
+                           "supply a factorization witness to "
+                           "verify_m_cofibration")
+        if flavor == "q":
+            return q_cofibration_bit(f)
+        return split_mono_bit(f, bit_degrees(f, flavor, kind))
+    decide = surjectivity_bit if flavor == "q" else split_epi_bit
+    return decide(f, bit_degrees(f, flavor, kind))
+
+
+def classify(f: ChainMap | CochainMap, flavor: str) -> Verdict:
+    """Classify a chain map in h, q or m, or a cochain map in Bousfield."""
+    return Verdict(flavor, *(model_bit(f, flavor, kind) for kind in BITS))
+
+
+def bousfield_classify(g: CochainMap) -> Verdict:
+    """Classify a cochain map in the dual (Bousfield) structure."""
+    if not isinstance(g, CochainMap):
+        raise TypeError("bousfield_classify expects cochain data")
+    return classify(g, "bousfield")
 
 
 def split_mono_bit(f: ChainMap, degrees) -> ClassBit:
@@ -69,6 +138,15 @@ def homotopy_equivalence_witness(he: HomotopyEquivalence) -> dict:
     }
 
 
+def _cochain_homotopy_equivalence_bit(g: CochainMap) -> ClassBit:
+    he = is_chain_homotopy_equivalence(undualize_map(g))
+    if he is None:
+        return no(reason="grading-reversed map is not a homotopy equivalence")
+    return yes({**homotopy_equivalence_witness(he),
+                "type": "cochain_homotopy_equivalence",
+                "reversed_top": max(g.source.top, g.target.top)})
+
+
 def _homotopy_equivalence_obstruction(f: ChainMap) -> ClassBit:
     cone = mapping_cone(f)
     for n in range(cone.complex.top + 1):
@@ -99,9 +177,8 @@ def surjectivity_bit(f: ChainMap, degrees) -> ClassBit:
 
 
 def q_cofibration_bit(f: ChainMap) -> ClassBit:
-    ring = f.source.ring
     degrees = {}
-    for n in _degree_range(f):
+    for n in bit_degrees(f, "q", "cofibration"):
         fn = f.component(n)
         ker, incl = kernel(fn)
         if not ker.is_zero_module():
@@ -112,8 +189,9 @@ def q_cofibration_bit(f: ChainMap) -> ClassBit:
         if section is None:
             return no(degree=n, reason="cokernel not projective at this degree")
         retraction = is_split_mono(fn)
-        assert retraction is not None, \
-            "mono with projective cokernel must split"
+        if retraction is None:
+            raise CertificateError("a mono with projective cokernel must "
+                                   f"split, but degree {n} does not")
         degrees[str(n)] = {
             "kernel_generators": incl.action.to_json(),
             "kernel_factorization": factor.to_json() if factor is not None else [],
@@ -138,82 +216,11 @@ def quasi_iso_bit(f: ChainMap) -> ClassBit:
 
 
 def h_cofibration_bit(f: ChainMap) -> ClassBit:
-    return split_mono_bit(f, _degree_range(f))
+    return model_bit(f, "h", "cofibration")
 
 
 def h_fibration_bit(f: ChainMap) -> ClassBit:
-    return split_epi_bit(f, [n for n in _degree_range(f) if n >= 1])
-
-
-def classify(f: ChainMap, flavor: str) -> Verdict:
-    """Classify a chain map in the Hurewicz, Quillen or mixed structure."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r} for chain data; "
-                         f"use bousfield_classify for cochain data")
-    all_degrees = _degree_range(f)
-    positive = [n for n in all_degrees if n >= 1]
-    if flavor == "h":
-        return Verdict("h",
-                       cofibration=split_mono_bit(f, all_degrees),
-                       fibration=split_epi_bit(f, positive),
-                       weak_equivalence=homotopy_equivalence_bit(f))
-    if flavor == "q":
-        return Verdict("q",
-                       cofibration=q_cofibration_bit(f),
-                       fibration=surjectivity_bit(f, positive),
-                       weak_equivalence=quasi_iso_bit(f))
-    return Verdict("m",
-                   cofibration=unknown(
-                       "m-cofibrations are defined by a lifting property; "
-                       "supply a factorization witness to verify_m_cofibration"),
-                   fibration=split_epi_bit(f, positive),
-                   weak_equivalence=quasi_iso_bit(f))
-
-
-def bousfield_classify(g: CochainMap) -> Verdict:
-    """Classify a cochain map in the dual (Bousfield) structure.
-
-    Fibrations are degreewise split epimorphisms in every degree including
-    zero; cofibrations are split monomorphisms in positive degrees only;
-    weak equivalences are cochain homotopy equivalences, decided through the
-    grading reversal and the mapping-cone contraction.
-    """
-    if not isinstance(g, CochainMap):
-        raise TypeError("bousfield_classify expects cochain data")
-    top = max(g.source.top, g.target.top)
-    sections = {}
-    fib: ClassBit | None = None
-    for n in range(top + 1):
-        s = is_split_epi(g.component(n))
-        if s is None:
-            fib = no(degree=n, reason="no section at this degree")
-            break
-        sections[str(n)] = s.action.to_json()
-    if fib is None:
-        fib = yes({"type": "degreewise_sections", "degrees": sections})
-
-    retractions = {}
-    cof: ClassBit | None = None
-    for n in range(1, top + 1):
-        r = is_split_mono(g.component(n))
-        if r is None:
-            cof = no(degree=n, reason="no retraction at this degree")
-            break
-        retractions[str(n)] = r.action.to_json()
-    if cof is None:
-        cof = yes({"type": "degreewise_retractions", "degrees": retractions})
-
-    reversed_map = undualize_map(g)
-    he = is_chain_homotopy_equivalence(reversed_map)
-    if he is None:
-        we = no(reason="grading-reversed map is not a homotopy equivalence")
-    else:
-        payload = homotopy_equivalence_witness(he)
-        payload["type"] = "cochain_homotopy_equivalence"
-        payload["reversed_top"] = top
-        we = yes(payload)
-    return Verdict("bousfield", cofibration=cof, fibration=fib,
-                   weak_equivalence=we)
+    return model_bit(f, "h", "fibration")
 
 
 @dataclass
@@ -233,6 +240,6 @@ def verify_m_cofibration(j: ChainMap, w: MCofibrationWitness) -> bool:
         raise ValueError("witness endpoints do not match the map")
     if not chain_map_equal(w.equivalence.compose(w.q_cofibration), j):
         return False
-    if not classify(w.q_cofibration, "q").cofibration.holds:
+    if not q_cofibration_bit(w.q_cofibration).holds:
         return False
     return is_chain_homotopy_equivalence(w.equivalence) is not None

@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 from ..chains.complexes import ChainComplex, ChainMap, LiftingProblem, \
     chain_map_equal
+from ..errors import CertificateError
 from ..exact.equations import MapVariable, MatrixRelation, solve_map_relations
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
+from .classify import model_bit
 
 
 def _unknown_chain_map(X: ChainComplex, Y: ChainComplex, prefix: str, top: int
@@ -86,8 +88,9 @@ def find_lift(problem: LiftingProblem) -> ChainMap | None:
     comps = [ModuleMap(X.module(n), E.module(n), sol[f"h{n}"], check=False)
              for n in range(top_deg + 1)]
     lift = ChainMap(X, E, comps)
-    assert chain_map_equal(lift.compose(problem.left), problem.top)
-    assert chain_map_equal(problem.right.compose(lift), problem.bottom)
+    if not (chain_map_equal(lift.compose(problem.left), problem.top)
+            and chain_map_equal(problem.right.compose(lift), problem.bottom)):
+        raise CertificateError("computed lift does not fill the square")
     return lift
 
 
@@ -103,28 +106,24 @@ class LiftOutcome:
 
 
 def solve_lifting(problem: LiftingProblem, flavor: str = "h",
-                  acyclic_leg: str = "left", *, precheck: bool = True
-                  ) -> LiftOutcome:
+                  acyclic_leg: str = "left") -> LiftOutcome:
     """Solve a model-structure lifting problem.
 
-    The legs are classified first (cofibration on the left, fibration on
-    the right, the designated leg also acyclic); failed prechecks are
-    reported but the solve is still attempted.  When no lift exists the
-    smallest degree whose truncated subsystem is inconsistent is reported.
+    Three bits are decided first: the left leg's cofibration bit, the
+    right leg's fibration bit and the weak-equivalence bit of the
+    designated acyclic leg; failed prechecks are reported but the solve is
+    still attempted.  When no lift exists the smallest degree whose
+    truncated subsystem is inconsistent is reported.
     """
-    from .classify import classify
-
-    prechecks: dict = {}
-    if precheck:
-        left_v = classify(problem.left, flavor)
-        right_v = classify(problem.right, flavor)
-        prechecks = {
-            "left_cofibration": left_v.cofibration.status,
-            "right_fibration": right_v.fibration.status,
-            "acyclic_leg": acyclic_leg,
-            "acyclic": (left_v if acyclic_leg == "left"
-                        else right_v).weak_equivalence.status,
-        }
+    acyclic = problem.left if acyclic_leg == "left" else problem.right
+    prechecks = {
+        "left_cofibration": model_bit(problem.left, flavor,
+                                      "cofibration").status,
+        "right_fibration": model_bit(problem.right, flavor,
+                                     "fibration").status,
+        "acyclic_leg": acyclic_leg,
+        "acyclic": model_bit(acyclic, flavor, "weak_equivalence").status,
+    }
     lift = find_lift(problem)
     if lift is not None:
         return LiftOutcome(lift, prechecks=prechecks)
@@ -165,7 +164,8 @@ def chain_section(q: ChainMap) -> ChainMap | None:
     comps = [ModuleMap(B.module(n), A.module(n), sol[f"s{n}"], check=False)
              for n in range(top_deg + 1)]
     section = ChainMap(B, A, comps)
-    assert chain_map_equal(q.compose(section), ChainMap.identity(B))
+    if not chain_map_equal(q.compose(section), ChainMap.identity(B)):
+        raise CertificateError("computed chain section fails q o s = id")
     return section
 
 
@@ -183,5 +183,6 @@ def chain_retraction(j: ChainMap) -> ChainMap | None:
     comps = [ModuleMap(X.module(n), A.module(n), sol[f"r{n}"], check=False)
              for n in range(top_deg + 1)]
     retraction = ChainMap(X, A, comps)
-    assert chain_map_equal(retraction.compose(j), ChainMap.identity(A))
+    if not chain_map_equal(retraction.compose(j), ChainMap.identity(A)):
+        raise CertificateError("computed chain retraction fails r o j = id")
     return retraction

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chains.build import change_ring, change_ring_map
+from ..chains.build import change_ring_map
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
-from ..chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
 from ..chains.tensor import TensorLayout, tensor_chain_maps
-from .verdict import Verdict
+from .classify import model_bit
+from .verdict import Verdict, unknown
 
 pushout = pushout_complexes
 
@@ -63,39 +63,32 @@ class PushoutProductReport:
     ok: bool
 
 
-def check_pushout_product_axiom(i: ChainMap, k: ChainMap, flavor: str = "h",
-                                *, expect_acyclic: bool = False
-                                ) -> PushoutProductReport:
-    """Classify i [] k and, when a leg is acyclic, certify acyclicity.
+def pushout_product_verdict(f: ChainMap, flavor: str, expect_acyclic: bool
+                            ) -> tuple[Verdict, bool | None, bool]:
+    """The verdict on a pushout-product ``f``, its acyclicity and the axiom.
 
     The cofibration and fibration bits are always evaluated; the expensive
     weak-equivalence bit is evaluated only when acyclicity is expected and
-    reported as unevaluated otherwise.  For the h flavor acyclicity means a
-    chain homotopy equivalence with a verified contraction witness; for q
-    and m it means a quasi-isomorphism.
+    reported as unevaluated otherwise (acyclicity is then None).  The axiom
+    holds when ``f`` is a cofibration that is acyclic whenever expected.
     """
-    from .classify import (_degree_range, h_cofibration_bit, h_fibration_bit,
-                           homotopy_equivalence_bit, q_cofibration_bit,
-                           quasi_iso_bit, split_epi_bit, surjectivity_bit)
-    from .verdict import unknown
-
-    pp = pushout_product(i, k)
-    f = pp.map
-    positive = [n for n in _degree_range(f) if n >= 1]
-    if flavor == "h":
-        cof, fib = h_cofibration_bit(f), h_fibration_bit(f)
-    elif flavor == "q":
-        cof, fib = q_cofibration_bit(f), surjectivity_bit(f, positive)
-    else:
-        cof = unknown("m-cofibrations need a factorization witness")
-        fib = split_epi_bit(f, positive)
+    cof = model_bit(f, flavor, "cofibration")
+    fib = model_bit(f, flavor, "fibration")
     acyclic: bool | None = None
     if expect_acyclic:
-        we = (homotopy_equivalence_bit(f) if flavor == "h"
-              else quasi_iso_bit(f))
+        we = model_bit(f, flavor, "weak_equivalence")
         acyclic = we.holds
     else:
         we = unknown("weak equivalence not evaluated for this report")
-    verdict = Verdict(flavor, cof, fib, we)
-    ok = verdict.cofibration.holds and (acyclic is not False)
+    return (Verdict(flavor, cof, fib, we), acyclic,
+            cof.holds and acyclic is not False)
+
+
+def check_pushout_product_axiom(i: ChainMap, k: ChainMap, flavor: str = "h",
+                                *, expect_acyclic: bool = False
+                                ) -> PushoutProductReport:
+    """Classify i [] k and, when a leg is acyclic, certify acyclicity."""
+    pp = pushout_product(i, k)
+    verdict, acyclic, ok = pushout_product_verdict(pp.map, flavor,
+                                                   expect_acyclic)
     return PushoutProductReport(pp, verdict, expect_acyclic, acyclic, ok)

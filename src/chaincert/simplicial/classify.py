@@ -20,9 +20,9 @@ from ..chains.homotopy import (chain_homotopic, is_chain_homotopy_equivalence,
 from ..chains.tensor import cylinder_map, interval_cylinder
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
-from ..models.classify import classify
-from ..models.lifting import find_lift, solve_lifting
-from ..models.pushout import pushout_product
+from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
+from ..models.lifting import find_lift
+from ..models.pushout import pushout_product, pushout_product_verdict
 from ..models.verdict import Verdict
 from .cotensor import CotensorData, cotensor, ez_aw_dual_ops
 from .ez_aw import aw, ez
@@ -91,9 +91,9 @@ def solve_hlp_simplicial(p: SimplicialMap, top: SimplicialMap,
     if not chain_map_equal(p.normalized_map.compose(top.normalized_map),
                            bottom.normalized_map.compose(i0.normalized_map)):
         raise ValueError("HLP square does not commute")
-    obstruction = _first_nonsplit_degree(p)
-    if obstruction is not None:
-        return SimplicialLiftReport(None, obstruction)
+    fibration = h_fibration_bit(p.normalized_map)
+    if not fibration.holds:
+        return SimplicialLiftReport(None, fibration.obstruction["degree"])
     lay, c0, c1, _ = interval_cylinder(A.normalized, interval(ring))
     ez_map = ez(A, I_obj, T)
     assert chain_map_equal(ez_map.compose(c0), i0.normalized_map)
@@ -109,16 +109,6 @@ def solve_hlp_simplicial(p: SimplicialMap, top: SimplicialMap,
     assert chain_map_equal(H.compose(i0.normalized_map), top.normalized_map)
     assert chain_map_equal(p.normalized_map.compose(H), bottom.normalized_map)
     return SimplicialLiftReport(lift)
-
-
-def _first_nonsplit_degree(p: SimplicialMap) -> int | None:
-    from ..exact.splitting import is_split_epi
-
-    N = p.normalized_map
-    for n in range(1, max(N.source.top, N.target.top) + 1):
-        if is_split_epi(N.component(n)) is None:
-            return n
-    return None
 
 
 @dataclass
@@ -198,9 +188,9 @@ def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
             cot.ev0.normalized_map.compose(top.normalized_map),
             bottom.normalized_map.compose(i.normalized_map)):
         raise ValueError("HEP square does not commute")
-    obstruction = _first_nonretract_degree(i)
-    if obstruction is not None:
-        return SimplicialLiftReport(None, obstruction)
+    cofibration = h_cofibration_bit(i.normalized_map)
+    if not cofibration.holds:
+        return SimplicialLiftReport(None, cofibration.obstruction["degree"])
     dual = ez_aw_dual_ops(cot.data.A, B, through=cot.data.complex.top)
     ez_star = dual.ez_star
     # hom-side evaluation at e0 and the triangle ev0 = ev0_hom o EZ*
@@ -220,16 +210,6 @@ def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
     assert chain_map_equal(cot.ev0.normalized_map.compose(H),
                            bottom.normalized_map)
     return SimplicialLiftReport(lift)
-
-
-def _first_nonretract_degree(i: SimplicialMap) -> int | None:
-    from ..exact.splitting import is_split_mono
-
-    N = i.normalized_map
-    for n in range(max(N.source.top, N.target.top) + 1):
-        if is_split_mono(N.component(n)) is None:
-            return n
-    return None
 
 
 def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
@@ -284,21 +264,11 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     induced = pushout_induced_chain_map(P, u, v)
     source_obj = SimplicialModule(P, _gamma_levels_of(P), P.top + 1)
     product = SimplicialMap(source_obj, yw, induced)
-    from ..models.classify import h_cofibration_bit, h_fibration_bit, \
-        homotopy_equivalence_bit
-    from ..models.verdict import unknown
-
-    cof = h_cofibration_bit(induced)
-    fib = h_fibration_bit(induced)
-    we = (homotopy_equivalence_bit(induced) if expect_acyclic
-          else unknown("weak equivalence not evaluated for this report"))
-    verdict = Verdict("h", cof, fib, we)
-
+    verdict, acyclic, ok = pushout_product_verdict(induced, "h",
+                                                   expect_acyclic)
     chain_pp = pushout_product(i.normalized_map, k.normalized_map)
     chain_cof = h_cofibration_bit(chain_pp.map).holds
-    chain_acyclic = None
-    ez_ok = None
-    acyclic = None
+    chain_acyclic = ez_ok = None
     if expect_acyclic:
         chain_acyclic = is_chain_homotopy_equivalence(chain_pp.map) is not None
         ez_yw = ez(Y, W, yw)
@@ -309,8 +279,6 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
         ez_ok = (square_ok
                  and is_chain_homotopy_equivalence(ez_yw) is not None
                  and is_chain_homotopy_equivalence(ez_corner) is not None)
-        acyclic = we.holds
-    ok = verdict.cofibration.holds and (acyclic is not False)
     return SimplicialPushoutProduct(product, verdict, chain_cof,
                                     chain_acyclic, ez_ok, acyclic, ok)
 

@@ -167,6 +167,9 @@ def test_bousfield_flavor_guard():
         bousfield_classify(ChainMap.identity(disk(ZZ, 1)))
     with pytest.raises(ValueError):
         classify(ChainMap.identity(disk(ZZ, 1)), "bousfield")
+    # cochain data belongs to the Bousfield structure alone
+    with pytest.raises(ValueError, match="flavor h needs chain data"):
+        classify(dualize_map(ChainMap.identity(disk(ZZ, 1))), "h")
 
 
 def test_witnesses_reverify_exactly():

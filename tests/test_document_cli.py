@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from chaincert.chains.build import zero_complex
-from chaincert.chains.cochain import undualize_map
+from chaincert.chains.cochain import dualize_map, undualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.cli import main
 from chaincert.exact.modules import PresentedModule
@@ -78,6 +78,16 @@ def test_dangling_reference_error():
         parse_document(bad)
     assert "maps.f" in str(err.value)
     assert "missing" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_map_endpoint_must_be_a_name(key):
+    bad = minimal_doc(maps={"f": {"source": "C", "target": "C",
+                                  "components": []}})
+    bad["maps"]["f"][key] = ["C"]
+    with pytest.raises(DocumentError) as err:
+        parse_document(bad)
+    assert err.value.location == f"maps.f.{key}"
 
 
 def test_non_chain_map_error_names_component():
@@ -211,14 +221,39 @@ def _short_matrix(report):
     report["lift"][0] = report["lift"][0][:1]
 
 
-def interval_h_report():
+def interval_report(flavor):
     with open(fixture("interval.json")) as fh:
         e0 = parse_document(json.load(fh)).map("e0").value
-    return json.loads(dump(classification_report(e0, "h", classify(e0, "h"))))
+    if flavor == "bousfield":
+        e0 = dualize_map(e0)
+    return json.loads(dump(classification_report(e0, flavor,
+                                                 classify(e0, flavor))))
+
+
+def interval_h_report():
+    return interval_report("h")
+
+
+def interval_bousfield_report():
+    return interval_report("bousfield")
 
 
 def _drop_status(report):
     del report["verdict"]["fibration"]["status"]
+
+
+def _letter_degree_key(report):
+    degrees = report["verdict"]["cofibration"]["witness"]["degrees"]
+    degrees["x"] = degrees.pop("0")
+
+
+def _list_of_degrees(report):
+    witness = report["verdict"]["cofibration"]["witness"]
+    witness["degrees"] = [[1, 0]]
+
+
+def _chain_flavor(report):
+    report["flavor"] = "h"
 
 
 @pytest.mark.parametrize("make, damage, location", [
@@ -226,7 +261,12 @@ def _drop_status(report):
     (interval_lift_report, _drop_left_source, "left.source"),
     (interval_lift_report, _string_entry, "lift[0][0]"),
     (interval_lift_report, _short_matrix, "lift[0]"),
-    (interval_h_report, _drop_status, "verdict.fibration.status")])
+    (interval_h_report, _drop_status, "verdict.fibration.status"),
+    (interval_h_report, _letter_degree_key,
+     "verdict.cofibration.witness.degrees.x"),
+    (interval_h_report, _list_of_degrees,
+     "verdict.cofibration.witness.degrees"),
+    (interval_bousfield_report, _chain_flavor, "flavor")])
 def test_cli_verify_malformed_report_names_location(tmp_path, capsys, make,
                                                     damage, location):
     report = make()
@@ -331,6 +371,20 @@ def test_codec_reencodes_reports_exactly(kind, capsys):
             assert reencode_witness(ring, f, he_map, bit["witness"]) == \
                 bit["witness"]
     assert witnesses
+
+
+def test_cli_verify_q_cofibration_witness_covers_every_degree(tmp_path,
+                                                             capsys):
+    report = interval_report("q")
+    degrees = report["verdict"]["cofibration"]["witness"]["degrees"]
+    assert sorted(degrees) == ["0", "1"]
+    del degrees["1"]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(report))
+    code, out = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        "q-cofibration degrees [0] do not match the convention [0, 1]"]
 
 
 def test_cli_verify_rejects_tampered_witness(tmp_path, capsys):

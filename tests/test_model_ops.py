@@ -1,6 +1,11 @@
 """Lifting, pushout-products, HLP/HEP, the Yoneda oracle, factorizations."""
 
+import os
 import random
+import subprocess
+import sys
+
+import pytest
 
 from chaincert.chains.build import (brutal_truncation, concentrated, disk,
                                     interval, sphere, unit_complex, zero_complex)
@@ -65,9 +70,39 @@ def test_lift_failure_reports_obstruction_degree():
     problem = LiftingProblem(from_zero(U), two,
                              ChainMap.zero(zero_complex(ZZ), U),
                              ChainMap.identity(U))
-    outcome = solve_lifting(problem, "h", "left", precheck=False)
+    outcome = solve_lifting(problem, "h", "left")
     assert not outcome.found
     assert outcome.obstruction_degree == 0
+
+
+@pytest.mark.parametrize("flavor", ["h", "q", "m"])
+@pytest.mark.parametrize("acyclic_leg", ["left", "right"])
+def test_lifting_prechecks_match_full_classification(flavor, acyclic_leg):
+    # solve_lifting decides only three bits; each must read as in classify
+    rng = random.Random(17)
+    U = unit_complex(ZZ)
+    two = ChainMap(U, U, [ModuleMap(U.module(0), U.module(0),
+                                    Matrix(ZZ, 1, 1, [[2]]))])
+    D = ChainMap.identity(disk(ZZ, 1))
+    problems = [LiftingProblem(two, two, ChainMap.identity(U),
+                               ChainMap.identity(U)),
+                LiftingProblem(D, D, D, D)]
+    for _ in range(3):
+        left = random_map_for_agreement(ZZ, rng, max_rank=2)
+        right = random_map_for_agreement(ZZ, rng, max_rank=2)
+        problems.append(LiftingProblem(
+            left, right, ChainMap.zero(left.source, right.source),
+            ChainMap.zero(left.target, right.target)))
+    for problem in problems:
+        left_v = classify(problem.left, flavor)
+        right_v = classify(problem.right, flavor)
+        acyclic_v = left_v if acyclic_leg == "left" else right_v
+        assert solve_lifting(problem, flavor, acyclic_leg).prechecks == {
+            "left_cofibration": left_v.cofibration.status,
+            "right_fibration": right_v.fibration.status,
+            "acyclic_leg": acyclic_leg,
+            "acyclic": acyclic_v.weak_equivalence.status,
+        }
 
 
 def test_brutal_truncation_lifted_homotopy():
@@ -212,3 +247,59 @@ def test_chain_section_retraction_helpers():
     cylf = factorize_h(ChainMap.identity(U))
     assert chain_section(cylf.cylinder.second) is not None
     assert chain_retraction(cylf.cocylinder.first) is not None
+
+
+# Under python -O every witness re-check must still raise.  The solver is
+# stubbed to answer zero for every unknown, a wrong answer for each call.
+CERTIFICATE_GUARDS = """
+import sys
+from chaincert.chains.build import unit_complex, zero_complex
+from chaincert.chains.complexes import ChainMap, LiftingProblem
+from chaincert.errors import CertificateError
+from chaincert.exact import splitting
+from chaincert.exact.matrix import Matrix
+from chaincert.exact.rings import ZZ
+from chaincert.models import classify, lifting
+
+def zero_solution(ring, variables, relations):
+    return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
+            for v in variables}
+
+U = unit_complex(ZZ)
+ident = ChainMap.identity(U)
+from_zero = ChainMap.zero(zero_complex(ZZ), U)
+calls = {
+    "q_cofibration_bit": lambda: classify.q_cofibration_bit(ident),
+    "is_split_mono": lambda: splitting.is_split_mono(ident.component(0)),
+    "is_split_epi": lambda: splitting.is_split_epi(ident.component(0)),
+    "find_lift": lambda: lifting.find_lift(
+        LiftingProblem(from_zero, ident, from_zero, ident)),
+    "chain_section": lambda: lifting.chain_section(ident),
+    "chain_retraction": lambda: lifting.chain_retraction(ident),
+}
+classify.is_split_mono = lambda fn: None
+splitting.solve_map_relations = zero_solution
+lifting.solve_map_relations = zero_solution
+print("optimize", sys.flags.optimize)
+for name, call in calls.items():
+    try:
+        call()
+        print(name, "accepted a wrong witness")
+    except CertificateError:
+        print(name, "raised")
+"""
+
+
+def test_witness_guards_survive_python_O():
+    import chaincert
+
+    src = os.path.dirname(os.path.dirname(chaincert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATE_GUARDS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1:] == [f"{name} raised" for name in (
+        "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
+        "chain_section", "chain_retraction")]
