@@ -1,22 +1,37 @@
-"""One flattened linear system for every "solve for an unknown map" question.
+"""Linear relations between unknown maps, solved by the shape they have.
 
 Sections, retractions, homotopies, contractions and lifts all reduce to
 relations of the form
 
     sum_k  c_k * L_k @ X_{v_k} @ R_k  =  rhs   (modulo columns of `mod`)
 
-in several unknown matrices X_v at once.  Each relation is vectorized
-column-major (vec(L X R) = (R^T kron L) vec X), the modulo part gets its
-own slack unknown, and the whole block system goes to the exact solver.
+in several unknown matrices X_v at once.  Two shapes decouple and are
+solved with a few small Smith forms:
+
+  (a) column-decoupled: every R_k is the identity, and every unknown and
+      every rhs has the same q columns.  The columns never mix, so the
+      block matrix [L-blocks | -mod-blocks] is solved once against the
+      q-column right-hand side (factoring a map through a submodule).
+  (b) row-decoupled: one unknown X, every L_k is the identity and every
+      relation has the same `mod` Q (or none).  Stacked, this reads
+      X M = C modulo colspan Q.  With U Q V = D, row i of Y = U X solves
+      y M = (U C)_i modulo d_i, a diagonal congruence after one Smith
+      form of M^T, and X = U^-1 Y (retractions of a split mono).
+
+Every other system is coupled and solved whole: each relation is
+vectorized column-major (vec(L X R) = (R^T kron L) vec X), the modulo
+part gets its own slack unknown, and the block system goes to one call
+of the exact solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .matrix import Matrix
 from .rings import RingSpec
-from .snf import solve
+from .snf import snf, solve, solve_congruence
 
 
 @dataclass(frozen=True)
@@ -45,11 +60,113 @@ class MatrixRelation:
     mod: Matrix | None = None
 
 
+def _modulus(rel: MatrixRelation) -> Matrix | None:
+    return rel.mod if rel.mod is not None and rel.mod.cols else None
+
+
 def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
                         relations: list[MatrixRelation],
                         ) -> dict[str, Matrix] | None:
     """Solve all relations simultaneously; None when inconsistent."""
     var_shape = {v.name: (v.rows, v.cols) for v in variables}
+    for rel in relations:
+        p, q = rel.rhs.rows, rel.rhs.cols
+        for _, L, name, R in rel.terms:
+            vr, vc = var_shape[name]
+            if L.cols != vr or R.rows != vc:
+                raise ValueError(f"term shapes do not match variable {name}")
+            if L.rows != p or R.cols != q:
+                raise ValueError("term result shape does not match rhs")
+        if _modulus(rel) is not None and rel.mod.rows != p:
+            raise ValueError("mod matrix has wrong height")
+
+    # a relation with an empty right-hand side states no equation
+    relations = [rel for rel in relations if rel.rhs.rows and rel.rhs.cols]
+    widths = {v.cols for v in variables} | {rel.rhs.cols for rel in relations}
+    if len(widths) == 1 and all(R.is_identity() for rel in relations
+                                for _, _, _, R in rel.terms):
+        return _solve_columns(ring, variables, relations, widths.pop())
+    if len(variables) == 1 and all(
+            rel.rhs.rows == variables[0].rows
+            and _modulus(rel) == _modulus(relations[0])
+            and all(L.is_identity() for _, L, _, _ in rel.terms)
+            for rel in relations):
+        return _solve_rows(ring, variables[0], relations)
+    return _solve_flattened(ring, variables, relations)
+
+
+def _solve_columns(ring: RingSpec, variables: list[MapVariable],
+                   relations: list[MatrixRelation], q: int
+                   ) -> dict[str, Matrix] | None:
+    """Case (a): [L-blocks | -mod-blocks] @ [X; slack] = rhs, all q columns."""
+    index = {v.name: j for j, v in enumerate(variables)}
+    slack_sizes = []
+    blocks: dict[tuple[int, int], Matrix] = {}
+    for r, rel in enumerate(relations):
+        for coeff, L, name, _ in rel.terms:
+            key = (r, index[name])
+            term = L.scale(coeff)
+            blocks[key] = blocks[key] + term if key in blocks else term
+        mod = _modulus(rel)
+        slack_sizes.append(0 if mod is None else mod.cols)
+        if mod is not None:
+            blocks[(r, len(variables) + r)] = -mod
+    system = Matrix.assemble(ring, [rel.rhs.rows for rel in relations],
+                             [v.rows for v in variables] + slack_sizes, blocks)
+    rhs = [row for rel in relations for row in rel.rhs.data]
+    sol = solve(system, Matrix(ring, len(rhs), q, rhs))
+    if sol is None:
+        return None
+    out: dict[str, Matrix] = {}
+    offset = 0
+    for v in variables:
+        out[v.name] = sol.submatrix(range(offset, offset + v.rows), range(q))
+        offset += v.rows
+    return out
+
+
+def _solve_rows(ring: RingSpec, var: MapVariable,
+                relations: list[MatrixRelation]) -> dict[str, Matrix] | None:
+    """Case (b): X M = C modulo colspan Q, one row of U X at a time."""
+    M = Matrix.zero(ring, var.cols, 0)
+    C = Matrix.zero(ring, var.rows, 0)
+    for rel in relations:
+        part = Matrix.zero(ring, var.cols, rel.rhs.cols)
+        for coeff, _, _, R in rel.terms:
+            part = part + R.scale(coeff)
+        M, C = M.hstack(part), C.hstack(rel.rhs)
+    Q = _modulus(relations[0]) if relations else None
+    if Q is None:
+        sol = solve(M.transpose(), C.transpose())
+        return None if sol is None else {var.name: sol.transpose()}
+
+    # U Q V = D, so row i of U X M = (U C)_i modulo d_i: modulo
+    # gcd(d_i, m) over Z/m, where d_i = 0 means modulo m, and exactly
+    # over Z when d_i = 0.  With S M^T T = E each row is diagonal in T^-1 x.
+    dq = snf(Q)
+    dm = snf(M.transpose())
+    rhs = dm.U @ (dq.U @ C).transpose()      # column i is S (U C)_i^T
+    k = M.cols
+    e = dm.diagonal + [0] * (k - len(dm.diagonal))
+    d = dq.diagonal + [0] * (var.rows - len(dq.diagonal))
+    Z = [[0] * var.rows for _ in range(var.cols)]
+    for i, di in enumerate(d):
+        n = gcd(di, ring.modulus) if ring.is_modular else di
+        for j in range(k):
+            z = solve_congruence(e[j], rhs[j, i], n)
+            if z is None:
+                return None
+            if j < var.cols:
+                Z[j][i] = z
+    Y = (dm.V @ Matrix(ring, var.cols, var.rows, Z)).transpose()
+    U_inv = solve(dq.U, Matrix.identity(ring, var.rows))
+    return {var.name: U_inv @ Y}
+
+
+def _solve_flattened(ring: RingSpec, variables: list[MapVariable],
+                     relations: list[MatrixRelation],
+                     ) -> dict[str, Matrix] | None:
+    """The coupled route: one Kronecker-flattened system for everything."""
     var_offset: dict[str, int] = {}
     width = 0
     for v in variables:
@@ -58,7 +175,7 @@ def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
     slack_offset: list[int] = []
     for rel in relations:
         slack_offset.append(width)
-        if rel.mod is not None and rel.mod.cols:
+        if _modulus(rel) is not None:
             width += rel.mod.cols * rel.rhs.cols
 
     height = sum(rel.rhs.rows * rel.rhs.cols for rel in relations)
@@ -67,26 +184,18 @@ def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
 
     row0 = 0
     for ridx, rel in enumerate(relations):
-        p, q = rel.rhs.rows, rel.rhs.cols
-        block_h = p * q
+        block_h = rel.rhs.rows * rel.rhs.cols
         for coeff, L, name, R in rel.terms:
-            vr, vc = var_shape[name]
-            if L.cols != vr or R.rows != vc:
-                raise ValueError(f"term shapes do not match variable {name}")
-            if L.rows != p or R.cols != q:
-                raise ValueError("term result shape does not match rhs")
             blk = R.transpose().kron(L)
             off = var_offset[name]
             for i in range(block_h):
                 trow = rows[row0 + i]
                 brow = blk.data[i]
-                for j in range(vr * vc):
+                for j in range(blk.cols):
                     if brow[j]:
                         trow[off + j] += coeff * brow[j]
-        if rel.mod is not None and rel.mod.cols:
-            if rel.mod.rows != p:
-                raise ValueError("mod matrix has wrong height")
-            blk = Matrix.identity(ring, q).kron(rel.mod)
+        if _modulus(rel) is not None:
+            blk = Matrix.identity(ring, rel.rhs.cols).kron(rel.mod)
             off = slack_offset[ridx]
             for i in range(block_h):
                 trow = rows[row0 + i]

@@ -1,14 +1,18 @@
 """Smith normal form and exact linear solving over Z and Z/m.
 
 This is the decision kernel: every splitting, homotopy, contraction and
-lifting question downstream is flattened into one call to ``solve`` (or
-``kernel_matrix``), which reduces to one Smith normal form.
+lifting question downstream reduces to calls of ``solve`` (or
+``kernel_matrix``), each of which reduces to one Smith normal form.
 
 Determinism contract: the pivot is always the entry of smallest nonzero
 absolute value in the remaining block, ties broken in row-major order,
-so witnesses are reproducible byte for byte.  For Z/m the algorithm runs
-on the canonical integer lift and reduces at the end; diagonal entries
-are then normalized to divisors of m by unit row scalings.
+so witnesses are reproducible byte for byte.  Over Z/m the elimination
+runs on canonical representatives in [0, m): every row and column
+combination of the pivoting loop is reduced mod m as it is made, so
+entries never grow past m.  The divisibility-chain step that follows
+works on those integers unreduced (an lcm may vanish mod m there, and a
+zero would break the gcd/lcm steps after it); diagonal entries are then
+normalized to divisors of m by unit row scalings.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .matrix import Matrix
-from .rings import RingSpec
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -86,27 +89,39 @@ def _pivot(A: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] 
 
 
 def _row_combine(A: list[list[int]], U: list[list[int]], i1: int, i2: int,
-                 x: int, y: int, z: int, w: int) -> None:
-    # rows (i1, i2) <- (x*r1 + y*r2, z*r1 + w*r2); same op applied to U
+                 x: int, y: int, z: int, w: int, m: int | None = None) -> None:
+    # rows (i1, i2) <- (x*r1 + y*r2, z*r1 + w*r2); same op applied to U;
+    # entries reduced mod m when m is given
     for M in (A, U):
         r1, r2 = M[i1], M[i2]
         if x == 1 and y == 0 and w == 1:
             # the common shear r2 += z*r1
-            M[i2] = [b + z * a for a, b in zip(r1, r2)]
+            if m is None:
+                M[i2] = [b + z * a for a, b in zip(r1, r2)]
+            else:
+                M[i2] = [(b + z * a) % m for a, b in zip(r1, r2)]
         elif x == 0 and y == 1 and z == 1 and w == 0:
             M[i1], M[i2] = r2, r1
-        else:
+        elif m is None:
             M[i1] = [x * a + y * b for a, b in zip(r1, r2)]
             M[i2] = [z * a + w * b for a, b in zip(r1, r2)]
+        else:
+            M[i1] = [(x * a + y * b) % m for a, b in zip(r1, r2)]
+            M[i2] = [(z * a + w * b) % m for a, b in zip(r1, r2)]
 
 
 def _col_combine(A: list[list[int]], V: list[list[int]], j1: int, j2: int,
-                 x: int, y: int, z: int, w: int) -> None:
-    # cols (j1, j2) <- (x*c1 + y*c2, z*c1 + w*c2); same op applied to V
+                 x: int, y: int, z: int, w: int, m: int | None = None) -> None:
+    # cols (j1, j2) <- (x*c1 + y*c2, z*c1 + w*c2); same op applied to V;
+    # entries reduced mod m when m is given
     for M in (A, V):
         if x == 1 and y == 0 and w == 1:
-            for row in M:
-                row[j2] += z * row[j1]
+            if m is None:
+                for row in M:
+                    row[j2] += z * row[j1]
+            else:
+                for row in M:
+                    row[j2] = (row[j2] + z * row[j1]) % m
         elif x == 0 and y == 1 and z == 1 and w == 0:
             for row in M:
                 row[j1], row[j2] = row[j2], row[j1]
@@ -115,10 +130,15 @@ def _col_combine(A: list[list[int]], V: list[list[int]], j1: int, j2: int,
                 a, b = row[j1], row[j2]
                 row[j1] = x * a + y * b
                 row[j2] = z * a + w * b
+                if m is not None:
+                    row[j1] %= m
+                    row[j2] %= m
 
 
-def _snf_lists(M: list[list[int]], rows: int, cols: int
+def _snf_lists(M: list[list[int]], rows: int, cols: int, m: int | None = None
                ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    # m: reduce every combination of the pivoting loop mod m (see the
+    # determinism contract above); None works over Z
     A = [row[:] for row in M]
     U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
@@ -144,10 +164,10 @@ def _snf_lists(M: list[list[int]], rows: int, cols: int
                 a = A[t][t]
                 if b % a == 0:
                     q = b // a
-                    _row_combine(A, U, t, i, 1, 0, -q, 1)
+                    _row_combine(A, U, t, i, 1, 0, -q, 1, m)
                 else:
                     g, x, y = _xgcd(a, b)
-                    _row_combine(A, U, t, i, x, y, -(b // g), a // g)
+                    _row_combine(A, U, t, i, x, y, -(b // g), a // g, m)
             # clear the pivot row with column operations
             row_clear = True
             for j in range(t + 1, cols):
@@ -158,10 +178,10 @@ def _snf_lists(M: list[list[int]], rows: int, cols: int
                 a = A[t][t]
                 if b % a == 0:
                     q = b // a
-                    _col_combine(A, V, t, j, 1, 0, -q, 1)
+                    _col_combine(A, V, t, j, 1, 0, -q, 1, m)
                 else:
                     g, x, y = _xgcd(a, b)
-                    _col_combine(A, V, t, j, x, y, -(b // g), a // g)
+                    _col_combine(A, V, t, j, x, y, -(b // g), a // g, m)
             if row_clear and all(A[i][t] == 0 for i in range(t + 1, rows)):
                 break
         t += 1
@@ -172,7 +192,7 @@ def _snf_lists(M: list[list[int]], rows: int, cols: int
         if A[i][i] < 0:
             for M in (A, U):
                 M[i] = [-x for x in M[i]]
-    # enforce the divisibility chain d_i | d_j for i < j
+    # enforce the divisibility chain d_i | d_j for i < j, unreduced
     for i in range(r):
         for j in range(i + 1, r):
             a, b = A[i][i], A[j][j]
@@ -190,9 +210,9 @@ def _snf_lists(M: list[list[int]], rows: int, cols: int
 def snf(M: Matrix) -> SNFResult:
     """Smith normal form with transforms: U @ M @ V == D exactly."""
     ring = M.ring
-    A, U, V = _snf_lists([list(r) for r in M.data], M.rows, M.cols)
-    if ring.is_modular:
-        m = ring.modulus
+    m = ring.modulus if ring.is_modular else None
+    A, U, V = _snf_lists([list(r) for r in M.data], M.rows, M.cols, m)
+    if m is not None:
         # normalize each diagonal entry to its canonical divisor gcd(d, m)
         for i in range(min(M.rows, M.cols)):
             d = A[i][i] % m
@@ -211,23 +231,22 @@ def snf(M: Matrix) -> SNFResult:
     return SNFResult(Um, Dm, Vm)
 
 
-def _solve_diag(ring: RingSpec, d: int, c: int) -> int | None:
-    """Smallest solution y of d*y = c in the ring, or None."""
-    if not ring.is_modular:
+def solve_congruence(d: int, c: int, n: int) -> int | None:
+    """A solution y of d*y = c modulo n, or None; n == 0 asks it in Z.
+
+    For n > 0 the solution is the smallest one in [0, n).
+    """
+    if n == 0:
         if d == 0:
             return 0 if c == 0 else None
         if c % d:
             return None
         return c // d
-    m = ring.modulus
-    d, c = d % m, c % m
-    g = gcd(d, m)  # gcd(0, m) == m
+    g = gcd(d, n)  # gcd(0, n) == n
     if c % g:
         return None
-    if d == 0:
-        return 0
-    mm = m // g
-    return (c // g) * pow(d // g, -1, mm) % mm if mm > 1 else 0
+    nn = n // g
+    return (c // g) * pow(d // g, -1, nn) % nn if nn > 1 else 0
 
 
 def solve(A: Matrix, B: Matrix, *, decomposition: SNFResult | None = None
@@ -243,6 +262,7 @@ def solve(A: Matrix, B: Matrix, *, decomposition: SNFResult | None = None
         raise ValueError(f"incompatible shapes {A.rows}x{A.cols} and "
                          f"{B.rows}x{B.cols}")
     ring = A.ring
+    n = ring.modulus if ring.is_modular else 0
     dec = decomposition if decomposition is not None else snf(A)
     C = dec.U @ B
     r = min(A.rows, A.cols)
@@ -253,7 +273,7 @@ def solve(A: Matrix, B: Matrix, *, decomposition: SNFResult | None = None
         for i in range(A.rows):
             c = C[i, j]
             if i < r:
-                sol = _solve_diag(ring, dec.D[i, i], c)
+                sol = solve_congruence(dec.D[i, i], c, n)
                 if sol is None:
                     ok = False
                     break

@@ -13,12 +13,12 @@ import re
 
 from ..chains.cochain import CochainMap, undualize_map
 from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
-from ..chains.homotopy import quasi_iso
 from ..exact.matrix import Matrix
 from ..exact.modules import (ModuleMap, PresentedModule, cokernel, kernel,
                              map_equal)
 from ..models.classify import bit_degrees, check_data, classify, flavor_data
-from ..models.verdict import Verdict
+from ..models.lifting import lift_prechecks
+from ..models.verdict import NO, UNKNOWN, YES, Verdict
 from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
                        cochain_map_from_json, components_to_json, get_field,
                        parse_components, parse_matrix, parse_module,
@@ -192,7 +192,7 @@ def verify_classification(data: dict) -> list[str]:
     except ValueError as exc:
         raise DocumentError("flavor", str(exc))
     recomputed = classify(f, flavor)
-    # homotopy equivalences and cone exactness live on the chain side
+    # homotopy equivalences live on the chain side
     chain_f = undualize_map(f) if isinstance(f, CochainMap) else f
 
     verdict = get_field(data, "verdict")
@@ -204,8 +204,11 @@ def verify_classification(data: dict) -> list[str]:
             problems.append(f"{bit_name} status {status!r} disagrees with "
                             f"recomputation {fresh.status!r}")
             continue
+        if status != YES:
+            continue
         witness = bit.get("witness")
-        if status != "yes" or witness is None:
+        if witness is None:
+            problems.append(f"{bit_name} is {YES!r} but carries no witness")
             continue
         loc = f"verdict.{bit_name}.witness"
         wtype = get_field(witness, "type", loc)
@@ -219,11 +222,35 @@ def verify_classification(data: dict) -> list[str]:
                     problems, loc):
                 check(f.component(n), cert, n, where, problems)
         elif wtype == "cone_exactness":
-            if not quasi_iso(chain_f):
-                problems.append("cone exactness claim fails recomputation")
+            # `classify` above recomputed the cone's homology in every degree
+            if witness != fresh.witness:
+                problems.append("cone exactness witness differs from the "
+                                "recomputed one")
         else:  # a homotopy equivalence, of chain or cochain maps
             _check_homotopy_equivalence(chain_f, witness, problems, loc)
     return problems
+
+
+def _check_prechecks(stored, left: ChainMap, right: ChainMap, flavor: str,
+                     problems: list[str]) -> None:
+    """Recompute the prechecks of a lift report and compare them."""
+    leg = get_field(stored, "acyclic_leg", "prechecks")
+    if leg not in ("left", "right"):
+        raise DocumentError("prechecks.acyclic_leg",
+                            'expected "left" or "right"')
+    for key, status in stored.items():
+        if key != "acyclic_leg" and status not in (YES, NO, UNKNOWN):
+            raise DocumentError(f"prechecks.{key}",
+                                f"expected {YES!r}, {NO!r} or {UNKNOWN!r}")
+    fresh = lift_prechecks(left, right, flavor, leg)
+    extra = sorted(stored.keys() - fresh.keys())
+    if extra:
+        raise DocumentError(f"prechecks.{extra[0]}", "not a precheck")
+    for key, status in fresh.items():
+        claimed = get_field(stored, key, "prechecks")
+        if claimed != status:
+            problems.append(f"precheck {key} {claimed!r} disagrees with "
+                            f"recomputation {status!r}")
 
 
 def verify_lift(data: dict) -> list[str]:
@@ -232,8 +259,15 @@ def verify_lift(data: dict) -> list[str]:
     left, right, top, bottom = (chain_map_from_json(ring, get_field(data, leg),
                                                     leg)
                                 for leg in ("left", "right", "top", "bottom"))
+    flavor = get_field(data, "flavor")
+    try:
+        check_data(left, flavor)
+    except ValueError as exc:
+        raise DocumentError("flavor", str(exc))
     if not chain_map_equal(right.compose(top), bottom.compose(left)):
         problems.append("stored square does not commute")
+    _check_prechecks(get_field(data, "prechecks"), left, right, flavor,
+                     problems)
     if not data.get("found"):
         return problems
     X, E = left.target, right.source

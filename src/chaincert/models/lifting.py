@@ -115,20 +115,25 @@ def solve_lifting(problem: LiftingProblem, flavor: str = "h",
     still attempted.  When no lift exists the smallest degree whose
     truncated subsystem is inconsistent is reported.
     """
-    acyclic = problem.left if acyclic_leg == "left" else problem.right
-    prechecks = {
-        "left_cofibration": model_bit(problem.left, flavor,
-                                      "cofibration").status,
-        "right_fibration": model_bit(problem.right, flavor,
-                                     "fibration").status,
-        "acyclic_leg": acyclic_leg,
-        "acyclic": model_bit(acyclic, flavor, "weak_equivalence").status,
-    }
+    prechecks = lift_prechecks(problem.left, problem.right, flavor,
+                               acyclic_leg)
     lift = find_lift(problem)
     if lift is not None:
         return LiftOutcome(lift, prechecks=prechecks)
     return LiftOutcome(None, obstruction_degree=_obstruction_degree(problem),
                        prechecks=prechecks)
+
+
+def lift_prechecks(left: ChainMap, right: ChainMap, flavor: str,
+                   acyclic_leg: str) -> dict:
+    """The statuses `solve_lifting` reports before it solves."""
+    acyclic = left if acyclic_leg == "left" else right
+    return {
+        "left_cofibration": model_bit(left, flavor, "cofibration").status,
+        "right_fibration": model_bit(right, flavor, "fibration").status,
+        "acyclic_leg": acyclic_leg,
+        "acyclic": model_bit(acyclic, flavor, "weak_equivalence").status,
+    }
 
 
 def _obstruction_degree(problem: LiftingProblem) -> int:

@@ -18,6 +18,7 @@ from ..chains.cones import pushout_complexes, pushout_induced_chain_map
 from ..chains.homotopy import (chain_homotopic, is_chain_homotopy_equivalence,
                                nullhomotopy)
 from ..chains.tensor import cylinder_map, interval_cylinder
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
@@ -29,6 +30,12 @@ from .ez_aw import aw, ez
 from .module import (SimplicialMap, SimplicialModule, constant_module,
                      degreewise_tensor, end_inclusion, gamma, gamma_map,
                      interval_object, tensor_normalized_map)
+
+
+def _require(holds: bool, failure: str) -> None:
+    """Raise CertificateError unless a re-check of a computed map holds."""
+    if not holds:
+        raise CertificateError(failure)
 
 
 def simplicial_classify(f: SimplicialMap) -> Verdict:
@@ -56,10 +63,12 @@ def simplicial_homotopic(f: SimplicialMap, g: SimplicialMap
     transported = SimplicialMap(T, B, G.compose(aw_map))
     i0 = end_inclusion(A, T, 0)
     i1 = end_inclusion(A, T, 1)
-    assert chain_map_equal(transported.normalized_map.compose(i0.normalized_map),
-                           f.normalized_map)
-    assert chain_map_equal(transported.normalized_map.compose(i1.normalized_map),
-                           g.normalized_map)
+    _require(chain_map_equal(
+        transported.normalized_map.compose(i0.normalized_map),
+        f.normalized_map), "transported homotopy does not restrict to f")
+    _require(chain_map_equal(
+        transported.normalized_map.compose(i1.normalized_map),
+        g.normalized_map), "transported homotopy does not restrict to g")
     return H, transported
 
 
@@ -96,18 +105,23 @@ def solve_hlp_simplicial(p: SimplicialMap, top: SimplicialMap,
         return SimplicialLiftReport(None, fibration.obstruction["degree"])
     lay, c0, c1, _ = interval_cylinder(A.normalized, interval(ring))
     ez_map = ez(A, I_obj, T)
-    assert chain_map_equal(ez_map.compose(c0), i0.normalized_map)
+    _require(chain_map_equal(ez_map.compose(c0), i0.normalized_map),
+             "EZ does not restrict to the e0 end")
     aux = LiftingProblem(c0, p.normalized_map, top.normalized_map,
                          bottom.normalized_map.compose(ez_map))
     h = find_lift(aux)
-    assert h is not None, "fibration failed the first pipeline lift"
+    _require(h is not None, "fibration failed the first pipeline lift")
     final = LiftingProblem(ez_map, p.normalized_map, h,
                            bottom.normalized_map)
     H = find_lift(final)
-    assert H is not None, "shuffle comparison failed the second pipeline lift"
+    _require(H is not None,
+             "shuffle comparison failed the second pipeline lift")
     lift = SimplicialMap(T, E, H)
-    assert chain_map_equal(H.compose(i0.normalized_map), top.normalized_map)
-    assert chain_map_equal(p.normalized_map.compose(H), bottom.normalized_map)
+    _require(chain_map_equal(H.compose(i0.normalized_map), top.normalized_map),
+             "HLP lift does not restrict to the top leg")
+    _require(chain_map_equal(p.normalized_map.compose(H),
+                             bottom.normalized_map),
+             "HLP lift does not project to the bottom leg")
     return SimplicialLiftReport(lift)
 
 
@@ -195,20 +209,23 @@ def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
     ez_star = dual.ez_star
     # hom-side evaluation at e0 and the triangle ev0 = ev0_hom o EZ*
     ev0_hom = _hom_side_evaluation(dual.hom_side, B, end=0)
-    assert chain_map_equal(ev0_hom.compose(ez_star),
-                           cot.ev0.normalized_map)
+    _require(chain_map_equal(ev0_hom.compose(ez_star),
+                             cot.ev0.normalized_map),
+             "ev0 does not factor as ev0_hom o EZ*")
     aux = LiftingProblem(i.normalized_map, ev0_hom,
                          ez_star.compose(top.normalized_map),
                          bottom.normalized_map)
     h = find_lift(aux)
-    assert h is not None, "cofibration failed the first pipeline lift"
+    _require(h is not None, "cofibration failed the first pipeline lift")
     final = LiftingProblem(i.normalized_map, ez_star, top.normalized_map, h)
     H = find_lift(final)
-    assert H is not None, "dual shuffle comparison failed the second lift"
+    _require(H is not None, "dual shuffle comparison failed the second lift")
     lift = SimplicialMap(X, cot.object, H)
-    assert chain_map_equal(H.compose(i.normalized_map), top.normalized_map)
-    assert chain_map_equal(cot.ev0.normalized_map.compose(H),
-                           bottom.normalized_map)
+    _require(chain_map_equal(H.compose(i.normalized_map), top.normalized_map),
+             "HEP lift does not restrict to the top leg")
+    _require(chain_map_equal(cot.ev0.normalized_map.compose(H),
+                             bottom.normalized_map),
+             "HEP lift does not evaluate to the bottom leg")
     return SimplicialLiftReport(lift)
 
 

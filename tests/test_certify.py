@@ -1,6 +1,9 @@
 """Suite engine: determinism, hypothesis-respecting shrinking, smoke runs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,22 @@ def test_reports_are_byte_identical():
     assert dump(a) == dump(b)
     c = run_suite(CertifyConfig("dold-kan", seed=12, cases=6))
     assert dump(a) != dump(c)
+
+
+def test_zmod_elimination_keeps_entries_small():
+    # Case 3 of this call eliminates a 169x160 system over Z/6.  Unless the
+    # Smith form reduces mod 6 as it eliminates, its entries grow past
+    # 200,000 bits and the call does not finish within the timeout.
+    import chaincert
+
+    src = os.path.dirname(os.path.dirname(chaincert.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaincert.cli", "certify", "--suite", "ez-aw",
+         "--ring", "z/6", "--seed", "20260809", "--cases", "4"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"]
 
 
 def test_dold_kan_over_zmod6():

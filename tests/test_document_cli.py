@@ -256,6 +256,26 @@ def _chain_flavor(report):
     report["flavor"] = "h"
 
 
+def _unknown_lift_flavor(report):
+    report["flavor"] = "zzz"
+
+
+def _unknown_precheck_status(report):
+    report["prechecks"]["acyclic"] = "zzz"
+
+
+def _drop_precheck(report):
+    del report["prechecks"]["right_fibration"]
+
+
+def _unknown_acyclic_leg(report):
+    report["prechecks"]["acyclic_leg"] = "middle"
+
+
+def _extra_precheck(report):
+    report["prechecks"]["left_fibration"] = "yes"
+
+
 @pytest.mark.parametrize("make, damage, location", [
     (interval_lift_report, _drop_lift, "lift"),
     (interval_lift_report, _drop_left_source, "left.source"),
@@ -266,7 +286,12 @@ def _chain_flavor(report):
      "verdict.cofibration.witness.degrees.x"),
     (interval_h_report, _list_of_degrees,
      "verdict.cofibration.witness.degrees"),
-    (interval_bousfield_report, _chain_flavor, "flavor")])
+    (interval_bousfield_report, _chain_flavor, "flavor"),
+    (interval_lift_report, _unknown_lift_flavor, "flavor"),
+    (interval_lift_report, _unknown_precheck_status, "prechecks.acyclic"),
+    (interval_lift_report, _drop_precheck, "prechecks.right_fibration"),
+    (interval_lift_report, _unknown_acyclic_leg, "prechecks.acyclic_leg"),
+    (interval_lift_report, _extra_precheck, "prechecks.left_fibration")])
 def test_cli_verify_malformed_report_names_location(tmp_path, capsys, make,
                                                     damage, location):
     report = make()
@@ -399,6 +424,46 @@ def test_cli_verify_rejects_tampered_witness(tmp_path, capsys):
     code, out = run_cli(["verify", str(witness)], capsys)
     assert code == 1
     assert not json.loads(out)["ok"]
+
+
+def test_cli_verify_rejects_yes_without_witness(tmp_path, capsys):
+    report = interval_h_report()
+    for bit in report["verdict"].values():
+        if isinstance(bit, dict):
+            bit.pop("witness", None)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(report))
+    code, out = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        "cofibration is 'yes' but carries no witness",
+        "weak_equivalence is 'yes' but carries no witness"]
+
+
+def test_cli_verify_rejects_tampered_cone(tmp_path, capsys):
+    report = interval_report("q")
+    witness = report["verdict"]["weak_equivalence"]["witness"]
+    assert witness["type"] == "cone_exactness"
+    witness["degrees"]["0"]["free_rank"] = 1
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(report))
+    code, out = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        "cone exactness witness differs from the recomputed one"]
+
+
+def test_cli_verify_recomputes_lift_prechecks(tmp_path, capsys):
+    report = interval_lift_report()
+    for key in ("left_cofibration", "right_fibration", "acyclic"):
+        report["prechecks"][key] = "no"
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(report))
+    code, out = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        f"precheck {key} 'no' disagrees with recomputation 'yes'"
+        for key in ("left_cofibration", "right_fibration", "acyclic")]
 
 
 def test_cli_certify_deterministic(capsys):

@@ -249,17 +249,57 @@ def test_chain_section_retraction_helpers():
     assert chain_retraction(cylf.cocylinder.first) is not None
 
 
-# Under python -O every witness re-check must still raise.  The solver is
-# stubbed to answer zero for every unknown, a wrong answer for each call.
+# Under python -O every witness re-check must still raise.  The simplicial
+# pipelines run first, with the lifts stubbed to fail and the cylinder ends
+# swapped; then the solver is stubbed to answer zero for every unknown, a
+# wrong answer for each call.
 CERTIFICATE_GUARDS = """
 import sys
-from chaincert.chains.build import unit_complex, zero_complex
+from chaincert.chains.build import disk, sphere, unit_complex, zero_complex
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.errors import CertificateError
 from chaincert.exact import splitting
 from chaincert.exact.matrix import Matrix
+from chaincert.exact.modules import ModuleMap
 from chaincert.exact.rings import ZZ
 from chaincert.models import classify, lifting
+from chaincert.simplicial import classify as sclassify
+from chaincert.simplicial.module import (SimplicialMap, degreewise_tensor,
+                                         end_inclusion, gamma, interval_object)
+
+def report(calls):
+    for name, call in calls.items():
+        try:
+            call()
+            print(name, "accepted a wrong witness")
+        except CertificateError:
+            print(name, "raised")
+
+print("optimize", sys.flags.optimize)
+D = gamma(disk(ZZ, 1))
+Zs = gamma(zero_complex(ZZ), verify=False)
+T = degreewise_tensor(Zs, interval_object(ZZ))
+cot = sclassify.interval_cotensor(D)
+S0 = gamma(sphere(ZZ, 0))
+i = SimplicialMap(Zs, S0, ChainMap.zero(Zs.normalized, S0.normalized))
+g0 = ModuleMap(S0.normalized.module(0), D.normalized.module(0),
+               Matrix(ZZ, 1, 1, [[1]]))
+sclassify.find_lift = lambda problem: None
+sclassify.end_inclusion = lambda A, T, end: end_inclusion(A, T, 1 - end)
+report({
+    "simplicial_homotopic": lambda: sclassify.simplicial_homotopic(
+        SimplicialMap(D, D, ChainMap.identity(D.normalized)),
+        SimplicialMap(D, D, ChainMap.zero(D.normalized, D.normalized))),
+    "solve_hlp_simplicial": lambda: sclassify.solve_hlp_simplicial(
+        SimplicialMap(Zs, Zs, ChainMap.identity(Zs.normalized)),
+        SimplicialMap(Zs, Zs, ChainMap.identity(Zs.normalized)),
+        SimplicialMap(T, Zs, ChainMap.zero(T.normalized, Zs.normalized))),
+    "solve_hep_simplicial": lambda: sclassify.solve_hep_simplicial(
+        i, SimplicialMap(Zs, cot.object,
+                         ChainMap.zero(Zs.normalized, cot.object.normalized)),
+        SimplicialMap(S0, D, ChainMap(S0.normalized, D.normalized, [g0])),
+        cot),
+})
 
 def zero_solution(ring, variables, relations):
     return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
@@ -280,13 +320,7 @@ calls = {
 classify.is_split_mono = lambda fn: None
 splitting.solve_map_relations = zero_solution
 lifting.solve_map_relations = zero_solution
-print("optimize", sys.flags.optimize)
-for name, call in calls.items():
-    try:
-        call()
-        print(name, "accepted a wrong witness")
-    except CertificateError:
-        print(name, "raised")
+report(calls)
 """
 
 
@@ -301,5 +335,6 @@ def test_witness_guards_survive_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1:] == [f"{name} raised" for name in (
+        "simplicial_homotopic", "solve_hlp_simplicial", "solve_hep_simplicial",
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
         "chain_section", "chain_retraction")]
