@@ -5,7 +5,7 @@ relations of the form
 
     sum_k  c_k * L_k @ X_{v_k} @ R_k  =  rhs   (modulo columns of `mod`)
 
-in several unknown matrices X_v at once.  Two shapes decouple and are
+in several unknown matrices X_v at once.  Three shapes decouple and are
 solved with a few small Smith forms:
 
   (a) column-decoupled: every R_k is the identity, and every unknown and
@@ -17,6 +17,15 @@ solved with a few small Smith forms:
       X M = C modulo colspan Q.  With U Q V = D, row i of Y = U X solves
       y M = (U C)_i modulo d_i, a diagonal congruence after one Smith
       form of M^T, and X = U^-1 Y (retractions of a split mono).
+  (c) source-decoupled: one unknown X : C -> B, and every relation is
+      either column-type (every R_k the identity) or has zero rhs and
+      every R_k equal to one matrix P, typically the relations of C (X is
+      well defined).  With U P V = D put X = X' U: a column-type
+      relation reads L X' = rhs U^-1 modulo its `mod`, the other kind
+      d_j L X'_j = 0 modulo its `mod` for each column j, where d_j = 0
+      past the diagonal.  Column j of X' is then one small system, and
+      columns with equal d_j share it, so each group of columns takes one
+      solve with a multi-column rhs (sections of a split epi).
 
 Every other system is coupled and solved whole: each relation is
 vectorized column-major (vec(L X R) = (R^T kron L) vec X), the modulo
@@ -92,6 +101,9 @@ def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
             and all(L.is_identity() for _, L, _, _ in rel.terms)
             for rel in relations):
         return _solve_rows(ring, variables[0], relations)
+    P = _source_relations(variables, relations)
+    if P is not None:
+        return _solve_source_columns(ring, variables[0], relations, P)
     return _solve_flattened(ring, variables, relations)
 
 
@@ -161,6 +173,68 @@ def _solve_rows(ring: RingSpec, var: MapVariable,
     Y = (dm.V @ Matrix(ring, var.cols, var.rows, Z)).transpose()
     U_inv = solve(dq.U, Matrix.identity(ring, var.rows))
     return {var.name: U_inv @ Y}
+
+
+def _source_relations(variables: list[MapVariable],
+                      relations: list[MatrixRelation]) -> Matrix | None:
+    """The matrix P of case (c), or None when the system has another shape."""
+    if len(variables) != 1:
+        return None
+    P = None
+    for rel in relations:
+        if _column_type(rel, variables[0].cols):
+            continue
+        if not rel.terms or not rel.rhs.is_zero():
+            return None
+        if P is None:
+            P = rel.terms[0][3]
+        if any(R != P for _, _, _, R in rel.terms):
+            return None
+    return P
+
+
+def _column_type(rel: MatrixRelation, n: int) -> bool:
+    return rel.rhs.cols == n and all(R.is_identity()
+                                     for _, _, _, R in rel.terms)
+
+
+def _solve_source_columns(ring: RingSpec, var: MapVariable,
+                          relations: list[MatrixRelation], P: Matrix
+                          ) -> dict[str, Matrix] | None:
+    """Case (c): X = X' U with U P V = D, one system per diagonal entry d_j."""
+    dec = snf(P)
+    n = var.cols
+    d = dec.diagonal + [0] * (n - len(dec.diagonal))
+    U_inv = solve(dec.U, Matrix.identity(ring, n))
+    # per relation: (sum of coeff * L, rhs U^-1 or None for the P kind, mod)
+    parts = []
+    for rel in relations:
+        L = Matrix.zero(ring, rel.rhs.rows, var.rows)
+        for coeff, L_k, _, _ in rel.terms:
+            L = L + L_k.scale(coeff)
+        parts.append((L, rel.rhs @ U_inv if _column_type(rel, n) else None,
+                      _modulus(rel)))
+    slack_sizes = [0 if mod is None else mod.cols for _, _, mod in parts]
+    X = [[0] * n for _ in range(var.rows)]
+    for dj in sorted(set(d)):
+        cols = [j for j in range(n) if d[j] == dj]
+        blocks: dict[tuple[int, int], Matrix] = {}
+        rhs: list[list[int]] = []
+        for r, (L, target, mod) in enumerate(parts):
+            blocks[(r, 0)] = L if target is not None else L.scale(dj)
+            if mod is not None:
+                blocks[(r, 1 + r)] = -mod
+            rhs += ([[row[j] for j in cols] for row in target.data]
+                    if target is not None else [[0] * len(cols)] * L.rows)
+        system = Matrix.assemble(ring, [L.rows for L, _, _ in parts],
+                                 [var.rows] + slack_sizes, blocks)
+        sol = solve(system, Matrix(ring, len(rhs), len(cols), rhs))
+        if sol is None:
+            return None
+        for i in range(var.rows):
+            for c, j in enumerate(cols):
+                X[i][j] = sol[i, c]
+    return {var.name: Matrix(ring, var.rows, n, X) @ dec.U}
 
 
 def _solve_flattened(ring: RingSpec, variables: list[MapVariable],

@@ -30,6 +30,7 @@ from typing import Any, Callable, Sequence
 from ..chains.cochain import CochainComplex, CochainMap
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.truncate import WindowComplex
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
@@ -193,7 +194,7 @@ def parse_simplicial(ring: RingSpec, data: dict, location: str
                             "cap must be an integer >= the top degree")
     try:
         return gamma(normalized, cap=cap)
-    except AssertionError as exc:
+    except CertificateError as exc:
         raise DocumentError(location, str(exc))
 
 
@@ -219,6 +220,29 @@ def chain_map_from_json(ring: RingSpec, data: Any, location: str = "map"
                         ) -> ChainMap:
     """A chain map stored with its endpoints (see chain_map_to_json)."""
     return _map_from_json(ring, data, location, parse_chain_complex, ChainMap)
+
+
+def chain_maps_from_json(ring: RingSpec, data: Any, names: Sequence[str]
+                         ) -> dict[str, ChainMap]:
+    """The chain maps stored under ``names`` in ``data``, with endpoints; an
+    endpoint that several maps store identically is decoded once."""
+    decoded: list[tuple[Any, ChainComplex]] = []
+
+    def endpoint(stored: Any, end: str, name: str) -> ChainComplex:
+        raw = get_field(stored, end, name)
+        for seen, C in decoded:
+            if seen == raw:
+                return C
+        C = parse_chain_complex(ring, raw, f"{name}.{end}")
+        decoded.append((raw, C))
+        return C
+
+    maps = {}
+    for name in names:
+        stored = get_field(data, name)
+        maps[name] = _build_map(ChainMap, endpoint(stored, "source", name),
+                                endpoint(stored, "target", name), stored, name)
+    return maps
 
 
 def cochain_map_from_json(ring: RingSpec, data: Any, location: str = "map"

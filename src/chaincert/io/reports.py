@@ -20,9 +20,10 @@ from ..models.classify import bit_degrees, check_data, classify, flavor_data
 from ..models.lifting import lift_prechecks
 from ..models.verdict import NO, UNKNOWN, YES, Verdict
 from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
-                       cochain_map_from_json, components_to_json, get_field,
-                       parse_components, parse_matrix, parse_module,
-                       parse_module_map, parse_ring)
+                       chain_maps_from_json, cochain_map_from_json,
+                       components_to_json, get_field, parse_components,
+                       parse_matrix, parse_module, parse_module_map,
+                       parse_ring)
 
 
 def classification_report(f: ChainMap | CochainMap, flavor: str,
@@ -253,12 +254,23 @@ def _check_prechecks(stored, left: ChainMap, right: ChainMap, flavor: str,
                             f"recomputation {status!r}")
 
 
+# each corner of a lift square is stored by two legs: (leg, end) must
+# match (first, first_end)
+_SHARED_CORNERS = (("top", "source", "left", "source"),
+                   ("bottom", "source", "left", "target"),
+                   ("top", "target", "right", "source"),
+                   ("bottom", "target", "right", "target"))
+
+
 def verify_lift(data: dict) -> list[str]:
     problems: list[str] = []
     ring = parse_ring(get_field(data, "ring"))
-    left, right, top, bottom = (chain_map_from_json(ring, get_field(data, leg),
-                                                    leg)
-                                for leg in ("left", "right", "top", "bottom"))
+    legs = chain_maps_from_json(ring, data, ("left", "right", "top", "bottom"))
+    for leg, end, first, first_end in _SHARED_CORNERS:
+        if getattr(legs[leg], end) != getattr(legs[first], first_end):
+            raise DocumentError(f"{leg}.{end}",
+                                f"does not match {first}.{first_end}")
+    left, right, top, bottom = legs.values()
     flavor = get_field(data, "flavor")
     try:
         check_data(left, flavor)

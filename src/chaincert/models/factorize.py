@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from ..chains.complexes import ChainMap, chain_map_equal
 from ..chains.cones import mapping_cocylinder, mapping_cylinder
+from ..errors import CertificateError
 from .classify import classify
 from .verdict import Verdict
 
@@ -38,10 +39,13 @@ def factorize_h(f: ChainMap) -> FactorizationReport:
     cyl_fact = Factorization(cyl.cofibration, cyl.projection,
                              classify(cyl.cofibration, "h"),
                              classify(cyl.projection, "h"))
-    assert cyl_fact.composes_to(f)
+    if not cyl_fact.composes_to(f):
+        raise CertificateError("cylinder factorization does not compose to f")
     cocyl = mapping_cocylinder(f)
     cocyl_fact = Factorization(cocyl.section_leg, cocyl.fibration_leg,
                                classify(cocyl.section_leg, "h"),
                                classify(cocyl.fibration_leg, "h"))
-    assert cocyl_fact.composes_to(f)
+    if not cocyl_fact.composes_to(f):
+        raise CertificateError("cocylinder factorization does not compose "
+                               "to f")
     return FactorizationReport(cyl_fact, cocyl_fact)

@@ -14,6 +14,7 @@ from ..chains.build import concentrated, disk, sphere, zero_complex
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.homcx import ChainMapsSpace
 from ..chains.homotopy import quasi_iso
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule, direct_sum
 from ..exact.rings import RingSpec
@@ -171,7 +172,9 @@ def _chain_iso_inverse(iso: ChainMap) -> ChainMap:
     for n in range(max(iso.source.top, iso.target.top) + 1):
         U = iso.component(n).action
         inv = solve(U, Matrix.identity(U.ring, U.rows))
-        assert inv is not None
+        if inv is None:
+            raise CertificateError(f"degree {n} of the chain isomorphism "
+                                   "is not invertible")
         comps.append(ModuleMap(iso.target.module(n), iso.source.module(n), inv,
                                check=False))
     return ChainMap(iso.target, iso.source, comps, check=False)
@@ -208,7 +211,9 @@ def random_q_cofibration(ring: RingSpec, rng: random.Random, *,
     twisted, iso = twist_complex_with_iso(total, rng)
     out = iso.compose(j)
     if acyclic:
-        assert quasi_iso(out)
+        if not quasi_iso(out):
+            raise CertificateError("acyclic q-cofibration is not a "
+                                   "quasi-isomorphism")
     return out
 
 

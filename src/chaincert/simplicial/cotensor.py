@@ -23,6 +23,7 @@ from ..chains.homcx import ChainMapsSpace, HomWindow, hom_truncation
 from ..chains.homotopy import nullhomotopy
 from ..chains.tensor import TensorLayout
 from ..chains.truncate import Truncation
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..exact.snf import solve
@@ -236,11 +237,11 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
 
     if not chain_map_equal(ez_star.compose(aw_star),
                            ChainMap.identity(trunc.complex)):
-        raise AssertionError("EZ* o AW* failed to be the identity")
+        raise CertificateError("EZ* o AW* failed to be the identity")
     composite = aw_star.compose(ez_star)
     h = nullhomotopy(ChainMap.identity(cot.complex) - composite)
     if h is None:
-        raise AssertionError("AW* o EZ* is not homotopic to the identity")
+        raise CertificateError("AW* o EZ* is not homotopic to the identity")
     homotopy = ChainHomotopy(composite, ChainMap.identity(cot.complex),
                              list(h.parts))
     return DualComparison(cot, trunc, aw_star, ez_star, homotopy)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
 from ..chains.homotopy import nullhomotopy
 from ..chains.tensor import TensorLayout
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .module import SimplicialModule, full_injection, full_projection
@@ -117,6 +118,6 @@ def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,
     ident = ChainMap.identity(T.normalized)
     h = nullhomotopy(ident - composite)
     if h is None:
-        raise AssertionError("EZ o AW is not homotopic to the identity; "
-                             "this indicates corrupted level data")
+        raise CertificateError("EZ o AW is not homotopic to the identity; "
+                               "this indicates corrupted level data")
     return ChainHomotopy(composite, ident, list(h.parts))

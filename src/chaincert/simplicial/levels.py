@@ -130,6 +130,7 @@ class TensorLevels:
         self.B = B
         self.ring = A.ring
         self._mods: dict[int, PresentedModule] = {}
+        self._nondegenerate: dict[int, list[int]] = {}
 
     def module(self, n: int) -> PresentedModule:
         if n not in self._mods:
@@ -158,8 +159,12 @@ class TensorLevels:
         return a0 * self.B.module(n - 1).generators + b0
 
     def nondegenerate_coords(self, n: int) -> list[int]:
-        return [idx for idx in range(self.module(n).generators)
+        """Cached per level; callers only read the list."""
+        if n not in self._nondegenerate:
+            self._nondegenerate[n] = [
+                idx for idx in range(self.module(n).generators)
                 if not self.degeneracy_positions(n, idx)]
+        return self._nondegenerate[n]
 
 
 def verify_simplicial_identities(levels, cap: int) -> None:

@@ -12,6 +12,7 @@ and agree with the canonical projector.
 from __future__ import annotations
 
 from ..chains.complexes import ChainComplex, ChainMap
+from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import (ModuleMap, PresentedModule, direct_sum,
                              factor_through, kernel)
@@ -69,8 +70,9 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
         full_src = levels.nondegenerate_coords(n)
         full_tgt = levels.nondegenerate_coords(n - 1)
         action = M.submatrix(full_tgt, full_src)
+        nondegenerate = set(full_src)
         degenerate = [idx for idx in range(levels.module(n).generators)
-                      if idx not in set(full_src)]
+                      if idx not in nondegenerate]
         if degenerate:
             leak = M.submatrix(full_tgt, degenerate)
             if solve(mods[n - 1].relations, leak) is None:
@@ -154,7 +156,7 @@ def gamma(C: ChainComplex, cap: int | None = None, *,
         verify_simplicial_identities(levels, cap)
         roundtrip = normalized_quotient(levels, C.top)
         if roundtrip != C:
-            raise AssertionError("denormalization failed to normalize back")
+            raise CertificateError("denormalization failed to normalize back")
     return SimplicialModule(C, levels, cap)
 
 

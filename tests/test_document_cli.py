@@ -221,6 +221,12 @@ def _short_matrix(report):
     report["lift"][0] = report["lift"][0][:1]
 
 
+def _mismatched_corner(report):
+    # top ends at the interval with the opposite differential, a valid
+    # complex that is not the source of right
+    report["top"]["target"]["differentials"] = [[[1], [-1]]]
+
+
 def interval_report(flavor):
     with open(fixture("interval.json")) as fh:
         e0 = parse_document(json.load(fh)).map("e0").value
@@ -281,6 +287,7 @@ def _extra_precheck(report):
     (interval_lift_report, _drop_left_source, "left.source"),
     (interval_lift_report, _string_entry, "lift[0][0]"),
     (interval_lift_report, _short_matrix, "lift[0]"),
+    (interval_lift_report, _mismatched_corner, "top.target"),
     (interval_h_report, _drop_status, "verdict.fibration.status"),
     (interval_h_report, _letter_degree_key,
      "verdict.cofibration.witness.degrees.x"),

@@ -1,8 +1,11 @@
 """Routes of solve_map_relations: the decoupled shapes against the flattened
 system, and every solution re-checked by multiplication."""
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
+from chaincert.cli import main
 from chaincert.exact import equations
 from chaincert.exact.equations import (MapVariable, MatrixRelation,
                                        solve_map_relations)
@@ -10,7 +13,8 @@ from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, factor_through
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import solve
-from chaincert.exact.splitting import is_split_mono
+from chaincert.exact.splitting import (is_projective, is_split_epi,
+                                      is_split_mono, projective_section)
 
 RINGS = [ZZ, Zmod(6)]
 
@@ -21,11 +25,12 @@ def draw_matrix(draw, ring, rows, cols):
     return Matrix(ring, rows, cols, draw(entries))
 
 
-def draw_rhs(draw, ring, terms, mod, rows, cols):
-    """A random right-hand side, or half the time one built from a solution."""
+def draw_rhs(draw, ring, terms, mod, rows, cols, chosen=None):
+    """A random right-hand side, or half the time one built from a solution
+    (drawn here, or the unknowns already in ``chosen``)."""
     if draw(st.booleans()):
         return draw_matrix(draw, ring, rows, cols)
-    chosen = {}
+    chosen = {} if chosen is None else chosen
     rhs = Matrix.zero(ring, rows, cols)
     for coeff, L, name, R in terms:
         if name not in chosen:
@@ -78,6 +83,36 @@ def row_decoupled(draw, ring):
     return variables, relations
 
 
+def source_columns(draw, ring):
+    """Case (c): one unknown C -> B, where C has relations R_C; relations
+    with every R the identity, and well-definedness (I, X, R_C) = 0 modulo
+    the relations of B or exactly."""
+    n, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    R_C = draw_matrix(draw, ring, n, draw(st.integers(1, 2)))
+    x = draw_matrix(draw, ring, b, n)
+    R_B = None
+    if draw(st.booleans()):
+        R_B = draw_matrix(draw, ring, b, draw(st.integers(1, 2)))
+        if draw(st.booleans()):
+            R_B = R_B.hstack(x @ R_C)  # x is then well defined
+    var = MapVariable("x", PresentedModule(ring, n, R_C),
+                      PresentedModule(ring, b, R_B))
+    relations = [MatrixRelation(
+        [(draw(st.sampled_from([1, -1, 2])), Matrix.identity(ring, b), "x",
+          R_C)], Matrix.zero(ring, b, R_C.cols), R_B)]
+    for _ in range(draw(st.integers(1, 2))):
+        p = draw(st.integers(1, 3))
+        terms = [(draw(st.sampled_from([1, -1, 3])),
+                  draw_matrix(draw, ring, p, b), "x", Matrix.identity(ring, n))
+                 for _ in range(draw(st.integers(1, 2)))]
+        mod = draw(st.sampled_from(
+            [None, draw_matrix(draw, ring, p, draw(st.integers(1, 2)))]
+            + ([R_C] if p == n else [])))
+        relations.append(MatrixRelation(
+            terms, draw_rhs(draw, ring, terms, mod, p, n, {"x": x}), mod))
+    return [var], relations
+
+
 def coupled(draw, ring):
     """Two unknowns, one of them multiplied on both sides."""
     p, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -107,9 +142,10 @@ def satisfies(ring, relations, sol) -> bool:
     return True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RINGS),
-       st.sampled_from([column_decoupled, row_decoupled, coupled]),
+       st.sampled_from([column_decoupled, row_decoupled, source_columns,
+                        coupled]),
        st.data())
 def test_routes_agree_with_flattened_system(ring, shape, data):
     variables, relations = shape(data.draw, ring)
@@ -139,3 +175,30 @@ def test_retractions_and_factorizations_skip_flattening(monkeypatch):
         u = ModuleMap(B, free(ring, 2), Matrix(ring, 2, 1, [[4], [0]]))
         w = factor_through(incl, u)
         assert w is not None and incl.compose(w).action == u.action
+
+    for ring in RINGS:
+        # R -> R/2 splits over Z/6 (R/2 is the summand 3R) but not over Z
+        B, C = free(ring, 1), PresentedModule.cyclic(ring, 2)
+        section = is_split_epi(ModuleMap(B, C, Matrix.identity(ring, 1)))
+        assert (section is not None) == ring.is_modular
+        assert is_projective(C) == ring.is_modular
+        assert (projective_section(C) is not None) == ring.is_modular
+        # R + R/2 -> R/2 splits over both
+        B = PresentedModule(ring, 2, Matrix(ring, 2, 1, [[0], [2]]))
+        assert is_split_epi(ModuleMap(B, C, Matrix(ring, 1, 2, [[0, 1]])))
+
+
+def test_monoidal_smod_never_flattens(monkeypatch, tmp_path):
+    reached = []
+
+    def flattened(*args):
+        reached.append(args)
+        raise RuntimeError("decoupled system sent to the flattened solver")
+
+    monkeypatch.setattr(equations, "_solve_flattened", flattened)
+    out = tmp_path / "report.json"
+    for ring in ("z", "z/6"):
+        assert main(["certify", "--suite", "monoidal-smod", "--seed", "7",
+                     "--cases", "5", "--ring", ring, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
+    assert not reached

@@ -251,10 +251,12 @@ def test_chain_section_retraction_helpers():
 
 # Under python -O every witness re-check must still raise.  The simplicial
 # pipelines run first, with the lifts stubbed to fail and the cylinder ends
-# swapped; then the solver is stubbed to answer zero for every unknown, a
-# wrong answer for each call.
+# swapped; the EZ/AW predicates run with no nullhomotopy found; then the
+# solver is stubbed to answer zero for every unknown, a wrong answer for
+# each call.
 CERTIFICATE_GUARDS = """
 import sys
+from chaincert import certify
 from chaincert.chains.build import disk, sphere, unit_complex, zero_complex
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.errors import CertificateError
@@ -262,8 +264,9 @@ from chaincert.exact import splitting
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap
 from chaincert.exact.rings import ZZ
+from chaincert.io.document import complex_to_json
 from chaincert.models import classify, lifting
-from chaincert.simplicial import classify as sclassify
+from chaincert.simplicial import classify as sclassify, cotensor, ez_aw
 from chaincert.simplicial.module import (SimplicialMap, degreewise_tensor,
                                          end_inclusion, gamma, interval_object)
 
@@ -301,6 +304,12 @@ report({
         cot),
 })
 
+ez_aw.nullhomotopy = cotensor.nullhomotopy = lambda f: None
+case = {"a": complex_to_json(disk(ZZ, 1)), "b": complex_to_json(sphere(ZZ, 0))}
+for suite in ("ez-aw", "ez-aw-dual"):
+    print(suite, certify.SUITES[suite].predicate(
+        case, certify.CertifyConfig(suite, 0, 1)))
+
 def zero_solution(ring, variables, relations):
     return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
             for v in variables}
@@ -334,7 +343,9 @@ def test_witness_guards_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1:] == [f"{name} raised" for name in (
-        "simplicial_homotopic", "solve_hlp_simplicial", "solve_hep_simplicial",
+    assert lines[1:4] == [f"{name} raised" for name in (
+        "simplicial_homotopic", "solve_hlp_simplicial", "solve_hep_simplicial")]
+    assert lines[4:6] == ["ez-aw fail", "ez-aw-dual fail"]
+    assert lines[6:] == [f"{name} raised" for name in (
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
         "chain_section", "chain_retraction")]
