@@ -18,7 +18,7 @@ from .chains.build import (brutal_truncation, disk, interval, sphere,
                            unit_complex, zero_complex)
 from .chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                LiftingProblem, chain_map_equal, validate)
-from .chains.cochain import CochainComplex, CochainMap, dualize, dualize_map
+from .chains.cochain import CochainMap, dualize_map
 from .chains.cones import mapping_cocylinder, mapping_cone, mapping_cylinder
 from .chains.homcx import hom_complex
 from .chains.homology import homology

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exact.equations import MapVariable, MatrixRelation, solve_map_relations
+from ..exact.equations import (MapVariable, MatrixRelation,
+                               solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .complexes import ChainComplex, ChainHomotopy, ChainMap
@@ -32,14 +33,7 @@ def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
                           f"H{n - 1}", X.differential(n).action))
         relations.append(MatrixRelation(terms=terms, rhs=f.component(n).action,
                                         mod=Y.module(n).relations))
-    for n in range(top + 1):
-        v = variables[n]
-        relations.append(MatrixRelation(
-            terms=[(1, Matrix.identity(ring, v.target.generators), v.name,
-                    v.source.relations)],
-            rhs=Matrix.zero(ring, v.target.generators, v.source.relations.cols),
-            mod=v.target.relations,
-        ))
+    relations += [well_definedness(v) for v in variables]
     sol = solve_map_relations(ring, variables, relations)
     if sol is None:
         return None

@@ -26,7 +26,7 @@ from .models.classify import check_data, classify
 from .models.lifting import solve_lifting
 from .simplicial.cotensor import ez_aw_dual_ops
 from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
-from .simplicial.module import degreewise_tensor, gamma, normalize
+from .simplicial.module import cap_problem, degreewise_tensor, gamma, normalize
 
 USAGE_ERROR = 2
 
@@ -154,6 +154,9 @@ def cmd_normalize(args) -> int:
 def cmd_denormalize(args) -> int:
     doc = _load_document(args.document)
     C = doc.chain_complex(args.complex)
+    problem = None if args.cap is None else cap_problem(C, args.cap)
+    if problem:
+        _fail(f"--cap: {problem}")
     A = gamma(C, cap=args.cap)
     level_ranks = [A.level_rank(n) for n in range(A.cap + 1)]
     _emit({"kind": "denormalize", "ring": doc.ring.to_json(),

@@ -69,6 +69,17 @@ class MatrixRelation:
     mod: Matrix | None = None
 
 
+def well_definedness(var: MapVariable) -> MatrixRelation:
+    """X P_source = 0 modulo P_target: X respects its source's relations."""
+    src, tgt = var.source, var.target
+    return MatrixRelation(
+        terms=[(1, Matrix.identity(src.ring, tgt.generators), var.name,
+                src.relations)],
+        rhs=Matrix.zero(src.ring, tgt.generators, src.relations.cols),
+        mod=tgt.relations,
+    )
+
+
 def _modulus(rel: MatrixRelation) -> Matrix | None:
     return rel.mod if rel.mod is not None and rel.mod.cols else None
 

@@ -3,18 +3,10 @@
 from __future__ import annotations
 
 from ..errors import CertificateError
-from .equations import MapVariable, MatrixRelation, solve_map_relations
+from .equations import (MapVariable, MatrixRelation, solve_map_relations,
+                        well_definedness)
 from .matrix import Matrix
 from .modules import ModuleMap, PresentedModule, map_equal
-
-
-def _wellformedness(ring, name: str, var: MapVariable) -> MatrixRelation:
-    src, tgt = var.source, var.target
-    return MatrixRelation(
-        terms=[(1, Matrix.identity(ring, tgt.generators), name, src.relations)],
-        rhs=Matrix.zero(ring, tgt.generators, src.relations.cols),
-        mod=tgt.relations,
-    )
 
 
 def is_split_epi(f: ModuleMap) -> ModuleMap | None:
@@ -27,7 +19,7 @@ def is_split_epi(f: ModuleMap) -> ModuleMap | None:
         rhs=Matrix.identity(ring, C.generators),
         mod=C.relations,
     )
-    sol = solve_map_relations(ring, [s], [main, _wellformedness(ring, "s", s)])
+    sol = solve_map_relations(ring, [s], [main, well_definedness(s)])
     if sol is None:
         return None
     section = ModuleMap(C, B, sol["s"])
@@ -46,7 +38,7 @@ def is_split_mono(f: ModuleMap) -> ModuleMap | None:
         rhs=Matrix.identity(ring, B.generators),
         mod=B.relations,
     )
-    sol = solve_map_relations(ring, [r], [main, _wellformedness(ring, "r", r)])
+    sol = solve_map_relations(ring, [r], [main, well_definedness(r)])
     if sol is None:
         return None
     retraction = ModuleMap(C, B, sol["r"])

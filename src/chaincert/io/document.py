@@ -9,6 +9,8 @@ lives here:
 * a complex is ``{"degrees": [module, ...], "differentials": [...]}``,
   tagged ``"type": "chain_complex"`` or ``"cochain_complex"`` where it
   stands on its own;
+* a cochain complex lists X^0 .. X^t and d^k : X^k -> X^{k+1}, and a
+  cochain map its components g^0 .. g^T in cochain order;
 * a map or a homotopy is the list of its degreewise components, stored
   under ``"components"``, beside ``"source"`` and ``"target"`` when the
   reader does not hold the endpoints already.
@@ -20,6 +22,12 @@ degrees is an error.  Decoding validates everything it touches and
 raises DocumentError with the JSON path of the offending entry, so a bad
 document or report names its own degree.  Within a document, names are
 the only cross-reference mechanism.
+
+This module is also where cochain data turns into chain data (see
+`chains/cochain.py`): a cochain complex of top t is decoded as the chain
+complex C_n = X^{t-n}; a cochain map reverses both of its ends at the
+larger top T, so an end of top t < T sits in chain degrees T-t .. T; the
+writers reverse back.
 """
 
 from __future__ import annotations
@@ -27,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..chains.cochain import CochainComplex, CochainMap
+from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.truncate import WindowComplex
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, PresentedModule
+from ..exact.modules import ModuleMap, PresentedModule, map_equal
 from ..exact.rings import RingSpec
-from ..simplicial.module import SimplicialModule, gamma
+from ..simplicial.module import SimplicialModule, cap_problem, gamma
 
 FORMAT_VERSION = "1"
 
@@ -103,13 +111,15 @@ def parse_module_map(data: Any, source: PresentedModule,
         raise DocumentError(location, str(exc))
 
 
-def parse_components(data: Any, source: ChainComplex | CochainComplex,
-                     target: ChainComplex | CochainComplex, location: str, *,
-                     shift: int = 0) -> list[ModuleMap]:
+def parse_components(data: Any, source: ChainComplex, target: ChainComplex,
+                     location: str, *, shift: int = 0, reverse: bool = False
+                     ) -> list[ModuleMap]:
     """Degreewise components ``source_n -> target_{n + shift}``.
 
-    ``source`` and ``target`` are chain or cochain complexes the caller
-    already holds; ``shift`` is 0 for a map and 1 for a homotopy.
+    ``source`` and ``target`` are complexes the caller already holds;
+    ``shift`` is 0 for a map and 1 for a homotopy.  With ``reverse`` the
+    list is in cochain order, entry k being chain degree top - k; the
+    result is in chain order either way.
     """
     top = max(source.top, target.top)
     if not isinstance(data, list):
@@ -117,11 +127,13 @@ def parse_components(data: Any, source: ChainComplex | CochainComplex,
     if len(data) > top + 1:
         raise DocumentError(location, f"expected at most {top + 1} "
                                       f"components, got {len(data)}")
-    return [parse_module_map(data[n], source.module(n),
-                             target.module(n + shift), f"{location}[{n}]")
-            if n < len(data) else
-            ModuleMap.zero_map(source.module(n), target.module(n + shift))
-            for n in range(top + 1)]
+    parts = []
+    for k in range(top + 1):
+        n = top - k if reverse else k
+        src, tgt = source.module(n), target.module(n + shift)
+        parts.append(parse_module_map(data[k], src, tgt, f"{location}[{k}]")
+                     if k < len(data) else ModuleMap.zero_map(src, tgt))
+    return parts[::-1] if reverse else parts
 
 
 def _complex_data(ring: RingSpec, data: Any, location: str
@@ -151,15 +163,26 @@ def parse_chain_complex(ring: RingSpec, data: Any, location: str
 
 
 def parse_cochain_complex(ring: RingSpec, data: Any, location: str
-                          ) -> CochainComplex:
+                          ) -> ChainComplex:
+    """A cochain complex X^0 .. X^t, as the chain complex C_n = X^{t-n}."""
     mods, raw_diffs = _complex_data(ring, data, location)
-    diffs = [parse_module_map(raw, mods[n], mods[n + 1],
-                              f"{location}.differentials[{n}]")
-             for n, raw in enumerate(raw_diffs)]
-    try:
-        return CochainComplex(ring, mods, diffs)
-    except ValueError as exc:
-        raise DocumentError(location, str(exc))
+    diffs = [parse_module_map(raw, mods[k], mods[k + 1],
+                              f"{location}.differentials[{k}]")
+             for k, raw in enumerate(raw_diffs)]
+    for k in range(len(diffs) - 1):
+        if not diffs[k + 1].compose(diffs[k]).is_zero():
+            raise DocumentError(location, f"d o d nonzero out of degree {k}")
+    return ChainComplex(ring, mods[::-1], diffs[::-1], check=False)
+
+
+def _raise_top(C: ChainComplex, top: int) -> ChainComplex:
+    """A reversed cochain complex re-reversed at ``top``: C moved up to
+    chain degrees top - C.top .. top, with zero modules below."""
+    zero = PresentedModule.zero(C.ring)
+    mods = [zero] * (top - C.top) + list(C.mods)
+    diffs = [ModuleMap.zero_map(mods[n], mods[n - 1])
+             for n in range(1, top - C.top + 1)]
+    return ChainComplex(C.ring, mods, diffs + list(C.diffs), check=False)
 
 
 def parse_window_complex(ring: RingSpec, data: dict, location: str
@@ -192,34 +215,56 @@ def parse_simplicial(ring: RingSpec, data: dict, location: str
     if not isinstance(cap, int) or cap < normalized.top:
         raise DocumentError(f"{location}.cap",
                             "cap must be an integer >= the top degree")
+    problem = cap_problem(normalized, cap)
+    if problem:
+        raise DocumentError(f"{location}.cap", problem)
     try:
         return gamma(normalized, cap=cap)
     except CertificateError as exc:
         raise DocumentError(location, str(exc))
 
 
-def _build_map(map_class: type, src, tgt, data: Any, location: str):
+def _build_map(src: ChainComplex, tgt: ChainComplex, data: Any,
+               location: str) -> ChainMap:
     comps = parse_components(get_field(data, "components", location),
                              src, tgt, f"{location}.components")
     try:
-        return map_class(src, tgt, comps)
+        return ChainMap(src, tgt, comps)
     except ValueError as exc:
         raise DocumentError(location, str(exc))
 
 
+def _build_cochain_map(src: ChainComplex, tgt: ChainComplex, data: Any,
+                       location: str) -> CochainMap:
+    """A cochain map between reversed cochain complexes (of any tops)."""
+    top = max(src.top, tgt.top)
+    src, tgt = _raise_top(src, top), _raise_top(tgt, top)
+    comps = parse_components(get_field(data, "components", location),
+                             src, tgt, f"{location}.components", reverse=True)
+    g = CochainMap(ChainMap(src, tgt, comps, check=False))
+    for k in range(top):  # g^{k+1} d^k = d^k g^k, with d^k = d_{top-k}
+        n = top - k
+        if not map_equal(g.component(k + 1).compose(src.differential(n)),
+                         tgt.differential(n).compose(g.component(k))):
+            raise DocumentError(location,
+                                f"cochain square at degree {k} fails")
+    return g
+
+
 def _map_from_json(ring: RingSpec, data: Any, location: str,
-                   parse_complex: Callable, map_class: type):
+                   parse_complex: Callable, build: Callable):
     src = parse_complex(ring, get_field(data, "source", location),
                         f"{location}.source")
     tgt = parse_complex(ring, get_field(data, "target", location),
                         f"{location}.target")
-    return _build_map(map_class, src, tgt, data, location)
+    return build(src, tgt, data, location)
 
 
 def chain_map_from_json(ring: RingSpec, data: Any, location: str = "map"
                         ) -> ChainMap:
     """A chain map stored with its endpoints (see chain_map_to_json)."""
-    return _map_from_json(ring, data, location, parse_chain_complex, ChainMap)
+    return _map_from_json(ring, data, location, parse_chain_complex,
+                          _build_map)
 
 
 def chain_maps_from_json(ring: RingSpec, data: Any, names: Sequence[str]
@@ -240,7 +285,7 @@ def chain_maps_from_json(ring: RingSpec, data: Any, names: Sequence[str]
     maps = {}
     for name in names:
         stored = get_field(data, name)
-        maps[name] = _build_map(ChainMap, endpoint(stored, "source", name),
+        maps[name] = _build_map(endpoint(stored, "source", name),
                                 endpoint(stored, "target", name), stored, name)
     return maps
 
@@ -249,7 +294,7 @@ def cochain_map_from_json(ring: RingSpec, data: Any, location: str = "map"
                           ) -> CochainMap:
     """A cochain map stored with its endpoints (see chain_map_to_json)."""
     return _map_from_json(ring, data, location, parse_cochain_complex,
-                          CochainMap)
+                          _build_cochain_map)
 
 
 @dataclass
@@ -270,17 +315,19 @@ class Document:
 
     def chain_complex(self, name: str) -> ChainComplex:
         obj = self._get(name)
-        if self.object_kinds[name] == "simplicial_module":
+        kind = self.object_kinds[name]
+        if kind == "simplicial_module":
             return obj.normalized
-        if not isinstance(obj, ChainComplex):
+        if kind != "chain_complex":
             raise DocumentError(f"objects.{name}", "not a chain complex")
         return obj
 
     def simplicial(self, name: str) -> SimplicialModule:
         obj = self._get(name)
-        if isinstance(obj, SimplicialModule):
+        kind = self.object_kinds[name]
+        if kind == "simplicial_module":
             return obj
-        if isinstance(obj, ChainComplex):
+        if kind == "chain_complex":
             return gamma(obj, verify=False)
         raise DocumentError(f"objects.{name}", "not a simplicial module")
 
@@ -342,24 +389,25 @@ def _parse_map(doc: Document, name: str, data: Any, location: str) -> MapEntry:
         src, tgt = src.normalized, tgt.normalized
     kind = {"cochain_complex": "cochain",
             "simplicial_module": "simplicial"}.get(src_kind, "chain")
-    value = _build_map(CochainMap if kind == "cochain" else ChainMap,
-                       src, tgt, data, location)
+    build = _build_cochain_map if kind == "cochain" else _build_map
+    value = build(src, tgt, data, location)
     return MapEntry(name, src_name, tgt_name, value, kind)
 
 
 # -- serialization ------------------------------------------------------
 
 
-def graded_to_json(C: ChainComplex | CochainComplex) -> dict:
-    """The degrees and differentials of a complex, without a type tag."""
-    return {"degrees": [m.to_json() for m in C.mods],
-            "differentials": [d.action.to_json() for d in C.diffs]}
+def graded_to_json(C: ChainComplex, *, cochain: bool = False) -> dict:
+    """The degrees and differentials of a complex, without a type tag;
+    with ``cochain``, those of the cochain complex X^k = C_{top-k}."""
+    step = -1 if cochain else 1
+    return {"degrees": [m.to_json() for m in C.mods[::step]],
+            "differentials": [d.action.to_json() for d in C.diffs[::step]]}
 
 
-def complex_to_json(C: ChainComplex | CochainComplex) -> dict:
-    kind = ("cochain_complex" if isinstance(C, CochainComplex)
-            else "chain_complex")
-    return {"type": kind, **graded_to_json(C)}
+def complex_to_json(C: ChainComplex, *, cochain: bool = False) -> dict:
+    kind = "cochain_complex" if cochain else "chain_complex"
+    return {"type": kind, **graded_to_json(C, cochain=cochain)}
 
 
 def simplicial_to_json(A: SimplicialModule) -> dict:
@@ -379,8 +427,10 @@ def map_to_json(f) -> dict:
 
 def chain_map_to_json(f: ChainMap | CochainMap) -> dict:
     """A chain or cochain map together with its endpoints."""
-    return {"source": complex_to_json(f.source),
-            "target": complex_to_json(f.target),
+    cochain = isinstance(f, CochainMap)
+    chain = f.chain if cochain else f
+    return {"source": complex_to_json(chain.source, cochain=cochain),
+            "target": complex_to_json(chain.target, cochain=cochain),
             "components": components_to_json(f.parts)}
 
 
@@ -391,7 +441,8 @@ def document_to_json(doc: Document) -> dict:
         if kind == "simplicial_module":
             objects[name] = simplicial_to_json(obj)
         elif kind != "window_complex":
-            objects[name] = complex_to_json(obj)
+            objects[name] = complex_to_json(
+                obj, cochain=kind == "cochain_complex")
     maps = {name: {"source": entry.source_name, "target": entry.target_name,
                    "components": components_to_json(entry.value.parts)}
             for name, entry in doc.maps.items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 
-from ..chains.cochain import CochainMap, undualize_map
+from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
 from ..exact.matrix import Matrix
 from ..exact.modules import (ModuleMap, PresentedModule, cokernel, kernel,
@@ -26,12 +26,18 @@ from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
                        parse_ring)
 
 
+def _chain(f: ChainMap | CochainMap) -> ChainMap:
+    """The chain map itself, or the grading-reversed chain map of a cochain
+    map, on which its homotopy equivalences live."""
+    return f.chain if isinstance(f, CochainMap) else f
+
+
 def classification_report(f: ChainMap | CochainMap, flavor: str,
                           verdict: Verdict) -> dict:
     return {
         "kind": "classification",
         "flavor": flavor,
-        "ring": f.source.ring.to_json(),
+        "ring": _chain(f).source.ring.to_json(),
         "data": flavor_data(flavor),
         "map": chain_map_to_json(f),
         "verdict": verdict.to_json(),
@@ -193,8 +199,6 @@ def verify_classification(data: dict) -> list[str]:
     except ValueError as exc:
         raise DocumentError("flavor", str(exc))
     recomputed = classify(f, flavor)
-    # homotopy equivalences live on the chain side
-    chain_f = undualize_map(f) if isinstance(f, CochainMap) else f
 
     verdict = get_field(data, "verdict")
     for bit_name in ("cofibration", "fibration", "weak_equivalence"):
@@ -228,7 +232,7 @@ def verify_classification(data: dict) -> list[str]:
                 problems.append("cone exactness witness differs from the "
                                 "recomputed one")
         else:  # a homotopy equivalence, of chain or cochain maps
-            _check_homotopy_equivalence(chain_f, witness, problems, loc)
+            _check_homotopy_equivalence(_chain(f), witness, problems, loc)
     return problems
 
 

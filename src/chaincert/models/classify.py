@@ -11,15 +11,17 @@ pushout-product check, lifting precheck and `verify` asks `model_bit`,
   m          chain    unknown                split epi, n >= 1   quasi-iso
   bousfield  cochain  split mono, n >= 1     split epi, n >= 0   homotopy equiv.
 
-Degreewise bits test degrees up to the larger top of the two endpoints.
-A q-cofibration is, in every degree, an injection with projective
-cokernel (so a split mono).  The m-cofibrations are defined by a lifting
-property, so that bit stays unknown and is certified only from a
-factorization witness (`verify_m_cofibration`).  The Bousfield dual on
-cochain complexes swaps which class skips degree 0, and decides its
-weak equivalences on the grading-reversed chain map.  Chain homotopy
-equivalence and quasi-isomorphism are never conflated.  Simplicial maps
-are classified by their normalization in the h structure.
+Degreewise bits test degrees up to the larger top of the two endpoints;
+a cochain map's two ends share one top, ``g.top``.  A q-cofibration is,
+in every degree, an injection with projective cokernel (so a split
+mono).  The m-cofibrations are defined by a lifting property, so that
+bit stays unknown and is certified only from a factorization witness
+(`verify_m_cofibration`).  The Bousfield dual on cochain complexes swaps
+which class skips degree 0; its degreewise bits read the components g^k
+of the cochain map, and its weak equivalences are decided on the
+grading-reversed chain map ``g.chain``.  Chain homotopy equivalence and
+quasi-isomorphism are never conflated.  Simplicial maps are classified
+by their normalization in the h structure.
 
 Deciders are looked up as module globals at call time, so that a tracer
 which rebinds them sees every call.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chains.cochain import CochainMap, undualize_map
+from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainMap, chain_map_equal
 from ..chains.cones import mapping_cone
 from ..chains.homology import homology_data
@@ -66,7 +68,8 @@ def bit_degrees(f: ChainMap | CochainMap, flavor: str, kind: str) -> range:
     if kind not in ("cofibration", "fibration"):
         raise ValueError(f"the {kind} bit is not decided degreewise")
     skips_zero = (kind == "fibration") != (flavor == "bousfield")
-    return range(1 if skips_zero else 0, max(f.source.top, f.target.top) + 1)
+    top = f.top if flavor == "bousfield" else max(f.source.top, f.target.top)
+    return range(1 if skips_zero else 0, top + 1)
 
 
 def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str) -> ClassBit:
@@ -139,12 +142,12 @@ def homotopy_equivalence_witness(he: HomotopyEquivalence) -> dict:
 
 
 def _cochain_homotopy_equivalence_bit(g: CochainMap) -> ClassBit:
-    he = is_chain_homotopy_equivalence(undualize_map(g))
+    he = is_chain_homotopy_equivalence(g.chain)
     if he is None:
         return no(reason="grading-reversed map is not a homotopy equivalence")
     return yes({**homotopy_equivalence_witness(he),
                 "type": "cochain_homotopy_equivalence",
-                "reversed_top": max(g.source.top, g.target.top)})
+                "reversed_top": g.top})
 
 
 def _homotopy_equivalence_obstruction(f: ChainMap) -> ClassBit:

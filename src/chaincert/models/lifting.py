@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..chains.build import zero_complex
 from ..chains.complexes import ChainComplex, ChainMap, LiftingProblem, \
     chain_map_equal
 from ..errors import CertificateError
-from ..exact.equations import MapVariable, MatrixRelation, solve_map_relations
+from ..exact.equations import (MapVariable, MatrixRelation,
+                               solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .classify import model_bit
@@ -35,14 +37,7 @@ def _unknown_chain_map(X: ChainComplex, Y: ChainComplex, prefix: str, top: int
                             X.module(n).generators),
             mod=Y.module(n - 1).relations,
         ))
-    for v in variables:
-        relations.append(MatrixRelation(
-            terms=[(1, Matrix.identity(ring, v.target.generators), v.name,
-                    v.source.relations)],
-            rhs=Matrix.zero(ring, v.target.generators, v.source.relations.cols),
-            mod=v.target.relations,
-        ))
-    return variables, relations
+    return variables, relations + [well_definedness(v) for v in variables]
 
 
 def _composition_relations(ring, prefix: str, top: int, *, pre: ChainMap | None,
@@ -156,38 +151,18 @@ def _obstruction_degree(problem: LiftingProblem) -> int:
 
 
 def chain_section(q: ChainMap) -> ChainMap | None:
-    """A chain map s with q o s = id on the target of q."""
-    B, A = q.target, q.source
-    ring = B.ring
-    top_deg = max(A.top, B.top)
-    variables, relations = _unknown_chain_map(B, A, "s", top_deg)
-    relations += _composition_relations(ring, "s", top_deg, pre=None, post=q,
-                                        equals=ChainMap.identity(B))
-    sol = solve_map_relations(ring, variables, relations)
-    if sol is None:
-        return None
-    comps = [ModuleMap(B.module(n), A.module(n), sol[f"s{n}"], check=False)
-             for n in range(top_deg + 1)]
-    section = ChainMap(B, A, comps)
-    if not chain_map_equal(q.compose(section), ChainMap.identity(B)):
-        raise CertificateError("computed chain section fails q o s = id")
-    return section
+    """A chain map s with q o s = id on the target of q: a lift in the
+    square (0 -> B, q, 0 -> A, id_B)."""
+    zero = zero_complex(q.source.ring)
+    return find_lift(LiftingProblem(
+        ChainMap.zero(zero, q.target), q, ChainMap.zero(zero, q.source),
+        ChainMap.identity(q.target), check=False))
 
 
 def chain_retraction(j: ChainMap) -> ChainMap | None:
-    """A chain map r with r o j = id on the source of j."""
-    A, X = j.source, j.target
-    ring = A.ring
-    top_deg = max(A.top, X.top)
-    variables, relations = _unknown_chain_map(X, A, "r", top_deg)
-    relations += _composition_relations(ring, "r", top_deg, pre=j, post=None,
-                                        equals=ChainMap.identity(A))
-    sol = solve_map_relations(ring, variables, relations)
-    if sol is None:
-        return None
-    comps = [ModuleMap(X.module(n), A.module(n), sol[f"r{n}"], check=False)
-             for n in range(top_deg + 1)]
-    retraction = ChainMap(X, A, comps)
-    if not chain_map_equal(retraction.compose(j), ChainMap.identity(A)):
-        raise CertificateError("computed chain retraction fails r o j = id")
-    return retraction
+    """A chain map r with r o j = id on the source of j: a lift in the
+    square (j, A -> 0, id_A, X -> 0)."""
+    zero = zero_complex(j.source.ring)
+    return find_lift(LiftingProblem(
+        j, ChainMap.zero(j.source, zero), ChainMap.identity(j.source),
+        ChainMap.zero(j.target, zero), check=False))

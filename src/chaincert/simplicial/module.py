@@ -11,6 +11,8 @@ and agree with the canonical projector.
 
 from __future__ import annotations
 
+from math import comb
+
 from ..chains.complexes import ChainComplex, ChainMap
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -144,6 +146,26 @@ class SimplicialModule:
 
     def __repr__(self) -> str:
         return f"SimplicialModule(top={self.top}, cap={self.cap})"
+
+
+# a cap past the default C.top + 1 is refused once level cap of Gamma(C)
+# would have more generators than this
+MAX_CAP_GENERATORS = 256
+
+
+def cap_problem(C: ChainComplex, cap: int) -> str | None:
+    """Why Gamma(C) may not be built through ``cap``, or None.
+
+    Level n of Gamma(C) has sum_k binom(n, k) * rank C_k generators (one
+    copy of C_k per surjection [n] -> [k]), so this builds no level.
+    """
+    if cap <= C.top + 1:
+        return None
+    rank = sum(comb(cap, k) * C.module(k).generators for k in range(C.top + 1))
+    if rank <= MAX_CAP_GENERATORS:
+        return None
+    return (f"level {cap} would have {rank} generators, more than "
+            f"{MAX_CAP_GENERATORS}")
 
 
 def gamma(C: ChainComplex, cap: int | None = None, *,

@@ -5,7 +5,7 @@ import pytest
 from chaincert.chains.build import (change_ring, complex_from_data, concentrated,
                                     disk, interval, sphere, unit_complex,
                                     zero_complex)
-from chaincert.chains.cochain import dualize, dualize_map, undualize, undualize_map
+from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                         chain_map_equal, validate)
 from chaincert.chains.cones import (mapping_cocylinder, mapping_cone,
@@ -22,6 +22,8 @@ from chaincert.chains.truncate import WindowComplex, good_truncation, \
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, map_equal
 from chaincert.exact.rings import ZZ, Zmod
+from chaincert.io.document import (chain_map_to_json, cochain_map_from_json,
+                                   complex_to_json, parse_cochain_complex)
 
 
 def two_step(ring, a, b):
@@ -275,28 +277,40 @@ def test_nullhomotopy_witness():
 
 
 def test_dualize_involution_and_disk():
-    C = disk(ZZ, 1)
-    assert undualize(dualize(C)) == C
-    dual = dualize(C)
-    assert dual.differential(0).action == Matrix.identity(ZZ, 1)
+    # the codec reads a cochain complex as the chain complex reversed at its
+    # top, and writes it back unchanged
+    data = complex_to_json(disk(ZZ, 1), cochain=True)
+    assert data["type"] == "cochain_complex"
+    C = parse_cochain_complex(ZZ, data, "X")
+    assert C == disk(ZZ, 1)
+    assert complex_to_json(C, cochain=True) == data
+    # the reversed disk's d^0 is the identity, stored as d_{top - 0}
+    assert C.differential(C.top).action == Matrix.identity(ZZ, 1)
 
 
 def test_dualize_homology_match():
-    C = sphere(ZZ, 2)
-    dual = dualize(C)
-    # H^k(dual) = H_{top-k}(C): cohomology computed through the involution
-    back = undualize(dual)
-    for n in range(C.top + 1):
-        assert homology(back, n).minimal_invariants() == \
-            homology(C, n).minimal_invariants()
+    # X^0 -2-> X^1 -0-> X^2 has H^0 = 0, H^1 = Z/2 and H^2 = Z, and
+    # H^k(X) = H_{top-k} of the reversed chain complex
+    free = {"generators": 1, "relations": []}
+    C = parse_cochain_complex(ZZ, {"degrees": [free] * 3,
+                                   "differentials": [[[2]], [[0]]]}, "X")
+    expected = [(0, ()), (0, (2,)), (1, ())]
+    for k, invariants in enumerate(expected):
+        assert homology(C, C.top - k).minimal_invariants() == invariants
 
 
 def test_dualize_map_roundtrip():
-    X = disk(ZZ, 1)
-    f = ChainMap.identity(X)
-    fd = dualize_map(f)
-    fb = undualize_map(fd)
-    assert chain_map_equal(fb, f)
+    # e0 : R -> I has ends of tops 0 and 1; both are reversed at top 1
+    R, I = unit_complex(ZZ), interval(ZZ)
+    f = ChainMap(R, I, [ModuleMap(R.module(0), I.module(0),
+                                  Matrix(ZZ, 2, 1, [[1], [0]]))])
+    g = dualize_map(f)
+    assert g.top == 1 and g.chain.source.top == 1
+    assert map_equal(g.component(1), f.component(0))
+    data = chain_map_to_json(g)
+    back = cochain_map_from_json(ZZ, data)
+    assert chain_map_equal(back.chain, g.chain)
+    assert chain_map_to_json(back) == data
 
 
 def test_pushout_complexes_sum_case():

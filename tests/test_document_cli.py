@@ -8,11 +8,11 @@ import sys
 import pytest
 
 from chaincert.chains.build import zero_complex
-from chaincert.chains.cochain import dualize_map, undualize_map
+from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.cli import main
 from chaincert.exact.modules import PresentedModule
-from chaincert.exact.rings import RingSpec
+from chaincert.exact.rings import ZZ, RingSpec
 from chaincert.io.document import (DocumentError, chain_map_from_json,
                                    chain_map_to_json, cochain_map_from_json,
                                    components_to_json, document_to_json,
@@ -23,6 +23,7 @@ from chaincert.io.document import (DocumentError, chain_map_from_json,
 from chaincert.io.reports import classification_report, dump, lift_report
 from chaincert.models.classify import classify
 from chaincert.models.lifting import solve_lifting
+from chaincert.simplicial.module import MAX_CAP_GENERATORS, cap_problem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -392,7 +393,7 @@ def test_codec_reencodes_reports_exactly(kind, capsys):
         return
     if report["data"] == "cochain":
         f = cochain_map_from_json(ring, report["map"])
-        he_map = undualize_map(f)
+        he_map = f.chain
     else:
         f = he_map = chain_map_from_json(ring, report["map"])
     assert chain_map_to_json(f) == report["map"]
@@ -528,3 +529,128 @@ def test_cli_parse_error_exit_code(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "version" in proc.stderr
+
+
+# -- cochain documents ----------------------------------------------------
+
+
+def free_module():
+    return {"generators": 1, "relations": []}
+
+
+def unequal_tops_doc():
+    """S = (Z -1-> Z) of top 1 mapped to T = Z of top 0 by g^0 = 1."""
+    return minimal_doc(
+        objects={"S": {"type": "cochain_complex",
+                       "degrees": [free_module(), free_module()],
+                       "differentials": [[[1]]]},
+                 "T": {"type": "cochain_complex",
+                       "degrees": [free_module()]}},
+        maps={"g": {"source": "S", "target": "T", "components": [[[1]]]}})
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--map", "g", "--flavor", "bousfield"],
+    ["bousfield", "--map", "g"]])
+def test_cochain_map_with_unequal_tops_classifies(tmp_path, capsys, command):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(unequal_tops_doc()))
+    report = tmp_path / "r.json"
+    code, out = run_cli(command + ["--doc", str(doc), "--out", str(report)],
+                        capsys)
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    # g^1 : Z -> 0 is no split mono; every g^k is split epi; the source is
+    # contractible and the target is not
+    assert verdict["cofibration"]["status"] == "no"
+    assert verdict["cofibration"]["obstruction"]["degree"] == 1
+    assert verdict["fibration"]["status"] == "yes"
+    assert verdict["weak_equivalence"]["status"] == "no"
+    code, out = run_cli(["verify", str(report)], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("command", [
+    ["tensor", "--x", "S", "--y", "S"],
+    ["normalize", "--object", "S"]])
+def test_cochain_object_is_refused_by_chain_commands(tmp_path, capsys,
+                                                     command):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(unequal_tops_doc()))
+    assert main(command + ["--doc", str(doc)]) == 2
+    assert "error: objects.S: not a " in capsys.readouterr().err
+
+
+def test_tampered_cochain_component_names_cochain_degree():
+    # both maps are reversed at top 1, so g^k is chain degree 1 - k
+    doc = unequal_tops_doc()
+    doc["maps"]["g"]["components"] = [[[1], [0]]]  # T^0 has one generator
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert err.value.location == "maps.g.components[0]"
+    doc["objects"]["T"] = {"type": "cochain_complex",
+                           "degrees": [free_module(), free_module()],
+                           "differentials": [[[0]]]}
+    doc["maps"]["g"]["components"] = [[[1]], [[1, 2]]]  # S^1 has one
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert err.value.location == "maps.g.components[1][0]"
+
+
+def test_non_cochain_map_error_names_cochain_square():
+    doc = unequal_tops_doc()
+    # T = (Z -0-> Z); g^1 d^0 = 2 but d^0 g^0 = 0
+    doc["objects"]["T"] = {"type": "cochain_complex",
+                           "degrees": [free_module(), free_module()],
+                           "differentials": [[[0]]]}
+    doc["maps"]["g"]["components"] = [[[1]], [[2]]]
+    with pytest.raises(DocumentError, match="cochain square at degree 0"):
+        parse_document(doc)
+
+
+# -- the cap guard of the denormalization ----------------------------------
+
+
+def ranks_complex(ranks):
+    """Free modules of the given ranks with zero differentials."""
+    return {"type": "chain_complex",
+            "degrees": [{"generators": r, "relations": []} for r in ranks],
+            "differentials": [[[0] * a for _ in range(b)]
+                              for a, b in zip(ranks[1:], ranks)]}
+
+
+def test_cap_bound_counts_generators_at_the_cap_level():
+    # level n of Gamma(C) has sum_k binom(n, k) rank C_k generators
+    ranks = [1, 2, 3, 2]
+    C = parse_chain_complex(ZZ, ranks_complex(ranks), "C")
+    assert cap_problem(C, 8) is None           # 213 generators
+    assert "295 generators" in cap_problem(C, 9)
+    assert cap_problem(C, C.top + 1) is None   # the default is never refused
+    at_bound = parse_chain_complex(ZZ, ranks_complex([MAX_CAP_GENERATORS]),
+                                   "C")
+    over = parse_chain_complex(ZZ, ranks_complex([MAX_CAP_GENERATORS + 1]),
+                               "C")
+    assert cap_problem(at_bound, 2) is None
+    assert cap_problem(over, 2) is not None
+
+
+def test_document_cap_over_the_bound_is_refused():
+    doc = minimal_doc(objects={"A": {
+        "type": "simplicial_module", "cap": 9,
+        "normalized": ranks_complex([1, 2, 3, 2])}})
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert err.value.location == "objects.A.cap"
+
+
+def test_cli_denormalize_cap_over_the_bound_is_refused(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(minimal_doc(
+        objects={"C": ranks_complex([1, 2, 3, 2])})))
+    with pytest.raises(SystemExit) as exit_:
+        main(["denormalize", "--doc", str(doc), "--complex", "C",
+              "--cap", "9"])
+    assert exit_.value.code == 2
+    assert "error: --cap: level 9 would have 295 generators" in \
+        capsys.readouterr().err
