@@ -154,7 +154,7 @@ def _pred_ez_aw_dual(case, cfg):
     return PASS
 
 
-def _gen_hlp_hep(rng, cfg):
+def _gen_agreement_map(rng, cfg):
     f = random_map_for_agreement(cfg.ring, rng, max_top=cfg.max_top,
                                  max_rank=min(cfg.max_rank, 2))
     return {"map": chain_map_to_json(f)}
@@ -281,12 +281,6 @@ def _pred_nonqhm(case, cfg):
     return PASS if (h_ok and q_bad) else FAIL
 
 
-def _gen_yoneda(rng, cfg):
-    f = random_map_for_agreement(cfg.ring, rng, max_top=cfg.max_top,
-                                 max_rank=min(cfg.max_rank, 2))
-    return {"map": chain_map_to_json(f)}
-
-
 def _pred_yoneda(case, cfg):
     try:
         f = _cm(case, "map", cfg.ring)
@@ -297,12 +291,6 @@ def _pred_yoneda(case, cfg):
         if (is_split_epi(f.component(n)) is not None) != expected:
             return FAIL
     return PASS
-
-
-def _gen_bousfield(rng, cfg):
-    f = random_map_for_agreement(cfg.ring, rng, max_top=cfg.max_top,
-                                 max_rank=min(cfg.max_rank, 2))
-    return {"map": chain_map_to_json(f)}
 
 
 def _pred_bousfield(case, cfg):
@@ -498,7 +486,7 @@ SUITES: dict[str, Suite] = {
                    "AW o EZ = id and EZ o AW is homotopic to id"),
     "ez-aw-dual": Suite("ez-aw-dual", _gen_ez_aw_dual, _pred_ez_aw_dual,
                         "EZ* o AW* = id and AW* o EZ* is homotopic to id"),
-    "hlp-hep": Suite("hlp-hep", _gen_hlp_hep, _pred_hlp_hep,
+    "hlp-hep": Suite("hlp-hep", _gen_agreement_map, _pred_hlp_hep,
                      "HLP/HEP solvers match the split classifier bits"),
     "monoidal-h": Suite("monoidal-h", _gen_monoidal_h, _pred_monoidal_h,
                         "pushout-products of h-cofibrations are split mono"),
@@ -517,9 +505,10 @@ SUITES: dict[str, Suite] = {
                     "acyclic q-cofibrations are homotopy equivalences"),
     "nonqhm": Suite("nonqhm", _gen_nonqhm, _pred_nonqhm,
                     "the counterexample family refutes q-enrichment"),
-    "yoneda": Suite("yoneda", _gen_yoneda, _pred_yoneda,
+    "yoneda": Suite("yoneda", _gen_agreement_map, _pred_yoneda,
                     "representable surjectivity matches split epi checks"),
-    "bousfield-dual": Suite("bousfield-dual", _gen_bousfield, _pred_bousfield,
+    "bousfield-dual": Suite("bousfield-dual", _gen_agreement_map,
+                            _pred_bousfield,
                             "the dual classifier matches under the "
                             "degree-zero asymmetry swap"),
     "fibrant-cofibrant": Suite("fibrant-cofibrant", _gen_fibrant,

@@ -35,9 +35,13 @@ def homology(C: ChainComplex, n: int) -> PresentedModule:
     return homology_data(C, n).homology.minimal_presentation()
 
 
-def homology_vanishes(C: ChainComplex) -> bool:
-    return all(homology_data(C, n).homology.is_zero_module()
-               for n in range(C.top + 1))
+def first_homology(C: ChainComplex) -> tuple[int, PresentedModule] | None:
+    """The lowest degree n with H_n(C) nonzero and that H_n, or None."""
+    for n in range(C.top + 1):
+        H = homology_data(C, n).homology
+        if not H.is_zero_module():
+            return n, H
+    return None
 
 
 def induced_homology_map(f: ChainMap, n: int,

@@ -1,7 +1,8 @@
 """Homotopy-theoretic decisions: contractions, homotopies, equivalences.
 
-Everything is decided by one flattened linear system over the base ring;
-positive answers come with witnesses that re-verify exactly.
+A contraction is built one degree at a time; a nullhomotopy of a map is
+one system in all its components at once (`solve_map_relations` picks
+the route).  Positive answers come with witnesses that re-verify exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .complexes import ChainComplex, ChainHomotopy, ChainMap
 from .cones import mapping_cone
-from .homology import homology_vanishes
+from .homology import first_homology
 
 
 def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
@@ -45,47 +46,37 @@ def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
 def find_contraction(C: ChainComplex) -> ChainHomotopy | None:
     """s with d s + s d = id, i.e. a contraction of C onto zero.
 
-    Decided in three stages: vanishing homology is necessary, so that is
-    checked degree by degree first; then the contraction is built by the
-    inductive lift d s_n = id - s_{n-1} d, one small solve per degree,
-    which is complete whenever the degrees are projective; if the greedy
-    pass gets stuck the full flattened system decides exactly.
+    Built degree by degree: s_n : C_n -> C_{n+1} solves
+
+        d_{n+1} s_n = phi_n := id - s_{n-1} d_n   (modulo the relations of C_n)
+
+    together with the well-definedness of s_n: one `solve_map_relations`
+    call per degree, in one unknown with identity or source-relation
+    right factors, so never the flattened route.
+
+    The route is complete.  phi_n lands in the cycles Z_n, since
+    d_n phi_n = d_n - (id - s_{n-2} d_{n-1}) d_n = 0.  If C is
+    contractible, by some t, then Z_n = B_n and t restricted to Z_n is a
+    section of d_{n+1} onto it, so t phi_n is a well-defined solution
+    whatever s_{n-1} was; hence a degree with no solution proves that C
+    is not contractible.  A solution in every degree is a contraction.
     """
-    from .homology import homology_data
-
-    for n in range(C.top + 1):
-        if not homology_data(C, n).homology.is_zero_module():
-            return None
-    greedy = _greedy_contraction(C)
-    if greedy is not None:
-        return greedy
-    return nullhomotopy(ChainMap.identity(C))
-
-
-def _greedy_contraction(C: ChainComplex) -> ChainHomotopy | None:
-    from ..exact.snf import solve
-
     ring = C.ring
     parts: list[ModuleMap] = []
-    prev: ModuleMap | None = None
     for n in range(C.top + 1):
-        rhs = Matrix.identity(ring, C.module(n).generators)
-        if prev is not None:
-            rhs = rhs - prev.action @ C.differential(n).action
         src, tgt = C.module(n), C.module(n + 1)
-        # d s = rhs mod relations decouples columnwise; well-definedness of
-        # the found s is validated, and any failure sends the whole question
-        # to the complete flattened solver.
-        system = C.differential(n + 1).action.hstack(src.relations)
-        sol = solve(system, rhs)
+        phi = Matrix.identity(ring, src.generators)
+        if parts:
+            phi = phi - parts[-1].action @ C.differential(n).action
+        var = MapVariable("s", src, tgt)
+        sol = solve_map_relations(ring, [var], [
+            MatrixRelation(terms=[(1, C.differential(n + 1).action, "s",
+                                   Matrix.identity(ring, src.generators))],
+                           rhs=phi, mod=src.relations),
+            well_definedness(var)])
         if sol is None:
             return None
-        action = sol.submatrix(range(tgt.generators), range(sol.cols))
-        try:
-            prev = ModuleMap(src, tgt, action, check=src.relations.cols > 0)
-        except ValueError:
-            return None
-        parts.append(prev)
+        parts.append(ModuleMap(src, tgt, sol["s"], check=False))
     return ChainHomotopy(ChainMap.zero(C, C), ChainMap.identity(C), parts)
 
 
@@ -148,4 +139,4 @@ def is_chain_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalence | None:
 
 def quasi_iso(f: ChainMap) -> bool:
     """True iff the mapping cone has vanishing homology in all degrees."""
-    return homology_vanishes(mapping_cone(f).complex)
+    return first_homology(mapping_cone(f).complex) is None

@@ -75,6 +75,9 @@ def parse_matrix(ring: RingSpec, data: Any, rows: int, cols: int,
     if not isinstance(data, list):
         raise DocumentError(location, "matrix must be a list of rows")
     if rows == 0 or cols == 0:
+        if data and data != [[]] * rows:
+            raise DocumentError(location, f"a {rows}x{cols} matrix has no "
+                                          "entries")
         return Matrix.zero(ring, rows, cols)
     if len(data) != rows:
         raise DocumentError(location, f"expected {rows} rows, got {len(data)}")
@@ -212,7 +215,7 @@ def parse_simplicial(ring: RingSpec, data: dict, location: str
     normalized = parse_chain_complex(ring, data.get("normalized", {}),
                                      f"{location}.normalized")
     cap = data.get("cap", normalized.top + 1)
-    if not isinstance(cap, int) or cap < normalized.top:
+    if not isinstance(cap, int):
         raise DocumentError(f"{location}.cap",
                             "cap must be an integer >= the top degree")
     problem = cap_problem(normalized, cap)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainMap, chain_map_equal
 from ..chains.cones import mapping_cone
-from ..chains.homology import homology_data
+from ..chains.homology import first_homology
 from ..chains.homotopy import HomotopyEquivalence, is_chain_homotopy_equivalence
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -151,14 +151,13 @@ def _cochain_homotopy_equivalence_bit(g: CochainMap) -> ClassBit:
 
 
 def _homotopy_equivalence_obstruction(f: ChainMap) -> ClassBit:
-    cone = mapping_cone(f)
-    for n in range(cone.complex.top + 1):
-        H = homology_data(cone.complex, n).homology
-        if not H.is_zero_module():
-            inv = H.minimal_presentation().minimal_invariants()
-            return no(degree=n, reason=f"mapping cone has homology {inv} "
-                                       f"in degree {n}")
-    return no(reason="mapping cone is acyclic but not contractible")
+    found = first_homology(mapping_cone(f).complex)
+    if found is None:
+        return no(reason="mapping cone is acyclic but not contractible")
+    n, H = found
+    inv = H.minimal_presentation().minimal_invariants()
+    return no(degree=n, reason=f"mapping cone has homology {inv} "
+                               f"in degree {n}")
 
 
 def surjectivity_bit(f: ChainMap, degrees) -> ClassBit:
@@ -206,16 +205,15 @@ def q_cofibration_bit(f: ChainMap) -> ClassBit:
 
 
 def quasi_iso_bit(f: ChainMap) -> ClassBit:
-    cone = mapping_cone(f)
-    invariants = {}
-    for n in range(cone.complex.top + 1):
-        H = homology_data(cone.complex, n).homology
-        if not H.is_zero_module():
-            inv = H.minimal_presentation().minimal_invariants()
-            return no(degree=n, reason=f"cone homology {inv} in degree {n}")
-        invariants[str(n)] = {"free_rank": 0, "factors": []}
-    return yes({"type": "cone_exactness", "cone": graded_to_json(cone.complex),
-                "degrees": invariants})
+    cone = mapping_cone(f).complex
+    found = first_homology(cone)
+    if found is not None:
+        n, H = found
+        inv = H.minimal_presentation().minimal_invariants()
+        return no(degree=n, reason=f"cone homology {inv} in degree {n}")
+    return yes({"type": "cone_exactness", "cone": graded_to_json(cone),
+                "degrees": {str(n): {"free_rank": 0, "factors": []}
+                            for n in range(cone.top + 1)}})
 
 
 def h_cofibration_bit(f: ChainMap) -> ClassBit:

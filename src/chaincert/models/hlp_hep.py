@@ -3,8 +3,8 @@
 A map p has the HLP iff the comparison (ev_0, p_*) from the path space E^I
 to the mapping cocylinder admits a chain section; dually, i has the HEP iff
 the canonical map from its mapping cylinder into X (x) I admits a chain
-retraction.  Both are single flattened solves, and both must agree with the
-degreewise split-epi / split-mono classifier bits.
+retraction.  Both are one lift solve each (`find_lift`), and both must agree
+with the degreewise split-epi / split-mono classifier bits.
 """
 
 from __future__ import annotations

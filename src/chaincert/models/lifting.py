@@ -1,8 +1,8 @@
 """Lifting problems and chain-level sections/retractions.
 
 The diagonal of a lifting square is one unknown chain map; its square
-conditions, the chain condition and well-definedness all flatten into a
-single linear system over the base ring.
+conditions, the chain condition and well-definedness form one system of
+map relations, which `solve_map_relations` solves by its shape.
 """
 
 from __future__ import annotations
@@ -63,21 +63,31 @@ def _composition_relations(ring, prefix: str, top: int, *, pre: ChainMap | None,
     return out
 
 
+def _lift_top(problem: LiftingProblem) -> int:
+    return max(problem.left.target.top, problem.right.source.top,
+               problem.left.source.top, problem.right.target.top)
+
+
+def _lift_system(problem: LiftingProblem, top: int
+                 ) -> tuple[list[MapVariable], list[MatrixRelation]]:
+    """The diagonal h_0..h_top: a chain map with h o left = top and
+    right o h = bottom through degree ``top``."""
+    X, E = problem.left.target, problem.right.source
+    variables, relations = _unknown_chain_map(X, E, "h", top)
+    relations += _composition_relations(X.ring, "h", top, pre=problem.left,
+                                        post=None, equals=problem.top)
+    relations += _composition_relations(X.ring, "h", top, pre=None,
+                                        post=problem.right,
+                                        equals=problem.bottom)
+    return variables, relations
+
+
 def find_lift(problem: LiftingProblem) -> ChainMap | None:
     """The diagonal h with h o left = top and right o h = bottom, if any."""
     X = problem.left.target
     E = problem.right.source
-    ring = X.ring
-    top_deg = max(X.top, E.top, problem.left.source.top,
-                  problem.right.target.top)
-    variables, relations = _unknown_chain_map(X, E, "h", top_deg)
-    relations += _composition_relations(ring, "h", top_deg,
-                                        pre=problem.left, post=None,
-                                        equals=problem.top)
-    relations += _composition_relations(ring, "h", top_deg,
-                                        pre=None, post=problem.right,
-                                        equals=problem.bottom)
-    sol = solve_map_relations(ring, variables, relations)
+    top_deg = _lift_top(problem)
+    sol = solve_map_relations(X.ring, *_lift_system(problem, top_deg))
     if sol is None:
         return None
     comps = [ModuleMap(X.module(n), E.module(n), sol[f"h{n}"], check=False)
@@ -133,19 +143,10 @@ def lift_prechecks(left: ChainMap, right: ChainMap, flavor: str,
 
 def _obstruction_degree(problem: LiftingProblem) -> int:
     """Smallest k whose degree-<=k subsystem already has no solution."""
-    X = problem.left.target
-    E = problem.right.source
-    ring = X.ring
-    top_deg = max(X.top, E.top, problem.left.source.top,
-                  problem.right.target.top)
+    top_deg = _lift_top(problem)
     for k in range(top_deg + 1):
-        variables, relations = _unknown_chain_map(X, E, "h", k)
-        relations += _composition_relations(ring, "h", k, pre=problem.left,
-                                            post=None, equals=problem.top)
-        relations += _composition_relations(ring, "h", k, pre=None,
-                                            post=problem.right,
-                                            equals=problem.bottom)
-        if solve_map_relations(ring, variables, relations) is None:
+        if solve_map_relations(problem.left.target.ring,
+                               *_lift_system(problem, k)) is None:
             return k
     return top_deg
 

@@ -156,9 +156,12 @@ MAX_CAP_GENERATORS = 256
 def cap_problem(C: ChainComplex, cap: int) -> str | None:
     """Why Gamma(C) may not be built through ``cap``, or None.
 
-    Level n of Gamma(C) has sum_k binom(n, k) * rank C_k generators (one
-    copy of C_k per surjection [n] -> [k]), so this builds no level.
+    The cap is at least the top degree.  Level n of Gamma(C) has
+    sum_k binom(n, k) * rank C_k generators (one copy of C_k per
+    surjection [n] -> [k]), so this builds no level.
     """
+    if cap < C.top:
+        return "cap must be an integer >= the top degree"
     if cap <= C.top + 1:
         return None
     rank = sum(comb(cap, k) * C.module(k).generators for k in range(C.top + 1))

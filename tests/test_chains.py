@@ -1,10 +1,12 @@
 """Chain complex layer: constructors, tensor, hom, truncation, homotopy."""
 
+import random
+
 import pytest
 
 from chaincert.chains.build import (change_ring, complex_from_data, concentrated,
-                                    disk, interval, sphere, unit_complex,
-                                    zero_complex)
+                                    direct_sum_complexes, disk, interval,
+                                    sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                         chain_map_equal, validate)
@@ -19,11 +21,14 @@ from chaincert.chains.tensor import (TensorLayout, braiding, interval_cylinder,
                                      tensor_chain_maps, tensor_complex)
 from chaincert.chains.truncate import WindowComplex, good_truncation, \
     window_of_complex
+from chaincert.exact import equations
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, map_equal
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.document import (chain_map_to_json, cochain_map_from_json,
                                    complex_to_json, parse_cochain_complex)
+from chaincert.models.generators import (random_chain_map, random_complex,
+                                         twist_complex_with_iso)
 
 
 def two_step(ring, a, b):
@@ -178,6 +183,70 @@ def test_contraction_examples():
     assert find_contraction(sphere(ZZ, 1)) is None
     cone = mapping_cone(ChainMap.identity(sphere(ZZ, 1)))
     assert find_contraction(cone.complex) is not None
+
+
+def _forbid_flattening(monkeypatch):
+    def flattened(*args):
+        raise RuntimeError("contraction sent to the flattened solver")
+
+    monkeypatch.setattr(equations, "_solve_flattened", flattened)
+
+
+def _complex(ring, mods, diffs):
+    """Degrees 0..top from (generators, relations) and differential rows."""
+    mods = [PresentedModule(ring, g, Matrix(ring, g, len(rel[0]), rel))
+            if rel else PresentedModule.free(ring, g) for g, rel in mods]
+    return ChainComplex(ring, mods, [
+        ModuleMap(mods[n], mods[n - 1],
+                  Matrix(ring, mods[n - 1].generators, mods[n].generators, d))
+        for n, d in enumerate(diffs, start=1)])
+
+
+@pytest.mark.parametrize("ring,mods,diffs", [
+    # Z -2-> Z -> Z/2
+    (ZZ, [(1, [[2]]), (1, []), (1, [])], [[[1]], [[2]]]),
+    # Z/2 -2-> Z/4 -> Z/2
+    (Zmod(4), [(1, [[2]]), (1, []), (1, [[2]])], [[[1]], [[2]]]),
+], ids=["z", "z/4"])
+def test_exact_complex_without_contraction(monkeypatch, ring, mods, diffs):
+    C = _complex(ring, mods, diffs)
+    assert all(homology(C, n).is_zero_module() for n in range(C.top + 1))
+    _forbid_flattening(monkeypatch)
+    assert find_contraction(C) is None
+
+
+def test_twisted_torsion_complex_contracts(monkeypatch):
+    # (Z/2 -1-> Z/2) + (Z -1-> Z) in degrees 1, 0 and 2, 1, with degree 1
+    # twisted so that 2(e1 + e2) = 0: the lift s_0 = -e1 of d_1 s_0 = 1 is
+    # not well defined, s_0 = -e1 - e2 is
+    C = _complex(ZZ, [(1, [[2]]), (2, [[-2], [-2]]), (1, [])],
+                 [[[-1, 0]], [[0], [1]]])
+    _forbid_flattening(monkeypatch)
+    s = find_contraction(C)  # the constructor re-verifies d s + s d = id
+    assert s is not None
+    assert s.component(0).action == Matrix(ZZ, 2, 1, [[-1], [-1]])
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_contraction_agrees_with_flattened_oracle(monkeypatch, ring):
+    # at this seed one contractible cone per ring has a degree whose
+    # unconstrained lift d s_n = phi_n is not well defined
+    rng = random.Random(15)
+    cones = []
+    for _ in range(24):
+        X = random_complex(ring, rng, max_top=2, max_rank=2)
+        Y = random_complex(ring, rng, max_top=2, max_rank=2)
+        if rng.random() < 0.5:
+            f = random_chain_map(X, Y, rng)
+        else:  # X -> X + cone(id_Y), twisted: a homotopy equivalence
+            total, injs, _ = direct_sum_complexes(
+                [X, mapping_cone(ChainMap.identity(Y)).complex])
+            f = twist_complex_with_iso(total, rng)[1].compose(injs[0])
+        cones.append(mapping_cone(f).complex)
+    expected = [nullhomotopy(ChainMap.identity(C)) is not None for C in cones]
+    assert True in expected and False in expected
+    _forbid_flattening(monkeypatch)
+    assert [find_contraction(C) is not None for C in cones] == expected
 
 
 def test_homotopy_equivalence_examples():

@@ -598,6 +598,31 @@ def test_tampered_cochain_component_names_cochain_degree():
     assert err.value.location == "maps.g.components[1][0]"
 
 
+def test_component_into_a_zero_module_has_no_entries(tmp_path, capsys):
+    # both ends are reversed at top 1: g^1 maps S^1 = Z into T^1 = 0
+    doc = unequal_tops_doc()
+    doc["maps"]["g"]["components"] = [[[1]], [[1]]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", str(path)])
+    assert exit_.value.code == 2
+    assert "error: maps.g.components[1]: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows,cols,data,ok", [
+    (0, 2, [], True), (2, 0, [], True), (2, 0, [[], []], True),
+    (0, 1, [[1]], False), (0, 1, [[]], False), (2, 0, [[], [1]], False),
+    (2, 0, [[]], False)])
+def test_empty_shape_matrix_holds_no_entries(rows, cols, data, ok):
+    if ok:
+        assert parse_matrix(ZZ, data, rows, cols, "m").is_zero()
+    else:
+        with pytest.raises(DocumentError) as err:
+            parse_matrix(ZZ, data, rows, cols, "m")
+        assert err.value.location == "m"
+
+
 def test_non_cochain_map_error_names_cochain_square():
     doc = unequal_tops_doc()
     # T = (Z -0-> Z); g^1 d^0 = 2 but d^0 g^0 = 0
@@ -653,4 +678,13 @@ def test_cli_denormalize_cap_over_the_bound_is_refused(tmp_path, capsys):
               "--cap", "9"])
     assert exit_.value.code == 2
     assert "error: --cap: level 9 would have 295 generators" in \
+        capsys.readouterr().err
+
+
+def test_cli_denormalize_cap_below_the_top_is_refused(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["denormalize", "--doc", fixture("disks_spheres.json"),
+              "--complex", "D2", "--cap", "-3"])
+    assert exit_.value.code == 2
+    assert "error: --cap: cap must be an integer >= the top degree" in \
         capsys.readouterr().err
