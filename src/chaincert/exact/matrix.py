@@ -1,9 +1,12 @@
 """Dense exact matrices over a RingSpec.
 
 Matrices are immutable after construction and carry their ring so that
-entries stay canonical (reduced mod m for Z/m).  Shapes with zero rows
-or columns are first-class citizens: most of the graded constructions
-downstream produce them constantly.
+entries stay canonical (reduced mod m for Z/m).  The one mutable slot,
+``smith``, is a memo computed from the entries: ``snf`` stores the
+matrix's Smith form there the first time it factors the matrix, and
+equality and hashing ignore it.  Shapes with zero rows or columns are
+first-class citizens: most of the graded constructions downstream
+produce them constantly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .rings import RingSpec
 
 
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "data")
+    __slots__ = ("ring", "rows", "cols", "data", "smith")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int,
                  entries: Sequence[Sequence[int]] | None = None):
@@ -24,7 +27,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if entries is None:
-            data = tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
+            data = ((0,) * cols,) * rows
         else:
             if len(entries) != rows:
                 raise ValueError(f"expected {rows} rows, got {len(entries)}")
@@ -39,13 +42,16 @@ class Matrix:
                     data.append(tuple(x % modulus for x in r))
             data = tuple(data)
         self.data = data
+        self.smith = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "Matrix":
-        return Matrix(ring, n, n,
-                      [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 1
+        return Matrix(ring, n, n, rows)
 
     @staticmethod
     def zero(ring: RingSpec, rows: int, cols: int) -> "Matrix":

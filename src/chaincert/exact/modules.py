@@ -63,6 +63,8 @@ class PresentedModule:
 
     def minimal_invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, nontrivial invariant factors) - an isomorphism invariant."""
+        if not self.relations.cols:
+            return self.generators, ()
         diag = snf(self.relations).diagonal
         nonzero = [d for d in diag if d != 0]
         rank = self.generators - len(nonzero)
@@ -238,8 +240,8 @@ def direct_sum(modules: Sequence[PresentedModule]
     injections, projections = [], []
     offset = 0
     for m in modules:
-        inj = Matrix.zero(ring, total, m.generators).to_lists()
-        proj = Matrix.zero(ring, m.generators, total).to_lists()
+        inj = [[0] * m.generators for _ in range(total)]
+        proj = [[0] * total for _ in range(m.generators)]
         for i in range(m.generators):
             inj[offset + i][i] = 1
             proj[i][offset + i] = 1
@@ -269,7 +271,7 @@ class HomSpace:
     well-defined map M -> N encoded by its action matrix.
     """
 
-    __slots__ = ("source", "target", "module", "gens", "_gen_matrix", "_zero_matrix")
+    __slots__ = ("source", "target", "module", "gens", "_gen_matrix", "_coord_system")
 
     def __init__(self, source: PresentedModule, target: PresentedModule):
         ring = source.ring
@@ -295,14 +297,16 @@ class HomSpace:
         self.target = target
         self.module = PresentedModule(ring, phi_part.cols, relations)
         self._gen_matrix = phi_part
-        self._zero_matrix = zero_maps
+        # [gens | zero maps], kept so that every coords call reuses the one
+        # Smith form of it
+        self._coord_system = phi_part.hstack(zero_maps)
         self.gens = [Matrix.unvec(ring, phi_part.column_at(j), gT, gS)
                      for j in range(phi_part.cols)]
 
     def coords(self, action: Matrix) -> Matrix:
         """Coefficient column of a hom element in the chosen generators."""
         v = action.vec()
-        sol = solve(self._gen_matrix.hstack(self._zero_matrix), v)
+        sol = solve(self._coord_system, v)
         if sol is None:
             raise ValueError("matrix is not a well-defined hom element")
         return sol.submatrix(range(self._gen_matrix.cols), [0])

@@ -2,7 +2,12 @@
 
 This is the decision kernel: every splitting, homotopy, contraction and
 lifting question downstream reduces to calls of ``solve`` (or
-``kernel_matrix``), each of which reduces to one Smith normal form.
+``kernel_matrix``), each of which reduces to one Smith normal form.  A
+matrix is factored at most once: ``snf`` keeps the ``SNFResult`` in the
+matrix's ``smith`` slot and returns it on every later call, so repeated
+solves against one relations matrix share one factorization.  A matrix
+with no columns (the relations of a free module) is never factored:
+``solve`` and ``kernel_matrix`` answer it directly.
 
 Determinism contract: the pivot is always the entry of smallest nonzero
 absolute value in the remaining block, ties broken in row-major order,
@@ -12,7 +17,9 @@ combination of the pivoting loop is reduced mod m as it is made, so
 entries never grow past m.  The divisibility-chain step that follows
 works on those integers unreduced (an lcm may vanish mod m there, and a
 zero would break the gcd/lcm steps after it); diagonal entries are then
-normalized to divisors of m by unit row scalings.
+normalized to divisors of m by unit row scalings.  The memo does not
+change this contract: the stored result is the one a fresh factorization
+of an equal matrix gives.
 """
 
 from __future__ import annotations
@@ -208,7 +215,16 @@ def _snf_lists(M: list[list[int]], rows: int, cols: int, m: int | None = None
 
 
 def snf(M: Matrix) -> SNFResult:
-    """Smith normal form with transforms: U @ M @ V == D exactly."""
+    """Smith normal form with transforms: U @ M @ V == D exactly.
+
+    Computed on the first call for ``M`` and kept in ``M.smith``.
+    """
+    if M.smith is None:
+        M.smith = _factor(M)
+    return M.smith
+
+
+def _factor(M: Matrix) -> SNFResult:
     ring = M.ring
     m = ring.modulus if ring.is_modular else None
     A, U, V = _snf_lists([list(r) for r in M.data], M.rows, M.cols, m)
@@ -249,8 +265,7 @@ def solve_congruence(d: int, c: int, n: int) -> int | None:
     return (c // g) * pow(d // g, -1, nn) % nn if nn > 1 else 0
 
 
-def solve(A: Matrix, B: Matrix, *, decomposition: SNFResult | None = None
-          ) -> Matrix | None:
+def solve(A: Matrix, B: Matrix) -> Matrix | None:
     """One solution X of A @ X = B, or None when none exists.
 
     B may have several columns; each is solved against a single Smith
@@ -262,8 +277,10 @@ def solve(A: Matrix, B: Matrix, *, decomposition: SNFResult | None = None
         raise ValueError(f"incompatible shapes {A.rows}x{A.cols} and "
                          f"{B.rows}x{B.cols}")
     ring = A.ring
+    if A.cols == 0:
+        return Matrix.zero(ring, 0, B.cols) if B.is_zero() else None
     n = ring.modulus if ring.is_modular else 0
-    dec = decomposition if decomposition is not None else snf(A)
+    dec = snf(A)
     C = dec.U @ B
     r = min(A.rows, A.cols)
     X_cols: list[list[int]] = []
@@ -289,27 +306,27 @@ def solve(A: Matrix, B: Matrix, *, decomposition: SNFResult | None = None
     return dec.V @ Y
 
 
-def kernel_matrix(A: Matrix, *, decomposition: SNFResult | None = None) -> Matrix:
+def kernel_matrix(A: Matrix) -> Matrix:
     """Matrix whose columns generate {x : A @ x = 0}."""
     ring = A.ring
-    dec = decomposition if decomposition is not None else snf(A)
+    if A.cols == 0:
+        return Matrix(ring, 0, 0)
+    dec = snf(A)
     r = min(A.rows, A.cols)
-    gens: list[Matrix] = []
+    keep: list[tuple[int, int]] = []  # (column of V, scale) per generator
     for i in range(A.cols):
         d = dec.D[i, i] if i < r else 0
         if not ring.is_modular:
             if d == 0:
-                gens.append(dec.V.column_at(i))
+                keep.append((i, 1))
         else:
             m = ring.modulus
             g = gcd(d, m)
             scale = m // g
             if scale % m != 0:
-                gens.append(dec.V.column_at(i).scale(scale))
-    out = Matrix(ring, A.cols, 0)
-    for gcol in gens:
-        out = out.hstack(gcol)
-    return out
+                keep.append((i, scale))
+    return Matrix(ring, A.cols, len(keep),
+                  [[row[i] * scale for i, scale in keep] for row in dec.V.data])
 
 
 def det(M: Matrix) -> int:

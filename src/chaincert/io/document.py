@@ -95,6 +95,10 @@ def parse_module(ring: RingSpec, data: Any, location: str) -> PresentedModule:
     if not isinstance(gens, int) or gens < 0:
         raise DocumentError(location, "'generators' must be a natural number")
     rel_data = data.get("relations", [])
+    if not isinstance(rel_data, list) or (rel_data
+                                          and not isinstance(rel_data[0], list)):
+        raise DocumentError(f"{location}.relations",
+                            "relations must be a list of rows")
     cols = len(rel_data[0]) if rel_data and gens else 0
     rel = parse_matrix(ring, rel_data, gens if rel_data else 0, cols,
                        f"{location}.relations")

@@ -610,6 +610,20 @@ def test_component_into_a_zero_module_has_no_entries(tmp_path, capsys):
     assert "error: maps.g.components[1]: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("relations", [[5], {"a": 1}])
+def test_relations_that_are_not_rows_name_their_location(tmp_path, capsys,
+                                                         relations):
+    doc = minimal_doc()
+    doc["objects"]["C"]["degrees"][0]["relations"] = relations
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", str(path)])
+    assert exit_.value.code == 2
+    assert ("error: objects.C.degrees[0].relations: "
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("rows,cols,data,ok", [
     (0, 2, [], True), (2, 0, [], True), (2, 0, [[], []], True),
     (0, 1, [[1]], False), (0, 1, [[]], False), (2, 0, [[], [1]], False),

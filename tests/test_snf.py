@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaincert.exact import snf as snf_module
 from chaincert.exact.matrix import Matrix
+from chaincert.exact.modules import PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import det, is_invertible, kernel_matrix, snf, solve
 
@@ -104,8 +106,51 @@ def test_snf_zmod_canonical_divisors():
 
 def test_snf_deterministic():
     M = Matrix.from_rows(ZZ, [[3, 1, 4], [1, 5, 9], [2, 6, 5]])
-    a, b = snf(M), snf(M)
+    a, b = snf(M), snf(Matrix(M.ring, M.rows, M.cols, M.data))
     assert (a.U, a.D, a.V) == (b.U, b.D, b.V)
+
+
+def test_matrix_is_factored_once(monkeypatch):
+    calls = []
+    original = snf_module._snf_lists
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(snf_module, "_snf_lists", counting)
+    rel = Matrix.from_rows(ZZ, [[2, 0], [0, 3], [4, 6]])
+    module = PresentedModule(ZZ, 3, rel)
+    for _ in range(3):
+        assert solve(rel, Matrix.from_rows(ZZ, [[2], [3], [10]])) is not None
+        assert kernel_matrix(rel).cols == 0
+        assert module.minimal_invariants() == (1, (6,))
+    assert len(calls) == 1
+    snf(Matrix(ZZ, 3, 2, rel.data))  # an equal matrix is a new object
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)])
+def test_no_columns_needs_no_smith_form(monkeypatch, ring):
+    def refuse(*args):
+        raise RuntimeError("factored a matrix with no columns")
+
+    monkeypatch.setattr(snf_module, "_snf_lists", refuse)
+    A = Matrix.zero(ring, 3, 0)
+    assert solve(A, Matrix.zero(ring, 3, 2)) == Matrix.zero(ring, 0, 2)
+    assert solve(A, Matrix.from_rows(ring, [[0], [1], [0]])) is None
+    assert kernel_matrix(A) == Matrix(ring, 0, 0)
+    assert PresentedModule(ring, 3).minimal_invariants() == (3, ())
+    assert solve(Matrix.zero(ring, 0, 0), Matrix.zero(ring, 0, 1)) \
+        == Matrix.zero(ring, 0, 1)
+
+
+def test_factored_matrix_equals_fresh_copy():
+    M = Matrix.from_rows(ZZ, [[3, 1], [1, 5]])
+    snf(M)
+    fresh = Matrix(ZZ, 2, 2, M.data)
+    assert M.smith is not None and fresh.smith is None
+    assert M == fresh and hash(M) == hash(fresh)
 
 
 def test_solve_trivial_examples():
@@ -148,9 +193,9 @@ small_entries = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def small_matrix(draw, ring, max_dim=3, min_dim=0):
-    rows = draw(st.integers(min_value=min_dim, max_value=max_dim))
-    cols = draw(st.integers(min_value=min_dim, max_value=max_dim))
+def small_matrix(draw, ring, max_dim=3):
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
     entries = [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
     return Matrix(ring, rows, cols, entries)
 
@@ -169,7 +214,7 @@ def test_snf_contract_random_Zmod6(M):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrix(ZZ, max_dim=3, min_dim=1), st.data())
+@given(small_matrix(ZZ, max_dim=3), st.data())
 def test_solve_agrees_with_brute_force_Z(A, data):
     b_entries = [[data.draw(small_entries)] for _ in range(A.rows)]
     b = Matrix(ZZ, A.rows, 1, b_entries)
@@ -182,7 +227,7 @@ def test_solve_agrees_with_brute_force_Z(A, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrix(Zmod(4), max_dim=2, min_dim=1), st.data())
+@given(small_matrix(Zmod(4), max_dim=2), st.data())
 def test_solve_agrees_with_exhaustion_Zmod4(A, data):
     b_entries = [[data.draw(small_entries)] for _ in range(A.rows)]
     b = Matrix(Zmod(4), A.rows, 1, b_entries)
