@@ -14,7 +14,7 @@ from ..exact.equations import (MapVariable, MatrixRelation,
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .complexes import ChainComplex, ChainHomotopy, ChainMap
-from .cones import mapping_cone
+from .cones import ConeData, mapping_cone
 from .homology import first_homology
 
 
@@ -97,8 +97,11 @@ class HomotopyEquivalence:
     target_homotopy: ChainHomotopy  # from f o g to id_Y
 
 
-def is_chain_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalence | None:
+def is_chain_homotopy_equivalence(f: ChainMap, cone: ConeData | None = None
+                                  ) -> HomotopyEquivalence | None:
     """Decide via contractibility of the mapping cone, extracting witnesses.
+
+    ``cone`` is ``mapping_cone(f)`` when the caller has built it already.
 
     With the cone convention d = [[-d_X, 0], [f, d_Y]] a contraction s of
     cone(f) has blocks s = [[A, G], [B, K]] satisfying
@@ -106,7 +109,8 @@ def is_chain_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalence | None:
     so g := G is a homotopy inverse.
     """
     X, Y = f.source, f.target
-    cone = mapping_cone(f)
+    if cone is None:
+        cone = mapping_cone(f)
     s = find_contraction(cone.complex)
     if s is None:
         return None

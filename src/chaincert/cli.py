@@ -24,7 +24,7 @@ from .io.reports import (classification_report, dump, lift_report,
                          verify_report)
 from .models.classify import check_data, classify
 from .models.lifting import solve_lifting
-from .simplicial.cotensor import ez_aw_dual_ops
+from .simplicial.cotensor import ez_aw_dual_ops, through_problem
 from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
 from .simplicial.module import cap_problem, degreewise_tensor, gamma, normalize
 
@@ -169,6 +169,9 @@ def cmd_ez_aw(args) -> int:
     doc = _load_document(args.document)
     A = doc.simplicial(args.a)
     B = doc.simplicial(args.b)
+    problem = through_problem(A, B, args.through) if args.dual else None
+    if problem:
+        _fail(f"--through: {problem}")
     T = degreewise_tensor(A, B)
     E = ez(A, B, T)
     W = aw(A, B, T)

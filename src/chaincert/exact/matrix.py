@@ -7,6 +7,24 @@ matrix's Smith form there the first time it factors the matrix, and
 equality and hashing ignore it.  Shapes with zero rows or columns are
 first-class citizens: most of the graded constructions downstream
 produce them constantly.
+
+Canonical by construction.  ``Matrix(ring, rows, cols, entries)`` is the
+constructor for data from outside: it checks the shape, copies every row
+into a tuple and reduces every entry mod m.  Matrix's own operations and
+the kernel in ``exact/`` produce entries that are canonical already, so
+they wrap their finished tuples with ``_from_canonical``, which checks
+nothing.  Over Z/m the rule is: an operation whose result can leave
+[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron``) reduces each
+entry once before it wraps, and an operation that only moves or copies
+canonical entries (``transpose``, ``hstack``, ``vstack``, ``submatrix``,
+``vec``, ``unvec``, ``block_diagonal``, ``assemble``, ``identity``,
+``zero``) never reduces.  Over Z every integer is canonical.  Operations
+that combine matrices require one ring; rings are interned (see
+``rings.py``), so that check is usually a pointer compare.
+``_from_canonical`` is private to ``exact/``: code outside it builds
+matrices with the public constructor or with these operations.  Each
+row is built as a list and turned into a tuple from that list, which
+sizes the tuple exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +32,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .rings import RingSpec
+
+_new = object.__new__
 
 
 class Matrix:
@@ -31,7 +51,7 @@ class Matrix:
         else:
             if len(entries) != rows:
                 raise ValueError(f"expected {rows} rows, got {len(entries)}")
-            modulus = ring.modulus if ring.kind == "Zmod" else None
+            modulus = ring.modulus
             data = []
             for r in entries:
                 if len(r) != cols:
@@ -39,7 +59,7 @@ class Matrix:
                 if modulus is None:
                     data.append(tuple(r))
                 else:
-                    data.append(tuple(x % modulus for x in r))
+                    data.append(tuple([x % modulus for x in r]))
             data = tuple(data)
         self.data = data
         self.smith = None
@@ -48,14 +68,21 @@ class Matrix:
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "Matrix":
-        rows = [[0] * n for _ in range(n)]
+        if n < 0:
+            raise ValueError("negative matrix shape")
+        zeros = [0] * n
+        out = []
         for i in range(n):
-            rows[i][i] = 1
-        return Matrix(ring, n, n, rows)
+            row = zeros.copy()
+            row[i] = 1
+            out.append(tuple(row))
+        return _from_canonical(ring, n, n, tuple(out))
 
     @staticmethod
     def zero(ring: RingSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix shape")
+        return _from_canonical(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def from_rows(ring: RingSpec, entries: Sequence[Sequence[int]]) -> "Matrix":
@@ -81,9 +108,11 @@ class Matrix:
         return self.data[i][j]
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Matrix) and self.ring == other.ring
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+        return self is other or (
+            isinstance(other, Matrix)
+            and (self.ring is other.ring or self.ring == other.ring)
+            and self.rows == other.rows and self.cols == other.cols
+            and self.data == other.data)
 
     def __hash__(self) -> int:
         return hash((self.ring, self.rows, self.cols, self.data))
@@ -104,39 +133,60 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.ring != other.ring:
+    def _same_ring(self, other: "Matrix") -> None:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
+
+    def _same_shape(self, other: "Matrix") -> None:
+        self._same_ring(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs "
                              f"{other.rows}x{other.cols}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.ring, self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        m = self.ring.modulus
+        if m is None:
+            data = [tuple([a + b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.data, other.data)]
+        else:
+            data = [tuple([(a + b) % m for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.data, other.data)]
+        return _from_canonical(self.ring, self.rows, self.cols, tuple(data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.ring, self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        m = self.ring.modulus
+        if m is None:
+            data = [tuple([a - b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.data, other.data)]
+        else:
+            data = [tuple([(a - b) % m for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.data, other.data)]
+        return _from_canonical(self.ring, self.rows, self.cols, tuple(data))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols,
-                      [[-a for a in row] for row in self.data])
+        m = self.ring.modulus
+        if m is None:
+            data = [tuple([-a for a in row]) for row in self.data]
+        else:
+            data = [tuple([-a % m for a in row]) for row in self.data]
+        return _from_canonical(self.ring, self.rows, self.cols, tuple(data))
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols,
-                      [[c * a for a in row] for row in self.data])
+        m = self.ring.modulus
+        if m is None:
+            data = [tuple([c * a for a in row]) for row in self.data]
+        else:
+            data = [tuple([c * a % m for a in row]) for row in self.data]
+        return _from_canonical(self.ring, self.rows, self.cols, tuple(data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
+        self._same_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
+        m = self.ring.modulus
         ocols = other.cols
         odata = other.data
         out = []
@@ -148,18 +198,17 @@ class Matrix:
                 orow = odata[k]
                 for j in range(ocols):
                     acc[j] += a * orow[j]
-            out.append(acc)
-        return Matrix(self.ring, self.rows, ocols, out)
+            out.append(tuple(acc) if m is None else tuple([x % m for x in acc]))
+        return _from_canonical(self.ring, self.rows, ocols, tuple(out))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        data = list(zip(*self.data)) if self.rows else [()] * self.cols
+        return _from_canonical(self.ring, self.cols, self.rows, tuple(data))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index (i,k),(j,l) -> i*other.rows+k etc."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
+        self._same_ring(other)
+        m = self.ring.modulus
         rows = self.rows * other.rows
         cols = self.cols * other.cols
         out = [[0] * cols for _ in range(rows)]
@@ -174,27 +223,38 @@ class Matrix:
                     base = j * other.cols
                     for l in range(other.cols):
                         trow[base + l] = a * orow[l]
-        return Matrix(self.ring, rows, cols, out)
+        if m is None:
+            data = [tuple(row) for row in out]
+        else:
+            data = [tuple([x % m for x in row]) for row in out]
+        return _from_canonical(self.ring, rows, cols, tuple(data))
 
     # -- block and slicing helpers -------------------------------------
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring or self.rows != other.rows:
-            raise ValueError("hstack shape/ring mismatch")
-        return Matrix(self.ring, self.rows, self.cols + other.cols,
-                      [list(a) + list(b) for a, b in zip(self.data, other.data)])
+        self._same_ring(other)
+        if self.rows != other.rows:
+            raise ValueError("hstack shape mismatch")
+        data = [a + b for a, b in zip(self.data, other.data)]
+        return _from_canonical(self.ring, self.rows, self.cols + other.cols,
+                               tuple(data))
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring or self.cols != other.cols:
-            raise ValueError("vstack shape/ring mismatch")
-        return Matrix(self.ring, self.rows + other.rows, self.cols,
-                      list(self.data) + list(other.data))
+        self._same_ring(other)
+        if self.cols != other.cols:
+            raise ValueError("vstack shape mismatch")
+        return _from_canonical(self.ring, self.rows + other.rows, self.cols,
+                               self.data + other.data)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
         ri = list(row_idx)
         ci = list(col_idx)
-        return Matrix(self.ring, len(ri), len(ci),
-                      [[self.data[i][j] for j in ci] for i in ri])
+        data = self.data
+        if len(ci) == self.cols and ci == list(range(self.cols)):
+            out = [data[i] for i in ri]
+        else:
+            out = [tuple([row[j] for j in ci]) for row in [data[i] for i in ri]]
+        return _from_canonical(self.ring, len(ri), len(ci), tuple(out))
 
     def columns(self, idx: Iterable[int]) -> "Matrix":
         return self.submatrix(range(self.rows), idx)
@@ -204,36 +264,35 @@ class Matrix:
 
     def vec(self) -> "Matrix":
         """Column-major vectorization (stack columns)."""
-        out = []
-        for j in range(self.cols):
-            for i in range(self.rows):
-                out.append([self.data[i][j]])
-        return Matrix(self.ring, self.rows * self.cols, 1, out)
+        data = self.data
+        out = [(data[i][j],) for j in range(self.cols) for i in range(self.rows)]
+        return _from_canonical(self.ring, self.rows * self.cols, 1, tuple(out))
 
     @staticmethod
     def unvec(ring: RingSpec, v: "Matrix", rows: int, cols: int) -> "Matrix":
+        if v.ring is not ring and v.ring != ring:
+            raise ValueError("ring mismatch")
         if v.cols != 1 or v.rows != rows * cols:
             raise ValueError("unvec shape mismatch")
-        out = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            for i in range(rows):
-                out[i][j] = v.data[j * rows + i][0]
-        return Matrix(ring, rows, cols, out)
+        vd = v.data
+        out = [tuple([vd[j * rows + i][0] for j in range(cols)])
+               for i in range(rows)]
+        return _from_canonical(ring, rows, cols, tuple(out))
 
     @staticmethod
     def block_diagonal(ring: RingSpec, blocks: Sequence["Matrix"]) -> "Matrix":
+        if any(b.ring is not ring and b.ring != ring for b in blocks):
+            raise ValueError("ring mismatch")
         rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        out = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        out = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                row = out[r0 + i]
-                for j in range(b.cols):
-                    row[c0 + j] = b.data[i][j]
-            r0 += b.rows
+            left = (0,) * c0
+            right = (0,) * (cols - c0 - b.cols)
+            out += [left + row + right for row in b.data]
             c0 += b.cols
-        return Matrix(ring, rows, cols, out)
+        return _from_canonical(ring, rows, cols, tuple(out))
 
     @staticmethod
     def assemble(ring: RingSpec, row_sizes: Sequence[int], col_sizes: Sequence[int],
@@ -251,15 +310,32 @@ class Matrix:
         for (bi, bj), blk in blocks.items():
             if blk.rows != row_sizes[bi] or blk.cols != col_sizes[bj]:
                 raise ValueError(f"block ({bi},{bj}) has wrong shape")
+            if blk.ring is not ring and blk.ring != ring:
+                raise ValueError("ring mismatch")
             r0, c0 = roff[bi], coff[bj]
-            for i in range(blk.rows):
-                row = out[r0 + i]
-                for j in range(blk.cols):
-                    row[c0 + j] = blk.data[i][j]
-        return Matrix(ring, rows, cols, out)
+            c1 = c0 + blk.cols
+            for i, brow in enumerate(blk.data):
+                out[r0 + i][c0:c1] = brow
+        return _from_canonical(ring, rows, cols,
+                               tuple([tuple(row) for row in out]))
 
     def change_ring(self, ring: RingSpec) -> "Matrix":
         return Matrix(ring, self.rows, self.cols, self.data)
 
     def to_json(self) -> list[list[int]]:
         return self.to_lists()
+
+
+def _from_canonical(ring: RingSpec, rows: int, cols: int,
+                    data: tuple[tuple[int, ...], ...]) -> Matrix:
+    """Wrap ``rows`` row tuples of ``cols`` canonical entries; no checks.
+
+    Private to ``exact/``; see the module docstring for the rule.
+    """
+    M = _new(Matrix)
+    M.ring = ring
+    M.rows = rows
+    M.cols = cols
+    M.data = data
+    M.smith = None
+    return M

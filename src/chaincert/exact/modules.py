@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .matrix import Matrix
+from .matrix import Matrix, _from_canonical
 from .rings import RingSpec
 from .snf import kernel_matrix, snf, solve
 
@@ -50,9 +50,10 @@ class PresentedModule:
     # -- structure ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PresentedModule) and self.ring == other.ring
-                and self.generators == other.generators
-                and self.relations == other.relations)
+        return self is other or (
+            isinstance(other, PresentedModule) and self.ring == other.ring
+            and self.generators == other.generators
+            and self.relations == other.relations)
 
     def __hash__(self) -> int:
         return hash((self.ring, self.generators, self.relations))
@@ -240,16 +241,17 @@ def direct_sum(modules: Sequence[PresentedModule]
     injections, projections = [], []
     offset = 0
     for m in modules:
-        inj = [[0] * m.generators for _ in range(total)]
-        proj = [[0] * total for _ in range(m.generators)]
-        for i in range(m.generators):
-            inj[offset + i][i] = 1
-            proj[i][offset + i] = 1
-        injections.append(ModuleMap(m, out, Matrix(ring, total, m.generators, inj),
-                                    check=False))
-        projections.append(ModuleMap(out, m, Matrix(ring, m.generators, total, proj),
-                                     check=False))
-        offset += m.generators
+        g = m.generators
+        rows = []
+        for i in range(offset, offset + g):
+            row = [0] * total
+            row[i] = 1
+            rows.append(tuple(row))
+        # entries 0 and 1 are canonical over every ring
+        proj = _from_canonical(ring, g, total, tuple(rows))
+        injections.append(ModuleMap(m, out, proj.transpose(), check=False))
+        projections.append(ModuleMap(out, m, proj, check=False))
+        offset += g
     return out, injections, projections
 
 

@@ -4,6 +4,15 @@ Every ring here is a commutative principal ideal ring with decidable
 arithmetic, which is what makes Smith normal form and exact linear
 solving total operations downstream.  Elements are plain Python ints;
 for Z/m the canonical representative lives in [0, m).
+
+Rings are interned: ``ZZ`` is the one integer ring, and ``Zmod(m)`` and
+``RingSpec.from_json`` hand out one instance per modulus.  Equality tries
+``is`` first, so comparing the rings of two matrices (which every matrix
+operation does) is usually a pointer compare; ``==`` and ``hash`` still
+compare by value, so a ring built directly with ``RingSpec`` equals the
+interned one.  Matrices rely on this: their entries are canonical by
+construction (see ``matrix.py``), and combining two matrices checks only
+that they share a ring.
 """
 
 from __future__ import annotations
@@ -24,10 +33,16 @@ class RingSpec:
             if self.modulus is not None:
                 raise ValueError("the integers carry no modulus")
         elif self.kind == "Zmod":
-            if self.modulus is None or self.modulus < 2:
+            m = self.modulus
+            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
                 raise ValueError("modulus must be an integer >= 2")
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, RingSpec)
+                                 and self.kind == other.kind
+                                 and self.modulus == other.modulus)
 
     @property
     def is_modular(self) -> bool:
@@ -103,12 +118,20 @@ class RingSpec:
         if kind == "Z":
             return ZZ
         if kind == "Zmod":
-            return RingSpec("Zmod", int(data["modulus"]))
+            return Zmod(data["modulus"])
         raise ValueError(f"unknown ring kind {kind!r}")
 
 
 ZZ = RingSpec("Z")
 
 
+_ZMOD: dict[int, RingSpec] = {}
+
+
 def Zmod(m: int) -> RingSpec:
-    return RingSpec("Zmod", m)
+    """The interned ring Z/m; raises ValueError unless m is an int >= 2."""
+    ring = _ZMOD.get(m) if type(m) is int else None
+    if ring is None:
+        ring = RingSpec("Zmod", m)
+        _ZMOD[m] = ring
+    return ring

@@ -20,6 +20,10 @@ zero would break the gcd/lcm steps after it); diagonal entries are then
 normalized to divisors of m by unit row scalings.  The memo does not
 change this contract: the stored result is the one a fresh factorization
 of an equal matrix gives.
+
+U, D and V, and the results of ``solve`` and ``kernel_matrix``, are
+canonical by construction (see ``matrix.py``): over Z/m the factorization
+reduces its lists once at the end, and no result is validated again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .matrix import Matrix
+from .matrix import Matrix, _from_canonical
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -241,10 +245,15 @@ def _factor(M: Matrix) -> SNFResult:
                 U[i] = [uinv * x for x in U[i]]
                 A[i] = [uinv * x for x in A[i]]
             A[i][i] = g
-    Um = Matrix(ring, M.rows, M.rows, U)
-    Dm = Matrix(ring, M.rows, M.cols, A)
-    Vm = Matrix(ring, M.cols, M.cols, V)
-    return SNFResult(Um, Dm, Vm)
+        # the divisibility step and the unit scalings work unreduced
+        A, U, V = [[[x % m for x in row] for row in L] for L in (A, U, V)]
+    return SNFResult(_wrap_rows(ring, M.rows, M.rows, U),
+                     _wrap_rows(ring, M.rows, M.cols, A),
+                     _wrap_rows(ring, M.cols, M.cols, V))
+
+
+def _wrap_rows(ring, rows: int, cols: int, lists: list[list[int]]) -> Matrix:
+    return _from_canonical(ring, rows, cols, tuple([tuple(r) for r in lists]))
 
 
 def solve_congruence(d: int, c: int, n: int) -> int | None:
@@ -283,34 +292,30 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     dec = snf(A)
     C = dec.U @ B
     r = min(A.rows, A.cols)
-    X_cols: list[list[int]] = []
-    for j in range(B.cols):
-        y = [0] * A.cols
-        ok = True
-        for i in range(A.rows):
-            c = C[i, j]
-            if i < r:
-                sol = solve_congruence(dec.D[i, i], c, n)
-                if sol is None:
-                    ok = False
-                    break
-                y[i] = sol
-            elif not ring.is_zero(c):
-                ok = False
-                break
-        if not ok:
+    # entries are canonical, so a row past the diagonal must be exactly zero
+    if any(any(row) for row in C.data[r:]):
+        return None
+    D = dec.D.data
+    Y = []
+    for i in range(r):
+        d = D[i][i]
+        if d == 1:
+            Y.append(C.data[i])
+            continue
+        y = [solve_congruence(d, c, n) for c in C.data[i]]
+        if None in y:
             return None
-        X_cols.append(y)
-    Y = Matrix(ring, A.cols, B.cols,
-               [[X_cols[j][i] for j in range(B.cols)] for i in range(A.cols)])
-    return dec.V @ Y
+        Y.append(tuple(y))
+    Y += [(0,) * B.cols] * (A.cols - r)
+    # solve_congruence answers in [0, n) over Z/m, so Y is canonical
+    return dec.V @ _from_canonical(ring, A.cols, B.cols, tuple(Y))
 
 
 def kernel_matrix(A: Matrix) -> Matrix:
     """Matrix whose columns generate {x : A @ x = 0}."""
     ring = A.ring
     if A.cols == 0:
-        return Matrix(ring, 0, 0)
+        return Matrix.zero(ring, 0, 0)
     dec = snf(A)
     r = min(A.rows, A.cols)
     keep: list[tuple[int, int]] = []  # (column of V, scale) per generator
@@ -325,8 +330,12 @@ def kernel_matrix(A: Matrix) -> Matrix:
             scale = m // g
             if scale % m != 0:
                 keep.append((i, scale))
-    return Matrix(ring, A.cols, len(keep),
-                  [[row[i] * scale for i, scale in keep] for row in dec.V.data])
+    m = ring.modulus
+    if m is None:
+        K = [[row[i] * scale for i, scale in keep] for row in dec.V.data]
+    else:
+        K = [[row[i] * scale % m for i, scale in keep] for row in dec.V.data]
+    return _wrap_rows(ring, A.cols, len(keep), K)
 
 
 def det(M: Matrix) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainMap, chain_map_equal
-from ..chains.cones import mapping_cone
+from ..chains.cones import ConeData, mapping_cone
 from ..chains.homology import first_homology
 from ..chains.homotopy import HomotopyEquivalence, is_chain_homotopy_equivalence
 from ..errors import CertificateError
@@ -126,9 +126,10 @@ def split_epi_bit(f: ChainMap, degrees) -> ClassBit:
 
 
 def homotopy_equivalence_bit(f: ChainMap) -> ClassBit:
-    he = is_chain_homotopy_equivalence(f)
+    cone = mapping_cone(f)
+    he = is_chain_homotopy_equivalence(f, cone)
     if he is None:
-        return _homotopy_equivalence_obstruction(f)
+        return _homotopy_equivalence_obstruction(cone)
     return yes(homotopy_equivalence_witness(he))
 
 
@@ -150,8 +151,8 @@ def _cochain_homotopy_equivalence_bit(g: CochainMap) -> ClassBit:
                 "reversed_top": g.top})
 
 
-def _homotopy_equivalence_obstruction(f: ChainMap) -> ClassBit:
-    found = first_homology(mapping_cone(f).complex)
+def _homotopy_equivalence_obstruction(cone: ConeData) -> ClassBit:
+    found = first_homology(cone.complex)
     if found is None:
         return no(reason="mapping cone is acyclic but not contractible")
     n, H = found

@@ -16,6 +16,7 @@ the identity by a solver witness, both verified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from ..chains.build import disk, unit_complex
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
@@ -29,7 +30,19 @@ from ..exact.modules import ModuleMap
 from ..exact.snf import solve
 from .ez_aw import aw, ez
 from .module import (SimplicialMap, SimplicialModule, constant_module,
-                     degreewise_tensor, gamma, gamma_map, tensor_normalized_map)
+                     degreewise_tensor, gamma, gamma_level_rank, gamma_map,
+                     tensor_normalized_map)
+
+# ``through`` is refused once the largest level of the cotensor, level
+# A.top + n of A (x) Gamma(D^n), would have more generators than this.
+# The default through 3 passes on every pair of fixtures/: the largest is
+# A = D3 of disks_spheres.json (a chain complex read through Gamma), whose
+# level 6 has 1225 generators.  The count ignores B, and the time depends
+# on it (two vCPUs, Python 3.11): D3 x S0 takes 0.6 s, D3 x D3 about
+# 230 s with a peak RSS of 1.2 GB.  For sD1 and sS1 of
+# fixtures/simplicial.json through 11 reaches 1014 generators and takes
+# about 3.5 s; through 12 reaches 1274 and is refused.
+MAX_COTENSOR_GENERATORS = 1250
 
 
 def disk_inclusion(ring, n: int) -> ChainMap:
@@ -41,6 +54,24 @@ def disk_inclusion(ring, n: int) -> ChainMap:
     comps.append(ModuleMap(src.module(n - 1), tgt.module(n - 1),
                            Matrix.identity(ring, 1), check=False))
     return ChainMap(src, tgt, comps)
+
+
+def through_problem(A: SimplicialModule, B: SimplicialModule, through: int
+                    ) -> str | None:
+    """Why N(B^A) may not be built through ``through``, or None.
+
+    ``cotensor`` builds T_n = A (x) Gamma(D^n) through level A.top + n for
+    n up to top = max(through, B.top); the largest is level A.top + top
+    of T_top.  Level L of Gamma(D^n) has binom(L, n) + binom(L, n - 1) =
+    binom(L + 1, n) generators, so this builds no level.
+    """
+    top = max(through, B.top)
+    level = A.top + top
+    rank = gamma_level_rank(A.normalized, level) * comb(level + 1, top)
+    if rank <= MAX_COTENSOR_GENERATORS:
+        return None
+    return (f"level {level} of A (x) Gamma(D^{top}) would have {rank} "
+            f"generators, more than {MAX_COTENSOR_GENERATORS}")
 
 
 @dataclass

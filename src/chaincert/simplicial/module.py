@@ -153,6 +153,11 @@ class SimplicialModule:
 MAX_CAP_GENERATORS = 256
 
 
+def gamma_level_rank(C: ChainComplex, n: int) -> int:
+    """Generators of level n of Gamma(C), counted without building it."""
+    return sum(comb(n, k) * C.module(k).generators for k in range(C.top + 1))
+
+
 def cap_problem(C: ChainComplex, cap: int) -> str | None:
     """Why Gamma(C) may not be built through ``cap``, or None.
 
@@ -164,7 +169,7 @@ def cap_problem(C: ChainComplex, cap: int) -> str | None:
         return "cap must be an integer >= the top degree"
     if cap <= C.top + 1:
         return None
-    rank = sum(comb(cap, k) * C.module(k).generators for k in range(C.top + 1))
+    rank = gamma_level_rank(C, cap)
     if rank <= MAX_CAP_GENERATORS:
         return None
     return (f"level {cap} would have {rank} generators, more than "

@@ -8,6 +8,7 @@ from chaincert.chains.build import (brutal_truncation, concentrated, disk,
                                     interval, sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainComplex, ChainMap
+from chaincert.chains.cones import mapping_cone
 from chaincert.chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule
@@ -184,3 +185,23 @@ def test_witnesses_reverify_exactly():
                           Matrix(ZZ, fn.source.generators, fn.target.generators, r))
         from chaincert.exact.modules import map_equal
         assert map_equal(r_map.compose(fn), ModuleMap.identity(fn.source))
+
+
+def test_homotopy_equivalence_no_builds_one_cone(monkeypatch):
+    from chaincert.chains import homotopy
+    from chaincert.models import classify as classify_module
+
+    built = []
+
+    def counting_cone(f):
+        built.append(f)
+        return mapping_cone(f)
+
+    monkeypatch.setattr(homotopy, "mapping_cone", counting_cone)
+    monkeypatch.setattr(classify_module, "mapping_cone", counting_cone)
+    # Z -> 0 in degree 0: the cone has homology Z in degree 1
+    bit = classify_module.homotopy_equivalence_bit(
+        to_zero(concentrated(PresentedModule.free(ZZ, 1), 0)))
+    assert not bit.holds
+    assert bit.obstruction["degree"] == 1
+    assert len(built) == 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -23,7 +24,11 @@ from chaincert.io.document import (DocumentError, chain_map_from_json,
 from chaincert.io.reports import classification_report, dump, lift_report
 from chaincert.models.classify import classify
 from chaincert.models.lifting import solve_lifting
-from chaincert.simplicial.module import MAX_CAP_GENERATORS, cap_problem
+from chaincert.simplicial import cotensor as cotensor_module
+from chaincert.simplicial.cotensor import (MAX_COTENSOR_GENERATORS, cotensor,
+                                          through_problem)
+from chaincert.simplicial.module import (MAX_CAP_GENERATORS, cap_problem,
+                                         gamma_level_rank)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -702,3 +707,128 @@ def test_cli_denormalize_cap_below_the_top_is_refused(capsys):
     assert exit_.value.code == 2
     assert "error: --cap: cap must be an integer >= the top degree" in \
         capsys.readouterr().err
+
+
+# -- JSON integers at the document boundary --------------------------------
+
+
+def _load_fixture(name):
+    with open(fixture(name)) as fh:
+        return json.load(fh)
+
+
+def _bool_components(doc):
+    doc["maps"]["e0"]["components"] = [[[True], [False]]]
+
+
+def _bool_generators(doc):
+    doc["objects"]["I"]["degrees"][0]["generators"] = True
+
+
+def _string_modulus(doc):
+    doc["ring"] = {"kind": "Zmod", "modulus": "6"}
+
+
+def _float_modulus(doc):
+    doc["ring"] = {"kind": "Zmod", "modulus": 6.5}
+
+
+def _bool_modulus(doc):
+    doc["ring"] = {"kind": "Zmod", "modulus": True}
+
+
+def _bool_cap(doc):
+    doc["objects"]["sD1"]["cap"] = True
+
+
+# JSON true and false are not integers, although Python's bool is an int
+@pytest.mark.parametrize("name, damage, location", [
+    ("interval.json", _bool_components, "maps.e0.components[0][0]"),
+    ("interval.json", _bool_generators, "objects.I.degrees[0]"),
+    ("interval.json", _string_modulus, "ring"),
+    ("interval.json", _float_modulus, "ring"),
+    ("interval.json", _bool_modulus, "ring"),
+    ("simplicial.json", _bool_cap, "objects.sD1.cap")])
+def test_cli_validate_refuses_non_integers(tmp_path, capsys, name, damage,
+                                           location):
+    doc = _load_fixture(name)
+    damage(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", str(path)])
+    assert exit_.value.code == 2
+    assert f"error: {location}: " in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_boolean_entries(tmp_path, capsys):
+    report = interval_h_report()
+    report["map"]["components"] = [[[True], [False]]]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 2
+    assert "error: map.components[0][0]: " in capsys.readouterr().err
+
+
+# -- the size guard of ez-aw --dual -----------------------------------------
+
+
+def simplicial_fixture():
+    with open(fixture("simplicial.json")) as fh:
+        return parse_document(json.load(fh))
+
+
+def test_through_bound_counts_the_largest_cotensor_level(monkeypatch):
+    doc = simplicial_fixture()
+    A, B = doc.simplicial("sD1"), doc.simplicial("sS1")
+    # level 3 of sD1 (x) Gamma(D^2): 1 + 3 generators times binom(4, 2),
+    # counted as cotensor builds it
+    assert cotensor(A, B, 2).tensors[2].level_rank(3) == 24
+    with monkeypatch.context() as m:
+        m.setattr(cotensor_module, "MAX_COTENSOR_GENERATORS", 23)
+        assert "level 3 of A (x) Gamma(D^2) would have 24 generators" in \
+            through_problem(A, B, 2)
+    assert through_problem(A, B, 11) is None        # 1014 generators
+    assert "1274 generators" in through_problem(A, B, 12)
+    assert MAX_COTENSOR_GENERATORS < 1274
+
+
+def test_default_through_passes_on_every_fixture_pair():
+    # every object ez-aw accepts: simplicial modules, and chain complexes
+    # through Gamma; D3 of disks_spheres.json is the largest at 1225
+    largest = 0
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(fixture(name)) as fh:
+            doc = parse_document(json.load(fh))
+        accepted = []
+        for obj in doc.objects:
+            try:
+                accepted.append(doc.simplicial(obj))
+            except DocumentError:
+                pass
+        for A in accepted:
+            for B in accepted:
+                assert through_problem(A, B, 3) is None
+                top = max(3, B.top)
+                level = A.top + top
+                largest = max(largest, gamma_level_rank(A.normalized, level)
+                              * comb(level + 1, top))
+    assert largest == 1225 <= MAX_COTENSOR_GENERATORS
+
+
+def test_cli_ez_aw_dual_builds_the_largest_fixture_level(capsys):
+    # D3 (a chain complex, read through Gamma) reaches 1225 generators at
+    # the default through 3; S0 keeps the chain-map systems small
+    code, out = run_cli(["ez-aw", "--doc", fixture("disks_spheres.json"),
+                         "--a", "D3", "--b", "S0", "--dual"], capsys)
+    assert code == 0
+    assert set(json.loads(out)["dual"]) == {"aw_star", "ez_star", "homotopy"}
+
+
+def test_cli_ez_aw_dual_through_over_the_bound_is_refused(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["ez-aw", "--doc", fixture("simplicial.json"), "--a", "sD1",
+              "--b", "sS1", "--dual", "--through", "12"])
+    assert exit_.value.code == 2
+    assert "error: --through: level 13 of A (x) Gamma(D^12) would have " \
+           "1274 generators" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaincert.exact import snf as snf_module
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import PresentedModule
+from chaincert.exact.modules import PresentedModule, direct_sum
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import det, is_invertible, kernel_matrix, snf, solve
 
@@ -261,3 +261,98 @@ def test_kernel_generates_null_space_Zmod6(A):
             x = Matrix(Zmod(6), A.cols, 1, [[c] for c in combo])
             if (A @ x).is_zero():
                 assert solve(K, x) is not None
+
+
+# -- canonical by construction ------------------------------------------
+
+
+def assert_canonical(M: Matrix) -> None:
+    """M holds tuples of its stated shape, with entries the public
+    constructor would not change."""
+    assert type(M.data) is tuple and len(M.data) == M.rows
+    assert all(type(row) is tuple and len(row) == M.cols for row in M.data)
+    assert M.data == Matrix(M.ring, M.rows, M.cols, M.to_lists()).data
+
+
+wide_entries = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def matrix_of(draw, ring, rows, cols):
+    return Matrix(ring, rows, cols,
+                  [[draw(wide_entries) for _ in range(cols)]
+                   for _ in range(rows)])
+
+
+def indices(size):
+    return st.lists(st.integers(0, size - 1), max_size=3) if size \
+        else st.just([])
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operations_build_canonical_matrices(ring, data):
+    dim = st.integers(min_value=0, max_value=3)
+    r, c, k = data.draw(dim), data.draw(dim), data.draw(dim)
+    A, B = data.draw(matrix_of(ring, r, c)), data.draw(matrix_of(ring, r, c))
+    C, E = data.draw(matrix_of(ring, c, k)), data.draw(matrix_of(ring, r, k))
+    s = data.draw(wide_entries)
+    results = [
+        A + B, A - B, -A, A.scale(s), A @ C, A.kron(C), A.transpose(),
+        A.hstack(E), A.vstack(B),
+        A.submatrix(data.draw(indices(r)), data.draw(indices(c))),
+        A.submatrix(range(r), range(c)), A.vec(),
+        Matrix.unvec(ring, A.vec(), r, c),
+        Matrix.block_diagonal(ring, [A, C]),
+        Matrix.assemble(ring, [r, c], [c, k], {(0, 0): A, (1, 1): C}),
+        Matrix.identity(ring, k), Matrix.zero(ring, r, c), kernel_matrix(A)]
+    dec = snf(A)
+    results += [dec.U, dec.D, dec.V]
+    X = solve(A, A @ C)
+    assert X is not None and A @ X == A @ C
+    results.append(X)
+    Y = solve(A, E)
+    if Y is not None:
+        results.append(Y)
+    _, injections, projections = direct_sum(
+        [PresentedModule(ring, r, A), PresentedModule(ring, c, C)])
+    results += [f.action for f in injections + projections]
+    for M in results:
+        assert_canonical(M)
+
+
+def test_public_constructor_checks_shape_and_reduces():
+    with pytest.raises(ValueError):
+        Matrix(ZZ, 2, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix(ZZ, 2, 2, [[1, 2]])
+    with pytest.raises(ValueError):
+        Matrix(ZZ, -1, 0)
+    assert Matrix(Zmod(6), 1, 3, [[7, -1, 12]]).data == ((1, 5, 0),)
+    assert Matrix(ZZ, 1, 2, [[7, -1]]).data == ((7, -1),)
+
+
+def test_combining_matrices_needs_one_ring():
+    A, B = Matrix.identity(ZZ, 2), Matrix.identity(Zmod(6), 2)
+    for op in (lambda: A + B, lambda: A @ B, lambda: A.hstack(B),
+               lambda: A.vstack(B), lambda: A.kron(B),
+               lambda: Matrix.block_diagonal(ZZ, [A, B]),
+               lambda: Matrix.assemble(ZZ, [2], [2], {(0, 0): B}),
+               lambda: Matrix.unvec(ZZ, B.vec(), 2, 2)):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_rings_are_interned_and_compare_by_value():
+    from chaincert.exact.rings import RingSpec
+
+    assert Zmod(6) is Zmod(6)
+    assert RingSpec.from_json({"kind": "Zmod", "modulus": 6}) is Zmod(6)
+    assert RingSpec.from_json({"kind": "Z"}) is ZZ
+    direct = RingSpec("Zmod", 6)
+    assert direct == Zmod(6) and hash(direct) == hash(Zmod(6))
+    assert Zmod(4) != Zmod(6) and Zmod(6) != ZZ
+    for bad in ("6", 6.5, 6.0, True, 1):
+        with pytest.raises(ValueError):
+            Zmod(bad)
