@@ -16,7 +16,7 @@ from typing import Callable
 from .chains.build import brutal_truncation, concentrated, unit_complex, \
     zero_complex
 from .chains.cochain import dualize_map
-from .chains.complexes import ChainMap, LiftingProblem, chain_map_equal
+from .chains.complexes import ChainMap, LiftingProblem
 from .chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
 from .chains.tensor import cylinder_map, interval_cylinder
 from .errors import CertificateError
@@ -123,10 +123,8 @@ def _pred_ez_aw(case, cfg):
         W = aw(A, B, T)
     except ValueError:
         return FAIL  # not even chain maps
-    if not chain_map_equal(W.compose(E), ChainMap.identity(E.source)):
-        return FAIL
     try:
-        find_ez_aw_homotopy(A, B, T, E, W)
+        find_ez_aw_homotopy(A, B, T, E, W)  # checks AW o EZ = id first
     except CertificateError:
         return FAIL
     return PASS

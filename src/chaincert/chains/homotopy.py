@@ -1,8 +1,10 @@
 """Homotopy-theoretic decisions: contractions, homotopies, equivalences.
 
-A contraction is built one degree at a time; a nullhomotopy of a map is
-one system in all its components at once (`solve_map_relations` picks
-the route).  Positive answers come with witnesses that re-verify exactly.
+A contraction of the image of an idempotent chain map is built one
+degree at a time; contractibility and the EZ/AW homotopies are such
+contractions.  A nullhomotopy of an arbitrary map is one system in all
+its components at once (`solve_map_relations` picks the route).
+Positive answers come with witnesses that re-verify exactly.
 """
 
 from __future__ import annotations
@@ -43,29 +45,34 @@ def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
     return ChainHomotopy(ChainMap.zero(X, Y), f, parts)
 
 
-def find_contraction(C: ChainComplex) -> ChainHomotopy | None:
-    """s with d s + s d = id, i.e. a contraction of C onto zero.
+def contract_image(p: ChainMap) -> ChainHomotopy | None:
+    """s with d s + s d = p, landing in im p, for an idempotent chain map p.
 
-    Built degree by degree: s_n : C_n -> C_{n+1} solves
+    Needs p o p = p on a complex C; then s is a contraction of im p, and
+    it exists iff p is null-homotopic.  Built degree by degree:
+    s_n : C_n -> C_{n+1} solves
 
-        d_{n+1} s_n = phi_n := id - s_{n-1} d_n   (modulo the relations of C_n)
+        d_{n+1} s_n = phi_n := p_n - s_{n-1} d_n   (modulo the relations of C_n)
 
     together with the well-definedness of s_n: one `solve_map_relations`
     call per degree, in one unknown with identity or source-relation
-    right factors, so never the flattened route.
+    right factors, so never the flattened route.  The solution stored is
+    p_{n+1} s_n, which solves the same relation and lands in im p.
 
-    The route is complete.  phi_n lands in the cycles Z_n, since
-    d_n phi_n = d_n - (id - s_{n-2} d_{n-1}) d_n = 0.  If C is
-    contractible, by some t, then Z_n = B_n and t restricted to Z_n is a
-    section of d_{n+1} onto it, so t phi_n is a well-defined solution
-    whatever s_{n-1} was; hence a degree with no solution proves that C
-    is not contractible.  A solution in every degree is a contraction.
+    The route is complete.  If s_{n-1} = p s_{n-1}, then p phi_n = phi_n,
+    and phi_n is a cycle, since d_n phi_n = p d_n - (p - s_{n-2} d_{n-1})
+    d_n = 0.  If p = d G + G d for some G, then t = p G contracts im p:
+    for a cycle phi in im p, d t phi = p (p - G d) phi = phi.  So t phi_n
+    is a well-defined solution whatever s_{n-1} was, and a degree with no
+    solution proves that no such G exists.  A solution in every degree
+    is a homotopy from zero to p.
     """
+    C = p.source
     ring = C.ring
     parts: list[ModuleMap] = []
     for n in range(C.top + 1):
         src, tgt = C.module(n), C.module(n + 1)
-        phi = Matrix.identity(ring, src.generators)
+        phi = p.component(n).action
         if parts:
             phi = phi - parts[-1].action @ C.differential(n).action
         var = MapVariable("s", src, tgt)
@@ -76,8 +83,18 @@ def find_contraction(C: ChainComplex) -> ChainHomotopy | None:
             well_definedness(var)])
         if sol is None:
             return None
-        parts.append(ModuleMap(src, tgt, sol["s"], check=False))
-    return ChainHomotopy(ChainMap.zero(C, C), ChainMap.identity(C), parts)
+        s_n = p.component(n + 1).action @ sol["s"]
+        parts.append(ModuleMap(src, tgt, s_n, check=False))
+    return ChainHomotopy(ChainMap.zero(C, C), p, parts)
+
+
+def find_contraction(C: ChainComplex) -> ChainHomotopy | None:
+    """s with d s + s d = id, i.e. a contraction of C onto zero.
+
+    `contract_image` of the identity; a degree with no solution proves
+    that C is not contractible.
+    """
+    return contract_image(ChainMap.identity(C))
 
 
 def chain_homotopic(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:

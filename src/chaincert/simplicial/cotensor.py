@@ -9,8 +9,10 @@ between degree-n hom elements f and chain maps F on N(A) (x) D^n:
     F(x (x) e) = (-1)^{n|x|} f(x),     F(x (x) e') = (-1)^{(n-1)|x|} (df)(x),
 
 with EZ* = precompose the shuffle map and AW* = precompose the front-back
-map.  EZ* o AW* is the identity on the nose and AW* o EZ* is homotopic to
-the identity by a solver witness, both verified exactly.
+map.  EZ* o AW* is the identity on the nose, so id - AW* o EZ* is an
+idempotent chain map, and AW* o EZ* is homotopic to the identity by a
+contraction of its image, built degree by degree (`contract_image`);
+both are verified exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import comb
 from ..chains.build import disk, unit_complex
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
 from ..chains.homcx import ChainMapsSpace, HomWindow, hom_truncation
-from ..chains.homotopy import nullhomotopy
+from ..chains.homotopy import contract_image
 from ..chains.tensor import TensorLayout
 from ..chains.truncate import Truncation
 from ..errors import CertificateError
@@ -37,11 +39,11 @@ from .module import (SimplicialMap, SimplicialModule, constant_module,
 # A.top + n of A (x) Gamma(D^n), would have more generators than this.
 # The default through 3 passes on every pair of fixtures/: the largest is
 # A = D3 of disks_spheres.json (a chain complex read through Gamma), whose
-# level 6 has 1225 generators.  The count ignores B, and the time depends
-# on it (two vCPUs, Python 3.11): D3 x S0 takes 0.6 s, D3 x D3 about
-# 230 s with a peak RSS of 1.2 GB.  For sD1 and sS1 of
-# fixtures/simplicial.json through 11 reaches 1014 generators and takes
-# about 3.5 s; through 12 reaches 1274 and is refused.
+# level 6 has 1225 generators.  The count ignores B, which matters little
+# at this size (whole `ez-aw --dual` runs, two vCPUs, Python 3.11): D3 x S0
+# takes 0.6 s and D3 x D3 1.2 s, both with a peak RSS of about 34 MB.  For
+# sD1 and sS1 of fixtures/simplicial.json through 11 reaches 1014
+# generators and takes about 3.7 s; through 12 reaches 1274 and is refused.
 MAX_COTENSOR_GENERATORS = 1250
 
 
@@ -270,7 +272,7 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
                            ChainMap.identity(trunc.complex)):
         raise CertificateError("EZ* o AW* failed to be the identity")
     composite = aw_star.compose(ez_star)
-    h = nullhomotopy(ChainMap.identity(cot.complex) - composite)
+    h = contract_image(ChainMap.identity(cot.complex) - composite)
     if h is None:
         raise CertificateError("AW* o EZ* is not homotopic to the identity")
     homotopy = ChainHomotopy(composite, ChainMap.identity(cot.complex),

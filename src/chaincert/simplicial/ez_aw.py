@@ -3,14 +3,16 @@
 EZ sends x (x) y in bidegree (p, q) to the signed sum over (p, q)-shuffles
 of paired degeneracies; AW sends a level element to the sum of its front
 face tensor back face.  Both are chain maps, AW o EZ is the identity on
-the nose, and EZ o AW is homotopic to the identity by a solver-produced
-witness; all three facts are verified exactly on every instance.
+the nose, so id - EZ o AW is an idempotent chain map, and EZ o AW is
+homotopic to the identity by a contraction of its image, built degree by
+degree (`contract_image`); all three facts are verified exactly on every
+instance.
 """
 
 from __future__ import annotations
 
-from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
-from ..chains.homotopy import nullhomotopy
+from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
+from ..chains.homotopy import contract_image
 from ..chains.tensor import TensorLayout
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -109,14 +111,21 @@ def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,
                         T: SimplicialModule,
                         ez_map: ChainMap | None = None,
                         aw_map: ChainMap | None = None) -> ChainHomotopy:
-    """H with d H + H d = id - EZ o AW on N(A (x) B); must always exist."""
+    """H with d H + H d = id - EZ o AW on N(A (x) B); must always exist.
+
+    AW o EZ = id is checked first: it makes id - EZ o AW idempotent, so
+    that `contract_image` finding nothing proves there is no H.
+    """
     if ez_map is None:
         ez_map = ez(A, B, T)
     if aw_map is None:
         aw_map = aw(A, B, T)
+    if not chain_map_equal(aw_map.compose(ez_map),
+                           ChainMap.identity(ez_map.source)):
+        raise CertificateError("AW o EZ failed to be the identity")
     composite = ez_map.compose(aw_map)
     ident = ChainMap.identity(T.normalized)
-    h = nullhomotopy(ident - composite)
+    h = contract_image(ident - composite)
     if h is None:
         raise CertificateError("EZ o AW is not homotopic to the identity; "
                                "this indicates corrupted level data")

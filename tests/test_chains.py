@@ -14,21 +14,27 @@ from chaincert.chains.cones import (mapping_cocylinder, mapping_cone,
                                     mapping_cylinder, pushout_complexes)
 from chaincert.chains.homcx import ChainMapsSpace, hom_complex, hom_truncation
 from chaincert.chains.homology import homology, homology_iso_all_degrees
-from chaincert.chains.homotopy import (chain_homotopic, find_contraction,
+from chaincert.chains.homotopy import (chain_homotopic, contract_image,
+                                       find_contraction,
                                        is_chain_homotopy_equivalence, nullhomotopy,
                                        quasi_iso)
 from chaincert.chains.tensor import (TensorLayout, braiding, interval_cylinder,
                                      tensor_chain_maps, tensor_complex)
 from chaincert.chains.truncate import WindowComplex, good_truncation, \
     window_of_complex
+from chaincert.certify import SUITES, CertifyConfig
 from chaincert.exact import equations
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, map_equal
 from chaincert.exact.rings import ZZ, Zmod
+from chaincert.exact.snf import solve
 from chaincert.io.document import (chain_map_to_json, cochain_map_from_json,
-                                   complex_to_json, parse_cochain_complex)
+                                   complex_to_json, parse_chain_complex,
+                                   parse_cochain_complex)
 from chaincert.models.generators import (random_chain_map, random_complex,
                                          twist_complex_with_iso)
+from chaincert.simplicial.ez_aw import aw, ez
+from chaincert.simplicial.module import degreewise_tensor, gamma
 
 
 def two_step(ring, a, b):
@@ -247,6 +253,62 @@ def test_contraction_agrees_with_flattened_oracle(monkeypatch, ring):
     assert True in expected and False in expected
     _forbid_flattening(monkeypatch)
     assert [find_contraction(C) is not None for C in cones] == expected
+
+
+def _summand_idempotent(ring, rng):
+    """iota o pi of one summand of X + Y, conjugated by a random iso.
+
+    The image is X or Y; X is contractible about half the time."""
+    Y = random_complex(ring, rng, max_top=2, max_rank=2)
+    if rng.random() < 0.5:
+        X = mapping_cone(ChainMap.identity(
+            random_complex(ring, rng, max_top=1, max_rank=2))).complex
+    else:
+        X = random_complex(ring, rng, max_top=2, max_rank=2)
+    total, injs, projs = direct_sum_complexes([X, Y])
+    k = rng.randrange(2)
+    twisted, iso = twist_complex_with_iso(total, rng)
+    inverse = ChainMap(twisted, total, [
+        ModuleMap(twisted.module(n), total.module(n),
+                  solve(iso.component(n).action,
+                        Matrix.identity(ring, total.module(n).generators)))
+        for n in range(total.top + 1)])
+    return iso.compose(injs[k]).compose(projs[k]).compose(inverse)
+
+
+def _ez_aw_idempotent(ring, index):
+    """id - EZ o AW on the case ``index`` of the pinned ez-aw suite."""
+    seed = 20260809  # tests/test_acceptance.py, criterion 2
+    cfg = CertifyConfig("ez-aw", seed=seed, cases=1, ring=ring)
+    case = SUITES["ez-aw"].generate(
+        random.Random(seed * 1_000_003 + index), cfg)
+    A = gamma(parse_chain_complex(ring, case["a"], "a"), verify=False)
+    B = gamma(parse_chain_complex(ring, case["b"], "b"), verify=False)
+    T = degreewise_tensor(A, B)
+    return (ChainMap.identity(T.normalized)
+            - ez(A, B, T).compose(aw(A, B, T)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_image_contraction_agrees_with_nullhomotopy_oracle(monkeypatch,
+                                                           ring):
+    rng = random.Random(11)
+    summands = [_summand_idempotent(ring, rng) for _ in range(24)]
+    idempotents = summands + [_ez_aw_idempotent(ring, i) for i in range(6)]
+    for p in idempotents:
+        assert chain_map_equal(p.compose(p), p)
+    oracle = [nullhomotopy(p) for p in idempotents]
+    decided = [h is not None for h in oracle[:len(summands)]]
+    assert True in decided and False in decided
+    assert None not in oracle[len(summands):]
+    _forbid_flattening(monkeypatch)
+    for p, h in zip(idempotents, oracle):
+        s = contract_image(p)
+        assert (s is None) == (h is None)
+        if s is not None:  # both witnesses verify, and s lands in im p
+            assert s.validate() and h.validate()
+            assert all(map_equal(p.component(n + 1).compose(part), part)
+                       for n, part in enumerate(s.parts))
 
 
 def test_homotopy_equivalence_examples():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -816,11 +817,38 @@ def test_default_through_passes_on_every_fixture_pair():
     assert largest == 1225 <= MAX_COTENSOR_GENERATORS
 
 
+def test_cli_plain_ez_aw_runs_on_every_fixture_pair(capsys):
+    # every ordered pair of objects ez-aw accepts, 95 in all; D3 x D3 of
+    # disks_spheres.json is the largest, with N(D3 (x) D3) of rank 126
+    started = time.perf_counter()
+    pairs = 0
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(fixture(name)) as fh:
+            doc = parse_document(json.load(fh))
+        accepted = []
+        for obj in doc.objects:
+            try:
+                doc.simplicial(obj)
+            except DocumentError:
+                continue
+            accepted.append(obj)
+        for a in accepted:
+            for b in accepted:
+                code, out = run_cli(["ez-aw", "--doc", fixture(name),
+                                     "--a", a, "--b", b], capsys)
+                assert code == 0, (name, a, b)
+                assert json.loads(out)["aw_ez_identity"] is True
+                pairs += 1
+    assert pairs == 95
+    assert time.perf_counter() - started <= 30
+
+
 def test_cli_ez_aw_dual_builds_the_largest_fixture_level(capsys):
     # D3 (a chain complex, read through Gamma) reaches 1225 generators at
-    # the default through 3; S0 keeps the chain-map systems small
+    # the default through 3; D3 is also the largest B, which sizes the
+    # chain-map systems N(A (x) Gamma(D^n)) -> N(B)
     code, out = run_cli(["ez-aw", "--doc", fixture("disks_spheres.json"),
-                         "--a", "D3", "--b", "S0", "--dual"], capsys)
+                         "--a", "D3", "--b", "D3", "--dual"], capsys)
     assert code == 0
     assert set(json.loads(out)["dual"]) == {"aw_star", "ez_star", "homotopy"}
 

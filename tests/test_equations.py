@@ -3,6 +3,7 @@ system, and every solution re-checked by multiplication."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincert.cli import main
@@ -188,7 +189,9 @@ def test_retractions_and_factorizations_skip_flattening(monkeypatch):
         assert is_split_epi(ModuleMap(B, C, Matrix(ring, 1, 2, [[0, 1]])))
 
 
-def test_monoidal_smod_never_flattens(monkeypatch, tmp_path):
+@pytest.mark.parametrize("suite", ["monoidal-smod", "ez-aw", "ez-aw-dual"])
+@pytest.mark.parametrize("ring", ["z", "z/6"])
+def test_suite_never_flattens(monkeypatch, tmp_path, suite, ring):
     reached = []
 
     def flattened(*args):
@@ -197,8 +200,7 @@ def test_monoidal_smod_never_flattens(monkeypatch, tmp_path):
 
     monkeypatch.setattr(equations, "_solve_flattened", flattened)
     out = tmp_path / "report.json"
-    for ring in ("z", "z/6"):
-        assert main(["certify", "--suite", "monoidal-smod", "--seed", "7",
-                     "--cases", "5", "--ring", ring, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["ok"]
+    assert main(["certify", "--suite", suite, "--seed", "7", "--cases", "20",
+                 "--ring", ring, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ok"]
     assert not reached

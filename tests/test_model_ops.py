@@ -251,7 +251,7 @@ def test_chain_section_retraction_helpers():
 
 # Under python -O every witness re-check must still raise.  The simplicial
 # pipelines run first, with the lifts stubbed to fail and the cylinder ends
-# swapped; the EZ/AW predicates run with no nullhomotopy found; then the
+# swapped; the EZ/AW predicates run with no contraction found; then the
 # solver is stubbed to answer zero for every unknown, a wrong answer for
 # each call.
 CERTIFICATE_GUARDS = """
@@ -304,7 +304,7 @@ report({
         cot),
 })
 
-ez_aw.nullhomotopy = cotensor.nullhomotopy = lambda f: None
+ez_aw.contract_image = cotensor.contract_image = lambda p: None
 case = {"a": complex_to_json(disk(ZZ, 1)), "b": complex_to_json(sphere(ZZ, 0))}
 for suite in ("ez-aw", "ez-aw-dual"):
     print(suite, certify.SUITES[suite].predicate(
