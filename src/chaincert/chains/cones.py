@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exact.matrix import Matrix
-from ..exact.modules import (ModuleMap, PresentedModule, direct_sum,
+from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
                              factor_through, pullback_modules, pushout_modules)
 from .build import interval
 from .complexes import ChainComplex, ChainMap
@@ -42,8 +42,7 @@ def mapping_cone(f: ChainMap) -> ConeData:
     top = max(X.top + 1, Y.top)
     mods: list[PresentedModule] = []
     for n in range(top + 1):
-        total, _, _ = direct_sum([X.module(n - 1), Y.module(n)])
-        mods.append(total)
+        mods.append(direct_sum_module(ring, [X.module(n - 1), Y.module(n)]))
     diffs: list[ModuleMap] = []
     for n in range(1, top + 1):
         gxs = X.module(n - 1).generators
@@ -236,5 +235,5 @@ def mapping_cocylinder(p: ChainMap) -> CocylinderData:
 def _pullback_inclusion(prE: ModuleMap, prBI: ModuleMap) -> ModuleMap:
     """Recover the inclusion P -> E (+) B^I from the two projections."""
     action = prE.action.vstack(prBI.action)
-    total, _, _ = direct_sum([prE.target, prBI.target])
+    total = direct_sum_module(prE.source.ring, [prE.target, prBI.target])
     return ModuleMap(prE.source, total, action, check=False)

@@ -10,8 +10,8 @@ truncation is the module of chain maps X -> Y.
 from __future__ import annotations
 
 from ..exact.matrix import Matrix
-from ..exact.modules import (HomSpace, ModuleMap, PresentedModule, direct_sum,
-                             kernel, map_equal)
+from ..exact.modules import (HomSpace, ModuleMap, PresentedModule,
+                             direct_sum_module, kernel, map_equal)
 from ..exact.snf import solve
 from .complexes import ChainComplex, ChainMap
 from .truncate import Truncation, WindowComplex, good_truncation
@@ -52,10 +52,7 @@ class HomWindow:
             offsets.append((i, pos))
             pos += sp.module.generators
             mods.append(sp.module)
-        if mods:
-            total, _, _ = direct_sum(mods)
-        else:
-            total = PresentedModule.zero(self.ring)
+        total = direct_sum_module(self.ring, mods)
         self._mods[n] = total
         self._offsets[n] = offsets
         return total

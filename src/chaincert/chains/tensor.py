@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, PresentedModule, direct_sum, tensor_module
+from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
+                             tensor_module)
 from .build import interval
 from .complexes import ChainComplex, ChainMap
 
@@ -48,10 +49,7 @@ class TensorLayout:
             return z
         summands = [tensor_module(self.X.module(i), self.Y.module(j))
                     for i, j in self.pairs(n)]
-        if summands:
-            total, _, _ = direct_sum(summands)
-        else:
-            total = PresentedModule.zero(self.ring)
+        total = direct_sum_module(self.ring, summands)
         self._modules[n] = total
         self._summands[n] = summands
         return total

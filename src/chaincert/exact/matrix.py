@@ -14,13 +14,14 @@ into a tuple and reduces every entry mod m.  Matrix's own operations and
 the kernel in ``exact/`` produce entries that are canonical already, so
 they wrap their finished tuples with ``_from_canonical``, which checks
 nothing.  Over Z/m the rule is: an operation whose result can leave
-[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron``) reduces each
-entry once before it wraps, and an operation that only moves or copies
-canonical entries (``transpose``, ``hstack``, ``vstack``, ``submatrix``,
-``vec``, ``unvec``, ``block_diagonal``, ``assemble``, ``identity``,
-``zero``) never reduces.  Over Z every integer is canonical.  Operations
-that combine matrices require one ring; rings are interned (see
-``rings.py``), so that check is usually a pointer compare.
+[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron``,
+``kron_submatrix``) reduces each entry once before it wraps, and an
+operation that only moves or copies canonical entries (``transpose``,
+``hstack``, ``vstack``, ``submatrix``, ``vec``, ``unvec``,
+``block_diagonal``, ``assemble``, ``identity``, ``zero``) never reduces.
+Over Z every integer is canonical.  Operations that combine matrices
+require one ring; rings are interned (see ``rings.py``), so that check
+is usually a pointer compare.
 ``_from_canonical`` is private to ``exact/``: code outside it builds
 matrices with the public constructor or with these operations.  Each
 row is built as a list and turned into a tuple from that list, which
@@ -228,6 +229,22 @@ class Matrix:
         else:
             data = [tuple([x % m for x in row]) for row in out]
         return _from_canonical(self.ring, rows, cols, tuple(data))
+
+    def kron_submatrix(self, other: "Matrix", row_idx: Iterable[int],
+                       col_idx: Iterable[int]) -> "Matrix":
+        """``self.kron(other).submatrix(row_idx, col_idx)``, computing only
+        the selected entries."""
+        self._same_ring(other)
+        m = self.ring.modulus
+        orows, ocols = other.rows, other.cols
+        cols = [divmod(c, ocols) for c in col_idx]
+        out = []
+        for r in row_idx:
+            i, k = divmod(r, orows)
+            srow, orow = self.data[i], other.data[k]
+            row = [srow[j] * orow[l] for j, l in cols]
+            out.append(tuple(row) if m is None else tuple([x % m for x in row]))
+        return _from_canonical(self.ring, len(out), len(cols), tuple(out))
 
     # -- block and slicing helpers -------------------------------------
 

@@ -227,17 +227,24 @@ def factor_through(incl: ModuleMap, u: ModuleMap) -> ModuleMap | None:
 # -- sums, tensor, hom -------------------------------------------------
 
 
+def direct_sum_module(ring: RingSpec, modules: Sequence[PresentedModule]
+                      ) -> PresentedModule:
+    """The direct sum alone: block-diagonal relations, zero when empty."""
+    if any(m.ring != ring for m in modules):
+        raise ValueError("ring mismatch")
+    return PresentedModule(ring, sum(m.generators for m in modules),
+                           Matrix.block_diagonal(ring, [m.relations
+                                                        for m in modules]))
+
+
 def direct_sum(modules: Sequence[PresentedModule]
                ) -> tuple[PresentedModule, list[ModuleMap], list[ModuleMap]]:
     """Direct sum with injections and projections."""
     if not modules:
         raise ValueError("empty direct sum: pass the zero module explicitly")
     ring = modules[0].ring
-    if any(m.ring != ring for m in modules):
-        raise ValueError("ring mismatch")
-    total = sum(m.generators for m in modules)
-    rel = Matrix.block_diagonal(ring, [m.relations for m in modules])
-    out = PresentedModule(ring, total, rel)
+    out = direct_sum_module(ring, modules)
+    total = out.generators
     injections, projections = [], []
     offset = 0
     for m in modules:

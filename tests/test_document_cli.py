@@ -860,3 +860,16 @@ def test_cli_ez_aw_dual_through_over_the_bound_is_refused(capsys):
     assert exit_.value.code == 2
     assert "error: --through: level 13 of A (x) Gamma(D^12) would have " \
            "1274 generators" in capsys.readouterr().err
+
+
+def test_cli_ez_aw_dual_negative_through_is_refused(capsys):
+    doc = simplicial_fixture()
+    A, B = doc.simplicial("sD1"), doc.simplicial("sS1")
+    assert through_problem(A, B, -1) == "through must be an integer >= 0"
+    assert through_problem(A, B, 0) is None
+    with pytest.raises(SystemExit) as exit_:
+        main(["ez-aw", "--doc", fixture("simplicial.json"), "--a", "sD1",
+              "--b", "sS1", "--dual", "--through", "-1"])
+    assert exit_.value.code == 2
+    assert "error: --through: through must be an integer >= 0" in \
+        capsys.readouterr().err

@@ -1,24 +1,29 @@
 """Denormalization, normalization, degreewise tensor, EZ/AW identities."""
 
+import json
+import os
 import random
 from math import comb
 
 import pytest
 
-from chaincert.chains.build import disk, interval, sphere, unit_complex
-from chaincert.chains.complexes import ChainMap, chain_map_equal
+from chaincert.chains.build import (concentrated, direct_sum_complexes, disk,
+                                    interval, sphere, unit_complex)
+from chaincert.chains.complexes import ChainComplex, ChainMap, chain_map_equal
 from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import map_equal, ModuleMap
+from chaincert.exact.modules import map_equal, ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.models.generators import random_complex
-from chaincert.simplicial.levels import (GammaLevels, normalized_projector,
+from chaincert.simplicial.levels import (GammaLevels, TensorLevels,
+                                         moore_rows, normalized_projector,
                                          verify_simplicial_identities)
 from chaincert.simplicial.module import (SimplicialMap, constant_module,
                                          degreewise_tensor, end_inclusion,
                                          full_injection, gamma, gamma_map,
                                          interval_object, normalize,
                                          normalize_with_inclusions,
+                                         normalized_quotient,
                                          tensor_normalized_map)
 from chaincert.simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
 from chaincert.simplicial.surjections import shuffles, surjections
@@ -230,3 +235,117 @@ def test_tensor_normalized_map_functorial():
     T = degreewise_tensor(A, B)
     n_map = tensor_normalized_map(f, g, T, T)
     assert chain_map_equal(n_map, ChainMap.identity(T.normalized))
+
+
+# -- the full-matrix route as the oracle of the row-selected one ------------
+
+
+def _scanned_nondegenerate(levels, n):
+    return [idx for idx in range(levels.module(n).generators)
+            if not levels.degeneracy_positions(n, idx)]
+
+
+def _full_moore_differential(levels, n):
+    out = levels.face(n, 0)
+    for i in range(1, n + 1):
+        term = levels.face(n, i)
+        out = out - term if i % 2 else out + term
+    return out
+
+
+def _full_restricted_relations(levels, n, full):
+    rel = levels.module(n).relations
+    restricted = rel.submatrix(full, range(rel.cols))
+    keep = [j for j in range(restricted.cols)
+            if any(restricted[i, j] != 0 for i in range(restricted.rows))]
+    return restricted.columns(keep)
+
+
+def _full_normalized_quotient(levels, top):
+    ring = levels.ring
+    coords = [_scanned_nondegenerate(levels, n) for n in range(top + 1)]
+    mods = [PresentedModule(ring, len(full),
+                            _full_restricted_relations(levels, n, full))
+            for n, full in enumerate(coords)]
+    diffs = [ModuleMap(mods[n], mods[n - 1],
+                       _full_moore_differential(levels, n).submatrix(
+                           coords[n - 1], coords[n]))
+             for n in range(1, top + 1)]
+    return ChainComplex(ring, mods, diffs)
+
+
+def _torsion_complex(ring):
+    """R/2 in degree 1 beside the disk D^1."""
+    pieces = [concentrated(PresentedModule.cyclic(ring, 2), 1), disk(ring, 1)]
+    return direct_sum_complexes(pieces)[0]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_row_selected_levels_agree_with_full_matrices(ring):
+    rng = random.Random(23)
+    A = gamma(_torsion_complex(ring))
+    B = gamma(random_complex(ring, rng, max_top=1, max_rank=2))
+    C = gamma(sphere(ring, 1))
+    AB = degreewise_tensor(A, B)
+    for T in (AB, degreewise_tensor(AB, C)):
+        levels, top = T.levels, T.top
+        assert any(levels.module(n).relations.cols for n in range(top + 1))
+        for n in range(top + 2):
+            full = _scanned_nondegenerate(levels, n)
+            assert levels.nondegenerate_coords(n) == full
+            assert levels.relations_on(n, full) == \
+                _full_restricted_relations(levels, n, full)
+            if n:
+                rows = _scanned_nondegenerate(levels, n - 1)
+                M = _full_moore_differential(levels, n)
+                assert moore_rows(levels, n, rows) == \
+                    M.submatrix(rows, range(M.cols))
+        assert T.normalized == normalized_quotient(levels, top) == \
+            _full_normalized_quotient(levels, top)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_kron_submatrix_agrees_with_kron(ring):
+    rng = random.Random(3)
+    F = Matrix(ring, 3, 2, [[rng.randint(-9, 9) for _ in range(2)]
+                            for _ in range(3)])
+    G = Matrix(ring, 2, 4, [[rng.randint(-9, 9) for _ in range(4)]
+                            for _ in range(2)])
+    rows, cols = [0, 3, 4, 5], [1, 2, 6, 7]
+    assert F.kron_submatrix(G, rows, cols) == \
+        F.kron(G).submatrix(rows, cols)
+    assert F.kron_submatrix(G, [], cols).rows == 0
+
+
+# the per-coordinate scan and whole tensor levels, which the normalization,
+# the tensor maps and EZ/AW no longer read
+NEVER_READ = ((GammaLevels, "degeneracy_positions"),
+              (TensorLevels, "degeneracy_positions"),
+              (TensorLevels, "module"), (TensorLevels, "face"),
+              (TensorLevels, "degeneracy"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--suite", "monoidal-smod", "--seed", "7", "--cases", "5"],
+    ["ez-aw", "--doc", "fixtures/simplicial.json", "--a", "sD1", "--b", "sS1"],
+    ["ez-aw", "--doc", "fixtures/simplicial.json", "--a", "sD1", "--b", "sS1",
+     "--dual"],
+], ids=["monoidal-smod", "ez-aw", "ez-aw-dual"])
+def test_tensor_normalization_never_scans(monkeypatch, capsys, argv):
+    from chaincert.cli import main
+
+    reached = []
+
+    def stub(cls, name):
+        def scan(*args):
+            reached.append((cls.__name__, name))
+            raise RuntimeError(f"{cls.__name__}.{name} was read")
+        return scan
+
+    for cls, name in NEVER_READ:
+        monkeypatch.setattr(cls, name, stub(cls, name))
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out.get("ok", True) and out.get("aw_ez_identity", True)
+    assert not reached
