@@ -118,10 +118,9 @@ def _pred_ez_aw(case, cfg):
         return INVALID
     A, B = gamma(CA, verify=False), gamma(CB, verify=False)
     T = degreewise_tensor(A, B)
-    try:
-        E = ez(A, B, T)
-        W = aw(A, B, T)
-    except ValueError:
+    E = ez(A, B, T)
+    W = aw(A, B, T)
+    if not (E.validate() and W.validate()):
         return FAIL  # not even chain maps
     try:
         find_ez_aw_homotopy(A, B, T, E, W)  # checks AW o EZ = id first

@@ -1,4 +1,22 @@
-"""Bounded non-negatively graded chain complexes of presented modules."""
+"""Bounded non-negatively graded chain complexes of presented modules.
+
+Trusted by construction, checked at the boundary.  ``ChainComplex``,
+``ChainMap``, ``ChainHomotopy`` (here), ``WindowComplex``
+(``truncate.py``) and ``ModuleMap`` (``exact/modules.py``) check their
+defining identity at construction: d o d = 0, the commuting squares, the
+homotopy relation, relations carried into relations.  ``check=False``
+skips it.  Only an internal construction passes it, for a result whose
+identity follows from how it is built (block-diagonal sums, conjugation
+by a change of basis, the cone and cylinder formulas, the decoding of a
+chain-maps module), and its docstring says why.  A construction whose
+identity needs a condition on its inputs checks it or keeps the check.
+Two kinds of data are always checked: data from outside (``io/document.py``
+and the public default of every constructor) and witnesses, the answers
+the solver finds (homotopies, inverses, lifts, and the maps ``verify``
+reads back).  ``tests/test_trust_boundary.py`` forces every constructor
+to check and reruns the suites and the fixtures, so a false claim fails
+there.
+"""
 
 from __future__ import annotations
 

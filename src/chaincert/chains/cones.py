@@ -37,6 +37,10 @@ class ConeData:
 
 
 def mapping_cone(f: ChainMap) -> ConeData:
+    """cone(f), a complex by construction: with d = [[-d_X, 0], [f, d_Y]],
+    d o d = [[d_X d_X, 0], [d_Y f - f d_X, d_Y d_Y]], which vanishes
+    because f is a chain map, and each block carries relations into
+    relations."""
     X, Y = f.source, f.target
     ring = X.ring
     top = max(X.top + 1, Y.top)
@@ -56,12 +60,19 @@ def mapping_cone(f: ChainMap) -> ConeData:
         }
         action = Matrix.assemble(ring, [gxt, gyt], [gxs, gys], blocks)
         diffs.append(ModuleMap(mods[n], mods[n - 1], action, check=False))
-    return ConeData(ChainComplex(ring, mods, diffs), f)
+    return ConeData(ChainComplex(ring, mods, diffs, check=False), f)
 
 
 def pushout_complexes(f: ChainMap, g: ChainMap
                       ) -> tuple[ChainComplex, ChainMap, ChainMap]:
-    """Degreewise pushout of B <-f- A -g-> C with its two injections."""
+    """Degreewise pushout of B <-f- A -g-> C with its two injections.
+
+    P_n is B_n (+) C_n modulo the columns (f_n, -g_n), and d_P is the
+    block-diagonal d_B (+) d_C.  This is a complex, and the injections
+    are chain maps, by construction: d_P carries the glued columns to
+    (f d, -g d) because f and g are chain maps, and each injection is a
+    block of the identity, so d_P o inj = inj o d holds on the nose.
+    """
     if f.source != g.source:
         raise ValueError("pushout legs must share their source")
     ring = f.source.ring
@@ -78,21 +89,29 @@ def pushout_complexes(f: ChainMap, g: ChainMap
     for n in range(1, top + 1):
         action = Matrix.block_diagonal(
             ring, [f.target.differential(n).action, g.target.differential(n).action])
-        diffs.append(ModuleMap(mods[n], mods[n - 1], action))
+        diffs.append(ModuleMap(mods[n], mods[n - 1], action, check=False))
     P = ChainComplex(ring, mods, diffs, check=False)
-    return (P, ChainMap(f.target, P, injB), ChainMap(g.target, P, injC))
+    return (P, ChainMap(f.target, P, injB, check=False),
+            ChainMap(g.target, P, injC, check=False))
 
 
-def pushout_induced_chain_map(P: ChainComplex, u: ChainMap, v: ChainMap
-                              ) -> ChainMap:
-    """Map out of a degreewise pushout presented on B (+) C generators."""
+def pushout_induced_chain_map(P: ChainComplex, u: ChainMap, v: ChainMap,
+                              *, check: bool = True) -> ChainMap:
+    """Map out of a degreewise pushout presented on B (+) C generators.
+
+    [u | v] commutes with the block-diagonal d_P because u and v are
+    chain maps, but it is well defined on P only when u o f = v o g for
+    the legs f, g of the pushout.  A caller passes ``check=False`` only
+    when that holds by construction, and says why.
+    """
     if u.target != v.target:
         raise ValueError("cone legs must share their target")
     comps = []
     for n in range(max(P.top, u.target.top) + 1):
         action = u.component(n).action.hstack(v.component(n).action)
-        comps.append(ModuleMap(P.module(n), u.target.module(n), action))
-    return ChainMap(P, u.target, comps)
+        comps.append(ModuleMap(P.module(n), u.target.module(n), action,
+                               check=check))
+    return ChainMap(P, u.target, comps, check=check)
 
 
 @dataclass
@@ -109,7 +128,9 @@ def mapping_cylinder(f: ChainMap) -> CylinderData:
     lay, i0, i1, r = interval_cylinder(X, interval(X.ring))
     Mf, inj_y, inj_cyl = pushout_complexes(f, i1)
     j = inj_cyl.compose(i0)
-    q = pushout_induced_chain_map(Mf, ChainMap.identity(Y), f.compose(r))
+    # id o f = (f o r) o i1, since r o i1 = id_X as matrices
+    q = pushout_induced_chain_map(Mf, ChainMap.identity(Y), f.compose(r),
+                                  check=False)
     return CylinderData(Mf, j, q, inj_y, inj_cyl)
 
 
@@ -132,16 +153,12 @@ def _constant_path_column(hw: HomWindow, n: int, col: Matrix) -> Matrix:
     ring = hw.ring
     sp = hw.space(0, n)
     # element of Hom(I_0, B_n) with both evaluations equal to col
-    target_cols = []
-    gB = hw.Y.module(n).generators
     coords_cols = []
     for j in range(col.cols):
         c = col.column_at(j)
         elem = c.hstack(c)  # gB x 2 matrix: e0 -> c, e1 -> c
         coords_cols.append(sp.coords(elem))
-    out = Matrix.zero(ring, sp.module.generators, 0)
-    for c in coords_cols:
-        out = out.hstack(c)
+    out = Matrix.hstack_all(ring, sp.module.generators, coords_cols)
     # pad with zeros for the other summands of the window degree
     offsets = hw.offsets(n)
     total = hw.module(n).generators
@@ -171,6 +188,17 @@ def _evaluation_window_matrix(hw: HomWindow, n: int, at: Matrix) -> Matrix:
 
 
 def mapping_cocylinder(p: ChainMap) -> CocylinderData:
+    """Np with its legs, all chain maps by construction.
+
+    The window differential is the restriction of d_E (+) d_{B^I} to the
+    pullback, found by factoring through its inclusion; the inclusion is
+    a monomorphism, so d o d = 0 there because it holds on E (+) B^I.
+    On the window the three legs are e -> (e, constant path at p(e)),
+    evaluation at e1 after the projection to B^I, and the projection to
+    E.  A constant path and an evaluation at a vertex are chain maps
+    (d e0 = d e1 = 0 and d e = e1 - e0 is killed by a constant path), and
+    so are p and the projections; the truncation keeps them so.
+    """
     E, B = p.source, p.target
     ring = E.ring
     hw = HomWindow(interval(ring), B)
@@ -203,7 +231,7 @@ def mapping_cocylinder(p: ChainMap) -> CocylinderData:
         if w is None:
             raise ValueError("cocylinder differential fails to restrict")
         diffs[n] = w
-    window = WindowComplex(ring, mods, diffs)
+    window = WindowComplex(ring, mods, diffs, check=False)
     trunc = good_truncation(window)
 
     # section leg  E -> Nf : e -> (e, constant path at p(e))
@@ -217,7 +245,7 @@ def mapping_cocylinder(p: ChainMap) -> CocylinderData:
         if w is None:
             raise ValueError("constant-path section fails to land in the pullback")
         sec_parts[n] = w
-    section = map_into_truncation(E, trunc, sec_parts)
+    section = map_into_truncation(E, trunc, sec_parts, check=False)
 
     # fibration leg Nf -> B : evaluate the path at e1
     fib_parts: dict[int, ModuleMap] = {}
@@ -227,8 +255,8 @@ def mapping_cocylinder(p: ChainMap) -> CocylinderData:
                         _evaluation_window_matrix(hw, n, e1), check=False)
         fib_parts[n] = ev1.compose(projP[n])
         toE_parts[n] = projE[n]
-    fibration = map_from_truncation(trunc, B, fib_parts)
-    to_E = map_from_truncation(trunc, E, toE_parts)
+    fibration = map_from_truncation(trunc, B, fib_parts, check=False)
+    to_E = map_from_truncation(trunc, E, toE_parts, check=False)
     return CocylinderData(trunc, section, fibration, to_E, hw, incls)
 
 

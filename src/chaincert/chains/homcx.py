@@ -87,9 +87,12 @@ class HomWindow:
         return ModuleMap(src, tgt, action, check=False)
 
     def window(self) -> WindowComplex:
+        """The window, a complex by construction: with
+        (df)_i = d f_i - (-1)^n f_{i-1} d, the two sign terms of
+        (ddf)_i cancel and d d = 0 on X and Y removes the rest."""
         mods = {n: self.module(n) for n in range(-1, self.top + 1)}
         diffs = {n: self.differential(n) for n in range(0, self.top + 1)}
-        return WindowComplex(self.ring, mods, diffs)
+        return WindowComplex(self.ring, mods, diffs, check=False)
 
 
 def hom_truncation(X: ChainComplex, Y: ChainComplex) -> tuple[Truncation, HomWindow]:
@@ -115,7 +118,13 @@ class ChainMapsSpace:
         self.inclusion = incl  # into the degree-0 window module
 
     def chain_map(self, coords: Matrix) -> ChainMap:
-        """Decode a coefficient column into an actual chain map."""
+        """Decode a coefficient column into an actual chain map.
+
+        A chain map by construction: the column lands in ker(d_0) of the
+        hom window through the kernel inclusion, and d_0 of a degree-0
+        element (f_i) is (d f_i - f_{i-1} d), so every square commutes;
+        each component is a combination of well-defined generators.
+        """
         v = self.inclusion.action @ coords
         comps: list[ModuleMap] = []
         offsets = dict(self.window.offsets(0))
@@ -130,7 +139,7 @@ class ChainMapsSpace:
                                        sp.element(c), check=False))
             else:
                 comps.append(ModuleMap.zero_map(self.X.module(n), self.Y.module(n)))
-        return ChainMap(self.X, self.Y, comps)
+        return ChainMap(self.X, self.Y, comps, check=False)
 
     def coords(self, f: ChainMap) -> Matrix:
         """Encode a chain map as a coefficient column (mod relations)."""
@@ -138,9 +147,7 @@ class ChainMapsSpace:
         for i in self.window.summand_indices(0):
             sp = self.window.space(i, 0)
             cols.append(sp.coords(f.component(i).action))
-        stacked = Matrix.zero(self.ring, 0, 1)
-        for c in cols:
-            stacked = stacked.vstack(c)
+        stacked = Matrix.vstack_all(self.ring, 1, cols)
         amb = self.inclusion.target
         sol = solve(self.inclusion.action.hstack(amb.relations), stacked)
         if sol is None:
@@ -150,17 +157,19 @@ class ChainMapsSpace:
 
 def evaluation_matrix(hs: HomSpace, element: Matrix) -> Matrix:
     """Matrix of Hom(M, N) -> N, phi -> phi(element)."""
-    ring = hs.source.ring
-    out = Matrix.zero(ring, hs.target.generators, 0)
-    for g in hs.gens:
-        out = out.hstack(g @ element)
-    return out
+    return Matrix.hstack_all(hs.source.ring, hs.target.generators,
+                             [g @ element for g in hs.gens])
 
 
 def map_from_truncation(source: Truncation, target: ChainComplex,
                         window_components: dict[int, ModuleMap],
                         *, check: bool = True) -> ChainMap:
-    """Build a chain map out of a truncation from window-level components."""
+    """Build a chain map out of a truncation from window-level components.
+
+    ``check=False`` is for callers whose components commute with the
+    window differentials by construction: composing with the kernel
+    inclusion keeps the squares commuting.
+    """
     comps = [window_components[0].compose(source.kernel_inclusion)]
     top = max(source.complex.top, target.top)
     for n in range(1, top + 1):
@@ -172,7 +181,12 @@ def map_from_truncation(source: Truncation, target: ChainComplex,
 def map_into_truncation(source: ChainComplex, target: Truncation,
                         window_components: dict[int, ModuleMap],
                         *, check: bool = True) -> ChainMap:
-    """Build a chain map into a truncation; degree 0 must hit ker(d_0)."""
+    """Build a chain map into a truncation; degree 0 must hit ker(d_0).
+
+    ``check=False`` is for callers whose components commute with the
+    window differentials by construction: the kernel inclusion is a
+    monomorphism, so the factored degree-0 square commutes too.
+    """
     from ..exact.modules import factor_through
 
     w0 = factor_through(target.kernel_inclusion, window_components[0])

@@ -178,6 +178,10 @@ def interval_cylinder(X: ChainComplex, I: ChainComplex
     The interval generators are ordered (e0, e1) in degree 0 and (e) in
     degree 1 with d e = e1 - e0, so i0 includes at e0 and r collapses the
     cylinder by sending both ends to x and the middle to 0.
+
+    All three are chain maps by construction: d(x (x) e_k) = dx (x) e_k
+    because d e_k = 0, and r kills d(x (x) e) = dx (x) e
+    +- (x (x) e1 - x (x) e0) because it sends both ends to x.
     """
     lay = TensorLayout(X, I)
     cyl = lay.complex()
@@ -201,9 +205,9 @@ def interval_cylinder(X: ChainComplex, I: ChainComplex
                                   Matrix(ring, total, gx, inj1), check=False))
         r_parts.append(ModuleMap(lay.module(n), X.module(n),
                                  Matrix(ring, gx, total, proj), check=False))
-    i0 = ChainMap(X, cyl, i0_parts)
-    i1 = ChainMap(X, cyl, i1_parts)
-    r = ChainMap(cyl, X, r_parts)
+    i0 = ChainMap(X, cyl, i0_parts, check=False)
+    i1 = ChainMap(X, cyl, i1_parts, check=False)
+    r = ChainMap(cyl, X, r_parts, check=False)
     return lay, i0, i1, r
 
 

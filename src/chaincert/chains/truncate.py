@@ -43,8 +43,6 @@ class WindowComplex:
             d = self.differential(n)
             if d.source != self.module(n) or d.target != self.module(n - 1):
                 raise ValueError(f"window differential {n} has wrong endpoints")
-            if n <= self.top - 0:
-                pass
         for n in range(1, self.top + 1):
             comp = self.differential(n - 1).compose(self.differential(n))
             if not comp.is_zero():
@@ -88,7 +86,10 @@ def truncate_window_map(components: dict[int, ModuleMap],
 
     ``components[n]`` is the window map at degree n >= 0; the degree-0
     component must carry ker(d_0) into ker(d_0), which is checked by the
-    factorization.
+    factorization.  A caller whose components commute with the window
+    differentials by construction passes ``check=False``: the truncated
+    squares are then the window squares, the one at degree 1 read
+    through the kernel inclusion, which is a monomorphism.
     """
     src, tgt = source.complex, target.complex
     top = max(src.top, tgt.top)

@@ -21,7 +21,8 @@ solved with a few small Smith forms:
       either column-type (every R_k the identity) or has zero rhs and
       every R_k equal to one matrix P, typically the relations of C (X is
       well defined).  With U P V = D put X = X' U: a column-type
-      relation reads L X' = rhs U^-1 modulo its `mod`, the other kind
+      relation reads L X' = rhs U^-1 modulo its `mod`, or (U L) X' = I
+      modulo D when rhs = I and `mod` = P (a section), the other kind
       d_j L X'_j = 0 modulo its `mod` for each column j, where d_j = 0
       past the diagonal.  Column j of X' is then one small system, and
       columns with equal d_j share it, so each group of columns takes one
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .matrix import Matrix
+from .matrix import Matrix, _from_canonical
 from .rings import RingSpec
 from .snf import snf, solve, solve_congruence
 
@@ -90,6 +91,8 @@ def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
     """Solve all relations simultaneously; None when inconsistent."""
     var_shape = {v.name: (v.rows, v.cols) for v in variables}
     for rel in relations:
+        if rel.rhs.ring is not ring and rel.rhs.ring != ring:
+            raise ValueError("right-hand side ring mismatch")
         p, q = rel.rhs.rows, rel.rhs.cols
         for _, L, name, R in rel.terms:
             vr, vc = var_shape[name]
@@ -136,8 +139,8 @@ def _solve_columns(ring: RingSpec, variables: list[MapVariable],
             blocks[(r, len(variables) + r)] = -mod
     system = Matrix.assemble(ring, [rel.rhs.rows for rel in relations],
                              [v.rows for v in variables] + slack_sizes, blocks)
-    rhs = [row for rel in relations for row in rel.rhs.data]
-    sol = solve(system, Matrix(ring, len(rhs), q, rhs))
+    rhs = tuple([row for rel in relations for row in rel.rhs.data])
+    sol = solve(system, _from_canonical(ring, len(rhs), q, rhs))
     if sol is None:
         return None
     out: dict[str, Matrix] = {}
@@ -216,36 +219,48 @@ def _solve_source_columns(ring: RingSpec, var: MapVariable,
     dec = snf(P)
     n = var.cols
     d = dec.diagonal + [0] * (n - len(dec.diagonal))
-    U_inv = solve(dec.U, Matrix.identity(ring, n))
+    U_inv = None
     # per relation: (sum of coeff * L, rhs U^-1 or None for the P kind, mod)
     parts = []
     for rel in relations:
         L = Matrix.zero(ring, rel.rhs.rows, var.rows)
         for coeff, L_k, _, _ in rel.terms:
             L = L + L_k.scale(coeff)
-        parts.append((L, rel.rhs @ U_inv if _column_type(rel, n) else None,
-                      _modulus(rel)))
+        mod = _modulus(rel)
+        if not _column_type(rel, n):
+            parts.append((L, None, mod))
+        elif mod == P and rel.rhs.is_identity():
+            # L X' = U^-1 modulo P reads (U L) X' = I modulo U P, whose
+            # columns span what those of D = U P V span (a section)
+            parts.append((dec.U @ L, rel.rhs, dec.D))
+        else:
+            if U_inv is None:
+                U_inv = solve(dec.U, Matrix.identity(ring, n))
+            parts.append((L, rel.rhs @ U_inv, mod))
     slack_sizes = [0 if mod is None else mod.cols for _, _, mod in parts]
     X = [[0] * n for _ in range(var.rows)]
     for dj in sorted(set(d)):
         cols = [j for j in range(n) if d[j] == dj]
         blocks: dict[tuple[int, int], Matrix] = {}
-        rhs: list[list[int]] = []
+        rhs: list[tuple[int, ...]] = []
         for r, (L, target, mod) in enumerate(parts):
             blocks[(r, 0)] = L if target is not None else L.scale(dj)
             if mod is not None:
                 blocks[(r, 1 + r)] = -mod
-            rhs += ([[row[j] for j in cols] for row in target.data]
-                    if target is not None else [[0] * len(cols)] * L.rows)
+            rhs += ([tuple([row[j] for j in cols]) for row in target.data]
+                    if target is not None else [(0,) * len(cols)] * L.rows)
         system = Matrix.assemble(ring, [L.rows for L, _, _ in parts],
                                  [var.rows] + slack_sizes, blocks)
-        sol = solve(system, Matrix(ring, len(rhs), len(cols), rhs))
+        sol = solve(system, _from_canonical(ring, len(rhs), len(cols),
+                                            tuple(rhs)))
         if sol is None:
             return None
         for i in range(var.rows):
             for c, j in enumerate(cols):
                 X[i][j] = sol[i, c]
-    return {var.name: Matrix(ring, var.rows, n, X) @ dec.U}
+    X_prime = _from_canonical(ring, var.rows, n,
+                              tuple([tuple(row) for row in X]))
+    return {var.name: X_prime @ dec.U}
 
 
 def _solve_flattened(ring: RingSpec, variables: list[MapVariable],

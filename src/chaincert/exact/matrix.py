@@ -18,7 +18,8 @@ nothing.  Over Z/m the rule is: an operation whose result can leave
 ``kron_submatrix``) reduces each entry once before it wraps, and an
 operation that only moves or copies canonical entries (``transpose``,
 ``hstack``, ``vstack``, ``submatrix``, ``vec``, ``unvec``,
-``block_diagonal``, ``assemble``, ``identity``, ``zero``) never reduces.
+``block_diagonal``, ``assemble``, ``hstack_all``, ``vstack_all``,
+``identity``, ``zero``) never reduces.
 Over Z every integer is canonical.  Operations that combine matrices
 require one ring; rings are interned (see ``rings.py``), so that check
 is usually a pointer compare.
@@ -335,6 +336,22 @@ class Matrix:
                 out[r0 + i][c0:c1] = brow
         return _from_canonical(ring, rows, cols,
                                tuple([tuple(row) for row in out]))
+
+    @staticmethod
+    def hstack_all(ring: RingSpec, rows: int,
+                   blocks: Sequence["Matrix"]) -> "Matrix":
+        """The blocks side by side, built in one pass; ``rows`` x 0 when
+        there are none."""
+        return Matrix.assemble(ring, [rows], [b.cols for b in blocks],
+                               {(0, j): b for j, b in enumerate(blocks)})
+
+    @staticmethod
+    def vstack_all(ring: RingSpec, cols: int,
+                   blocks: Sequence["Matrix"]) -> "Matrix":
+        """The blocks one above the other, built in one pass; 0 x ``cols``
+        when there are none."""
+        return Matrix.assemble(ring, [b.rows for b in blocks], [cols],
+                               {(i, 0): b for i, b in enumerate(blocks)})
 
     def change_ring(self, ring: RingSpec) -> "Matrix":
         return Matrix(ring, self.rows, self.cols, self.data)

@@ -338,11 +338,15 @@ class HomSpace:
 
 def _map_from_columns(source: PresentedModule, target: PresentedModule,
                       cols: list[Matrix]) -> ModuleMap:
-    ring = source.ring
-    action = Matrix.zero(ring, target.generators, 0)
-    for c in cols:
-        action = action.hstack(c)
-    return ModuleMap(source, target, action)
+    """The map of hom modules whose column j encodes h o g_j or g_j o h.
+
+    Well defined by construction: a relation of the source is a
+    combination of generators that is zero in Hom, its image under
+    composition with a well-defined h is zero again, and the relations of
+    the target are the coordinates of every such zero map.
+    """
+    action = Matrix.hstack_all(source.ring, target.generators, cols)
+    return ModuleMap(source, target, action, check=False)
 
 
 def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:

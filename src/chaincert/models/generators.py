@@ -104,6 +104,13 @@ def twist_complex(C: ChainComplex, rng: random.Random
 
 def twist_complex_with_iso(C: ChainComplex, rng: random.Random
                            ) -> tuple[ChainComplex, ChainMap]:
+    """C conjugated by U_n in each degree, with the isomorphism U : C -> C'.
+
+    Both are right by construction, since U_n^-1 U_n = I exactly:
+    C'_n is presented by U_n P_n, its differential U_{n-1} d_n U_n^-1
+    carries U_n P_n into U_{n-1} P_{n-1}, d' o d' = U d d U^-1 vanishes
+    because d d does, and d' U_n = U_{n-1} d_n holds on the nose.
+    """
     ring = C.ring
     us, uinvs, mods = [], [], []
     for n in range(C.top + 1):
@@ -116,10 +123,10 @@ def twist_complex_with_iso(C: ChainComplex, rng: random.Random
     for n in range(1, C.top + 1):
         action = us[n - 1] @ C.differential(n).action @ uinvs[n]
         diffs.append(ModuleMap(mods[n], mods[n - 1], action, check=False))
-    twisted = ChainComplex(ring, mods, diffs)
+    twisted = ChainComplex(ring, mods, diffs, check=False)
     iso = ChainMap(C, twisted,
                    [ModuleMap(C.module(n), mods[n], us[n], check=False)
-                    for n in range(C.top + 1)])
+                    for n in range(C.top + 1)], check=False)
     return twisted, iso
 
 

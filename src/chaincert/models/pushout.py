@@ -49,7 +49,8 @@ def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
     P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
     u = tensor_chain_maps(i, id_w, xw, yw)        # X x W -> Y x W
     v = tensor_chain_maps(id_y, k, yv, yw)        # Y x V -> Y x W
-    induced = pushout_induced_chain_map(P, u, v)
+    # u o leg_xw = i (x) k = v o leg_yv, blockwise kron products
+    induced = pushout_induced_chain_map(P, u, v, check=False)
     return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv,
                           xw, yv, xv, yw)
 

@@ -177,9 +177,7 @@ def _evaluation_map(data: CotensorData, B: SimplicialModule,
                        [[1 if i == j else 0] for i in range(cot_mod.generators)]))
             G = F.compose(u)  # chain map N(c (x) Gamma D^n) = D^n -> N(B)
             cols.append(G.component(n).action)  # evaluate at the disk generator
-        action = Matrix.zero(ring, NB.module(n).generators, 0)
-        for c in cols:
-            action = action.hstack(c)
+        action = Matrix.hstack_all(ring, NB.module(n).generators, cols)
         comps.append(ModuleMap(cot_mod, NB.module(n), action, check=False))
     return SimplicialMap(P, B, ChainMap(data.complex, NB, comps))
 
@@ -230,7 +228,11 @@ def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
 
 
 def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
-    """ev_end : tau_{>=0} Hom(I, N(B)) -> N(B) on the enriching hom."""
+    """ev_end : tau_{>=0} Hom(I, N(B)) -> N(B) on the enriching hom.
+
+    A chain map by construction: evaluation at a vertex commutes with the
+    differentials, since d e0 = d e1 = 0.
+    """
     from ..chains.cones import _evaluation_window_matrix
     from ..chains.homcx import HomWindow, map_from_truncation
 
@@ -241,7 +243,7 @@ def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
     comps = {n: ModuleMap(hw.module(n), NB.module(n),
                           _evaluation_window_matrix(hw, n, at), check=False)
              for n in range(0, max(hw.top, 0) + 1)}
-    return map_from_truncation(trunc, NB, comps)
+    return map_from_truncation(trunc, NB, comps, check=False)
 
 
 @dataclass
@@ -278,7 +280,9 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
     u = tensor_normalized_map(i, _id_sm(W), xw, yw)
     v = tensor_normalized_map(_id_sm(Y), k, yv, yw)
-    induced = pushout_induced_chain_map(P, u, v)
+    # u o leg_xw = N(i (x) k) = v o leg_yv: the level matrices are kron
+    # products and keep degenerate coordinates apart from the others
+    induced = pushout_induced_chain_map(P, u, v, check=False)
     source_obj = SimplicialModule(P, _gamma_levels_of(P), P.top + 1)
     product = SimplicialMap(source_obj, yw, induced)
     verdict, acyclic, ok = pushout_product_verdict(induced, "h",

@@ -48,14 +48,18 @@ MAX_COTENSOR_GENERATORS = 1250
 
 
 def disk_inclusion(ring, n: int) -> ChainMap:
-    """iota_n : D^{n-1} -> D^n sending the top generator to e' = d(e)."""
+    """iota_n : D^{n-1} -> D^n sending the top generator to e' = d(e).
+
+    A chain map by construction: d e' = 0, and the only other generator
+    of D^{n-1} (the image of its top one) goes to 0.
+    """
     src = unit_complex(ring) if n == 1 else disk(ring, n - 1)
     tgt = disk(ring, n)
     comps = [ModuleMap.zero_map(src.module(m), tgt.module(m))
              for m in range(n - 1)]
     comps.append(ModuleMap(src.module(n - 1), tgt.module(n - 1),
                            Matrix.identity(ring, 1), check=False))
-    return ChainMap(src, tgt, comps)
+    return ChainMap(src, tgt, comps, check=False)
 
 
 def through_problem(A: SimplicialModule, B: SimplicialModule, through: int
@@ -111,9 +115,7 @@ def cotensor(A: SimplicialModule, B: SimplicialModule, through: int
         for j in range(mods[n].generators):
             F = spaces[n].chain_map(_unit_column(ring, mods[n].generators, j))
             cols.append(spaces[n - 1].coords(F.compose(u)))
-        action = Matrix.zero(ring, mods[n - 1].generators, 0)
-        for c in cols:
-            action = action.hstack(c)
+        action = Matrix.hstack_all(ring, mods[n - 1].generators, cols)
         diffs.append(ModuleMap(mods[n], mods[n - 1], action))
     cx = ChainComplex(ring, mods, diffs)
     return CotensorData(A, B, cx, spaces, tensors, disks)
@@ -208,9 +210,7 @@ class HomDiskBridge:
                 cols.append(sp.coords(blk))
             else:
                 cols.append(Matrix.zero(self.ring, sp.module.generators, 1))
-        stacked = Matrix.zero(self.ring, 0, 1)
-        for c in cols:
-            stacked = stacked.vstack(c)
+        stacked = Matrix.vstack_all(self.ring, 1, cols)
         if n >= 1:
             return stacked
         amb = self.trunc.kernel_inclusion.target
@@ -252,18 +252,14 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
         for j in range(hom_mod.generators):
             F = bridge.to_disk_map(n, _unit_column(ring, hom_mod.generators, j))
             cols.append(cot.spaces[n].coords(F.compose(aw_n)))
-        action = Matrix.zero(ring, cot_mod.generators, 0)
-        for c in cols:
-            action = action.hstack(c)
+        action = Matrix.hstack_all(ring, cot_mod.generators, cols)
         aw_parts.append(ModuleMap(hom_mod, cot_mod, action, check=False))
         # EZ*: F -> Phi^{-1}(F o EZ)
         cols = []
         for j in range(cot_mod.generators):
             F = cot.spaces[n].chain_map(_unit_column(ring, cot_mod.generators, j))
             cols.append(bridge.from_disk_map(n, F.compose(ez_n)))
-        action = Matrix.zero(ring, hom_mod.generators, 0)
-        for c in cols:
-            action = action.hstack(c)
+        action = Matrix.hstack_all(ring, hom_mod.generators, cols)
         ez_parts.append(ModuleMap(cot_mod, hom_mod, action, check=False))
 
     aw_star = ChainMap(trunc.complex, cot.complex, aw_parts)

@@ -2,10 +2,12 @@
 
 EZ sends x (x) y in bidegree (p, q) to the signed sum over (p, q)-shuffles
 of paired degeneracies; AW sends a level element to the sum of its front
-face tensor back face.  Both are chain maps, AW o EZ is the identity on
-the nose, so id - EZ o AW is an idempotent chain map, and EZ o AW is
+face tensor back face.  Both are chain maps for any simplicial modules
+(Eilenberg-Zilber), so they are built unchecked; the ez-aw suite checks
+that theorem explicitly on its cases.  AW o EZ is the identity on the
+nose, so id - EZ o AW is an idempotent chain map, and EZ o AW is
 homotopic to the identity by a contraction of its image, built degree by
-degree (`contract_image`); all three facts are verified exactly on every
+degree (`contract_image`); these two facts are verified exactly on every
 instance.
 """
 
@@ -71,14 +73,11 @@ def ez(A: SimplicialModule, B: SimplicialModule,
                     right.columns(cols_b), rows, cols)
                 block = block + term if sh.sign == 1 else block - term
             blocks.append(block)
-        action = Matrix.zero(ring, tgt_gens, 0)
-        for blk in blocks:
-            action = action.hstack(blk)
-        if not blocks:
-            action = Matrix.zero(ring, tgt_gens, source.module(n).generators)
+        # no blocks past the tensor's top, where the source is zero
+        action = Matrix.hstack_all(ring, tgt_gens, blocks)
         comps.append(ModuleMap(source.module(n), target.module(n), action,
                                check=False))
-    return ChainMap(source, target, comps)
+    return ChainMap(source, target, comps, check=False)
 
 
 def aw(A: SimplicialModule, B: SimplicialModule,
@@ -101,15 +100,11 @@ def aw(A: SimplicialModule, B: SimplicialModule,
                                   range(back.cols))
             blocks.append(front.kron_submatrix(
                 back, range(front.rows * back.rows), cols))
-        action = Matrix.zero(ring, 0, source.module(n).generators)
-        for blk in blocks:
-            action = action.vstack(blk)
-        if not blocks:
-            action = Matrix.zero(ring, target.module(n).generators,
-                                 source.module(n).generators)
+        # no blocks past the tensor's top, where the target is zero
+        action = Matrix.vstack_all(ring, source.module(n).generators, blocks)
         comps.append(ModuleMap(source.module(n), target.module(n), action,
                                check=False))
-    return ChainMap(source, target, comps)
+    return ChainMap(source, target, comps, check=False)
 
 
 def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,

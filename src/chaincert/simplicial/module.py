@@ -20,6 +20,7 @@ from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
                              factor_through, kernel)
 from ..exact.rings import RingSpec
 from ..exact.snf import solve
+from . import surjections as sj
 from .levels import (GammaLevels, TensorLevels, moore_rows,
                      verify_simplicial_identities)
 
@@ -41,6 +42,11 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
     descent condition is verified exactly during construction.  Only the
     rows of the levels at non-degenerate coordinates are built: the
     relations there and the Moore rows into them.
+
+    Given the descent, the result is a complex by construction: the
+    Moore differential squares to zero by the simplicial identities, the
+    faces carry level relations into level relations, and the quotient's
+    relations are the level relations read on the kept coordinates.
     """
     ring = levels.ring
     coords = [levels.nondegenerate_coords(n) for n in range(top + 1)]
@@ -55,8 +61,9 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
                                 M.columns(degenerate)) is None:
             raise ValueError(f"degenerate part is not a subcomplex "
                              f"at level {n}")
-        diffs.append(ModuleMap(mods[n], mods[n - 1], M.columns(coords[n])))
-    return ChainComplex(ring, mods, diffs)
+        diffs.append(ModuleMap(mods[n], mods[n - 1], M.columns(coords[n]),
+                               check=False))
+    return ChainComplex(ring, mods, diffs, check=False)
 
 
 def normalized_kernel(levels, top: int
@@ -200,26 +207,17 @@ class SimplicialMap:
         self.normalized_map = normalized_map
 
     def level_matrix(self, n: int) -> Matrix:
-        """Induced matrix on level n (denormalization-backed levels only)."""
+        """Induced matrix on level n (denormalization-backed levels only):
+        f_k on every summand eta : [n] ->> [k], block diagonal because both
+        levels list their summands in the same order."""
         src, tgt = self.source.levels, self.target.levels
         if not isinstance(src, GammaLevels) or not isinstance(tgt, GammaLevels):
             raise NotImplementedError(
                 "level matrices are materialized on denormalization levels")
-        from . import surjections as sj
-
-        rows = [[0] * src.module(n).generators
-                for _ in range(tgt.module(n).generators)]
-        for eta in src.summands(n):
-            k = sj.degree_of(eta)
-            blk = self.normalized_map.component(k).action
-            r0 = tgt.offsets(n)[eta]
-            c0 = src.offsets(n)[eta]
-            for a in range(blk.rows):
-                for b in range(blk.cols):
-                    if blk[a, b]:
-                        rows[r0 + a][c0 + b] = blk[a, b]
-        return Matrix(src.ring, tgt.module(n).generators,
-                      src.module(n).generators, rows)
+        actions = [self.normalized_map.component(k).action
+                   for k in range(n + 1)]
+        return Matrix.block_diagonal(src.ring, [
+            actions[sj.degree_of(eta)] for eta in src.summands(n)])
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.normalized_map!r})"
@@ -237,7 +235,13 @@ def gamma_map(f: ChainMap, source: SimplicialModule | None = None,
 def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
                           srcT: SimplicialModule, tgtT: SimplicialModule
                           ) -> ChainMap:
-    """N(f (x) g) between degreewise tensors, via the level matrices."""
+    """N(f (x) g) between degreewise tensors, via the level matrices.
+
+    A chain map by construction: f (x) g is a simplicial map, and its
+    level matrices keep each coordinate's degeneracy positions, so they
+    map degenerate coordinates to degenerate ones and the non-degenerate
+    block is the induced map of the quotients.
+    """
     comps = []
     top = max(srcT.top, tgtT.top)
     for n in range(top + 1):
@@ -251,7 +255,7 @@ def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
                                  srcT.normalized.module(n).generators)
         comps.append(ModuleMap(srcT.normalized.module(n),
                                tgtT.normalized.module(n), action, check=False))
-    return ChainMap(srcT.normalized, tgtT.normalized, comps)
+    return ChainMap(srcT.normalized, tgtT.normalized, comps, check=False)
 
 
 def constant_module(ring: RingSpec) -> SimplicialModule:

@@ -1,17 +1,31 @@
-"""The unchecked matrix constructor stays inside the exact kernel.
+"""What is trusted without a check stays trusted for a reason.
 
-``exact/matrix.py`` lets its own operations and the rest of ``exact/``
-wrap canonical tuples without validation.  Everything else, tests and
-the benchmark included, must build matrices through the public
-constructor, so this test fails if the private name appears outside
-``src/chaincert/exact/``.
+Two rules keep validation at the boundary.  ``exact/matrix.py`` lets its
+own operations and the rest of ``exact/`` wrap canonical tuples without
+validation; everything else, tests and the benchmark included, builds
+matrices through the public constructor, so the first test fails if the
+private name appears outside ``src/chaincert/exact/``.  Internal
+constructions build complexes, chain maps and module maps that are right
+by construction with ``check=False`` (see ``chains/complexes.py``); the
+second test makes every such constructor check anyway and reruns the
+suites and the fixtures, so a false "by construction" claim fails there.
 """
 
+import json
+import os
 import re
 from pathlib import Path
 
+from chaincert.certify import SUITES
+from chaincert.chains.complexes import ChainComplex, ChainMap
+from chaincert.chains.truncate import WindowComplex
+from chaincert.cli import main
+from chaincert.exact.modules import ModuleMap
+from chaincert.io.document import parse_document
+
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = ROOT / "src" / "chaincert" / "exact"
+FIXTURES = ROOT / "fixtures"
 PRIVATE = re.compile(r"\b_from_canonical\b")
 
 
@@ -27,3 +41,59 @@ def test_private_constructor_is_used_only_in_the_kernel():
                 if PRIVATE.search(line):
                     offenders.append(f"{path.relative_to(ROOT)}:{n}")
     assert not offenders, offenders
+
+
+def _cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _reports(capsys, tmp_path):
+    """(argv, exit code, stdout) of every certify suite at seed 7 over Z
+    and Z/6, and of classify and verify on every fixture map."""
+    runs = []
+    for ring in ("z", "z/6"):
+        for suite in sorted(SUITES):
+            argv = ["certify", "--suite", suite, "--ring", ring,
+                    "--seed", "7", "--cases", "5"]
+            code, out = _cli(argv, capsys)
+            assert code == 0 and json.loads(out)["ok"], (suite, ring)
+            runs.append((argv, code, out))
+    witness = tmp_path / "report.json"
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse_document(json.loads(path.read_text()))
+        for name in sorted(doc.maps):
+            calls = [["classify", "--doc", str(path), "--map", name,
+                      "--flavor", flavor] for flavor in ("h", "q", "m")]
+            calls.append(["bousfield", "--doc", str(path), "--map", name])
+            for argv in calls:
+                code, out = _cli(argv, capsys)
+                runs.append((argv, code, out))
+                if code:   # a chain flavor on cochain data
+                    continue
+                witness.write_text(out)
+                verified = _cli(["verify", str(witness)], capsys)
+                assert verified[0] == 0, (argv, verified[1])
+                runs.append((argv + ["verify"], *verified))
+    return runs
+
+
+def _always_check(init):
+    def checked_init(self, *args, check=True, **kwargs):
+        init(self, *args, check=True, **kwargs)
+    return checked_init
+
+
+def test_unchecked_constructions_pass_when_forced_to_check(
+        monkeypatch, capsys, tmp_path):
+    plain = _reports(capsys, tmp_path)
+    assert len(plain) > 2 * len(SUITES)
+    for cls in (ChainComplex, ChainMap, ModuleMap, WindowComplex):
+        monkeypatch.setattr(cls, "__init__", _always_check(cls.__init__))
+    forced = _reports(capsys, tmp_path)
+    assert [run[0] for run in forced] == [run[0] for run in plain]
+    for (argv, *want), (_, *got) in zip(plain, forced):
+        assert got == want, " ".join(map(os.path.basename, argv))
