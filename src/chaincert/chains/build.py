@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, PresentedModule, direct_sum
+from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
+                             summand_maps)
 from ..exact.rings import RingSpec
 from .complexes import ChainComplex, ChainMap
 
@@ -65,27 +66,32 @@ def complex_from_data(ring: RingSpec, modules: Sequence[PresentedModule],
     return ChainComplex(ring, modules, diffs)
 
 
-def direct_sum_complexes(complexes: Sequence[ChainComplex]
-                         ) -> tuple[ChainComplex, list[ChainMap], list[ChainMap]]:
-    """Degreewise direct sum with inclusion and projection chain maps."""
+def direct_sum_complex(complexes: Sequence[ChainComplex]) -> ChainComplex:
+    """Degreewise direct sum alone: block-diagonal modules and differentials."""
     ring = complexes[0].ring
     top = max(c.top for c in complexes)
-    mods: list[PresentedModule] = []
-    injections: list[list[ModuleMap]] = [[] for _ in complexes]
-    projections: list[list[ModuleMap]] = [[] for _ in complexes]
-    sums = []
-    for n in range(top + 1):
-        S, injs, projs = direct_sum([c.module(n) for c in complexes])
-        sums.append(S)
-        for k in range(len(complexes)):
-            injections[k].append(injs[k])
-            projections[k].append(projs[k])
+    sums = [direct_sum_module(ring, [c.module(n) for c in complexes])
+            for n in range(top + 1)]
     diffs = []
     for n in range(1, top + 1):
         action = Matrix.block_diagonal(
             ring, [c.differential(n).action for c in complexes])
         diffs.append(ModuleMap(sums[n], sums[n - 1], action, check=False))
-    total = ChainComplex(ring, sums, diffs, check=False)
+    return ChainComplex(ring, sums, diffs, check=False)
+
+
+def direct_sum_complexes(complexes: Sequence[ChainComplex]
+                         ) -> tuple[ChainComplex, list[ChainMap], list[ChainMap]]:
+    """Degreewise direct sum with inclusion and projection chain maps."""
+    total = direct_sum_complex(complexes)
+    injections: list[list[ModuleMap]] = [[] for _ in complexes]
+    projections: list[list[ModuleMap]] = [[] for _ in complexes]
+    for n in range(total.top + 1):
+        injs, projs = summand_maps(total.module(n),
+                                   [c.module(n) for c in complexes])
+        for k in range(len(complexes)):
+            injections[k].append(injs[k])
+            projections[k].append(projs[k])
     inc_maps = [ChainMap(c, total, injections[k], check=False)
                 for k, c in enumerate(complexes)]
     proj_maps = [ChainMap(total, c, projections[k], check=False)

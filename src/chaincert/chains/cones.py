@@ -5,8 +5,11 @@ Conventions (fixed once, used by every witness):
     differential blocks [[-d_X, 0], [f, d_Y]].
   * the cylinder glues X (x) I to Y along the e1 end, so the cofibration
     leg of the factorization enters at e0.
-  * the cocylinder is the good truncation of E x_B Hom(I, B) pulled back
-    along evaluation at e0.
+  * Hom(I, B)_n = B_n (+) B_n (+) B_{n+1}, a path f read as
+    (f(e0), f(e1), f(e)), with d(a, b, h) = (d a, d b, d h + (-1)^{n+1}(b - a)).
+  * the cocylinder is the good truncation of E x_B Hom(I, B), pulled back
+    along evaluation at e0 and written E_n (+) B_n (+) B_{n+1}: the triple
+    (e, b, h) is e with the path (p e, b, h).
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from dataclasses import dataclass
 
 from ..exact.matrix import Matrix
 from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
-                             factor_through, pullback_modules, pushout_modules)
+                             pushout_modules)
 from .build import interval
 from .complexes import ChainComplex, ChainMap
-from .homcx import HomWindow, evaluation_matrix, map_from_truncation, \
-    map_into_truncation
-from .tensor import TensorLayout, interval_cylinder
+from .homcx import map_from_truncation, map_into_truncation
+from .tensor import interval_cylinder
 from .truncate import Truncation, WindowComplex, good_truncation
 
 
@@ -137,131 +139,93 @@ def mapping_cylinder(f: ChainMap) -> CylinderData:
 @dataclass
 class CocylinderData:
     truncation: Truncation           # tau_{>=0}(E x_B Hom(I, B))
-    section_leg: ChainMap            # i : E -> Nf  (constant path at p(e))
-    fibration_leg: ChainMap          # q : Nf -> B  (evaluate the path at e1)
-    to_E: ChainMap                   # projection Nf -> E
-    hom_window: "HomWindow"          # Hom(I, B) window
-    window_inclusions: dict[int, ModuleMap]  # Np_n -> E_n (+) (B^I)_n
+    section_leg: ChainMap            # i : E -> Np  (constant path at p(e))
+    fibration_leg: ChainMap          # q : Np -> B  (evaluate the path at e1)
 
     @property
     def complex(self) -> ChainComplex:
         return self.truncation.complex
 
 
-def _constant_path_column(hw: HomWindow, n: int, col: Matrix) -> Matrix:
-    """Encode b -> (constant path at b) into the degree-n hom module."""
-    ring = hw.ring
-    sp = hw.space(0, n)
-    # element of Hom(I_0, B_n) with both evaluations equal to col
-    coords_cols = []
-    for j in range(col.cols):
-        c = col.column_at(j)
-        elem = c.hstack(c)  # gB x 2 matrix: e0 -> c, e1 -> c
-        coords_cols.append(sp.coords(elem))
-    out = Matrix.hstack_all(ring, sp.module.generators, coords_cols)
-    # pad with zeros for the other summands of the window degree
-    offsets = hw.offsets(n)
-    total = hw.module(n).generators
-    rows = [[0] * col.cols for _ in range(total)]
-    for i, off in offsets:
-        if i == 0:
-            for a in range(sp.module.generators):
-                for b in range(col.cols):
-                    rows[off + a][b] = out[a, b]
-    return Matrix(ring, total, col.cols, rows)
+def _cocylinder_window(p: ChainMap) -> WindowComplex:
+    """E x_B Hom(I, B) in degrees -1..top, pulled back along evaluation at e0.
+
+    Degree n is E_n (+) B_n (+) B_{n+1}: the triple (e, b, h) stands for
+    e together with the path (p e, b, h), a path f being read as
+    (f(e0), f(e1), f(e)).  The hom differential (d f)_i = d f_i -
+    (-1)^n f_{i-1} d with d e = e1 - e0 gives
+    d(e, b, h) = (d e, d b, d h + (-1)^{n+1}(b - p e)).  A complex by
+    construction: the third entry of d d is
+    (-1)^{n+1}(d b - d p e) + (-1)^n (d b - p d e), which vanishes
+    because p is a chain map; each block is a module map, so relations
+    go to relations.
+    """
+    E, B = p.source, p.target
+    ring = E.ring
+    top = max(E.top, B.top)
+
+    def gens(C: ChainComplex, n: int) -> int:
+        return C.module(n).generators
+
+    mods = {n: direct_sum_module(ring, [E.module(n), B.module(n),
+                                        B.module(n + 1)])
+            for n in range(-1, top + 1)}
+    diffs: dict[int, ModuleMap] = {}
+    for n in range(0, top + 1):
+        s = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
+        blocks = {
+            (0, 0): E.differential(n).action,
+            (1, 1): B.differential(n).action,
+            (2, 0): p.component(n).action.scale(-s),
+            (2, 1): Matrix.identity(ring, gens(B, n)).scale(s),
+            (2, 2): B.differential(n + 1).action,
+        }
+        action = Matrix.assemble(
+            ring, [gens(E, n - 1), gens(B, n - 1), gens(B, n)],
+            [gens(E, n), gens(B, n), gens(B, n + 1)], blocks)
+        diffs[n] = ModuleMap(mods[n], mods[n - 1], action, check=False)
+    return WindowComplex(ring, mods, diffs, check=False)
 
 
-def _evaluation_window_matrix(hw: HomWindow, n: int, at: Matrix) -> Matrix:
-    """Matrix of (B^I)_n -> B_n evaluating the degree-0 summand at `at`."""
-    ring = hw.ring
-    gB = hw.Y.module(n).generators
-    total = hw.module(n).generators
-    rows = [[0] * total for _ in range(gB)]
-    for i, off in hw.offsets(n):
-        if i == 0:
-            sp = hw.space(0, n)
-            ev = evaluation_matrix(sp, at)
-            for a in range(gB):
-                for b in range(sp.module.generators):
-                    rows[a][off + b] = ev[a, b]
-    return Matrix(ring, gB, total, rows)
+def path_window(B: ChainComplex) -> WindowComplex:
+    """Hom(I, B) in degrees -1..top, as B_n (+) B_n (+) B_{n+1}.
+
+    A path f is read as (f(e0), f(e1), f(e)), and
+    d(a, b, h) = (d a, d b, d h + (-1)^{n+1}(b - a)).  This is the
+    cocylinder window of id_B: the pullback along id_B forgets nothing.
+    """
+    return _cocylinder_window(ChainMap.identity(B))
 
 
 def mapping_cocylinder(p: ChainMap) -> CocylinderData:
     """Np with its legs, all chain maps by construction.
 
-    The window differential is the restriction of d_E (+) d_{B^I} to the
-    pullback, found by factoring through its inclusion; the inclusion is
-    a monomorphism, so d o d = 0 there because it holds on E (+) B^I.
-    On the window the three legs are e -> (e, constant path at p(e)),
-    evaluation at e1 after the projection to B^I, and the projection to
-    E.  A constant path and an evaluation at a vertex are chain maps
-    (d e0 = d e1 = 0 and d e = e1 - e0 is killed by a constant path), and
-    so are p and the projections; the truncation keeps them so.
+    On the window (see `_cocylinder_window`) the section is
+    e -> (e, p e, 0), the constant path at p(e), and the fibration leg is
+    (e, b, h) -> b, evaluation at e1.  The section commutes with d since
+    d(e, p e, 0) = (d e, d p e, (-1)^{n+1}(p e - p e)) = (d e, p d e, 0);
+    the fibration leg commutes with d because the middle row of d is
+    (0, d, 0).  The truncation keeps both chain maps, and
+    fibration leg o section = p on the nose.
     """
     E, B = p.source, p.target
     ring = E.ring
-    hw = HomWindow(interval(ring), B)
-    e0 = Matrix(ring, 2, 1, [[1], [0]])
-    e1 = Matrix(ring, 2, 1, [[0], [1]])
-
-    top = max(E.top, hw.top)
-    mods: dict[int, PresentedModule] = {}
-    incls: dict[int, ModuleMap] = {}
-    projE: dict[int, ModuleMap] = {}
-    projP: dict[int, ModuleMap] = {}
-    for n in range(-1, top + 1):
-        ev0 = ModuleMap(hw.module(n), B.module(n),
-                        _evaluation_window_matrix(hw, n, e0), check=False)
-        pb, prE, prBI = pullback_modules(
-            ModuleMap(E.module(n), B.module(n), p.component(n).action, check=False)
-            if 0 <= n else ModuleMap.zero_map(E.module(n), B.module(n)),
-            ev0)
-        mods[n] = pb
-        projE[n] = prE
-        projP[n] = prBI
-        incls[n] = _pullback_inclusion(prE, prBI)
-    diffs: dict[int, ModuleMap] = {}
-    for n in range(0, top + 1):
-        amb = Matrix.block_diagonal(
-            ring, [E.differential(n).action, hw.differential(n).action])
-        ambient_map = ModuleMap(incls[n].target, incls[n - 1].target, amb,
-                                check=False)
-        w = factor_through(incls[n - 1], ambient_map.compose(incls[n]))
-        if w is None:
-            raise ValueError("cocylinder differential fails to restrict")
-        diffs[n] = w
-    window = WindowComplex(ring, mods, diffs, check=False)
+    window = _cocylinder_window(p)
     trunc = good_truncation(window)
 
-    # section leg  E -> Nf : e -> (e, constant path at p(e))
     sec_parts: dict[int, ModuleMap] = {}
-    for n in range(0, top + 1):
-        pe = p.component(n).action
-        path = _constant_path_column(hw, n, pe)
-        col = Matrix.identity(ring, E.module(n).generators).vstack(path)
-        u = ModuleMap(E.module(n), incls[n].target, col, check=False)
-        w = factor_through(incls[n], u)
-        if w is None:
-            raise ValueError("constant-path section fails to land in the pullback")
-        sec_parts[n] = w
-    section = map_into_truncation(E, trunc, sec_parts, check=False)
-
-    # fibration leg Nf -> B : evaluate the path at e1
     fib_parts: dict[int, ModuleMap] = {}
-    toE_parts: dict[int, ModuleMap] = {}
-    for n in range(0, top + 1):
-        ev1 = ModuleMap(hw.module(n), B.module(n),
-                        _evaluation_window_matrix(hw, n, e1), check=False)
-        fib_parts[n] = ev1.compose(projP[n])
-        toE_parts[n] = projE[n]
+    for n in range(0, window.top + 1):
+        gE, gB = E.module(n).generators, B.module(n).generators
+        sizes = [gE, gB, B.module(n + 1).generators]
+        col = Matrix.assemble(ring, sizes, [gE], {
+            (0, 0): Matrix.identity(ring, gE), (1, 0): p.component(n).action})
+        sec_parts[n] = ModuleMap(E.module(n), window.module(n), col,
+                                 check=False)
+        row = Matrix.assemble(ring, [gB], sizes,
+                              {(0, 1): Matrix.identity(ring, gB)})
+        fib_parts[n] = ModuleMap(window.module(n), B.module(n), row,
+                                 check=False)
+    section = map_into_truncation(E, trunc, sec_parts, check=False)
     fibration = map_from_truncation(trunc, B, fib_parts, check=False)
-    to_E = map_from_truncation(trunc, E, toE_parts, check=False)
-    return CocylinderData(trunc, section, fibration, to_E, hw, incls)
-
-
-def _pullback_inclusion(prE: ModuleMap, prBI: ModuleMap) -> ModuleMap:
-    """Recover the inclusion P -> E (+) B^I from the two projections."""
-    action = prE.action.vstack(prBI.action)
-    total = direct_sum_module(prE.source.ring, [prE.target, prBI.target])
-    return ModuleMap(prE.source, total, action, check=False)
+    return CocylinderData(trunc, section, fibration)

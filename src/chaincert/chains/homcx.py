@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..exact.matrix import Matrix
 from ..exact.modules import (HomSpace, ModuleMap, PresentedModule,
-                             direct_sum_module, kernel, map_equal)
+                             direct_sum_module, kernel)
 from ..exact.snf import solve
 from .complexes import ChainComplex, ChainMap
 from .truncate import Truncation, WindowComplex, good_truncation
@@ -153,12 +153,6 @@ class ChainMapsSpace:
         if sol is None:
             raise ValueError("chain map does not lie in the chain-maps module")
         return sol.submatrix(range(self.module.generators), [0])
-
-
-def evaluation_matrix(hs: HomSpace, element: Matrix) -> Matrix:
-    """Matrix of Hom(M, N) -> N, phi -> phi(element)."""
-    return Matrix.hstack_all(hs.source.ring, hs.target.generators,
-                             [g @ element for g in hs.gens])
 
 
 def map_from_truncation(source: Truncation, target: ChainComplex,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exact.modules import (ModuleMap, PresentedModule, factor_through, kernel,
-                             map_equal)
+from ..exact.modules import ModuleMap, PresentedModule, factor_through, kernel
 from ..exact.rings import RingSpec
 from .complexes import ChainComplex, ChainMap
 
@@ -13,10 +12,12 @@ from .complexes import ChainComplex, ChainMap
 class WindowComplex:
     """Chain data on degrees -1 .. top; only d o d = 0 is required.
 
-    This is the internal carrier for constructions (hom complexes,
-    cocylinders) that naturally live in unbounded complexes but are only
-    ever consumed through their good truncation, which needs one negative
-    degree to form ker(d_0).
+    This is the internal carrier for constructions that naturally live in
+    unbounded complexes but are only ever consumed through their good
+    truncation, which needs one negative degree to form ker(d_0): hom
+    complexes (`HomWindow`) and, in closed form, the path object
+    Hom(I, B)_n = B_n (+) B_n (+) B_{n+1} and the mapping cocylinder
+    E_n (+) B_n (+) B_{n+1} (`chains/cones.py`).
     """
 
     __slots__ = ("ring", "top", "mods", "diffs")
@@ -55,6 +56,12 @@ class Truncation:
 
     complex: ChainComplex
     kernel_inclusion: ModuleMap  # ker(d_0) -> W_0
+
+    def window_module(self, n: int) -> PresentedModule:
+        """W_n for n >= 0: the source of a window-level component."""
+        if n == 0:
+            return self.kernel_inclusion.target
+        return self.complex.module(n)
 
 
 def good_truncation(W: WindowComplex) -> Truncation:

@@ -9,7 +9,6 @@ structure maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .matrix import Matrix, _from_canonical
@@ -206,7 +205,13 @@ def cokernel(f: ModuleMap) -> tuple[PresentedModule, ModuleMap]:
 
 
 def factor_through(incl: ModuleMap, u: ModuleMap) -> ModuleMap | None:
-    """Find w with incl o w = u (e.g. factor a map through a submodule)."""
+    """Find w with incl o w = u, for a monomorphism ``incl``.
+
+    Every caller factors through a kernel or submodule inclusion.  There
+    incl o w = u forces w to be well defined: w carries a relation r of
+    the source to an element whose image incl(w r) = u r is zero, so
+    w r is zero because incl is injective.  So w is built unchecked.
+    """
     from .equations import MapVariable, MatrixRelation, solve_map_relations
 
     if incl.target != u.target:
@@ -221,7 +226,7 @@ def factor_through(incl: ModuleMap, u: ModuleMap) -> ModuleMap | None:
     sol = solve_map_relations(ring, [w], [rel])
     if sol is None:
         return None
-    return ModuleMap(u.source, incl.source, sol["w"])
+    return ModuleMap(u.source, incl.source, sol["w"], check=False)
 
 
 # -- sums, tensor, hom -------------------------------------------------
@@ -242,24 +247,31 @@ def direct_sum(modules: Sequence[PresentedModule]
     """Direct sum with injections and projections."""
     if not modules:
         raise ValueError("empty direct sum: pass the zero module explicitly")
-    ring = modules[0].ring
-    out = direct_sum_module(ring, modules)
-    total = out.generators
+    out = direct_sum_module(modules[0].ring, modules)
+    injections, projections = summand_maps(out, modules)
+    return out, injections, projections
+
+
+def summand_maps(total: PresentedModule, modules: Sequence[PresentedModule]
+                 ) -> tuple[list[ModuleMap], list[ModuleMap]]:
+    """Injections and projections of ``total = direct_sum_module(modules)``."""
+    ring = total.ring
+    size = total.generators
     injections, projections = [], []
     offset = 0
     for m in modules:
         g = m.generators
         rows = []
         for i in range(offset, offset + g):
-            row = [0] * total
+            row = [0] * size
             row[i] = 1
             rows.append(tuple(row))
         # entries 0 and 1 are canonical over every ring
-        proj = _from_canonical(ring, g, total, tuple(rows))
-        injections.append(ModuleMap(m, out, proj.transpose(), check=False))
-        projections.append(ModuleMap(out, m, proj, check=False))
+        proj = _from_canonical(ring, g, size, tuple(rows))
+        injections.append(ModuleMap(m, total, proj.transpose(), check=False))
+        projections.append(ModuleMap(total, m, proj, check=False))
         offset += g
-    return out, injections, projections
+    return injections, projections
 
 
 def tensor_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
@@ -353,7 +365,7 @@ def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     return HomSpace(M, N).module
 
 
-# -- pushouts and pullbacks of module maps ------------------------------
+# -- pushouts of module maps ------------------------------------------
 
 
 def pushout_modules(f: ModuleMap, g: ModuleMap
@@ -361,8 +373,7 @@ def pushout_modules(f: ModuleMap, g: ModuleMap
     """Pushout of B <-f- A -g-> C: cokernel of (f, -g) into B + C."""
     if f.source != g.source:
         raise ValueError("pushout legs must share their source")
-    ring = f.source.ring
-    total, (injB, injC), _ = _sum2(f.target, g.target)
+    total, (injB, injC), _ = direct_sum([f.target, g.target])
     diff = ModuleMap(f.source, total,
                      f.action.vstack(-g.action), check=False)
     P, proj = cokernel(diff)
@@ -375,20 +386,3 @@ def pushout_induced_map(P: PresentedModule, u: ModuleMap, v: ModuleMap
     if u.target != v.target:
         raise ValueError("cone legs must share their target")
     return ModuleMap(P, u.target, u.action.hstack(v.action))
-
-
-def pullback_modules(p: ModuleMap, q: ModuleMap
-                     ) -> tuple[PresentedModule, ModuleMap, ModuleMap]:
-    """Pullback of E -p-> B <-q- X: kernel of (p, -q) out of E + X."""
-    if p.target != q.target:
-        raise ValueError("pullback legs must share their target")
-    total, _, (projE, projX) = _sum2(p.source, q.source)
-    diff = ModuleMap(total, p.target,
-                     p.action.hstack(-q.action), check=False)
-    P, incl = kernel(diff)
-    return P, projE.compose(incl), projX.compose(incl)
-
-
-def _sum2(A: PresentedModule, B: PresentedModule):
-    out, injs, projs = direct_sum([A, B])
-    return out, injs, projs

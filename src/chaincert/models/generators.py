@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 
-from ..chains.build import concentrated, disk, sphere, zero_complex
+from ..chains.build import (concentrated, direct_sum_complex,
+                            direct_sum_complexes, disk, sphere)
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.homcx import ChainMapsSpace
 from ..chains.homotopy import quasi_iso
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, PresentedModule, direct_sum
+from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
 
 
@@ -83,17 +84,8 @@ def random_complex(ring: RingSpec, rng: random.Random, *, max_top: int = 2,
         else:
             pieces.append(sphere(ring, n))
             budget -= 1
-    total, _, _ = _sum_complexes(ring, pieces)
+    total = direct_sum_complex(pieces)
     return twist_complex(total, rng) if twist else total
-
-
-def _sum_complexes(ring, pieces):
-    from ..chains.build import direct_sum_complexes
-
-    if not pieces:
-        z = zero_complex(ring)
-        return z, [], []
-    return direct_sum_complexes(pieces)
 
 
 def twist_complex(C: ChainComplex, rng: random.Random
@@ -154,7 +146,7 @@ def random_split_mono(ring: RingSpec, rng: random.Random, *, max_top: int = 2,
     Q = random_complex(ring, rng, max_top=max_top,
                        max_rank=max(1, max_rank - A.total_generators()),
                        allow_torsion=allow_torsion)
-    total, injs, _ = _sum_complexes(ring, [A, Q])
+    total, injs, _ = direct_sum_complexes([A, Q])
     twisted, iso = twist_complex_with_iso(total, rng)
     return iso.compose(injs[0])
 
@@ -166,7 +158,7 @@ def random_split_epi(ring: RingSpec, rng: random.Random, *, max_top: int = 2,
     B = random_complex(ring, rng, max_top=max_top, max_rank=half)
     Q = random_complex(ring, rng, max_top=max_top,
                        max_rank=max(1, max_rank - B.total_generators()))
-    total, _, projs = _sum_complexes(ring, [B, Q])
+    total, _, projs = direct_sum_complexes([B, Q])
     twisted, iso = twist_complex_with_iso(total, rng)
     return projs[0].compose(_chain_iso_inverse(iso))
 
@@ -208,8 +200,8 @@ def random_q_cofibration(ring: RingSpec, rng: random.Random, *,
         else:
             pieces.append(sphere(ring, rng.randint(0, max_top)))
             budget -= 1
-    P, _, _ = _sum_complexes(ring, pieces)
-    total, injs, projs = _sum_complexes(ring, [A, P])
+    P = direct_sum_complex(pieces)
+    total, injs, projs = direct_sum_complexes([A, P])
     j = injs[0]
     if acyclic:
         u = random_chain_map(P, A, rng, bound=1)

@@ -4,67 +4,47 @@ A map p has the HLP iff the comparison (ev_0, p_*) from the path space E^I
 to the mapping cocylinder admits a chain section; dually, i has the HEP iff
 the canonical map from its mapping cylinder into X (x) I admits a chain
 retraction.  Both are one lift solve each (`find_lift`), and both must agree
-with the degreewise split-epi / split-mono classifier bits.
+with the degreewise split-epi / split-mono classifier bits.  The path
+objects are written in closed form (`chains/cones.py`): (E^I)_n is
+E_n (+) E_n (+) E_{n+1}, the cocylinder window is E_n (+) B_n (+) B_{n+1},
+and the comparison between them is the block diagonal id (+) p_n (+) p_{n+1}.
 """
 
 from __future__ import annotations
 
 from ..chains.build import interval
 from ..chains.complexes import ChainMap
-from ..chains.cones import (_evaluation_window_matrix, mapping_cocylinder,
-                            pushout_complexes, pushout_induced_chain_map)
-from ..chains.homcx import HomWindow
-from ..chains.tensor import interval_cylinder, tensor_chain_maps, TensorLayout
+from ..chains.cones import (mapping_cocylinder, path_window, pushout_complexes,
+                            pushout_induced_chain_map)
+from ..chains.tensor import interval_cylinder, tensor_chain_maps
 from ..chains.truncate import good_truncation, truncate_window_map
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, factor_through
+from ..exact.modules import ModuleMap
 from .lifting import chain_retraction, chain_section
 
 
 def path_space_comparison(p: ChainMap) -> ChainMap:
     """(ev_0, p_*) : E^I -> tau_{>=0}(E x_B B^I).
 
-    A chain map by construction: evaluation at a vertex and
-    postcomposition with p commute with the hom differentials, and the
-    pullback inclusion they factor through is a monomorphism.
+    On the windows, the path (a, b, h) of E goes to the triple
+    (a, p b, p h), that is a with the path p_*(a, b, h): the block
+    diagonal id (+) p_n (+) p_{n+1}.  A chain map by construction: with
+    s = (-1)^{n+1}, the third entries of d o comparison and comparison o d
+    are d p h + s(p b - p a) and p(d h + s(b - a)), equal because p
+    commutes with d; the first two entries are those of id and p.
     """
-    E, B = p.source, p.target
+    E = p.source
     ring = E.ring
-    I = interval(ring)
-    hwE = HomWindow(I, E)
-    trunc_EI = good_truncation(hwE.window())
-    cocyl = mapping_cocylinder(p)
-    hwB = cocyl.hom_window
-    e0 = Matrix(ring, 2, 1, [[1], [0]])
-
-    top = max(hwE.top, cocyl.complex.top, 0)
-    components: dict[int, ModuleMap] = {}
-    for n in range(0, top + 1):
-        ev0 = _evaluation_window_matrix(hwE, n, e0)
-        post_rows = hwB.module(n).generators
-        post_cols = hwE.module(n).generators
-        rows = [[0] * post_cols for _ in range(post_rows)]
-        offsB = dict(hwB.offsets(n))
-        for i, offE in hwE.offsets(n):
-            if i not in offsB:
-                continue
-            spE = hwE.space(i, n)
-            spB = hwB.space(i, n)
-            blk = spE.postcompose(p.component(i + n), spB).action
-            offB = offsB[i]
-            for a in range(blk.rows):
-                for b in range(blk.cols):
-                    rows[offB + a][offE + b] = blk[a, b]
-        post = Matrix(ring, post_rows, post_cols, rows)
-        ambient = ev0.vstack(post)
-        u = ModuleMap(hwE.module(n), cocyl.window_inclusions[n].target, ambient,
-                      check=False)
-        w = factor_through(cocyl.window_inclusions[n], u)
-        if w is None:
-            raise ValueError("(ev_0, p_*) misses the pullback; invalid data")
-        components[n] = w
-    return truncate_window_map(components, trunc_EI, cocyl.truncation,
-                               check=False)
+    trunc_EI = good_truncation(path_window(E))
+    trunc_Np = mapping_cocylinder(p).truncation
+    components = {
+        n: ModuleMap(trunc_EI.window_module(n), trunc_Np.window_module(n),
+                     Matrix.block_diagonal(ring, [
+                         Matrix.identity(ring, E.module(n).generators),
+                         p.component(n).action, p.component(n + 1).action]),
+                     check=False)
+        for n in range(E.top + 1)}
+    return truncate_window_map(components, trunc_EI, trunc_Np, check=False)
 
 
 def hlp_check(p: ChainMap) -> bool:

@@ -15,8 +15,7 @@ from ..chains.build import interval
 from ..chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                 LiftingProblem, chain_map_equal)
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
-from ..chains.homotopy import (chain_homotopic, is_chain_homotopy_equivalence,
-                               nullhomotopy)
+from ..chains.homotopy import chain_homotopic, is_chain_homotopy_equivalence
 from ..chains.tensor import cylinder_map, interval_cylinder
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -230,19 +229,23 @@ def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
 def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
     """ev_end : tau_{>=0} Hom(I, N(B)) -> N(B) on the enriching hom.
 
+    Hom(I, N(B))_n has the generators of N(B)_n (+) N(B)_n (+) N(B)_{n+1},
+    a path f read as (f(e0), f(e1), f(e)), so ev_end is a block row.  The
+    source modules are read from ``trunc``, whose presentation it keeps.
     A chain map by construction: evaluation at a vertex commutes with the
     differentials, since d e0 = d e1 = 0.
     """
-    from ..chains.cones import _evaluation_window_matrix
-    from ..chains.homcx import HomWindow, map_from_truncation
+    from ..chains.homcx import map_from_truncation
 
     ring = B.ring
     NB = B.normalized
-    hw = HomWindow(interval(ring), NB)
-    at = Matrix(ring, 2, 1, [[1 - end], [end]])
-    comps = {n: ModuleMap(hw.module(n), NB.module(n),
-                          _evaluation_window_matrix(hw, n, at), check=False)
-             for n in range(0, max(hw.top, 0) + 1)}
+    comps = {}
+    for n in range(0, trunc.complex.top + 1):
+        g = NB.module(n).generators
+        row = Matrix.assemble(ring, [g], [g, g, NB.module(n + 1).generators],
+                              {(0, end): Matrix.identity(ring, g)})
+        comps[n] = ModuleMap(trunc.window_module(n), NB.module(n), row,
+                             check=False)
     return map_from_truncation(trunc, NB, comps, check=False)
 
 

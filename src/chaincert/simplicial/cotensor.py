@@ -22,7 +22,7 @@ from math import comb
 
 from ..chains.build import disk, unit_complex
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
-from ..chains.homcx import ChainMapsSpace, HomWindow, hom_truncation
+from ..chains.homcx import ChainMapsSpace, hom_truncation
 from ..chains.homotopy import contract_image
 from ..chains.tensor import TensorLayout
 from ..chains.truncate import Truncation

@@ -23,9 +23,10 @@ from .module import SimplicialModule
 from .surjections import shuffles
 
 
-def _degeneracy_composite(levels, start: int, indices) -> Matrix:
-    """s_{j_r} ... s_{j_1} with j_1 < ... < j_r, applied bottom up."""
-    M = Matrix.identity(levels.ring, levels.rank(start))
+def _degeneracy_composite(levels, start: int, indices, cols) -> Matrix:
+    """s_{j_r} ... s_{j_1} on the columns ``cols`` of level ``start``, with
+    j_1 < ... < j_r, applied bottom up."""
+    M = Matrix.identity(levels.ring, levels.rank(start)).columns(cols)
     level = start
     for j in sorted(indices):
         M = levels.degeneracy(level, j) @ M
@@ -33,19 +34,21 @@ def _degeneracy_composite(levels, start: int, indices) -> Matrix:
     return M
 
 
-def _front_face(levels, n: int, p: int) -> Matrix:
-    """d_{p+1} ... d_n : level n -> level p (apply d_n first)."""
-    M = Matrix.identity(levels.ring, levels.rank(n))
-    for level in range(n, p, -1):
-        M = levels.face(level, level) @ M
+def _front_face(levels, n: int, p: int, rows) -> Matrix:
+    """The rows ``rows`` of d_{p+1} ... d_n : level n -> level p."""
+    M = Matrix.identity(levels.ring, levels.rank(p)).submatrix(
+        rows, range(levels.rank(p)))
+    for level in range(p + 1, n + 1):
+        M = M @ levels.face(level, level)
     return M
 
 
-def _back_face(levels, n: int, q: int) -> Matrix:
-    """d_0^{n-q} : level n -> level q."""
-    M = Matrix.identity(levels.ring, levels.rank(n))
-    for level in range(n, q, -1):
-        M = levels.face(level, 0) @ M
+def _back_face(levels, n: int, q: int, rows) -> Matrix:
+    """The rows ``rows`` of d_0^{n-q} : level n -> level q."""
+    M = Matrix.identity(levels.ring, levels.rank(q)).submatrix(
+        rows, range(levels.rank(q)))
+    for level in range(q + 1, n + 1):
+        M = M @ levels.face(level, 0)
     return M
 
 
@@ -67,10 +70,9 @@ def ez(A: SimplicialModule, B: SimplicialModule,
             cols = range(len(cols_a) * len(cols_b))
             block = Matrix.zero(ring, len(rows), len(cols))
             for sh in shuffles(p, q):
-                left = _degeneracy_composite(A.levels, p, sh.nu)
-                right = _degeneracy_composite(B.levels, q, sh.mu)
-                term = left.columns(cols_a).kron_submatrix(
-                    right.columns(cols_b), rows, cols)
+                left = _degeneracy_composite(A.levels, p, sh.nu, cols_a)
+                right = _degeneracy_composite(B.levels, q, sh.mu, cols_b)
+                term = left.kron_submatrix(right, rows, cols)
                 block = block + term if sh.sign == 1 else block - term
             blocks.append(block)
         # no blocks past the tensor's top, where the source is zero
@@ -92,12 +94,10 @@ def aw(A: SimplicialModule, B: SimplicialModule,
         cols = T.levels.nondegenerate_coords(n)
         blocks = []
         for (p, q) in lay.pairs(n):
-            front = _front_face(A.levels, n, p)
-            back = _back_face(B.levels, n, q)
-            front = front.submatrix(A.levels.nondegenerate_coords(p),
-                                    range(front.cols))
-            back = back.submatrix(B.levels.nondegenerate_coords(q),
-                                  range(back.cols))
+            front = _front_face(A.levels, n, p,
+                                A.levels.nondegenerate_coords(p))
+            back = _back_face(B.levels, n, q,
+                              B.levels.nondegenerate_coords(q))
             blocks.append(front.kron_submatrix(
                 back, range(front.rows * back.rows), cols))
         # no blocks past the tensor's top, where the target is zero

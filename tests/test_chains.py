@@ -11,8 +11,10 @@ from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                         chain_map_equal, validate)
 from chaincert.chains.cones import (mapping_cocylinder, mapping_cone,
-                                    mapping_cylinder, pushout_complexes)
-from chaincert.chains.homcx import ChainMapsSpace, hom_complex, hom_truncation
+                                    mapping_cylinder, path_window,
+                                    pushout_complexes)
+from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
+                                    hom_truncation)
 from chaincert.chains.homology import homology, homology_iso_all_degrees
 from chaincert.chains.homotopy import (chain_homotopic, contract_image,
                                        find_contraction,
@@ -396,6 +398,27 @@ def test_cocylinder_factorization_general():
     f = ChainMap(C, Q, [ModuleMap(free, Q.module(0), Matrix(ZZ, 1, 1, [[1]]))])
     cocyl = mapping_cocylinder(f)
     assert chain_map_equal(cocyl.fibration_leg.compose(cocyl.section_leg), f)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_path_window_matches_the_hom_window_oracle(ring):
+    # the closed form B_n + B_n + B_{n+1} is Hom(I, B) entry for entry, and
+    # the cocylinder built on it factors p on the nose
+    rng = random.Random(14)
+    for draw in range(200):
+        B = random_complex(ring, rng)
+        closed = path_window(B)
+        oracle = HomWindow(interval(ring), B).window()
+        assert closed.top == oracle.top == B.top
+        for n in range(-1, B.top + 1):
+            assert closed.module(n) == oracle.module(n), (draw, n)
+        for n in range(0, B.top + 1):
+            assert closed.differential(n).action \
+                == oracle.differential(n).action, (draw, n)
+        p = random_chain_map(random_complex(ring, rng), B, rng)
+        cocyl = mapping_cocylinder(p)
+        assert chain_map_equal(
+            cocyl.fibration_leg.compose(cocyl.section_leg), p), draw
 
 
 def test_nullhomotopy_witness():

@@ -14,8 +14,11 @@ from chaincert.chains.complexes import (ChainComplex, ChainMap, LiftingProblem,
 from chaincert.chains.homotopy import is_chain_homotopy_equivalence
 from chaincert.chains.tensor import interval_cylinder
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import ModuleMap, PresentedModule, map_equal
-from chaincert.exact.rings import ZZ
+from chaincert.certify import SUITES, CertifyConfig
+from chaincert.exact.modules import (HomSpace, ModuleMap, PresentedModule,
+                                     map_equal)
+from chaincert.exact.rings import ZZ, Zmod
+from chaincert.io.document import chain_map_from_json
 from chaincert.exact.splitting import is_split_epi
 from chaincert.models.classify import classify
 from chaincert.models.factorize import factorize_h
@@ -202,6 +205,30 @@ def test_hlp_hep_match_classifier_bits():
         v = classify(f, "h")
         assert hlp_check(f) == v.fibration.holds
         assert hep_check(f) == v.cofibration.holds
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_path_objects_never_build_hom_spaces(monkeypatch, ring):
+    # the hlp-hep suite's maps at seed 7; generating them builds the
+    # chain-maps module, so they are made before HomSpace is forbidden
+    cfg = CertifyConfig("hlp-hep", seed=7, cases=20, ring=ring)
+    maps = []
+    for index in range(cfg.cases):
+        rng = random.Random(cfg.seed * 1_000_003 + index)
+        case = SUITES["hlp-hep"].generate(rng, cfg)
+        maps.append(chain_map_from_json(cfg.ring, case["map"], "map"))
+
+    def forbidden(self, *args):
+        raise RuntimeError("path object built on the general hom machinery")
+
+    monkeypatch.setattr(HomSpace, "__init__", forbidden)
+    for f in maps:
+        v = classify(f, "h")
+        assert hlp_check(f) == v.fibration.holds
+        assert hep_check(f) == v.cofibration.holds
+        rep = factorize_h(f)
+        assert rep.cocylinder.composes_to(f)
+        assert rep.cocylinder.second_verdict.fibration.holds
 
 
 def test_p_epic_examples():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (
     HomSpace, ModuleMap, PresentedModule, cokernel, direct_sum, factor_through,
-    hom_module, kernel, map_equal, present_submodule, pullback_modules,
-    pushout_induced_map, pushout_modules, tensor_module,
+    hom_module, kernel, map_equal, present_submodule, pushout_induced_map,
+    pushout_modules, tensor_module,
 )
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.splitting import is_projective, is_split_epi, is_split_mono
@@ -218,15 +218,6 @@ def test_pushout_induced_map():
     h = pushout_induced_map(P, u, v)
     assert map_equal(h.compose(injB), u)
     assert map_equal(h.compose(injC), v)
-
-
-def test_pullback_modules():
-    p = canonical_quotient(2)
-    q = canonical_quotient(2)
-    P, prE, prX = pullback_modules(p, q)
-    assert map_equal(p.compose(prE), q.compose(prX))
-    # {(a, b) : a = b mod 2} is free of rank 2
-    assert P.minimal_invariants() == (2, ())
 
 
 def test_present_submodule():
