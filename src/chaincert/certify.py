@@ -10,7 +10,7 @@ seed and configuration give byte-identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .chains.build import brutal_truncation, concentrated, unit_complex, \
@@ -37,7 +37,7 @@ from .models.lifting import find_lift
 from .models.pushout import check_pushout_product_axiom, pushout_product
 from .models.yoneda import split_epi_via_yoneda
 from .simplicial.module import gamma, gamma_map
-from .simplicial.classify import pushout_product_simplicial, simplicial_classify
+from .simplicial.classify import pushout_product_simplicial
 
 PASS, FAIL, INVALID = "pass", "fail", "invalid"
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule, map_equal
 from ..exact.rings import RingSpec
 

@@ -171,24 +171,3 @@ def map_from_truncation(source: Truncation, target: ChainComplex,
             n, ModuleMap.zero_map(source.complex.module(n), target.module(n))))
     return ChainMap(source.complex, target, comps, check=check)
 
-
-def map_into_truncation(source: ChainComplex, target: Truncation,
-                        window_components: dict[int, ModuleMap],
-                        *, check: bool = True) -> ChainMap:
-    """Build a chain map into a truncation; degree 0 must hit ker(d_0).
-
-    ``check=False`` is for callers whose components commute with the
-    window differentials by construction: the kernel inclusion is a
-    monomorphism, so the factored degree-0 square commutes too.
-    """
-    from ..exact.modules import factor_through
-
-    w0 = factor_through(target.kernel_inclusion, window_components[0])
-    if w0 is None:
-        raise ValueError("degree-0 component does not land in ker(d_0)")
-    comps = [w0]
-    top = max(source.top, target.complex.top)
-    for n in range(1, top + 1):
-        comps.append(window_components.get(
-            n, ModuleMap.zero_map(source.module(n), target.complex.module(n))))
-    return ChainMap(source, target.complex, comps, check=check)

@@ -6,18 +6,19 @@ from dataclasses import dataclass
 
 from ..exact.modules import ModuleMap, PresentedModule, factor_through, kernel
 from ..exact.rings import RingSpec
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex
 
 
 class WindowComplex:
     """Chain data on degrees -1 .. top; only d o d = 0 is required.
 
-    This is the internal carrier for constructions that naturally live in
-    unbounded complexes but are only ever consumed through their good
+    This is the internal carrier for chain data that naturally lives in
+    unbounded complexes but is only ever consumed through its good
     truncation, which needs one negative degree to form ker(d_0): hom
-    complexes (`HomWindow`) and, in closed form, the path object
-    Hom(I, B)_n = B_n (+) B_n (+) B_{n+1} and the mapping cocylinder
-    E_n (+) B_n (+) B_{n+1} (`chains/cones.py`).
+    complexes (`HomWindow`) and the windows that the `truncate` command
+    reads from documents (`io/document.py`, `window_of_complex`).  The
+    path object and the mapping cocylinder do not need it: their
+    truncations are written in closed form (`chains/cones.py`).
     """
 
     __slots__ = ("ring", "top", "mods", "diffs")
@@ -85,28 +86,3 @@ def window_of_complex(C: ChainComplex) -> WindowComplex:
     diffs = {n: C.differential(n) for n in range(1, C.top + 1)}
     return WindowComplex(C.ring, mods, diffs, check=False)
 
-
-def truncate_window_map(components: dict[int, ModuleMap],
-                        source: Truncation, target: Truncation,
-                        *, check: bool = True) -> ChainMap:
-    """Induce a map between truncations from window-level components.
-
-    ``components[n]`` is the window map at degree n >= 0; the degree-0
-    component must carry ker(d_0) into ker(d_0), which is checked by the
-    factorization.  A caller whose components commute with the window
-    differentials by construction passes ``check=False``: the truncated
-    squares are then the window squares, the one at degree 1 read
-    through the kernel inclusion, which is a monomorphism.
-    """
-    src, tgt = source.complex, target.complex
-    top = max(src.top, tgt.top)
-    parts: list[ModuleMap] = []
-    u0 = components[0].compose(source.kernel_inclusion)
-    w0 = factor_through(target.kernel_inclusion, u0)
-    if w0 is None:
-        raise ValueError("window map does not preserve the degree-0 kernel")
-    parts.append(w0)
-    for n in range(1, top + 1):
-        parts.append(components.get(
-            n, ModuleMap.zero_map(src.module(n), tgt.module(n))))
-    return ChainMap(src, tgt, parts, check=check)

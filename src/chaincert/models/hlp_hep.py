@@ -4,66 +4,75 @@ A map p has the HLP iff the comparison (ev_0, p_*) from the path space E^I
 to the mapping cocylinder admits a chain section; dually, i has the HEP iff
 the canonical map from its mapping cylinder into X (x) I admits a chain
 retraction.  Both are one lift solve each (`find_lift`), and both must agree
-with the degreewise split-epi / split-mono classifier bits.  The path
-objects are written in closed form (`chains/cones.py`): (E^I)_n is
-E_n (+) E_n (+) E_{n+1}, the cocylinder window is E_n (+) B_n (+) B_{n+1},
-and the comparison between them is the block diagonal id (+) p_n (+) p_{n+1}.
+with the degreewise split-epi / split-mono classifier bits.  Both universal
+objects are written in closed form (`chains/cones.py`), so each comparison
+is a block diagonal: id (+) p_n (+) p_{n+1} from (E^I)_n = E_n (+) E_n (+)
+E_{n+1} to (Np)_n = E_n (+) B_n (+) B_{n+1}, id (+) p_1 in degree 0, and
+i_n (+) i_{n-1} (+) id from (Mi)_n = A_n (+) A_{n-1} (+) X_n to
+(X (x) I)_n = X_n (+) X_{n-1} (+) X_n.
 """
 
 from __future__ import annotations
 
-from ..chains.build import interval
-from ..chains.complexes import ChainMap
-from ..chains.cones import (mapping_cocylinder, path_window, pushout_complexes,
-                            pushout_induced_chain_map)
-from ..chains.tensor import interval_cylinder, tensor_chain_maps
-from ..chains.truncate import good_truncation, truncate_window_map
+from typing import Callable
+
+from ..chains.complexes import ChainComplex, ChainMap
+from ..chains.cones import cocylinder_complex, cylinder_complex
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .lifting import chain_retraction, chain_section
 
 
-def path_space_comparison(p: ChainMap) -> ChainMap:
-    """(ev_0, p_*) : E^I -> tau_{>=0}(E x_B B^I).
+def _block_diagonal_map(source: ChainComplex, target: ChainComplex,
+                        blocks: Callable[[int], list[Matrix]]) -> ChainMap:
+    ring = source.ring
+    return ChainMap(source, target, [
+        ModuleMap(source.module(n), target.module(n),
+                  Matrix.block_diagonal(ring, blocks(n)), check=False)
+        for n in range(max(source.top, target.top) + 1)], check=False)
 
-    On the windows, the path (a, b, h) of E goes to the triple
-    (a, p b, p h), that is a with the path p_*(a, b, h): the block
-    diagonal id (+) p_n (+) p_{n+1}.  A chain map by construction: with
-    s = (-1)^{n+1}, the third entries of d o comparison and comparison o d
-    are d p h + s(p b - p a) and p(d h + s(b - a)), equal because p
-    commutes with d; the first two entries are those of id and p.
+
+def path_space_comparison(p: ChainMap) -> ChainMap:
+    """(ev_0, p_*) : E^I -> Np.
+
+    The path (a, b, h) of E goes to (a, p b, p h), that is a with the path
+    p_*(a, b, h), and the degree-0 cycle (a, h) to (a, p h).  A chain map
+    by construction: on both sides of the square each block of d on E^I
+    (d or +-id) turns into the matching block on Np (d, +-id or +-p)
+    times p, as p d on one side and d p on the other, and p is a chain map.
     """
     E = p.source
     ring = E.ring
-    trunc_EI = good_truncation(path_window(E))
-    trunc_Np = mapping_cocylinder(p).truncation
-    components = {
-        n: ModuleMap(trunc_EI.window_module(n), trunc_Np.window_module(n),
-                     Matrix.block_diagonal(ring, [
-                         Matrix.identity(ring, E.module(n).generators),
-                         p.component(n).action, p.component(n + 1).action]),
-                     check=False)
-        for n in range(E.top + 1)}
-    return truncate_window_map(components, trunc_EI, trunc_Np, check=False)
+
+    def blocks(n: int) -> list[Matrix]:
+        outer = [] if n == 0 else [p.component(n).action]
+        return ([Matrix.identity(ring, E.module(n).generators)] + outer
+                + [p.component(n + 1).action])
+
+    return _block_diagonal_map(cocylinder_complex(ChainMap.identity(E)),
+                               cocylinder_complex(p), blocks)
 
 
 def hlp_check(p: ChainMap) -> bool:
-    """True iff (ev_0, p_*) : E^I -> tau_{>=0}(Np) admits a chain section."""
+    """True iff (ev_0, p_*) : E^I -> Np admits a chain section."""
     comparison = path_space_comparison(p)
     return chain_section(comparison) is not None
 
 
 def cylinder_comparison(i: ChainMap) -> ChainMap:
-    """The canonical map Mi -> X (x) I, gluing at the e1 end."""
+    """The canonical map Mi -> X (x) I, gluing at the e1 end.
+
+    (a, h, x) goes to (i a, i h, x).  A chain map by construction: the
+    cylinder differentials d(a, h, y) = (d a + s h, d h, d y - s f h) for
+    f = i and f = id_X agree after applying i to the first two entries,
+    because i commutes with d.
+    """
     A, X = i.source, i.target
     ring = A.ring
-    I = interval(ring)
-    layA, a_i0, a_i1, a_r = interval_cylinder(A, I)
-    layX, x_i0, x_i1, x_r = interval_cylinder(X, I)
-    Mi, inj_x, inj_cyl = pushout_complexes(i, a_i1)
-    i_tensor = tensor_chain_maps(i, ChainMap.identity(I), layA, layX)
-    # x_i1 o i = (i (x) id_I) o a_i1 as matrices: both put i(a) at the e1 end
-    return pushout_induced_chain_map(Mi, x_i1, i_tensor, check=False)
+    return _block_diagonal_map(
+        cylinder_complex(i), cylinder_complex(ChainMap.identity(X)),
+        lambda n: [i.component(n).action, i.component(n - 1).action,
+                   Matrix.identity(ring, X.module(n).generators)])
 
 
 def hep_check(i: ChainMap) -> bool:

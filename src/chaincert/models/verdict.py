@@ -9,7 +9,7 @@ present an undecided class as decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 YES = "yes"

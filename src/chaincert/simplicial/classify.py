@@ -27,7 +27,7 @@ from ..models.verdict import Verdict
 from .cotensor import CotensorData, cotensor, ez_aw_dual_ops
 from .ez_aw import aw, ez
 from .module import (SimplicialMap, SimplicialModule, constant_module,
-                     degreewise_tensor, end_inclusion, gamma, gamma_map,
+                     degreewise_tensor, end_inclusion, gamma_map,
                      interval_object, tensor_normalized_map)
 
 

@@ -10,9 +10,9 @@ from chaincert.chains.build import (change_ring, complex_from_data, concentrated
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                         chain_map_equal, validate)
-from chaincert.chains.cones import (mapping_cocylinder, mapping_cone,
-                                    mapping_cylinder, path_window,
-                                    pushout_complexes)
+from chaincert.chains.cones import (cocylinder_complex, cylinder_complex,
+                                    mapping_cocylinder, mapping_cone,
+                                    mapping_cylinder, pushout_complexes)
 from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
                                     hom_truncation)
 from chaincert.chains.homology import homology, homology_iso_all_degrees
@@ -27,7 +27,8 @@ from chaincert.chains.truncate import WindowComplex, good_truncation, \
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.exact import equations
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import ModuleMap, PresentedModule, map_equal
+from chaincert.exact.modules import (ModuleMap, PresentedModule, factor_through,
+                                     kernel, map_equal)
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import solve
 from chaincert.io.document import (chain_map_to_json, cochain_map_from_json,
@@ -401,24 +402,76 @@ def test_cocylinder_factorization_general():
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
-def test_path_window_matches_the_hom_window_oracle(ring):
-    # the closed form B_n + B_n + B_{n+1} is Hom(I, B) entry for entry, and
-    # the cocylinder built on it factors p on the nose
+def test_cocylinder_matches_the_hom_window_oracle(ring):
+    # B^I is Hom(I, B) entry for entry in degrees >= 1; in degree 0 the pair
+    # (a, h) is the cycle (a, a + d h, h), which spans the oracle's ker d_0;
+    # the cocylinder of any p factors p on the nose
     rng = random.Random(14)
     for draw in range(200):
         B = random_complex(ring, rng)
-        closed = path_window(B)
+        closed = cocylinder_complex(ChainMap.identity(B))
         oracle = HomWindow(interval(ring), B).window()
         assert closed.top == oracle.top == B.top
-        for n in range(-1, B.top + 1):
+        for n in range(1, B.top + 1):
             assert closed.module(n) == oracle.module(n), (draw, n)
-        for n in range(0, B.top + 1):
+        for n in range(2, B.top + 1):
             assert closed.differential(n).action \
                 == oracle.differential(n).action, (draw, n)
+        g0, g1 = B.module(0).generators, B.module(1).generators
+        iota = ModuleMap(closed.module(0), oracle.module(0), Matrix.assemble(
+            ring, [g0, g0, g1], [g0, g1],
+            {(0, 0): Matrix.identity(ring, g0),
+             (1, 0): Matrix.identity(ring, g0),
+             (1, 1): B.differential(1).action,
+             (2, 1): Matrix.identity(ring, g1)}))
+        _, cycles = kernel(oracle.differential(0))
+        assert factor_through(iota, cycles) is not None, draw
+        assert factor_through(cycles, iota) is not None, draw
+        if B.top >= 1:
+            assert map_equal(iota.compose(closed.differential(1)),
+                             oracle.differential(1)), draw
         p = random_chain_map(random_complex(ring, rng), B, rng)
         cocyl = mapping_cocylinder(p)
         assert chain_map_equal(
             cocyl.fibration_leg.compose(cocyl.section_leg), p), draw
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_cylinder_matches_the_tensor_oracle(ring):
+    # (a, h, b) = a (x) e0 + h (x) e + b (x) e1 is X (x) I in the tensor
+    # layout's basis; the legs of the cylinder of id_X are the e0 end and
+    # the collapse
+    rng = random.Random(15)
+    for draw in range(200):
+        X = random_complex(ring, rng)
+        closed = cylinder_complex(ChainMap.identity(X))
+        lay, i0, _, r = interval_cylinder(X, interval(ring))
+        oracle = lay.complex()
+        assert closed.top == oracle.top == X.top + 1
+        cyl = mapping_cylinder(ChainMap.identity(X))
+        perms = []
+        for n in range(closed.top + 1):
+            order = ([lay.address(n, n, k, 0)
+                      for k in range(X.module(n).generators)]
+                     + [lay.address(n, n - 1, k, 0)
+                        for k in range(X.module(n - 1).generators)]
+                     + [lay.address(n, n, k, 1)
+                        for k in range(X.module(n).generators)])
+            P = Matrix(ring, len(order), len(order),
+                       [[int(order[j] == i) for j in range(len(order))]
+                        for i in range(len(order))])
+            perms.append(P)
+            moved = P @ closed.module(n).relations
+            want = oracle.module(n).relations
+            assert sorted(map(tuple, moved.transpose().to_lists())) \
+                == sorted(map(tuple, want.transpose().to_lists())), (draw, n)
+            assert P @ cyl.cofibration.component(n).action \
+                == i0.component(n).action, (draw, n)
+            assert cyl.projection.component(n).action \
+                == r.component(n).action @ P, (draw, n)
+        for n in range(1, closed.top + 1):
+            assert perms[n - 1] @ closed.differential(n).action \
+                == oracle.differential(n).action @ perms[n], (draw, n)
 
 
 def test_nullhomotopy_witness():

@@ -12,17 +12,24 @@ from chaincert.chains.build import (brutal_truncation, concentrated, disk,
 from chaincert.chains.complexes import (ChainComplex, ChainMap, LiftingProblem,
                                         chain_map_equal)
 from chaincert.chains.homotopy import is_chain_homotopy_equivalence
-from chaincert.chains.tensor import interval_cylinder
+from chaincert.chains.cones import (mapping_cocylinder, mapping_cylinder,
+                                    pushout_complexes,
+                                    pushout_induced_chain_map)
+from chaincert.chains.tensor import interval_cylinder, tensor_chain_maps
+from chaincert.chains.truncate import WindowComplex, good_truncation
 from chaincert.exact.matrix import Matrix
 from chaincert.certify import SUITES, CertifyConfig
+from chaincert.exact import snf
 from chaincert.exact.modules import (HomSpace, ModuleMap, PresentedModule,
+                                     direct_sum_module, factor_through,
                                      map_equal)
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.document import chain_map_from_json
 from chaincert.exact.splitting import is_split_epi
 from chaincert.models.classify import classify
 from chaincert.models.factorize import factorize_h
-from chaincert.models.hlp_hep import hep_check, hlp_check
+from chaincert.models.hlp_hep import (cylinder_comparison, hep_check,
+                                      hlp_check, path_space_comparison)
 from chaincert.models.lifting import chain_retraction, chain_section, solve_lifting
 from chaincert.models.pushout import check_pushout_product_axiom, pushout_product
 from chaincert.models.generators import (random_complex, random_map_for_agreement,
@@ -207,28 +214,115 @@ def test_hlp_hep_match_classifier_bits():
         assert hep_check(f) == v.cofibration.holds
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
-def test_path_objects_never_build_hom_spaces(monkeypatch, ring):
-    # the hlp-hep suite's maps at seed 7; generating them builds the
-    # chain-maps module, so they are made before HomSpace is forbidden
-    cfg = CertifyConfig("hlp-hep", seed=7, cases=20, ring=ring)
+def hlp_hep_suite_maps(ring, cases):
+    """The maps of the hlp-hep suite at seed 7; generating them builds the
+    chain-maps module and takes Smith forms."""
+    cfg = CertifyConfig("hlp-hep", seed=7, cases=cases, ring=ring)
     maps = []
     for index in range(cfg.cases):
         rng = random.Random(cfg.seed * 1_000_003 + index)
         case = SUITES["hlp-hep"].generate(rng, cfg)
         maps.append(chain_map_from_json(cfg.ring, case["map"], "map"))
+    return maps
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_path_objects_never_build_hom_spaces(monkeypatch, ring):
+    # the path objects and both comparisons are block matrices: building
+    # them takes no Smith form, and deciding HLP/HEP builds no HomSpace
+    maps = hlp_hep_suite_maps(ring, 200)
+
+    def no_smith_form(M):
+        raise RuntimeError("a universal object took a Smith form")
 
     def forbidden(self, *args):
         raise RuntimeError("path object built on the general hom machinery")
 
+    with monkeypatch.context() as stubbed:
+        stubbed.setattr(snf, "_factor", no_smith_form)
+        for f in maps:
+            mapping_cylinder(f)
+            mapping_cocylinder(f)
+            cylinder_comparison(f)
+            path_space_comparison(f)
     monkeypatch.setattr(HomSpace, "__init__", forbidden)
-    for f in maps:
+    for f in maps[:20]:
         v = classify(f, "h")
         assert hlp_check(f) == v.fibration.holds
         assert hep_check(f) == v.cofibration.holds
         rep = factorize_h(f)
         assert rep.cocylinder.composes_to(f)
         assert rep.cocylinder.second_verdict.fibration.holds
+
+
+def pushout_path_space_window(p):
+    """E x_B Hom(I, B) on degrees -1..top as E_n + B_n + B_{n+1}, with
+    d(e, b, h) = (d e, d b, d h + (-1)^{n+1}(b - p e)): the window whose
+    good truncation is the cocylinder."""
+    E, B = p.source, p.target
+    ring = E.ring
+
+    def summands(n):
+        return [E.module(n), B.module(n), B.module(n + 1)]
+
+    top = max(E.top, B.top)
+    mods = {n: direct_sum_module(ring, summands(n)) for n in range(-1, top + 1)}
+    diffs = {}
+    for n in range(top + 1):
+        s = -1 if n % 2 == 0 else 1
+        action = Matrix.assemble(
+            ring, [m.generators for m in summands(n - 1)],
+            [m.generators for m in summands(n)],
+            {(0, 0): E.differential(n).action,
+             (1, 1): B.differential(n).action,
+             (2, 0): p.component(n).action.scale(-s),
+             (2, 1): Matrix.identity(ring, B.module(n).generators).scale(s),
+             (2, 2): B.differential(n + 1).action})
+        diffs[n] = ModuleMap(mods[n], mods[n - 1], action)
+    return WindowComplex(ring, mods, diffs)
+
+
+def truncated_path_space_comparison(p):
+    """(ev_0, p_*) between the good truncations, degree 0 factored through
+    the kernel inclusions."""
+    E = p.source
+    ring = E.ring
+    source = good_truncation(pushout_path_space_window(ChainMap.identity(E)))
+    target = good_truncation(pushout_path_space_window(p))
+    comps = [ModuleMap(source.window_module(n), target.window_module(n),
+                       Matrix.block_diagonal(ring, [
+                           Matrix.identity(ring, E.module(n).generators),
+                           p.component(n).action, p.component(n + 1).action]))
+             for n in range(E.top + 1)]
+    comps[0] = factor_through(target.kernel_inclusion,
+                              comps[0].compose(source.kernel_inclusion))
+    return ChainMap(source.complex, target.complex, comps)
+
+
+def pushout_cylinder_comparison(i):
+    """Mi -> X (x) I with Mi the pushout of X <- A -> A (x) I at e1."""
+    A, X = i.source, i.target
+    I = interval(A.ring)
+    layA, _, a_i1, _ = interval_cylinder(A, I)
+    layX, _, x_i1, _ = interval_cylinder(X, I)
+    Mi, _, _ = pushout_complexes(i, a_i1)
+    i_tensor = tensor_chain_maps(i, ChainMap.identity(I), layA, layX)
+    return pushout_induced_chain_map(Mi, x_i1, i_tensor)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_closed_forms_decide_like_the_pushout_and_truncation(ring):
+    # the good truncation and the pushout presentation of the universal
+    # objects give the same sections and retractions as the closed forms
+    verdicts = set()
+    for f in hlp_hep_suite_maps(ring, 40):
+        hlp = chain_section(truncated_path_space_comparison(f)) is not None
+        hep = chain_retraction(pushout_cylinder_comparison(f)) is not None
+        assert hlp_check(f) == hlp
+        assert hep_check(f) == hep
+        verdicts.add((hlp, hep))
+    assert {hlp for hlp, _ in verdicts} == {hep for _, hep in verdicts} \
+        == {False, True}
 
 
 def test_p_epic_examples():

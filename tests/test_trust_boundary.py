@@ -8,20 +8,24 @@ private name appears outside ``src/chaincert/exact/``.  Internal
 constructions build complexes, chain maps and module maps that are right
 by construction with ``check=False`` (see ``chains/complexes.py``); the
 second test makes every such constructor check anyway and reruns the
-suites and the fixtures, so a false "by construction" claim fails there.
+suites, the fixtures and the h-factorizations of the hlp-hep suite's
+maps, so a false "by construction" claim fails there.
 """
 
 import json
 import os
+import random
 import re
 from pathlib import Path
 
-from chaincert.certify import SUITES
+from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import ChainComplex, ChainMap
 from chaincert.chains.truncate import WindowComplex
 from chaincert.cli import main
 from chaincert.exact.modules import ModuleMap
-from chaincert.io.document import parse_document
+from chaincert.exact.rings import ZZ, Zmod
+from chaincert.io.document import chain_map_from_json, parse_document
+from chaincert.models.factorize import factorize_h
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = ROOT / "src" / "chaincert" / "exact"
@@ -81,6 +85,24 @@ def _reports(capsys, tmp_path):
     return runs
 
 
+def _factorizations():
+    """The verdicts of both h-factorizations of the hlp-hep suite's maps
+    at seed 7 over Z and Z/6; no suite or command reaches their legs."""
+    verdicts = []
+    for ring in (ZZ, Zmod(6)):
+        cfg = CertifyConfig("hlp-hep", seed=7, cases=10, ring=ring)
+        for index in range(cfg.cases):
+            rng = random.Random(cfg.seed * 1_000_003 + index)
+            case = SUITES["hlp-hep"].generate(rng, cfg)
+            f = chain_map_from_json(ring, case["map"], "map")
+            rep = factorize_h(f)
+            for fact in (rep.cylinder, rep.cocylinder):
+                assert fact.composes_to(f)
+                verdicts.append((fact.first_verdict.to_json(),
+                                 fact.second_verdict.to_json()))
+    return verdicts
+
+
 def _always_check(init):
     def checked_init(self, *args, check=True, **kwargs):
         init(self, *args, check=True, **kwargs)
@@ -91,8 +113,10 @@ def test_unchecked_constructions_pass_when_forced_to_check(
         monkeypatch, capsys, tmp_path):
     plain = _reports(capsys, tmp_path)
     assert len(plain) > 2 * len(SUITES)
+    factorizations = _factorizations()
     for cls in (ChainComplex, ChainMap, ModuleMap, WindowComplex):
         monkeypatch.setattr(cls, "__init__", _always_check(cls.__init__))
+    assert _factorizations() == factorizations
     forced = _reports(capsys, tmp_path)
     assert [run[0] for run in forced] == [run[0] for run in plain]
     for (argv, *want), (_, *got) in zip(plain, forced):
