@@ -3,6 +3,11 @@
 Every command emits a machine-readable JSON report on stdout.  Exit codes:
 0 = the operation ran and any claim it makes is certified, 1 = a claim was
 refuted (with a counterexample in the report), 2 = usage or parse error.
+
+Each call builds the argument parser of the command it names and no
+other; without a known command name first (no arguments, ``--help``, a
+misspelt command) it builds the parser of every command, so the overview
+and the error list them all.  Both come from the one table `COMMANDS`.
 """
 
 from __future__ import annotations
@@ -234,82 +239,64 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chaincert",
-        description="exact-arithmetic model-structure certification "
-                    "for chain complexes and simplicial modules")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _doc_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--doc", dest="document", required=True,
+                   help="fixture document (JSON)")
+    p.add_argument("--out", help="also write the report to this file")
 
-    def add_doc(p):
-        p.add_argument("--doc", dest="document", required=True,
-                       help="fixture document (JSON)")
-        p.add_argument("--out", help="also write the report to this file")
 
-    p = sub.add_parser("validate", help="parse and validate a document")
+def _validate_args(p):
     p.add_argument("document")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("classify", help="classify a map in a model structure")
-    add_doc(p)
+
+def _map_args(p):
+    _doc_args(p)
     p.add_argument("--map", required=True)
+
+
+def _classify_args(p):
+    _map_args(p)
     p.add_argument("--flavor", choices=["h", "q", "m", "bousfield"],
                    default="h")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("lift", help="solve a lifting square")
-    add_doc(p)
+
+def _lift_args(p):
+    _doc_args(p)
     for leg in ("left", "right", "top", "bottom"):
         p.add_argument(f"--{leg}", required=True)
     p.add_argument("--flavor", choices=["h", "q", "m"], default="h")
     p.add_argument("--acyclic-leg", choices=["left", "right"], default="left")
-    p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("tensor", help="tensor product of two complexes")
-    add_doc(p)
+
+def _pair_args(p):
+    _doc_args(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_tensor)
 
-    p = sub.add_parser("hom", help="the enriching hom complex")
-    add_doc(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("truncate", help="good truncation of a window complex")
-    add_doc(p)
+def _object_args(p):
+    _doc_args(p)
     p.add_argument("--object", required=True)
-    p.set_defaults(func=cmd_truncate)
 
-    p = sub.add_parser("normalize", help="normalized complex from level data")
-    add_doc(p)
-    p.add_argument("--object", required=True)
-    p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("denormalize", help="levels of the denormalization")
-    add_doc(p)
+def _denormalize_args(p):
+    _doc_args(p)
     p.add_argument("--complex", required=True)
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_denormalize)
 
-    p = sub.add_parser("ez-aw", help="shuffle and front-back comparison maps")
-    add_doc(p)
+
+def _ez_aw_args(p):
+    _doc_args(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--dual", action="store_true",
                    help="also compute the cotensor-side comparison")
     p.add_argument("--through", type=int, default=3,
                    help="degree bound for the dual comparison")
-    p.set_defaults(func=cmd_ez_aw)
 
-    p = sub.add_parser("bousfield", help="classify in the dual structure")
-    add_doc(p)
-    p.add_argument("--map", required=True)
-    p.set_defaults(func=cmd_bousfield)
 
-    p = sub.add_parser("certify", help="run a randomized certification suite")
+def _certify_args(p):
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=50)
@@ -317,20 +304,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="z", help="'z' or 'z/<m>'")
     p.add_argument("--no-shrink", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verify", help="re-verify an emitted witness file")
+
+def _verify_args(p):
     p.add_argument("witness", nargs="?", help="witness report (JSON)")
     p.add_argument("--verify", dest="verify", help="witness report (JSON)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (handler, help, adds the command's arguments), in help order
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate a document",
+                 _validate_args),
+    "classify": (cmd_classify, "classify a map in a model structure",
+                 _classify_args),
+    "lift": (cmd_lift, "solve a lifting square", _lift_args),
+    "tensor": (cmd_tensor, "tensor product of two complexes", _pair_args),
+    "hom": (cmd_hom, "the enriching hom complex", _pair_args),
+    "truncate": (cmd_truncate, "good truncation of a window complex",
+                 _object_args),
+    "normalize": (cmd_normalize, "normalized complex from level data",
+                  _object_args),
+    "denormalize": (cmd_denormalize, "levels of the denormalization",
+                    _denormalize_args),
+    "ez-aw": (cmd_ez_aw, "shuffle and front-back comparison maps",
+              _ez_aw_args),
+    "bousfield": (cmd_bousfield, "classify in the dual structure",
+                  _map_args),
+    "certify": (cmd_certify, "run a randomized certification suite",
+                _certify_args),
+    "verify": (cmd_verify, "re-verify an emitted witness file", _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for ``command`` alone."""
+    parser = argparse.ArgumentParser(
+        prog="chaincert",
+        description="exact-arithmetic model-structure certification "
+                    "for chain complexes and simplicial modules")
+    # a parser for one command still names every command in the usage
+    # line that its errors print
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if command else None)
+    for name in [command] if command else COMMANDS:
+        func, help_text, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the parser of the named command alone: building every command's
+    # parser costs about as much as running a quick command
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

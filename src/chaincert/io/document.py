@@ -63,7 +63,7 @@ def get_field(data: Any, key: str, location: str = "") -> Any:
     return data[key]
 
 
-def _is_json_int(x: Any) -> bool:
+def is_json_int(x: Any) -> bool:
     """True for a JSON integer; JSON ``true`` and ``false`` are not one,
     although Python's ``bool`` is a subclass of ``int``."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -91,14 +91,14 @@ def parse_matrix(ring: RingSpec, data: Any, rows: int, cols: int,
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{location}[{r}]", f"expected {cols} entries")
         for x in row:
-            if not _is_json_int(x):
+            if not is_json_int(x):
                 raise DocumentError(f"{location}[{r}]", "entries must be integers")
     return Matrix(ring, rows, cols, data)
 
 
 def parse_module(ring: RingSpec, data: Any, location: str) -> PresentedModule:
     gens = get_field(data, "generators", location)
-    if not _is_json_int(gens) or gens < 0:
+    if not is_json_int(gens) or gens < 0:
         raise DocumentError(location, "'generators' must be a natural number")
     rel_data = data.get("relations", [])
     if not isinstance(rel_data, list) or (rel_data
@@ -225,7 +225,7 @@ def parse_simplicial(ring: RingSpec, data: dict, location: str
     normalized = parse_chain_complex(ring, data.get("normalized", {}),
                                      f"{location}.normalized")
     cap = data.get("cap", normalized.top + 1)
-    if not _is_json_int(cap):
+    if not is_json_int(cap):
         raise DocumentError(f"{location}.cap",
                             "cap must be an integer >= the top degree")
     problem = cap_problem(normalized, cap)

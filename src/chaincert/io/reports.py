@@ -1,9 +1,19 @@
 """Self-contained witness reports and their re-verification.
 
 A report embeds the inputs it talks about, so `verify` can re-check every
-certificate by direct arithmetic (sections, retractions, homotopy data)
-or by honest recomputation (kernel and homology vanishing claims) without
-any other file.
+certificate without any other file.
+
+- Checked by multiplication: a classification "yes" whose witness is
+  degreewise retractions, sections or surjectivity preimages, or a
+  (cochain) homotopy equivalence; and a found lift.  The witness type a
+  bit must carry comes from `WITNESS_TYPES`, not from a recomputation.
+- Checked by honest recomputation: the kernel and cokernel claims inside a
+  q-cofibration witness, and a cone_exactness witness, which is compared
+  with the recomputed one.
+- Decided again: a classification "no" or "unknown", one bit alone by
+  `model_bit` (a degreewise "no" at one of the convention's degrees, at
+  that degree alone); a lift report's "no lift" and its obstruction
+  degree; and a lift report's prechecks.
 """
 
 from __future__ import annotations
@@ -12,18 +22,20 @@ import json
 import re
 
 from ..chains.cochain import CochainMap
-from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
+from ..chains.complexes import (ChainHomotopy, ChainMap, LiftingProblem,
+                                chain_map_equal)
 from ..exact.matrix import Matrix
 from ..exact.modules import (ModuleMap, PresentedModule, cokernel, kernel,
                              map_equal)
-from ..models.classify import bit_degrees, check_data, classify, flavor_data
-from ..models.lifting import lift_prechecks
+from ..models.classify import (BITS, WITNESS_TYPES, bit_degrees, check_data,
+                               flavor_data, model_bit)
+from ..models.lifting import find_lift, lift_prechecks, obstruction_degree
 from ..models.verdict import NO, UNKNOWN, YES, Verdict
 from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
                        chain_maps_from_json, cochain_map_from_json,
-                       components_to_json, get_field, parse_components,
-                       parse_matrix, parse_module, parse_module_map,
-                       parse_ring)
+                       components_to_json, get_field, is_json_int,
+                       parse_components, parse_matrix, parse_module,
+                       parse_module_map, parse_ring)
 
 
 def _chain(f: ChainMap | CochainMap) -> ChainMap:
@@ -187,6 +199,29 @@ def _check_homotopy_equivalence(f: ChainMap, witness: dict,
         problems.append(f"homotopy equivalence witness fails: {exc}")
 
 
+def _redecide(f: ChainMap | CochainMap, flavor: str, bit_name: str,
+              bit: dict, status, problems: list[str]) -> None:
+    """Decide a bit again and compare its status with the stated one.
+
+    A degreewise "no" whose obstruction names one of the convention's
+    degrees is decided at that degree alone, and must fail there.
+    """
+    obstruction = bit.get("obstruction")
+    n = obstruction.get("degree") if isinstance(obstruction, dict) else None
+    degreewise = WITNESS_TYPES.get((flavor, bit_name)) in _DEGREEWISE_CHECKS
+    if (status == NO and degreewise and is_json_int(n)
+            and n in bit_degrees(f, flavor, bit_name)):
+        fresh = model_bit(f, flavor, bit_name, range(n, n + 1))
+        if fresh.status != NO:
+            problems.append(f"{bit_name} status {status!r} at degree {n} "
+                            f"disagrees with recomputation {fresh.status!r}")
+        return
+    fresh = model_bit(f, flavor, bit_name)
+    if status != fresh.status:
+        problems.append(f"{bit_name} status {status!r} disagrees with "
+                        f"recomputation {fresh.status!r}")
+
+
 def verify_classification(data: dict) -> list[str]:
     problems: list[str] = []
     ring = parse_ring(get_field(data, "ring"))
@@ -198,18 +233,14 @@ def verify_classification(data: dict) -> list[str]:
         check_data(f, flavor)
     except ValueError as exc:
         raise DocumentError("flavor", str(exc))
-    recomputed = classify(f, flavor)
 
     verdict = get_field(data, "verdict")
-    for bit_name in ("cofibration", "fibration", "weak_equivalence"):
+    for bit_name in BITS:
         bit = get_field(verdict, bit_name, "verdict")
         status = get_field(bit, "status", f"verdict.{bit_name}")
-        fresh = getattr(recomputed, bit_name)
-        if status != fresh.status:
-            problems.append(f"{bit_name} status {status!r} disagrees with "
-                            f"recomputation {fresh.status!r}")
-            continue
-        if status != YES:
+        convention = WITNESS_TYPES.get((flavor, bit_name))
+        if status != YES or convention is None:
+            _redecide(f, flavor, bit_name, bit, status, problems)
             continue
         witness = bit.get("witness")
         if witness is None:
@@ -217,9 +248,9 @@ def verify_classification(data: dict) -> list[str]:
             continue
         loc = f"verdict.{bit_name}.witness"
         wtype = get_field(witness, "type", loc)
-        if wtype != fresh.witness["type"]:
+        if wtype != convention:
             problems.append(f"{bit_name} witness type {wtype!r} is not the "
-                            f"convention's {fresh.witness['type']!r}")
+                            f"convention's {convention!r}")
         elif wtype in _DEGREEWISE_CHECKS:
             name, check = _DEGREEWISE_CHECKS[wtype]
             for n, where, cert in _degree_entries(
@@ -227,8 +258,8 @@ def verify_classification(data: dict) -> list[str]:
                     problems, loc):
                 check(f.component(n), cert, n, where, problems)
         elif wtype == "cone_exactness":
-            # `classify` above recomputed the cone's homology in every degree
-            if witness != fresh.witness:
+            # the cone's homology is recomputed in every degree
+            if witness != model_bit(f, flavor, bit_name).witness:
                 problems.append("cone exactness witness differs from the "
                                 "recomputed one")
         else:  # a homotopy equivalence, of chain or cochain maps
@@ -285,6 +316,9 @@ def verify_lift(data: dict) -> list[str]:
     _check_prechecks(get_field(data, "prechecks"), left, right, flavor,
                      problems)
     if not data.get("found"):
+        # whether the square commutes was checked above
+        problem = LiftingProblem(left, right, top, bottom, check=False)
+        _check_no_lift(data, problem, problems)
         return problems
     X, E = left.target, right.source
     comps = parse_components(get_field(data, "lift"), X, E, "lift")
@@ -298,6 +332,22 @@ def verify_lift(data: dict) -> list[str]:
     if not chain_map_equal(right.compose(lift), bottom):
         problems.append("lift does not project to the bottom leg")
     return problems
+
+
+def _check_no_lift(data: dict, problem: LiftingProblem,
+                   problems: list[str]) -> None:
+    """Decide the square again: no lift, and the stated obstruction degree."""
+    stated = get_field(data, "obstruction_degree")
+    if not is_json_int(stated) or stated < 0:
+        raise DocumentError("obstruction_degree",
+                            "expected a natural number")
+    if find_lift(problem) is not None:
+        problems.append("the report says no lift exists, but one does")
+        return
+    degree = obstruction_degree(problem)
+    if stated != degree:
+        problems.append(f"obstruction degree {stated} disagrees with "
+                        f"recomputation {degree}")
 
 
 def verify_report(data: dict) -> tuple[bool, list[str]]:

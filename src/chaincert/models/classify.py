@@ -1,15 +1,32 @@
 """The model-structure conventions, and the deciders behind each bit.
 
 This module is the only one that knows which decider makes up each bit
-of each structure and which degrees it covers.  Every classifier,
-pushout-product check, lifting precheck and `verify` asks `model_bit`,
-`bit_degrees` and `classify`:
+of each structure, which degrees it covers and which witness its "yes"
+carries.  Classifiers, pushout-product checks and lifting prechecks ask
+`classify` and `model_bit`; `verify` asks `model_bit`, `bit_degrees` and
+`WITNESS_TYPES`:
 
-  flavor     data     cofibration            fibration           weak equiv.
-  h          chain    split mono, n >= 0     split epi, n >= 1   homotopy equiv.
-  q          chain    q-cofibration, n >= 0  surjective, n >= 1  quasi-iso
-  m          chain    unknown                split epi, n >= 1   quasi-iso
-  bousfield  cochain  split mono, n >= 1     split epi, n >= 0   homotopy equiv.
+  flavor     data     bit    decider, degrees       "yes" witness type
+  h          chain    cof.   split mono, n >= 0     degreewise_retractions
+                      fib.   split epi, n >= 1      degreewise_sections
+                      w.e.   homotopy equivalence   homotopy_equivalence
+  q          chain    cof.   q-cofibration, n >= 0  q_cofibration
+                      fib.   surjective, n >= 1     degreewise_surjectivity
+                      w.e.   quasi-isomorphism      cone_exactness
+  m          chain    cof.   unknown                (none)
+                      fib.   split epi, n >= 1      degreewise_sections
+                      w.e.   quasi-isomorphism      cone_exactness
+  bousfield  cochain  cof.   split mono, n >= 1     degreewise_retractions
+                      fib.   split epi, n >= 0      degreewise_sections
+                      w.e.   homotopy equivalence   cochain_homotopy_equivalence
+
+`verify` accepts a "yes" on its witness alone, checked by multiplication
+(a q_cofibration witness also by recomputing the kernel and cokernel),
+except a cone_exactness witness, which it compares with a recomputation.
+It decides every "no" or "unknown" bit again with `model_bit`, that bit
+alone; a degreewise "no" that names one of the convention's degrees is
+decided again at that degree only, so a stated degree that does not fail
+is refused.
 
 Degreewise bits test degrees up to the larger top of the two endpoints;
 a cochain map's two ends share one top, ``g.top``.  A q-cofibration is,
@@ -47,6 +64,22 @@ from .verdict import ClassBit, Verdict, no, unknown, yes
 FLAVORS = ("h", "q", "m", "bousfield")
 BITS = ("cofibration", "fibration", "weak_equivalence")
 
+# (flavor, bit) -> the type of the witness a "yes" carries; the
+# m-cofibration bit is never "yes"
+WITNESS_TYPES = {
+    ("h", "cofibration"): "degreewise_retractions",
+    ("h", "fibration"): "degreewise_sections",
+    ("h", "weak_equivalence"): "homotopy_equivalence",
+    ("q", "cofibration"): "q_cofibration",
+    ("q", "fibration"): "degreewise_surjectivity",
+    ("q", "weak_equivalence"): "cone_exactness",
+    ("m", "fibration"): "degreewise_sections",
+    ("m", "weak_equivalence"): "cone_exactness",
+    ("bousfield", "cofibration"): "degreewise_retractions",
+    ("bousfield", "fibration"): "degreewise_sections",
+    ("bousfield", "weak_equivalence"): "cochain_homotopy_equivalence",
+}
+
 
 def flavor_data(flavor: str) -> str:
     """The data a flavor classifies: "cochain" for Bousfield, else "chain"."""
@@ -72,8 +105,13 @@ def bit_degrees(f: ChainMap | CochainMap, flavor: str, kind: str) -> range:
     return range(1 if skips_zero else 0, top + 1)
 
 
-def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str) -> ClassBit:
-    """One bit (``kind`` in BITS) of ``f`` in one structure, with witness."""
+def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str,
+              degrees: range | None = None) -> ClassBit:
+    """One bit (``kind`` in BITS) of ``f`` in one structure, with witness.
+
+    ``degrees``, a part of `bit_degrees`, narrows a degreewise bit to
+    those degrees; the other bits ignore it.
+    """
     check_data(f, flavor)
     if kind == "weak_equivalence":
         if flavor == "h":
@@ -81,16 +119,17 @@ def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str) -> ClassBit:
         if flavor == "bousfield":
             return _cochain_homotopy_equivalence_bit(f)
         return quasi_iso_bit(f)
+    if kind == "cofibration" and flavor == "m":
+        return unknown("m-cofibrations are defined by a lifting property; "
+                       "supply a factorization witness to "
+                       "verify_m_cofibration")
+    if degrees is None:
+        degrees = bit_degrees(f, flavor, kind)
     if kind == "cofibration":
-        if flavor == "m":
-            return unknown("m-cofibrations are defined by a lifting property; "
-                           "supply a factorization witness to "
-                           "verify_m_cofibration")
-        if flavor == "q":
-            return q_cofibration_bit(f)
-        return split_mono_bit(f, bit_degrees(f, flavor, kind))
-    decide = surjectivity_bit if flavor == "q" else split_epi_bit
-    return decide(f, bit_degrees(f, flavor, kind))
+        decide = q_cofibration_bit if flavor == "q" else split_mono_bit
+    else:
+        decide = surjectivity_bit if flavor == "q" else split_epi_bit
+    return decide(f, degrees)
 
 
 def classify(f: ChainMap | CochainMap, flavor: str) -> Verdict:
@@ -179,9 +218,11 @@ def surjectivity_bit(f: ChainMap, degrees) -> ClassBit:
     return yes({"type": "degreewise_surjectivity", "degrees": certs})
 
 
-def q_cofibration_bit(f: ChainMap) -> ClassBit:
-    degrees = {}
-    for n in bit_degrees(f, "q", "cofibration"):
+def q_cofibration_bit(f: ChainMap, degrees: range | None = None) -> ClassBit:
+    if degrees is None:
+        degrees = bit_degrees(f, "q", "cofibration")
+    certs = {}
+    for n in degrees:
         fn = f.component(n)
         ker, incl = kernel(fn)
         if not ker.is_zero_module():
@@ -195,14 +236,14 @@ def q_cofibration_bit(f: ChainMap) -> ClassBit:
         if retraction is None:
             raise CertificateError("a mono with projective cokernel must "
                                    f"split, but degree {n} does not")
-        degrees[str(n)] = {
+        certs[str(n)] = {
             "kernel_generators": incl.action.to_json(),
             "kernel_factorization": factor.to_json() if factor is not None else [],
             "cokernel": coker.to_json(),
             "cokernel_section": section.action.to_json(),
             "retraction": retraction.action.to_json(),
         }
-    return yes({"type": "q_cofibration", "degrees": degrees})
+    return yes({"type": "q_cofibration", "degrees": certs})
 
 
 def quasi_iso_bit(f: ChainMap) -> ClassBit:

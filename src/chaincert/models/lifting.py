@@ -125,7 +125,7 @@ def solve_lifting(problem: LiftingProblem, flavor: str = "h",
     lift = find_lift(problem)
     if lift is not None:
         return LiftOutcome(lift, prechecks=prechecks)
-    return LiftOutcome(None, obstruction_degree=_obstruction_degree(problem),
+    return LiftOutcome(None, obstruction_degree=obstruction_degree(problem),
                        prechecks=prechecks)
 
 
@@ -141,7 +141,7 @@ def lift_prechecks(left: ChainMap, right: ChainMap, flavor: str,
     }
 
 
-def _obstruction_degree(problem: LiftingProblem) -> int:
+def obstruction_degree(problem: LiftingProblem) -> int:
     """Smallest k whose degree-<=k subsystem already has no solution."""
     top_deg = _lift_top(problem)
     for k in range(top_deg + 1):

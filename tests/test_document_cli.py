@@ -1,20 +1,26 @@
 """Document format, positioned errors, CLI plumbing, witness roundtrips."""
 
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
 
-from chaincert.chains.build import zero_complex
+from chaincert.chains.build import (direct_sum_complex, disk, sphere,
+                                    unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
-from chaincert.cli import main
-from chaincert.exact.modules import PresentedModule
-from chaincert.exact.rings import ZZ, RingSpec
+from chaincert.cli import COMMANDS, build_parser, main
+from chaincert.exact.matrix import Matrix
+from chaincert.exact.modules import ModuleMap, PresentedModule
+from chaincert.exact.rings import ZZ, RingSpec, Zmod
+from chaincert.io import reports as reports_module
 from chaincert.io.document import (DocumentError, chain_map_from_json,
                                    chain_map_to_json, cochain_map_from_json,
                                    components_to_json, document_to_json,
@@ -22,8 +28,11 @@ from chaincert.io.document import (DocumentError, chain_map_from_json,
                                    parse_components, parse_document,
                                    parse_matrix, parse_module,
                                    parse_module_map)
-from chaincert.io.reports import classification_report, dump, lift_report
+from chaincert.io.reports import (classification_report, dump, lift_report,
+                                  verify_report)
+from chaincert.models import classify as classify_module
 from chaincert.models.classify import classify
+from chaincert.models.generators import random_complex, twist_complex_with_iso
 from chaincert.models.lifting import solve_lifting
 from chaincert.simplicial import cotensor as cotensor_module
 from chaincert.simplicial.cotensor import (MAX_COTENSOR_GENERATORS, cotensor,
@@ -289,6 +298,32 @@ def _extra_precheck(report):
     report["prechecks"]["left_fibration"] = "yes"
 
 
+def no_lift_report():
+    """0 -> R against multiplication by 2 on R, with the identity below: a
+    lift would be an inverse of 2, so there is none, from degree 0 on."""
+    R, z = unit_complex(ZZ), zero_complex(ZZ)
+    two = ChainMap(R, R, [ModuleMap(R.module(0), R.module(0),
+                                    Matrix(ZZ, 1, 1, [[2]]))])
+    problem = LiftingProblem(ChainMap.zero(z, R), two, ChainMap.zero(z, R),
+                             ChainMap.identity(R))
+    report = json.loads(dump(lift_report(problem, solve_lifting(problem, "h"),
+                                         "h")))
+    assert not report["found"] and report["obstruction_degree"] == 0
+    return report
+
+
+def _drop_obstruction_degree(report):
+    del report["obstruction_degree"]
+
+
+def _negative_obstruction_degree(report):
+    report["obstruction_degree"] = -1
+
+
+def _boolean_obstruction_degree(report):
+    report["obstruction_degree"] = False
+
+
 @pytest.mark.parametrize("make, damage, location", [
     (interval_lift_report, _drop_lift, "lift"),
     (interval_lift_report, _drop_left_source, "left.source"),
@@ -305,7 +340,10 @@ def _extra_precheck(report):
     (interval_lift_report, _unknown_precheck_status, "prechecks.acyclic"),
     (interval_lift_report, _drop_precheck, "prechecks.right_fibration"),
     (interval_lift_report, _unknown_acyclic_leg, "prechecks.acyclic_leg"),
-    (interval_lift_report, _extra_precheck, "prechecks.left_fibration")])
+    (interval_lift_report, _extra_precheck, "prechecks.left_fibration"),
+    (no_lift_report, _drop_obstruction_degree, "obstruction_degree"),
+    (no_lift_report, _negative_obstruction_degree, "obstruction_degree"),
+    (no_lift_report, _boolean_obstruction_degree, "obstruction_degree")])
 def test_cli_verify_malformed_report_names_location(tmp_path, capsys, make,
                                                     damage, location):
     report = make()
@@ -480,6 +518,88 @@ def test_cli_verify_recomputes_lift_prechecks(tmp_path, capsys):
         for key in ("left_cofibration", "right_fibration", "acyclic")]
 
 
+def verify_file(report, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out = run_cli(["verify", str(path)], capsys)
+    return code, json.loads(out)["problems"]
+
+
+def test_cli_verify_decides_no_lift_again(tmp_path, capsys):
+    report = no_lift_report()
+    assert verify_file(report, tmp_path, capsys) == (0, [])
+    report["obstruction_degree"] = 1
+    assert verify_file(report, tmp_path, capsys) == (1, [
+        "obstruction degree 1 disagrees with recomputation 0"])
+    # the identity square on D^2 lifts by the identity
+    ident = ChainMap.identity(disk(ZZ, 2))
+    problem = LiftingProblem(ident, ident, ident, ident)
+    forged = json.loads(dump(lift_report(problem, solve_lifting(problem, "h"),
+                                         "h")))
+    assert forged["found"]
+    forged["found"] = False
+    del forged["lift"]
+    forged["obstruction_degree"] = 0
+    assert verify_file(forged, tmp_path, capsys) == (1, [
+        "the report says no lift exists, but one does"])
+
+
+def test_cli_verify_decides_a_degreewise_no_at_its_degree(tmp_path, capsys):
+    # f = id in degree 0 and 2 in degree 1 on Z (+) Z[1] with d = 0: a split
+    # mono in degree 0 and not in degree 1
+    C = direct_sum_complex([sphere(ZZ, 0), sphere(ZZ, 1)])
+    f = ChainMap(C, C, [ModuleMap(C.module(n), C.module(n),
+                                  Matrix(ZZ, 1, 1, [[n + 1]]))
+                        for n in range(2)])
+    report = json.loads(dump(classification_report(f, "h", classify(f, "h"))))
+    cofibration = report["verdict"]["cofibration"]
+    assert cofibration["status"] == "no"
+    assert cofibration["obstruction"]["degree"] == 1
+    assert verify_file(report, tmp_path, capsys) == (0, [])
+    cofibration["obstruction"]["degree"] = 0
+    assert verify_file(report, tmp_path, capsys) == (1, [
+        "cofibration status 'no' at degree 0 disagrees with "
+        "recomputation 'yes'"])
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("verify decided a bit that its witness proves")
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_verify_accepts_a_yes_on_its_witness_alone(ring, monkeypatch):
+    """With `classify` and the homotopy-equivalence search patched to
+    raise, every h and Bousfield report whose weak equivalence is "yes"
+    verifies as before: isomorphisms, yes in every bit, and over Z the
+    interval's end inclusions, whose "no" bits are split mono or epi."""
+    rng = random.Random(16)
+    maps = [twist_complex_with_iso(random_complex(ring, rng, max_top=2,
+                                                  max_rank=3), rng)[1]
+            for _ in range(20)]
+    if ring == ZZ:
+        with open(fixture("interval.json")) as fh:
+            doc = parse_document(json.load(fh))
+        maps += [doc.map("e0").value, doc.map("e1").value]
+    reports = []
+    for f in maps:
+        for flavor in ("h", "bousfield"):
+            g = dualize_map(f) if flavor == "bousfield" else f
+            reports.append(json.loads(dump(classification_report(
+                g, flavor, classify(g, flavor)))))
+    statuses = [[r["verdict"][bit]["status"] for bit in
+                 ("cofibration", "fibration", "weak_equivalence")]
+                for r in reports]
+    assert all(s == ["yes"] * 3 for s in statuses[:40])
+    assert all(s[2] == "yes" for s in statuses)
+    results = [verify_report(r) for r in reports]
+    assert results == [(True, [])] * len(reports)
+    monkeypatch.setattr(classify_module, "classify", _refuse)
+    monkeypatch.setattr(classify_module, "is_chain_homotopy_equivalence",
+                        _refuse)
+    monkeypatch.setattr(reports_module, "classify", _refuse, raising=False)
+    assert [verify_report(r) for r in reports] == results
+
+
 def test_cli_certify_deterministic(capsys):
     code, out1 = run_cli(["certify", "--suite", "nonqhm", "--seed", "7",
                           "--cases", "5"], capsys)
@@ -535,6 +655,36 @@ def test_cli_parse_error_exit_code(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "version" in proc.stderr
+
+
+def parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``; the code
+    is None when parsing succeeds."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_parser_matches_the_full_parser(name):
+    for argv in ([name, "--help"], [name, "--no-such-option"]):
+        assert parse_outcome(build_parser(name), argv) == \
+            parse_outcome(build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["classify"]],
+                         ids=str)
+def test_cli_main_answers_as_the_full_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out, captured.err) == \
+        parse_outcome(build_parser(), argv)
 
 
 # -- cochain documents ----------------------------------------------------

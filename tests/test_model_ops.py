@@ -370,15 +370,19 @@ def test_chain_section_retraction_helpers():
     assert chain_retraction(cylf.cocylinder.first) is not None
 
 
-# Under python -O every witness re-check must still raise.  The simplicial
-# pipelines run first, with the lifts stubbed to fail and the cylinder ends
-# swapped; the EZ/AW predicates run with no contraction found; then the
-# solver is stubbed to answer zero for every unknown, a wrong answer for
-# each call.
+# Under python -O every witness re-check must still raise.  `verify` first
+# refuses three forged reports: a tampered homotopy-equivalence inverse, a
+# degreewise "no" at a degree that splits, and "found": false on a square
+# that lifts.  The simplicial pipelines run next, with the lifts stubbed to
+# fail and the cylinder ends swapped; the EZ/AW predicates run with no
+# contraction found; then the solver is stubbed to answer zero for every
+# unknown, a wrong answer for each call.
 CERTIFICATE_GUARDS = """
+import json
 import sys
 from chaincert import certify
-from chaincert.chains.build import disk, sphere, unit_complex, zero_complex
+from chaincert.chains.build import (direct_sum_complex, disk, sphere,
+                                    unit_complex, zero_complex)
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.errors import CertificateError
 from chaincert.exact import splitting
@@ -386,6 +390,8 @@ from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap
 from chaincert.exact.rings import ZZ
 from chaincert.io.document import complex_to_json
+from chaincert.io.reports import (classification_report, dump, lift_report,
+                                  verify_report)
 from chaincert.models import classify, lifting
 from chaincert.simplicial import classify as sclassify, cotensor, ez_aw
 from chaincert.simplicial.module import (SimplicialMap, degreewise_tensor,
@@ -400,6 +406,35 @@ def report(calls):
             print(name, "raised")
 
 print("optimize", sys.flags.optimize)
+
+def refuse(name, report, damage):
+    report = json.loads(dump(report))
+    damage(report)
+    ok, problems = verify_report(report)
+    print(name, "accepted a forged report" if ok or not problems
+          else "refused")
+
+D1 = ChainMap.identity(disk(ZZ, 1))
+def tamper_inverse(r):
+    inverse = r["verdict"]["weak_equivalence"]["witness"]["inverse"]
+    inverse["components"][0][0][0] += 1
+refuse("he_inverse", classification_report(D1, "h", classify.classify(D1, "h")),
+       tamper_inverse)
+C = direct_sum_complex([sphere(ZZ, 0), sphere(ZZ, 1)])
+f = ChainMap(C, C, [ModuleMap(C.module(n), C.module(n),
+                              Matrix(ZZ, 1, 1, [[n + 1]])) for n in range(2)])
+def wrong_degree(r):
+    r["verdict"]["cofibration"]["obstruction"]["degree"] = 0
+refuse("no_degree", classification_report(f, "h", classify.classify(f, "h")),
+       wrong_degree)
+D2 = ChainMap.identity(disk(ZZ, 2))
+square = LiftingProblem(D2, D2, D2, D2)
+def no_lift(r):
+    r["found"] = False
+    del r["lift"]
+    r["obstruction_degree"] = 0
+refuse("no_lift", lift_report(square, lifting.solve_lifting(square), "h"),
+       no_lift)
 D = gamma(disk(ZZ, 1))
 Zs = gamma(zero_complex(ZZ), verify=False)
 T = degreewise_tensor(Zs, interval_object(ZZ))
@@ -464,9 +499,11 @@ def test_witness_guards_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1:4] == [f"{name} raised" for name in (
+    assert lines[1:4] == [f"{name} refused" for name in (
+        "he_inverse", "no_degree", "no_lift")]
+    assert lines[4:7] == [f"{name} raised" for name in (
         "simplicial_homotopic", "solve_hlp_simplicial", "solve_hep_simplicial")]
-    assert lines[4:6] == ["ez-aw fail", "ez-aw-dual fail"]
-    assert lines[6:] == [f"{name} raised" for name in (
+    assert lines[7:9] == ["ez-aw fail", "ez-aw-dual fail"]
+    assert lines[9:] == [f"{name} raised" for name in (
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
         "chain_section", "chain_retraction")]
