@@ -54,9 +54,6 @@ class ConeData:
     def x_generators(self, n: int) -> int:
         return self.f.source.module(n - 1).generators
 
-    def y_generators(self, n: int) -> int:
-        return self.f.target.module(n).generators
-
 
 def mapping_cone(f: ChainMap) -> ConeData:
     """cone(f), a complex by construction: with d = [[-d_X, 0], [f, d_Y]],

@@ -112,9 +112,6 @@ class TensorLayout:
             cols[off + k][k] = 1
         return Matrix(self.ring, total, g, cols)
 
-    def pair_projection(self, n: int, i: int) -> Matrix:
-        return self.pair_injection(n, i).transpose()
-
 
 def tensor_complex(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     return TensorLayout(X, Y).complex()

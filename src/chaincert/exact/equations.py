@@ -5,38 +5,43 @@ relations of the form
 
     sum_k  c_k * L_k @ X_{v_k} @ R_k  =  rhs   (modulo columns of `mod`)
 
-in several unknown matrices X_v at once.  Three shapes decouple and are
-solved with a few small Smith forms:
+in several unknown matrices X_v at once.  A relation is column-type when
+every R_k is the identity, so that it never mixes the columns of X.
+Three routes:
 
-  (a) column-decoupled: every R_k is the identity, and every unknown and
-      every rhs has the same q columns.  The columns never mix, so the
-      block matrix [L-blocks | -mod-blocks] is solved once against the
-      q-column right-hand side (factoring a map through a submodule).
+  (c) source-decoupled: one unknown X : C -> B, and every relation is
+      either column-type or has zero rhs and every R_k equal to one matrix
+      P, typically the relations of C (X is well defined).  With
+      U P V = D put X = X' U: a column-type relation reads
+      L X' = rhs U^-1 modulo its `mod`, or (U L) X' = I modulo D when
+      rhs = I and `mod` = P (a section), the other kind d_j L X'_j = 0
+      modulo its `mod` for each column j, where d_j = 0 past the diagonal.
+      Column j of X' is then one small system, and columns with equal d_j
+      share it, so each group of columns takes one solve with a
+      multi-column rhs (sections of a split epi).
+      Case (a), every relation column-type, is (c) without P: U = I and
+      every d_j = 0, so no Smith form is taken and the whole rhs is solved
+      at once (factoring a map through a submodule).
   (b) row-decoupled: one unknown X, every L_k is the identity and every
       relation has the same `mod` Q (or none).  Stacked, this reads
       X M = C modulo colspan Q.  With U Q V = D, row i of Y = U X solves
       y M = (U C)_i modulo d_i, a diagonal congruence after one Smith
       form of M^T, and X = U^-1 Y (retractions of a split mono).
-  (c) source-decoupled: one unknown X : C -> B, and every relation is
-      either column-type (every R_k the identity) or has zero rhs and
-      every R_k equal to one matrix P, typically the relations of C (X is
-      well defined).  With U P V = D put X = X' U: a column-type
-      relation reads L X' = rhs U^-1 modulo its `mod`, or (U L) X' = I
-      modulo D when rhs = I and `mod` = P (a section), the other kind
-      d_j L X'_j = 0 modulo its `mod` for each column j, where d_j = 0
-      past the diagonal.  Column j of X' is then one small system, and
-      columns with equal d_j share it, so each group of columns takes one
-      solve with a multi-column rhs (sections of a split epi).
+  coupled: every other system is solved whole.  Each relation is
+      vectorized column-major (vec(L X R) = (R^T kron L) vec X) and the
+      modulo part I kron mod gets its own slack unknown.  A lift whose
+      left leg is nonzero lands here: degree by degree, h_n l_n = u_n has
+      a right factor that is not the identity and a nonzero rhs.
 
-Every other system is coupled and solved whole: each relation is
-vectorized column-major (vec(L X R) = (R^T kron L) vec X), the modulo
-part gets its own slack unknown, and the block system goes to one call
-of the exact solver.
+Case (c) and the coupled route share one builder, `_solve_blocks`: it
+assembles the row blocks [blocks | -mod] @ [X; slack] = rhs, makes one
+call of the exact solver and splits the solution by unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from .matrix import Matrix, _from_canonical
@@ -105,50 +110,42 @@ def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
 
     # a relation with an empty right-hand side states no equation
     relations = [rel for rel in relations if rel.rhs.rows and rel.rhs.cols]
-    widths = {v.cols for v in variables} | {rel.rhs.cols for rel in relations}
-    if len(widths) == 1 and all(R.is_identity() for rel in relations
-                                for _, _, _, R in rel.terms):
-        return _solve_columns(ring, variables, relations, widths.pop())
+    P = _source_relations(variables, relations)
+    if P is None:
+        return _solve_source_columns(ring, variables[0], relations, None)
     if len(variables) == 1 and all(
             rel.rhs.rows == variables[0].rows
             and _modulus(rel) == _modulus(relations[0])
             and all(L.is_identity() for _, L, _, _ in rel.terms)
             for rel in relations):
         return _solve_rows(ring, variables[0], relations)
-    P = _source_relations(variables, relations)
-    if P is not None:
+    if P is not False:
         return _solve_source_columns(ring, variables[0], relations, P)
     return _solve_flattened(ring, variables, relations)
 
 
-def _solve_columns(ring: RingSpec, variables: list[MapVariable],
-                   relations: list[MatrixRelation], q: int
-                   ) -> dict[str, Matrix] | None:
-    """Case (a): [L-blocks | -mod-blocks] @ [X; slack] = rhs, all q columns."""
-    index = {v.name: j for j, v in enumerate(variables)}
-    slack_sizes = []
+def _solve_blocks(ring: RingSpec, sizes: list[int], q: int,
+                  parts: list[tuple[dict[int, Matrix], Matrix | None, Matrix]]
+                  ) -> list[Matrix] | None:
+    """Solve [blocks | -mod] @ [X_0; ..; X_k; slack] = rhs for X_v of
+    sizes[v] x q; each part is one row block (blocks by unknown, its
+    `mod` or None, its rhs) with a slack unknown of its own."""
     blocks: dict[tuple[int, int], Matrix] = {}
-    for r, rel in enumerate(relations):
-        for coeff, L, name, _ in rel.terms:
-            key = (r, index[name])
-            term = L.scale(coeff)
-            blocks[key] = blocks[key] + term if key in blocks else term
-        mod = _modulus(rel)
+    slack_sizes = []
+    for r, (row, mod, _) in enumerate(parts):
+        blocks.update({(r, v): blk for v, blk in row.items()})
         slack_sizes.append(0 if mod is None else mod.cols)
         if mod is not None:
-            blocks[(r, len(variables) + r)] = -mod
-    system = Matrix.assemble(ring, [rel.rhs.rows for rel in relations],
-                             [v.rows for v in variables] + slack_sizes, blocks)
-    rhs = tuple([row for rel in relations for row in rel.rhs.data])
-    sol = solve(system, _from_canonical(ring, len(rhs), q, rhs))
+            blocks[(r, len(sizes) + r)] = -mod
+    heights = [b.rows for _, _, b in parts]
+    system = Matrix.assemble(ring, heights, sizes + slack_sizes, blocks)
+    rhs = tuple([row for _, _, b in parts for row in b.data])
+    sol = solve(system, _from_canonical(ring, sum(heights), q, rhs))
     if sol is None:
         return None
-    out: dict[str, Matrix] = {}
-    offset = 0
-    for v in variables:
-        out[v.name] = sol.submatrix(range(offset, offset + v.rows), range(q))
-        offset += v.rows
-    return out
+    offsets = [0, *accumulate(sizes)]
+    return [sol.submatrix(range(offsets[v], offsets[v + 1]), range(q))
+            for v in range(len(sizes))]
 
 
 def _solve_rows(ring: RingSpec, var: MapVariable,
@@ -190,20 +187,22 @@ def _solve_rows(ring: RingSpec, var: MapVariable,
 
 
 def _source_relations(variables: list[MapVariable],
-                      relations: list[MatrixRelation]) -> Matrix | None:
-    """The matrix P of case (c), or None when the system has another shape."""
+                      relations: list[MatrixRelation]
+                      ) -> Matrix | bool | None:
+    """The matrix P of case (c); None when every relation is column-type
+    (case (a)), False when the system has another shape."""
     if len(variables) != 1:
-        return None
+        return False
     P = None
     for rel in relations:
         if _column_type(rel, variables[0].cols):
             continue
         if not rel.terms or not rel.rhs.is_zero():
-            return None
+            return False
         if P is None:
             P = rel.terms[0][3]
         if any(R != P for _, _, _, R in rel.terms):
-            return None
+            return False
     return P
 
 
@@ -213,21 +212,25 @@ def _column_type(rel: MatrixRelation, n: int) -> bool:
 
 
 def _solve_source_columns(ring: RingSpec, var: MapVariable,
-                          relations: list[MatrixRelation], P: Matrix
+                          relations: list[MatrixRelation], P: Matrix | None
                           ) -> dict[str, Matrix] | None:
-    """Case (c): X = X' U with U P V = D, one system per diagonal entry d_j."""
-    dec = snf(P)
+    """Case (c): X = X' U with U P V = D, one system per diagonal entry d_j;
+    without P, case (a): X = X' in one system."""
     n = var.cols
-    d = dec.diagonal + [0] * (n - len(dec.diagonal))
+    dec = snf(P) if P is not None else None
+    d = dec.diagonal if dec is not None else []
+    d = d + [0] * (n - len(d))
     U_inv = None
     # per relation: (sum of coeff * L, rhs U^-1 or None for the P kind, mod)
     parts = []
     for rel in relations:
-        L = Matrix.zero(ring, rel.rhs.rows, var.rows)
-        for coeff, L_k, _, _ in rel.terms:
-            L = L + L_k.scale(coeff)
+        terms = [L_k.scale(coeff) for coeff, L_k, _, _ in rel.terms]
+        L = (sum(terms[1:], terms[0]) if terms
+             else Matrix.zero(ring, rel.rhs.rows, var.rows))
         mod = _modulus(rel)
-        if not _column_type(rel, n):
+        if dec is None:
+            parts.append((L, rel.rhs, mod))
+        elif not _column_type(rel, n):
             parts.append((L, None, mod))
         elif mod == P and rel.rhs.is_identity():
             # L X' = U^-1 modulo P reads (U L) X' = I modulo U P, whose
@@ -237,85 +240,43 @@ def _solve_source_columns(ring: RingSpec, var: MapVariable,
             if U_inv is None:
                 U_inv = solve(dec.U, Matrix.identity(ring, n))
             parts.append((L, rel.rhs @ U_inv, mod))
-    slack_sizes = [0 if mod is None else mod.cols for _, _, mod in parts]
     X = [[0] * n for _ in range(var.rows)]
     for dj in sorted(set(d)):
         cols = [j for j in range(n) if d[j] == dj]
-        blocks: dict[tuple[int, int], Matrix] = {}
-        rhs: list[tuple[int, ...]] = []
-        for r, (L, target, mod) in enumerate(parts):
-            blocks[(r, 0)] = L if target is not None else L.scale(dj)
-            if mod is not None:
-                blocks[(r, 1 + r)] = -mod
-            rhs += ([tuple([row[j] for j in cols]) for row in target.data]
-                    if target is not None else [(0,) * len(cols)] * L.rows)
-        system = Matrix.assemble(ring, [L.rows for L, _, _ in parts],
-                                 [var.rows] + slack_sizes, blocks)
-        sol = solve(system, _from_canonical(ring, len(rhs), len(cols),
-                                            tuple(rhs)))
+        sol = _solve_blocks(ring, [var.rows], len(cols), [
+            ({0: L}, mod, target.columns(cols)) if target is not None
+            else ({0: L.scale(dj)}, mod, Matrix.zero(ring, L.rows, len(cols)))
+            for L, target, mod in parts])
         if sol is None:
             return None
-        for i in range(var.rows):
+        if len(cols) == n:   # one group: its solution is X' itself
+            return {var.name: sol[0] if dec is None else sol[0] @ dec.U}
+        for i, row in enumerate(sol[0].data):
             for c, j in enumerate(cols):
-                X[i][j] = sol[i, c]
+                X[i][j] = row[c]
     X_prime = _from_canonical(ring, var.rows, n,
                               tuple([tuple(row) for row in X]))
-    return {var.name: X_prime @ dec.U}
+    return {var.name: X_prime if dec is None else X_prime @ dec.U}
 
 
 def _solve_flattened(ring: RingSpec, variables: list[MapVariable],
                      relations: list[MatrixRelation],
                      ) -> dict[str, Matrix] | None:
     """The coupled route: one Kronecker-flattened system for everything."""
-    var_offset: dict[str, int] = {}
-    width = 0
-    for v in variables:
-        var_offset[v.name] = width
-        width += v.rows * v.cols
-    slack_offset: list[int] = []
+    index = {v.name: i for i, v in enumerate(variables)}
+    parts = []
     for rel in relations:
-        slack_offset.append(width)
-        if _modulus(rel) is not None:
-            width += rel.mod.cols * rel.rhs.cols
-
-    height = sum(rel.rhs.rows * rel.rhs.cols for rel in relations)
-    rows: list[list[int]] = [[0] * width for _ in range(height)]
-    rhs_col: list[list[int]] = [[0] for _ in range(height)]
-
-    row0 = 0
-    for ridx, rel in enumerate(relations):
-        block_h = rel.rhs.rows * rel.rhs.cols
+        row: dict[int, Matrix] = {}
         for coeff, L, name, R in rel.terms:
-            blk = R.transpose().kron(L)
-            off = var_offset[name]
-            for i in range(block_h):
-                trow = rows[row0 + i]
-                brow = blk.data[i]
-                for j in range(blk.cols):
-                    if brow[j]:
-                        trow[off + j] += coeff * brow[j]
-        if _modulus(rel) is not None:
-            blk = Matrix.identity(ring, rel.rhs.cols).kron(rel.mod)
-            off = slack_offset[ridx]
-            for i in range(block_h):
-                trow = rows[row0 + i]
-                brow = blk.data[i]
-                for j in range(blk.cols):
-                    if brow[j]:
-                        trow[off + j] -= brow[j]
-        v = rel.rhs.vec()
-        for i in range(block_h):
-            rhs_col[row0 + i][0] = v[i, 0]
-        row0 += block_h
-
-    system = Matrix(ring, height, width, rows)
-    target = Matrix(ring, height, 1, rhs_col)
-    sol = solve(system, target)
+            blk = R.transpose().kron(L).scale(coeff)
+            i = index[name]
+            row[i] = row[i] + blk if i in row else blk
+        mod = _modulus(rel)
+        parts.append((row, None if mod is None
+                      else Matrix.identity(ring, rel.rhs.cols).kron(mod),
+                      rel.rhs.vec()))
+    sol = _solve_blocks(ring, [v.rows * v.cols for v in variables], 1, parts)
     if sol is None:
         return None
-    out: dict[str, Matrix] = {}
-    for v in variables:
-        off = var_offset[v.name]
-        vec = sol.submatrix(range(off, off + v.rows * v.cols), [0])
-        out[v.name] = Matrix.unvec(ring, vec, v.rows, v.cols)
-    return out
+    return {v.name: Matrix.unvec(ring, x, v.rows, v.cols)
+            for v, x in zip(variables, sol)}

@@ -49,9 +49,7 @@ def is_split_mono(f: ModuleMap) -> ModuleMap | None:
 
 def is_projective(M: PresentedModule) -> bool:
     """True iff the canonical surjection R^g -> M splits."""
-    projection = ModuleMap(PresentedModule.free(M.ring, M.generators), M,
-                           Matrix.identity(M.ring, M.generators), check=False)
-    return is_split_epi(projection) is not None
+    return projective_section(M) is not None
 
 
 def projective_section(M: PresentedModule) -> ModuleMap | None:

@@ -29,7 +29,7 @@ from ..exact.modules import (ModuleMap, PresentedModule, cokernel, kernel,
                              map_equal)
 from ..models.classify import (BITS, WITNESS_TYPES, bit_degrees, check_data,
                                flavor_data, model_bit)
-from ..models.lifting import find_lift, lift_prechecks, obstruction_degree
+from ..models.lifting import lift_prechecks, obstruction_degree
 from ..models.verdict import NO, UNKNOWN, YES, Verdict
 from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
                        chain_maps_from_json, cochain_map_from_json,
@@ -203,14 +203,19 @@ def _redecide(f: ChainMap | CochainMap, flavor: str, bit_name: str,
               bit: dict, status, problems: list[str]) -> None:
     """Decide a bit again and compare its status with the stated one.
 
-    A degreewise "no" whose obstruction names one of the convention's
-    degrees is decided at that degree alone, and must fail there.
+    A degreewise "no" must name one of the convention's degrees in its
+    obstruction, and is decided at that degree alone, where it must fail.
     """
-    obstruction = bit.get("obstruction")
-    n = obstruction.get("degree") if isinstance(obstruction, dict) else None
     degreewise = WITNESS_TYPES.get((flavor, bit_name)) in _DEGREEWISE_CHECKS
-    if (status == NO and degreewise and is_json_int(n)
-            and n in bit_degrees(f, flavor, bit_name)):
+    if status == NO and degreewise:
+        obstruction = bit.get("obstruction")
+        n = (obstruction.get("degree") if isinstance(obstruction, dict)
+             else None)
+        degrees = bit_degrees(f, flavor, bit_name)
+        if not (is_json_int(n) and n in degrees):
+            problems.append(f"{bit_name} status {status!r} names no degree "
+                            f"in {degrees.start}..{degrees.stop - 1}")
+            return
         fresh = model_bit(f, flavor, bit_name, range(n, n + 1))
         if fresh.status != NO:
             problems.append(f"{bit_name} status {status!r} at degree {n} "
@@ -341,11 +346,10 @@ def _check_no_lift(data: dict, problem: LiftingProblem,
     if not is_json_int(stated) or stated < 0:
         raise DocumentError("obstruction_degree",
                             "expected a natural number")
-    if find_lift(problem) is not None:
-        problems.append("the report says no lift exists, but one does")
-        return
     degree = obstruction_degree(problem)
-    if stated != degree:
+    if degree is None:
+        problems.append("the report says no lift exists, but one does")
+    elif stated != degree:
         problems.append(f"obstruction degree {stated} disagrees with "
                         f"recomputation {degree}")
 

@@ -24,9 +24,10 @@ carries.  Classifiers, pushout-product checks and lifting prechecks ask
 (a q_cofibration witness also by recomputing the kernel and cokernel),
 except a cone_exactness witness, which it compares with a recomputation.
 It decides every "no" or "unknown" bit again with `model_bit`, that bit
-alone; a degreewise "no" that names one of the convention's degrees is
-decided again at that degree only, so a stated degree that does not fail
-is refused.
+alone.  A degreewise "no" must name one of the convention's degrees as
+its obstruction degree and is decided again at that degree only, so a
+missing degree, one outside the convention, or one that does not fail is
+refused.
 
 Degreewise bits test degrees up to the larger top of the two endpoints;
 a cochain map's two ends share one top, ``g.top``.  A q-cofibration is,

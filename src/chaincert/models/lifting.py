@@ -141,14 +141,14 @@ def lift_prechecks(left: ChainMap, right: ChainMap, flavor: str,
     }
 
 
-def obstruction_degree(problem: LiftingProblem) -> int:
-    """Smallest k whose degree-<=k subsystem already has no solution."""
-    top_deg = _lift_top(problem)
-    for k in range(top_deg + 1):
+def obstruction_degree(problem: LiftingProblem) -> int | None:
+    """Smallest k whose degree-<=k subsystem already has no solution; None
+    when the whole system, the last of them, solves (a lift exists)."""
+    for k in range(_lift_top(problem) + 1):
         if solve_map_relations(problem.left.target.ring,
                                *_lift_system(problem, k)) is None:
             return k
-    return top_deg
+    return None
 
 
 def chain_section(q: ChainMap) -> ChainMap | None:

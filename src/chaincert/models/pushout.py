@@ -16,17 +16,14 @@ pushout = pushout_complexes
 
 @dataclass
 class PushoutProduct:
-    """i [] k : (X x W) u_{X x V} (Y x V)  ->  Y x W, with its corners."""
+    """i [] k : (X x W) u_{X x V} (Y x V)  ->  Y x W, with its source (the
+    pushout) and the pushout's two injections."""
 
     map: ChainMap
     source: ChainComplex
     target: ChainComplex
     inj_xw: ChainMap
     inj_yv: ChainMap
-    corner_xw: TensorLayout
-    corner_yv: TensorLayout
-    corner_xv: TensorLayout
-    corner_yw: TensorLayout
 
 
 def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
@@ -51,8 +48,7 @@ def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
     v = tensor_chain_maps(id_y, k, yv, yw)        # Y x V -> Y x W
     # u o leg_xw = i (x) k = v o leg_yv, blockwise kron products
     induced = pushout_induced_chain_map(P, u, v, check=False)
-    return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv,
-                          xw, yv, xv, yw)
+    return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv)
 
 
 @dataclass

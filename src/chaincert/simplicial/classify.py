@@ -253,8 +253,9 @@ def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
 class SimplicialPushoutProduct:
     map: SimplicialMap
     verdict: Verdict
-    chain_level_cofibration: bool      # N(i) [] N(k) is an h-cofibration
-    chain_level_acyclic: bool | None   # ... and acyclic, when expected
+    # N(i) [] N(k) is an h-cofibration, and acyclic; both when expected
+    chain_level_cofibration: bool | None
+    chain_level_acyclic: bool | None
     ez_legs_are_equivalences: bool | None
     acyclic: bool | None
     ok: bool
@@ -269,6 +270,8 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     the chain-level pushout-product of the normalizations is an acyclic
     cofibration and the shuffle comparison legs are equivalences, hence
     N(i [] k) is one too; the direct certificate is also produced.
+    Otherwise the chain-level product is not built and those fields are
+    None.
     """
     if k.source.ring != i.source.ring:
         k = _change_ring_simplicial(k, i.source.ring)
@@ -290,10 +293,10 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     product = SimplicialMap(source_obj, yw, induced)
     verdict, acyclic, ok = pushout_product_verdict(induced, "h",
                                                    expect_acyclic)
-    chain_pp = pushout_product(i.normalized_map, k.normalized_map)
-    chain_cof = h_cofibration_bit(chain_pp.map).holds
-    chain_acyclic = ez_ok = None
+    chain_cof = chain_acyclic = ez_ok = None
     if expect_acyclic:
+        chain_pp = pushout_product(i.normalized_map, k.normalized_map)
+        chain_cof = h_cofibration_bit(chain_pp.map).holds
         chain_acyclic = is_chain_homotopy_equivalence(chain_pp.map) is not None
         ez_yw = ez(Y, W, yw)
         ez_corner = _pushout_of_ez_legs(chain_pp, i, k, xw, yv, xv, P,

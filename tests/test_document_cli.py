@@ -31,6 +31,7 @@ from chaincert.io.document import (DocumentError, chain_map_from_json,
 from chaincert.io.reports import (classification_report, dump, lift_report,
                                   verify_report)
 from chaincert.models import classify as classify_module
+from chaincert.models import lifting as lifting_module
 from chaincert.models.classify import classify
 from chaincert.models.generators import random_complex, twist_complex_with_iso
 from chaincert.models.lifting import solve_lifting
@@ -544,6 +545,20 @@ def test_cli_verify_decides_no_lift_again(tmp_path, capsys):
         "the report says no lift exists, but one does"])
 
 
+def test_verify_decides_no_lift_with_the_obstruction_search_alone(
+        monkeypatch):
+    """The degree search's last system is the whole lift system, so
+    verifying "no lift" needs no separate `find_lift`."""
+    report = no_lift_report()
+
+    def refuse(problem):
+        raise RuntimeError("find_lift called while verifying no lift")
+
+    monkeypatch.setattr(lifting_module, "find_lift", refuse)
+    monkeypatch.setattr(reports_module, "find_lift", refuse, raising=False)
+    assert verify_report(report) == (True, [])
+
+
 def test_cli_verify_decides_a_degreewise_no_at_its_degree(tmp_path, capsys):
     # f = id in degree 0 and 2 in degree 1 on Z (+) Z[1] with d = 0: a split
     # mono in degree 0 and not in degree 1
@@ -560,6 +575,12 @@ def test_cli_verify_decides_a_degreewise_no_at_its_degree(tmp_path, capsys):
     assert verify_file(report, tmp_path, capsys) == (1, [
         "cofibration status 'no' at degree 0 disagrees with "
         "recomputation 'yes'"])
+    # the bit tests degrees 0..1, and a "no" must name one of them
+    for forged in ({"degree": "x"}, {"degree": 7}, {"degree": -1},
+                   {"degree": None}, "garbage"):
+        cofibration["obstruction"] = forged
+        assert verify_file(report, tmp_path, capsys) == (1, [
+            "cofibration status 'no' names no degree in 0..1"])
 
 
 def _refuse(*args, **kwargs):

@@ -2,6 +2,8 @@
 system, and every solution re-checked by multiplication."""
 
 import json
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,12 +48,13 @@ def free(ring, n):
     return PresentedModule.free(ring, n)
 
 
-def column_decoupled(draw, ring):
-    """Case (a): every R is the identity, every width is q."""
+def column_decoupled(draw, ring, max_unknowns=2):
+    """Case (a): every R is the identity, every width is q; with several
+    unknowns the system takes the coupled route."""
     q = draw(st.integers(0, 3))
     variables = [MapVariable(f"x{i}", free(ring, q),
                              free(ring, draw(st.integers(0, 3))))
-                 for i in range(draw(st.integers(1, 2)))]
+                 for i in range(draw(st.integers(1, max_unknowns)))]
     relations = []
     for _ in range(draw(st.integers(1, 2))):
         p = draw(st.integers(0, 3))
@@ -160,11 +163,29 @@ def test_routes_agree_with_flattened_system(ring, shape, data):
         assert satisfies(ring, relations, sol)
 
 
-def test_retractions_and_factorizations_skip_flattening(monkeypatch):
-    def flattened(*args):
-        raise RuntimeError("decoupled system sent to the flattened solver")
+def _refuse_flattening(*args):
+    raise RuntimeError("decoupled system sent to the flattened solver")
 
-    monkeypatch.setattr(equations, "_solve_flattened", flattened)
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS),
+       st.sampled_from([partial(column_decoupled, max_unknowns=1),
+                        source_columns]),
+       st.data())
+def test_one_unknown_column_systems_skip_flattening(ring, shape, data):
+    """One unknown whose relations are all column-type is case (c) without
+    P; with source relations P it is case (c) itself."""
+    variables, relations = shape(data.draw, ring)
+    with mock.patch.object(equations, "_solve_flattened", _refuse_flattening):
+        sol = solve_map_relations(ring, variables, relations)
+    flat = equations._solve_flattened(ring, variables, relations)
+    assert (sol is None) == (flat is None)
+    if sol is not None:
+        assert satisfies(ring, relations, sol)
+
+
+def test_retractions_and_factorizations_skip_flattening(monkeypatch):
+    monkeypatch.setattr(equations, "_solve_flattened", _refuse_flattening)
     for ring in RINGS:
         # Z -> Z + Z/2 splits; 2 : Z -> Z does not
         B = free(ring, 1)

@@ -7,10 +7,12 @@ import pytest
 from chaincert.chains.build import disk, interval, sphere, unit_complex, \
     zero_complex
 from chaincert.chains.complexes import ChainMap, chain_map_equal
+from chaincert.cli import main
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.models.generators import random_complex, random_split_epi
+from chaincert.simplicial import classify as sclassify
 from chaincert.simplicial.classify import (interval_cotensor,
                                            pushout_product_simplicial,
                                            simplicial_classify,
@@ -199,6 +201,23 @@ def test_pushout_product_simplicial_acyclic_leg():
     assert report.chain_level_cofibration
     assert report.chain_level_acyclic
     assert report.ez_legs_are_equivalences
+
+
+def test_chain_level_product_only_when_acyclicity_is_expected(
+        monkeypatch, tmp_path):
+    """Only the acyclic predicate reads the chain-level route, so a
+    product that expects no acyclicity never builds N(i) [] N(k)."""
+    def refuse(*args):
+        raise RuntimeError("chain-level pushout-product built")
+
+    monkeypatch.setattr(sclassify, "pushout_product", refuse)
+    out = tmp_path / "report.json"
+    assert main(["certify", "--suite", "monoidal-smod", "--seed", "7",
+                 "--cases", "5", "--out", str(out)]) == 0
+    i = from_zero_map(gamma(disk(ZZ, 1)))
+    report = pushout_product_simplicial(i, i)
+    assert report.verdict.cofibration.holds
+    assert report.chain_level_cofibration is None
 
 
 def test_pushout_product_simplicial_enriched_over_sAb():
