@@ -382,7 +382,7 @@ def _pred_brutal(case, cfg):
     lay, i0, i1, r = interval_cylinder(A, interval(ring))
     G = cylinder_map(fbar, gbar, H_parts)
     problem = LiftingProblem(i0, q, f_tilde, G)
-    lift = find_lift(problem)
+    lift = find_lift(problem).lift
     if lift is None:
         return FAIL
     # the lifted homotopy is forced to agree with H in every degree

@@ -2,8 +2,9 @@
 
 A contraction of the image of an idempotent chain map is built one
 degree at a time; contractibility and the EZ/AW homotopies are such
-contractions.  A nullhomotopy of an arbitrary map is one system in all
-its components at once (`solve_map_relations` picks the route).
+contractions.  A nullhomotopy of an arbitrary map is one sweep up the
+degrees (`solve_by_degree`): the relation of degree n names only H_n and
+H_{n-1}.
 Positive answers come with witnesses that re-verify exactly.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exact.equations import (MapVariable, MatrixRelation,
+from ..exact.equations import (MapVariable, MatrixRelation, solve_by_degree,
                                solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
@@ -24,25 +25,23 @@ def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
     """H with d H + H d = f, i.e. a homotopy from the zero map to f."""
     X, Y = f.source, f.target
     ring = X.ring
-    top = max(X.top, Y.top)
-    variables = [MapVariable(f"H{n}", X.module(n), Y.module(n + 1))
-                 for n in range(top + 1)]
-    relations: list[MatrixRelation] = []
-    for n in range(top + 1):
-        terms = [(1, Y.differential(n + 1).action, f"H{n}",
+    steps = []
+    for n in range(max(X.top, Y.top) + 1):
+        H = MapVariable(f"H{n}", X.module(n), Y.module(n + 1))
+        terms = [(1, Y.differential(n + 1).action, H.name,
                   Matrix.identity(ring, X.module(n).generators))]
-        if n >= 1:
+        if n:
             terms.append((1, Matrix.identity(ring, Y.module(n).generators),
                           f"H{n - 1}", X.differential(n).action))
-        relations.append(MatrixRelation(terms=terms, rhs=f.component(n).action,
-                                        mod=Y.module(n).relations))
-    relations += [well_definedness(v) for v in variables]
-    sol = solve_map_relations(ring, variables, relations)
-    if sol is None:
+        steps.append((H, [MatrixRelation(terms, f.component(n).action,
+                                         Y.module(n).relations),
+                          well_definedness(H)]))
+    parts, _ = solve_by_degree(ring, steps)
+    if parts is None:
         return None
-    parts = [ModuleMap(X.module(n), Y.module(n + 1), sol[f"H{n}"], check=False)
-             for n in range(top + 1)]
-    return ChainHomotopy(ChainMap.zero(X, Y), f, parts)
+    return ChainHomotopy(ChainMap.zero(X, Y), f, [
+        ModuleMap(X.module(n), Y.module(n + 1), H, check=False)
+        for n, H in enumerate(parts)])
 
 
 def contract_image(p: ChainMap) -> ChainHomotopy | None:

@@ -5,9 +5,10 @@ relations of the form
 
     sum_k  c_k * L_k @ X_{v_k} @ R_k  =  rhs   (modulo columns of `mod`)
 
-in several unknown matrices X_v at once.  A relation is column-type when
-every R_k is the identity, so that it never mixes the columns of X.
-Three routes:
+in unknown matrices X_v.  A relation is column-type when every R_k is
+the identity, so that it never mixes the columns of X.
+`solve_map_relations` takes one unknown by one of three routes, and
+refuses any other shape:
 
   (c) source-decoupled: one unknown X : C -> B, and every relation is
       either column-type or has zero rhs and every R_k equal to one matrix
@@ -27,15 +28,21 @@ Three routes:
       X M = C modulo colspan Q.  With U Q V = D, row i of Y = U X solves
       y M = (U C)_i modulo d_i, a diagonal congruence after one Smith
       form of M^T, and X = U^-1 Y (retractions of a split mono).
-  coupled: every other system is solved whole.  Each relation is
-      vectorized column-major (vec(L X R) = (R^T kron L) vec X) and the
-      modulo part I kron mod gets its own slack unknown.  A lift whose
-      left leg is nonzero lands here: degree by degree, h_n l_n = u_n has
-      a right factor that is not the identity and a nonzero rhs.
 
-Case (c) and the coupled route share one builder, `_solve_blocks`: it
-assembles the row blocks [blocks | -mod] @ [X; slack] = rhs, makes one
-call of the exact solver and splits the solution by unknown.
+Lifts and nullhomotopies, in one unknown per degree, take
+`solve_by_degree`, one sweep up the degrees of a system that is
+block-bidiagonal by degree; the first degree without a solution falls out
+of it.  Each degree is one flattened solve: each relation is vectorized
+column-major (vec(L X R) = (R^T kron L) vec X, `_vectorized`) and the
+modulo part I kron mod gets its own slack unknown.  A lift whose left leg
+l is nonzero has h_n l_n = u_n, whose right factor is not the identity,
+beside p_n h_n = v_n, whose left factor is not, and none of (a), (b) and
+(c) accepts that mix.
+
+Case (c) and the sweep share one builder, `_assemble`, of the row blocks
+[blocks | -mod] @ [X; slack] = rhs, and one call of the exact solver.  `_solve_flattened` solves a whole
+system in any number of unknowns that way; only the tests call it, as
+the oracle of the routes and of the sweep.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from math import gcd
 
 from .matrix import Matrix, _from_canonical
 from .rings import RingSpec
-from .snf import snf, solve, solve_congruence
+from .snf import kernel_matrix, snf, solve, solve_congruence
 
 
 @dataclass(frozen=True)
@@ -93,15 +100,17 @@ def _modulus(rel: MatrixRelation) -> Matrix | None:
 def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
                         relations: list[MatrixRelation],
                         ) -> dict[str, Matrix] | None:
-    """Solve all relations simultaneously; None when inconsistent."""
-    var_shape = {v.name: (v.rows, v.cols) for v in variables}
+    """Solve the relations in one unknown by route (a), (b) or (c); None
+    when inconsistent, ValueError for any other shape."""
+    if len(variables) != 1:
+        raise ValueError("relations in one unknown map expected")
+    var = variables[0]
     for rel in relations:
         if rel.rhs.ring is not ring and rel.rhs.ring != ring:
             raise ValueError("right-hand side ring mismatch")
         p, q = rel.rhs.rows, rel.rhs.cols
         for _, L, name, R in rel.terms:
-            vr, vc = var_shape[name]
-            if L.cols != vr or R.rows != vc:
+            if name != var.name or L.cols != var.rows or R.rows != var.cols:
                 raise ValueError(f"term shapes do not match variable {name}")
             if L.rows != p or R.cols != q:
                 raise ValueError("term result shape does not match rhs")
@@ -110,26 +119,26 @@ def solve_map_relations(ring: RingSpec, variables: list[MapVariable],
 
     # a relation with an empty right-hand side states no equation
     relations = [rel for rel in relations if rel.rhs.rows and rel.rhs.cols]
-    P = _source_relations(variables, relations)
+    P = _source_relations(var, relations)
     if P is None:
-        return _solve_source_columns(ring, variables[0], relations, None)
-    if len(variables) == 1 and all(
-            rel.rhs.rows == variables[0].rows
-            and _modulus(rel) == _modulus(relations[0])
-            and all(L.is_identity() for _, L, _, _ in rel.terms)
-            for rel in relations):
-        return _solve_rows(ring, variables[0], relations)
-    if P is not False:
-        return _solve_source_columns(ring, variables[0], relations, P)
-    return _solve_flattened(ring, variables, relations)
+        return _solve_source_columns(ring, var, relations, None)
+    if all(rel.rhs.rows == var.rows
+           and _modulus(rel) == _modulus(relations[0])
+           and all(L.is_identity() for _, L, _, _ in rel.terms)
+           for rel in relations):
+        return _solve_rows(ring, var, relations)
+    if P is False:
+        raise ValueError("relations fit none of the routes (a), (b), (c)")
+    return _solve_source_columns(ring, var, relations, P)
 
 
-def _solve_blocks(ring: RingSpec, sizes: list[int], q: int,
-                  parts: list[tuple[dict[int, Matrix], Matrix | None, Matrix]]
-                  ) -> list[Matrix] | None:
-    """Solve [blocks | -mod] @ [X_0; ..; X_k; slack] = rhs for X_v of
-    sizes[v] x q; each part is one row block (blocks by unknown, its
-    `mod` or None, its rhs) with a slack unknown of its own."""
+def _assemble(ring: RingSpec, sizes: list[int], q: int,
+              parts: list[tuple[dict[int, Matrix], Matrix | None, Matrix]]
+              ) -> tuple[Matrix, Matrix]:
+    """The system [blocks | -mod] @ [X_0; ..; X_k; slack] = rhs, for X_v
+    of sizes[v] x q, as its matrix and rhs; each part is one row block
+    (blocks by unknown, its `mod` or None, its rhs) with a slack unknown
+    of its own."""
     blocks: dict[tuple[int, int], Matrix] = {}
     slack_sizes = []
     for r, (row, mod, _) in enumerate(parts):
@@ -140,12 +149,7 @@ def _solve_blocks(ring: RingSpec, sizes: list[int], q: int,
     heights = [b.rows for _, _, b in parts]
     system = Matrix.assemble(ring, heights, sizes + slack_sizes, blocks)
     rhs = tuple([row for _, _, b in parts for row in b.data])
-    sol = solve(system, _from_canonical(ring, sum(heights), q, rhs))
-    if sol is None:
-        return None
-    offsets = [0, *accumulate(sizes)]
-    return [sol.submatrix(range(offsets[v], offsets[v + 1]), range(q))
-            for v in range(len(sizes))]
+    return system, _from_canonical(ring, sum(heights), q, rhs)
 
 
 def _solve_rows(ring: RingSpec, var: MapVariable,
@@ -186,16 +190,13 @@ def _solve_rows(ring: RingSpec, var: MapVariable,
     return {var.name: U_inv @ Y}
 
 
-def _source_relations(variables: list[MapVariable],
-                      relations: list[MatrixRelation]
+def _source_relations(var: MapVariable, relations: list[MatrixRelation]
                       ) -> Matrix | bool | None:
     """The matrix P of case (c); None when every relation is column-type
     (case (a)), False when the system has another shape."""
-    if len(variables) != 1:
-        return False
     P = None
     for rel in relations:
-        if _column_type(rel, variables[0].cols):
+        if _column_type(rel, var.cols):
             continue
         if not rel.terms or not rel.rhs.is_zero():
             return False
@@ -243,15 +244,16 @@ def _solve_source_columns(ring: RingSpec, var: MapVariable,
     X = [[0] * n for _ in range(var.rows)]
     for dj in sorted(set(d)):
         cols = [j for j in range(n) if d[j] == dj]
-        sol = _solve_blocks(ring, [var.rows], len(cols), [
+        sol = solve(*_assemble(ring, [var.rows], len(cols), [
             ({0: L}, mod, target.columns(cols)) if target is not None
             else ({0: L.scale(dj)}, mod, Matrix.zero(ring, L.rows, len(cols)))
-            for L, target, mod in parts])
+            for L, target, mod in parts]))
         if sol is None:
             return None
+        sol = sol.submatrix(range(var.rows), range(len(cols)))
         if len(cols) == n:   # one group: its solution is X' itself
-            return {var.name: sol[0] if dec is None else sol[0] @ dec.U}
-        for i, row in enumerate(sol[0].data):
+            return {var.name: sol if dec is None else sol @ dec.U}
+        for i, row in enumerate(sol.data):
             for c, j in enumerate(cols):
                 X[i][j] = row[c]
     X_prime = _from_canonical(ring, var.rows, n,
@@ -259,11 +261,12 @@ def _solve_source_columns(ring: RingSpec, var: MapVariable,
     return {var.name: X_prime if dec is None else X_prime @ dec.U}
 
 
-def _solve_flattened(ring: RingSpec, variables: list[MapVariable],
-                     relations: list[MatrixRelation],
-                     ) -> dict[str, Matrix] | None:
-    """The coupled route: one Kronecker-flattened system for everything."""
-    index = {v.name: i for i, v in enumerate(variables)}
+def _vectorized(ring: RingSpec, index: dict[str, int],
+                relations: list[MatrixRelation]
+                ) -> list[tuple[dict[int, Matrix], Matrix | None, Matrix]]:
+    """The parts of `_assemble` for relations vectorized column-major,
+    vec(L X R) = (R^T kron L) vec X, with unknown ``name`` at
+    ``index[name]`` and I kron mod as the modulus."""
     parts = []
     for rel in relations:
         row: dict[int, Matrix] = {}
@@ -275,8 +278,68 @@ def _solve_flattened(ring: RingSpec, variables: list[MapVariable],
         parts.append((row, None if mod is None
                       else Matrix.identity(ring, rel.rhs.cols).kron(mod),
                       rel.rhs.vec()))
-    sol = _solve_blocks(ring, [v.rows * v.cols for v in variables], 1, parts)
+    return parts
+
+
+def _solve_flattened(ring: RingSpec, variables: list[MapVariable],
+                     relations: list[MatrixRelation],
+                     ) -> dict[str, Matrix] | None:
+    """One Kronecker-flattened system in every unknown: the oracle that
+    the tests hold the routes and the sweep against."""
+    index = {v.name: i for i, v in enumerate(variables)}
+    sizes = [v.rows * v.cols for v in variables]
+    sol = solve(*_assemble(ring, sizes, 1,
+                           _vectorized(ring, index, relations)))
     if sol is None:
         return None
-    return {v.name: Matrix.unvec(ring, x, v.rows, v.cols)
-            for v, x in zip(variables, sol)}
+    return {v.name: Matrix.unvec(ring, sol.submatrix(range(o - k, o), [0]),
+                                 v.rows, v.cols)
+            for v, k, o in zip(variables, sizes, accumulate(sizes))}
+
+
+def solve_by_degree(ring: RingSpec,
+                    steps: list[tuple[MapVariable, list[MatrixRelation]]]
+                    ) -> tuple[list[Matrix] | None, int | None]:
+    """Solve a system that is block-bidiagonal by degree, one degree at a
+    time.  steps[n] is the unknown x_n with the relations of degree n,
+    which name only x_n and x_{n-1}.  Returns (x_0..x_top, None), or
+    (None, n) for the first degree n through which no solution extends.
+
+    S_n, the values of vec x_n that extend through degree n, is a coset
+    x0 + K u.  With vec x_{n-1} = x0' + K' u' the degree-n relations are
+    one flattened system A [vec x_n; u'; slack] = b; a solution gives x0
+    and u0', and the columns of ker A (from the Smith form `solve` took)
+    that move x_n give K, with Ku' their u' rows.  From the top, u = 0;
+    degree n reads x_n = x0 + K u and hands u' = u0' + Ku' u down.
+    """
+    cosets = []   # per degree: [x0; u0'; slack], [K; Ku'; slack], sizes
+    x0, K = Matrix.zero(ring, 0, 1), Matrix.zero(ring, 0, 0)
+    for n, (var, relations) in enumerate(steps):
+        size = var.rows * var.cols
+        index = {var.name: 0}
+        if n:
+            index[steps[n - 1][0].name] = 1
+        parts = []
+        for row, mod, rhs in _vectorized(ring, index, relations):
+            if 1 in row:
+                row[1], rhs = row[1] @ K, rhs - row[1] @ x0
+            parts.append((row, mod, rhs))
+        system, rhs = _assemble(ring, [size, K.cols], 1, parts)
+        sol = solve(system, rhs)
+        if sol is None:
+            return None, n
+        kernel = kernel_matrix(system)
+        span = kernel.columns([j for j in range(kernel.cols)
+                               if any(kernel.data[i][j] for i in range(size))])
+        cosets.append((sol, span, size, K.cols))
+        x0 = sol.submatrix(range(size), [0])
+        K = span.submatrix(range(size), range(span.cols))
+    u = Matrix.zero(ring, K.cols, 1)
+    out = []
+    for (var, _), (point, span, size, k) in zip(reversed(steps),
+                                                reversed(cosets)):
+        v = point + span @ u
+        out.append(Matrix.unvec(ring, v.submatrix(range(size), [0]),
+                                var.rows, var.cols))
+        u = v.submatrix(range(size, size + k), [0])
+    return out[::-1], None

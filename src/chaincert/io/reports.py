@@ -12,8 +12,8 @@ certificate without any other file.
   with the recomputed one.
 - Decided again: a classification "no" or "unknown", one bit alone by
   `model_bit` (a degreewise "no" at one of the convention's degrees, at
-  that degree alone); a lift report's "no lift" and its obstruction
-  degree; and a lift report's prechecks.
+  that degree alone); a lift report's prechecks; and its "no lift" and
+  obstruction degree, by one sweep of `lift_steps` (`solve_by_degree`).
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import re
 from ..chains.cochain import CochainMap
 from ..chains.complexes import (ChainHomotopy, ChainMap, LiftingProblem,
                                 chain_map_equal)
+from ..exact.equations import solve_by_degree
 from ..exact.matrix import Matrix
 from ..exact.modules import (ModuleMap, PresentedModule, cokernel, kernel,
                              map_equal)
 from ..models.classify import (BITS, WITNESS_TYPES, bit_degrees, check_data,
                                flavor_data, model_bit)
-from ..models.lifting import lift_prechecks, obstruction_degree
+from ..models.lifting import lift_prechecks, lift_steps
 from ..models.verdict import NO, UNKNOWN, YES, Verdict
 from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
                        chain_maps_from_json, cochain_map_from_json,
@@ -316,11 +317,14 @@ def verify_lift(data: dict) -> list[str]:
         check_data(left, flavor)
     except ValueError as exc:
         raise DocumentError("flavor", str(exc))
+    found = get_field(data, "found")
+    if not isinstance(found, bool):
+        raise DocumentError("found", "expected true or false")
     if not chain_map_equal(right.compose(top), bottom.compose(left)):
         problems.append("stored square does not commute")
     _check_prechecks(get_field(data, "prechecks"), left, right, flavor,
                      problems)
-    if not data.get("found"):
+    if not found:
         # whether the square commutes was checked above
         problem = LiftingProblem(left, right, top, bottom, check=False)
         _check_no_lift(data, problem, problems)
@@ -341,12 +345,13 @@ def verify_lift(data: dict) -> list[str]:
 
 def _check_no_lift(data: dict, problem: LiftingProblem,
                    problems: list[str]) -> None:
-    """Decide the square again: no lift, and the stated obstruction degree."""
+    """Decide the square again in one sweep: no lift, and the stated
+    obstruction degree."""
     stated = get_field(data, "obstruction_degree")
     if not is_json_int(stated) or stated < 0:
         raise DocumentError("obstruction_degree",
                             "expected a natural number")
-    degree = obstruction_degree(problem)
+    _, degree = solve_by_degree(problem.left.source.ring, lift_steps(problem))
     if degree is None:
         problems.append("the report says no lift exists, but one does")
     elif stated != degree:

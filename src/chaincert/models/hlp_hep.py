@@ -3,9 +3,10 @@
 A map p has the HLP iff the comparison (ev_0, p_*) from the path space E^I
 to the mapping cocylinder admits a chain section; dually, i has the HEP iff
 the canonical map from its mapping cylinder into X (x) I admits a chain
-retraction.  Both are one lift solve each (`find_lift`), and both must agree
-with the degreewise split-epi / split-mono classifier bits.  Both universal
-objects are written in closed form (`chains/cones.py`), so each comparison
+retraction.  Both are one lift (`find_lift`), solved in one sweep up the
+degrees, and both must agree with the degreewise split-epi / split-mono
+classifier bits.  Both universal objects are written in closed form
+(`chains/cones.py`), so each comparison
 is a block diagonal: id (+) p_n (+) p_{n+1} from (E^I)_n = E_n (+) E_n (+)
 E_{n+1} to (Np)_n = E_n (+) B_n (+) B_{n+1}, id (+) p_1 in degree 0, and
 i_n (+) i_{n-1} (+) id from (Mi)_n = A_n (+) A_{n-1} (+) X_n to

@@ -1,8 +1,8 @@
 """Lifting problems and chain-level sections/retractions.
 
-The diagonal of a lifting square is one unknown chain map; its square
-conditions, the chain condition and well-definedness form one system of
-map relations, which `solve_map_relations` solves by its shape.
+The diagonal of a lifting square is one unknown chain map whose relations
+of degree n name only h_n and h_{n-1}; one sweep up the degrees
+(`solve_by_degree`) gives the lift or the first degree with no solution.
 """
 
 from __future__ import annotations
@@ -10,97 +10,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..chains.build import zero_complex
-from ..chains.complexes import ChainComplex, ChainMap, LiftingProblem, \
-    chain_map_equal
+from ..chains.complexes import ChainMap, LiftingProblem, chain_map_equal
 from ..errors import CertificateError
-from ..exact.equations import (MapVariable, MatrixRelation,
-                               solve_map_relations, well_definedness)
+from ..exact.equations import (MapVariable, MatrixRelation, solve_by_degree,
+                               well_definedness)
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .classify import model_bit
 
 
-def _unknown_chain_map(X: ChainComplex, Y: ChainComplex, prefix: str, top: int
-                       ) -> tuple[list[MapVariable], list[MatrixRelation]]:
-    """Variables h_0..h_top with chain-map and well-definedness relations."""
+def lift_steps(problem: LiftingProblem
+               ) -> list[tuple[MapVariable, list[MatrixRelation]]]:
+    """The diagonal h_0..h_top degree by degree, for `solve_by_degree`:
+    h_n o left_n = top_n, right_n o h_n = bottom_n, h_n well defined and,
+    from degree 1 on, h_{n-1} d_n = d_n h_n."""
+    left, right = problem.left, problem.right
+    X, E = left.target, right.source
     ring = X.ring
-    variables = [MapVariable(f"{prefix}{n}", X.module(n), Y.module(n))
-                 for n in range(top + 1)]
-    relations: list[MatrixRelation] = []
-    for n in range(1, top + 1):
-        relations.append(MatrixRelation(
-            terms=[(1, Matrix.identity(ring, Y.module(n - 1).generators),
-                    f"{prefix}{n - 1}", X.differential(n).action),
-                   (-1, Y.differential(n).action, f"{prefix}{n}",
-                    Matrix.identity(ring, X.module(n).generators))],
-            rhs=Matrix.zero(ring, Y.module(n - 1).generators,
-                            X.module(n).generators),
-            mod=Y.module(n - 1).relations,
-        ))
-    return variables, relations + [well_definedness(v) for v in variables]
-
-
-def _composition_relations(ring, prefix: str, top: int, *, pre: ChainMap | None,
-                           post: ChainMap | None, equals: ChainMap
-                           ) -> list[MatrixRelation]:
-    """Relations (post o h o pre) = equals, degreewise."""
-    out = []
-    for n in range(top + 1):
-        tgt = equals.component(n).target
-        L = (post.component(n).action if post is not None
-             else Matrix.identity(ring, tgt.generators))
-        if pre is not None:
-            src_gens = pre.component(n).source.generators
-            R = pre.component(n).action
-        else:
-            src_gens = equals.component(n).source.generators
-            R = Matrix.identity(ring, src_gens)
-        out.append(MatrixRelation(
-            terms=[(1, L, f"{prefix}{n}", R)],
-            rhs=equals.component(n).action,
-            mod=tgt.relations,
-        ))
-    return out
-
-
-def _lift_top(problem: LiftingProblem) -> int:
-    return max(problem.left.target.top, problem.right.source.top,
-               problem.left.source.top, problem.right.target.top)
-
-
-def _lift_system(problem: LiftingProblem, top: int
-                 ) -> tuple[list[MapVariable], list[MatrixRelation]]:
-    """The diagonal h_0..h_top: a chain map with h o left = top and
-    right o h = bottom through degree ``top``."""
-    X, E = problem.left.target, problem.right.source
-    variables, relations = _unknown_chain_map(X, E, "h", top)
-    relations += _composition_relations(X.ring, "h", top, pre=problem.left,
-                                        post=None, equals=problem.top)
-    relations += _composition_relations(X.ring, "h", top, pre=None,
-                                        post=problem.right,
-                                        equals=problem.bottom)
-    return variables, relations
-
-
-def find_lift(problem: LiftingProblem) -> ChainMap | None:
-    """The diagonal h with h o left = top and right o h = bottom, if any."""
-    X = problem.left.target
-    E = problem.right.source
-    top_deg = _lift_top(problem)
-    sol = solve_map_relations(X.ring, *_lift_system(problem, top_deg))
-    if sol is None:
-        return None
-    comps = [ModuleMap(X.module(n), E.module(n), sol[f"h{n}"], check=False)
-             for n in range(top_deg + 1)]
-    lift = ChainMap(X, E, comps)
-    if not (chain_map_equal(lift.compose(problem.left), problem.top)
-            and chain_map_equal(problem.right.compose(lift), problem.bottom)):
-        raise CertificateError("computed lift does not fill the square")
-    return lift
+    steps = []
+    for n in range(max(X.top, E.top, left.source.top,
+                       right.target.top) + 1):
+        X_n, E_n = X.module(n), E.module(n)
+        h = MapVariable(f"h{n}", X_n, E_n)
+        id_X = Matrix.identity(ring, X_n.generators)
+        relations = [
+            MatrixRelation([(1, Matrix.identity(ring, E_n.generators), h.name,
+                             left.component(n).action)],
+                           problem.top.component(n).action, E_n.relations),
+            MatrixRelation([(1, right.component(n).action, h.name, id_X)],
+                           problem.bottom.component(n).action,
+                           right.target.module(n).relations),
+            well_definedness(h)]
+        if n:
+            E_prev = E.module(n - 1)
+            relations.append(MatrixRelation(
+                [(1, Matrix.identity(ring, E_prev.generators), f"h{n - 1}",
+                  X.differential(n).action),
+                 (-1, E.differential(n).action, h.name, id_X)],
+                Matrix.zero(ring, E_prev.generators, X_n.generators),
+                E_prev.relations))
+        steps.append((h, relations))
+    return steps
 
 
 @dataclass
 class LiftOutcome:
+    """A lift, or the first degree at which the square has none; the
+    prechecks are those of `solve_lifting`."""
+
     lift: ChainMap | None
     obstruction_degree: int | None = None
     prechecks: dict = field(default_factory=dict)
@@ -108,6 +65,21 @@ class LiftOutcome:
     @property
     def found(self) -> bool:
         return self.lift is not None
+
+
+def find_lift(problem: LiftingProblem) -> LiftOutcome:
+    """The diagonal h with h o left = top and right o h = bottom, or the
+    smallest degree k whose degree-<=k part of the square has none."""
+    X, E = problem.left.target, problem.right.source
+    parts, degree = solve_by_degree(X.ring, lift_steps(problem))
+    if parts is None:
+        return LiftOutcome(None, degree)
+    lift = ChainMap(X, E, [ModuleMap(X.module(n), E.module(n), h, check=False)
+                           for n, h in enumerate(parts)])
+    if not (chain_map_equal(lift.compose(problem.left), problem.top)
+            and chain_map_equal(problem.right.compose(lift), problem.bottom)):
+        raise CertificateError("computed lift does not fill the square")
+    return LiftOutcome(lift)
 
 
 def solve_lifting(problem: LiftingProblem, flavor: str = "h",
@@ -122,11 +94,9 @@ def solve_lifting(problem: LiftingProblem, flavor: str = "h",
     """
     prechecks = lift_prechecks(problem.left, problem.right, flavor,
                                acyclic_leg)
-    lift = find_lift(problem)
-    if lift is not None:
-        return LiftOutcome(lift, prechecks=prechecks)
-    return LiftOutcome(None, obstruction_degree=obstruction_degree(problem),
-                       prechecks=prechecks)
+    outcome = find_lift(problem)
+    outcome.prechecks = prechecks
+    return outcome
 
 
 def lift_prechecks(left: ChainMap, right: ChainMap, flavor: str,
@@ -141,23 +111,13 @@ def lift_prechecks(left: ChainMap, right: ChainMap, flavor: str,
     }
 
 
-def obstruction_degree(problem: LiftingProblem) -> int | None:
-    """Smallest k whose degree-<=k subsystem already has no solution; None
-    when the whole system, the last of them, solves (a lift exists)."""
-    for k in range(_lift_top(problem) + 1):
-        if solve_map_relations(problem.left.target.ring,
-                               *_lift_system(problem, k)) is None:
-            return k
-    return None
-
-
 def chain_section(q: ChainMap) -> ChainMap | None:
     """A chain map s with q o s = id on the target of q: a lift in the
     square (0 -> B, q, 0 -> A, id_B)."""
     zero = zero_complex(q.source.ring)
     return find_lift(LiftingProblem(
         ChainMap.zero(zero, q.target), q, ChainMap.zero(zero, q.source),
-        ChainMap.identity(q.target), check=False))
+        ChainMap.identity(q.target), check=False)).lift
 
 
 def chain_retraction(j: ChainMap) -> ChainMap | None:
@@ -166,4 +126,4 @@ def chain_retraction(j: ChainMap) -> ChainMap | None:
     zero = zero_complex(j.source.ring)
     return find_lift(LiftingProblem(
         j, ChainMap.zero(j.source, zero), ChainMap.identity(j.source),
-        ChainMap.zero(j.target, zero), check=False))
+        ChainMap.zero(j.target, zero), check=False)).lift

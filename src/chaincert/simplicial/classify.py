@@ -108,11 +108,11 @@ def solve_hlp_simplicial(p: SimplicialMap, top: SimplicialMap,
              "EZ does not restrict to the e0 end")
     aux = LiftingProblem(c0, p.normalized_map, top.normalized_map,
                          bottom.normalized_map.compose(ez_map))
-    h = find_lift(aux)
+    h = find_lift(aux).lift
     _require(h is not None, "fibration failed the first pipeline lift")
     final = LiftingProblem(ez_map, p.normalized_map, h,
                            bottom.normalized_map)
-    H = find_lift(final)
+    H = find_lift(final).lift
     _require(H is not None,
              "shuffle comparison failed the second pipeline lift")
     lift = SimplicialMap(T, E, H)
@@ -212,10 +212,10 @@ def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
     aux = LiftingProblem(i.normalized_map, ev0_hom,
                          ez_star.compose(top.normalized_map),
                          bottom.normalized_map)
-    h = find_lift(aux)
+    h = find_lift(aux).lift
     _require(h is not None, "cofibration failed the first pipeline lift")
     final = LiftingProblem(i.normalized_map, ez_star, top.normalized_map, h)
-    H = find_lift(final)
+    H = find_lift(final).lift
     _require(H is not None, "dual shuffle comparison failed the second lift")
     lift = SimplicialMap(X, cot.object, H)
     _require(chain_map_equal(H.compose(i.normalized_map), top.normalized_map),

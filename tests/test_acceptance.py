@@ -89,7 +89,7 @@ def test_criterion_05_brutal_truncation_lift():
         parts.append(ModuleMap(lay.module(m), quotient.module(m),
                                Matrix(ZZ, rows, cols, out), check=False))
     G = ChainMap(lay.complex(), quotient, parts)
-    lift = find_lift(LiftingProblem(i0, q, f_tilde, G))
+    lift = find_lift(LiftingProblem(i0, q, f_tilde, G)).lift
     ok = lift is not None
     if ok:
         # H~_n = H_n for all n (here n = 0 is the only nonzero component)

@@ -26,6 +26,8 @@ from chaincert.chains.truncate import WindowComplex, good_truncation, \
     window_of_complex
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.exact import equations
+from chaincert.exact.equations import (MapVariable, MatrixRelation,
+                                       well_definedness)
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (ModuleMap, PresentedModule, factor_through,
                                      kernel, map_equal)
@@ -201,6 +203,33 @@ def _forbid_flattening(monkeypatch):
     monkeypatch.setattr(equations, "_solve_flattened", flattened)
 
 
+def whole_nullhomotopy(f):
+    """H with d H + H d = f, all components solved at once by the flattened
+    oracle.  It shares the vectorizer and the exact solver with the degree
+    sweep, not the sweep's cosets; its "no" answers are checked apart from
+    both, on hand-built complexes and by homology."""
+    X, Y = f.source, f.target
+    ring = X.ring
+    variables, relations = [], []
+    for n in range(max(X.top, Y.top) + 1):
+        H = MapVariable(f"H{n}", X.module(n), Y.module(n + 1))
+        terms = [(1, Y.differential(n + 1).action, H.name,
+                  Matrix.identity(ring, X.module(n).generators))]
+        if n:
+            terms.append((1, Matrix.identity(ring, Y.module(n).generators),
+                          f"H{n - 1}", X.differential(n).action))
+        variables.append(H)
+        relations += [MatrixRelation(terms, f.component(n).action,
+                                     Y.module(n).relations),
+                      well_definedness(H)]
+    sol = equations._solve_flattened(ring, variables, relations)
+    if sol is None:
+        return None
+    return ChainHomotopy(ChainMap.zero(X, Y), f, [
+        ModuleMap(X.module(n), Y.module(n + 1), sol[H.name], check=False)
+        for n, H in enumerate(variables)])
+
+
 def _complex(ring, mods, diffs):
     """Degrees 0..top from (generators, relations) and differential rows."""
     mods = [PresentedModule(ring, g, Matrix(ring, g, len(rel[0]), rel))
@@ -220,8 +249,10 @@ def _complex(ring, mods, diffs):
 def test_exact_complex_without_contraction(monkeypatch, ring, mods, diffs):
     C = _complex(ring, mods, diffs)
     assert all(homology(C, n).is_zero_module() for n in range(C.top + 1))
+    assert whole_nullhomotopy(ChainMap.identity(C)) is None
     _forbid_flattening(monkeypatch)
     assert find_contraction(C) is None
+    assert nullhomotopy(ChainMap.identity(C)) is None
 
 
 def test_twisted_torsion_complex_contracts(monkeypatch):
@@ -252,10 +283,18 @@ def test_contraction_agrees_with_flattened_oracle(monkeypatch, ring):
                 [X, mapping_cone(ChainMap.identity(Y)).complex])
             f = twist_complex_with_iso(total, rng)[1].compose(injs[0])
         cones.append(mapping_cone(f).complex)
-    expected = [nullhomotopy(ChainMap.identity(C)) is not None for C in cones]
+    expected = [whole_nullhomotopy(ChainMap.identity(C)) is not None
+                for C in cones]
     assert True in expected and False in expected
+    # a complex with homology is not contractible: "no" without any solve
+    acyclic = [all(homology(C, n).is_zero_module() for n in range(C.top + 1))
+               for C in cones]
+    assert False in acyclic
+    assert all(acyclic[i] for i, e in enumerate(expected) if e)
     _forbid_flattening(monkeypatch)
     assert [find_contraction(C) is not None for C in cones] == expected
+    assert [nullhomotopy(ChainMap.identity(C)) is not None
+            for C in cones] == expected
 
 
 def _summand_idempotent(ring, rng):
@@ -300,7 +339,7 @@ def test_image_contraction_agrees_with_nullhomotopy_oracle(monkeypatch,
     idempotents = summands + [_ez_aw_idempotent(ring, i) for i in range(6)]
     for p in idempotents:
         assert chain_map_equal(p.compose(p), p)
-    oracle = [nullhomotopy(p) for p in idempotents]
+    oracle = [whole_nullhomotopy(p) for p in idempotents]
     decided = [h is not None for h in oracle[:len(summands)]]
     assert True in decided and False in decided
     assert None not in oracle[len(summands):]

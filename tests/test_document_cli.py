@@ -325,6 +325,18 @@ def _boolean_obstruction_degree(report):
     report["obstruction_degree"] = False
 
 
+def _drop_found(report):
+    del report["found"]
+
+
+def _set_found(name, value):
+    """A damage that stores ``value``, which is no JSON boolean, as found."""
+    def damage(report):
+        report["found"] = value
+    damage.__name__ = f"_found_{name}"
+    return damage
+
+
 @pytest.mark.parametrize("make, damage, location", [
     (interval_lift_report, _drop_lift, "lift"),
     (interval_lift_report, _drop_left_source, "left.source"),
@@ -344,7 +356,12 @@ def _boolean_obstruction_degree(report):
     (interval_lift_report, _extra_precheck, "prechecks.left_fibration"),
     (no_lift_report, _drop_obstruction_degree, "obstruction_degree"),
     (no_lift_report, _negative_obstruction_degree, "obstruction_degree"),
-    (no_lift_report, _boolean_obstruction_degree, "obstruction_degree")])
+    (no_lift_report, _boolean_obstruction_degree, "obstruction_degree"),
+    (no_lift_report, _drop_found, "found"),
+    *[(no_lift_report, _set_found(name, value), "found")
+      for name, value in (("null", None), ("zero", 0), ("list", []),
+                          ("string", ""), ("object", {}))],
+    (interval_lift_report, _set_found("one", 1), "found")])
 def test_cli_verify_malformed_report_names_location(tmp_path, capsys, make,
                                                     damage, location):
     report = make()
@@ -547,8 +564,8 @@ def test_cli_verify_decides_no_lift_again(tmp_path, capsys):
 
 def test_verify_decides_no_lift_with_the_obstruction_search_alone(
         monkeypatch):
-    """The degree search's last system is the whole lift system, so
-    verifying "no lift" needs no separate `find_lift`."""
+    """The degree sweep decides the square and its obstruction degree at
+    once, so verifying "no lift" needs no separate `find_lift`."""
     report = no_lift_report()
 
     def refuse(problem):

@@ -1,23 +1,31 @@
-"""Routes of solve_map_relations: the decoupled shapes against the flattened
-system, and every solution re-checked by multiplication."""
+"""Routes of solve_map_relations and the degree sweep: the decoupled shapes
+and the sweep against the flattened system, and every solution re-checked
+by multiplication."""
 
 import json
+import random
 from functools import partial
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaincert.certify import SUITES
+from chaincert.chains.build import zero_complex
+from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.cli import main
 from chaincert.exact import equations
 from chaincert.exact.equations import (MapVariable, MatrixRelation,
-                                       solve_map_relations)
+                                       solve_by_degree, solve_map_relations)
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, factor_through
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import solve
 from chaincert.exact.splitting import (is_projective, is_split_epi,
                                       is_split_mono, projective_section)
+from chaincert.models.generators import random_chain_map, random_complex
+from chaincert.models.lifting import lift_steps
 
 RINGS = [ZZ, Zmod(6)]
 
@@ -28,10 +36,14 @@ def draw_matrix(draw, ring, rows, cols):
     return Matrix(ring, rows, cols, draw(entries))
 
 
-def draw_rhs(draw, ring, terms, mod, rows, cols, chosen=None):
-    """A random right-hand side, or half the time one built from a solution
-    (drawn here, or the unknowns already in ``chosen``)."""
-    if draw(st.booleans()):
+def draw_rhs(draw, ring, terms, mod, rows, cols, chosen=None,
+             solvable=None):
+    """A random right-hand side, or one built from a solution (drawn here,
+    or the unknowns already in ``chosen``): half the time each, unless
+    ``solvable`` picks."""
+    if solvable is None:
+        solvable = not draw(st.booleans())
+    if not solvable:
         return draw_matrix(draw, ring, rows, cols)
     chosen = {} if chosen is None else chosen
     rhs = Matrix.zero(ring, rows, cols)
@@ -48,13 +60,13 @@ def free(ring, n):
     return PresentedModule.free(ring, n)
 
 
-def column_decoupled(draw, ring, max_unknowns=2):
+def column_decoupled(draw, ring, unknowns=1):
     """Case (a): every R is the identity, every width is q; with several
-    unknowns the system takes the coupled route."""
+    unknowns the system fits none of the routes."""
     q = draw(st.integers(0, 3))
     variables = [MapVariable(f"x{i}", free(ring, q),
                              free(ring, draw(st.integers(0, 3))))
-                 for i in range(draw(st.integers(1, max_unknowns)))]
+                 for i in range(unknowns)]
     relations = []
     for _ in range(draw(st.integers(1, 2))):
         p = draw(st.integers(0, 3))
@@ -148,8 +160,7 @@ def satisfies(ring, relations, sol) -> bool:
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RINGS),
-       st.sampled_from([column_decoupled, row_decoupled, source_columns,
-                        coupled]),
+       st.sampled_from([column_decoupled, row_decoupled, source_columns]),
        st.data())
 def test_routes_agree_with_flattened_system(ring, shape, data):
     variables, relations = shape(data.draw, ring)
@@ -163,14 +174,40 @@ def test_routes_agree_with_flattened_system(ring, shape, data):
         assert satisfies(ring, relations, sol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS),
+       st.sampled_from([partial(column_decoupled, unknowns=2), coupled]),
+       st.data())
+def test_systems_in_two_unknowns_go_to_the_oracle_only(ring, shape, data):
+    """solve_map_relations refuses two unknowns; the flattened oracle
+    solves them whole, and its solutions are checked by multiplication."""
+    variables, relations = shape(data.draw, ring)
+    with pytest.raises(ValueError):
+        solve_map_relations(ring, variables, relations)
+    flat = equations._solve_flattened(ring, variables, relations)
+    if flat is not None:
+        assert satisfies(ring, relations, flat)
+
+
+def test_one_unknown_outside_the_routes_is_refused():
+    """2 h = 2 beside h 2 = 2, a lift's relations in one degree when the
+    left leg is nonzero, fit none of (a), (b) and (c)."""
+    var = MapVariable("h", free(ZZ, 1), free(ZZ, 1))
+    one, two = Matrix.identity(ZZ, 1), Matrix(ZZ, 1, 1, [[2]])
+    relations = [MatrixRelation([(1, two, "h", one)], two),
+                 MatrixRelation([(1, one, "h", two)], two)]
+    with pytest.raises(ValueError):
+        solve_map_relations(ZZ, [var], relations)
+    assert equations._solve_flattened(ZZ, [var], relations)["h"] == one
+
+
 def _refuse_flattening(*args):
     raise RuntimeError("decoupled system sent to the flattened solver")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RINGS),
-       st.sampled_from([partial(column_decoupled, max_unknowns=1),
-                        source_columns]),
+       st.sampled_from([column_decoupled, source_columns]),
        st.data())
 def test_one_unknown_column_systems_skip_flattening(ring, shape, data):
     """One unknown whose relations are all column-type is case (c) without
@@ -210,7 +247,7 @@ def test_retractions_and_factorizations_skip_flattening(monkeypatch):
         assert is_split_epi(ModuleMap(B, C, Matrix(ring, 1, 2, [[0, 1]])))
 
 
-@pytest.mark.parametrize("suite", ["monoidal-smod", "ez-aw", "ez-aw-dual"])
+@pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("ring", ["z", "z/6"])
 def test_suite_never_flattens(monkeypatch, tmp_path, suite, ring):
     reached = []
@@ -225,3 +262,110 @@ def test_suite_never_flattens(monkeypatch, tmp_path, suite, ring):
                  "--ring", ring, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["ok"]
     assert not reached
+
+
+def bidiagonal(draw, ring):
+    """Unknowns x_n : R^c -> R^b in degrees 0..top; each relation of degree
+    n has a term in x_n and maybe one in x_{n-1}, both factors drawn.  Below
+    a drawn degree every rhs comes from one drawn solution, from it on
+    half of them are drawn freely, so the first failing degree varies."""
+    top = draw(st.integers(0, 3))
+    solvable_below = draw(st.integers(0, top + 1))
+    chosen: dict = {}
+    steps = []
+    for n in range(top + 1):
+        var = MapVariable(f"x{n}", free(ring, draw(st.integers(0, 2))),
+                          free(ring, draw(st.integers(1, 2))))
+        relations = []
+        for _ in range(draw(st.integers(1, 2))):
+            p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            terms = [(draw(st.sampled_from([1, -1, 2])),
+                      draw_matrix(draw, ring, p, var.rows), var.name,
+                      draw_matrix(draw, ring, var.cols, q))]
+            if n and draw(st.booleans()):
+                prev = steps[-1][0]
+                terms.append((1, draw_matrix(draw, ring, p, prev.rows),
+                              prev.name,
+                              draw_matrix(draw, ring, prev.cols, q)))
+            mod = (draw_matrix(draw, ring, p, 1) if draw(st.booleans())
+                   else None)
+            relations.append(MatrixRelation(terms, draw_rhs(
+                draw, ring, terms, mod, p, q, chosen,
+                solvable=True if n < solvable_below else None), mod))
+        steps.append((var, relations))
+    return steps
+
+
+# (c1, c2, a, b) with c2 a = b c1: the square (c1, c2, a s, b s) commutes
+SCALINGS = [(c1, c2, a, b) for c1, c2, a, b in product(range(1, 4), repeat=4)
+            if c2 * a == b * c1]
+
+
+def _scaled(f, c):
+    return ChainMap(f.source, f.target, [
+        ModuleMap(part.source, part.target, part.action.scale(c))
+        for part in f.parts])
+
+
+def lift_square(draw, ring):
+    """The lift system of a drawn square: a section or a retraction of a
+    random chain map, an extension along one, or c1 and c2 times the
+    identity as legs, with a s on top and b s below."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    X, Y = (random_complex(ring, rng, max_top=2, max_rank=2)
+            for _ in range(2))
+    zero = zero_complex(ring)
+    kind = draw(st.sampled_from(["section", "retraction", "extension",
+                                 "scaled"]))
+    if kind == "section":
+        problem = LiftingProblem(ChainMap.zero(zero, Y),
+                                 random_chain_map(X, Y, rng),
+                                 ChainMap.zero(zero, X), ChainMap.identity(Y))
+    elif kind == "retraction":
+        problem = LiftingProblem(random_chain_map(X, Y, rng),
+                                 ChainMap.zero(X, zero), ChainMap.identity(X),
+                                 ChainMap.zero(Y, zero))
+    elif kind == "extension":
+        A = random_complex(ring, rng, max_top=2, max_rank=2)
+        problem = LiftingProblem(random_chain_map(A, X, rng),
+                                 ChainMap.zero(Y, zero),
+                                 random_chain_map(A, Y, rng),
+                                 ChainMap.zero(X, zero))
+    else:
+        c1, c2, a, b = draw(st.sampled_from(SCALINGS))
+        s = random_chain_map(X, Y, rng)
+        problem = LiftingProblem(_scaled(ChainMap.identity(X), c1),
+                                 _scaled(ChainMap.identity(Y), c2),
+                                 _scaled(s, a), _scaled(s, b))
+    return lift_steps(problem)
+
+
+def prefix_degree(ring, steps):
+    """The first k whose degrees <= k, solved whole, have no solution."""
+    for k in range(len(steps)):
+        variables = [var for var, _ in steps[:k + 1]]
+        relations = [rel for _, rels in steps[:k + 1] for rel in rels]
+        if equations._solve_flattened(ring, variables, relations) is None:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("shape", [bidiagonal, lift_square],
+                         ids=["bidiagonal", "lift_square"])
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ZZ, Zmod(4), Zmod(6)]), st.data())
+def test_degree_sweep_agrees_with_whole_and_prefix_systems(shape, ring,
+                                                           data):
+    steps = shape(data.draw, ring)
+    with mock.patch.object(equations, "_solve_flattened", _refuse_flattening):
+        parts, degree = solve_by_degree(ring, steps)
+    variables = [var for var, _ in steps]
+    relations = [rel for _, rels in steps for rel in rels]
+    whole = equations._solve_flattened(ring, variables, relations)
+    assert (parts is None) == (whole is None) == (degree is not None)
+    assert degree == prefix_degree(ring, steps)
+    if parts is not None:
+        assert [(x.rows, x.cols) for x in parts] == \
+            [(v.rows, v.cols) for v in variables]
+        assert satisfies(ring, relations,
+                         {v.name: x for v, x in zip(variables, parts)})

@@ -443,7 +443,7 @@ S0 = gamma(sphere(ZZ, 0))
 i = SimplicialMap(Zs, S0, ChainMap.zero(Zs.normalized, S0.normalized))
 g0 = ModuleMap(S0.normalized.module(0), D.normalized.module(0),
                Matrix(ZZ, 1, 1, [[1]]))
-sclassify.find_lift = lambda problem: None
+sclassify.find_lift = lambda problem: lifting.LiftOutcome(None)
 sclassify.end_inclusion = lambda A, T, end: end_inclusion(A, T, 1 - end)
 report({
     "simplicial_homotopic": lambda: sclassify.simplicial_homotopic(
@@ -470,6 +470,9 @@ def zero_solution(ring, variables, relations):
     return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
             for v in variables}
 
+def zero_sweep(ring, steps):
+    return [Matrix.zero(ring, v.rows, v.cols) for v, _ in steps], None
+
 U = unit_complex(ZZ)
 ident = ChainMap.identity(U)
 from_zero = ChainMap.zero(zero_complex(ZZ), U)
@@ -484,7 +487,7 @@ calls = {
 }
 classify.is_split_mono = lambda fn: None
 splitting.solve_map_relations = zero_solution
-lifting.solve_map_relations = zero_solution
+lifting.solve_by_degree = zero_sweep
 report(calls)
 """
 

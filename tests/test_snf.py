@@ -322,6 +322,31 @@ def test_operations_build_canonical_matrices(ring, data):
         assert_canonical(M)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacking_all_blocks_agrees_with_assemble(ring, data):
+    dim = st.integers(min_value=0, max_value=3)
+    n = data.draw(dim)
+    sizes = data.draw(st.lists(dim, max_size=4))
+    wide = [data.draw(matrix_of(ring, n, k)) for k in sizes]
+    tall = [data.draw(matrix_of(ring, k, n)) for k in sizes]
+    H = Matrix.hstack_all(ring, n, wide)
+    V = Matrix.vstack_all(ring, n, tall)
+    assert H == Matrix.assemble(ring, [n], sizes,
+                                {(0, j): b for j, b in enumerate(wide)})
+    assert V == Matrix.assemble(ring, sizes, [n],
+                                {(i, 0): b for i, b in enumerate(tall)})
+    assert (H.rows, H.cols, V.rows, V.cols) == (n, sum(sizes), sum(sizes), n)
+    assert_canonical(H)
+    assert_canonical(V)
+    if sizes:
+        with pytest.raises(ValueError):
+            Matrix.hstack_all(ring, n + 1, wide)
+        with pytest.raises(ValueError):
+            Matrix.vstack_all(ring, n + 1, tall)
+
+
 def test_public_constructor_checks_shape_and_reduces():
     with pytest.raises(ValueError):
         Matrix(ZZ, 2, 2, [[1, 2], [3]])
@@ -339,6 +364,8 @@ def test_combining_matrices_needs_one_ring():
                lambda: A.vstack(B), lambda: A.kron(B),
                lambda: Matrix.block_diagonal(ZZ, [A, B]),
                lambda: Matrix.assemble(ZZ, [2], [2], {(0, 0): B}),
+               lambda: Matrix.hstack_all(ZZ, 2, [A, B]),
+               lambda: Matrix.vstack_all(ZZ, 2, [A, B]),
                lambda: Matrix.unvec(ZZ, B.vec(), 2, 2)):
         with pytest.raises(ValueError):
             op()
