@@ -5,16 +5,23 @@ the serialized case data.  Predicates return "pass", "fail" or "invalid"
 (hypothesis broken); failing cases are shrunk by dropping top degrees and
 pulling matrix entries toward zero before being reported, and identical
 seed and configuration give byte-identical reports.
+
+A predicate names the chain data it reads with `_decodes`, which decodes
+those case fields with the document codec before the claim runs.  A case
+whose chain data does not decode, as a shrinking step can leave it, is
+"invalid"; a fault raised while the claim runs is never turned into
+"invalid", because the claim runs outside the decoding `try`.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .chains.build import brutal_truncation, concentrated, unit_complex, \
-    zero_complex
+from .chains.build import brutal_truncation, concentrated, interval, \
+    unit_complex, zero_complex
 from .chains.cochain import dualize_map
 from .chains.complexes import ChainMap, LiftingProblem
 from .chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
@@ -36,10 +43,15 @@ from .models.hlp_hep import hep_check, hlp_check
 from .models.lifting import find_lift
 from .models.pushout import check_pushout_product_axiom, pushout_product
 from .models.yoneda import split_epi_via_yoneda
-from .simplicial.module import gamma, gamma_map
 from .simplicial.classify import pushout_product_simplicial
+from .simplicial.cotensor import ez_aw_dual_ops
+from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
+from .simplicial.module import degreewise_tensor, gamma, gamma_map, normalize
 
 PASS, FAIL, INVALID = "pass", "fail", "invalid"
+
+# the top degree of the complexes most generators draw
+_MAX_TOP = 2
 
 
 @dataclass
@@ -48,7 +60,6 @@ class CertifyConfig:
     seed: int
     cases: int
     max_rank: int = 3
-    max_top: int = 2
     ring: RingSpec = ZZ
     shrink: bool = True
 
@@ -68,8 +79,28 @@ class Suite:
     description: str = ""
 
 
-def _cm(case: dict, key: str, ring: RingSpec) -> ChainMap:
-    return chain_map_from_json(ring, case[key], key)
+def _decodes(**fields: str):
+    """Decode the named case fields before the claim runs.
+
+    ``fields`` maps each case key to "complex" or "map"; the claim is called
+    as ``claim(case, config, *decoded)`` with the values in that order, and
+    the decorated predicate keeps the ``(case, config)`` signature.  A field
+    that does not decode makes the case INVALID.
+    """
+    def wrap(claim):
+        @functools.wraps(claim)
+        def predicate(case: dict, config: CertifyConfig) -> str:
+            ring = config.ring
+            try:
+                values = [parse_chain_complex(ring, case[key], key)
+                          if kind == "complex"
+                          else chain_map_from_json(ring, case[key], key)
+                          for key, kind in fields.items()]
+            except ValueError:  # DocumentError among them
+                return INVALID
+            return claim(case, config, *values)
+        return predicate
+    return wrap
 
 
 def _from_zero(X):
@@ -88,13 +119,8 @@ def _gen_dold_kan(rng, cfg):
     return {"complex": complex_to_json(C)}
 
 
-def _pred_dold_kan(case, cfg):
-    try:
-        C = parse_chain_complex(cfg.ring, case["complex"], "complex")
-    except DocumentError:
-        return INVALID
-    from .simplicial.module import normalize
-
+@_decodes(complex="complex")
+def _pred_dold_kan(case, cfg, C):
     A = gamma(C, verify=False)
     return PASS if normalize(A) == C else FAIL
 
@@ -107,15 +133,8 @@ def _gen_ez_aw(rng, cfg):
     return {"a": complex_to_json(A), "b": complex_to_json(B)}
 
 
-def _pred_ez_aw(case, cfg):
-    from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
-    from .simplicial.module import degreewise_tensor
-
-    try:
-        CA = parse_chain_complex(cfg.ring, case["a"], "a")
-        CB = parse_chain_complex(cfg.ring, case["b"], "b")
-    except DocumentError:
-        return INVALID
+@_decodes(a="complex", b="complex")
+def _pred_ez_aw(case, cfg, CA, CB):
     A, B = gamma(CA, verify=False), gamma(CB, verify=False)
     T = degreewise_tensor(A, B)
     E = ez(A, B, T)
@@ -135,14 +154,8 @@ def _gen_ez_aw_dual(rng, cfg):
     return {"a": complex_to_json(A), "b": complex_to_json(B)}
 
 
-def _pred_ez_aw_dual(case, cfg):
-    from .simplicial.cotensor import ez_aw_dual_ops
-
-    try:
-        CA = parse_chain_complex(cfg.ring, case["a"], "a")
-        CB = parse_chain_complex(cfg.ring, case["b"], "b")
-    except DocumentError:
-        return INVALID
+@_decodes(a="complex", b="complex")
+def _pred_ez_aw_dual(case, cfg, CA, CB):
     try:
         ez_aw_dual_ops(gamma(CA, verify=False), gamma(CB, verify=False),
                        through=3)
@@ -152,16 +165,13 @@ def _pred_ez_aw_dual(case, cfg):
 
 
 def _gen_agreement_map(rng, cfg):
-    f = random_map_for_agreement(cfg.ring, rng, max_top=cfg.max_top,
+    f = random_map_for_agreement(cfg.ring, rng, max_top=_MAX_TOP,
                                  max_rank=min(cfg.max_rank, 2))
     return {"map": chain_map_to_json(f)}
 
 
-def _pred_hlp_hep(case, cfg):
-    try:
-        f = _cm(case, "map", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(map="map")
+def _pred_hlp_hep(case, cfg, f):
     if hlp_check(f) != h_fibration_bit(f).holds:
         return FAIL
     if hep_check(f) != h_cofibration_bit(f).holds:
@@ -170,73 +180,60 @@ def _pred_hlp_hep(case, cfg):
 
 
 def _gen_monoidal_h(rng, cfg):
-    i = random_split_mono(cfg.ring, rng, max_top=cfg.max_top,
+    i = random_split_mono(cfg.ring, rng, max_top=_MAX_TOP,
                           max_rank=cfg.max_rank)
-    k = random_split_mono(cfg.ring, rng, max_top=cfg.max_top,
+    k = random_split_mono(cfg.ring, rng, max_top=_MAX_TOP,
                           max_rank=cfg.max_rank)
     return {"i": chain_map_to_json(i), "k": chain_map_to_json(k)}
 
 
-def _pred_monoidal_h(case, cfg):
-    try:
-        i = _cm(case, "i", cfg.ring)
-        k = _cm(case, "k", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
-    if not (h_cofibration_bit(i).holds and h_cofibration_bit(k).holds):
+def _gen_monoidal_h_acyclic(rng, cfg):
+    i = random_q_cofibration(cfg.ring, rng, acyclic=True,
+                             max_top=_MAX_TOP, max_rank=cfg.max_rank)
+    k = random_split_mono(cfg.ring, rng, max_top=_MAX_TOP,
+                          max_rank=min(cfg.max_rank, 2))
+    return {"i": chain_map_to_json(i), "k": chain_map_to_json(k)}
+
+
+def _monoidal_legs(i, k, acyclic: bool) -> bool:
+    """Both legs are h-cofibrations and an acyclic leg i is an
+    h-equivalence: the hypothesis of the four monoidal suites."""
+    return (h_cofibration_bit(i).holds
+            and (not acyclic or is_chain_homotopy_equivalence(i) is not None)
+            and h_cofibration_bit(k).holds)
+
+
+@_decodes(i="map", k="map")
+def _pred_monoidal_h(case, cfg, i, k):
+    if not _monoidal_legs(i, k, acyclic=False):
         return INVALID
     report = check_pushout_product_axiom(i, k, "h")
     return PASS if report.verdict.cofibration.holds else FAIL
 
 
-def _gen_monoidal_h_acyclic(rng, cfg):
-    i = random_q_cofibration(cfg.ring, rng, acyclic=True,
-                             max_top=cfg.max_top, max_rank=cfg.max_rank)
-    k = random_split_mono(cfg.ring, rng, max_top=cfg.max_top,
-                          max_rank=min(cfg.max_rank, 2))
-    return {"i": chain_map_to_json(i), "k": chain_map_to_json(k)}
-
-
-def _pred_monoidal_h_acyclic(case, cfg):
-    try:
-        i = _cm(case, "i", cfg.ring)
-        k = _cm(case, "k", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
-    if not (h_cofibration_bit(i).holds
-            and is_chain_homotopy_equivalence(i) is not None
-            and h_cofibration_bit(k).holds):
+@_decodes(i="map", k="map")
+def _pred_monoidal_h_acyclic(case, cfg, i, k):
+    if not _monoidal_legs(i, k, acyclic=True):
         return INVALID
     report = check_pushout_product_axiom(i, k, "h", expect_acyclic=True)
     return PASS if (report.verdict.cofibration.holds and report.acyclic) \
         else FAIL
 
 
-def _pred_monoidal_smod(case, cfg):
-    try:
-        i = _cm(case, "i", cfg.ring)
-        k = _cm(case, "k", cfg.ring)
-    except (DocumentError, ValueError):
+@_decodes(i="map", k="map")
+def _pred_monoidal_smod(case, cfg, i, k):
+    if not _monoidal_legs(i, k, acyclic=False):
         return INVALID
-    si, sk = gamma_map(i), gamma_map(k)
-    if not (h_cofibration_bit(i).holds and h_cofibration_bit(k).holds):
-        return INVALID
-    report = pushout_product_simplicial(si, sk)
+    report = pushout_product_simplicial(gamma_map(i), gamma_map(k))
     return PASS if report.verdict.cofibration.holds else FAIL
 
 
-def _pred_monoidal_smod_acyclic(case, cfg):
-    try:
-        i = _cm(case, "i", cfg.ring)
-        k = _cm(case, "k", cfg.ring)
-    except (DocumentError, ValueError):
+@_decodes(i="map", k="map")
+def _pred_monoidal_smod_acyclic(case, cfg, i, k):
+    if not _monoidal_legs(i, k, acyclic=True):
         return INVALID
-    si, sk = gamma_map(i), gamma_map(k)
-    if not (h_cofibration_bit(i).holds
-            and is_chain_homotopy_equivalence(i) is not None
-            and h_cofibration_bit(k).holds):
-        return INVALID
-    report = pushout_product_simplicial(si, sk, expect_acyclic=True)
+    report = pushout_product_simplicial(gamma_map(i), gamma_map(k),
+                                        expect_acyclic=True)
     if not (report.verdict.cofibration.holds and report.acyclic):
         return FAIL
     if not (report.chain_level_cofibration and report.chain_level_acyclic
@@ -247,15 +244,12 @@ def _pred_monoidal_smod_acyclic(case, cfg):
 
 def _gen_q2h(rng, cfg):
     j = random_q_cofibration(cfg.ring, rng, acyclic=True,
-                             max_top=cfg.max_top, max_rank=cfg.max_rank)
+                             max_top=_MAX_TOP, max_rank=cfg.max_rank)
     return {"j": chain_map_to_json(j)}
 
 
-def _pred_q2h(case, cfg):
-    try:
-        j = _cm(case, "j", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(j="map")
+def _pred_q2h(case, cfg, j):
     if not (q_cofibration_bit(j).holds and quasi_iso(j)):
         return INVALID
     return PASS if is_chain_homotopy_equivalence(j) is not None else FAIL
@@ -278,11 +272,8 @@ def _pred_nonqhm(case, cfg):
     return PASS if (h_ok and q_bad) else FAIL
 
 
-def _pred_yoneda(case, cfg):
-    try:
-        f = _cm(case, "map", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(map="map")
+def _pred_yoneda(case, cfg, f):
     oracle = split_epi_via_yoneda(f)
     for n, expected in oracle.items():
         if (is_split_epi(f.component(n)) is not None) != expected:
@@ -290,11 +281,8 @@ def _pred_yoneda(case, cfg):
     return PASS
 
 
-def _pred_bousfield(case, cfg):
-    try:
-        f = _cm(case, "map", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(map="map")
+def _pred_bousfield(case, cfg, f):
     T = max(f.source.top, f.target.top)
     v = bousfield_classify(dualize_map(f))
     fib_expected = all(is_split_epi(f.component(n)) is not None
@@ -312,16 +300,13 @@ def _pred_bousfield(case, cfg):
 
 
 def _gen_fibrant(rng, cfg):
-    X = random_complex(cfg.ring, rng, max_top=cfg.max_top,
+    X = random_complex(cfg.ring, rng, max_top=_MAX_TOP,
                        max_rank=cfg.max_rank)
     return {"complex": complex_to_json(X)}
 
 
-def _pred_fibrant(case, cfg):
-    try:
-        X = parse_chain_complex(cfg.ring, case["complex"], "complex")
-    except DocumentError:
-        return INVALID
+@_decodes(complex="complex")
+def _pred_fibrant(case, cfg, X):
     to0, from0 = _to_zero(X), _from_zero(X)
     checks = [
         h_fibration_bit(to0).holds,
@@ -336,12 +321,11 @@ def _pred_fibrant(case, cfg):
 
 
 def _gen_brutal(rng, cfg):
-    C = random_complex(cfg.ring, rng, max_top=max(1, cfg.max_top),
-                       max_rank=cfg.max_rank)
+    C = random_complex(cfg.ring, rng, max_top=_MAX_TOP, max_rank=cfg.max_rank)
     while C.top < 1:
-        C = random_complex(cfg.ring, rng, max_top=max(1, cfg.max_top),
+        C = random_complex(cfg.ring, rng, max_top=_MAX_TOP,
                            max_rank=cfg.max_rank)
-    A = random_complex(cfg.ring, rng, max_top=cfg.max_top,
+    A = random_complex(cfg.ring, rng, max_top=_MAX_TOP,
                        max_rank=min(cfg.max_rank, 2))
     f = random_chain_map(A, C, rng, bound=1)
     quotient, _ = brutal_truncation(C)
@@ -353,14 +337,8 @@ def _gen_brutal(rng, cfg):
             "f": chain_map_to_json(f), "h": h_parts}
 
 
-def _pred_brutal(case, cfg):
-    from .chains.build import interval
-
-    try:
-        C = parse_chain_complex(cfg.ring, case["c"], "c")
-        f_tilde = _cm(case, "f", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(c="complex", f="map")
+def _pred_brutal(case, cfg, C, f_tilde):
     A = f_tilde.source
     if f_tilde.target != C or C.top < 1:
         return INVALID
@@ -409,21 +387,17 @@ def _pred_brutal(case, cfg):
 
 
 def _gen_enrich_h_over_q(rng, cfg):
-    i = random_split_mono(cfg.ring, rng, max_top=cfg.max_top,
+    i = random_split_mono(cfg.ring, rng, max_top=_MAX_TOP,
                           max_rank=min(cfg.max_rank, 2))
     acyclic = rng.random() < 0.5
     k = random_q_cofibration(cfg.ring, rng, acyclic=acyclic,
-                             max_top=cfg.max_top, max_rank=min(cfg.max_rank, 2))
+                             max_top=_MAX_TOP, max_rank=min(cfg.max_rank, 2))
     return {"i": chain_map_to_json(i), "k": chain_map_to_json(k),
             "acyclic": acyclic}
 
 
-def _pred_enrich_h_over_q(case, cfg):
-    try:
-        i = _cm(case, "i", cfg.ring)
-        k = _cm(case, "k", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(i="map", k="map")
+def _pred_enrich_h_over_q(case, cfg, i, k):
     if not h_cofibration_bit(i).holds:
         return INVALID
     if not q_cofibration_bit(k).holds:
@@ -440,24 +414,19 @@ def _pred_enrich_h_over_q(case, cfg):
 
 
 def _gen_enrich_m_over_q(rng, cfg):
-    base = random_q_cofibration(cfg.ring, rng, max_top=cfg.max_top,
+    base = random_q_cofibration(cfg.ring, rng, max_top=_MAX_TOP,
                                 max_rank=min(cfg.max_rank, 2))
     _, iso = twist_complex_with_iso(base.target, rng)
     acyclic = rng.random() < 0.5
     k = random_q_cofibration(cfg.ring, rng, acyclic=acyclic,
-                             max_top=cfg.max_top, max_rank=min(cfg.max_rank, 2))
+                             max_top=_MAX_TOP, max_rank=min(cfg.max_rank, 2))
     return {"i_base": chain_map_to_json(base),
             "equivalence": chain_map_to_json(iso),
             "k": chain_map_to_json(k), "acyclic": acyclic}
 
 
-def _pred_enrich_m_over_q(case, cfg):
-    try:
-        base = _cm(case, "i_base", cfg.ring)
-        equiv = _cm(case, "equivalence", cfg.ring)
-        k = _cm(case, "k", cfg.ring)
-    except (DocumentError, ValueError):
-        return INVALID
+@_decodes(i_base="map", equivalence="map", k="map")
+def _pred_enrich_m_over_q(case, cfg, base, equiv, k):
     if equiv.source != base.target:
         return INVALID
     j = equiv.compose(base)

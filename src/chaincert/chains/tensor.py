@@ -101,17 +101,6 @@ class TensorLayout:
             self._complex = ChainComplex(self.ring, mods, diffs, check=False)
         return self._complex
 
-    def pair_injection(self, n: int, i: int) -> Matrix:
-        """Column injection of the (i, n-i) summand into degree n."""
-        g = (self.X.module(i).generators
-             * self.Y.module(n - i).generators)
-        total = self.module(n).generators
-        off = self.offset(n, i)
-        cols = [[0] * g for _ in range(total)]
-        for k in range(g):
-            cols[off + k][k] = 1
-        return Matrix(self.ring, total, g, cols)
-
 
 def tensor_complex(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     return TensorLayout(X, Y).complex()

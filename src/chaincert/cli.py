@@ -36,16 +36,19 @@ from .simplicial.module import cap_problem, degreewise_tensor, gamma, normalize
 USAGE_ERROR = 2
 
 
-def _load_document(path: str):
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail(f"{path}: invalid JSON: {exc}")
+
+
+def _load_document(path: str):
     try:
-        return parse_document(data)
+        return parse_document(_read_json(path))
     except DocumentError as exc:
         _fail(str(exc))
 
@@ -227,14 +230,7 @@ def cmd_verify(args) -> int:
     path = args.witness if args.witness else args.verify
     if not path:
         _fail("verify needs a witness file")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        _fail(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        _fail(f"{path}: invalid JSON: {exc}")
-    ok, problems = verify_report(data)
+    ok, problems = verify_report(_read_json(path))
     _emit({"kind": "verify", "ok": ok, "problems": problems}, args.out)
     return 0 if ok else 1
 

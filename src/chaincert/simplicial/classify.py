@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chains.build import interval
-from ..chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
-                                LiftingProblem, chain_map_equal)
+from ..chains.complexes import (ChainHomotopy, ChainMap, LiftingProblem,
+                                chain_map_equal)
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
 from ..chains.homotopy import chain_homotopic, is_chain_homotopy_equivalence
 from ..chains.tensor import cylinder_map, interval_cylinder
@@ -24,8 +24,10 @@ from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
 from ..models.pushout import pushout_product, pushout_product_verdict
 from ..models.verdict import Verdict
-from .cotensor import CotensorData, cotensor, ez_aw_dual_ops
+from .cotensor import (CotensorData, _identity_simplicial, cotensor,
+                       ez_aw_dual_ops)
 from .ez_aw import aw, ez
+from .levels import GammaLevels
 from .module import (SimplicialMap, SimplicialModule, constant_module,
                      degreewise_tensor, end_inclusion, gamma_map,
                      interval_object, tensor_normalized_map)
@@ -138,17 +140,11 @@ def interval_cotensor(B: SimplicialModule) -> IntervalCotensor:
     ring = B.ring
     I_obj = interval_object(ring)
     data = cotensor(I_obj, B, through=B.normalized.top + 1)
-    P = SimplicialModule(data.complex,
-                         _gamma_levels_of(data.complex), data.complex.top + 1)
+    P = SimplicialModule(data.complex, GammaLevels(data.complex),
+                         data.complex.top + 1)
     ev0 = _evaluation_map(data, B, P, end=0)
     ev1 = _evaluation_map(data, B, P, end=1)
     return IntervalCotensor(P, data, ev0, ev1)
-
-
-def _gamma_levels_of(C: ChainComplex):
-    from .levels import GammaLevels
-
-    return GammaLevels(C)
 
 
 def _evaluation_map(data: CotensorData, B: SimplicialModule,
@@ -167,7 +163,7 @@ def _evaluation_map(data: CotensorData, B: SimplicialModule,
     for n in range(data.complex.top + 1):
         cot_mod = data.complex.module(n)
         unit_tensor = degreewise_tensor(constant_module(ring), data.disks[n])
-        u = tensor_normalized_map(vertex, _id_sm(data.disks[n]),
+        u = tensor_normalized_map(vertex, _identity_simplicial(data.disks[n]),
                                   unit_tensor, data.tensors[n])
         cols = []
         for j in range(cot_mod.generators):
@@ -179,10 +175,6 @@ def _evaluation_map(data: CotensorData, B: SimplicialModule,
         action = Matrix.hstack_all(ring, NB.module(n).generators, cols)
         comps.append(ModuleMap(cot_mod, NB.module(n), action, check=False))
     return SimplicialMap(P, B, ChainMap(data.complex, NB, comps))
-
-
-def _id_sm(A: SimplicialModule) -> SimplicialMap:
-    return SimplicialMap(A, A, ChainMap.identity(A.normalized))
 
 
 def solve_hep_simplicial(i: SimplicialMap, top: SimplicialMap,
@@ -281,15 +273,15 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     yv = degreewise_tensor(Y, V)
     xv = degreewise_tensor(X, V)
     yw = degreewise_tensor(Y, W)
-    leg_xw = tensor_normalized_map(_id_sm(X), k, xv, xw)
-    leg_yv = tensor_normalized_map(i, _id_sm(V), xv, yv)
+    leg_xw = tensor_normalized_map(_identity_simplicial(X), k, xv, xw)
+    leg_yv = tensor_normalized_map(i, _identity_simplicial(V), xv, yv)
     P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
-    u = tensor_normalized_map(i, _id_sm(W), xw, yw)
-    v = tensor_normalized_map(_id_sm(Y), k, yv, yw)
+    u = tensor_normalized_map(i, _identity_simplicial(W), xw, yw)
+    v = tensor_normalized_map(_identity_simplicial(Y), k, yv, yw)
     # u o leg_xw = N(i (x) k) = v o leg_yv: the level matrices are kron
     # products and keep degenerate coordinates apart from the others
     induced = pushout_induced_chain_map(P, u, v, check=False)
-    source_obj = SimplicialModule(P, _gamma_levels_of(P), P.top + 1)
+    source_obj = SimplicialModule(P, GammaLevels(P), P.top + 1)
     product = SimplicialMap(source_obj, yw, induced)
     verdict, acyclic, ok = pushout_product_verdict(induced, "h",
                                                    expect_acyclic)

@@ -218,8 +218,10 @@ class HomDiskBridge:
             sp = self.window.space(i, n)
             m = i + n
             if (i, n) in lay.pairs(m):
-                inj = lay.pair_injection(m, i)
-                blk = G.component(m).action @ inj
+                # the columns of the (i, n) summand of degree m
+                off = lay.offset(m, i)
+                g = lay.X.module(i).generators * lay.Y.module(n).generators
+                blk = G.component(m).action.columns(range(off, off + g))
                 if (n * i) % 2:
                     blk = -blk
                 cols.append(sp.coords(blk))

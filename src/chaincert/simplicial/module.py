@@ -181,15 +181,13 @@ def normalize_with_inclusions(A: SimplicialModule
     return normalized_kernel(A.levels, A.normalized.top)
 
 
-def degreewise_tensor(A: SimplicialModule, B: SimplicialModule, *,
-                      verify: bool = False) -> SimplicialModule:
+def degreewise_tensor(A: SimplicialModule,
+                      B: SimplicialModule) -> SimplicialModule:
     """(A (x) B)_n = A_n (x) B_n with diagonal faces and degeneracies."""
     if A.ring != B.ring:
         raise ValueError("ring mismatch")
     levels = TensorLevels(A.levels, B.levels)
     top = A.top + B.top
-    if verify:
-        verify_simplicial_identities(levels, top + 1)
     normalized = normalized_quotient(levels, top)
     return SimplicialModule(normalized, levels, top + 1)
 

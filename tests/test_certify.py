@@ -8,8 +8,11 @@ import sys
 import pytest
 
 from chaincert.certify import (FAIL, INVALID, PASS, CertifyConfig, SUITES,
-                               run_suite, shrink_case)
-from chaincert.exact.rings import Zmod
+                               _decodes, run_suite, shrink_case)
+from chaincert.chains.build import disk
+from chaincert.chains.complexes import ChainMap
+from chaincert.exact.rings import ZZ, Zmod
+from chaincert.io.document import chain_map_to_json, complex_to_json
 from chaincert.io.reports import dump
 
 
@@ -56,6 +59,28 @@ def test_config_guards():
         CertifyConfig("dold-kan", seed=1, cases=1, max_rank=9)
     with pytest.raises(ValueError):
         run_suite(CertifyConfig("no-such-suite", seed=1, cases=1))
+
+
+def test_decoding_is_invalid_only_where_the_chain_data_breaks():
+    @_decodes(c="complex", f="map")
+    def claim(case, config, C, f):
+        if case["fault"]:
+            raise ValueError("a fault in the claim")
+        return PASS if f.source == C else FAIL
+
+    config = CertifyConfig("dold-kan", seed=0, cases=1)
+    D1 = disk(ZZ, 1)
+    case = {"c": complex_to_json(D1), "fault": False,
+            "f": chain_map_to_json(ChainMap.identity(D1))}
+    assert claim(case, config) == PASS
+    assert claim(dict(case, c=complex_to_json(disk(ZZ, 2))), config) == FAIL
+    not_a_chain_map = dict(case["f"], components=[[[1]], [[0]]])
+    assert claim(dict(case, f=not_a_chain_map), config) == INVALID
+    d_squared = {"degrees": [{"generators": 1, "relations": []}] * 3,
+                 "differentials": [[[1]], [[1]]]}
+    assert claim(dict(case, c=d_squared), config) == INVALID
+    with pytest.raises(ValueError, match="a fault in the claim"):
+        claim(dict(case, fault=True), config)
 
 
 def test_shrinking_moves_entries_toward_zero():

@@ -12,21 +12,21 @@ from math import comb
 
 import pytest
 
-from chaincert.chains.build import (direct_sum_complex, disk, sphere,
-                                    unit_complex, zero_complex)
+from chaincert.chains.build import (concentrated, direct_sum_complex, disk,
+                                    sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.cli import COMMANDS, build_parser, main
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import ModuleMap, PresentedModule
+from chaincert.exact.modules import ModuleMap, PresentedModule, cokernel
 from chaincert.exact.rings import ZZ, RingSpec, Zmod
 from chaincert.io import reports as reports_module
 from chaincert.io.document import (DocumentError, chain_map_from_json,
                                    chain_map_to_json, cochain_map_from_json,
-                                   components_to_json, document_to_json,
-                                   graded_to_json, parse_chain_complex,
-                                   parse_components, parse_document,
-                                   parse_matrix, parse_module,
+                                   complex_to_json, components_to_json,
+                                   document_to_json, graded_to_json,
+                                   parse_chain_complex, parse_components,
+                                   parse_document, parse_matrix,
                                    parse_module_map)
 from chaincert.io.reports import (classification_report, dump, lift_report,
                                   verify_report)
@@ -405,10 +405,9 @@ def reencode_witness(ring, f, he_map, witness):
         out["degrees"] = {}
         for key, cert in witness["degrees"].items():
             fn = f.component(int(key))
-            coker = parse_module(ring, cert["cokernel"], key)
+            coker, _ = cokernel(fn)
             free = PresentedModule.free(ring, coker.generators)
             out["degrees"][key] = {
-                **cert, "cokernel": coker.to_json(),
                 "cokernel_section": parse_module_map(
                     cert["cokernel_section"], coker, free, key
                 ).action.to_json(),
@@ -562,6 +561,55 @@ def test_cli_verify_decides_no_lift_again(tmp_path, capsys):
         "the report says no lift exists, but one does"])
 
 
+def test_cli_lift_solves_squares_and_verify_accepts_both(tmp_path, capsys):
+    # the document is written here, not in fixtures/, whose every file the
+    # benchmark parses
+    R, D = unit_complex(ZZ), disk(ZZ, 2)
+    two = ChainMap(R, R, [ModuleMap(R.module(0), R.module(0),
+                                    Matrix(ZZ, 1, 1, [[2]]))])
+    maps = {"idD": ChainMap.identity(D), "idR": ChainMap.identity(R),
+            "two": two, "zR": ChainMap.zero(zero_complex(ZZ), R)}
+    names = {"D": D, "R": R, "zero": zero_complex(ZZ)}
+    doc = {"version": "1", "ring": {"kind": "Z"},
+           "objects": {name: complex_to_json(C) for name, C in names.items()},
+           "maps": {name: {
+               "source": next(k for k, C in names.items() if C == f.source),
+               "target": next(k for k, C in names.items() if C == f.target),
+               "components": components_to_json(f.parts)}
+               for name, f in maps.items()}}
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps(doc))
+    # the identity square on D^2 lifts; 0 -> R against x2 on R with the
+    # identity below would need an inverse of 2
+    for legs, code, key, value in (
+            (("idD", "idD", "idD", "idD"), 0, "found", True),
+            (("zR", "two", "zR", "idR"), 1, "obstruction_degree", 0)):
+        out = tmp_path / f"{legs[1]}.json"
+        argv = ["lift", "--doc", str(path), "--out", str(out)]
+        for leg, name in zip(("left", "right", "top", "bottom"), legs):
+            argv += [f"--{leg}", name]
+        assert main(argv) == code
+        report = json.loads(out.read_text())
+        assert report["found"] == (code == 0)
+        assert report[key] == value
+        capsys.readouterr()
+        assert run_cli(["verify", str(out)], capsys)[0] == 0
+
+
+def test_cli_verify_refuses_unreadable_files(tmp_path, capsys):
+    missing, garbage = tmp_path / "missing.json", tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    for path, message in (
+            (missing, f"cannot read {missing}: [Errno 2] No such file or "
+                      f"directory: '{missing}'"),
+            (garbage, f"{garbage}: invalid JSON: Expecting value: line 1 "
+                      "column 1 (char 0)")):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", str(path)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_decides_no_lift_with_the_obstruction_search_alone(
         monkeypatch):
     """The degree sweep decides the square and its obstruction degree at
@@ -598,6 +646,41 @@ def test_cli_verify_decides_a_degreewise_no_at_its_degree(tmp_path, capsys):
         cofibration["obstruction"] = forged
         assert verify_file(report, tmp_path, capsys) == (1, [
             "cofibration status 'no' names no degree in 0..1"])
+
+
+def test_cli_verify_refuses_forged_q_cofibration_witnesses(tmp_path, capsys):
+    S = sphere(ZZ, 0)
+    F2 = concentrated(PresentedModule.free(ZZ, 2), 0)
+    # x2 : Z -> Z is injective with cokernel Z/2, and (1 1) : Z^2 -> Z is
+    # not injective; each forged witness is the best that type-checks
+    for f, forged, problems in (
+            (ChainMap(S, S, [ModuleMap(S.module(0), S.module(0),
+                                       Matrix(ZZ, 1, 1, [[2]]))]),
+             {"cokernel_section": [[0]], "retraction": [[1]]},
+             ["cokernel section fails at degree 0",
+              "q-cofibration retraction fails at degree 0"]),
+            (ChainMap(F2, S, [ModuleMap(F2.module(0), S.module(0),
+                                        Matrix(ZZ, 1, 2, [[1, 1]]))]),
+             {"cokernel_section": [[0]], "retraction": [[1], [0]]},
+             ["q-cofibration retraction fails at degree 0"])):
+        report = json.loads(dump(classification_report(f, "q",
+                                                       classify(f, "q"))))
+        assert report["verdict"]["cofibration"]["status"] == "no"
+        report["verdict"]["cofibration"] = {"status": "yes", "witness": {
+            "type": "q_cofibration", "degrees": {"0": forged}}}
+        assert verify_file(report, tmp_path, capsys) == (1, problems)
+
+
+def test_verify_accepts_q_cofibration_witnesses_with_the_older_fields():
+    with open(fixture("interval.json")) as fh:
+        f = parse_document(json.load(fh)).map("e0").value
+    report = json.loads(dump(classification_report(f, "q", classify(f, "q"))))
+    for key, cert in report["verdict"]["cofibration"]["witness"][
+            "degrees"].items():
+        assert sorted(cert) == ["cokernel_section", "retraction"]
+        cert.update(cokernel=cokernel(f.component(int(key)))[0].to_json(),
+                    kernel_generators=[], kernel_factorization=[])
+    assert verify_report(report) == (True, [])
 
 
 def _refuse(*args, **kwargs):

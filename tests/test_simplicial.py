@@ -58,6 +58,14 @@ def test_simplicial_identities_on_gamma():
         verify_simplicial_identities(GammaLevels(C), 4)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_simplicial_identities_on_tensor_levels(ring):
+    for X, Y in ((disk(ring, 1), sphere(ring, 1)),
+                 (interval(ring), disk(ring, 2))):
+        verify_simplicial_identities(
+            TensorLevels(GammaLevels(X), GammaLevels(Y)), 4)
+
+
 def test_roundtrip_exact_on_examples():
     for C in (disk(ZZ, 1), sphere(ZZ, 2), interval(ZZ)):
         A = gamma(C)
