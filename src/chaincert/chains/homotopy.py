@@ -6,6 +6,14 @@ contractions.  A nullhomotopy of an arbitrary map is one sweep up the
 degrees (`solve_by_degree`): the relation of degree n names only H_n and
 H_{n-1}.
 Positive answers come with witnesses that re-verify exactly.
+
+Deciding that f is a homotopy equivalence is kept apart from building its
+witness.  The decision, `is_homotopy_equivalence`, is one validated
+contraction of the mapping cone, or, when a retraction r of f is at hand,
+of the image of id - f o r (`homotopy_from_retraction`).
+`is_chain_homotopy_equivalence` makes the same contraction and extracts
+the inverse and both homotopies from it; only callers that emit that
+witness use it.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from ..exact.equations import (MapVariable, MatrixRelation, solve_by_degree,
                                solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
-from .complexes import ChainComplex, ChainHomotopy, ChainMap
+from .complexes import ChainComplex, ChainHomotopy, ChainMap, chain_map_equal
 from .cones import ConeData, mapping_cone
 from .homology import first_homology
 
@@ -104,6 +112,39 @@ def chain_homotopic(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
     return ChainHomotopy(f, g, list(h.parts))
 
 
+def is_homotopy_equivalence(f: ChainMap) -> bool:
+    """Decide whether f is a chain homotopy equivalence, without a witness.
+
+    f is one iff its mapping cone is contractible, and `find_contraction`
+    decides that with a validated contraction; the inverse and the two
+    homotopies that `is_chain_homotopy_equivalence` reads off it are not
+    built.
+    """
+    return find_contraction(mapping_cone(f).complex) is not None
+
+
+def homotopy_from_retraction(f: ChainMap, r: ChainMap
+                             ) -> ChainHomotopy | None:
+    """A homotopy from f o r to id for a retraction r of f, or None.
+
+    Needs r o f = id, checked here by multiplication (ValueError if it
+    fails).  Then p = id - f o r is idempotent, and `contract_image(p)`
+    finds a homotopy from 0 to p exactly when f o r ~ id, that is, when f
+    is a homotopy equivalence with inverse r.  So None proves that f is
+    not a homotopy equivalence at all: if g is any homotopy inverse of f,
+    then r ~ r o f o g = g, hence f o r ~ f o g ~ id.
+    """
+    if not chain_map_equal(r.compose(f), ChainMap.identity(f.source)):
+        raise ValueError("r o f is not the identity")
+    composite = f.compose(r)
+    ident = ChainMap.identity(f.target)
+    h = contract_image(ident - composite)
+    if h is None:
+        return None
+    # contract_image validated d h + h d = id - f o r, the same relation
+    return ChainHomotopy(composite, ident, list(h.parts), check=False)
+
+
 @dataclass
 class HomotopyEquivalence:
     """Inverse g with H : g o f ~ id and K : f o g ~ id, all verified."""
@@ -115,7 +156,7 @@ class HomotopyEquivalence:
 
 def is_chain_homotopy_equivalence(f: ChainMap, cone: ConeData | None = None
                                   ) -> HomotopyEquivalence | None:
-    """Decide via contractibility of the mapping cone, extracting witnesses.
+    """The decision of `is_homotopy_equivalence`, with its witness.
 
     ``cone`` is ``mapping_cone(f)`` when the caller has built it already.
 

@@ -3,8 +3,9 @@
 This module is the only one that knows which decider makes up each bit
 of each structure, which degrees it covers and which witness its "yes"
 carries.  Classifiers, pushout-product checks and lifting prechecks ask
-`classify` and `model_bit`; `verify` asks `model_bit`, `bit_degrees` and
-`WITNESS_TYPES`:
+`classify` and `model_bit`; a caller that reads only whether a map is a
+weak equivalence asks `weak_equivalence_holds`, which builds no witness;
+`verify` asks `model_bit`, `bit_degrees` and `WITNESS_TYPES`:
 
   flavor     data     bit    decider, degrees       "yes" witness type
   h          chain    cof.   split mono, n >= 0     degreewise_retractions
@@ -54,7 +55,9 @@ from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainMap, chain_map_equal
 from ..chains.cones import ConeData, mapping_cone
 from ..chains.homology import first_homology
-from ..chains.homotopy import HomotopyEquivalence, is_chain_homotopy_equivalence
+from ..chains.homotopy import (HomotopyEquivalence,
+                               is_chain_homotopy_equivalence,
+                               is_homotopy_equivalence, quasi_iso)
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import cokernel, kernel
@@ -132,6 +135,20 @@ def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str,
     else:
         decide = surjectivity_bit if flavor == "q" else split_epi_bit
     return decide(f, degrees)
+
+
+def weak_equivalence_holds(f: ChainMap | CochainMap, flavor: str) -> bool:
+    """The weak-equivalence bit of ``f`` in ``flavor``, without a witness.
+
+    Decided as `model_bit` decides it, for a caller that reads only the
+    answer.
+    """
+    check_data(f, flavor)
+    if flavor == "h":
+        return is_homotopy_equivalence(f)
+    if flavor == "bousfield":
+        return is_homotopy_equivalence(f.chain)
+    return quasi_iso(f)
 
 
 def classify(f: ChainMap | CochainMap, flavor: str) -> Verdict:
@@ -283,4 +300,4 @@ def verify_m_cofibration(j: ChainMap, w: MCofibrationWitness) -> bool:
         return False
     if not q_cofibration_bit(w.q_cofibration).holds:
         return False
-    return is_chain_homotopy_equivalence(w.equivalence) is not None
+    return is_homotopy_equivalence(w.equivalence)

@@ -15,7 +15,8 @@ from ..chains.build import interval
 from ..chains.complexes import (ChainHomotopy, ChainMap, LiftingProblem,
                                 chain_map_equal)
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
-from ..chains.homotopy import chain_homotopic, is_chain_homotopy_equivalence
+from ..chains.homotopy import (chain_homotopic, homotopy_from_retraction,
+                               is_homotopy_equivalence)
 from ..chains.tensor import cylinder_map, interval_cylinder
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -23,7 +24,7 @@ from ..exact.modules import ModuleMap
 from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
 from ..models.pushout import pushout_product, pushout_product_verdict
-from ..models.verdict import Verdict
+from ..models.verdict import ClassBit, Verdict
 from .cotensor import (CotensorData, _identity_simplicial, cotensor,
                        ez_aw_dual_ops)
 from .ez_aw import aw, ez
@@ -244,11 +245,15 @@ def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
 @dataclass
 class SimplicialPushoutProduct:
     map: SimplicialMap
-    verdict: Verdict
-    # N(i) [] N(k) is an h-cofibration, and acyclic; both when expected
+    # the h-cofibration bit of N(i [] k), with its degreewise retractions
+    cofibration: ClassBit
+    # N(i) [] N(k) is an h-cofibration and an h-equivalence, and both EZ
+    # legs of the comparison square are h-equivalences; None unless
+    # acyclicity is expected
     chain_level_cofibration: bool | None
     chain_level_acyclic: bool | None
     ez_legs_are_equivalences: bool | None
+    # N(i [] k) is an h-equivalence; None unless acyclicity is expected
     acyclic: bool | None
     ok: bool
 
@@ -263,7 +268,9 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     cofibration and the shuffle comparison legs are equivalences, hence
     N(i [] k) is one too; the direct certificate is also produced.
     Otherwise the chain-level product is not built and those fields are
-    None.
+    None.  Each equivalence is decided without building its witness; an
+    EZ leg is decided on its target alone, with its AW retraction
+    (`homotopy_from_retraction`).
     """
     if k.source.ring != i.source.ring:
         k = _change_ring_simplicial(k, i.source.ring)
@@ -283,27 +290,28 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     induced = pushout_induced_chain_map(P, u, v, check=False)
     source_obj = SimplicialModule(P, GammaLevels(P), P.top + 1)
     product = SimplicialMap(source_obj, yw, induced)
-    verdict, acyclic, ok = pushout_product_verdict(induced, "h",
-                                                   expect_acyclic)
+    cofibration, acyclic, ok = pushout_product_verdict(induced, "h",
+                                                       expect_acyclic)
     chain_cof = chain_acyclic = ez_ok = None
     if expect_acyclic:
         chain_pp = pushout_product(i.normalized_map, k.normalized_map)
         chain_cof = h_cofibration_bit(chain_pp.map).holds
-        chain_acyclic = is_chain_homotopy_equivalence(chain_pp.map) is not None
+        chain_acyclic = is_homotopy_equivalence(chain_pp.map)
         ez_yw = ez(Y, W, yw)
-        ez_corner = _pushout_of_ez_legs(chain_pp, i, k, xw, yv, xv, P,
+        ez_corner = _pushout_of_ez_legs(chain_pp, i, k, xw, yv,
                                         inj_xw, inj_yv)
         square_ok = chain_map_equal(induced.compose(ez_corner),
                                     ez_yw.compose(chain_pp.map))
-        ez_ok = (square_ok
-                 and is_chain_homotopy_equivalence(ez_yw) is not None
-                 and is_chain_homotopy_equivalence(ez_corner) is not None)
-    return SimplicialPushoutProduct(product, verdict, chain_cof,
+        aw_corner = _pushout_of_aw_legs(chain_pp, i, k, xw, yv, P)
+        ez_ok = square_ok and all(
+            homotopy_from_retraction(f, r) is not None
+            for f, r in ((ez_yw, aw(Y, W, yw)), (ez_corner, aw_corner)))
+    return SimplicialPushoutProduct(product, cofibration, chain_cof,
                                     chain_acyclic, ez_ok, acyclic, ok)
 
 
-def _pushout_of_ez_legs(chain_pp, i, k, xw, yv, xv, P, inj_xw, inj_yv):
-    """EZ u_EZ EZ between the chain corner and the simplicial corner."""
+def _pushout_of_ez_legs(chain_pp, i, k, xw, yv, inj_xw, inj_yv):
+    """EZ u_EZ EZ from the chain corner to the simplicial corner."""
     X, Y = i.source, i.target
     V, W = k.source, k.target
     ez_xw = ez(X, W, xw)
@@ -311,6 +319,29 @@ def _pushout_of_ez_legs(chain_pp, i, k, xw, yv, xv, P, inj_xw, inj_yv):
     return pushout_induced_chain_map(chain_pp.source,
                                      inj_xw.compose(ez_xw),
                                      inj_yv.compose(ez_yv))
+
+
+def _pushout_of_aw_legs(chain_pp, i, k, xw, yv, P):
+    """AW u_AW AW from the simplicial corner P back to the chain corner.
+
+    The map out of P induced by inj o AW on both legs.  It is well defined
+    by the naturality of AW: on N(X (x) V),
+
+        inj o AW o N(id (x) k) = inj o (id (x) N(k)) o AW
+        inj o AW o N(i (x) id) = inj o (N(i) (x) id) o AW,
+
+    and the right-hand sides agree because the chain corner is the
+    pushout of id (x) N(k) and N(i) (x) id.  It retracts
+    `_pushout_of_ez_legs`, since AW o EZ = id on each leg, which
+    `homotopy_from_retraction` checks.
+    """
+    X, Y = i.source, i.target
+    V, W = k.source, k.target
+    aw_xw = aw(X, W, xw)
+    aw_yv = aw(Y, V, yv)
+    return pushout_induced_chain_map(P, chain_pp.inj_xw.compose(aw_xw),
+                                     chain_pp.inj_yv.compose(aw_yv),
+                                     check=False)
 
 
 def _change_ring_simplicial(k: SimplicialMap, ring) -> SimplicialMap:

@@ -7,14 +7,19 @@ face tensor back face.  Both are chain maps for any simplicial modules
 that theorem explicitly on its cases.  AW o EZ is the identity on the
 nose, so id - EZ o AW is an idempotent chain map, and EZ o AW is
 homotopic to the identity by a contraction of its image, built degree by
-degree (`contract_image`); these two facts are verified exactly on every
-instance.
+degree (`homotopy_from_retraction`); these two facts are verified exactly
+on every instance.
+
+That contraction is also the decision that EZ is a homotopy equivalence,
+on its target alone: a caller that needs only the answer reads whether
+one exists, and `find_ez_aw_homotopy`, whose homotopy the ez-aw command
+emits, raises when it does not.
 """
 
 from __future__ import annotations
 
-from ..chains.complexes import ChainHomotopy, ChainMap, chain_map_equal
-from ..chains.homotopy import contract_image
+from ..chains.complexes import ChainHomotopy, ChainMap
+from ..chains.homotopy import homotopy_from_retraction
 from ..chains.tensor import TensorLayout
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -113,20 +118,19 @@ def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,
                         aw_map: ChainMap | None = None) -> ChainHomotopy:
     """H with d H + H d = id - EZ o AW on N(A (x) B); must always exist.
 
-    AW o EZ = id is checked first: it makes id - EZ o AW idempotent, so
-    that `contract_image` finding nothing proves there is no H.
+    `homotopy_from_retraction` checks AW o EZ = id first: it makes
+    id - EZ o AW idempotent, so that finding no contraction of its image
+    proves there is no H.
     """
     if ez_map is None:
         ez_map = ez(A, B, T)
     if aw_map is None:
         aw_map = aw(A, B, T)
-    if not chain_map_equal(aw_map.compose(ez_map),
-                           ChainMap.identity(ez_map.source)):
-        raise CertificateError("AW o EZ failed to be the identity")
-    composite = ez_map.compose(aw_map)
-    ident = ChainMap.identity(T.normalized)
-    h = contract_image(ident - composite)
+    try:
+        h = homotopy_from_retraction(ez_map, aw_map)
+    except ValueError as exc:
+        raise CertificateError("AW o EZ failed to be the identity") from exc
     if h is None:
         raise CertificateError("EZ o AW is not homotopic to the identity; "
                                "this indicates corrupted level data")
-    return ChainHomotopy(composite, ident, list(h.parts))
+    return h

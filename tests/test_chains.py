@@ -18,7 +18,9 @@ from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
 from chaincert.chains.homology import homology, homology_iso_all_degrees
 from chaincert.chains.homotopy import (chain_homotopic, contract_image,
                                        find_contraction,
-                                       is_chain_homotopy_equivalence, nullhomotopy,
+                                       homotopy_from_retraction,
+                                       is_chain_homotopy_equivalence,
+                                       is_homotopy_equivalence, nullhomotopy,
                                        quasi_iso)
 from chaincert.chains.tensor import (TensorLayout, braiding, interval_cylinder,
                                      tensor_chain_maps, tensor_complex)
@@ -33,7 +35,8 @@ from chaincert.exact.modules import (ModuleMap, PresentedModule, factor_through,
                                      kernel, map_equal)
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import solve
-from chaincert.io.document import (chain_map_to_json, cochain_map_from_json,
+from chaincert.io.document import (chain_map_from_json, chain_map_to_json,
+                                   cochain_map_from_json,
                                    complex_to_json, parse_chain_complex,
                                    parse_cochain_complex)
 from chaincert.models.generators import (random_chain_map, random_complex,
@@ -301,6 +304,13 @@ def _summand_idempotent(ring, rng):
     """iota o pi of one summand of X + Y, conjugated by a random iso.
 
     The image is X or Y; X is contractible about half the time."""
+    f, r = _summand_retract(ring, rng)
+    return f.compose(r)
+
+
+def _summand_retract(ring, rng):
+    """iota : X -> X + Y or Y -> X + Y with its projection, conjugated by a
+    random iso of X + Y; X is contractible about half the time."""
     Y = random_complex(ring, rng, max_top=2, max_rank=2)
     if rng.random() < 0.5:
         X = mapping_cone(ChainMap.identity(
@@ -315,7 +325,7 @@ def _summand_idempotent(ring, rng):
                   solve(iso.component(n).action,
                         Matrix.identity(ring, total.module(n).generators)))
         for n in range(total.top + 1)])
-    return iso.compose(injs[k]).compose(projs[k]).compose(inverse)
+    return iso.compose(injs[k]), projs[k].compose(inverse)
 
 
 def _ez_aw_idempotent(ring, index):
@@ -374,6 +384,54 @@ def test_homotopy_equivalence_witnesses_verify():
     assert he is not None
     he.source_homotopy.validate(strict=True)
     he.target_homotopy.validate(strict=True)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_plain_decision_agrees_with_the_witnessed_one(ring):
+    """On the maps the hlp-hep and bousfield-dual suites draw, equivalences
+    and others alike, the decision answers as the witness search does."""
+    answers = []
+    for suite, seed in (("hlp-hep", 3), ("bousfield-dual", 4)):
+        cfg = CertifyConfig(suite, seed=seed, cases=1, ring=ring)
+        for index in range(25):
+            case = SUITES[suite].generate(
+                random.Random(seed * 1_000_003 + index), cfg)
+            f = chain_map_from_json(ring, case["map"], "map")
+            holds = is_homotopy_equivalence(f)
+            assert holds == (is_chain_homotopy_equivalence(f) is not None)
+            answers.append(holds)
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_retraction_route_agrees_with_the_cone(ring):
+    """For r o f = id, a contraction of im(id - f o r) exists exactly when
+    the cone of f contracts, and it is a homotopy from f o r to id."""
+    rng = random.Random(5)
+    pairs = [_summand_retract(ring, rng) for _ in range(16)]
+    answers = []
+    for f, r in pairs:
+        h = homotopy_from_retraction(f, r)
+        assert (h is not None) == (is_chain_homotopy_equivalence(f)
+                                   is not None)
+        if h is not None:
+            assert h.validate(strict=True)
+            assert chain_map_equal(h.from_map, f.compose(r))
+            assert chain_map_equal(h.to_map, ChainMap.identity(f.target))
+        answers.append(h is not None)
+    assert True in answers and False in answers
+
+
+def test_retraction_route_refuses_a_wrong_retraction():
+    # S^0 -> D^1 + S^0 is an equivalence, D^1 -> D^1 + S^0 is not
+    total, injs, projs = direct_sum_complexes([disk(ZZ, 1), sphere(ZZ, 0)])
+    assert homotopy_from_retraction(injs[1], projs[1]) is not None
+    assert homotopy_from_retraction(injs[0], projs[0]) is None
+    doubled = projs[1] + projs[1]  # r o f = 2 id
+    with pytest.raises(ValueError, match="r o f"):
+        homotopy_from_retraction(injs[1], doubled)
+    with pytest.raises(ValueError, match="r o f"):
+        homotopy_from_retraction(injs[1], projs[0])  # r o f = 0
 
 
 def test_quasi_iso_examples():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.build import (brutal_truncation, concentrated, disk,
                                     interval, sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
@@ -13,8 +14,11 @@ from chaincert.chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
+from chaincert.io.document import chain_map_from_json
 from chaincert.models.classify import (MCofibrationWitness, bousfield_classify,
-                                       classify, verify_m_cofibration)
+                                       classify, model_bit,
+                                       verify_m_cofibration,
+                                       weak_equivalence_holds)
 from chaincert.models.generators import (random_complex, random_q_cofibration,
                                          random_split_epi, random_split_mono)
 
@@ -205,3 +209,25 @@ def test_homotopy_equivalence_no_builds_one_cone(monkeypatch):
     assert not bit.holds
     assert bit.obstruction["degree"] == 1
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_weak_equivalence_holds_answers_as_the_witnessed_bit(ring):
+    """In every flavor, on the hlp-hep maps and the acyclic q-cofibrations
+    of q2h-we, so on equivalences and others."""
+    answers = set()
+    for suite, key in (("hlp-hep", "map"), ("q2h-we", "j")):
+        cfg = CertifyConfig(suite, seed=5, cases=1, ring=ring)
+        for index in range(12):
+            case = SUITES[suite].generate(
+                random.Random(5 * 1_000_003 + index), cfg)
+            f = chain_map_from_json(ring, case[key], key)
+            for flavor, g in (("h", f), ("q", f), ("m", f),
+                              ("bousfield", dualize_map(f))):
+                holds = weak_equivalence_holds(g, flavor)
+                assert holds == model_bit(g, flavor,
+                                          "weak_equivalence").holds
+                answers.add((flavor, holds))
+    assert answers == {(flavor, holds) for flavor in ("h", "q", "m",
+                                                      "bousfield")
+                       for holds in (True, False)}

@@ -9,11 +9,16 @@ import pytest
 
 from chaincert.chains.build import (concentrated, direct_sum_complexes, disk,
                                     interval, sphere, unit_complex)
+from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import ChainComplex, ChainMap, chain_map_equal
+from chaincert.chains.homotopy import (homotopy_from_retraction,
+                                       is_chain_homotopy_equivalence)
 from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import map_equal, ModuleMap, PresentedModule
+from chaincert.errors import CertificateError
 from chaincert.exact.rings import ZZ, Zmod
+from chaincert.io.document import parse_chain_complex
 from chaincert.models.generators import random_complex
 from chaincert.simplicial.levels import (GammaLevels, TensorLevels,
                                          moore_rows, normalized_projector,
@@ -218,6 +223,35 @@ def test_ez_aw_constant_pair_needs_no_homotopy():
     H = find_ez_aw_homotopy(c, c, T, E, W)
     for part in H.parts:
         assert part.action.is_zero()
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_ez_decided_by_its_retraction_as_by_the_cone(ring):
+    """On the pinned ez-aw suite inputs, EZ with its retraction AW is an
+    equivalence by both routes, and `find_ez_aw_homotopy` returns the
+    retraction route's homotopy."""
+    seed = 20260809  # tests/test_acceptance.py, criterion 2
+    cfg = CertifyConfig("ez-aw", seed=seed, cases=1, ring=ring)
+    for index in range(6):
+        case = SUITES["ez-aw"].generate(
+            random.Random(seed * 1_000_003 + index), cfg)
+        A = gamma(parse_chain_complex(ring, case["a"], "a"), verify=False)
+        B = gamma(parse_chain_complex(ring, case["b"], "b"), verify=False)
+        T = degreewise_tensor(A, B)
+        E, W = ez(A, B, T), aw(A, B, T)
+        h = homotopy_from_retraction(E, W)
+        assert h is not None and h.validate(strict=True)
+        assert is_chain_homotopy_equivalence(E) is not None
+        H = find_ez_aw_homotopy(A, B, T, E, W)
+        assert all(map_equal(a, b) for a, b in zip(H.parts, h.parts))
+
+
+def test_ez_aw_homotopy_refuses_a_wrong_retraction():
+    A, B = gamma(disk(ZZ, 1)), gamma(sphere(ZZ, 1))
+    T = degreewise_tensor(A, B)
+    E, W = ez(A, B, T), aw(A, B, T)
+    with pytest.raises(CertificateError, match="AW o EZ failed"):
+        find_ez_aw_homotopy(A, B, T, E, W + W)
 
 
 def test_end_inclusions_and_ez_compatibility():

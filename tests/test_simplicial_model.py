@@ -1,13 +1,18 @@
 """Transferred model structure on simplicial modules: classify, lift, products."""
 
+import json
 import random
+import sys
 
 import pytest
 
 from chaincert.chains.build import disk, interval, sphere, unit_complex, \
     zero_complex
+from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import ChainMap, chain_map_equal
+from chaincert.chains.homotopy import is_chain_homotopy_equivalence
 from chaincert.cli import main
+from chaincert.io.document import chain_map_from_json
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
@@ -187,7 +192,7 @@ def test_pushout_product_simplicial_units():
     c = constant_module(ZZ)
     i = from_zero_map(c)
     report = pushout_product_simplicial(i, i)
-    assert report.verdict.cofibration.holds
+    assert report.cofibration.holds
     # i [] i = i for the unit inclusion
     assert report.map.normalized_map.target.module(0).generators == 1
 
@@ -196,7 +201,7 @@ def test_pushout_product_simplicial_acyclic_leg():
     i = from_zero_map(gamma(disk(ZZ, 1)))
     k = from_zero_map(gamma(sphere(ZZ, 1)))
     report = pushout_product_simplicial(i, k, expect_acyclic=True)
-    assert report.verdict.cofibration.holds
+    assert report.cofibration.holds
     assert report.acyclic
     assert report.chain_level_cofibration
     assert report.chain_level_acyclic
@@ -216,8 +221,59 @@ def test_chain_level_product_only_when_acyclicity_is_expected(
                  "--cases", "5", "--out", str(out)]) == 0
     i = from_zero_map(gamma(disk(ZZ, 1)))
     report = pushout_product_simplicial(i, i)
-    assert report.verdict.cofibration.holds
+    assert report.cofibration.holds
     assert report.chain_level_cofibration is None
+
+
+def test_acyclic_checks_build_no_equivalence_witness(monkeypatch, tmp_path):
+    """The monoidal suites read only whether a map is an equivalence, so
+    they never extract a homotopy inverse, and a pushout-product check
+    never evaluates the fibration bit."""
+    def refuse(*args):
+        raise RuntimeError("witness built")
+
+    for module in list(sys.modules.values()):
+        for name in ("is_chain_homotopy_equivalence", "split_epi_bit"):
+            if (getattr(module, "__name__", "").startswith("chaincert")
+                    and hasattr(module, name)):
+                monkeypatch.setattr(module, name, refuse)
+    for suite in ("monoidal-h", "monoidal-h-acyclic",
+                  "monoidal-smod-acyclic"):
+        out = tmp_path / f"{suite}.json"
+        assert main(["certify", "--suite", suite, "--seed", "7",
+                     "--cases", "10", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert len(results) == 10 and all(r["ok"] for r in results)
+
+
+def test_ez_legs_decided_by_retraction_as_by_the_cone(monkeypatch):
+    """Both EZ legs of each pinned acyclic product: the AW retraction out
+    of the simplicial corner is a well-defined chain map, and the
+    retraction route answers as the cone route does."""
+    seen = []
+
+    def record(f, r):
+        holds = real(f, r)
+        seen.append((f, r, holds is not None))
+        return holds
+
+    real = sclassify.homotopy_from_retraction
+    monkeypatch.setattr(sclassify, "homotopy_from_retraction", record)
+    seed = 20260809  # tests/test_acceptance.py, criterion 7
+    cfg = CertifyConfig("monoidal-smod-acyclic", seed=seed, cases=1)
+    for index in range(4):
+        case = SUITES["monoidal-smod-acyclic"].generate(
+            random.Random(seed * 1_000_003 + index), cfg)
+        i, k = (gamma_map(chain_map_from_json(ZZ, case[key], key))
+                for key in ("i", "k"))
+        pushout_product_simplicial(i, k, expect_acyclic=True)
+    assert len(seen) == 8
+    for f, r, holds in seen:
+        # checked constructors: relations go to relations, d r = r d
+        ChainMap(r.source, r.target, [
+            ModuleMap(part.source, part.target, part.action)
+            for part in r.parts])
+        assert holds == (is_chain_homotopy_equivalence(f) is not None)
 
 
 def test_pushout_product_simplicial_enriched_over_sAb():
@@ -226,7 +282,7 @@ def test_pushout_product_simplicial_enriched_over_sAb():
     i = from_zero_map(gamma(disk(ring, 1)))
     k = from_zero_map(gamma(sphere(ZZ, 0)))
     report = pushout_product_simplicial(i, k)
-    assert report.verdict.cofibration.holds
+    assert report.cofibration.holds
 
 
 def test_dual_ops_identities_small():
