@@ -9,6 +9,8 @@ truncation is the module of chain maps X -> Y.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..exact.matrix import Matrix
 from ..exact.modules import (HomSpace, ModuleMap, PresentedModule,
                              direct_sum_module, kernel)
@@ -116,21 +118,33 @@ class ChainMapsSpace:
         ker, incl = kernel(self.window.differential(0))
         self.module = ker
         self.inclusion = incl  # into the degree-0 window module
+        # [inclusion | window relations], kept so that every coords call
+        # reuses the one Smith form of it
+        self._coord_system = incl.action.hstack(incl.target.relations)
+
+    @cached_property
+    def gens(self) -> list[ChainMap]:
+        """The generators as chain maps, decoded once from the columns of
+        the inclusion."""
+        action = self.inclusion.action
+        return [self._decode(action.column_at(j)) for j in range(action.cols)]
 
     def chain_map(self, coords: Matrix) -> ChainMap:
-        """Decode a coefficient column into an actual chain map.
+        """Decode a coefficient column into an actual chain map."""
+        return self._decode(self.inclusion.action @ coords)
 
-        A chain map by construction: the column lands in ker(d_0) of the
-        hom window through the kernel inclusion, and d_0 of a degree-0
-        element (f_i) is (d f_i - f_{i-1} d), so every square commutes;
-        each component is a combination of well-defined generators.
+    def _decode(self, v: Matrix) -> ChainMap:
+        """The chain map of a column v of ker(d_0) in the hom window.
+
+        A chain map by construction: d_0 of a degree-0 element (f_i) is
+        (d f_i - f_{i-1} d), so every square commutes; each component is
+        a combination of well-defined generators.
         """
-        v = self.inclusion.action @ coords
         comps: list[ModuleMap] = []
         offsets = dict(self.window.offsets(0))
         top = max(self.X.top, self.Y.top)
         for n in range(top + 1):
-            if n in offsets or (0 <= n <= min(self.X.top, self.Y.top)):
+            if n in offsets:
                 sp = self.window.space(n, 0)
                 off = offsets[n]
                 g = sp.module.generators
@@ -141,18 +155,24 @@ class ChainMapsSpace:
                 comps.append(ModuleMap.zero_map(self.X.module(n), self.Y.module(n)))
         return ChainMap(self.X, self.Y, comps, check=False)
 
-    def coords(self, f: ChainMap) -> Matrix:
-        """Encode a chain map as a coefficient column (mod relations)."""
-        cols: list[Matrix] = []
-        for i in self.window.summand_indices(0):
-            sp = self.window.space(i, 0)
-            cols.append(sp.coords(f.component(i).action))
-        stacked = Matrix.vstack_all(self.ring, 1, cols)
-        amb = self.inclusion.target
-        sol = solve(self.inclusion.action.hstack(amb.relations), stacked)
+    def coords(self, *maps: ChainMap) -> Matrix:
+        """Coefficient columns of chain maps (mod relations), one per map.
+
+        Each summand is encoded by its `HomSpace`, and the stacked columns
+        by one `solve` against the kept Smith form; a single map gives one
+        column, and none makes no solve.
+        """
+        k = self.module.generators
+        if not maps:
+            return Matrix.zero(self.ring, k, 0)
+        blocks = [self.window.space(i, 0).coords(
+                      *[f.component(i).action for f in maps])
+                  for i in self.window.summand_indices(0)]
+        stacked = Matrix.vstack_all(self.ring, len(maps), blocks)
+        sol = solve(self._coord_system, stacked)
         if sol is None:
             raise ValueError("chain map does not lie in the chain-maps module")
-        return sol.submatrix(range(self.module.generators), [0])
+        return sol.submatrix(range(k), range(len(maps)))
 
 
 def map_from_truncation(source: Truncation, target: ChainComplex,

@@ -75,10 +75,6 @@ class PresentedModule:
         rank, factors = self.minimal_invariants()
         return rank == 0 and not factors
 
-    def is_isomorphic(self, other: "PresentedModule") -> bool:
-        return (self.ring == other.ring
-                and self.minimal_invariants() == other.minimal_invariants())
-
     def minimal_presentation(self) -> "PresentedModule":
         rank, factors = self.minimal_invariants()
         n = rank + len(factors)
@@ -324,41 +320,41 @@ class HomSpace:
         self.gens = [Matrix.unvec(ring, phi_part.column_at(j), gT, gS)
                      for j in range(phi_part.cols)]
 
-    def coords(self, action: Matrix) -> Matrix:
-        """Coefficient column of a hom element in the chosen generators."""
-        v = action.vec()
-        sol = solve(self._coord_system, v)
+    def coords(self, *actions: Matrix) -> Matrix:
+        """Coefficient columns of hom elements in the chosen generators.
+
+        One column per action, all from one `solve` against the kept Smith
+        form; a single action gives one column, and none makes no solve.
+        """
+        ring = self.source.ring
+        k = self._gen_matrix.cols
+        if not actions:
+            return Matrix.zero(ring, k, 0)
+        vs = Matrix.hstack_all(ring, self._coord_system.rows,
+                               [a.vec() for a in actions])
+        sol = solve(self._coord_system, vs)
         if sol is None:
             raise ValueError("matrix is not a well-defined hom element")
-        return sol.submatrix(range(self._gen_matrix.cols), [0])
+        return sol.submatrix(range(k), range(len(actions)))
 
     def element(self, coords: Matrix) -> Matrix:
         ring = self.source.ring
         v = self._gen_matrix @ coords
         return Matrix.unvec(ring, v, self.target.generators, self.source.generators)
 
+    # Induced maps are well defined by construction: a relation of the
+    # source is a zero map, composing it with h gives a zero map again, and
+    # the relations of the target encode every zero map.
+
     def postcompose(self, h: ModuleMap, target_space: "HomSpace") -> ModuleMap:
         """Induced map Hom(M, N) -> Hom(M, N') sending phi to h o phi."""
-        cols = [target_space.coords(h.action @ g) for g in self.gens]
-        return _map_from_columns(self.module, target_space.module, cols)
+        action = target_space.coords(*[h.action @ g for g in self.gens])
+        return ModuleMap(self.module, target_space.module, action, check=False)
 
     def precompose(self, h: ModuleMap, target_space: "HomSpace") -> ModuleMap:
         """Induced map Hom(M, N) -> Hom(M', N) sending phi to phi o h."""
-        cols = [target_space.coords(g @ h.action) for g in self.gens]
-        return _map_from_columns(self.module, target_space.module, cols)
-
-
-def _map_from_columns(source: PresentedModule, target: PresentedModule,
-                      cols: list[Matrix]) -> ModuleMap:
-    """The map of hom modules whose column j encodes h o g_j or g_j o h.
-
-    Well defined by construction: a relation of the source is a
-    combination of generators that is zero in Hom, its image under
-    composition with a well-defined h is zero again, and the relations of
-    the target are the coordinates of every such zero map.
-    """
-    action = Matrix.hstack_all(source.ring, target.generators, cols)
-    return ModuleMap(source, target, action, check=False)
+        action = target_space.coords(*[g @ h.action for g in self.gens])
+        return ModuleMap(self.module, target_space.module, action, check=False)
 
 
 def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:

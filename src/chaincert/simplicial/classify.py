@@ -166,14 +166,10 @@ def _evaluation_map(data: CotensorData, B: SimplicialModule,
         unit_tensor = degreewise_tensor(constant_module(ring), data.disks[n])
         u = tensor_normalized_map(vertex, _identity_simplicial(data.disks[n]),
                                   unit_tensor, data.tensors[n])
-        cols = []
-        for j in range(cot_mod.generators):
-            F = data.spaces[n].chain_map(
-                Matrix(ring, cot_mod.generators, 1,
-                       [[1 if i == j else 0] for i in range(cot_mod.generators)]))
-            G = F.compose(u)  # chain map N(c (x) Gamma D^n) = D^n -> N(B)
-            cols.append(G.component(n).action)  # evaluate at the disk generator
-        action = Matrix.hstack_all(ring, NB.module(n).generators, cols)
+        # each generator F o u is a chain map N(c (x) Gamma D^n) = D^n -> N(B);
+        # evaluate it at the disk generator
+        action = Matrix.hstack_all(ring, NB.module(n).generators, [
+            F.compose(u).component(n).action for F in data.spaces[n].gens])
         comps.append(ModuleMap(cot_mod, NB.module(n), action, check=False))
     return SimplicialMap(P, B, ChainMap(data.complex, NB, comps))
 

@@ -9,10 +9,12 @@ between degree-n hom elements f and chain maps F on N(A) (x) D^n:
     F(x (x) e) = (-1)^{n|x|} f(x),     F(x (x) e') = (-1)^{(n-1)|x|} (df)(x),
 
 with EZ* = precompose the shuffle map and AW* = precompose the front-back
-map.  EZ* o AW* is the identity on the nose, so id - AW* o EZ* is an
-idempotent chain map, and AW* o EZ* is homotopic to the identity by a
-contraction of its image, built degree by degree (`contract_image`);
-both are verified exactly.
+map.  Every map induced on these modules (the cotensor differential, AW*
+and EZ*) is built one degree at a time, by one multi-column `coords` call
+on the composed generator maps.  EZ* o AW* is the identity on the nose,
+and AW* o EZ* is homotopic to the identity; the homotopy comes from
+`homotopy_from_retraction(AW*, EZ*)`, which checks the first identity by
+multiplication and contracts the image of id - AW* o EZ*.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb
 from ..chains.build import disk, unit_complex
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
 from ..chains.homcx import ChainMapsSpace, hom_truncation
-from ..chains.homotopy import contract_image
+from ..chains.homotopy import homotopy_from_retraction
 from ..chains.tensor import TensorLayout
 from ..chains.truncate import Truncation
 from ..errors import CertificateError
@@ -40,10 +42,11 @@ from .module import (SimplicialMap, SimplicialModule, constant_module,
 # The default through 3 passes on every pair of fixtures/: the largest is
 # A = D3 of disks_spheres.json (a chain complex read through Gamma), whose
 # level 6 has 1225 generators.  The count ignores B, which matters little
-# at this size (whole `ez-aw --dual` runs, two vCPUs, Python 3.11): D3 x S0
-# takes 0.3 s and D3 x D3 0.4 s, both with a peak RSS of about 20 MB.  For
-# sD1 and sS1 of fixtures/simplicial.json through 11 reaches 1014
-# generators and takes about 1.0 s; through 12 reaches 1274 and is refused.
+# at this size (whole `ez-aw --dual` runs, medians of five, two shared
+# vCPUs, Python 3.11): D3 x S0 takes 0.25 s and D3 x D3 0.3 s, both with a
+# peak RSS of about 20 MB.  For sD1 and sS1 of fixtures/simplicial.json
+# through 11 reaches 1014 generators and takes about 0.5 s, with a peak RSS
+# of 22 MB; through 12 reaches 1274 and is refused.
 MAX_COTENSOR_GENERATORS = 1250
 
 
@@ -118,11 +121,7 @@ def cotensor(A: SimplicialModule, B: SimplicialModule, through: int
         incl = gamma_map(disk_inclusion(ring, n), disks[n - 1], disks[n])
         u = tensor_normalized_map(_identity_simplicial(A), incl,
                                   tensors[n - 1], tensors[n])
-        cols = []
-        for j in range(mods[n].generators):
-            F = spaces[n].chain_map(_unit_column(ring, mods[n].generators, j))
-            cols.append(spaces[n - 1].coords(F.compose(u)))
-        action = Matrix.hstack_all(ring, mods[n - 1].generators, cols)
+        action = spaces[n - 1].coords(*[F.compose(u) for F in spaces[n].gens])
         diffs.append(ModuleMap(mods[n], mods[n - 1], action, check=False))
     cx = ChainComplex(ring, mods, diffs, check=False)
     return CotensorData(A, B, cx, spaces, tensors, disks)
@@ -132,16 +131,10 @@ def _identity_simplicial(A: SimplicialModule) -> SimplicialMap:
     return SimplicialMap(A, A, ChainMap.identity(A.normalized))
 
 
-def _unit_column(ring, size: int, j: int) -> Matrix:
-    return Matrix(ring, size, 1, [[1 if i == j else 0] for i in range(size)])
-
-
 class HomDiskBridge:
     """The bijection f <-> F between hom elements and disk-tensor maps."""
 
     def __init__(self, A: SimplicialModule, B: SimplicialModule):
-        self.A = A
-        self.B = B
         self.ring = A.ring
         self.NA = A.normalized
         self.NB = B.normalized
@@ -154,48 +147,47 @@ class HomDiskBridge:
             self._layouts[n] = TensorLayout(self.NA, Dn)
         return self._layouts[n]
 
-    def window_coords(self, n: int, coords: Matrix) -> Matrix:
-        """Coefficients in the window module at degree n >= 0."""
-        if n >= 1:
-            return coords
-        return self.trunc.kernel_inclusion.action @ coords
+    def disk_maps(self, n: int) -> list[ChainMap]:
+        """Phi of each generator of degree n: chain maps N(A) (x) D^n -> N(B).
 
-    def to_disk_map(self, n: int, coords: Matrix) -> ChainMap:
-        """Phi: a degree-n hom element to a chain map N(A) (x) D^n -> N(B).
-
-        A chain map by construction.  In degree 0 the element is a cycle
-        of the hom window, a chain map N(A) -> N(B).  For n >= 1, with
+        Chain maps by construction.  In degree 0 a generator is a cycle of
+        the hom window, a chain map N(A) -> N(B).  For n >= 1, with
         d(x (x) e) = d x (x) e + (-1)^{|x|} x (x) e', the square at
         x (x) e reads d f(x) = (-1)^n f(d x) + (df)(x), which is the hom
         differential (df)_i = d f_i - (-1)^n f_{i-1} d; the square at
         x (x) e' holds because d(df) = 0.
         """
-        wc = self.window_coords(n, coords)
-        f = self._window_components(n, wc)
-        df = self._window_components(
-            n - 1, self.window.differential(n).action @ wc) if n >= 1 else {}
+        if n == 0:
+            # window coordinates of the generators; df does not occur
+            W, dW = self.trunc.kernel_inclusion.action, None
+        else:
+            dW = self.window.differential(n).action
+            W = Matrix.identity(self.ring, dW.cols)
+        return [self._disk_map(
+                    n, self._window_components(n, W.column_at(j)),
+                    self._window_components(n - 1, dW.column_at(j))
+                    if n >= 1 else {})
+                for j in range(W.cols)]
+
+    def _disk_map(self, n: int, f: dict[int, Matrix],
+                  df: dict[int, Matrix]) -> ChainMap:
+        """The chain map F of a hom element f with differential df:
+        F(x (x) e) = (-1)^{n|x|} f(x), F(x (x) e') = (-1)^{(n-1)|x|} (df)(x).
+        """
         lay = self.layout(n)
         comps = []
         for m in range(max(lay.top, self.NB.top) + 1):
             rows = self.NB.module(m).generators
             cols = lay.module(m).generators
             out = [[0] * cols for _ in range(rows)]
-            pairs = lay.pairs(m)
-            if (m - n, n) in pairs and (m - n) in f:
-                blk = f[m - n]
-                sign = -1 if (n * (m - n)) % 2 else 1
-                off = lay.offset(m, m - n)
-                for a in range(blk.rows):
-                    for b in range(blk.cols):
-                        out[a][off + b] = sign * blk[a, b]
-            i = m - n + 1
-            if n >= 1 and (i, n - 1) in pairs and i in df:
-                blk = df[i]
-                sign = -1 if ((n - 1) * i) % 2 else 1
-                off = lay.offset(m, i)
-                for a in range(blk.rows):
-                    for b in range(blk.cols):
-                        out[a][off + b] = sign * blk[a, b]
+            # the summands x (x) e and x (x) e' of degree m
+            for i, k, part in ((m - n, n, f), (m - n + 1, n - 1, df)):
+                if (i, k) in lay.pairs(m) and i in part:
+                    blk, off = part[i], lay.offset(m, i)
+                    sign = -1 if (k * i) % 2 else 1
+                    for a in range(blk.rows):
+                        for b in range(blk.cols):
+                            out[a][off + b] = sign * blk[a, b]
             comps.append(ModuleMap(lay.module(m), self.NB.module(m),
                                    Matrix(self.ring, rows, cols, out),
                                    check=False))
@@ -210,33 +202,35 @@ class HomDiskBridge:
             out[i] = sp.element(c)
         return out
 
-    def from_disk_map(self, n: int, G: ChainMap) -> Matrix:
-        """Phi^{-1}: extract the degree-n hom element from G on N(A) (x) D^n."""
+    def from_disk_maps(self, n: int, maps: list[ChainMap]) -> Matrix:
+        """Phi^{-1}: the degree-n hom elements of chain maps G on
+        N(A) (x) D^n, one column per map, each summand encoded by one
+        `HomSpace.coords` call."""
         lay = self.layout(n)
-        cols: list[Matrix] = []
-        for i, off in self.window.offsets(n):
+        blocks: list[Matrix] = []
+        for i in self.window.summand_indices(n):
             sp = self.window.space(i, n)
             m = i + n
             if (i, n) in lay.pairs(m):
                 # the columns of the (i, n) summand of degree m
                 off = lay.offset(m, i)
                 g = lay.X.module(i).generators * lay.Y.module(n).generators
-                blk = G.component(m).action.columns(range(off, off + g))
+                blks = [G.component(m).action.columns(range(off, off + g))
+                        for G in maps]
                 if (n * i) % 2:
-                    blk = -blk
-                cols.append(sp.coords(blk))
+                    blks = [-blk for blk in blks]
+                blocks.append(sp.coords(*blks))
             else:
-                cols.append(Matrix.zero(self.ring, sp.module.generators, 1))
-        stacked = Matrix.vstack_all(self.ring, 1, cols)
+                blocks.append(Matrix.zero(self.ring, sp.module.generators,
+                                          len(maps)))
+        stacked = Matrix.vstack_all(self.ring, len(maps), blocks)
         if n >= 1:
             return stacked
-        amb = self.trunc.kernel_inclusion.target
-        sol = solve(self.trunc.kernel_inclusion.action.hstack(amb.relations),
-                    stacked)
+        incl = self.trunc.kernel_inclusion
+        sol = solve(incl.action.hstack(incl.target.relations), stacked)
         if sol is None:
             raise ValueError("disk map does not define a chain map element")
-        return sol.submatrix(
-            range(self.trunc.complex.module(0).generators), [0])
+        return sol.submatrix(range(incl.source.generators), range(len(maps)))
 
 
 @dataclass
@@ -250,46 +244,35 @@ class DualComparison:
 
 def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
                    ) -> DualComparison:
-    """AW*, EZ* with EZ* o AW* = id exactly and AW* o EZ* ~ id by witness."""
+    """AW*, EZ* with EZ* o AW* = id exactly and AW* o EZ* ~ id by witness.
+
+    Each degree of AW* (f -> Phi(f) o AW) and of EZ* (F -> Phi^{-1}(F o EZ))
+    is one multi-column encoding of the composed generator maps.  The
+    homotopy comes from `homotopy_from_retraction(AW*, EZ*)`, which checks
+    EZ* o AW* = id by multiplication first.
+    """
     cot = cotensor(A, B, through)
     bridge = HomDiskBridge(A, B)
     trunc = bridge.trunc
-    ring = A.ring
-    top = cot.complex.top
-
     aw_parts: list[ModuleMap] = []
     ez_parts: list[ModuleMap] = []
-    for n in range(top + 1):
+    for n in range(cot.complex.top + 1):
         hom_mod = trunc.complex.module(n)
         cot_mod = cot.complex.module(n)
+        space = cot.spaces[n]
         ez_n = ez(A, cot.disks[n], cot.tensors[n])
         aw_n = aw(A, cot.disks[n], cot.tensors[n])
-        # AW*: f -> Phi(f) o AW
-        cols = []
-        for j in range(hom_mod.generators):
-            F = bridge.to_disk_map(n, _unit_column(ring, hom_mod.generators, j))
-            cols.append(cot.spaces[n].coords(F.compose(aw_n)))
-        action = Matrix.hstack_all(ring, cot_mod.generators, cols)
-        aw_parts.append(ModuleMap(hom_mod, cot_mod, action, check=False))
-        # EZ*: F -> Phi^{-1}(F o EZ)
-        cols = []
-        for j in range(cot_mod.generators):
-            F = cot.spaces[n].chain_map(_unit_column(ring, cot_mod.generators, j))
-            cols.append(bridge.from_disk_map(n, F.compose(ez_n)))
-        action = Matrix.hstack_all(ring, hom_mod.generators, cols)
-        ez_parts.append(ModuleMap(cot_mod, hom_mod, action, check=False))
+        aw_parts.append(ModuleMap(hom_mod, cot_mod, space.coords(
+            *[F.compose(aw_n) for F in bridge.disk_maps(n)]), check=False))
+        ez_parts.append(ModuleMap(cot_mod, hom_mod, bridge.from_disk_maps(
+            n, [F.compose(ez_n) for F in space.gens]), check=False))
 
     aw_star = ChainMap(trunc.complex, cot.complex, aw_parts)
     ez_star = ChainMap(cot.complex, trunc.complex, ez_parts)
-    from ..chains.complexes import chain_map_equal
-
-    if not chain_map_equal(ez_star.compose(aw_star),
-                           ChainMap.identity(trunc.complex)):
-        raise CertificateError("EZ* o AW* failed to be the identity")
-    composite = aw_star.compose(ez_star)
-    h = contract_image(ChainMap.identity(cot.complex) - composite)
-    if h is None:
+    try:
+        homotopy = homotopy_from_retraction(aw_star, ez_star)
+    except ValueError as exc:
+        raise CertificateError("EZ* o AW* failed to be the identity") from exc
+    if homotopy is None:
         raise CertificateError("AW* o EZ* is not homotopic to the identity")
-    homotopy = ChainHomotopy(composite, ChainMap.identity(cot.complex),
-                             list(h.parts))
     return DualComparison(cot, trunc, aw_star, ez_star, homotopy)

@@ -71,10 +71,6 @@ class Shuffle:
     nu: tuple[int, ...]   # ascending positions of the second block
     sign: int
 
-    @property
-    def permutation(self) -> tuple[int, ...]:
-        return self.mu + self.nu
-
 
 def _inversions(perm: tuple[int, ...]) -> int:
     return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincert.chains.build import (change_ring, complex_from_data, concentrated,
                                     direct_sum_complexes, disk, interval,
@@ -13,6 +14,7 @@ from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
 from chaincert.chains.cones import (cocylinder_complex, cylinder_complex,
                                     mapping_cocylinder, mapping_cone,
                                     mapping_cylinder, pushout_complexes)
+from chaincert.chains import homcx
 from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
                                     hom_truncation)
 from chaincert.chains.homology import homology, homology_iso_all_degrees
@@ -153,6 +155,41 @@ def test_chain_maps_space_contains_identity():
     c = cms.coords(ChainMap.identity(X))
     back = cms.chain_map(c)
     assert chain_map_equal(back, ChainMap.identity(X))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_chain_maps_coords_encodes_many_as_each(ring, seed):
+    """coords(*fs) is the column-by-column coords, and the cached
+    generators decode what chain_map decodes."""
+    rng = random.Random(seed)
+    X = random_complex(ring, rng, max_top=1, max_rank=2)
+    Y = random_complex(ring, rng, max_top=2, max_rank=2)
+    cms = ChainMapsSpace(X, Y)
+    fs = [random_chain_map(X, Y, rng) for _ in range(rng.randint(0, 3))]
+    batch = cms.coords(*fs)
+    assert (batch.rows, batch.cols) == (cms.module.generators, len(fs))
+    for j, f in enumerate(fs):
+        assert batch.column_at(j) == cms.coords(f)
+        assert chain_map_equal(cms.chain_map(batch.column_at(j)), f)
+    g = cms.module.generators
+    assert len(cms.gens) == g
+    for j, F in enumerate(cms.gens):
+        unit = Matrix(ring, g, 1, [[int(i == j)] for i in range(g)])
+        assert chain_map_equal(F, cms.chain_map(unit))
+
+
+def test_chain_maps_coords_of_nothing_makes_no_solve(monkeypatch):
+    X = disk(ZZ, 1)
+    cms = ChainMapsSpace(X, X)
+
+    def refuse(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(homcx, "solve", refuse)
+    empty = cms.coords()
+    assert (empty.rows, empty.cols) == (cms.module.generators, 0)
 
 
 def test_tensor_hom_adjunction_counts_over_F2():

@@ -1,14 +1,18 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and every private
+top-level function or class is read somewhere in the package.
 
 There is no linter among the project's dependencies, so this reads each
 module of ``src/chaincert`` with ``ast``.  A name counts as used when it
 appears as a name anywhere in the module, annotations included (every
 module has ``from __future__ import annotations``, so they stay
 unquoted).  ``__init__.py`` files re-export what they import and are
-skipped.
+skipped.  A private top-level name (one that starts with ``_``) counts as
+read when some module of the package loads it as a name or an attribute
+outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chaincert"
@@ -46,4 +50,53 @@ def test_package_modules_import_only_what_they_use():
     offenders = [f"{path.relative_to(PACKAGE)}:{line} {name}"
                  for path in modules
                  for line, name in unused_imports(path.read_text())]
+    assert not offenders, offenders
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """How often each name is loaded, as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load))
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``path:line name`` of each private top-level function or class that
+    no module reads outside its own definition."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and loads[node.name] == _loads(node)[node.name])
+
+
+def test_the_scan_sees_unread_private_names():
+    sources = {
+        "a.py": ("def _used():\n    return 1\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Unread:\n    pass\n"
+                 "def public():\n    return _used()\n"),
+        "b.py": ("from . import a\n"
+                 "def _read_elsewhere():\n    pass\n"
+                 "x = a._read_elsewhere\n"),
+    }
+    assert unread_private_names(sources) == ["a.py:3 _recursive",
+                                             "a.py:5 _Unread"]
+
+
+# read by tests only: the independent oracle of the solver-route tests,
+# which also check that no package code calls it
+TEST_ORACLES = {"_solve_flattened"}
+
+
+def test_package_private_names_are_read():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    offenders = [entry for entry in unread_private_names(sources)
+                 if entry.split()[-1] not in TEST_ORACLES]
     assert not offenders, offenders

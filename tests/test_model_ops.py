@@ -375,7 +375,8 @@ def test_chain_section_retraction_helpers():
 # degreewise "no" at a degree that splits, and "found": false on a square
 # that lifts.  The simplicial pipelines run next, with the lifts stubbed to
 # fail and the cylinder ends swapped; the EZ/AW predicates run with no
-# contraction found; then the solver is stubbed to answer zero for every
+# contraction found (both reach it through `homotopy_from_retraction`);
+# then the solver is stubbed to answer zero for every
 # unknown, a wrong answer for each call.
 CERTIFICATE_GUARDS = """
 import json
@@ -394,7 +395,7 @@ from chaincert.io.document import complex_to_json
 from chaincert.io.reports import (classification_report, dump, lift_report,
                                   verify_report)
 from chaincert.models import classify, lifting
-from chaincert.simplicial import classify as sclassify, cotensor
+from chaincert.simplicial import classify as sclassify
 from chaincert.simplicial.module import (SimplicialMap, degreewise_tensor,
                                          end_inclusion, gamma, interval_object)
 
@@ -461,7 +462,7 @@ report({
         cot),
 })
 
-homotopy.contract_image = cotensor.contract_image = lambda p: None
+homotopy.contract_image = lambda p: None
 case = {"a": complex_to_json(disk(ZZ, 1)), "b": complex_to_json(sphere(ZZ, 0))}
 for suite in ("ez-aw", "ez-aw-dual"):
     print(suite, certify.SUITES[suite].predicate(

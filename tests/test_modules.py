@@ -1,6 +1,7 @@
 """Presented modules: kernels, cokernels, tensor, hom, splittings."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from chaincert.exact.modules import (
     pushout_modules, tensor_module,
 )
 from chaincert.exact.rings import ZZ, Zmod
+from chaincert.exact import modules
 from chaincert.exact.splitting import is_projective, is_split_epi, is_split_mono
 
 Z2 = PresentedModule.cyclic(ZZ, 2)
@@ -127,6 +129,84 @@ def test_homspace_coords_roundtrip():
     elem = hs.element(c)
     # equal up to a zero map
     assert map_equal(ModuleMap(Z2, Z2, elem), ModuleMap(Z2, Z2, ident))
+
+
+ENCODER_RINGS = [ZZ, Zmod(4), Zmod(6)]
+
+
+def drawn_module(ring, rng: random.Random) -> PresentedModule:
+    gens = rng.randint(0, 3)
+    rels = rng.randint(0, 2)
+    return PresentedModule(ring, gens, Matrix(ring, gens, rels, [
+        [rng.randint(-4, 4) for _ in range(rels)] for _ in range(gens)]))
+
+
+def drawn_column(ring, size: int, rng: random.Random) -> Matrix:
+    return Matrix(ring, size, 1, [[rng.randint(-3, 3)] for _ in range(size)])
+
+
+def drawn_element(hs: HomSpace, rng: random.Random) -> Matrix:
+    """A hom element, shifted by a map that is zero in Hom, so that it is
+    not the representative `element` returns."""
+    ring = hs.source.ring
+    rel = hs.target.relations
+    shift = Matrix(ring, rel.cols, hs.source.generators, [
+        [rng.randint(-2, 2) for _ in range(hs.source.generators)]
+        for _ in range(rel.cols)])
+    return (hs.element(drawn_column(ring, hs.module.generators, rng))
+            + rel @ shift)
+
+
+def drawn_map(source, target, rng: random.Random) -> ModuleMap:
+    hs = HomSpace(source, target)
+    return ModuleMap(source, target, drawn_element(hs, rng))
+
+
+@pytest.mark.parametrize("ring", ENCODER_RINGS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_homspace_coords_encodes_many_as_each(ring, seed):
+    """coords(*xs) is the column-by-column coords; coords() has no column."""
+    rng = random.Random(seed)
+    hs = HomSpace(drawn_module(ring, rng), drawn_module(ring, rng))
+    xs = [drawn_element(hs, rng) for _ in range(rng.randint(0, 3))]
+    batch = hs.coords(*xs)
+    assert (batch.rows, batch.cols) == (hs.module.generators, len(xs))
+    for j, x in enumerate(xs):
+        assert batch.column_at(j) == hs.coords(x)
+
+
+@pytest.mark.parametrize("ring", ENCODER_RINGS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_induced_hom_maps_compose(ring, seed):
+    """precompose(h) sends the element of c to element(c) o h, and
+    postcompose(h) to h o element(c), modulo the target relations."""
+    rng = random.Random(seed)
+    M, N, M2, N2 = (drawn_module(ring, rng) for _ in range(4))
+    hs = HomSpace(M, N)
+    c = drawn_column(ring, hs.module.generators, rng)
+    h = drawn_map(M2, M, rng)
+    pre_space = HomSpace(M2, N)
+    pre = hs.precompose(h, pre_space)
+    assert map_equal(ModuleMap(M2, N, pre_space.element(pre.action @ c)),
+                     ModuleMap(M2, N, hs.element(c) @ h.action))
+    k = drawn_map(N, N2, rng)
+    post_space = HomSpace(M, N2)
+    post = hs.postcompose(k, post_space)
+    assert map_equal(ModuleMap(M, N2, post_space.element(post.action @ c)),
+                     ModuleMap(M, N2, k.action @ hs.element(c)))
+
+
+def test_homspace_coords_of_nothing_makes_no_solve(monkeypatch):
+    hs = HomSpace(Z2, PresentedModule.free(ZZ, 2))
+
+    def refuse(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(modules, "solve", refuse)
+    empty = hs.coords()
+    assert (empty.rows, empty.cols) == (hs.module.generators, 0)
 
 
 def test_split_epi_projection():

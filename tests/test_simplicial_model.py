@@ -9,14 +9,17 @@ import pytest
 from chaincert.chains.build import disk, interval, sphere, unit_complex, \
     zero_complex
 from chaincert.certify import SUITES, CertifyConfig
-from chaincert.chains.complexes import ChainMap, chain_map_equal
+from chaincert.chains.complexes import (ChainMap, LiftingProblem,
+                                        chain_map_equal)
 from chaincert.chains.homotopy import is_chain_homotopy_equivalence
 from chaincert.cli import main
-from chaincert.io.document import chain_map_from_json
+from chaincert.errors import CertificateError
+from chaincert.io.document import chain_map_from_json, parse_chain_complex
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.models.generators import random_complex, random_split_epi
+from chaincert.models.lifting import solve_lifting
 from chaincert.simplicial import classify as sclassify
 from chaincert.simplicial.classify import (interval_cotensor,
                                            pushout_product_simplicial,
@@ -24,10 +27,14 @@ from chaincert.simplicial.classify import (interval_cotensor,
                                            simplicial_homotopic,
                                            solve_hep_simplicial,
                                            solve_hlp_simplicial)
-from chaincert.simplicial.cotensor import ez_aw_dual_ops
+from chaincert.simplicial import cotensor as cotensor_module
+from chaincert.simplicial.cotensor import (HomDiskBridge, disk_inclusion,
+                                           ez_aw_dual_ops)
+from chaincert.simplicial.ez_aw import aw, ez
 from chaincert.simplicial.module import (SimplicialMap, constant_module,
                                          degreewise_tensor, end_inclusion,
-                                         gamma, gamma_map, interval_object)
+                                         gamma, gamma_map, interval_object,
+                                         tensor_normalized_map)
 
 
 def simplicial_zero(ring):
@@ -226,17 +233,34 @@ def test_chain_level_product_only_when_acyclicity_is_expected(
 
 
 def test_acyclic_checks_build_no_equivalence_witness(monkeypatch, tmp_path):
-    """The monoidal suites read only whether a map is an equivalence, so
-    they never extract a homotopy inverse, and a pushout-product check
-    never evaluates the fibration bit."""
+    """The monoidal suites and the lifting prechecks read only whether a
+    map is an equivalence, so they never extract a homotopy inverse, and a
+    pushout-product check never evaluates the fibration bit."""
     def refuse(*args):
         raise RuntimeError("witness built")
 
-    for module in list(sys.modules.values()):
-        for name in ("is_chain_homotopy_equivalence", "split_epi_bit"):
+    def forbid(name):
+        for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("chaincert")
                     and hasattr(module, name)):
                 monkeypatch.setattr(module, name, refuse)
+
+    forbid("is_chain_homotopy_equivalence")
+    # the h fibration precheck is split_epi_bit itself, so that one is
+    # forbidden only after the lifts
+    D2 = ChainMap.identity(disk(ZZ, 2))
+    S0 = ChainMap.identity(sphere(ZZ, 0))
+    into = ChainMap.zero(zero_complex(ZZ), sphere(ZZ, 0))
+    for problem, leg, acyclic in (
+            (LiftingProblem(D2, D2, D2, D2), "left", "yes"),
+            (LiftingProblem(into, S0, into, S0), "left", "no"),
+            (LiftingProblem(into, S0, into, S0), "right", "yes")):
+        outcome = solve_lifting(problem, "h", leg)
+        assert outcome.found
+        assert outcome.prechecks == {
+            "left_cofibration": "yes", "right_fibration": "yes",
+            "acyclic_leg": leg, "acyclic": acyclic}
+    forbid("split_epi_bit")
     for suite in ("monoidal-h", "monoidal-h-acyclic",
                   "monoidal-smod-acyclic"):
         out = tmp_path / f"{suite}.json"
@@ -290,3 +314,66 @@ def test_dual_ops_identities_small():
     B = gamma(interval(ZZ))
     dual = ez_aw_dual_ops(A, B, through=3)  # raises on any identity failure
     assert dual.aw_star.source.top == dual.ez_star.target.top
+
+
+def unit_column(ring, size, j):
+    return Matrix(ring, size, 1, [[int(i == j)] for i in range(size)])
+
+
+def columnwise(ring, rows, size, column):
+    """The matrix whose column j is ``column(unit j)``, one at a time."""
+    return Matrix.hstack_all(ring, rows, [column(unit_column(ring, size, j))
+                                          for j in range(size)])
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_dual_maps_equal_the_column_at_a_time_construction(ring):
+    """On the pinned ez-aw-dual inputs, the cotensor differential, AW* and
+    EZ* equal the construction that decodes one unit column, composes and
+    encodes it again."""
+    seed = 20260809  # tests/test_acceptance.py, criterion 3
+    cfg = CertifyConfig("ez-aw-dual", seed=seed, cases=1, ring=ring)
+    for index in range(5):
+        case = SUITES["ez-aw-dual"].generate(
+            random.Random(seed * 1_000_003 + index), cfg)
+        A, B = (gamma(parse_chain_complex(ring, case[key], key), verify=False)
+                for key in ("a", "b"))
+        dual = ez_aw_dual_ops(A, B, through=3)
+        cot = dual.cotensor
+        bridge = HomDiskBridge(A, B)
+        ident = SimplicialMap(A, A, ChainMap.identity(A.normalized))
+        for n in range(cot.complex.top + 1):
+            space, cot_mod = cot.spaces[n], cot.complex.module(n)
+            hom_mod = dual.hom_side.complex.module(n)
+            if n:
+                u = tensor_normalized_map(
+                    ident, gamma_map(disk_inclusion(ring, n), cot.disks[n - 1],
+                                     cot.disks[n]),
+                    cot.tensors[n - 1], cot.tensors[n])
+                assert cot.complex.differential(n).action == columnwise(
+                    ring, cot.complex.module(n - 1).generators,
+                    cot_mod.generators,
+                    lambda e: cot.spaces[n - 1].coords(
+                        space.chain_map(e).compose(u)))
+            aw_n = aw(A, cot.disks[n], cot.tensors[n])
+            phi = bridge.disk_maps(n)
+            assert dual.aw_star.component(n).action == Matrix.hstack_all(
+                ring, cot_mod.generators,
+                [space.coords(F.compose(aw_n)) for F in phi])
+            ez_n = ez(A, cot.disks[n], cot.tensors[n])
+            assert dual.ez_star.component(n).action == columnwise(
+                ring, hom_mod.generators, cot_mod.generators,
+                lambda e: bridge.from_disk_maps(
+                    n, [space.chain_map(e).compose(ez_n)]))
+
+
+def test_dual_ops_refuse_a_broken_aw(monkeypatch):
+    """EZ* o AW* = id is checked by `homotopy_from_retraction`; its failure
+    is a CertificateError, not a ValueError."""
+    def zero_aw(A, D, T):
+        W = aw(A, D, T)
+        return W - W
+
+    monkeypatch.setattr(cotensor_module, "aw", zero_aw)
+    with pytest.raises(CertificateError, match="EZ\\* o AW\\* failed"):
+        ez_aw_dual_ops(gamma(disk(ZZ, 1)), gamma(interval(ZZ)), through=1)
