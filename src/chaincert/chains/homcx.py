@@ -32,6 +32,7 @@ class HomWindow:
         self._spaces: dict[tuple[int, int], HomSpace] = {}
         self._mods: dict[int, PresentedModule] = {}
         self._offsets: dict[int, list[tuple[int, int]]] = {}
+        self._diffs: dict[int, ModuleMap] = {}
 
     def summand_indices(self, n: int) -> list[int]:
         return [i for i in range(self.X.top + 1) if 0 <= i + n <= self.Y.top]
@@ -65,6 +66,8 @@ class HomWindow:
 
     def differential(self, n: int) -> ModuleMap:
         """d : Hom_n -> Hom_{n-1}."""
+        if n in self._diffs:
+            return self._diffs[n]
         src = self.module(n)
         tgt = self.module(n - 1)
         sidx = self.summand_indices(n)
@@ -86,7 +89,8 @@ class HomWindow:
                                     self.space(i + 1, n - 1))
                 blocks[(t_pos, s_pos)] = pre.action.scale(sign)
         action = Matrix.assemble(self.ring, row_sizes, col_sizes, blocks)
-        return ModuleMap(src, tgt, action, check=False)
+        self._diffs[n] = ModuleMap(src, tgt, action, check=False)
+        return self._diffs[n]
 
     def window(self) -> WindowComplex:
         """The window, a complex by construction: with

@@ -1,4 +1,4 @@
-"""Homology of complexes and the maps it induces."""
+"""Homology of complexes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ..exact.modules import (ModuleMap, PresentedModule, cokernel, factor_through,
                              kernel)
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex
 
 
 @dataclass
@@ -42,31 +42,3 @@ def first_homology(C: ChainComplex) -> tuple[int, PresentedModule] | None:
         if not H.is_zero_module():
             return n, H
     return None
-
-
-def induced_homology_map(f: ChainMap, n: int,
-                         source_data: HomologyData | None = None,
-                         target_data: HomologyData | None = None) -> ModuleMap:
-    """H_n(f) on the unminimized homology presentations."""
-    hx = source_data if source_data is not None else homology_data(f.source, n)
-    hy = target_data if target_data is not None else homology_data(f.target, n)
-    carried = f.component(n).compose(hx.inclusion)
-    z = factor_through(hy.inclusion, carried)
-    if z is None:
-        raise ValueError("chain map does not carry cycles to cycles")
-    return ModuleMap(hx.homology, hy.homology, z.action)
-
-
-def is_module_iso(f: ModuleMap) -> bool:
-    ker, _ = kernel(f)
-    coker, _ = cokernel(f)
-    return ker.is_zero_module() and coker.is_zero_module()
-
-
-def homology_iso_all_degrees(f: ChainMap) -> bool:
-    """Independent quasi-isomorphism oracle via induced maps on homology."""
-    top = max(f.source.top, f.target.top)
-    for n in range(top + 1):
-        if not is_module_iso(induced_homology_map(f, n)):
-            return False
-    return True

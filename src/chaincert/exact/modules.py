@@ -374,11 +374,3 @@ def pushout_modules(f: ModuleMap, g: ModuleMap
                      f.action.vstack(-g.action), check=False)
     P, proj = cokernel(diff)
     return P, proj.compose(injB), proj.compose(injC)
-
-
-def pushout_induced_map(P: PresentedModule, u: ModuleMap, v: ModuleMap
-                        ) -> ModuleMap:
-    """Map out of a pushout presented on the generators of B + C."""
-    if u.target != v.target:
-        raise ValueError("cone legs must share their target")
-    return ModuleMap(P, u.target, u.action.hstack(v.action))

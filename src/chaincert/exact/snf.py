@@ -336,32 +336,3 @@ def kernel_matrix(A: Matrix) -> Matrix:
     else:
         K = [[row[i] * scale % m for i, scale in keep] for row in dec.V.data]
     return _wrap_rows(ring, A.cols, len(keep), K)
-
-
-def det(M: Matrix) -> int:
-    """Exact determinant (Bareiss on the integer lift, reduced at the end)."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return M.ring.canon(1)
-    A = [list(r) for r in M.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return M.ring.canon(sign * A[n - 1][n - 1])
-
-
-def is_invertible(M: Matrix) -> bool:
-    return M.rows == M.cols and M.ring.is_unit(det(M))

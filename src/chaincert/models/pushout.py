@@ -55,32 +55,21 @@ def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
 class PushoutProductReport:
     product: PushoutProduct
     cofibration: ClassBit   # with its degreewise retractions when "yes"
-    acyclicity_expected: bool
     acyclic: bool | None   # None when not expected/checked
-    ok: bool
-
-
-def pushout_product_verdict(f: ChainMap, flavor: str, expect_acyclic: bool
-                            ) -> tuple[ClassBit, bool | None, bool]:
-    """The cofibration bit of a pushout-product ``f``, its acyclicity and
-    the axiom.
-
-    The cofibration bit is always evaluated, with its witness.  The
-    fibration bit is not: the axiom does not mention it.  Acyclicity is
-    decided only when it is expected, by `weak_equivalence_holds`, which
-    builds no witness; otherwise it is None.  The axiom holds when ``f``
-    is a cofibration that is acyclic whenever expected.
-    """
-    cof = model_bit(f, flavor, "cofibration")
-    acyclic = weak_equivalence_holds(f, flavor) if expect_acyclic else None
-    return cof, acyclic, cof.holds and acyclic is not False
 
 
 def check_pushout_product_axiom(i: ChainMap, k: ChainMap, flavor: str = "h",
                                 *, expect_acyclic: bool = False
                                 ) -> PushoutProductReport:
-    """Classify i [] k and, when a leg is acyclic, certify acyclicity."""
+    """Classify i [] k and, when a leg is acyclic, decide acyclicity.
+
+    The cofibration bit is always evaluated, with its witness.  The
+    fibration bit is not: the axiom does not mention it.  Acyclicity is
+    decided only when it is expected, by `weak_equivalence_holds`, which
+    builds no witness; otherwise it is None.
+    """
     pp = pushout_product(i, k)
-    cofibration, acyclic, ok = pushout_product_verdict(pp.map, flavor,
-                                                       expect_acyclic)
-    return PushoutProductReport(pp, cofibration, expect_acyclic, acyclic, ok)
+    cofibration = model_bit(pp.map, flavor, "cofibration")
+    acyclic = (weak_equivalence_holds(pp.map, flavor) if expect_acyclic
+               else None)
+    return PushoutProductReport(pp, cofibration, acyclic)

@@ -23,7 +23,7 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
-from ..models.pushout import pushout_product, pushout_product_verdict
+from ..models.pushout import pushout_product
 from ..models.verdict import ClassBit, Verdict
 from .cotensor import (CotensorData, _identity_simplicial, cotensor,
                        ez_aw_dual_ops)
@@ -243,15 +243,11 @@ class SimplicialPushoutProduct:
     map: SimplicialMap
     # the h-cofibration bit of N(i [] k), with its degreewise retractions
     cofibration: ClassBit
-    # N(i) [] N(k) is an h-cofibration and an h-equivalence, and both EZ
-    # legs of the comparison square are h-equivalences; None unless
-    # acyclicity is expected
+    # N(i) [] N(k) is an h-cofibration; None unless acyclicity is expected
     chain_level_cofibration: bool | None
-    chain_level_acyclic: bool | None
-    ez_legs_are_equivalences: bool | None
-    # N(i [] k) is an h-equivalence; None unless acyclicity is expected
+    # N(i [] k) is an h-equivalence, decided by the two-out-of-three
+    # square; None unless acyclicity is expected
     acyclic: bool | None
-    ok: bool
 
 
 def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
@@ -259,14 +255,32 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
                                ) -> SimplicialPushoutProduct:
     """i [] k on the degreewise tensor, classified through normalization.
 
-    When a leg is acyclic the report records the two-out-of-three route:
-    the chain-level pushout-product of the normalizations is an acyclic
-    cofibration and the shuffle comparison legs are equivalences, hence
-    N(i [] k) is one too; the direct certificate is also produced.
-    Otherwise the chain-level product is not built and those fields are
-    None.  Each equivalence is decided without building its witness; an
-    EZ leg is decided on its target alone, with its AW retraction
-    (`homotopy_from_retraction`).
+    The cofibration bit is the h-cofibration bit of N(i [] k).  When a leg
+    is acyclic, N(i [] k) is decided by the comparison square of the
+    monoidality proof,
+
+        induced o ez_corner = ez_yw o chain_pp,
+
+    where chain_pp = N(i) [] N(k) is the chain-level product, ez_yw the
+    shuffle map into N(Y (x) W) and ez_corner the map from the chain
+    corner to the simplicial one induced by the shuffle maps of the two
+    legs.  ``acyclic`` is the conjunction of three facts: chain_pp is an
+    h-equivalence, the square commutes (checked by multiplication), and
+    both EZ legs are h-equivalences, each decided on its target with its
+    AW retraction (`homotopy_from_retraction`).  Without
+    ``expect_acyclic`` the chain-level product is not built, and
+    ``chain_level_cofibration`` and ``acyclic`` are None.
+
+    Sound: if the three facts hold, induced o ez_corner = ez_yw o chain_pp
+    is a composite of equivalences.  Since aw_corner o ez_corner = id, the
+    retraction aw_corner is a homotopy inverse of ez_corner (for any
+    inverse g, aw_corner ~ aw_corner ez_corner g = g).  So induced ~
+    induced o ez_corner o aw_corner, a composite of equivalences, and
+    N(i [] k) is one.  Complete when i and k are h-cofibrations: ez_yw is
+    an equivalence by the Eilenberg-Zilber theorem, and ez_corner by the
+    gluing lemma, since both corners are pushouts along degreewise split
+    monomorphisms and every complex is h-cofibrant.  Once both legs are
+    equivalences, the square gives chain_pp acyclic iff N(i [] k) is.
     """
     if k.source.ring != i.source.ring:
         k = _change_ring_simplicial(k, i.source.ring)
@@ -286,24 +300,23 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     induced = pushout_induced_chain_map(P, u, v, check=False)
     source_obj = SimplicialModule(P, GammaLevels(P), P.top + 1)
     product = SimplicialMap(source_obj, yw, induced)
-    cofibration, acyclic, ok = pushout_product_verdict(induced, "h",
-                                                       expect_acyclic)
-    chain_cof = chain_acyclic = ez_ok = None
+    chain_cof = acyclic = None
     if expect_acyclic:
         chain_pp = pushout_product(i.normalized_map, k.normalized_map)
         chain_cof = h_cofibration_bit(chain_pp.map).holds
-        chain_acyclic = is_homotopy_equivalence(chain_pp.map)
         ez_yw = ez(Y, W, yw)
         ez_corner = _pushout_of_ez_legs(chain_pp, i, k, xw, yv,
                                         inj_xw, inj_yv)
-        square_ok = chain_map_equal(induced.compose(ez_corner),
-                                    ez_yw.compose(chain_pp.map))
-        aw_corner = _pushout_of_aw_legs(chain_pp, i, k, xw, yv, P)
-        ez_ok = square_ok and all(
-            homotopy_from_retraction(f, r) is not None
-            for f, r in ((ez_yw, aw(Y, W, yw)), (ez_corner, aw_corner)))
-    return SimplicialPushoutProduct(product, cofibration, chain_cof,
-                                    chain_acyclic, ez_ok, acyclic, ok)
+        acyclic = (is_homotopy_equivalence(chain_pp.map)
+                   and chain_map_equal(induced.compose(ez_corner),
+                                       ez_yw.compose(chain_pp.map))
+                   and homotopy_from_retraction(
+                       ez_yw, aw(Y, W, yw)) is not None
+                   and homotopy_from_retraction(
+                       ez_corner, _pushout_of_aw_legs(
+                           chain_pp, i, k, xw, yv, P)) is not None)
+    return SimplicialPushoutProduct(product, h_cofibration_bit(induced),
+                                    chain_cof, acyclic)
 
 
 def _pushout_of_ez_legs(chain_pp, i, k, xw, yv, inj_xw, inj_yv):

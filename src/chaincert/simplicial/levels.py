@@ -303,17 +303,3 @@ def verify_simplicial_identities(levels, cap: int) -> None:
                     rhs = levels.degeneracy(n - 1, j) @ levels.face(n, i - 1)
                 if lhs != rhs:
                     raise ValueError(f"d_{i} s_{j} identity fails at level {n}")
-
-
-def normalized_projector(levels, n: int) -> Matrix:
-    """P = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n) at level n.
-
-    Idempotent onto the normalized part, killing every degeneracy image.
-    """
-    g = levels.module(n).generators
-    P = Matrix.identity(levels.ring, g)
-    for i in range(n, 0, -1):
-        factor = Matrix.identity(levels.ring, g) - (
-            levels.degeneracy(n - 1, i - 1) @ levels.face(n, i))
-        P = factor @ P
-    return P

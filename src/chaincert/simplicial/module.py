@@ -1,12 +1,11 @@
 """Simplicial modules: the denormalization, normalization, and tensors.
 
 The canonical representation of a simplicial module is its normalized
-complex; levels are derived data.  Normalization is computed two ways:
-the fast path reads off the non-degenerate coordinates (valid because
-levels decompose as normalized part plus the degenerate coordinate
-block), the generic path intersects kernels of the positive faces and
-returns explicit inclusion matrices.  Both are cross-checked in tests
-and agree with the canonical projector.
+complex; levels are derived data.  Normalization reads off the
+non-degenerate coordinates, which is valid because levels decompose as
+normalized part plus the degenerate coordinate block.  The tests check
+it against the intersection of the kernels of the positive faces and
+against the canonical projector.
 """
 
 from __future__ import annotations
@@ -16,22 +15,12 @@ from math import comb
 from ..chains.complexes import ChainComplex, ChainMap
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
-from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
-                             factor_through, kernel)
+from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
 from ..exact.snf import solve
 from . import surjections as sj
 from .levels import (GammaLevels, TensorLevels, moore_rows,
                      verify_simplicial_identities)
-
-
-def full_injection(levels, n: int) -> Matrix:
-    full = levels.nondegenerate_coords(n)
-    g = levels.rank(n)
-    cols = [[0] * len(full) for _ in range(g)]
-    for j, idx in enumerate(full):
-        cols[idx][j] = 1
-    return Matrix(levels.ring, g, len(full), cols)
 
 
 def normalized_quotient(levels, top: int) -> ChainComplex:
@@ -64,37 +53,6 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
         diffs.append(ModuleMap(mods[n], mods[n - 1], M.columns(coords[n]),
                                check=False))
     return ChainComplex(ring, mods, diffs, check=False)
-
-
-def normalized_kernel(levels, top: int
-                      ) -> tuple[ChainComplex, list[ModuleMap]]:
-    """Normalization as the intersection of kernels of d_1..d_n.
-
-    Returns the complex together with explicit inclusions into the levels;
-    the differential is induced by d_0.
-    """
-    ring = levels.ring
-    mods: list[PresentedModule] = [levels.module(0)]
-    inclusions: list[ModuleMap] = [ModuleMap.identity(levels.module(0))]
-    for n in range(1, top + 1):
-        stacked = levels.face(n, 1)
-        for i in range(2, n + 1):
-            stacked = stacked.vstack(levels.face(n, i))
-        total = direct_sum_module(ring, [levels.module(n - 1)] * n)
-        ker, incl = kernel(ModuleMap(levels.module(n), total, stacked,
-                                     check=False))
-        mods.append(ker)
-        inclusions.append(incl)
-    diffs: list[ModuleMap] = []
-    for n in range(1, top + 1):
-        u = ModuleMap(mods[n], levels.module(n - 1),
-                      levels.face(n, 0) @ inclusions[n].action, check=False)
-        w = factor_through(inclusions[n - 1], u)
-        if w is None:
-            raise ValueError(f"d_0 does not restrict to the normalization "
-                             f"at level {n}")
-        diffs.append(w)
-    return ChainComplex(ring, mods, diffs), inclusions
 
 
 class SimplicialModule:
@@ -174,11 +132,6 @@ def gamma(C: ChainComplex, cap: int | None = None, *,
 def normalize(A: SimplicialModule) -> ChainComplex:
     """Recompute the normalized complex from the level data."""
     return normalized_quotient(A.levels, A.normalized.top)
-
-
-def normalize_with_inclusions(A: SimplicialModule
-                              ) -> tuple[ChainComplex, list[ModuleMap]]:
-    return normalized_kernel(A.levels, A.normalized.top)
 
 
 def degreewise_tensor(A: SimplicialModule,

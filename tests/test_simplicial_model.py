@@ -11,14 +11,16 @@ from chaincert.chains.build import disk, interval, sphere, unit_complex, \
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import (ChainMap, LiftingProblem,
                                         chain_map_equal)
-from chaincert.chains.homotopy import is_chain_homotopy_equivalence
+from chaincert.chains.homotopy import (is_chain_homotopy_equivalence,
+                                       is_homotopy_equivalence)
 from chaincert.cli import main
 from chaincert.errors import CertificateError
 from chaincert.io.document import chain_map_from_json, parse_chain_complex
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import ModuleMap, PresentedModule
+from chaincert.exact.modules import HomSpace, ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
-from chaincert.models.generators import random_complex, random_split_epi
+from chaincert.models.generators import (random_complex, random_q_cofibration,
+                                         random_split_epi, random_split_mono)
 from chaincert.models.lifting import solve_lifting
 from chaincert.simplicial import classify as sclassify
 from chaincert.simplicial.classify import (interval_cotensor,
@@ -204,15 +206,85 @@ def test_pushout_product_simplicial_units():
     assert report.map.normalized_map.target.module(0).generators == 1
 
 
+def h_cofibration_pairs(ring):
+    """(i, k, whether i is acyclic) for D^1 and S^1 under 0, the pinned
+    criterion-7 cases and drawn pairs of h-cofibrations, as chain maps."""
+    zero = zero_complex(ring)
+    yield (ChainMap.zero(zero, disk(ring, 1)),
+           ChainMap.zero(zero, sphere(ring, 1)), True)
+    seed = 20260809  # tests/test_acceptance.py, criterion 7
+    cfg = CertifyConfig("monoidal-smod-acyclic", seed=seed, cases=1,
+                        ring=ring)
+    for index in range(4):
+        case = SUITES["monoidal-smod-acyclic"].generate(
+            random.Random(seed * 1_000_003 + index), cfg)
+        yield (*(chain_map_from_json(ring, case[key], key)
+                 for key in ("i", "k")), True)
+    rng = random.Random(22)
+    for index in range(8):
+        acyclic = index % 2 == 1
+        i = (random_q_cofibration(ring, rng, acyclic=True, max_rank=2)
+             if acyclic else random_split_mono(ring, rng, max_rank=2))
+        yield i, random_split_mono(ring, rng, max_rank=2), acyclic
+
+
 def test_pushout_product_simplicial_acyclic_leg():
+    """On pairs of h-cofibrations over Z, Z/4 and Z/6, the comparison
+    square decides N(i [] k) as the oracle, a contraction of its cone,
+    does, for both answers; an acyclic leg gives an acyclic product."""
+    for ring in (ZZ, Zmod(4), Zmod(6)):
+        answers = []
+        for i, k, leg_acyclic in h_cofibration_pairs(ring):
+            report = pushout_product_simplicial(gamma_map(i), gamma_map(k),
+                                                expect_acyclic=True)
+            assert report.cofibration.holds
+            assert report.chain_level_cofibration
+            assert report.acyclic == is_homotopy_equivalence(
+                report.map.normalized_map)
+            assert report.acyclic or not leg_acyclic
+            answers.append(report.acyclic)
+        assert True in answers and False in answers
+
+
+def test_no_cone_of_the_simplicial_product_is_contracted(monkeypatch,
+                                                          tmp_path):
+    """Acyclicity of N(i [] k) goes through the comparison square only:
+    no homotopy-equivalence decision is made on a map out of the
+    simplicial corner, in the function or in the certify suite."""
+    decided, corners = [], []
+
+    def wrap(name, wrapper):
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("chaincert")
+                    and hasattr(module, name)):
+                monkeypatch.setattr(module, name,
+                                    wrapper(getattr(module, name)))
+
+    def record_decision(real):
+        def decide(f):
+            decided.append(f.source)
+            return real(f)
+        return decide
+
+    def record_corner(real):
+        def product(*args, **kwargs):
+            report = real(*args, **kwargs)
+            corners.append(report.map.normalized_map.source)
+            return report
+        return product
+
+    wrap("is_homotopy_equivalence", record_decision)
+    wrap("pushout_product_simplicial", record_corner)
     i = from_zero_map(gamma(disk(ZZ, 1)))
     k = from_zero_map(gamma(sphere(ZZ, 1)))
-    report = pushout_product_simplicial(i, k, expect_acyclic=True)
-    assert report.cofibration.holds
-    assert report.acyclic
-    assert report.chain_level_cofibration
-    assert report.chain_level_acyclic
-    assert report.ez_legs_are_equivalences
+    assert sclassify.pushout_product_simplicial(
+        i, k, expect_acyclic=True).acyclic
+    out = tmp_path / "report.json"
+    assert main(["certify", "--suite", "monoidal-smod-acyclic", "--seed",
+                 "7", "--cases", "10", "--out", str(out)]) == 0
+    assert all(r["ok"] for r in json.loads(out.read_text())["results"])
+    assert len(corners) > 1 and decided
+    assert not [P for P in corners if any(P is Q for Q in decided)]
 
 
 def test_chain_level_product_only_when_acyclicity_is_expected(
@@ -365,6 +437,21 @@ def test_dual_maps_equal_the_column_at_a_time_construction(ring):
                 ring, hom_mod.generators, cot_mod.generators,
                 lambda e: bridge.from_disk_maps(
                     n, [space.chain_map(e).compose(ez_n)]))
+
+
+def test_disk_maps_reuse_the_window_differential(monkeypatch):
+    """Phi of a degree reads the hom-window differential that the good
+    truncation already built; it composes no hom element again."""
+    bridge = HomDiskBridge(gamma(disk(ZZ, 1)), gamma(disk(ZZ, 2)))
+
+    def refuse(*args):
+        raise RuntimeError("window differential built again")
+
+    monkeypatch.setattr(HomSpace, "precompose", refuse)
+    monkeypatch.setattr(HomSpace, "postcompose", refuse)
+    assert bridge.window.top >= 2
+    for n in range(1, bridge.window.top + 1):
+        assert bridge.disk_maps(n)
 
 
 def test_dual_ops_refuse_a_broken_aw(monkeypatch):
