@@ -24,7 +24,7 @@ from .chains.homcx import hom_complex
 from .chains.homology import homology
 from .chains.homotopy import (find_contraction, is_chain_homotopy_equivalence,
                               quasi_iso)
-from .chains.tensor import tensor_complex
+from .chains.tensor import braiding, tensor_complex
 from .chains.truncate import WindowComplex, good_truncation
 from .models.classify import (MCofibrationWitness, bousfield_classify,
                               classify, verify_m_cofibration)
@@ -35,7 +35,9 @@ from .models.pushout import check_pushout_product_axiom, pushout, \
     pushout_product
 from .models.verdict import ClassBit, Verdict
 from .models.yoneda import p_epic_check, split_epi_via_yoneda
-from .simplicial.classify import (pushout_product_simplicial,
+from .io.document import document_to_json
+from .simplicial.classify import (interval_cotensor,
+                                  pushout_product_simplicial,
                                   simplicial_classify, simplicial_homotopic,
                                   solve_hep_simplicial, solve_hlp_simplicial)
 from .simplicial.cotensor import ez_aw_dual_ops

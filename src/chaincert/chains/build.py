@@ -59,13 +59,6 @@ def interval(ring: RingSpec) -> ChainComplex:
     return ChainComplex(ring, [deg0, deg1], [d], check=False)
 
 
-def complex_from_data(ring: RingSpec, modules: Sequence[PresentedModule],
-                      diff_matrices: Sequence[Matrix]) -> ChainComplex:
-    diffs = [ModuleMap(modules[n + 1], modules[n], diff_matrices[n])
-             for n in range(len(modules) - 1)]
-    return ChainComplex(ring, modules, diffs)
-
-
 def direct_sum_complex(complexes: Sequence[ChainComplex]) -> ChainComplex:
     """Degreewise direct sum alone: block-diagonal modules and differentials."""
     ring = complexes[0].ring

@@ -14,12 +14,11 @@ into a tuple and reduces every entry mod m.  Matrix's own operations and
 the kernel in ``exact/`` produce entries that are canonical already, so
 they wrap their finished tuples with ``_from_canonical``, which checks
 nothing.  Over Z/m the rule is: an operation whose result can leave
-[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron``,
-``kron_submatrix``) reduces each entry once before it wraps, and an
-operation that only moves or copies canonical entries (``transpose``,
-``hstack``, ``vstack``, ``submatrix``, ``vec``, ``unvec``,
-``block_diagonal``, ``assemble``, ``hstack_all``, ``vstack_all``,
-``identity``, ``zero``) never reduces.
+[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron``) reduces each
+entry once before it wraps, and an operation that only moves or copies
+canonical entries (``transpose``, ``hstack``, ``vstack``, ``submatrix``,
+``vec``, ``unvec``, ``block_diagonal``, ``assemble``, ``hstack_all``,
+``vstack_all``, ``identity``, ``zero``) never reduces.
 Over Z every integer is canonical.  Operations that combine matrices
 require one ring; rings are interned (see ``rings.py``), so that check
 is usually a pointer compare.
@@ -31,6 +30,7 @@ sizes the tuple exactly.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .rings import RingSpec
@@ -231,22 +231,6 @@ class Matrix:
             data = [tuple([x % m for x in row]) for row in out]
         return _from_canonical(self.ring, rows, cols, tuple(data))
 
-    def kron_submatrix(self, other: "Matrix", row_idx: Iterable[int],
-                       col_idx: Iterable[int]) -> "Matrix":
-        """``self.kron(other).submatrix(row_idx, col_idx)``, computing only
-        the selected entries."""
-        self._same_ring(other)
-        m = self.ring.modulus
-        orows, ocols = other.rows, other.cols
-        cols = [divmod(c, ocols) for c in col_idx]
-        out = []
-        for r in row_idx:
-            i, k = divmod(r, orows)
-            srow, orow = self.data[i], other.data[k]
-            row = [srow[j] * orow[l] for j, l in cols]
-            out.append(tuple(row) if m is None else tuple([x % m for x in row]))
-        return _from_canonical(self.ring, len(out), len(cols), tuple(out))
-
     # -- block and slicing helpers -------------------------------------
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -340,18 +324,32 @@ class Matrix:
     @staticmethod
     def hstack_all(ring: RingSpec, rows: int,
                    blocks: Sequence["Matrix"]) -> "Matrix":
-        """The blocks side by side, built in one pass; ``rows`` x 0 when
-        there are none."""
-        return Matrix.assemble(ring, [rows], [b.cols for b in blocks],
-                               {(0, j): b for j, b in enumerate(blocks)})
+        """The blocks side by side, each row the concatenation of the
+        blocks' row tuples; ``rows`` x 0 when there are none."""
+        for j, b in enumerate(blocks):
+            if b.rows != rows:
+                raise ValueError(f"block (0,{j}) has wrong shape")
+            if b.ring is not ring and b.ring != ring:
+                raise ValueError("ring mismatch")
+        if not blocks:
+            return _from_canonical(ring, rows, 0, ((),) * rows)
+        data = [sum(parts, ()) for parts in zip(*[b.data for b in blocks])]
+        return _from_canonical(ring, rows, sum(b.cols for b in blocks),
+                               tuple(data))
 
     @staticmethod
     def vstack_all(ring: RingSpec, cols: int,
                    blocks: Sequence["Matrix"]) -> "Matrix":
-        """The blocks one above the other, built in one pass; 0 x ``cols``
-        when there are none."""
-        return Matrix.assemble(ring, [b.rows for b in blocks], [cols],
-                               {(i, 0): b for i, b in enumerate(blocks)})
+        """The blocks one above the other, their row tuples concatenated;
+        0 x ``cols`` when there are none."""
+        for i, b in enumerate(blocks):
+            if b.cols != cols:
+                raise ValueError(f"block ({i},0) has wrong shape")
+            if b.ring is not ring and b.ring != ring:
+                raise ValueError("ring mismatch")
+        return _from_canonical(ring, sum(b.rows for b in blocks), cols,
+                               tuple(chain.from_iterable(b.data
+                                                         for b in blocks)))
 
     def change_ring(self, ring: RingSpec) -> "Matrix":
         return Matrix(ring, self.rows, self.cols, self.data)

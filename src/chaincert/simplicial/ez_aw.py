@@ -2,13 +2,15 @@
 
 EZ sends x (x) y in bidegree (p, q) to the signed sum over (p, q)-shuffles
 of paired degeneracies; AW sends a level element to the sum of its front
-face tensor back face.  Both are chain maps for any simplicial modules
-(Eilenberg-Zilber), so they are built unchecked; the ez-aw suite checks
-that theorem explicitly on its cases.  AW o EZ is the identity on the
-nose, so id - EZ o AW is an idempotent chain map, and EZ o AW is
-homotopic to the identity by a contraction of its image, built degree by
-degree (`homotopy_from_retraction`); these two facts are verified exactly
-on every instance.
+face tensor back face.  Both read the levels sparsely: a composite of
+degeneracies is one surjection sigma, an index map on coordinates, and
+each of the two faces is one operator.  Both are chain maps for any
+simplicial modules (Eilenberg-Zilber), so they are built unchecked; the
+ez-aw suite checks that theorem explicitly on its cases.  AW o EZ is the
+identity on the nose, so id - EZ o AW is an idempotent chain map, and
+EZ o AW is homotopic to the identity by a contraction of its image, built
+degree by degree (`homotopy_from_retraction`); these two facts are
+verified exactly on every instance.
 
 That contraction is also the decision that EZ is a homotopy equivalence,
 on its target alone: a caller that needs only the answer reads whether
@@ -25,71 +27,69 @@ from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .module import SimplicialModule
-from .surjections import shuffles
+from .surjections import codegeneracy, compose, shuffles
 
 
-def _degeneracy_composite(levels, start: int, indices, cols) -> Matrix:
-    """s_{j_r} ... s_{j_1} on the columns ``cols`` of level ``start``, with
-    j_1 < ... < j_r, applied bottom up."""
-    M = Matrix.identity(levels.ring, levels.rank(start)).columns(cols)
-    level = start
-    for j in sorted(indices):
-        M = levels.degeneracy(level, j) @ M
-        level += 1
-    return M
-
-
-def _front_face(levels, n: int, p: int, rows) -> Matrix:
-    """The rows ``rows`` of d_{p+1} ... d_n : level n -> level p."""
-    M = Matrix.identity(levels.ring, levels.rank(p)).submatrix(
-        rows, range(levels.rank(p)))
-    for level in range(p + 1, n + 1):
-        M = M @ levels.face(level, level)
-    return M
-
-
-def _back_face(levels, n: int, q: int, rows) -> Matrix:
-    """The rows ``rows`` of d_0^{n-q} : level n -> level q."""
-    M = Matrix.identity(levels.ring, levels.rank(q)).submatrix(
-        rows, range(levels.rank(q)))
-    for level in range(q + 1, n + 1):
-        M = M @ levels.face(level, 0)
-    return M
+def _degeneracy_surjection(p: int, indices) -> tuple[int, ...]:
+    """sigma with sigma^* = s_{j_r} ... s_{j_1} on level p, for
+    j_1 < ... < j_r applied bottom up."""
+    sigma = tuple(range(p + 1))
+    for level, j in enumerate(sorted(indices), start=p):
+        sigma = compose(sigma, codegeneracy(level, j))
+    return sigma
 
 
 def ez(A: SimplicialModule, B: SimplicialModule,
        T: SimplicialModule) -> ChainMap:
-    """The shuffle map N(A) (x) N(B) -> N(A (x) B)."""
+    """The shuffle map N(A) (x) N(B) -> N(A (x) B).
+
+    x (x) y in bidegree (p, q) goes to the signed sum over shuffles
+    (mu, nu) of s_nu x (x) s_mu y.  Degeneracies are index maps, and
+    s_nu x (x) s_mu y has the degeneracy positions nu and mu of its two
+    factors, which are disjoint, so every term is a non-degenerate
+    coordinate of level p + q.
+    """
     lay = TensorLayout(A.normalized, B.normalized)
     source = lay.complex()
     target = T.normalized
     ring = A.ring
     comps = []
     for n in range(max(source.top, target.top) + 1):
-        tgt_gens = target.module(n).generators
         rows = T.levels.nondegenerate_coords(n)
-        blocks = []
+        index = {r: t for t, r in enumerate(rows)}
+        gb = B.levels.rank(n)
+        width = source.module(n).generators
+        action = [[0] * width for _ in rows]
+        col = 0
+        # no pairs past the tensor's top, where the source is zero
         for (p, q) in lay.pairs(n):
             cols_a = A.levels.nondegenerate_coords(p)
             cols_b = B.levels.nondegenerate_coords(q)
-            cols = range(len(cols_a) * len(cols_b))
-            block = Matrix.zero(ring, len(rows), len(cols))
             for sh in shuffles(p, q):
-                left = _degeneracy_composite(A.levels, p, sh.nu, cols_a)
-                right = _degeneracy_composite(B.levels, q, sh.mu, cols_b)
-                term = left.kron_submatrix(right, rows, cols)
-                block = block + term if sh.sign == 1 else block - term
-            blocks.append(block)
-        # no blocks past the tensor's top, where the source is zero
-        action = Matrix.hstack_all(ring, tgt_gens, blocks)
-        comps.append(ModuleMap(source.module(n), target.module(n), action,
+                left = A.levels.degenerate(
+                    p, _degeneracy_surjection(p, sh.nu), cols_a)
+                right = B.levels.degenerate(
+                    q, _degeneracy_surjection(q, sh.mu), cols_b)
+                j = col
+                for x in left:
+                    for y in right:
+                        action[index[x * gb + y]][j] += sh.sign
+                        j += 1
+            col += len(cols_a) * len(cols_b)
+        comps.append(ModuleMap(source.module(n), target.module(n),
+                               Matrix(ring, len(rows), width, action),
                                check=False))
     return ChainMap(source, target, comps, check=False)
 
 
 def aw(A: SimplicialModule, B: SimplicialModule,
        T: SimplicialModule) -> ChainMap:
-    """The front-back map N(A (x) B) -> N(A) (x) N(B)."""
+    """The front-back map N(A (x) B) -> N(A) (x) N(B).
+
+    The front face d_{p+1} ... d_n is alpha^* for the inclusion
+    alpha = (0, ..., p) of [p] into [n], and the back face d_0^{n-q} for
+    (n-q, ..., n); each is one operator, read as sparse rows.
+    """
     lay = TensorLayout(A.normalized, B.normalized)
     source = T.normalized
     target = lay.complex()
@@ -97,17 +97,26 @@ def aw(A: SimplicialModule, B: SimplicialModule,
     comps = []
     for n in range(max(source.top, target.top) + 1):
         cols = T.levels.nondegenerate_coords(n)
-        blocks = []
+        index = {c: j for j, c in enumerate(cols)}
+        gb = B.levels.rank(n)
+        action = []
+        # no pairs past the tensor's top, where the target is zero
         for (p, q) in lay.pairs(n):
-            front = _front_face(A.levels, n, p,
-                                A.levels.nondegenerate_coords(p))
-            back = _back_face(B.levels, n, q,
-                              B.levels.nondegenerate_coords(q))
-            blocks.append(front.kron_submatrix(
-                back, range(front.rows * back.rows), cols))
-        # no blocks past the tensor's top, where the target is zero
-        action = Matrix.vstack_all(ring, source.module(n).generators, blocks)
-        comps.append(ModuleMap(source.module(n), target.module(n), action,
+            front = A.levels.operator_rows(
+                n, tuple(range(p + 1)), A.levels.nondegenerate_coords(p))
+            back = B.levels.operator_rows(n, tuple(range(n - q, n + 1)),
+                                          B.levels.nondegenerate_coords(q))
+            for fa in front:
+                for fb in back:
+                    row = [0] * len(cols)
+                    for x, v in fa:
+                        for y, w in fb:
+                            j = index.get(x * gb + y)
+                            if j is not None:
+                                row[j] += v * w
+                    action.append(row)
+        comps.append(ModuleMap(source.module(n), target.module(n),
+                               Matrix(ring, len(action), len(cols), action),
                                check=False))
     return ChainMap(source, target, comps, check=False)
 

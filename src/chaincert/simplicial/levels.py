@@ -1,11 +1,23 @@
-"""Level data for simplicial modules: faces, degeneracies, coordinates.
+"""Level data for simplicial modules: structure maps as sparse rows.
 
 Two level models cover every simplicial object in the package: the
 denormalization of a chain complex (summands indexed by surjections) and
 the levelwise tensor of two models.  Both expose, per level, which
-generator coordinates are degenerate, and the rows of the faces and the
-relations on a chosen set of coordinates; the normalized complex falls
-out of that bookkeeping without building a whole tensor level.
+generator coordinates are degenerate, the rows of a simplicial operator
+and the relations on a chosen set of coordinates, and where a degeneracy
+sends a coordinate; the normalized complex, EZ, AW and the tensor maps
+are read off that bookkeeping without building a whole level.
+
+The combinatorics of Gamma(C) do not depend on C.  ``operator_table``
+lists, for a simplicial operator alpha : [m] -> [n], where alpha^* sends
+each summand eta : [n] ->> [k] of level n: to the summand eta' of level
+m, where eta o alpha = iota o eta', by the identity when iota is an
+isomorphism, by the differential of C when iota misses exactly the bottom
+element 0, and to zero otherwise.  It is one process-wide memo keyed on
+(alpha, n), shared by every Gamma(C); a ``GammaLevels`` adds only C's own
+blocks (the ranks of C_k, its differentials and relations) at the offsets
+of the summands.  A degeneracy never meets the zero or differential case:
+eta o sigma is onto, so sigma^* is an index map.
 
 Coordinates are grouped by their degeneracy-position set, the positions
 j at which they lie in the image of s_j.  In the denormalization a
@@ -16,141 +28,160 @@ non-degenerate pairs are those with disjoint sets (Eilenberg-Zilber).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..chains.complexes import ChainComplex
 from ..exact.matrix import Matrix
-from ..exact.modules import (PresentedModule, _drop_zero_columns,
-                             direct_sum_module, tensor_module)
+from ..exact.rings import RingSpec
 from . import surjections as sj
 
 # a sparse matrix row: (column, entry) for each nonzero entry
 SparseRow = list[tuple[int, int]]
 
 
+@lru_cache(maxsize=None)
+def operator_table(alpha: tuple[int, ...], n: int
+                   ) -> tuple[tuple[int, bool] | None, ...]:
+    """alpha^* on the summands of level n of any Gamma(C).
+
+    ``alpha`` is the value tuple of an order-preserving map [m] -> [n].
+    Entry s is for the s-th surjection eta of ``surjections(n)``: None
+    when alpha^* kills its summand, else (t, via_d) when alpha^* sends it
+    to the t-th summand of level m by the differential (via_d) or by the
+    identity.
+    """
+    index = {eta: t for t, eta in enumerate(sj.surjections(len(alpha) - 1))}
+    out: list[tuple[int, bool] | None] = []
+    for eta in sj.surjections(n):
+        k = sj.degree_of(eta)
+        eta2, image = sj.epi_mono_factor(sj.compose(eta, alpha))
+        if len(image) == k + 1:
+            out.append((index[eta2], False))
+        elif image == tuple(range(1, k + 1)):
+            out.append((index[eta2], True))
+        else:
+            out.append(None)
+    return tuple(out)
+
+
+def sparse_columns(ring: RingSpec, rows: int, columns: dict) -> Matrix:
+    """The matrix with ``rows`` rows whose columns, in the order of their
+    keys, hold the (row, entry) pairs of ``columns``."""
+    order = sorted(columns)
+    out = [[0] * len(order) for _ in range(rows)]
+    for c, key in enumerate(order):
+        for t, v in columns[key]:
+            out[t][c] = v
+    return Matrix(ring, rows, len(order), out)
+
+
 class GammaLevels:
     """Levels of the denormalization of a bounded complex.
 
-    Level n is the direct sum over surjections eta : [n] ->> [k] of C_k;
-    the simplicial operator alpha sends the eta summand into the
-    (eta o alpha = iota o eta') summand by the identity when iota is an
-    isomorphism, by the differential when iota misses exactly the bottom
-    element 0, and by zero otherwise.  That convention is the one for
-    which degree n of the normalized complex is the identity summand and
-    the face d_0 induces the differential.
+    Level n is the direct sum over surjections eta : [n] ->> [k] of C_k,
+    in the order of ``surjections(n)``; the simplicial operators act as
+    ``operator_table`` says.  That convention is the one for which degree
+    n of the normalized complex is the identity summand and the face d_0
+    induces the differential.
     """
 
     def __init__(self, C: ChainComplex):
         self.C = C
         self.ring = C.ring
-        self._mods: dict[int, PresentedModule] = {}
-        self._offsets: dict[int, dict[tuple, int]] = {}
-        self._positions: dict[int, list[frozenset[int]]] = {}
-        self._groups: dict[int, list[tuple[frozenset[int], range]]] = {}
-        self._ops: dict[tuple, Matrix] = {}
-        self._face_rows: dict[tuple[int, int], list[SparseRow]] = {}
+        # per level: summand offsets, the summand of each coordinate, and
+        # (degeneracy positions, coordinates) of each nonzero summand
+        self._layouts: dict[int, tuple[list[int], list[int], list]] = {}
+        self._rows: dict[tuple[int, tuple], list[SparseRow]] = {}
 
-    def summands(self, n: int) -> tuple[tuple, ...]:
-        return sj.surjections(n)
-
-    def module(self, n: int) -> PresentedModule:
-        """Level n, recording each coordinate's degeneracy positions."""
-        if n not in self._mods:
-            offsets: dict[tuple, int] = {}
-            positions: list[frozenset[int]] = []
+    def _layout(self, n: int) -> tuple[list[int], list[int], list]:
+        if n not in self._layouts:
+            offsets: list[int] = []
+            owner: list[int] = []
             groups: list[tuple[frozenset[int], range]] = []
-            blocks = []
-            for eta in self.summands(n):
-                block = self.C.module(sj.degree_of(eta))
-                at = frozenset(j for j in range(n) if eta[j] == eta[j + 1])
-                pos = len(positions)
-                offsets[eta] = pos
-                if block.generators:
-                    groups.append((at, range(pos, pos + block.generators)))
-                positions += [at] * block.generators
-                blocks.append(block)
-            self._mods[n] = direct_sum_module(self.ring, blocks)
-            self._offsets[n] = offsets
-            self._positions[n] = positions
-            self._groups[n] = groups
-        return self._mods[n]
+            for s, eta in enumerate(sj.surjections(n)):
+                pos = len(owner)
+                g = self.C.module(sj.degree_of(eta)).generators
+                offsets.append(pos)
+                owner += [s] * g
+                if g:
+                    groups.append((frozenset(j for j in range(n)
+                                             if eta[j] == eta[j + 1]),
+                                   range(pos, pos + g)))
+            self._layouts[n] = offsets, owner, groups
+        return self._layouts[n]
 
     def rank(self, n: int) -> int:
-        return self.module(n).generators
+        return len(self._layout(n)[1])
 
-    def offsets(self, n: int) -> dict[tuple, int]:
-        self.module(n)
-        return self._offsets[n]
+    def locate(self, n: int, c: int) -> tuple[int, int]:
+        """(summand index, coordinate within the summand) of coordinate c."""
+        offsets, owner, _ = self._layout(n)
+        s = owner[c]
+        return s, c - offsets[s]
 
-    def _blocks(self, n: int, alpha: tuple[int, ...], m: int):
-        """(row offset, column offset, block) of each nonzero summand
-        block of alpha^* : level n -> level m."""
-        src_off = self.offsets(n)
-        tgt_off = self.offsets(m)
-        for eta in self.summands(n):
-            k = sj.degree_of(eta)
-            g = self.C.module(k).generators
-            if g == 0:
-                continue
-            eta2, image = sj.epi_mono_factor(sj.compose(eta, alpha))
-            if len(image) == k + 1:
-                block = Matrix.identity(self.ring, g)
-            elif len(image) == k and image == tuple(range(1, k + 1)):
-                block = self.C.differential(k).action
-            else:
-                continue
-            yield tgt_off[eta2], src_off[eta], block
+    def offset(self, n: int, s: int) -> int:
+        return self._layout(n)[0][s]
 
-    def _structure_matrix(self, n: int, alpha: tuple[int, ...], m: int) -> Matrix:
-        """alpha^* : level n -> level m for alpha : [m] -> [n]."""
-        key = (n, alpha, m)
-        if key in self._ops:
-            return self._ops[key]
-        rows = [[0] * self.rank(n) for _ in range(self.rank(m))]
-        for r0, c0, block in self._blocks(n, alpha, m):
-            for a, brow in enumerate(block.data):
-                rows[r0 + a][c0:c0 + block.cols] = brow
-        out = Matrix(self.ring, self.rank(m), self.rank(n), rows)
-        self._ops[key] = out
-        return out
-
-    def face(self, n: int, i: int) -> Matrix:
-        return self._structure_matrix(n, sj.coface(n, i), n - 1)
-
-    def degeneracy(self, n: int, j: int) -> Matrix:
-        return self._structure_matrix(n, sj.codegeneracy(n, j), n + 1)
-
-    def face_rows(self, n: int, i: int, rows: list[int]) -> list[SparseRow]:
-        """The rows ``rows`` of d_i : level n -> level n - 1, sparse."""
-        key = (n, i)
-        if key not in self._face_rows:
-            table: list[SparseRow] = [[] for _ in range(self.rank(n - 1))]
-            for r0, c0, block in self._blocks(n, sj.coface(n, i), n - 1):
-                for a, brow in enumerate(block.data):
-                    table[r0 + a] += [(c0 + b, v) for b, v in enumerate(brow)
-                                      if v]
-            self._face_rows[key] = table
-        table = self._face_rows[key]
+    def operator_rows(self, n: int, alpha: tuple[int, ...],
+                      rows) -> list[SparseRow]:
+        """The rows ``rows`` of alpha^* : level n -> level m, sparse."""
+        key = (n, alpha)
+        if key not in self._rows:
+            src_off = self._layout(n)[0]
+            tgt_off, tgt_owner, _ = self._layout(len(alpha) - 1)
+            table: list[SparseRow] = [[] for _ in tgt_owner]
+            surj = sj.surjections(n)
+            for s, entry in enumerate(operator_table(alpha, n)):
+                if entry is None:
+                    continue
+                t, via_d = entry
+                k = sj.degree_of(surj[s])
+                c0, r0 = src_off[s], tgt_off[t]
+                if via_d:
+                    d = self.C.differential(k).action
+                    for a, brow in enumerate(d.data):
+                        table[r0 + a] += [(c0 + b, v)
+                                          for b, v in enumerate(brow) if v]
+                else:
+                    for a in range(self.C.module(k).generators):
+                        table[r0 + a].append((c0 + a, 1))
+            self._rows[key] = table
+        table = self._rows[key]
         return [table[r] for r in rows]
+
+    def degenerate(self, n: int, sigma: tuple[int, ...], coords) -> list[int]:
+        """Where sigma^* : level n -> level m sends the coordinates
+        ``coords``, for a surjection sigma : [m] ->> [n]."""
+        table = operator_table(sigma, n)
+        offsets, owner, _ = self._layout(n)
+        tgt_off = self._layout(len(sigma) - 1)[0]
+        return [tgt_off[table[owner[c]][0]] + c - offsets[owner[c]]
+                for c in coords]
 
     def relations_on(self, n: int, rows: list[int]) -> Matrix:
         """Level n's relations on the coordinates ``rows``, zero columns
-        dropped."""
-        rel = self.module(n).relations
-        return _drop_zero_columns(rel.submatrix(rows, range(rel.cols)))
-
-    def degeneracy_positions(self, n: int, idx: int) -> frozenset[int]:
-        self.module(n)
-        return self._positions[n][idx]
+        dropped: those of each summand's C_k, summands in order."""
+        offsets, owner, _ = self._layout(n)
+        surj = sj.surjections(n)
+        columns: dict[tuple, SparseRow] = {}
+        for t, r in enumerate(rows):
+            s = owner[r]
+            rel = self.C.module(sj.degree_of(surj[s])).relations
+            for j, v in enumerate(rel.data[r - offsets[s]]):
+                if v:
+                    columns.setdefault((s, j), []).append((t, v))
+        return sparse_columns(self.ring, len(rows), columns)
 
     def degeneracy_groups(self, n: int
                           ) -> list[tuple[frozenset[int], range]]:
         """(degeneracy positions, coordinates) for each nonzero summand,
         in ascending coordinate order."""
-        self.module(n)
-        return self._groups[n]
+        return self._layout(n)[2]
 
     def nondegenerate_coords(self, n: int) -> list[int]:
-        off = self.offsets(n)[sj.from_jumps(n, tuple(range(1, n + 1)))]
-        return list(range(off, off + self.C.module(n).generators))
+        """The identity summand, which ``surjections(n)`` lists last."""
+        offsets, owner, _ = self._layout(n)
+        return list(range(offsets[-1], len(owner)))
 
 
 class TensorLevels:
@@ -166,35 +197,33 @@ class TensorLevels:
         self.A = A
         self.B = B
         self.ring = A.ring
-        self._mods: dict[int, PresentedModule] = {}
         self._groups: dict[int, list[tuple[frozenset[int], list[int]]]] = {}
         self._nondegenerate: dict[int, list[int]] = {}
-
-    def module(self, n: int) -> PresentedModule:
-        if n not in self._mods:
-            self._mods[n] = tensor_module(self.A.module(n), self.B.module(n))
-        return self._mods[n]
 
     def rank(self, n: int) -> int:
         return self.A.rank(n) * self.B.rank(n)
 
-    def face(self, n: int, i: int) -> Matrix:
-        return self.A.face(n, i).kron(self.B.face(n, i))
-
-    def degeneracy(self, n: int, j: int) -> Matrix:
-        return self.A.degeneracy(n, j).kron(self.B.degeneracy(n, j))
-
-    def face_rows(self, n: int, i: int, rows: list[int]) -> list[SparseRow]:
-        """Rows of d_i (x) d_i, each the product of two sparse rows."""
-        gb_src, gb_tgt = self.B.rank(n), self.B.rank(n - 1)
+    def operator_rows(self, n: int, alpha: tuple[int, ...],
+                      rows) -> list[SparseRow]:
+        """Rows of alpha^* (x) alpha^*, each the product of two sparse
+        rows."""
+        gb_src, gb_tgt = self.B.rank(n), self.B.rank(len(alpha) - 1)
         pairs = [divmod(r, gb_tgt) for r in rows]
         a_idx = sorted({a for a, _ in pairs})
         b_idx = sorted({b for _, b in pairs})
-        a_rows = dict(zip(a_idx, self.A.face_rows(n, i, a_idx)))
-        b_rows = dict(zip(b_idx, self.B.face_rows(n, i, b_idx)))
+        a_rows = dict(zip(a_idx, self.A.operator_rows(n, alpha, a_idx)))
+        b_rows = dict(zip(b_idx, self.B.operator_rows(n, alpha, b_idx)))
         return [[(ca * gb_src + cb, va * vb)
                  for ca, va in a_rows[a] for cb, vb in b_rows[b]]
                 for a, b in pairs]
+
+    def degenerate(self, n: int, sigma: tuple[int, ...], coords) -> list[int]:
+        """Where sigma^* (x) sigma^* sends the coordinates ``coords``."""
+        gb_src, gb_tgt = self.B.rank(n), self.B.rank(len(sigma) - 1)
+        pairs = [divmod(c, gb_src) for c in coords]
+        a_img = self.A.degenerate(n, sigma, [a for a, _ in pairs])
+        b_img = self.B.degenerate(n, sigma, [b for _, b in pairs])
+        return [x * gb_tgt + y for x, y in zip(a_img, b_img)]
 
     def relations_on(self, n: int, rows: list[int]) -> Matrix:
         """``tensor_module``'s relations on the coordinates ``rows``.
@@ -210,7 +239,7 @@ class TensorLevels:
         b_idx = sorted({b for _, b in pairs})
         a_rel = dict(zip(a_idx, self.A.relations_on(n, a_idx).data))
         b_rel = dict(zip(b_idx, self.B.relations_on(n, b_idx).data))
-        columns: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+        columns: dict[tuple, SparseRow] = {}
         for t, (a, b) in enumerate(pairs):
             for j, v in enumerate(a_rel[a]):
                 if v:
@@ -218,17 +247,7 @@ class TensorLevels:
             for k, v in enumerate(b_rel[b]):
                 if v:
                     columns.setdefault((1, a, k), []).append((t, v))
-        order = sorted(columns)
-        out = [[0] * len(order) for _ in rows]
-        for c, key in enumerate(order):
-            for t, v in columns[key]:
-                out[t][c] = v
-        return Matrix(self.ring, len(rows), len(order), out)
-
-    def degeneracy_positions(self, n: int, idx: int) -> frozenset[int]:
-        a, b = divmod(idx, self.B.rank(n))
-        return (self.A.degeneracy_positions(n, a)
-                & self.B.degeneracy_positions(n, b))
+        return sparse_columns(self.ring, len(rows), columns)
 
     def degeneracy_groups(self, n: int
                           ) -> list[tuple[frozenset[int], list[int]]]:
@@ -262,44 +281,58 @@ class TensorLevels:
         return self._nondegenerate[n]
 
 
-def moore_rows(levels, n: int, rows: list[int]) -> Matrix:
-    """The rows ``rows`` of the alternating face sum at level n."""
-    g = levels.rank(n)
-    out = [[0] * g for _ in rows]
-    for i in range(n + 1):
-        sign = -1 if i % 2 else 1
-        for acc, row in zip(out, levels.face_rows(n, i, rows)):
-            for j, v in row:
-                acc[j] += sign * v
-    return Matrix(levels.ring, len(rows), g, out)
-
-
 def verify_simplicial_identities(levels, cap: int) -> None:
-    """All simplicial identities as exact matrix identities through cap."""
+    """All simplicial identities as exact matrix identities through cap,
+    each matrix a list of sparse rows."""
+    ring = levels.ring
+
+    def face(n: int, i: int) -> list[SparseRow]:
+        return levels.operator_rows(n, sj.coface(n, i),
+                                    range(levels.rank(n - 1)))
+
+    def degeneracy(n: int, j: int) -> list[SparseRow]:
+        rows: list[SparseRow] = [[] for _ in range(levels.rank(n + 1))]
+        image = levels.degenerate(n, sj.codegeneracy(n, j),
+                                  range(levels.rank(n)))
+        for c, r in enumerate(image):
+            rows[r].append((c, 1))
+        return rows
+
+    def product(left: list[SparseRow], right: list[SparseRow]
+                ) -> list[dict[int, int]]:
+        out = []
+        for row in left:
+            acc: dict[int, int] = {}
+            for k, v in row:
+                for j, w in right[k]:
+                    acc[j] = acc.get(j, 0) + v * w
+            out.append({j: x for j, x in
+                        ((j, ring.canon(x)) for j, x in acc.items()) if x})
+        return out
+
     for n in range(2, cap + 1):
         for i in range(n):
             for j in range(i + 1, n + 1):
-                lhs = levels.face(n - 1, i) @ levels.face(n, j)
-                rhs = levels.face(n - 1, j - 1) @ levels.face(n, i)
+                lhs = product(face(n - 1, i), face(n, j))
+                rhs = product(face(n - 1, j - 1), face(n, i))
                 if lhs != rhs:
                     raise ValueError(f"d_{i} d_{j} identity fails at level {n}")
     for n in range(cap - 1):
         for i in range(n + 2):
             for j in range(i, n + 1):
-                lhs = levels.degeneracy(n + 1, i) @ levels.degeneracy(n, j)
-                rhs = levels.degeneracy(n + 1, j + 1) @ levels.degeneracy(n, i)
+                lhs = product(degeneracy(n + 1, i), degeneracy(n, j))
+                rhs = product(degeneracy(n + 1, j + 1), degeneracy(n, i))
                 if lhs != rhs:
                     raise ValueError(f"s_{i} s_{j} identity fails at level {n}")
     for n in range(cap):
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = levels.face(n + 1, i) @ levels.degeneracy(n, j)
+                lhs = product(face(n + 1, i), degeneracy(n, j))
                 if i in (j, j + 1):
-                    rhs = Matrix.identity(levels.ring,
-                                          levels.module(n).generators)
+                    rhs = [{r: 1} for r in range(levels.rank(n))]
                 elif i < j:
-                    rhs = levels.degeneracy(n - 1, j - 1) @ levels.face(n, i)
+                    rhs = product(degeneracy(n - 1, j - 1), face(n, i))
                 else:
-                    rhs = levels.degeneracy(n - 1, j) @ levels.face(n, i - 1)
+                    rhs = product(degeneracy(n - 1, j), face(n, i - 1))
                 if lhs != rhs:
                     raise ValueError(f"d_{i} s_{j} identity fails at level {n}")

@@ -19,7 +19,7 @@ from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
 from ..exact.snf import solve
 from . import surjections as sj
-from .levels import (GammaLevels, TensorLevels, moore_rows,
+from .levels import (GammaLevels, SparseRow, TensorLevels, sparse_columns,
                      verify_simplicial_identities)
 
 
@@ -28,9 +28,11 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
 
     The degenerate coordinates span a subcomplex of the Moore complex, so
     the alternating face sum descends to the coordinate quotient; the
-    descent condition is verified exactly during construction.  Only the
-    rows of the levels at non-degenerate coordinates are built: the
-    relations there and the Moore rows into them.
+    descent condition is verified exactly during construction, on the
+    degenerate columns of the Moore rows that are nonzero (a zero column
+    always solves).  Only the rows of the levels at non-degenerate
+    coordinates are built, sparse: the relations there and the Moore rows
+    into them.
 
     Given the descent, the result is a complex by construction: the
     Moore differential squares to zero by the simplicial identities, the
@@ -43,14 +45,29 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
             for n, full in enumerate(coords)]
     diffs: list[ModuleMap] = []
     for n in range(1, top + 1):
-        M = moore_rows(levels, n, coords[n - 1])
-        nondegenerate = set(coords[n])
-        degenerate = [idx for idx in range(M.cols) if idx not in nondegenerate]
-        if degenerate and solve(mods[n - 1].relations,
-                                M.columns(degenerate)) is None:
+        moore: list[dict[int, int]] = [{} for _ in coords[n - 1]]
+        for i in range(n + 1):
+            sign = -1 if i % 2 else 1
+            for acc, row in zip(moore, levels.operator_rows(
+                    n, sj.coface(n, i), coords[n - 1])):
+                for j, v in row:
+                    acc[j] = acc.get(j, 0) + sign * v
+        kept = {c: j for j, c in enumerate(coords[n])}
+        action = [[0] * len(kept) for _ in moore]
+        degenerate: dict[int, SparseRow] = {}
+        for t, acc in enumerate(moore):
+            for c, v in acc.items():
+                j = kept.get(c)
+                if j is not None:
+                    action[t][j] = v
+                elif ring.canon(v):
+                    degenerate.setdefault(c, []).append((t, v))
+        if degenerate and solve(mods[n - 1].relations, sparse_columns(
+                ring, len(moore), degenerate)) is None:
             raise ValueError(f"degenerate part is not a subcomplex "
                              f"at level {n}")
-        diffs.append(ModuleMap(mods[n], mods[n - 1], M.columns(coords[n]),
+        diffs.append(ModuleMap(mods[n], mods[n - 1],
+                               Matrix(ring, len(moore), len(kept), action),
                                check=False))
     return ChainComplex(ring, mods, diffs, check=False)
 
@@ -71,17 +88,8 @@ class SimplicialModule:
     def top(self) -> int:
         return self.normalized.top
 
-    def level_module(self, n: int) -> PresentedModule:
-        return self.levels.module(n)
-
     def level_rank(self, n: int) -> int:
         return self.levels.rank(n)
-
-    def face(self, n: int, i: int) -> Matrix:
-        return self.levels.face(n, i)
-
-    def degeneracy(self, n: int, j: int) -> Matrix:
-        return self.levels.degeneracy(n, j)
 
     def __repr__(self) -> str:
         return f"SimplicialModule(top={self.top}, cap={self.cap})"
@@ -157,18 +165,25 @@ class SimplicialMap:
         self.target = target
         self.normalized_map = normalized_map
 
-    def level_matrix(self, n: int) -> Matrix:
-        """Induced matrix on level n (denormalization-backed levels only):
-        f_k on every summand eta : [n] ->> [k], block diagonal because both
-        levels list their summands in the same order."""
+    def level_columns(self, n: int, coords) -> dict[int, SparseRow]:
+        """The columns ``coords`` of the induced matrix on level n, sparse
+        (denormalization-backed levels only): f_k on every summand
+        eta : [n] ->> [k], block diagonal because both levels list their
+        summands in the same order."""
         src, tgt = self.source.levels, self.target.levels
         if not isinstance(src, GammaLevels) or not isinstance(tgt, GammaLevels):
             raise NotImplementedError(
-                "level matrices are materialized on denormalization levels")
-        actions = [self.normalized_map.component(k).action
-                   for k in range(n + 1)]
-        return Matrix.block_diagonal(src.ring, [
-            actions[sj.degree_of(eta)] for eta in src.summands(n)])
+                "level maps are read on denormalization levels")
+        surj = sj.surjections(n)
+        out: dict[int, SparseRow] = {}
+        for c in coords:
+            s, b = src.locate(n, c)
+            k = sj.degree_of(surj[s])
+            action = self.normalized_map.component(k).action
+            r0 = tgt.offset(n, s)
+            out[c] = [(r0 + a, row[b]) for a, row in enumerate(action.data)
+                      if row[b]]
+        return out
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.normalized_map!r})"
@@ -186,26 +201,34 @@ def gamma_map(f: ChainMap, source: SimplicialModule | None = None,
 def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
                           srcT: SimplicialModule, tgtT: SimplicialModule
                           ) -> ChainMap:
-    """N(f (x) g) between degreewise tensors, via the level matrices.
+    """N(f (x) g) between degreewise tensors, read off the level maps.
 
     A chain map by construction: f (x) g is a simplicial map, and its
-    level matrices keep each coordinate's degeneracy positions, so they
-    map degenerate coordinates to degenerate ones and the non-degenerate
-    block is the induced map of the quotients.
+    level matrices keep each coordinate's degeneracy positions (f_k and
+    g_l act within a summand), so they map degenerate coordinates to
+    degenerate ones, non-degenerate pairs to non-degenerate pairs, and the
+    non-degenerate block is the induced map of the quotients.
     """
+    ring = srcT.ring
     comps = []
     top = max(srcT.top, tgtT.top)
     for n in range(top + 1):
-        if n <= srcT.top:
-            action = f.level_matrix(n).kron_submatrix(
-                g.level_matrix(n), tgtT.levels.nondegenerate_coords(n),
-                srcT.levels.nondegenerate_coords(n))
-        else:
-            action = Matrix.zero(srcT.ring,
-                                 tgtT.normalized.module(n).generators,
-                                 srcT.normalized.module(n).generators)
+        rows = tgtT.levels.nondegenerate_coords(n)
+        cols = srcT.levels.nondegenerate_coords(n) if n <= srcT.top else []
+        index = {r: t for t, r in enumerate(rows)}
+        gb_src, gb_tgt = srcT.levels.B.rank(n), tgtT.levels.B.rank(n)
+        pairs = [divmod(c, gb_src) for c in cols]
+        f_cols = f.level_columns(n, {a for a, _ in pairs})
+        g_cols = g.level_columns(n, {b for _, b in pairs})
+        action = [[0] * len(cols) for _ in rows]
+        for j, (a, b) in enumerate(pairs):
+            for ra, va in f_cols[a]:
+                for rb, vb in g_cols[b]:
+                    action[index[ra * gb_tgt + rb]][j] += va * vb
         comps.append(ModuleMap(srcT.normalized.module(n),
-                               tgtT.normalized.module(n), action, check=False))
+                               tgtT.normalized.module(n),
+                               Matrix(ring, len(rows), len(cols), action),
+                               check=False))
     return ChainMap(srcT.normalized, tgtT.normalized, comps, check=False)
 
 
@@ -233,12 +256,17 @@ def end_inclusion(A: SimplicialModule, T: SimplicialModule, end: int
     ring = A.ring
     comps = []
     for n in range(A.top + 1):
+        # the constant summand sits first in each level of the interval,
+        # with generators (e0, e1)
         gI = T.levels.B.rank(n)
-        vertex = [[0] for _ in range(gI)]
-        vertex[end][0] = 1  # the constant summand sits first, gens (e0, e1)
-        action = Matrix.identity(ring, A.level_rank(n)).kron_submatrix(
-            Matrix(ring, gI, 1, vertex), T.levels.nondegenerate_coords(n),
-            A.levels.nondegenerate_coords(n))
+        index = {r: t for t, r in enumerate(T.levels.nondegenerate_coords(n))}
+        cols = A.levels.nondegenerate_coords(n)
+        action = [[0] * len(cols) for _ in index]
+        for j, a in enumerate(cols):
+            t = index.get(a * gI + end)
+            if t is not None:
+                action[t][j] = 1
         comps.append(ModuleMap(A.normalized.module(n), T.normalized.module(n),
-                               action, check=False))
+                               Matrix(ring, len(index), len(cols), action),
+                               check=False))
     return SimplicialMap(A, T, ChainMap(A.normalized, T.normalized, comps))

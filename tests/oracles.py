@@ -2,16 +2,22 @@
 
 The package never calls these.  Each decides its question by a route of
 its own (determinants, induced maps on homology, kernels of faces, the
-Moore projector), so that a test comparing it with the package's answer
-compares two computations, not one computation with itself.
+Moore projector, whole level matrices), so that a test comparing it with
+the package's answer compares two computations, not one computation with
+itself.
 """
 
 from chaincert.chains.complexes import ChainComplex, ChainMap
 from chaincert.chains.homology import homology_data
+from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (ModuleMap, PresentedModule, cokernel,
                                      direct_sum_module, factor_through,
-                                     kernel)
+                                     kernel, tensor_module)
+from chaincert.simplicial.levels import TensorLevels
+from chaincert.simplicial.surjections import (codegeneracy, coface, compose,
+                                              epi_mono_factor, shuffles,
+                                              surjections)
 
 
 def det(M: Matrix) -> int:
@@ -72,10 +78,202 @@ def homology_iso_all_degrees(f: ChainMap) -> bool:
                for n in range(top + 1))
 
 
+# -- whole levels: the dense constructions the level classes replaced ------
+
+
+def level_module(levels, n: int) -> PresentedModule:
+    """Level n as one presented module: the direct sum of C_k over the
+    surjections [n] ->> [k], or the tensor of the factors' levels."""
+    if isinstance(levels, TensorLevels):
+        return tensor_module(level_module(levels.A, n),
+                             level_module(levels.B, n))
+    return direct_sum_module(levels.ring, [levels.C.module(eta[-1])
+                                           for eta in surjections(n)])
+
+
+def _summand_offsets(levels, n: int) -> dict[tuple, int]:
+    offsets, pos = {}, 0
+    for eta in surjections(n):
+        offsets[eta] = pos
+        pos += levels.C.module(eta[-1]).generators
+    return offsets
+
+
+def structure_matrix(levels, n: int, alpha: tuple[int, ...]) -> Matrix:
+    """alpha^* : level n -> level m as a whole matrix.
+
+    On Gamma(C), summand by summand from the epi-mono factorization
+    eta o alpha = iota o eta': the identity when iota is onto, d when iota
+    misses exactly 0, zero otherwise.  On a tensor, the Kronecker product
+    of the factors' matrices.
+    """
+    if isinstance(levels, TensorLevels):
+        return structure_matrix(levels.A, n, alpha).kron(
+            structure_matrix(levels.B, n, alpha))
+    C, ring, m = levels.C, levels.ring, len(alpha) - 1
+    src, tgt = _summand_offsets(levels, n), _summand_offsets(levels, m)
+    rows = [[0] * level_module(levels, n).generators
+            for _ in range(level_module(levels, m).generators)]
+    for eta in surjections(n):
+        k = eta[-1]
+        g = C.module(k).generators
+        if g == 0:
+            continue
+        eta2, image = epi_mono_factor(compose(eta, alpha))
+        if len(image) == k + 1:
+            block = Matrix.identity(ring, g)
+        elif len(image) == k and image == tuple(range(1, k + 1)):
+            block = C.differential(k).action
+        else:
+            continue
+        r0, c0 = tgt[eta2], src[eta]
+        for a, brow in enumerate(block.data):
+            rows[r0 + a][c0:c0 + block.cols] = brow
+    return Matrix(ring, len(rows), level_module(levels, n).generators, rows)
+
+
+def face_matrix(levels, n: int, i: int) -> Matrix:
+    return structure_matrix(levels, n, coface(n, i))
+
+
+def degeneracy_matrix(levels, n: int, j: int) -> Matrix:
+    return structure_matrix(levels, n, codegeneracy(n, j))
+
+
+def scanned_nondegenerate(levels, n: int) -> list[int]:
+    """The coordinates of level n outside the image of every s_j: their
+    rows of the whole degeneracy matrices are zero."""
+    images = [degeneracy_matrix(levels, n - 1, j) for j in range(n)]
+    return [idx for idx in range(level_module(levels, n).generators)
+            if all(not any(S.data[idx]) for S in images)]
+
+
+def level_matrix(f, n: int) -> Matrix:
+    """The level-n matrix of a map between denormalizations: f_k on every
+    summand, block diagonal."""
+    return Matrix.block_diagonal(f.source.ring, [
+        f.normalized_map.component(eta[-1]).action for eta in surjections(n)])
+
+
+def _moore_differential(levels, n: int) -> Matrix:
+    out = face_matrix(levels, n, 0)
+    for i in range(1, n + 1):
+        term = face_matrix(levels, n, i)
+        out = out - term if i % 2 else out + term
+    return out
+
+
+def restricted_relations(levels, n: int, full: list[int]) -> Matrix:
+    rel = level_module(levels, n).relations
+    restricted = rel.submatrix(full, range(rel.cols))
+    keep = [j for j in range(restricted.cols)
+            if any(restricted[i, j] != 0 for i in range(restricted.rows))]
+    return restricted.columns(keep)
+
+
+def dense_normalized_quotient(levels, top: int) -> ChainComplex:
+    """The quotient by the degenerate coordinates from whole level
+    matrices; the checked constructors refuse it unless the Moore
+    differential descends."""
+    ring = levels.ring
+    coords = [scanned_nondegenerate(levels, n) for n in range(top + 1)]
+    mods = [PresentedModule(ring, len(full),
+                            restricted_relations(levels, n, full))
+            for n, full in enumerate(coords)]
+    diffs = [ModuleMap(mods[n], mods[n - 1],
+                       _moore_differential(levels, n).submatrix(
+                           coords[n - 1], coords[n]))
+             for n in range(1, top + 1)]
+    return ChainComplex(ring, mods, diffs)
+
+
+def _degeneracy_composite(levels, start: int, indices, cols) -> Matrix:
+    """s_{j_r} ... s_{j_1} on the columns ``cols`` of level ``start``,
+    j_1 < ... < j_r applied bottom up."""
+    M = Matrix.identity(levels.ring, level_module(levels, start).generators
+                        ).columns(cols)
+    level = start
+    for j in sorted(indices):
+        M = degeneracy_matrix(levels, level, j) @ M
+        level += 1
+    return M
+
+
+def _face_composite(levels, n: int, m: int, index: int, rows) -> Matrix:
+    """The rows ``rows`` of d_index^(n-m) (index 0, the back face) or of
+    d_{m+1} ... d_n (index None, the front face) : level n -> level m."""
+    g = level_module(levels, m).generators
+    M = Matrix.identity(levels.ring, g).submatrix(rows, range(g))
+    for level in range(m + 1, n + 1):
+        M = M @ face_matrix(levels, level, level if index is None else index)
+    return M
+
+
+def dense_ez(A, B, T) -> ChainMap:
+    """The shuffle map from whole degeneracy matrices, checked."""
+    lay = TensorLayout(A.normalized, B.normalized)
+    source, target, ring = lay.complex(), T.normalized, A.ring
+    comps = []
+    for n in range(max(source.top, target.top) + 1):
+        rows = scanned_nondegenerate(T.levels, n)
+        blocks = []
+        for p, q in lay.pairs(n):
+            cols_a = scanned_nondegenerate(A.levels, p)
+            cols_b = scanned_nondegenerate(B.levels, q)
+            cols = range(len(cols_a) * len(cols_b))
+            block = Matrix.zero(ring, len(rows), len(cols))
+            for sh in shuffles(p, q):
+                left = _degeneracy_composite(A.levels, p, sh.nu, cols_a)
+                right = _degeneracy_composite(B.levels, q, sh.mu, cols_b)
+                term = left.kron(right).submatrix(rows, cols)
+                block = block + term if sh.sign == 1 else block - term
+            blocks.append(block)
+        action = Matrix.zero(ring, len(rows), 0)
+        for block in blocks:
+            action = action.hstack(block)
+        comps.append(ModuleMap(source.module(n), target.module(n), action))
+    return ChainMap(source, target, comps)
+
+
+def dense_aw(A, B, T) -> ChainMap:
+    """The front-back map from whole face matrices, checked."""
+    lay = TensorLayout(A.normalized, B.normalized)
+    source, target, ring = T.normalized, lay.complex(), A.ring
+    comps = []
+    for n in range(max(source.top, target.top) + 1):
+        cols = scanned_nondegenerate(T.levels, n)
+        action = Matrix.zero(ring, 0, len(cols))
+        for p, q in lay.pairs(n):
+            front = _face_composite(A.levels, n, p, None,
+                                    scanned_nondegenerate(A.levels, p))
+            back = _face_composite(B.levels, n, q, 0,
+                                   scanned_nondegenerate(B.levels, q))
+            action = action.vstack(front.kron(back).submatrix(
+                range(front.rows * back.rows), cols))
+        comps.append(ModuleMap(source.module(n), target.module(n), action))
+    return ChainMap(source, target, comps)
+
+
+def dense_tensor_normalized_map(f, g, srcT, tgtT) -> ChainMap:
+    """N(f (x) g) from whole level matrices, checked."""
+    comps = []
+    for n in range(max(srcT.top, tgtT.top) + 1):
+        src_mod = srcT.normalized.module(n)
+        tgt_mod = tgtT.normalized.module(n)
+        if n <= srcT.top:
+            action = level_matrix(f, n).kron(level_matrix(g, n)).submatrix(
+                scanned_nondegenerate(tgtT.levels, n),
+                scanned_nondegenerate(srcT.levels, n))
+        else:
+            action = Matrix.zero(srcT.ring, tgt_mod.generators, 0)
+        comps.append(ModuleMap(src_mod, tgt_mod, action))
+    return ChainMap(srcT.normalized, tgtT.normalized, comps)
+
+
 def full_injection(levels, n: int) -> Matrix:
     """The inclusion of the non-degenerate coordinates of level n."""
-    full = levels.nondegenerate_coords(n)
-    g = levels.rank(n)
+    full = scanned_nondegenerate(levels, n)
+    g = level_module(levels, n).generators
     cols = [[0] * len(full) for _ in range(g)]
     for j, idx in enumerate(full):
         cols[idx][j] = 1
@@ -87,11 +285,12 @@ def normalized_projector(levels, n: int) -> Matrix:
 
     Idempotent onto the normalized part, killing every degeneracy image.
     """
-    g = levels.module(n).generators
+    g = level_module(levels, n).generators
     P = Matrix.identity(levels.ring, g)
     for i in range(n, 0, -1):
         factor = Matrix.identity(levels.ring, g) - (
-            levels.degeneracy(n - 1, i - 1) @ levels.face(n, i))
+            degeneracy_matrix(levels, n - 1, i - 1)
+            @ face_matrix(levels, n, i))
         P = factor @ P
     return P
 
@@ -104,21 +303,22 @@ def normalized_kernel(levels, top: int
     the differential is induced by d_0.
     """
     ring = levels.ring
-    mods: list[PresentedModule] = [levels.module(0)]
-    inclusions: list[ModuleMap] = [ModuleMap.identity(levels.module(0))]
+    level = [level_module(levels, n) for n in range(top + 1)]
+    mods: list[PresentedModule] = [level[0]]
+    inclusions: list[ModuleMap] = [ModuleMap.identity(level[0])]
     for n in range(1, top + 1):
-        stacked = levels.face(n, 1)
+        stacked = face_matrix(levels, n, 1)
         for i in range(2, n + 1):
-            stacked = stacked.vstack(levels.face(n, i))
-        total = direct_sum_module(ring, [levels.module(n - 1)] * n)
-        ker, incl = kernel(ModuleMap(levels.module(n), total, stacked,
-                                     check=False))
+            stacked = stacked.vstack(face_matrix(levels, n, i))
+        total = direct_sum_module(ring, [level[n - 1]] * n)
+        ker, incl = kernel(ModuleMap(level[n], total, stacked, check=False))
         mods.append(ker)
         inclusions.append(incl)
     diffs: list[ModuleMap] = []
     for n in range(1, top + 1):
-        u = ModuleMap(mods[n], levels.module(n - 1),
-                      levels.face(n, 0) @ inclusions[n].action, check=False)
+        u = ModuleMap(mods[n], level[n - 1],
+                      face_matrix(levels, n, 0) @ inclusions[n].action,
+                      check=False)
         w = factor_through(inclusions[n - 1], u)
         if w is None:
             raise ValueError(f"d_0 does not restrict to the normalization "

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert.chains.build import (change_ring, complex_from_data, concentrated,
+from chaincert.chains.build import (change_ring, concentrated,
                                     direct_sum_complexes, disk, interval,
                                     sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
@@ -47,6 +47,13 @@ from chaincert.simplicial.ez_aw import aw, ez
 from chaincert.simplicial.module import degreewise_tensor, gamma
 
 from oracles import homology_iso_all_degrees
+
+
+def complex_from_data(ring, modules, diff_matrices):
+    """The complex on ``modules`` with checked differentials."""
+    diffs = [ModuleMap(modules[n + 1], modules[n], diff_matrices[n])
+             for n in range(len(modules) - 1)]
+    return ChainComplex(ring, modules, diffs)
 
 
 def two_step(ring, a, b):

@@ -1,14 +1,16 @@
-"""Every name a package module imports is used there, and every private
-top-level function or class is read somewhere in the package.
+"""Every name a package module imports is used there, every top-level
+function or class is read somewhere in the package or exported by it, and
+every method of a simplicial class is read in the package.
 
 There is no linter among the project's dependencies, so this reads each
 module of ``src/chaincert`` with ``ast``.  A name counts as used when it
 appears as a name anywhere in the module, annotations included (every
 module has ``from __future__ import annotations``, so they stay
 unquoted).  ``__init__.py`` files re-export what they import and are
-skipped.  A private top-level name (one that starts with ``_``) counts as
-read when some module of the package loads it as a name or an attribute
-outside its own definition.
+skipped.  A top-level name counts as read when some module of the
+package loads it as a name or an attribute outside its own definition; a
+public one may instead be exported by ``chaincert/__init__.py``.  What
+only the tests read lives in ``tests/``.
 """
 
 import ast
@@ -99,4 +101,73 @@ def test_package_private_names_are_read():
                for path in sorted(PACKAGE.rglob("*.py"))}
     offenders = [entry for entry in unread_private_names(sources)
                  if entry.split()[-1] not in TEST_ORACLES]
+    assert not offenders, offenders
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """``path:line name`` of each public top-level function or class that
+    no module reads outside its own definition and ``__init__.py`` does
+    not export."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees.get("__init__.py", ast.Module([])))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in exported
+        and loads[node.name] == _loads(node)[node.name])
+
+
+def unread_methods(sources: dict[str, str], prefix: str) -> list[str]:
+    """``path:line Class.method`` of each method, dunders aside, of a class
+    in a module under ``prefix`` that no module reads as an attribute
+    outside its own definition."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{path}:{method.lineno} {node.name}.{method.name}"
+        for path, tree in trees.items() if path.startswith(prefix)
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for method in node.body if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("__")
+        and loads[method.name] == _loads(method)[method.name])
+
+
+def test_the_scan_sees_unread_public_names_and_methods():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    pass\n"
+                 "def helper():\n    pass\n"
+                 "class Levels:\n"
+                 "    def read(self):\n        return self.used\n"
+                 "    def used(self):\n        return 1\n"
+                 "    def only_itself(self):\n"
+                 "        return self.only_itself()\n"),
+        "b.py": "from .a import Levels\nLevels().read()\n",
+    }
+    assert unread_public_names(sources) == ["a.py:3 helper"]
+    assert unread_methods(sources, "a") == ["a.py:10 Levels.only_itself"]
+    assert unread_methods(sources, "b") == []
+
+
+# read outside the package only: perfbench/ imports it until the next
+# benchmark change folds it into `classify --flavor bousfield`
+PUBLIC_EXCEPTIONS = {"bousfield_report"}
+
+
+def test_package_public_names_are_read_or_exported():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    offenders = [entry for entry in unread_public_names(sources)
+                 if entry.split()[-1] not in PUBLIC_EXCEPTIONS]
+    assert not offenders, offenders
+
+
+def test_simplicial_methods_are_read_in_the_package():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    offenders = unread_methods(sources, "simplicial/")
     assert not offenders, offenders

@@ -349,6 +349,33 @@ def test_stacking_all_blocks_agrees_with_assemble(ring, data):
             Matrix.vstack_all(ring, n + 1, tall)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_stacking_zero_shapes_agrees_with_assemble(ring):
+    """Zero-row and zero-column blocks, and none at all: the row tuples
+    concatenate to what assemble's zero fill gives."""
+    def block(rows, cols):
+        return Matrix(ring, rows, cols,
+                      [[3 * i - 5 * j + 7 for j in range(cols)]
+                       for i in range(rows)])
+
+    for n, sizes in ((0, [2, 0, 3]), (2, [0, 0]), (0, []), (3, []),
+                     (2, [0, 1, 0, 2]), (0, [0])):
+        wide = [block(n, k) for k in sizes]
+        tall = [block(k, n) for k in sizes]
+        H = Matrix.hstack_all(ring, n, wide)
+        V = Matrix.vstack_all(ring, n, tall)
+        assert H == Matrix.assemble(ring, [n], sizes,
+                                    {(0, j): b for j, b in enumerate(wide)})
+        assert V == Matrix.assemble(ring, sizes, [n],
+                                    {(i, 0): b for i, b in enumerate(tall)})
+        assert (H.rows, H.cols, V.rows, V.cols) == \
+            (n, sum(sizes), sum(sizes), n)
+        assert all(len(row) == H.cols for row in H.data)
+        assert all(len(row) == V.cols for row in V.data)
+        assert_canonical(H)
+        assert_canonical(V)
+
+
 def test_public_constructor_checks_shape_and_reduces():
     with pytest.raises(ValueError):
         Matrix(ZZ, 2, 2, [[1, 2], [3]])
