@@ -46,7 +46,8 @@ from .models.yoneda import split_epi_via_yoneda
 from .simplicial.classify import pushout_product_simplicial
 from .simplicial.cotensor import ez_aw_dual_ops
 from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
-from .simplicial.module import degreewise_tensor, gamma, gamma_map, normalize
+from .simplicial.module import (degreewise_tensor, gamma, gamma_map,
+                                normalize, without_zero_relations)
 
 PASS, FAIL, INVALID = "pass", "fail", "invalid"
 
@@ -121,8 +122,10 @@ def _gen_dold_kan(rng, cfg):
 
 @_decodes(complex="complex")
 def _pred_dold_kan(case, cfg, C):
+    """The round trip gives C back in its canonical presentation, which
+    has no zero relation column (one drawn over Z/m may have one)."""
     A = gamma(C, verify=False)
-    return PASS if normalize(A) == C else FAIL
+    return PASS if normalize(A) == without_zero_relations(C) else FAIL
 
 
 def _gen_ez_aw(rng, cfg):
@@ -195,45 +198,46 @@ def _gen_monoidal_h_acyclic(rng, cfg):
     return {"i": chain_map_to_json(i), "k": chain_map_to_json(k)}
 
 
-def _monoidal_legs(i, k, acyclic: bool) -> bool:
-    """Both legs are h-cofibrations and an acyclic leg i is an
-    h-equivalence: the hypothesis of the four monoidal suites."""
-    return (h_cofibration_bit(i).holds
-            and (not acyclic or is_homotopy_equivalence(i))
-            and h_cofibration_bit(k).holds)
+# The four monoidal suites assume that both legs are h-cofibrations and, in
+# the acyclic ones, that i is an h-equivalence.  The legs' bits are read on
+# the product, which decides them once for its own cofibration bit.
 
 
 @_decodes(i="map", k="map")
 def _pred_monoidal_h(case, cfg, i, k):
-    if not _monoidal_legs(i, k, acyclic=False):
-        return INVALID
     report = check_pushout_product_axiom(i, k, "h")
+    if None in report.legs:
+        return INVALID
     return PASS if report.cofibration.holds else FAIL
 
 
 @_decodes(i="map", k="map")
 def _pred_monoidal_h_acyclic(case, cfg, i, k):
-    if not _monoidal_legs(i, k, acyclic=True):
+    if not is_homotopy_equivalence(i):
         return INVALID
     report = check_pushout_product_axiom(i, k, "h", expect_acyclic=True)
+    if None in report.legs:
+        return INVALID
     return PASS if (report.cofibration.holds and report.acyclic) \
         else FAIL
 
 
 @_decodes(i="map", k="map")
 def _pred_monoidal_smod(case, cfg, i, k):
-    if not _monoidal_legs(i, k, acyclic=False):
-        return INVALID
     report = pushout_product_simplicial(gamma_map(i), gamma_map(k))
+    if None in report.legs:
+        return INVALID
     return PASS if report.cofibration.holds else FAIL
 
 
 @_decodes(i="map", k="map")
 def _pred_monoidal_smod_acyclic(case, cfg, i, k):
-    if not _monoidal_legs(i, k, acyclic=True):
+    if not is_homotopy_equivalence(i):
         return INVALID
     report = pushout_product_simplicial(gamma_map(i), gamma_map(k),
                                         expect_acyclic=True)
+    if None in report.legs:
+        return INVALID
     return PASS if (report.cofibration.holds
                     and report.chain_level_cofibration
                     and report.acyclic) else FAIL
@@ -395,14 +399,14 @@ def _gen_enrich_h_over_q(rng, cfg):
 
 @_decodes(i="map", k="map")
 def _pred_enrich_h_over_q(case, cfg, i, k):
-    if not h_cofibration_bit(i).holds:
-        return INVALID
     if not q_cofibration_bit(k).holds:
         return INVALID
     if case["acyclic"] and not quasi_iso(k):
         return INVALID
     report = check_pushout_product_axiom(i, k, "h",
                                          expect_acyclic=bool(case["acyclic"]))
+    if report.legs[0] is None:   # i is not an h-cofibration
+        return INVALID
     if not report.cofibration.holds:
         return FAIL
     if case["acyclic"] and not report.acyclic:

@@ -29,17 +29,12 @@ class TensorLayout:
         self.ring = X.ring
         self.top = X.top + Y.top
         self._modules: dict[int, PresentedModule] = {}
-        self._summands: dict[int, list[PresentedModule]] = {}
         self._complex: ChainComplex | None = None
 
     def pairs(self, n: int) -> list[tuple[int, int]]:
         lo = max(0, n - self.Y.top)
         hi = min(n, self.X.top)
         return [(i, n - i) for i in range(lo, hi + 1)]
-
-    def summand(self, n: int, i: int) -> PresentedModule:
-        self.module(n)
-        return self._summands[n][self.pairs(n).index((i, n - i))]
 
     def module(self, n: int) -> PresentedModule:
         if n in self._modules:
@@ -51,7 +46,6 @@ class TensorLayout:
                     for i, j in self.pairs(n)]
         total = direct_sum_module(self.ring, summands)
         self._modules[n] = total
-        self._summands[n] = summands
         return total
 
     def offset(self, n: int, i: int) -> int:
@@ -114,6 +108,21 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap,
         source = TensorLayout(f.source, g.source)
     if target is None:
         target = TensorLayout(f.target, g.target)
+    return ChainMap(source.complex(), target.complex(),
+                    tensor_module_maps(f.parts, g.parts, source, target),
+                    check=False)
+
+
+def tensor_module_maps(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
+                       source: TensorLayout, target: TensorLayout
+                       ) -> list[ModuleMap]:
+    """The components of f (x) g for graded maps given degree by degree.
+
+    ``f[i]`` maps X_i to X'_i and ``g[j]`` maps Y_j to Y'_j for the factors
+    of ``source`` and ``target``; they need not commute with the
+    differentials.  The (i, j) block is f[i] (x) g[j], well defined
+    because both factors are.
+    """
     ring = source.ring
     comps = []
     for n in range(max(source.top, target.top) + 1):
@@ -127,12 +136,11 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap,
         for sidx, (i, j) in enumerate(spairs):
             if (i, j) in tpairs:
                 tidx = tpairs.index((i, j))
-                blocks[(tidx, sidx)] = f.component(i).action.kron(
-                    g.component(j).action)
+                blocks[(tidx, sidx)] = f[i].action.kron(g[j].action)
         action = Matrix.assemble(ring, row_sizes, col_sizes, blocks)
         comps.append(ModuleMap(source.module(n), target.module(n), action,
                                check=False))
-    return ChainMap(source.complex(), target.complex(), comps, check=False)
+    return comps
 
 
 def braiding(X: ChainComplex, Y: ChainComplex) -> ChainMap:

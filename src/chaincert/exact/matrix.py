@@ -87,16 +87,6 @@ class Matrix:
         return _from_canonical(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
-    def from_rows(ring: RingSpec, entries: Sequence[Sequence[int]]) -> "Matrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return Matrix(ring, rows, cols, entries)
-
-    @staticmethod
-    def column(ring: RingSpec, entries: Sequence[int]) -> "Matrix":
-        return Matrix(ring, len(entries), 1, [[x] for x in entries])
-
-    @staticmethod
     def diagonal(ring: RingSpec, rows: int, cols: int, diag: Sequence[int]) -> "Matrix":
         m = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(diag):

@@ -94,16 +94,6 @@ class RingSpec:
             u += mm
         return u % m, g
 
-    def divides(self, a: int, b: int) -> bool:
-        """True iff b is a multiple of a in this ring."""
-        a, b = self.canon(a), self.canon(b)
-        if self.kind == "Z":
-            if a == 0:
-                return b == 0
-            return b % a == 0
-        g = gcd(a, self.modulus)
-        return b % g == 0
-
     def __str__(self) -> str:
         return "Z" if self.kind == "Z" else f"Z/{self.modulus}"
 

@@ -50,6 +50,7 @@ which rebinds them sees every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..chains.cochain import CochainMap
 from ..chains.complexes import ChainMap, chain_map_equal
@@ -60,7 +61,7 @@ from ..chains.homotopy import (HomotopyEquivalence,
                                is_homotopy_equivalence, quasi_iso)
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
-from ..exact.modules import cokernel, kernel
+from ..exact.modules import ModuleMap, cokernel, kernel, map_equal
 from ..exact.snf import solve
 from ..exact.splitting import is_split_epi, is_split_mono, projective_section
 from ..io.document import graded_to_json, map_to_json
@@ -163,14 +164,44 @@ def bousfield_classify(g: CochainMap) -> Verdict:
     return classify(g, "bousfield")
 
 
-def split_mono_bit(f: ChainMap, degrees) -> ClassBit:
-    retractions = {}
+# a candidate retraction of a map's component in a degree, or None
+Proposal = Callable[[int], ModuleMap | None]
+
+
+def degreewise_retractions(f: ChainMap, degrees,
+                           propose: Proposal | None = None
+                           ) -> tuple[dict[int, ModuleMap], int | None]:
+    """Retractions of the components of ``f`` in ``degrees``, up to the
+    first degree that has none, and that degree (None when every degree
+    has one).
+
+    ``propose(n)``, when given, may offer a retraction r of f_n.  It is kept
+    when r o f_n = id holds modulo the relations, checked by
+    multiplication; otherwise degree n is searched with `is_split_mono`.
+    So a proposal never changes the answer, only how it is found.
+    """
+    found: dict[int, ModuleMap] = {}
     for n in degrees:
-        r = is_split_mono(f.component(n))
+        fn = f.component(n)
+        r = propose(n) if propose is not None else None
+        if r is None or not map_equal(r.compose(fn),
+                                      ModuleMap.identity(fn.source)):
+            r = is_split_mono(fn)
         if r is None:
-            return no(degree=n, reason="no retraction at this degree")
-        retractions[str(n)] = r.action.to_json()
-    return yes({"type": "degreewise_retractions", "degrees": retractions})
+            return found, n
+        found[n] = r
+    return found, None
+
+
+def split_mono_bit(f: ChainMap, degrees, propose: Proposal | None = None
+                   ) -> ClassBit:
+    """The split-mono bit over ``degrees``, by `degreewise_retractions`."""
+    found, missing = degreewise_retractions(f, degrees, propose)
+    if missing is not None:
+        return no(degree=missing, reason="no retraction at this degree")
+    return yes({"type": "degreewise_retractions",
+                "degrees": {str(n): r.action.to_json()
+                            for n, r in found.items()}})
 
 
 def split_epi_bit(f: ChainMap, degrees) -> ClassBit:

@@ -3,27 +3,48 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from ..chains.build import change_ring_map
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
-from ..chains.tensor import TensorLayout, tensor_chain_maps
-from .classify import model_bit, weak_equivalence_holds
+from ..chains.tensor import TensorLayout, tensor_chain_maps, tensor_module_maps
+from ..exact.modules import ModuleMap
+from .classify import (bit_degrees, degreewise_retractions, model_bit,
+                       split_mono_bit, weak_equivalence_holds)
 from .verdict import ClassBit
 
 pushout = pushout_complexes
+
+# degree -> a retraction of a map's component in that degree
+Retractions = dict[int, ModuleMap]
 
 
 @dataclass
 class PushoutProduct:
     """i [] k : (X x W) u_{X x V} (Y x V)  ->  Y x W, with its source (the
-    pushout) and the pushout's two injections."""
+    pushout) and the pushout's two injections.
+
+    It also keeps what `h_cofibration_from_legs` reads: the legs i and k
+    (k after any ring change), the tensor objects X x W, Y x V and Y x W,
+    and ``tensor``, the graded tensor of module maps between two of them.
+    For chain maps these are `TensorLayout`s and `tensor_module_maps`; the
+    simplicial product keeps N(i [] k) here, with N(i), N(k), the
+    degreewise tensors and `tensor_normalized_parts`.
+    """
 
     map: ChainMap
     source: ChainComplex
     target: ChainComplex
     inj_xw: ChainMap
     inj_yv: ChainMap
+    i: ChainMap
+    k: ChainMap
+    xw: Any
+    yv: Any
+    yw: Any
+    tensor: Callable[[Sequence[ModuleMap], Sequence[ModuleMap], Any, Any],
+                     list[ModuleMap]]
 
 
 def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
@@ -48,12 +69,68 @@ def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
     v = tensor_chain_maps(id_y, k, yv, yw)        # Y x V -> Y x W
     # u o leg_xw = i (x) k = v o leg_yv, blockwise kron products
     induced = pushout_induced_chain_map(P, u, v, check=False)
-    return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv)
+    return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv, i, k,
+                          xw, yv, yw, tensor_module_maps)
+
+
+def leg_retractions(i: ChainMap, k: ChainMap
+                    ) -> tuple[Retractions | None, Retractions | None]:
+    """The h-cofibration witnesses of the two legs as module maps: the
+    retractions of every degree of `bit_degrees`, or None for a leg that
+    has no retraction in some degree."""
+    def split(f: ChainMap) -> Retractions | None:
+        found, missing = degreewise_retractions(
+            f, bit_degrees(f, "h", "cofibration"))
+        return found if missing is None else None
+
+    return split(i), split(k)
+
+
+def h_cofibration_from_legs(pp: PushoutProduct,
+                            legs: tuple[Retractions | None,
+                                        Retractions | None]) -> ClassBit:
+    """The h-cofibration bit of i [] k, its retraction built from the legs'.
+
+    With rho and sigma the legs' retractions, each degree is proposed
+
+        r = inj_xw o (rho (x) 1_W) + inj_yv o ((1 - i rho) (x) sigma),
+
+    a retraction of i [] k by the proof in `check_pushout_product_axiom`.
+    The injections are the two coordinate blocks of the pushout's
+    generators (`pushout_complexes`), so r stacks its two terms.  Each
+    degree's r is checked by multiplication, r o (i [] k) = id modulo the
+    relations (`degreewise_retractions`), so a "yes" never rests on the
+    proof.  A degree whose check fails, and every degree when a leg has no
+    retraction, is searched with `is_split_mono`.  That search is needed
+    for completeness: with k an isomorphism, i [] k is one even when i
+    does not split.
+    """
+    degrees = bit_degrees(pp.map, "h", "cofibration")
+    rho, sigma = legs
+    if rho is None or sigma is None:
+        return split_mono_bit(pp.map, degrees)
+    i, Y, W = pp.i, pp.i.target, pp.k.target
+    complement = [ModuleMap.identity(Y.module(n))
+                  - i.component(n).compose(rho[n])
+                  for n in range(Y.top + 1)]
+    to_xw = pp.tensor(rho, ChainMap.identity(W).parts, pp.yw, pp.xw)
+    to_yv = pp.tensor(complement, sigma, pp.yw, pp.yv)
+
+    def propose(n: int) -> ModuleMap | None:
+        if n >= min(len(to_xw), len(to_yv)):
+            return None   # past a tensor's top: left to the search
+        return ModuleMap(pp.target.module(n), pp.source.module(n),
+                         to_xw[n].action.vstack(to_yv[n].action),
+                         check=False)
+
+    return split_mono_bit(pp.map, degrees, propose)
 
 
 @dataclass
 class PushoutProductReport:
     product: PushoutProduct
+    # the retractions of i and of k, None for a leg that does not split
+    legs: tuple[Retractions | None, Retractions | None]
     cofibration: ClassBit   # with its degreewise retractions when "yes"
     acyclic: bool | None   # None when not expected/checked
 
@@ -63,13 +140,42 @@ def check_pushout_product_axiom(i: ChainMap, k: ChainMap, flavor: str = "h",
                                 ) -> PushoutProductReport:
     """Classify i [] k and, when a leg is acyclic, decide acyclicity.
 
-    The cofibration bit is always evaluated, with its witness.  The
-    fibration bit is not: the axiom does not mention it.  Acyclicity is
-    decided only when it is expected, by `weak_equivalence_holds`, which
-    builds no witness; otherwise it is None.
+    The legs' h-cofibration bits are decided once, after any ring change
+    of k, and reported.  The cofibration bit is always evaluated, with its
+    witness.  The fibration bit is not: the axiom does not mention it.
+    Acyclicity is decided only when it is expected, by
+    `weak_equivalence_holds`, which builds no witness; otherwise it is
+    None.
+
+    In the h structure the product's retraction comes from the legs'
+    (`h_cofibration_from_legs`), by Christensen and Hovey's proof that the
+    pushout-product of degreewise split monos is one.  Let rho retract
+    i : X -> Y and sigma retract k : V -> W, degree by degree, as graded
+    maps (neither need commute with d), and
+
+        r = inj_xw o (rho (x) 1_W) + inj_yv o ((1 - i rho) (x) sigma)
+
+    from Y (x) W to the pushout P.  It is well defined as a sum of
+    composites of module maps.  On X (x) W, since rho i = 1,
+
+        r (i (x) 1) = inj_xw o (rho i (x) 1)
+                      + inj_yv o ((i - i rho i) (x) sigma) = inj_xw.
+
+    On Y (x) V, since sigma k = 1 and inj_xw o (1 (x) k) =
+    inj_yv o (i (x) 1) in P,
+
+        r (1 (x) k) = inj_xw o (1 (x) k)(rho (x) 1)
+                      + inj_yv o ((1 - i rho) (x) 1)
+                    = inj_yv o (i rho (x) 1) + inj_yv - inj_yv o (i rho (x) 1)
+                    = inj_yv.
+
+    So r o (i [] k) is the identity on both summands that generate P,
+    modulo P's relations: r retracts i [] k.
     """
     pp = pushout_product(i, k)
-    cofibration = model_bit(pp.map, flavor, "cofibration")
+    legs = leg_retractions(pp.i, pp.k)
+    cofibration = (h_cofibration_from_legs(pp, legs) if flavor == "h"
+                   else model_bit(pp.map, flavor, "cofibration"))
     acyclic = (weak_equivalence_holds(pp.map, flavor) if expect_acyclic
                else None)
-    return PushoutProductReport(pp, cofibration, acyclic)
+    return PushoutProductReport(pp, legs, cofibration, acyclic)

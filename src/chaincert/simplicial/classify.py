@@ -23,7 +23,9 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
-from ..models.pushout import pushout_product
+from ..models.pushout import (PushoutProduct, Retractions,
+                              h_cofibration_from_legs, leg_retractions,
+                              pushout_product)
 from ..models.verdict import ClassBit, Verdict
 from .cotensor import (CotensorData, _identity_simplicial, cotensor,
                        ez_aw_dual_ops)
@@ -31,7 +33,8 @@ from .ez_aw import aw, ez
 from .levels import GammaLevels
 from .module import (SimplicialMap, SimplicialModule, constant_module,
                      degreewise_tensor, end_inclusion, gamma_map,
-                     interval_object, tensor_normalized_map)
+                     interval_object, tensor_normalized_map,
+                     tensor_normalized_parts)
 
 
 def _require(holds: bool, failure: str) -> None:
@@ -241,9 +244,14 @@ def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
 @dataclass
 class SimplicialPushoutProduct:
     map: SimplicialMap
-    # the h-cofibration bit of N(i [] k), with its degreewise retractions
+    # the retractions of N(i) and of N(k), None for a leg that does not
+    # split; decided once, and read by both products' cofibration bits
+    legs: tuple[Retractions | None, Retractions | None]
+    # the h-cofibration bit of N(i [] k), with its degreewise retractions,
+    # built from the legs' retractions (`h_cofibration_from_legs`)
     cofibration: ClassBit
-    # N(i) [] N(k) is an h-cofibration; None unless acyclicity is expected
+    # N(i) [] N(k) is an h-cofibration, by the same closed form; None
+    # unless acyclicity is expected
     chain_level_cofibration: bool | None
     # N(i [] k) is an h-equivalence, decided by the two-out-of-three
     # square; None unless acyclicity is expected
@@ -255,9 +263,27 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
                                ) -> SimplicialPushoutProduct:
     """i [] k on the degreewise tensor, classified through normalization.
 
-    The cofibration bit is the h-cofibration bit of N(i [] k).  When a leg
-    is acyclic, N(i [] k) is decided by the comparison square of the
-    monoidality proof,
+    The legs' h-cofibration bits are those of N(i) and N(k), decided once,
+    after any ring change of k.  The cofibration bit is the h-cofibration
+    bit of N(i [] k).  Its retraction is built from the legs' retractions
+    rho and sigma by `h_cofibration_from_legs`,
+
+        r = inj_xw o N(rho (x) 1) + inj_yv o N((1 - i rho) (x) sigma).
+
+    Levelwise, Gamma(rho) and Gamma(sigma) retract Gamma(i) and Gamma(k),
+    so the proof in `check_pushout_product_axiom` gives a retraction of
+    each level of i [] k.  Gamma(rho) acts by rho_k on each summand
+    eta : [n] ->> [k] of Gamma's levels, so Gamma(rho) (x) Gamma(sigma)
+    keeps degenerate coordinates apart from non-degenerate ones, as the
+    simplicial maps of `tensor_normalized_map` do.  Its non-degenerate
+    block, which `tensor_normalized_parts` reads, is therefore the graded
+    map N(rho (x) sigma) on the quotients, and the level identities hold
+    block by block on them.  Each degree is checked by multiplication;
+    `is_split_mono` decides a degree only when a leg does not split or
+    the check fails.
+
+    When a leg is acyclic, N(i [] k) is decided by the comparison square
+    of the monoidality proof,
 
         induced o ez_corner = ez_yw o chain_pp,
 
@@ -300,10 +326,14 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     induced = pushout_induced_chain_map(P, u, v, check=False)
     source_obj = SimplicialModule(P, GammaLevels(P), P.top + 1)
     product = SimplicialMap(source_obj, yw, induced)
+    pp = PushoutProduct(induced, P, yw.normalized, inj_xw, inj_yv,
+                        i.normalized_map, k.normalized_map, xw, yv, yw,
+                        tensor_normalized_parts)
+    legs = leg_retractions(pp.i, pp.k)
     chain_cof = acyclic = None
     if expect_acyclic:
-        chain_pp = pushout_product(i.normalized_map, k.normalized_map)
-        chain_cof = h_cofibration_bit(chain_pp.map).holds
+        chain_pp = pushout_product(pp.i, pp.k)
+        chain_cof = h_cofibration_from_legs(chain_pp, legs).holds
         ez_yw = ez(Y, W, yw)
         ez_corner = _pushout_of_ez_legs(chain_pp, i, k, xw, yv,
                                         inj_xw, inj_yv)
@@ -315,7 +345,8 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
                    and homotopy_from_retraction(
                        ez_corner, _pushout_of_aw_legs(
                            chain_pp, i, k, xw, yv, P)) is not None)
-    return SimplicialPushoutProduct(product, h_cofibration_bit(induced),
+    return SimplicialPushoutProduct(product, legs,
+                                    h_cofibration_from_legs(pp, legs),
                                     chain_cof, acyclic)
 
 

@@ -11,6 +11,7 @@ against the canonical projector.
 from __future__ import annotations
 
 from math import comb
+from typing import Sequence
 
 from ..chains.complexes import ChainComplex, ChainMap
 from ..errors import CertificateError
@@ -132,9 +133,25 @@ def gamma(C: ChainComplex, cap: int | None = None, *,
     if verify:
         verify_simplicial_identities(levels, cap)
         roundtrip = normalized_quotient(levels, C.top)
-        if roundtrip != C:
+        if roundtrip != without_zero_relations(C):
             raise CertificateError("denormalization failed to normalize back")
     return SimplicialModule(C, levels, cap)
+
+
+def without_zero_relations(C: ChainComplex) -> ChainComplex:
+    """C with every relation column that is zero (mod m) dropped.
+
+    The same complex, in the presentation the round trip through the
+    levels gives it, since `GammaLevels.relations_on` drops zero columns.
+    Unchecked: the modules and differentials are C's, each module with
+    the same relation span.
+    """
+    mods = [PresentedModule(C.ring, M.generators, M.relations.columns(
+        [j for j in range(M.relations.cols)
+         if any(row[j] for row in M.relations.data)])) for M in C.mods]
+    diffs = [ModuleMap(mods[n], mods[n - 1], C.differential(n).action,
+                       check=False) for n in range(1, C.top + 1)]
+    return ChainComplex(C.ring, mods, diffs, check=False)
 
 
 def normalize(A: SimplicialModule) -> ChainComplex:
@@ -165,26 +182,6 @@ class SimplicialMap:
         self.target = target
         self.normalized_map = normalized_map
 
-    def level_columns(self, n: int, coords) -> dict[int, SparseRow]:
-        """The columns ``coords`` of the induced matrix on level n, sparse
-        (denormalization-backed levels only): f_k on every summand
-        eta : [n] ->> [k], block diagonal because both levels list their
-        summands in the same order."""
-        src, tgt = self.source.levels, self.target.levels
-        if not isinstance(src, GammaLevels) or not isinstance(tgt, GammaLevels):
-            raise NotImplementedError(
-                "level maps are read on denormalization levels")
-        surj = sj.surjections(n)
-        out: dict[int, SparseRow] = {}
-        for c in coords:
-            s, b = src.locate(n, c)
-            k = sj.degree_of(surj[s])
-            action = self.normalized_map.component(k).action
-            r0 = tgt.offset(n, s)
-            out[c] = [(r0 + a, row[b]) for a, row in enumerate(action.data)
-                      if row[b]]
-        return out
-
     def __repr__(self) -> str:
         return f"SimplicialMap({self.normalized_map!r})"
 
@@ -198,28 +195,72 @@ def gamma_map(f: ChainMap, source: SimplicialModule | None = None,
     return SimplicialMap(source, target, f)
 
 
+def gamma_level_columns(f: Sequence[ModuleMap], src: GammaLevels,
+                        tgt: GammaLevels, n: int, coords
+                        ) -> dict[int, SparseRow]:
+    """The columns ``coords`` of Gamma(f) on level n, sparse.
+
+    ``f[k]`` maps C_k to D_k for the complexes of ``src`` and ``tgt``;
+    Gamma(f) acts by f[k] on every summand eta : [n] ->> [k], block
+    diagonal because both levels list their summands in the same order.
+    For a chain map f it is the level map of the simplicial map Gamma(f).
+    """
+    if not isinstance(src, GammaLevels) or not isinstance(tgt, GammaLevels):
+        raise NotImplementedError(
+            "level maps are read on denormalization levels")
+    surj = sj.surjections(n)
+    out: dict[int, SparseRow] = {}
+    for c in coords:
+        s, b = src.locate(n, c)
+        action = f[sj.degree_of(surj[s])].action
+        r0 = tgt.offset(n, s)
+        out[c] = [(r0 + a, row[b]) for a, row in enumerate(action.data)
+                  if row[b]]
+    return out
+
+
 def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
                           srcT: SimplicialModule, tgtT: SimplicialModule
                           ) -> ChainMap:
     """N(f (x) g) between degreewise tensors, read off the level maps.
 
-    A chain map by construction: f (x) g is a simplicial map, and its
-    level matrices keep each coordinate's degeneracy positions (f_k and
-    g_l act within a summand), so they map degenerate coordinates to
-    degenerate ones, non-degenerate pairs to non-degenerate pairs, and the
-    non-degenerate block is the induced map of the quotients.
+    A chain map by construction: f (x) g is a simplicial map, and
+    `tensor_normalized_parts` reads its non-degenerate block.
+    """
+    return ChainMap(srcT.normalized, tgtT.normalized,
+                    tensor_normalized_parts(f.normalized_map.parts,
+                                            g.normalized_map.parts,
+                                            srcT, tgtT), check=False)
+
+
+def tensor_normalized_parts(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
+                            srcT: SimplicialModule, tgtT: SimplicialModule
+                            ) -> list[ModuleMap]:
+    """The non-degenerate block of Gamma(f) (x) Gamma(g), degree by degree.
+
+    ``f`` and ``g`` are graded maps between the normalized complexes of the
+    factors of ``srcT`` and ``tgtT``, which are denormalizations; they
+    need not commute with the differentials.  Gamma(f) and Gamma(g) act
+    within each summand, so their level tensor keeps each coordinate's
+    degeneracy positions: it maps degenerate coordinates to degenerate
+    ones and non-degenerate pairs to non-degenerate pairs, and the
+    non-degenerate block is the induced map of the quotients, well
+    defined because the level relations are block diagonal over the
+    summand pairs as well.
     """
     ring = srcT.ring
+    src, tgt = srcT.levels, tgtT.levels
     comps = []
-    top = max(srcT.top, tgtT.top)
-    for n in range(top + 1):
-        rows = tgtT.levels.nondegenerate_coords(n)
-        cols = srcT.levels.nondegenerate_coords(n) if n <= srcT.top else []
+    for n in range(max(srcT.top, tgtT.top) + 1):
+        rows = tgt.nondegenerate_coords(n)
+        cols = src.nondegenerate_coords(n) if n <= srcT.top else []
         index = {r: t for t, r in enumerate(rows)}
-        gb_src, gb_tgt = srcT.levels.B.rank(n), tgtT.levels.B.rank(n)
+        gb_src, gb_tgt = src.B.rank(n), tgt.B.rank(n)
         pairs = [divmod(c, gb_src) for c in cols]
-        f_cols = f.level_columns(n, {a for a, _ in pairs})
-        g_cols = g.level_columns(n, {b for _, b in pairs})
+        f_cols = gamma_level_columns(f, src.A, tgt.A, n,
+                                     {a for a, _ in pairs})
+        g_cols = gamma_level_columns(g, src.B, tgt.B, n,
+                                     {b for _, b in pairs})
         action = [[0] * len(cols) for _ in rows]
         for j, (a, b) in enumerate(pairs):
             for ra, va in f_cols[a]:
@@ -229,7 +270,7 @@ def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
                                tgtT.normalized.module(n),
                                Matrix(ring, len(rows), len(cols), action),
                                check=False))
-    return ChainMap(srcT.normalized, tgtT.normalized, comps, check=False)
+    return comps
 
 
 def constant_module(ring: RingSpec) -> SimplicialModule:

@@ -9,11 +9,14 @@ import pytest
 
 from chaincert.certify import (FAIL, INVALID, PASS, CertifyConfig, SUITES,
                                _decodes, run_suite, shrink_case)
-from chaincert.chains.build import disk
+from chaincert.chains.build import concentrated, disk
 from chaincert.chains.complexes import ChainMap
+from chaincert.exact.matrix import Matrix
+from chaincert.exact.modules import PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.document import chain_map_to_json, complex_to_json
 from chaincert.io.reports import dump
+from chaincert.simplicial.module import gamma, normalize
 
 
 def test_all_suites_smoke():
@@ -50,6 +53,19 @@ def test_dold_kan_over_zmod6():
     report = run_suite(CertifyConfig("dold-kan", seed=5, cases=6,
                                      ring=Zmod(6)))
     assert report["ok"]
+
+
+def test_dold_kan_over_zmod4_with_zero_relation_columns():
+    """Cases 5, 9 and 11 at this seed draw a C_k with a zero relation
+    column ([[0]] over Z/4); the round trip drops it and still gives C."""
+    report = run_suite(CertifyConfig("dold-kan", seed=7, cases=12,
+                                     ring=Zmod(4)))
+    assert report["ok"], report["failures"]
+    zero_column = PresentedModule(Zmod(4), 1, Matrix(Zmod(4), 1, 1, [[4]]))
+    C = concentrated(zero_column, 0)
+    A = gamma(C)   # the verified round trip accepts it too
+    assert A.normalized is C
+    assert normalize(A).module(0).relations.cols == 0
 
 
 def test_config_guards():

@@ -1,6 +1,6 @@
 """Every name a package module imports is used there, every top-level
 function or class is read somewhere in the package or exported by it, and
-every method of a simplicial class is read in the package.
+every method of a package class is read in the package.
 
 There is no linter among the project's dependencies, so this reads each
 module of ``src/chaincert`` with ``ast``.  A name counts as used when it
@@ -166,8 +166,14 @@ def test_package_public_names_are_read_or_exported():
     assert not offenders, offenders
 
 
-def test_simplicial_methods_are_read_in_the_package():
+# read by tests only: the package's answer that tests/test_snf.py checks
+# against the minor oracle
+METHOD_EXCEPTIONS = {"SNFResult.invariant_factors"}
+
+
+def test_package_methods_are_read():
     sources = {str(path.relative_to(PACKAGE)): path.read_text()
                for path in sorted(PACKAGE.rglob("*.py"))}
-    offenders = unread_methods(sources, "simplicial/")
+    offenders = [entry for entry in unread_methods(sources, "")
+                 if entry.split()[-1] not in METHOD_EXCEPTIONS]
     assert not offenders, offenders

@@ -1,0 +1,206 @@
+"""The pushout-product's retraction built from its legs' retractions.
+
+`h_cofibration_from_legs` proposes r = inj_xw (rho (x) 1) + inj_yv ((1 - i
+rho) (x) sigma) in every degree and keeps it when r o (i [] k) = id holds
+modulo the relations; `is_split_mono` decides a degree only when a leg
+does not split or that check fails.  These tests hold the closed form to
+the search, on drawn pairs and in the certify suites, and exercise both
+ways into the search.
+"""
+
+import json
+import random
+import sys
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chaincert.chains.build import disk, sphere, unit_complex, zero_complex
+from chaincert.chains.complexes import ChainMap
+from chaincert.cli import main
+from chaincert.exact.matrix import Matrix
+from chaincert.exact.modules import ModuleMap, map_equal
+from chaincert.exact.rings import ZZ, Zmod
+from chaincert.models.classify import bit_degrees, split_mono_bit
+from chaincert.models.generators import random_q_cofibration, random_split_mono
+from chaincert.models.pushout import check_pushout_product_axiom
+from chaincert.simplicial.classify import pushout_product_simplicial
+from chaincert.simplicial.module import gamma_map
+
+RINGS = {"Z": (ZZ, ZZ), "Z/4": (Zmod(4), Zmod(4)), "Z/6": (Zmod(6), Zmod(6)),
+         # the enriched case: k over Z tensored against a Z/m leg i
+         "Z/4 over Z": (Zmod(4), ZZ), "Z/6 over Z": (Zmod(6), ZZ)}
+
+
+def _wrap_everywhere(monkeypatch, name, wrapper):
+    """Rebind ``name`` in every loaded chaincert module that imports it."""
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("chaincert")
+                and hasattr(module, name)):
+            monkeypatch.setattr(module, name, wrapper(getattr(module, name)))
+
+
+@contextmanager
+def searches_recorded():
+    """The source of every map `is_split_mono` decides while open."""
+    sources = []
+    with pytest.MonkeyPatch.context() as mp:
+        def record(real):
+            def decide(f):
+                sources.append(f.source)
+                return real(f)
+            return decide
+        _wrap_everywhere(mp, "is_split_mono", record)
+        yield sources
+
+
+def _corner_searched(sources, f: ChainMap) -> bool:
+    return any(M is f.source.module(n) for M in sources
+               for n in range(f.source.top + 1))
+
+
+def _retractions_check(bit, f: ChainMap) -> bool:
+    """Every retraction of a "yes" witness, read back from its JSON,
+    satisfies r o f_n = id modulo the relations."""
+    ring = f.source.ring
+    for key, rows in bit.witness["degrees"].items():
+        fn = f.component(int(key))
+        r = ModuleMap(fn.target, fn.source,
+                      Matrix(ring, fn.source.generators,
+                             fn.target.generators, rows))
+        if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
+            return False
+    return True
+
+
+def _legs(rng, ring, k_ring, acyclic):
+    i = (random_q_cofibration(ring, rng, acyclic=True, max_rank=2)
+         if acyclic else random_split_mono(ring, rng, max_rank=2))
+    return i, random_split_mono(k_ring, rng, max_rank=2)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rings=st.sampled_from(sorted(RINGS)), seed=st.integers(0, 10 ** 6),
+       acyclic=st.booleans())
+def test_closed_form_splits_both_products_as_the_search_does(rings, seed,
+                                                             acyclic):
+    """On drawn h-cofibration pairs, both the chain-level product and
+    N(i [] k) are h-cofibrations by the closed form alone, every
+    retraction of the witness checks, and the search agrees."""
+    ring, k_ring = RINGS[rings]
+    i, k = _legs(random.Random(seed), ring, k_ring, acyclic)
+    with searches_recorded() as sources:
+        chain = check_pushout_product_axiom(i, k, "h")
+        simplicial = pushout_product_simplicial(gamma_map(i), gamma_map(k))
+    for legs, bit, f in (
+            (chain.legs, chain.cofibration, chain.product.map),
+            (simplicial.legs, simplicial.cofibration,
+             simplicial.map.normalized_map)):
+        assert None not in legs
+        assert bit.holds
+        assert not _corner_searched(sources, f)
+        assert _retractions_check(bit, f)
+        assert split_mono_bit(f, bit_degrees(f, "h", "cofibration")).holds
+
+
+def test_monoidal_suites_never_search_a_corner(monkeypatch, tmp_path):
+    """With `is_split_mono` refusing every map out of a pushout corner,
+    the monoidal suites still pass: the products split by the closed
+    form."""
+    corners = []
+
+    def record_corner(real):
+        def build(*args, **kwargs):
+            out = real(*args, **kwargs)
+            corners.append(out[0])
+            return out
+        return build
+
+    def refuse_corner(real):
+        def decide(f):
+            if any(f.source is P.module(n) for P in corners
+                   for n in range(P.top + 1)):
+                raise RuntimeError("split-mono search on a pushout corner")
+            return real(f)
+        return decide
+
+    _wrap_everywhere(monkeypatch, "pushout_complexes", record_corner)
+    _wrap_everywhere(monkeypatch, "is_split_mono", refuse_corner)
+    for suite in ("monoidal-h", "monoidal-smod", "monoidal-smod-acyclic"):
+        for ring in ("z", "z/4"):
+            out = tmp_path / "report.json"
+            assert main(["certify", "--suite", suite, "--ring", ring,
+                         "--seed", "7", "--cases", "6",
+                         "--out", str(out)]) == 0
+            results = json.loads(out.read_text())["results"]
+            assert len(results) == 6 and all(r["ok"] for r in results)
+    assert corners
+
+
+def _times(d: int) -> ChainMap:
+    R = unit_complex(ZZ)
+    return ChainMap(R, R, [ModuleMap(R.module(0), R.module(0),
+                                     Matrix(ZZ, 1, 1, [[d]]))])
+
+
+@pytest.mark.parametrize("k, holds", [
+    (ChainMap.identity(disk(ZZ, 1)), True),
+    (ChainMap.zero(zero_complex(ZZ), sphere(ZZ, 1)), False),
+], ids=["iso", "from-zero"])
+def test_a_leg_that_does_not_split_falls_back_to_the_search(k, holds):
+    """i = 2 : R -> R does not split.  With k an isomorphism, i [] k is
+    one, so the answer is "yes" although the closed form has no rho; with
+    k = 0 -> S^1, i [] k is 2 in degree 1 and the "no" names the degree
+    the search names."""
+    i = _times(2)
+    chain = check_pushout_product_axiom(i, k, "h")
+    simplicial = pushout_product_simplicial(gamma_map(i), gamma_map(k))
+    assert chain.legs[0] is None and simplicial.legs[0] is None
+    for bit, f in ((chain.cofibration, chain.product.map),
+                   (simplicial.cofibration, simplicial.map.normalized_map)):
+        search = split_mono_bit(f, bit_degrees(f, "h", "cofibration"))
+        assert bit.holds == search.holds == holds
+        assert bit.to_json() == search.to_json()
+        if not holds:
+            assert bit.obstruction["degree"] == 1
+
+
+def test_a_wrong_proposal_is_searched_again():
+    """A proposal that fails r o f_n = id never changes the answer."""
+    rng = random.Random(5)
+    for f in (random_split_mono(ZZ, rng, max_rank=3), _times(3)):
+        degrees = bit_degrees(f, "h", "cofibration")
+
+        def zero(n):
+            fn = f.component(n)
+            return ModuleMap.zero_map(fn.target, fn.source)
+
+        with searches_recorded() as sources:
+            proposed = split_mono_bit(f, degrees, zero)
+        assert proposed.to_json() == split_mono_bit(f, degrees).to_json()
+        assert sources
+
+
+def test_leg_decisions_are_made_once_per_product(monkeypatch):
+    """The legs are searched once per product, also when the acyclic
+    route builds the chain-level product N(i) [] N(k) next to N(i [] k)."""
+    rng = random.Random(9)
+    i = random_q_cofibration(ZZ, rng, acyclic=True, max_rank=2)
+    k = random_split_mono(ZZ, rng, max_rank=2)
+    calls = []
+
+    def count(real):
+        def decide(f, *args):
+            calls.append(f)
+            return real(f, *args)
+        return decide
+
+    _wrap_everywhere(monkeypatch, "degreewise_retractions", count)
+    report = pushout_product_simplicial(gamma_map(i), gamma_map(k),
+                                        expect_acyclic=True)
+    assert report.cofibration.holds and report.chain_level_cofibration
+    legs = [f for f in calls if f is i or f is k]
+    assert len(legs) == 2

@@ -28,7 +28,8 @@ from chaincert.simplicial.levels import (GammaLevels, TensorLevels,
                                          verify_simplicial_identities)
 from chaincert.simplicial.module import (SimplicialMap, constant_module,
                                          degreewise_tensor, end_inclusion,
-                                         gamma, gamma_map, interval_object,
+                                         gamma, gamma_level_columns,
+                                         gamma_map, interval_object,
                                          normalize, normalized_quotient,
                                          tensor_normalized_map)
 from chaincert.simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
@@ -150,7 +151,8 @@ def test_gamma_map_levels_commute_with_structure():
     # the sparse columns the tensor maps read are those of the whole matrix
     for n in range(4):
         M = level_matrix(f, n)
-        cols = f.level_columns(n, range(M.cols))
+        cols = gamma_level_columns(f.normalized_map.parts, A.levels,
+                                   B.levels, n, range(M.cols))
         assert all(cols[c] == [(r, M[r, c]) for r in range(M.rows) if M[r, c]]
                    for c in range(M.cols))
 
