@@ -9,8 +9,9 @@ Positive answers come with witnesses that re-verify exactly.
 
 Deciding that f is a homotopy equivalence is kept apart from building its
 witness.  The decision, `is_homotopy_equivalence`, is one validated
-contraction of the mapping cone, or, when a retraction r of f is at hand,
-of the image of id - f o r (`homotopy_from_retraction`).
+contraction of the mapping cone, or, with f's graded retractions at
+hand, of coker f (`cokernel_contraction`, or `homotopy_from_retraction`
+when the retraction is a chain map).
 `is_chain_homotopy_equivalence` makes the same contraction and extracts
 the inverse and both homotopies from it; only callers that emit that
 witness use it.
@@ -19,11 +20,13 @@ witness use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
+from ..errors import CertificateError
 from ..exact.equations import (MapVariable, MatrixRelation, solve_by_degree,
                                solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap
+from ..exact.modules import ModuleMap, map_equal
 from .complexes import ChainComplex, ChainHomotopy, ChainMap, chain_map_equal
 from .cones import ConeData, mapping_cone
 from .homology import first_homology
@@ -72,7 +75,8 @@ def contract_image(p: ChainMap) -> ChainHomotopy | None:
     for a cycle phi in im p, d t phi = p (p - G d) phi = phi.  So t phi_n
     is a well-defined solution whatever s_{n-1} was, and a degree with no
     solution proves that no such G exists.  A solution in every degree
-    is a homotopy from zero to p.
+    is a homotopy from zero to p, checked by multiplication
+    (CertificateError if the check fails).
     """
     C = p.source
     ring = C.ring
@@ -92,7 +96,10 @@ def contract_image(p: ChainMap) -> ChainHomotopy | None:
             return None
         s_n = p.component(n + 1).action @ sol["s"]
         parts.append(ModuleMap(src, tgt, s_n, check=False))
-    return ChainHomotopy(ChainMap.zero(C, C), p, parts)
+    h = ChainHomotopy(ChainMap.zero(C, C), p, parts, check=False)
+    if not h.validate():
+        raise CertificateError("computed contraction s fails d s + s d = p")
+    return h
 
 
 def find_contraction(C: ChainComplex) -> ChainHomotopy | None:
@@ -121,6 +128,50 @@ def is_homotopy_equivalence(f: ChainMap) -> bool:
     built.
     """
     return find_contraction(mapping_cone(f).complex) is not None
+
+
+def cokernel_contraction(f: ChainMap,
+                         r: Mapping[int, ModuleMap] | Sequence[ModuleMap]
+                         ) -> ChainHomotopy | None:
+    """T with (e d e) T + T (e d e) = e and T = e T e, where e = id - f r on
+    f's target B; or None, which proves that f is no h-equivalence.
+
+    ``r[n]`` retracts f_n in every degree (ValueError unless r_n f_n = id,
+    checked by multiplication); the r_n need not commute with d.
+
+    Proof.  e is a graded idempotent with e f = 0, so e d f = e f d = 0
+    and (e d e)^2 = e d (id - f r) d e = 0: (B, e d e) is a complex, e an
+    idempotent chain map on it, and im e with e d e is coker f, since the
+    class of d x in coker f is that of e d x.  `contract_image(e)` finds s
+    exactly when coker f is contractible, and T = s e satisfies the same
+    identity, as s = e s and e (e d e) = e d e = (e d e) e.  f is
+    degreewise split, so cone(f) ~ coker f: f is an h-equivalence iff T
+    exists.  T gives the strong deformation retraction r' = r - r d T:
+    with id = e + f r, T = e T = T e and e f = 0,
+
+        d T + T d = (e + f r) d e T + T e d (e + f r)
+                  = (e d e) T + f r d T + T (e d e) = id - f r',
+
+    r' f = r f - r d T e f = id, and d (id - f r') = (id - f r') d gives
+    f (d r' - r' d) = 0, so r' is a chain map.
+    """
+    A, B = f.source, f.target
+    for n in range(max(A.top, B.top) + 1):
+        fn = f.component(n)
+        if not map_equal(r[n].compose(fn), ModuleMap.identity(fn.source)):
+            raise ValueError(f"r_{n} o f_{n} is not the identity")
+    e = [ModuleMap.identity(B.module(n)) - f.component(n).compose(r[n])
+         for n in range(B.top + 1)]
+    # a complex with an idempotent chain map, by the proof above
+    C = ChainComplex(B.ring, B.mods, [e[n - 1].compose(d).compose(e[n])
+                                      for n, d in enumerate(B.diffs, 1)],
+                     check=False)
+    s = contract_image(ChainMap(C, C, e, check=False))
+    if s is None:
+        return None
+    # T = s e, by the proof above
+    return ChainHomotopy(s.from_map, s.to_map, [
+        part.compose(e[n]) for n, part in enumerate(s.parts)], check=False)
 
 
 def homotopy_from_retraction(f: ChainMap, r: ChainMap

@@ -69,11 +69,20 @@ def is_json_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_RING_FORMS = ('a ring is {"kind": "Z"} or {"kind": "Zmod", "modulus": m} '
+               'with an integer m >= 2')
+
+
 def parse_ring(data: Any, location: str = "ring") -> RingSpec:
+    if not isinstance(data, dict):
+        raise DocumentError(location, f"invalid ring {data!r}; {_RING_FORMS}")
+    if data.get("kind") == "Zmod" and "modulus" not in data:
+        raise DocumentError(f"{location}.modulus",
+                            f"required field is missing; {_RING_FORMS}")
     try:
         return RingSpec.from_json(data)
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        raise DocumentError(location, f"invalid ring: {exc}")
+    except ValueError as exc:
+        raise DocumentError(location, f"invalid ring: {exc}; {_RING_FORMS}")
 
 
 def parse_matrix(ring: RingSpec, data: Any, rows: int, cols: int,

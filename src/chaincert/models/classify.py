@@ -196,7 +196,12 @@ def degreewise_retractions(f: ChainMap, degrees,
 def split_mono_bit(f: ChainMap, degrees, propose: Proposal | None = None
                    ) -> ClassBit:
     """The split-mono bit over ``degrees``, by `degreewise_retractions`."""
-    found, missing = degreewise_retractions(f, degrees, propose)
+    return retractions_bit(*degreewise_retractions(f, degrees, propose))
+
+
+def retractions_bit(found: dict[int, ModuleMap], missing: int | None
+                    ) -> ClassBit:
+    """The split-mono bit of an answer of `degreewise_retractions`."""
     if missing is not None:
         return no(degree=missing, reason="no retraction at this degree")
     return yes({"type": "degreewise_retractions",

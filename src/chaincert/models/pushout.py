@@ -8,16 +8,18 @@ from typing import Any, Callable, Sequence
 from ..chains.build import change_ring_map
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
+from ..chains.homotopy import cokernel_contraction, is_homotopy_equivalence
 from ..chains.tensor import TensorLayout, tensor_chain_maps, tensor_module_maps
 from ..exact.modules import ModuleMap
-from .classify import (bit_degrees, degreewise_retractions, model_bit,
-                       split_mono_bit, weak_equivalence_holds)
+from .classify import bit_degrees, degreewise_retractions, retractions_bit
 from .verdict import ClassBit
 
 pushout = pushout_complexes
 
 # degree -> a retraction of a map's component in that degree
 Retractions = dict[int, ModuleMap]
+# the retractions of i and of k, None for a leg that does not split
+Legs = tuple[Retractions | None, Retractions | None]
 
 
 @dataclass
@@ -25,7 +27,7 @@ class PushoutProduct:
     """i [] k : (X x W) u_{X x V} (Y x V)  ->  Y x W, with its source (the
     pushout) and the pushout's two injections.
 
-    It also keeps what `h_cofibration_from_legs` reads: the legs i and k
+    It also keeps what `decide_pushout_product` reads: the legs i and k
     (k after any ring change), the tensor objects X x W, Y x V and Y x W,
     and ``tensor``, the graded tensor of module maps between two of them.
     For chain maps these are `TensorLayout`s and `tensor_module_maps`; the
@@ -73,8 +75,7 @@ def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
                           xw, yv, yw, tensor_module_maps)
 
 
-def leg_retractions(i: ChainMap, k: ChainMap
-                    ) -> tuple[Retractions | None, Retractions | None]:
+def leg_retractions(i: ChainMap, k: ChainMap) -> Legs:
     """The h-cofibration witnesses of the two legs as module maps: the
     retractions of every degree of `bit_degrees`, or None for a leg that
     has no retraction in some degree."""
@@ -86,10 +87,11 @@ def leg_retractions(i: ChainMap, k: ChainMap
     return split(i), split(k)
 
 
-def h_cofibration_from_legs(pp: PushoutProduct,
-                            legs: tuple[Retractions | None,
-                                        Retractions | None]) -> ClassBit:
-    """The h-cofibration bit of i [] k, its retraction built from the legs'.
+def decide_pushout_product(pp: PushoutProduct, expect_acyclic: bool
+                           ) -> tuple[Legs, ClassBit, bool | None]:
+    """The legs' retractions, the h-cofibration bit of i [] k with its
+    retraction built from the legs', and, only when ``expect_acyclic``,
+    whether i [] k is an h-equivalence (otherwise None).
 
     With rho and sigma the legs' retractions, each degree is proposed
 
@@ -104,51 +106,60 @@ def h_cofibration_from_legs(pp: PushoutProduct,
     retraction, is searched with `is_split_mono`.  That search is needed
     for completeness: with k an isomorphism, i [] k is one even when i
     does not split.
+
+    Acyclicity is read off the retractions of i [] k by one contraction
+    of its cokernel (`cokernel_contraction`); only a product with no
+    retraction is decided by its cone.  No witness of it is kept.
     """
-    degrees = bit_degrees(pp.map, "h", "cofibration")
+    legs = leg_retractions(pp.i, pp.k)
     rho, sigma = legs
-    if rho is None or sigma is None:
-        return split_mono_bit(pp.map, degrees)
-    i, Y, W = pp.i, pp.i.target, pp.k.target
-    complement = [ModuleMap.identity(Y.module(n))
-                  - i.component(n).compose(rho[n])
-                  for n in range(Y.top + 1)]
-    to_xw = pp.tensor(rho, ChainMap.identity(W).parts, pp.yw, pp.xw)
-    to_yv = pp.tensor(complement, sigma, pp.yw, pp.yv)
+    propose = None
+    if rho is not None and sigma is not None:
+        i, Y, W = pp.i, pp.i.target, pp.k.target
+        complement = [ModuleMap.identity(Y.module(n))
+                      - i.component(n).compose(rho[n])
+                      for n in range(Y.top + 1)]
+        to_xw = pp.tensor(rho, ChainMap.identity(W).parts, pp.yw, pp.xw)
+        to_yv = pp.tensor(complement, sigma, pp.yw, pp.yv)
 
-    def propose(n: int) -> ModuleMap | None:
-        if n >= min(len(to_xw), len(to_yv)):
-            return None   # past a tensor's top: left to the search
-        return ModuleMap(pp.target.module(n), pp.source.module(n),
-                         to_xw[n].action.vstack(to_yv[n].action),
-                         check=False)
+        def propose(n: int) -> ModuleMap | None:
+            if n >= min(len(to_xw), len(to_yv)):
+                return None   # past a tensor's top: left to the search
+            return ModuleMap(pp.target.module(n), pp.source.module(n),
+                             to_xw[n].action.vstack(to_yv[n].action),
+                             check=False)
 
-    return split_mono_bit(pp.map, degrees, propose)
+    found, missing = degreewise_retractions(
+        pp.map, bit_degrees(pp.map, "h", "cofibration"), propose)
+    acyclic = None
+    if expect_acyclic:
+        acyclic = (is_homotopy_equivalence(pp.map) if missing is not None
+                   else cokernel_contraction(pp.map, found) is not None)
+    return legs, retractions_bit(found, missing), acyclic
 
 
 @dataclass
 class PushoutProductReport:
     product: PushoutProduct
-    # the retractions of i and of k, None for a leg that does not split
-    legs: tuple[Retractions | None, Retractions | None]
+    legs: Legs
     cofibration: ClassBit   # with its degreewise retractions when "yes"
     acyclic: bool | None   # None when not expected/checked
 
 
-def check_pushout_product_axiom(i: ChainMap, k: ChainMap, flavor: str = "h",
-                                *, expect_acyclic: bool = False
+def check_pushout_product_axiom(i: ChainMap, k: ChainMap, *,
+                                expect_acyclic: bool = False
                                 ) -> PushoutProductReport:
-    """Classify i [] k and, when a leg is acyclic, decide acyclicity.
+    """Classify i [] k in the h structure and, when a leg is acyclic,
+    decide acyclicity.
 
     The legs' h-cofibration bits are decided once, after any ring change
     of k, and reported.  The cofibration bit is always evaluated, with its
     witness.  The fibration bit is not: the axiom does not mention it.
-    Acyclicity is decided only when it is expected, by
-    `weak_equivalence_holds`, which builds no witness; otherwise it is
-    None.
+    Acyclicity is decided only when it is expected, with the cofibration
+    bit's retractions (`decide_pushout_product`); otherwise it is None.
 
-    In the h structure the product's retraction comes from the legs'
-    (`h_cofibration_from_legs`), by Christensen and Hovey's proof that the
+    The product's retraction comes from the legs'
+    (`decide_pushout_product`), by Christensen and Hovey's proof that the
     pushout-product of degreewise split monos is one.  Let rho retract
     i : X -> Y and sigma retract k : V -> W, degree by degree, as graded
     maps (neither need commute with d), and
@@ -173,9 +184,5 @@ def check_pushout_product_axiom(i: ChainMap, k: ChainMap, flavor: str = "h",
     modulo P's relations: r retracts i [] k.
     """
     pp = pushout_product(i, k)
-    legs = leg_retractions(pp.i, pp.k)
-    cofibration = (h_cofibration_from_legs(pp, legs) if flavor == "h"
-                   else model_bit(pp.map, flavor, "cofibration"))
-    acyclic = (weak_equivalence_holds(pp.map, flavor) if expect_acyclic
-               else None)
-    return PushoutProductReport(pp, legs, cofibration, acyclic)
+    return PushoutProductReport(pp, *decide_pushout_product(pp,
+                                                            expect_acyclic))

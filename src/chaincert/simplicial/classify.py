@@ -15,17 +15,14 @@ from ..chains.build import interval
 from ..chains.complexes import (ChainHomotopy, ChainMap, LiftingProblem,
                                 chain_map_equal)
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
-from ..chains.homotopy import (chain_homotopic, homotopy_from_retraction,
-                               is_homotopy_equivalence)
+from ..chains.homotopy import chain_homotopic
 from ..chains.tensor import cylinder_map, interval_cylinder
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
-from ..models.pushout import (PushoutProduct, Retractions,
-                              h_cofibration_from_legs, leg_retractions,
-                              pushout_product)
+from ..models.pushout import Legs, PushoutProduct, decide_pushout_product
 from ..models.verdict import ClassBit, Verdict
 from .cotensor import (CotensorData, _identity_simplicial, cotensor,
                        ez_aw_dual_ops)
@@ -244,17 +241,13 @@ def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
 @dataclass
 class SimplicialPushoutProduct:
     map: SimplicialMap
-    # the retractions of N(i) and of N(k), None for a leg that does not
-    # split; decided once, and read by both products' cofibration bits
-    legs: tuple[Retractions | None, Retractions | None]
+    # the retractions of N(i) and of N(k), decided once
+    legs: Legs
     # the h-cofibration bit of N(i [] k), with its degreewise retractions,
-    # built from the legs' retractions (`h_cofibration_from_legs`)
+    # built from the legs' retractions (`decide_pushout_product`)
     cofibration: ClassBit
-    # N(i) [] N(k) is an h-cofibration, by the same closed form; None
+    # N(i [] k) is an h-equivalence, decided with those retractions; None
     # unless acyclicity is expected
-    chain_level_cofibration: bool | None
-    # N(i [] k) is an h-equivalence, decided by the two-out-of-three
-    # square; None unless acyclicity is expected
     acyclic: bool | None
 
 
@@ -266,7 +259,7 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     The legs' h-cofibration bits are those of N(i) and N(k), decided once,
     after any ring change of k.  The cofibration bit is the h-cofibration
     bit of N(i [] k).  Its retraction is built from the legs' retractions
-    rho and sigma by `h_cofibration_from_legs`,
+    rho and sigma by `decide_pushout_product`,
 
         r = inj_xw o N(rho (x) 1) + inj_yv o N((1 - i rho) (x) sigma).
 
@@ -282,31 +275,11 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     `is_split_mono` decides a degree only when a leg does not split or
     the check fails.
 
-    When a leg is acyclic, N(i [] k) is decided by the comparison square
-    of the monoidality proof,
-
-        induced o ez_corner = ez_yw o chain_pp,
-
-    where chain_pp = N(i) [] N(k) is the chain-level product, ez_yw the
-    shuffle map into N(Y (x) W) and ez_corner the map from the chain
-    corner to the simplicial one induced by the shuffle maps of the two
-    legs.  ``acyclic`` is the conjunction of three facts: chain_pp is an
-    h-equivalence, the square commutes (checked by multiplication), and
-    both EZ legs are h-equivalences, each decided on its target with its
-    AW retraction (`homotopy_from_retraction`).  Without
-    ``expect_acyclic`` the chain-level product is not built, and
-    ``chain_level_cofibration`` and ``acyclic`` are None.
-
-    Sound: if the three facts hold, induced o ez_corner = ez_yw o chain_pp
-    is a composite of equivalences.  Since aw_corner o ez_corner = id, the
-    retraction aw_corner is a homotopy inverse of ez_corner (for any
-    inverse g, aw_corner ~ aw_corner ez_corner g = g).  So induced ~
-    induced o ez_corner o aw_corner, a composite of equivalences, and
-    N(i [] k) is one.  Complete when i and k are h-cofibrations: ez_yw is
-    an equivalence by the Eilenberg-Zilber theorem, and ez_corner by the
-    gluing lemma, since both corners are pushouts along degreewise split
-    monomorphisms and every complex is h-cofibrant.  Once both legs are
-    equivalences, the square gives chain_pp acyclic iff N(i [] k) is.
+    When a leg is acyclic, ``acyclic`` decides whether N(i [] k) is an
+    h-equivalence with the retractions above, by one contraction of
+    coker N(i [] k) (`decide_pushout_product`), sound and complete for
+    any degreewise split map by the proof of `cokernel_contraction`.
+    Without ``expect_acyclic`` it is None.
     """
     if k.source.ring != i.source.ring:
         k = _change_ring_simplicial(k, i.source.ring)
@@ -329,59 +302,9 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     pp = PushoutProduct(induced, P, yw.normalized, inj_xw, inj_yv,
                         i.normalized_map, k.normalized_map, xw, yv, yw,
                         tensor_normalized_parts)
-    legs = leg_retractions(pp.i, pp.k)
-    chain_cof = acyclic = None
-    if expect_acyclic:
-        chain_pp = pushout_product(pp.i, pp.k)
-        chain_cof = h_cofibration_from_legs(chain_pp, legs).holds
-        ez_yw = ez(Y, W, yw)
-        ez_corner = _pushout_of_ez_legs(chain_pp, i, k, xw, yv,
-                                        inj_xw, inj_yv)
-        acyclic = (is_homotopy_equivalence(chain_pp.map)
-                   and chain_map_equal(induced.compose(ez_corner),
-                                       ez_yw.compose(chain_pp.map))
-                   and homotopy_from_retraction(
-                       ez_yw, aw(Y, W, yw)) is not None
-                   and homotopy_from_retraction(
-                       ez_corner, _pushout_of_aw_legs(
-                           chain_pp, i, k, xw, yv, P)) is not None)
-    return SimplicialPushoutProduct(product, legs,
-                                    h_cofibration_from_legs(pp, legs),
-                                    chain_cof, acyclic)
-
-
-def _pushout_of_ez_legs(chain_pp, i, k, xw, yv, inj_xw, inj_yv):
-    """EZ u_EZ EZ from the chain corner to the simplicial corner."""
-    X, Y = i.source, i.target
-    V, W = k.source, k.target
-    ez_xw = ez(X, W, xw)
-    ez_yv = ez(Y, V, yv)
-    return pushout_induced_chain_map(chain_pp.source,
-                                     inj_xw.compose(ez_xw),
-                                     inj_yv.compose(ez_yv))
-
-
-def _pushout_of_aw_legs(chain_pp, i, k, xw, yv, P):
-    """AW u_AW AW from the simplicial corner P back to the chain corner.
-
-    The map out of P induced by inj o AW on both legs.  It is well defined
-    by the naturality of AW: on N(X (x) V),
-
-        inj o AW o N(id (x) k) = inj o (id (x) N(k)) o AW
-        inj o AW o N(i (x) id) = inj o (N(i) (x) id) o AW,
-
-    and the right-hand sides agree because the chain corner is the
-    pushout of id (x) N(k) and N(i) (x) id.  It retracts
-    `_pushout_of_ez_legs`, since AW o EZ = id on each leg, which
-    `homotopy_from_retraction` checks.
-    """
-    X, Y = i.source, i.target
-    V, W = k.source, k.target
-    aw_xw = aw(X, W, xw)
-    aw_yv = aw(Y, V, yv)
-    return pushout_induced_chain_map(P, chain_pp.inj_xw.compose(aw_xw),
-                                     chain_pp.inj_yv.compose(aw_yv),
-                                     check=False)
+    return SimplicialPushoutProduct(product,
+                                    *decide_pushout_product(pp,
+                                                            expect_acyclic))
 
 
 def _change_ring_simplicial(k: SimplicialMap, ring) -> SimplicialMap:

@@ -137,3 +137,21 @@ def test_shrinking_respects_invalid():
 
     shrunk = shrink_case(case, predicate)
     assert shrunk["value"] == 4  # 8 -> 4; 4 -> 2 passes, 4 -> 0 passes
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_acyclic_suites_never_decide_by_the_cone(monkeypatch, ring):
+    """When both legs split, the acyclic monoidal suites decide the leg and
+    the product by contractions of their cokernels, with the retractions
+    in hand; none reaches `is_homotopy_equivalence`."""
+    def refuse(f):
+        raise RuntimeError("is_homotopy_equivalence called")
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("chaincert")
+                and hasattr(module, "is_homotopy_equivalence")):
+            monkeypatch.setattr(module, "is_homotopy_equivalence", refuse)
+    for suite in ("monoidal-h-acyclic", "monoidal-smod-acyclic",
+                  "enrich-h-over-q"):
+        report = run_suite(CertifyConfig(suite, seed=7, cases=10, ring=ring))
+        assert report["ok"], f"{suite}: {report['failures']}"

@@ -18,8 +18,8 @@ from chaincert.chains import homcx
 from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
                                     hom_truncation)
 from chaincert.chains.homology import homology
-from chaincert.chains.homotopy import (chain_homotopic, contract_image,
-                                       find_contraction,
+from chaincert.chains.homotopy import (chain_homotopic, cokernel_contraction,
+                                       contract_image, find_contraction,
                                        homotopy_from_retraction,
                                        is_chain_homotopy_equivalence,
                                        is_homotopy_equivalence, nullhomotopy,
@@ -41,7 +41,10 @@ from chaincert.io.document import (chain_map_from_json, chain_map_to_json,
                                    cochain_map_from_json,
                                    complex_to_json, parse_chain_complex,
                                    parse_cochain_complex)
+from chaincert.models.classify import bit_degrees, degreewise_retractions
 from chaincert.models.generators import (random_chain_map, random_complex,
+                                         random_q_cofibration,
+                                         random_split_mono,
                                          twist_complex_with_iso)
 from chaincert.simplicial.ez_aw import aw, ez
 from chaincert.simplicial.module import degreewise_tensor, gamma
@@ -478,6 +481,47 @@ def test_retraction_route_refuses_a_wrong_retraction():
         homotopy_from_retraction(injs[1], doubled)
     with pytest.raises(ValueError, match="r o f"):
         homotopy_from_retraction(injs[1], projs[0])  # r o f = 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_cokernel_contraction_answers_as_the_cone(ring):
+    """On acyclic q-cofibrations and drawn split monos, with graded
+    retractions r, coker f contracts exactly when the cone of f does, and
+    each contraction T gives the strong deformation retraction
+    r' = r - r d T of f, with T a homotopy from f r' to id."""
+    rng = random.Random(25)
+    answers = []
+    for index in range(20):
+        f = (random_q_cofibration(ring, rng, acyclic=True, max_rank=2)
+             if index % 2 else random_split_mono(ring, rng, max_rank=2))
+        r, missing = degreewise_retractions(
+            f, bit_degrees(f, "h", "cofibration"))
+        assert missing is None
+        T = cokernel_contraction(f, r)
+        assert (T is not None) == is_homotopy_equivalence(f)
+        answers.append(T is not None)
+        if T is None:
+            continue
+        A, B = f.source, f.target
+        # checked constructors: relations go to relations, d r' = r' d and
+        # d T + T d = id - f r'
+        r_prime = ChainMap(B, A, [ModuleMap(
+            B.module(n), A.module(n),
+            (r[n] - r[n].compose(B.differential(n + 1))
+             .compose(T.component(n))).action) for n in range(B.top + 1)])
+        assert chain_map_equal(r_prime.compose(f), ChainMap.identity(A))
+        ChainHomotopy(f.compose(r_prime), ChainMap.identity(B), [
+            ModuleMap(part.source, part.target, part.action)
+            for part in T.parts])
+    assert True in answers and False in answers
+
+
+def test_cokernel_contraction_refuses_a_wrong_retraction():
+    total, injs, projs = direct_sum_complexes([disk(ZZ, 1), sphere(ZZ, 0)])
+    assert cokernel_contraction(injs[1], projs[1].parts) is not None
+    assert cokernel_contraction(injs[0], projs[0].parts) is None
+    with pytest.raises(ValueError, match="r_0 o f_0"):
+        cokernel_contraction(injs[1], (projs[1] + projs[1]).parts)
 
 
 def test_quasi_iso_examples():

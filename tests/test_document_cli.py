@@ -1033,6 +1033,24 @@ def test_cli_validate_refuses_non_integers(tmp_path, capsys, name, damage,
     assert f"error: {location}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring, location", [
+    ("z/4", "ring"),                  # the command line's spelling
+    ({"kind": "Zmod"}, "ring.modulus")])
+def test_cli_validate_says_what_a_ring_looks_like(tmp_path, capsys, ring,
+                                                  location):
+    doc = _load_fixture("interval.json")
+    doc["ring"] = ring
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", str(path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {location}: " in err
+    assert '{"kind": "Zmod", "modulus": m}' in err
+    assert "attribute" not in err
+
+
 def test_cli_verify_refuses_boolean_entries(tmp_path, capsys):
     report = interval_h_report()
     report["map"]["components"] = [[[True], [False]]]

@@ -165,7 +165,7 @@ def test_pushout_product_of_unit_with_L_is_L():
 
 def test_pushout_product_disk_disk():
     i = from_zero(disk(ZZ, 1))
-    report = check_pushout_product_axiom(i, i, "h", expect_acyclic=True)
+    report = check_pushout_product_axiom(i, i, expect_acyclic=True)
     assert report.cofibration.holds
     assert report.acyclic
     pp = report.product
@@ -177,7 +177,7 @@ def test_pushout_product_random_split_monos():
     for _ in range(3):
         i = random_split_mono(ZZ, rng, max_rank=2)
         k = random_split_mono(ZZ, rng, max_rank=2)
-        report = check_pushout_product_axiom(i, k, "h")
+        report = check_pushout_product_axiom(i, k)
         assert report.cofibration.holds
 
 
@@ -377,7 +377,8 @@ def test_chain_section_retraction_helpers():
 # fail and the cylinder ends swapped; the EZ/AW predicates run with no
 # contraction found (both reach it through `homotopy_from_retraction`);
 # then the solver is stubbed to answer zero for every
-# unknown, a wrong answer for each call.
+# unknown, a wrong answer for each call, and a contraction of a cokernel
+# must refuse it.
 CERTIFICATE_GUARDS = """
 import json
 import sys
@@ -462,11 +463,13 @@ report({
         cot),
 })
 
+contract_image = homotopy.contract_image
 homotopy.contract_image = lambda p: None
 case = {"a": complex_to_json(disk(ZZ, 1)), "b": complex_to_json(sphere(ZZ, 0))}
 for suite in ("ez-aw", "ez-aw-dual"):
     print(suite, certify.SUITES[suite].predicate(
         case, certify.CertifyConfig(suite, 0, 1)))
+homotopy.contract_image = contract_image
 
 def zero_solution(ring, variables, relations):
     return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
@@ -486,9 +489,13 @@ calls = {
         LiftingProblem(from_zero, ident, from_zero, ident)),
     "chain_section": lambda: lifting.chain_section(ident),
     "chain_retraction": lambda: lifting.chain_retraction(ident),
+    "cokernel_contraction": lambda: homotopy.cokernel_contraction(
+        ChainMap.zero(zero_complex(ZZ), D1.source),
+        ChainMap.zero(D1.source, zero_complex(ZZ)).parts),
 }
 classify.is_split_mono = lambda fn: None
 splitting.solve_map_relations = zero_solution
+homotopy.solve_map_relations = zero_solution
 lifting.solve_by_degree = zero_sweep
 report(calls)
 """
@@ -511,4 +518,4 @@ def test_witness_guards_survive_python_O():
     assert lines[7:9] == ["ez-aw fail", "ez-aw-dual fail"]
     assert lines[9:] == [f"{name} raised" for name in (
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
-        "chain_section", "chain_retraction")]
+        "chain_section", "chain_retraction", "cokernel_contraction")]

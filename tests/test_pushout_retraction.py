@@ -1,6 +1,6 @@
 """The pushout-product's retraction built from its legs' retractions.
 
-`h_cofibration_from_legs` proposes r = inj_xw (rho (x) 1) + inj_yv ((1 - i
+`decide_pushout_product` proposes r = inj_xw (rho (x) 1) + inj_yv ((1 - i
 rho) (x) sigma) in every degree and keeps it when r o (i [] k) = id holds
 modulo the relations; `is_split_mono` decides a degree only when a leg
 does not split or that check fails.  These tests hold the closed form to
@@ -93,7 +93,7 @@ def test_closed_form_splits_both_products_as_the_search_does(rings, seed,
     ring, k_ring = RINGS[rings]
     i, k = _legs(random.Random(seed), ring, k_ring, acyclic)
     with searches_recorded() as sources:
-        chain = check_pushout_product_axiom(i, k, "h")
+        chain = check_pushout_product_axiom(i, k)
         simplicial = pushout_product_simplicial(gamma_map(i), gamma_map(k))
     for legs, bit, f in (
             (chain.legs, chain.cofibration, chain.product.map),
@@ -156,7 +156,7 @@ def test_a_leg_that_does_not_split_falls_back_to_the_search(k, holds):
     k = 0 -> S^1, i [] k is 2 in degree 1 and the "no" names the degree
     the search names."""
     i = _times(2)
-    chain = check_pushout_product_axiom(i, k, "h")
+    chain = check_pushout_product_axiom(i, k)
     simplicial = pushout_product_simplicial(gamma_map(i), gamma_map(k))
     assert chain.legs[0] is None and simplicial.legs[0] is None
     for bit, f in ((chain.cofibration, chain.product.map),
@@ -185,8 +185,9 @@ def test_a_wrong_proposal_is_searched_again():
 
 
 def test_leg_decisions_are_made_once_per_product(monkeypatch):
-    """The legs are searched once per product, also when the acyclic
-    route builds the chain-level product N(i) [] N(k) next to N(i [] k)."""
+    """The legs are searched once per product, also when acyclicity is
+    expected and N(i [] k) is decided with the retractions built from
+    them."""
     rng = random.Random(9)
     i = random_q_cofibration(ZZ, rng, acyclic=True, max_rank=2)
     k = random_split_mono(ZZ, rng, max_rank=2)
@@ -201,6 +202,6 @@ def test_leg_decisions_are_made_once_per_product(monkeypatch):
     _wrap_everywhere(monkeypatch, "degreewise_retractions", count)
     report = pushout_product_simplicial(gamma_map(i), gamma_map(k),
                                         expect_acyclic=True)
-    assert report.cofibration.holds and report.chain_level_cofibration
+    assert report.cofibration.holds and report.acyclic
     legs = [f for f in calls if f is i or f is k]
     assert len(legs) == 2
