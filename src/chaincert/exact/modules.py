@@ -286,6 +286,13 @@ class HomSpace:
 
     ``module`` has one generator per column of ``gens``; each generator is a
     well-defined map M -> N encoded by its action matrix.
+
+    For a free source R^k every matrix is well defined and a map is zero
+    in Hom exactly when each column lies in the span of N's relations, so
+    Hom(R^k, N) is N^k in closed form: the generators are the unit
+    matrices in the order of ``Matrix.vec`` and the relations are
+    I_k (x) rel_N with its zero columns dropped, the presentation the
+    kernel route below gives it.  Other sources take the kernel route.
     """
 
     __slots__ = ("source", "target", "module", "gens", "_gen_matrix", "_coord_system")
@@ -296,20 +303,23 @@ class HomSpace:
             raise ValueError("ring mismatch")
         gS, gT = source.generators, target.generators
         rS, rT = source.relations.cols, target.relations.cols
-        # well-definedness: phi @ relS = relT @ Y for some Y, flattened
-        lhs = source.relations.transpose().kron(Matrix.identity(ring, gT))
-        rhs = Matrix.identity(ring, rS).kron(target.relations)
-        system = lhs.hstack(-rhs) if rS else Matrix.zero(ring, 0, gT * gS + rS * rT)
-        K = kernel_matrix(system)
-        phi_part = K.submatrix(range(gT * gS), range(K.cols))
-        phi_part = _drop_zero_columns(phi_part)
         # maps that are zero in Hom: phi = relT @ Z columnwise
         zero_maps = Matrix.identity(ring, gS).kron(target.relations)
-        relations = Matrix.zero(ring, phi_part.cols, 0)
-        if phi_part.cols:
-            Krel = kernel_matrix(phi_part.hstack(-zero_maps))
-            relations = _drop_zero_columns(
-                Krel.submatrix(range(phi_part.cols), range(Krel.cols)))
+        if not rS:
+            phi_part = Matrix.identity(ring, gT * gS)
+            relations = _drop_zero_columns(zero_maps)
+        else:
+            # well-definedness: phi @ relS = relT @ Y for some Y, flattened
+            lhs = source.relations.transpose().kron(Matrix.identity(ring, gT))
+            rhs = Matrix.identity(ring, rS).kron(target.relations)
+            K = kernel_matrix(lhs.hstack(-rhs))
+            phi_part = _drop_zero_columns(
+                K.submatrix(range(gT * gS), range(K.cols)))
+            relations = Matrix.zero(ring, phi_part.cols, 0)
+            if phi_part.cols:
+                Krel = kernel_matrix(phi_part.hstack(-zero_maps))
+                relations = _drop_zero_columns(
+                    Krel.submatrix(range(phi_part.cols), range(Krel.cols)))
         self.source = source
         self.target = target
         self.module = PresentedModule(ring, phi_part.cols, relations)

@@ -106,6 +106,8 @@ class RingSpec:
     def from_json(data: dict) -> "RingSpec":
         kind = data.get("kind")
         if kind == "Z":
+            if "modulus" in data:
+                raise ValueError("the integers carry no modulus")
             return ZZ
         if kind == "Zmod":
             return Zmod(data["modulus"])

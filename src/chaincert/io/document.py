@@ -79,6 +79,9 @@ def parse_ring(data: Any, location: str = "ring") -> RingSpec:
     if data.get("kind") == "Zmod" and "modulus" not in data:
         raise DocumentError(f"{location}.modulus",
                             f"required field is missing; {_RING_FORMS}")
+    if data.get("kind") == "Z" and "modulus" in data:
+        raise DocumentError(f"{location}.modulus",
+                            f"the integers carry no modulus; {_RING_FORMS}")
     try:
         return RingSpec.from_json(data)
     except ValueError as exc:

@@ -24,11 +24,39 @@ j at which they lie in the image of s_j.  In the denormalization a
 coordinate of the eta summand has the non-jump positions of eta; in a
 tensor the pair (a, b) has the intersection of the two sets, so the
 non-degenerate pairs are those with disjoint sets (Eilenberg-Zilber).
+
+Two routes normalize a level model (``module.normalized_quotient``).  A
+``TensorLevels`` whose two factors are of exact type ``GammaLevels``, the
+tensor Gamma(C) (x) Gamma(D) of every monoidal check, takes the plan
+route.  Which pairs of summands (eta_1 : [n] ->> [p], eta_2 : [n] ->> [q])
+are non-degenerate, where each lands in the normalized basis and where
+each face sends it depend only on the ranks of the C_k and D_k, so
+``pair_layout``, ``face_plan``, ``relation_plan`` and ``parts_plan``
+compile them once per shape into process-wide memos, and a case only
+fills in the entries of its own differentials, relations and maps.  The
+key is the factors' ``GammaLevels.shape()``: the rank of each C_k and
+D_k, with the nonzero relation columns of each for ``relation_plan``
+(zero columns are dropped), and the level n.  Every other model, Gamma(C)
+alone, a tensor with a tensor factor, or a subclass, takes the
+coordinate route through ``operator_rows`` and ``relations_on`` above,
+which stays the oracle for the plans.
+
+The descent check is part of compilation.  ``face_plan`` sums the face
+terms sign * (X (x) Y), X the identity or d_p and Y the identity or d_q,
+formally per pair of summands and per kind of term; a degenerate source
+pair whose terms into a non-degenerate pair do not cancel to zero raises
+``degenerate part is not a subcomplex at level n``.  When they cancel,
+every degenerate column of the Moore rows into the non-degenerate pairs
+is zero, whatever the entries of C and D, so the per-case check of the
+coordinate route (those columns lie in the span of the relations) holds
+for every C and D of that shape.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from math import comb
 
 from ..chains.complexes import ChainComplex
 from ..exact.matrix import Matrix
@@ -37,6 +65,9 @@ from . import surjections as sj
 
 # a sparse matrix row: (column, entry) for each nonzero entry
 SparseRow = list[tuple[int, int]]
+# the shape of a Gamma(C): the rank of each C_k, and the nonzero columns
+# of each C_k's relations
+Shape = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=None)
@@ -92,6 +123,19 @@ class GammaLevels:
         # (degeneracy positions, coordinates) of each nonzero summand
         self._layouts: dict[int, tuple[list[int], list[int], list]] = {}
         self._rows: dict[tuple[int, tuple], list[SparseRow]] = {}
+        self._shape: Shape | None = None
+
+    def shape(self) -> Shape:
+        """The key of the plans: the rank of each C_k, and the columns of
+        each C_k's relations that are not zero."""
+        if self._shape is None:
+            mods = self.C.mods
+            self._shape = (tuple(M.generators for M in mods),
+                           tuple(tuple(j for j in range(M.relations.cols)
+                                       if any(row[j]
+                                              for row in M.relations.data))
+                                 for M in mods))
+        return self._shape
 
     def _layout(self, n: int) -> tuple[list[int], list[int], list]:
         if n not in self._layouts:
@@ -112,15 +156,6 @@ class GammaLevels:
 
     def rank(self, n: int) -> int:
         return len(self._layout(n)[1])
-
-    def locate(self, n: int, c: int) -> tuple[int, int]:
-        """(summand index, coordinate within the summand) of coordinate c."""
-        offsets, owner, _ = self._layout(n)
-        s = owner[c]
-        return s, c - offsets[s]
-
-    def offset(self, n: int, s: int) -> int:
-        return self._layout(n)[0][s]
 
     def operator_rows(self, n: int, alpha: tuple[int, ...],
                       rows) -> list[SparseRow]:
@@ -279,6 +314,177 @@ class TensorLevels:
             out.sort()
             self._nondegenerate[n] = out
         return self._nondegenerate[n]
+
+
+# -- plans for Gamma(C) (x) Gamma(D), one per shape and level --------------
+
+
+@lru_cache(maxsize=None)
+def nonzero_summands(ranks: tuple[int, ...], n: int
+                     ) -> tuple[tuple[int, int, int], ...]:
+    """(s, k, mask) for each summand eta : [n] ->> [k] of level n of a
+    Gamma(C) with ``ranks[k]`` = rank C_k > 0: s is its index in
+    ``surjections(n)`` and bit j of mask is set when eta[j] = eta[j + 1],
+    its degeneracy positions.  In the order of ``surjections(n)``; the
+    summands of zero rank are never enumerated."""
+    out = []
+    base = 0
+    for k in range(n + 1):
+        if k < len(ranks) and ranks[k]:
+            for t, jumps in enumerate(itertools.combinations(
+                    range(1, n + 1), k)):
+                mask = (1 << n) - 1
+                for x in jumps:
+                    mask ^= 1 << (x - 1)
+                out.append((base + t, k, mask))
+        base += comb(n, k)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def pair_layout(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...], n: int
+                ) -> tuple[int, tuple]:
+    """The non-degenerate pairs of level n of Gamma(C) (x) Gamma(D).
+
+    Returns (rank, groups): one group (s, k, start, stride, partners) per
+    nonzero summand s of Gamma(C) that has a partner, and partners holds
+    (s2, k2, offset) for each nonzero summand s2 of Gamma(D) whose
+    degeneracy positions are disjoint from those of s.  The pair of
+    coordinate a of s and b of s2 is generator start + a * stride +
+    offset + b of the normalized module, the order of a * rank B_n + b.
+    """
+    b_summands = nonzero_summands(ranks_b, n)
+    groups = []
+    start = 0
+    for s, k, mask in nonzero_summands(ranks_a, n):
+        partners = []
+        stride = 0
+        for s2, k2, mask2 in b_summands:
+            if not mask & mask2:
+                partners.append((s2, k2, stride))
+                stride += ranks_b[k2]
+        if stride:
+            groups.append((s, k, start, stride, tuple(partners)))
+            start += ranks_a[k] * stride
+    return start, tuple(groups)
+
+
+def _pair_index(groups: tuple) -> dict[tuple[int, int], tuple]:
+    """(first generator, stride, k, k2) of each pair of summands (s, s2)."""
+    return {(s, s2): (start + offset, stride, k, k2)
+            for s, k, start, stride, partners in groups
+            for s2, k2, offset in partners}
+
+
+def _face_preimages(ranks: tuple[int, ...], n: int
+                    ) -> list[dict[int, list[tuple[int, bool]]]]:
+    """Per face d_i of level n, the nonzero summands of level n it sends to
+    each nonzero summand of level n - 1, with ``operator_table``'s via_d."""
+    targets = {s for s, _, _ in nonzero_summands(ranks, n - 1)}
+    sources = nonzero_summands(ranks, n)
+    out = []
+    for i in range(n + 1):
+        table = operator_table(sj.coface(n, i), n)
+        preimages: dict[int, list[tuple[int, bool]]] = {}
+        for s, _, _ in sources:
+            entry = table[s]
+            if entry is not None and entry[0] in targets:
+                preimages.setdefault(entry[0], []).append((s, entry[1]))
+        out.append(preimages)
+    return out
+
+
+@lru_cache(maxsize=None)
+def face_plan(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...], n: int
+              ) -> tuple[tuple, ...]:
+    """The normalized differential from level n to n - 1 as blocks.
+
+    Each block (c, k, via_d, k2, via_d2, row0, row_stride, col0,
+    col_stride) is c times X (x) Y from a non-degenerate source pair to a
+    non-degenerate target pair, X the differential d_k of C when via_d
+    and the identity of C_k otherwise, Y likewise on D; entry (x, y) of
+    X (x) Y sits at row row0 + x_row * row_stride + y_row and column
+    col0 + x_col * col_stride + y_col.  c is the alternating sum over
+    the faces that send the source pair to the target pair by that kind
+    of term.  The terms from degenerate pairs must cancel, or this raises
+    (see the module docstring).
+    """
+    source = _pair_index(pair_layout(ranks_a, ranks_b, n)[1])
+    faces_a = _face_preimages(ranks_a, n)
+    faces_b = _face_preimages(ranks_b, n)
+    terms: dict[tuple, int] = {}
+    for t, _, start, stride, partners in pair_layout(ranks_a, ranks_b,
+                                                     n - 1)[1]:
+        for t2, _, offset in partners:
+            for i in range(n + 1):
+                sign = -1 if i % 2 else 1
+                for s, via in faces_a[i].get(t, ()):
+                    for s2, via2 in faces_b[i].get(t2, ()):
+                        key = (start + offset, stride, s, s2, via, via2)
+                        terms[key] = terms.get(key, 0) + sign
+    blocks = []
+    for (row0, row_stride, s, s2, via, via2), c in terms.items():
+        if not c:
+            continue
+        cell = source.get((s, s2))
+        if cell is None:
+            raise ValueError(f"degenerate part is not a subcomplex "
+                             f"at level {n}")
+        col0, col_stride, k, k2 = cell
+        blocks.append((c, k, via, k2, via2, row0, row_stride, col0,
+                       col_stride))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def relation_plan(shape_a: Shape, shape_b: Shape, n: int
+                  ) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """The columns of ``TensorLevels.relations_on`` at the non-degenerate
+    pairs of level n, in its order.
+
+    Each column (side, k, j, row, step, count) holds column j of the
+    relations of C_k (side 0, R_C (x) I) or D_k (side 1, I (x) R_D):
+    entry x of that column at row row + x * step, for x < count.  Only
+    the nonzero columns of the factors' relations are listed, so no
+    column of the result is zero.
+    """
+    (ranks_a, cols_a), (ranks_b, cols_b) = shape_a, shape_b
+    left, right = [], []
+    for _, k, start, stride, partners in pair_layout(ranks_a, ranks_b,
+                                                     n)[1]:
+        for j in cols_a[k]:
+            for _, k2, offset in partners:
+                for b in range(ranks_b[k2]):
+                    left.append((0, k, j, start + offset + b, stride,
+                                 ranks_a[k]))
+        for a in range(ranks_a[k]):
+            row = start + a * stride
+            for _, k2, offset in partners:
+                for j in cols_b[k2]:
+                    right.append((1, k2, j, row + offset, 1, ranks_b[k2]))
+    return tuple(left + right)
+
+
+@lru_cache(maxsize=None)
+def parts_plan(src_a: tuple[int, ...], src_b: tuple[int, ...],
+               tgt_a: tuple[int, ...], tgt_b: tuple[int, ...], n: int
+               ) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Gamma(f) (x) Gamma(g) on the non-degenerate pairs of level n.
+
+    Gamma(f) acts by f_k on every summand, so the pair of summands
+    (s, s2) goes to the same pair, by f_k (x) g_k2.  One block (k, k2,
+    row0, row_stride, col0, col_stride) per pair that is nonzero on both
+    sides, placed as in ``face_plan``.
+    """
+    target = _pair_index(pair_layout(tgt_a, tgt_b, n)[1])
+    blocks = []
+    for s, k, start, stride, partners in pair_layout(src_a, src_b, n)[1]:
+        for s2, k2, offset in partners:
+            cell = target.get((s, s2))
+            if cell is not None:
+                blocks.append((k, k2, cell[0], cell[1], start + offset,
+                               stride))
+    return tuple(blocks)
 
 
 def verify_simplicial_identities(levels, cap: int) -> None:

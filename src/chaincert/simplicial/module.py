@@ -20,26 +20,39 @@ from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
 from ..exact.snf import solve
 from . import surjections as sj
-from .levels import (GammaLevels, SparseRow, TensorLevels, sparse_columns,
+from .levels import (GammaLevels, SparseRow, TensorLevels, face_plan,
+                     pair_layout, parts_plan, relation_plan, sparse_columns,
                      verify_simplicial_identities)
 
 
 def normalized_quotient(levels, top: int) -> ChainComplex:
     """Normalized complex on the non-degenerate coordinates.
 
-    The degenerate coordinates span a subcomplex of the Moore complex, so
-    the alternating face sum descends to the coordinate quotient; the
-    descent condition is verified exactly during construction, on the
-    degenerate columns of the Moore rows that are nonzero (a zero column
-    always solves).  Only the rows of the levels at non-degenerate
-    coordinates are built, sparse: the relations there and the Moore rows
-    into them.
+    A ``TensorLevels`` of two ``GammaLevels`` (exact types) takes the plan
+    route: the per-shape plans of ``levels.py``, keyed by the factors'
+    ``shape()`` and the level, list the non-degenerate pairs of summands,
+    the relation columns and the face blocks, and this fills them with
+    the entries of C's and D's relations and differentials.  Their
+    compilation cancels the face terms from degenerate pairs formally,
+    which implies the descent check below for every C and D of the
+    shape (see the ``levels.py`` docstring).
+
+    Every other level model takes the coordinate route.  The degenerate
+    coordinates span a subcomplex of the Moore complex, so the
+    alternating face sum descends to the coordinate quotient; the descent
+    condition is verified exactly during construction, on the degenerate
+    columns of the Moore rows that are nonzero (a zero column always
+    solves).  Only the rows of the levels at non-degenerate coordinates
+    are built, sparse: the relations there and the Moore rows into them.
 
     Given the descent, the result is a complex by construction: the
     Moore differential squares to zero by the simplicial identities, the
     faces carry level relations into level relations, and the quotient's
     relations are the level relations read on the kept coordinates.
     """
+    if (type(levels) is TensorLevels and type(levels.A) is GammaLevels
+            and type(levels.B) is GammaLevels):
+        return _planned_quotient(levels, top)
     ring = levels.ring
     coords = [levels.nondegenerate_coords(n) for n in range(top + 1)]
     mods = [PresentedModule(ring, len(full), levels.relations_on(n, full))
@@ -69,6 +82,71 @@ def normalized_quotient(levels, top: int) -> ChainComplex:
                              f"at level {n}")
         diffs.append(ModuleMap(mods[n], mods[n - 1],
                                Matrix(ring, len(moore), len(kept), action),
+                               check=False))
+    return ChainComplex(ring, mods, diffs, check=False)
+
+
+def _entries(M: Matrix) -> list[tuple[int, int, int]]:
+    """(row, column, entry) of each nonzero entry of M."""
+    return [(r, c, v) for r, row in enumerate(M.data)
+            for c, v in enumerate(row) if v]
+
+
+def _add_block(action: list[list[int]], c: int, left, right, row0: int,
+               row_stride: int, col0: int, col_stride: int) -> None:
+    """Add c * X (x) Y to ``action``, X and Y given by their `_entries`,
+    entry (x, y) at row row0 + x_row * row_stride + y_row and column
+    col0 + x_col * col_stride + y_col, as the plans of ``levels.py``
+    place their blocks."""
+    for x_row, x_col, x in left:
+        x *= c
+        rows = row0 + x_row * row_stride
+        first = col0 + x_col * col_stride
+        for y_row, y_col, y in right:
+            action[rows + y_row][first + y_col] += x * y
+
+
+def _planned_quotient(levels: TensorLevels, top: int) -> ChainComplex:
+    """``normalized_quotient`` of Gamma(C) (x) Gamma(D) from its plans."""
+    ring = levels.ring
+    shapes = levels.A.shape(), levels.B.shape()
+    ranks_a, ranks_b = shapes[0][0], shapes[1][0]
+    complexes = levels.A.C, levels.B.C
+    columns: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    mods = []
+    for n in range(top + 1):
+        rank = pair_layout(ranks_a, ranks_b, n)[0]
+        plan = relation_plan(*shapes, n)
+        rel = [[0] * len(plan) for _ in range(rank)]
+        for c, (side, k, j, row, step, count) in enumerate(plan):
+            values = columns.get((side, k, j))
+            if values is None:
+                values = columns[side, k, j] = tuple(
+                    r[j] for r in complexes[side].module(k).relations.data)
+            for v in values:
+                if v:
+                    rel[row][c] = v
+                row += step
+        mods.append(PresentedModule(ring, rank,
+                                    Matrix(ring, rank, len(plan), rel)))
+    terms: dict[tuple[int, int, bool], list[tuple[int, int, int]]] = {}
+
+    def term(side: int, k: int, via_d: bool) -> list[tuple[int, int, int]]:
+        key = (side, k, via_d)
+        if key not in terms:
+            C = complexes[side]
+            terms[key] = (_entries(C.differential(k).action) if via_d else
+                          [(x, x, 1) for x in range(C.module(k).generators)])
+        return terms[key]
+
+    diffs: list[ModuleMap] = []
+    for n in range(1, top + 1):
+        cols = mods[n].generators
+        action = [[0] * cols for _ in range(mods[n - 1].generators)]
+        for c, k, via, k2, via2, *place in face_plan(ranks_a, ranks_b, n):
+            _add_block(action, c, term(0, k, via), term(1, k2, via2), *place)
+        diffs.append(ModuleMap(mods[n], mods[n - 1],
+                               Matrix(ring, len(action), cols, action),
                                check=False))
     return ChainComplex(ring, mods, diffs, check=False)
 
@@ -195,30 +273,6 @@ def gamma_map(f: ChainMap, source: SimplicialModule | None = None,
     return SimplicialMap(source, target, f)
 
 
-def gamma_level_columns(f: Sequence[ModuleMap], src: GammaLevels,
-                        tgt: GammaLevels, n: int, coords
-                        ) -> dict[int, SparseRow]:
-    """The columns ``coords`` of Gamma(f) on level n, sparse.
-
-    ``f[k]`` maps C_k to D_k for the complexes of ``src`` and ``tgt``;
-    Gamma(f) acts by f[k] on every summand eta : [n] ->> [k], block
-    diagonal because both levels list their summands in the same order.
-    For a chain map f it is the level map of the simplicial map Gamma(f).
-    """
-    if not isinstance(src, GammaLevels) or not isinstance(tgt, GammaLevels):
-        raise NotImplementedError(
-            "level maps are read on denormalization levels")
-    surj = sj.surjections(n)
-    out: dict[int, SparseRow] = {}
-    for c in coords:
-        s, b = src.locate(n, c)
-        action = f[sj.degree_of(surj[s])].action
-        r0 = tgt.offset(n, s)
-        out[c] = [(r0 + a, row[b]) for a, row in enumerate(action.data)
-                  if row[b]]
-    return out
-
-
 def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
                           srcT: SimplicialModule, tgtT: SimplicialModule
                           ) -> ChainMap:
@@ -246,29 +300,35 @@ def tensor_normalized_parts(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
     ones and non-degenerate pairs to non-degenerate pairs, and the
     non-degenerate block is the induced map of the quotients, well
     defined because the level relations are block diagonal over the
-    summand pairs as well.
+    summand pairs as well.  The blocks f_p (x) g_q come from the per-shape
+    ``parts_plan``.
     """
-    ring = srcT.ring
     src, tgt = srcT.levels, tgtT.levels
+    if not all(isinstance(x, GammaLevels)
+               for x in (src.A, src.B, tgt.A, tgt.B)):
+        raise NotImplementedError(
+            "level maps are read on denormalization levels")
+    ring = srcT.ring
+    ranks = (src.A.shape()[0], src.B.shape()[0], tgt.A.shape()[0],
+             tgt.B.shape()[0])
+    terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+
+    def term(side: int, k: int) -> list[tuple[int, int, int]]:
+        if (side, k) not in terms:
+            terms[side, k] = _entries((g if side else f)[k].action)
+        return terms[side, k]
+
     comps = []
     for n in range(max(srcT.top, tgtT.top) + 1):
-        rows = tgt.nondegenerate_coords(n)
-        cols = src.nondegenerate_coords(n) if n <= srcT.top else []
-        index = {r: t for t, r in enumerate(rows)}
-        gb_src, gb_tgt = src.B.rank(n), tgt.B.rank(n)
-        pairs = [divmod(c, gb_src) for c in cols]
-        f_cols = gamma_level_columns(f, src.A, tgt.A, n,
-                                     {a for a, _ in pairs})
-        g_cols = gamma_level_columns(g, src.B, tgt.B, n,
-                                     {b for _, b in pairs})
-        action = [[0] * len(cols) for _ in rows]
-        for j, (a, b) in enumerate(pairs):
-            for ra, va in f_cols[a]:
-                for rb, vb in g_cols[b]:
-                    action[index[ra * gb_tgt + rb]][j] += va * vb
-        comps.append(ModuleMap(srcT.normalized.module(n),
-                               tgtT.normalized.module(n),
-                               Matrix(ring, len(rows), len(cols), action),
+        source = srcT.normalized.module(n)
+        target = tgtT.normalized.module(n)
+        action = [[0] * source.generators for _ in range(target.generators)]
+        if n <= srcT.top:
+            for k, k2, *place in parts_plan(*ranks, n):
+                _add_block(action, 1, term(0, k), term(1, k2), *place)
+        comps.append(ModuleMap(source, target,
+                               Matrix(ring, target.generators,
+                                      source.generators, action),
                                check=False))
     return comps
 

@@ -14,6 +14,7 @@ from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (ModuleMap, PresentedModule, cokernel,
                                      direct_sum_module, factor_through,
                                      kernel, tensor_module)
+from chaincert.exact.snf import kernel_matrix
 from chaincert.simplicial.levels import TensorLevels
 from chaincert.simplicial.surjections import (codegeneracy, coface, compose,
                                               epi_mono_factor, shuffles,
@@ -43,6 +44,34 @@ def det(M: Matrix) -> int:
             A[i][k] = 0
         prev = A[k][k]
     return M.ring.canon(sign * A[n - 1][n - 1])
+
+
+def kernel_hom_presentation(M: PresentedModule, N: PresentedModule
+                            ) -> tuple[Matrix, Matrix]:
+    """(generators, relations) of Hom(M, N) by two kernels, for any M: the
+    vectorized maps phi with phi @ rel_M = rel_N @ Y for some Y, then the
+    combinations of them that are zero maps, rel_N @ Z columnwise."""
+    ring = M.ring
+    gS, gT = M.generators, N.generators
+    rS, rT = M.relations.cols, N.relations.cols
+    lhs = M.relations.transpose().kron(Matrix.identity(ring, gT))
+    rhs = Matrix.identity(ring, rS).kron(N.relations)
+    system = (lhs.hstack(-rhs) if rS
+              else Matrix.zero(ring, 0, gT * gS + rS * rT))
+    K = kernel_matrix(system)
+    gens = _nonzero_columns(K.submatrix(range(gT * gS), range(K.cols)))
+    relations = Matrix.zero(ring, gens.cols, 0)
+    if gens.cols:
+        zero_maps = Matrix.identity(ring, gS).kron(N.relations)
+        Krel = kernel_matrix(gens.hstack(-zero_maps))
+        relations = _nonzero_columns(
+            Krel.submatrix(range(gens.cols), range(Krel.cols)))
+    return gens, relations
+
+
+def _nonzero_columns(M: Matrix) -> Matrix:
+    return M.columns([j for j in range(M.cols)
+                      if any(M[i, j] for i in range(M.rows))])
 
 
 def is_invertible(M: Matrix) -> bool:

@@ -1035,7 +1035,8 @@ def test_cli_validate_refuses_non_integers(tmp_path, capsys, name, damage,
 
 @pytest.mark.parametrize("ring, location", [
     ("z/4", "ring"),                  # the command line's spelling
-    ({"kind": "Zmod"}, "ring.modulus")])
+    ({"kind": "Zmod"}, "ring.modulus"),
+    ({"kind": "Z", "modulus": 3}, "ring.modulus")])
 def test_cli_validate_says_what_a_ring_looks_like(tmp_path, capsys, ring,
                                                   location):
     doc = _load_fixture("interval.json")

@@ -16,7 +16,7 @@ from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact import modules
 from chaincert.exact.splitting import is_projective, is_split_epi, is_split_mono
 
-from oracles import pushout_induced_map
+from oracles import kernel_hom_presentation, pushout_induced_map
 
 Z2 = PresentedModule.cyclic(ZZ, 2)
 Z3 = PresentedModule.cyclic(ZZ, 3)
@@ -209,6 +209,37 @@ def test_homspace_coords_of_nothing_makes_no_solve(monkeypatch):
     monkeypatch.setattr(modules, "solve", refuse)
     empty = hs.coords()
     assert (empty.rows, empty.cols) == (hs.module.generators, 0)
+
+
+@pytest.mark.parametrize("ring", ENCODER_RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_hom_out_of_a_free_module_is_the_kernel_presentation(ring, seed):
+    """Hom(R^k, N) in closed form is the presentation of the kernel route,
+    generators and relations alike, also when rel_N has a zero column."""
+    rng = random.Random(seed)
+    M = PresentedModule.free(ring, rng.randint(0, 3))
+    N = drawn_module(ring, rng)
+    if rng.random() < 0.5:
+        N = PresentedModule(ring, N.generators, N.relations.hstack(
+            Matrix.zero(ring, N.generators, 1)))
+    hs = HomSpace(M, N)
+    gens, relations = kernel_hom_presentation(M, N)
+    assert hs.module == PresentedModule(ring, gens.cols, relations)
+    assert hs.gens == [Matrix.unvec(ring, gens.column_at(j), N.generators,
+                                    M.generators) for j in range(gens.cols)]
+
+
+def test_hom_out_of_a_free_module_takes_no_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel_matrix called")
+
+    monkeypatch.setattr(modules, "kernel_matrix", refuse)
+    hs = HomSpace(PresentedModule.free(ZZ, 2), Z2)
+    assert hs.module == PresentedModule(ZZ, 2, Matrix(ZZ, 2, 2,
+                                                      [[2, 0], [0, 2]]))
+    with pytest.raises(AssertionError, match="kernel_matrix called"):
+        HomSpace(Z2, Z2)
 
 
 def test_split_epi_projection():

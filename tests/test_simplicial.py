@@ -1,5 +1,6 @@
 """Denormalization, normalization, degreewise tensor, EZ/AW identities."""
 
+import importlib.util
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from chaincert.chains.build import (concentrated, direct_sum_complexes, disk,
                                     interval, sphere, unit_complex)
 from chaincert.certify import SUITES, CertifyConfig
-from chaincert.chains.complexes import ChainMap, chain_map_equal
+from chaincert.chains.complexes import ChainComplex, ChainMap, chain_map_equal
 from chaincert.chains.homotopy import (homotopy_from_retraction,
                                        is_chain_homotopy_equivalence)
 from chaincert.chains.tensor import TensorLayout
@@ -24,12 +25,13 @@ from chaincert.io.document import parse_chain_complex
 from chaincert.models.generators import random_chain_map, random_complex
 from chaincert.simplicial import levels as levels_module
 from chaincert.simplicial.levels import (GammaLevels, TensorLevels,
-                                         operator_table,
+                                         face_plan, operator_table,
+                                         pair_layout, parts_plan,
+                                         relation_plan,
                                          verify_simplicial_identities)
 from chaincert.simplicial.module import (SimplicialMap, constant_module,
                                          degreewise_tensor, end_inclusion,
-                                         gamma, gamma_level_columns,
-                                         gamma_map, interval_object,
+                                         gamma, gamma_map, interval_object,
                                          normalize, normalized_quotient,
                                          tensor_normalized_map)
 from chaincert.simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
@@ -42,6 +44,9 @@ from oracles import (degeneracy_matrix, dense_aw, dense_ez,
                      normalized_kernel, normalized_projector,
                      restricted_relations, scanned_nondegenerate,
                      structure_matrix)
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def test_surjection_counts():
@@ -148,13 +153,6 @@ def test_gamma_map_levels_commute_with_structure():
             lhs = level_matrix(f, n + 1) @ degeneracy_matrix(A.levels, n, j)
             rhs = degeneracy_matrix(B.levels, n, j) @ level_matrix(f, n)
             assert lhs == rhs
-    # the sparse columns the tensor maps read are those of the whole matrix
-    for n in range(4):
-        M = level_matrix(f, n)
-        cols = gamma_level_columns(f.normalized_map.parts, A.levels,
-                                   B.levels, n, range(M.cols))
-        assert all(cols[c] == [(r, M[r, c]) for r in range(M.rows) if M[r, c]]
-                   for c in range(M.cols))
 
 
 def test_tensor_unit_law_is_literal():
@@ -355,9 +353,12 @@ def test_row_selected_levels_agree_with_full_matrices(ring):
 
 
 def _drawn_complex(ring, rng):
-    """A drawn complex with a torsion summand R/2 or R/3 in degree 0 or 1."""
-    torsion = concentrated(PresentedModule.cyclic(ring, rng.choice((2, 3))),
-                           rng.randint(0, 1))
+    """A drawn complex with a torsion summand R/2 or R/3 in degree 0 or 1,
+    whose relations carry a zero column half of the time."""
+    d = rng.choice((2, 3))
+    width = rng.randint(1, 2)
+    torsion = concentrated(PresentedModule(ring, 1, Matrix(
+        ring, 1, width, [[d] + [0] * (width - 1)])), rng.randint(0, 1))
     return direct_sum_complexes(
         [random_complex(ring, rng, max_top=1, max_rank=2), torsion])[0]
 
@@ -386,12 +387,32 @@ def test_sparse_constructions_equal_the_dense_oracles(ring, seed):
     tgtT = degreewise_tensor(A, g.target)
     assert _same_actions(tensor_normalized_map(f, g, T, tgtT),
                          dense_tensor_normalized_map(f, g, T, tgtT))
-    # a tensor of a tensor: EZ and AW with a tensor as their left factor
+    assert T.normalized == normalized_quotient(_CoordinateRoute(A.levels,
+                                                                B.levels),
+                                               T.top)
+    # a disk up to D^5 beside a sphere, and a map on the disk
     C = gamma(sphere(ring, rng.randint(0, 1)), verify=False)
+    D = disk(ring, rng.randint(1, 5))
+    GD = gamma(D, verify=False)
+    DC = degreewise_tensor(GD, C)
+    assert DC.normalized == dense_normalized_quotient(DC.levels, DC.top)
+    h = gamma_map(random_chain_map(D, D, rng), GD, GD)
+    assert _same_actions(tensor_normalized_map(h, _identity(C), DC, DC),
+                         dense_tensor_normalized_map(h, _identity(C), DC, DC))
+    # a tensor of a tensor: EZ and AW with a tensor as their left factor
     TC = degreewise_tensor(T, C)
     assert TC.normalized == dense_normalized_quotient(TC.levels, TC.top)
     assert _same_actions(ez(T, C, TC), dense_ez(T, C, TC))
     assert _same_actions(aw(T, C, TC), dense_aw(T, C, TC))
+
+
+class _CoordinateRoute(TensorLevels):
+    """A tensor that normalizes by the coordinate route: only the exact
+    type ``TensorLevels`` of two ``GammaLevels`` takes the plans."""
+
+
+def _identity(A):
+    return SimplicialMap(A, A, ChainMap.identity(A.normalized))
 
 
 class _CorruptedFace(GammaLevels):
@@ -430,6 +451,74 @@ def test_the_operator_table_is_one_process_wide_cache():
     # a second complex reads the same combinatorics
     assert operator_table.cache_info().currsize == filled
     assert operator_table((0, 2), 2) == operator_table((0, 2), 2)
+
+
+PLANS = (levels_module.nonzero_summands, pair_layout, face_plan,
+         relation_plan, parts_plan)
+
+
+@pytest.fixture
+def cold_plans():
+    """Empty plan caches before the test, and again after it, so that no
+    plan it compiled outlives it."""
+    for plan in PLANS:
+        plan.cache_clear()
+    yield
+    for plan in PLANS:
+        plan.cache_clear()
+
+
+def test_a_corrupted_operator_table_entry_fails_the_plan(cold_plans,
+                                                         monkeypatch):
+    # d_1 sends the degenerate summand (0, 0) of level 1 to the vertex;
+    # without that entry the faces of the degenerate pair (0, 0) x (0, 0)
+    # of Gamma(D^1) (x) c(R) no longer cancel
+    A, B = gamma(disk(ZZ, 1)), constant_module(ZZ)
+    real = levels_module.operator_table
+    assert real(coface(1, 1), 1)[0] == (0, False)
+
+    def corrupted(alpha, n):
+        table = real(alpha, n)
+        return (None,) + table[1:] if (alpha, n) == (coface(1, 1), 1) \
+            else table
+
+    monkeypatch.setattr(levels_module, "operator_table", corrupted)
+    with pytest.raises(ValueError, match="degenerate part is not a "
+                                         "subcomplex at level 1"):
+        degreewise_tensor(A, B)
+
+
+def test_the_plans_are_process_wide_caches(cold_plans, monkeypatch):
+    for plan in PLANS:
+        assert vars(levels_module)[plan.__name__] is plan
+        assert plan.cache_info().currsize == 0
+    D, S = gamma(disk(ZZ, 1)), gamma(sphere(ZZ, 1))
+    T = degreewise_tensor(D, S)
+    tensor_normalized_map(_identity(D), _identity(S), T, T)
+    compiled = {plan: plan.cache_info() for plan in PLANS}
+    assert all(info.currsize for info in compiled.values())
+    # Z --2--> Z has the shape of D^1 and other entries: the same plans
+    # serve it, and the plan route agrees with the coordinate route
+    free = PresentedModule.free(ZZ, 1)
+    twice = gamma(ChainComplex(ZZ, [free, free], [
+        ModuleMap(free, free, Matrix(ZZ, 1, 1, [[2]]))]))
+    T2 = degreewise_tensor(twice, S)
+    tensor_normalized_map(_identity(twice), _identity(S), T2, T2)
+    for plan, info in compiled.items():
+        assert plan.cache_info().currsize == info.currsize
+    for plan in (face_plan, relation_plan, parts_plan):
+        assert plan.cache_info().hits > compiled[plan].hits
+    assert T2.normalized != T.normalized
+    assert T2.normalized == normalized_quotient(
+        _CoordinateRoute(T2.levels.A, T2.levels.B), T2.top)
+    # the benchmark's clear_caches starts every round with no plan
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(PERFBENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    run.clear_caches()
+    assert not any(plan.cache_info().currsize for plan in PLANS)
 
 
 # the per-coordinate scan and whole levels, which the level classes no

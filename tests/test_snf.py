@@ -420,6 +420,8 @@ def test_rings_are_interned_and_compare_by_value():
     assert Zmod(6) is Zmod(6)
     assert RingSpec.from_json({"kind": "Zmod", "modulus": 6}) is Zmod(6)
     assert RingSpec.from_json({"kind": "Z"}) is ZZ
+    with pytest.raises(ValueError, match="no modulus"):
+        RingSpec.from_json({"kind": "Z", "modulus": 3})
     direct = RingSpec("Zmod", 6)
     assert direct == Zmod(6) and hash(direct) == hash(Zmod(6))
     assert Zmod(4) != Zmod(6) and Zmod(6) != ZZ
