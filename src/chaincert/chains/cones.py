@@ -46,16 +46,7 @@ def _block_complex(ring: RingSpec, top: int,
     return ChainComplex(ring, mods, diffs, check=False)
 
 
-@dataclass
-class ConeData:
-    complex: ChainComplex
-    f: ChainMap
-
-    def x_generators(self, n: int) -> int:
-        return self.f.source.module(n - 1).generators
-
-
-def mapping_cone(f: ChainMap) -> ConeData:
+def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone(f), a complex by construction: with d = [[-d_X, 0], [f, d_Y]],
     d o d = [[d_X d_X, 0], [d_Y f - f d_X, d_Y d_Y]], which vanishes
     because f is a chain map, and each block carries relations into
@@ -67,9 +58,8 @@ def mapping_cone(f: ChainMap) -> ConeData:
                 (1, 0): f.component(n - 1).action,
                 (1, 1): Y.differential(n).action}
 
-    return ConeData(_block_complex(X.ring, max(X.top + 1, Y.top),
-                                   lambda n: [X.module(n - 1), Y.module(n)],
-                                   blocks), f)
+    return _block_complex(X.ring, max(X.top + 1, Y.top),
+                          lambda n: [X.module(n - 1), Y.module(n)], blocks)
 
 
 def pushout_complexes(f: ChainMap, g: ChainMap

@@ -1,20 +1,20 @@
 """Homotopy-theoretic decisions: contractions, homotopies, equivalences.
 
-A contraction of the image of an idempotent chain map is built one
-degree at a time; contractibility and the EZ/AW homotopies are such
-contractions.  A nullhomotopy of an arbitrary map is one sweep up the
-degrees (`solve_by_degree`): the relation of degree n names only H_n and
-H_{n-1}.
-Positive answers come with witnesses that re-verify exactly.
-
-Deciding that f is a homotopy equivalence is kept apart from building its
-witness.  The decision, `is_homotopy_equivalence`, is one validated
-contraction of the mapping cone, or, with f's graded retractions at
-hand, of coker f (`cokernel_contraction`, or `homotopy_from_retraction`
-when the retraction is a chain map).
-`is_chain_homotopy_equivalence` makes the same contraction and extracts
-the inverse and both homotopies from it; only callers that emit that
-witness use it.
+One entry point per input, each answer a witness that re-verifies
+exactly:
+  * any map f: f is a homotopy equivalence iff its mapping cone
+    contracts.  `is_homotopy_equivalence` decides that;
+    `is_chain_homotopy_equivalence` makes the same contraction and reads
+    the inverse and both homotopies off it, for callers that emit them.
+  * a degreewise split map f with graded retractions r:
+    `cokernel_contraction(f, r)` contracts coker f instead, which is
+    smaller; when r is a chain map its answer is a homotopy from f o r to
+    the identity (the EZ/AW comparisons are such maps).
+  * two maps f, g: `chain_homotopic` solves d H + H d = g - f in one sweep
+    up the degrees (`solve_by_degree`), as the relation of degree n names
+    only H_n and H_{n-1}.
+Contractions, of a complex (`find_contraction`) or of a cokernel, are
+built one degree at a time by `contract_image`.
 """
 
 from __future__ import annotations
@@ -27,32 +27,9 @@ from ..exact.equations import (MapVariable, MatrixRelation, solve_by_degree,
                                solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, map_equal
-from .complexes import ChainComplex, ChainHomotopy, ChainMap, chain_map_equal
-from .cones import ConeData, mapping_cone
+from .complexes import ChainComplex, ChainHomotopy, ChainMap
+from .cones import mapping_cone
 from .homology import first_homology
-
-
-def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
-    """H with d H + H d = f, i.e. a homotopy from the zero map to f."""
-    X, Y = f.source, f.target
-    ring = X.ring
-    steps = []
-    for n in range(max(X.top, Y.top) + 1):
-        H = MapVariable(f"H{n}", X.module(n), Y.module(n + 1))
-        terms = [(1, Y.differential(n + 1).action, H.name,
-                  Matrix.identity(ring, X.module(n).generators))]
-        if n:
-            terms.append((1, Matrix.identity(ring, Y.module(n).generators),
-                          f"H{n - 1}", X.differential(n).action))
-        steps.append((H, [MatrixRelation(terms, f.component(n).action,
-                                         Y.module(n).relations),
-                          well_definedness(H)]))
-    parts, _ = solve_by_degree(ring, steps)
-    if parts is None:
-        return None
-    return ChainHomotopy(ChainMap.zero(X, Y), f, [
-        ModuleMap(X.module(n), Y.module(n + 1), H, check=False)
-        for n, H in enumerate(parts)])
 
 
 def contract_image(p: ChainMap) -> ChainHomotopy | None:
@@ -112,11 +89,28 @@ def find_contraction(C: ChainComplex) -> ChainHomotopy | None:
 
 
 def chain_homotopic(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
-    """A homotopy from f to g, or None."""
-    h = nullhomotopy(g - f)
-    if h is None:
+    """A homotopy from f to g, or None: H with d H + H d = g - f, solved
+    one degree at a time, checked by the homotopy's constructor."""
+    X, Y = f.source, f.target
+    ring = X.ring
+    diff = g - f
+    steps = []
+    for n in range(max(X.top, Y.top) + 1):
+        H = MapVariable(f"H{n}", X.module(n), Y.module(n + 1))
+        terms = [(1, Y.differential(n + 1).action, H.name,
+                  Matrix.identity(ring, X.module(n).generators))]
+        if n:
+            terms.append((1, Matrix.identity(ring, Y.module(n).generators),
+                          f"H{n - 1}", X.differential(n).action))
+        steps.append((H, [MatrixRelation(terms, diff.component(n).action,
+                                         Y.module(n).relations),
+                          well_definedness(H)]))
+    parts, _ = solve_by_degree(ring, steps)
+    if parts is None:
         return None
-    return ChainHomotopy(f, g, list(h.parts))
+    return ChainHomotopy(f, g, [
+        ModuleMap(X.module(n), Y.module(n + 1), H, check=False)
+        for n, H in enumerate(parts)])
 
 
 def is_homotopy_equivalence(f: ChainMap) -> bool:
@@ -127,7 +121,7 @@ def is_homotopy_equivalence(f: ChainMap) -> bool:
     homotopies that `is_chain_homotopy_equivalence` reads off it are not
     built.
     """
-    return find_contraction(mapping_cone(f).complex) is not None
+    return find_contraction(mapping_cone(f)) is not None
 
 
 def cokernel_contraction(f: ChainMap,
@@ -154,6 +148,11 @@ def cokernel_contraction(f: ChainMap,
 
     r' f = r f - r d T e f = id, and d (id - f r') = (id - f r') d gives
     f (d r' - r' d) = 0, so r' is a chain map.
+
+    When r is a chain map, so is e, so e d e = d e = e d and (B, e d e) is
+    (B, d) on im e.  Then r T = r e T = 0, as r e = r - r f r = 0, so
+    r d T = d r T = 0 and r' = r: T is a homotopy from f r to id on (B, d)
+    itself.
     """
     A, B = f.source, f.target
     for n in range(max(A.top, B.top) + 1):
@@ -174,28 +173,6 @@ def cokernel_contraction(f: ChainMap,
         part.compose(e[n]) for n, part in enumerate(s.parts)], check=False)
 
 
-def homotopy_from_retraction(f: ChainMap, r: ChainMap
-                             ) -> ChainHomotopy | None:
-    """A homotopy from f o r to id for a retraction r of f, or None.
-
-    Needs r o f = id, checked here by multiplication (ValueError if it
-    fails).  Then p = id - f o r is idempotent, and `contract_image(p)`
-    finds a homotopy from 0 to p exactly when f o r ~ id, that is, when f
-    is a homotopy equivalence with inverse r.  So None proves that f is
-    not a homotopy equivalence at all: if g is any homotopy inverse of f,
-    then r ~ r o f o g = g, hence f o r ~ f o g ~ id.
-    """
-    if not chain_map_equal(r.compose(f), ChainMap.identity(f.source)):
-        raise ValueError("r o f is not the identity")
-    composite = f.compose(r)
-    ident = ChainMap.identity(f.target)
-    h = contract_image(ident - composite)
-    if h is None:
-        return None
-    # contract_image validated d h + h d = id - f o r, the same relation
-    return ChainHomotopy(composite, ident, list(h.parts), check=False)
-
-
 @dataclass
 class HomotopyEquivalence:
     """Inverse g with H : g o f ~ id and K : f o g ~ id, all verified."""
@@ -205,7 +182,8 @@ class HomotopyEquivalence:
     target_homotopy: ChainHomotopy  # from f o g to id_Y
 
 
-def is_chain_homotopy_equivalence(f: ChainMap, cone: ConeData | None = None
+def is_chain_homotopy_equivalence(f: ChainMap,
+                                  cone: ChainComplex | None = None
                                   ) -> HomotopyEquivalence | None:
     """The decision of `is_homotopy_equivalence`, with its witness.
 
@@ -219,29 +197,26 @@ def is_chain_homotopy_equivalence(f: ChainMap, cone: ConeData | None = None
     X, Y = f.source, f.target
     if cone is None:
         cone = mapping_cone(f)
-    s = find_contraction(cone.complex)
+    s = find_contraction(cone)
     if s is None:
         return None
     g_parts, k_parts, a_parts = [], [], []
     top = max(X.top, Y.top)
     for n in range(top + 1):
-        sn = s.component(n)  # cone_n -> cone_{n+1}
-        gx_src = cone.x_generators(n)      # X_{n-1} columns
-        gx_tgt = cone.x_generators(n + 1)  # X_n rows
+        # s_n : cone_n -> cone_{n+1}, with the X block first on both sides
+        sn, sn1 = s.component(n).action, s.component(n + 1).action
+        x_prev, x_n, x_next = (X.module(k).generators
+                               for k in (n - 1, n, n + 1))
         g_parts.append(ModuleMap(
             Y.module(n), X.module(n),
-            sn.action.submatrix(range(gx_tgt),
-                                range(gx_src, sn.action.cols)), check=False))
+            sn.submatrix(range(x_n), range(x_prev, sn.cols)), check=False))
         k_parts.append(ModuleMap(
             Y.module(n), Y.module(n + 1),
-            sn.action.submatrix(range(gx_tgt, sn.action.rows),
-                                range(gx_src, sn.action.cols)), check=False))
-        sn1 = s.component(n + 1)
-        gx_src1 = cone.x_generators(n + 1)
-        gx_tgt1 = cone.x_generators(n + 2)
+            sn.submatrix(range(x_n, sn.rows), range(x_prev, sn.cols)),
+            check=False))
         a_parts.append(ModuleMap(
             X.module(n), X.module(n + 1),
-            sn1.action.submatrix(range(gx_tgt1), range(gx_src1)), check=False))
+            sn1.submatrix(range(x_next), range(x_n)), check=False))
     g = ChainMap(Y, X, g_parts)
     H = ChainHomotopy(g.compose(f), ChainMap.identity(X),
                       [-a for a in a_parts])
@@ -251,4 +226,4 @@ def is_chain_homotopy_equivalence(f: ChainMap, cone: ConeData | None = None
 
 def quasi_iso(f: ChainMap) -> bool:
     """True iff the mapping cone has vanishing homology in all degrees."""
-    return first_homology(mapping_cone(f).complex) is None
+    return first_homology(mapping_cone(f)) is None

@@ -18,7 +18,7 @@ import sys
 
 from .certify import CertifyConfig, SUITES, run_suite
 from .chains.cochain import dualize_map
-from .chains.complexes import ChainMap, LiftingProblem
+from .chains.complexes import LiftingProblem
 from .chains.homcx import hom_complex
 from .chains.tensor import tensor_complex
 from .chains.truncate import good_truncation, window_of_complex
@@ -183,14 +183,12 @@ def cmd_ez_aw(args) -> int:
     T = degreewise_tensor(A, B)
     E = ez(A, B, T)
     W = aw(A, B, T)
-    from .chains.complexes import chain_map_equal
-
-    identity_ok = chain_map_equal(W.compose(E), ChainMap.identity(E.source))
+    # raises CertificateError unless AW o EZ = id
     homotopy = find_ez_aw_homotopy(A, B, T, E, W)
     report = {
         "kind": "ez_aw",
         "ring": doc.ring.to_json(),
-        "aw_ez_identity": identity_ok,
+        "aw_ez_identity": True,
         "ez": map_to_json(E),
         "aw": map_to_json(W),
         "homotopy": map_to_json(homotopy),
@@ -204,7 +202,7 @@ def cmd_ez_aw(args) -> int:
             "homotopy": map_to_json(dual.homotopy),
         }
     _emit(report, args.out)
-    return 0 if identity_ok else 1
+    return 0
 
 
 def cmd_bousfield(args) -> int:

@@ -356,5 +356,7 @@ def verify_report(data: dict) -> tuple[bool, list[str]]:
     elif kind == "certify":
         problems = [] if data.get("ok") else ["suite reported failures"]
     else:
-        problems = [f"unknown report kind {kind!r}"]
+        # not a failed witness: a kind that verify does not check
+        raise DocumentError("kind", f"verify checks classification, lift "
+                                    f"and certify reports, not {kind!r}")
     return (not problems, problems)

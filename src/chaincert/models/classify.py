@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..chains.cochain import CochainMap
-from ..chains.complexes import ChainMap, chain_map_equal
-from ..chains.cones import ConeData, mapping_cone
+from ..chains.complexes import ChainComplex, ChainMap, chain_map_equal
+from ..chains.cones import mapping_cone
 from ..chains.homology import first_homology
 from ..chains.homotopy import (HomotopyEquivalence,
                                is_chain_homotopy_equivalence,
@@ -245,8 +245,8 @@ def _cochain_homotopy_equivalence_bit(g: CochainMap) -> ClassBit:
                 "reversed_top": g.top})
 
 
-def _homotopy_equivalence_obstruction(cone: ConeData) -> ClassBit:
-    found = first_homology(cone.complex)
+def _homotopy_equivalence_obstruction(cone: ChainComplex) -> ClassBit:
+    found = first_homology(cone)
     if found is None:
         return no(reason="mapping cone is acyclic but not contractible")
     n, H = found
@@ -298,7 +298,7 @@ def q_cofibration_bit(f: ChainMap, degrees: range | None = None) -> ClassBit:
 
 
 def quasi_iso_bit(f: ChainMap) -> ClassBit:
-    cone = mapping_cone(f).complex
+    cone = mapping_cone(f)
     found = first_homology(cone)
     if found is not None:
         n, H = found

@@ -12,9 +12,10 @@ with EZ* = precompose the shuffle map and AW* = precompose the front-back
 map.  Every map induced on these modules (the cotensor differential, AW*
 and EZ*) is built one degree at a time, by one multi-column `coords` call
 on the composed generator maps.  EZ* o AW* is the identity on the nose,
-and AW* o EZ* is homotopic to the identity; the homotopy comes from
-`homotopy_from_retraction(AW*, EZ*)`, which checks the first identity by
-multiplication and contracts the image of id - AW* o EZ*.
+so AW* is degreewise split with the chain retraction EZ*, and
+AW* o EZ* is homotopic to the identity by a contraction of coker AW*:
+`cokernel_contraction(AW*, EZ*)`, the entry point for split maps, checks
+the first identity by multiplication and builds that contraction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import comb
 from ..chains.build import disk, unit_complex
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
 from ..chains.homcx import ChainMapsSpace, hom_truncation
-from ..chains.homotopy import homotopy_from_retraction
+from ..chains.homotopy import cokernel_contraction
 from ..chains.tensor import TensorLayout
 from ..chains.truncate import Truncation
 from ..errors import CertificateError
@@ -248,8 +249,9 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
 
     Each degree of AW* (f -> Phi(f) o AW) and of EZ* (F -> Phi^{-1}(F o EZ))
     is one multi-column encoding of the composed generator maps.  The
-    homotopy comes from `homotopy_from_retraction(AW*, EZ*)`, which checks
-    EZ* o AW* = id by multiplication first.
+    homotopy is `cokernel_contraction(AW*, EZ*)`, which checks
+    EZ* o AW* = id by multiplication first; with EZ* a chain map it is a
+    homotopy on N(B^A) itself, checked here.
     """
     cot = cotensor(A, B, through)
     bridge = HomDiskBridge(A, B)
@@ -270,9 +272,15 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
     aw_star = ChainMap(trunc.complex, cot.complex, aw_parts)
     ez_star = ChainMap(cot.complex, trunc.complex, ez_parts)
     try:
-        homotopy = homotopy_from_retraction(aw_star, ez_star)
+        found = cokernel_contraction(aw_star, ez_star.parts)
     except ValueError as exc:
         raise CertificateError("EZ* o AW* failed to be the identity") from exc
-    if homotopy is None:
+    if found is None:
         raise CertificateError("AW* o EZ* is not homotopic to the identity")
+    homotopy = ChainHomotopy(aw_star.compose(ez_star),
+                             ChainMap.identity(aw_star.target), found.parts,
+                             check=False)
+    if not homotopy.validate():
+        raise CertificateError("computed homotopy fails "
+                               "d H + H d = id - AW* o EZ*")
     return DualComparison(cot, trunc, aw_star, ez_star, homotopy)

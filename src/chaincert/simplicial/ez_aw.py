@@ -7,21 +7,21 @@ degeneracies is one surjection sigma, an index map on coordinates, and
 each of the two faces is one operator.  Both are chain maps for any
 simplicial modules (Eilenberg-Zilber), so they are built unchecked; the
 ez-aw suite checks that theorem explicitly on its cases.  AW o EZ is the
-identity on the nose, so id - EZ o AW is an idempotent chain map, and
-EZ o AW is homotopic to the identity by a contraction of its image, built
-degree by degree (`homotopy_from_retraction`); these two facts are
-verified exactly on every instance.
+identity on the nose, so EZ is degreewise split with the chain retraction
+AW, and the homotopy from EZ o AW to the identity is a contraction of
+coker EZ (`cokernel_contraction`, the entry point for split maps), built
+degree by degree on the target of EZ alone; both facts are verified
+exactly on every instance.
 
-That contraction is also the decision that EZ is a homotopy equivalence,
-on its target alone: a caller that needs only the answer reads whether
-one exists, and `find_ez_aw_homotopy`, whose homotopy the ez-aw command
-emits, raises when it does not.
+That contraction is also the decision that EZ is a homotopy equivalence:
+`find_ez_aw_homotopy`, whose homotopy the ez-aw command emits, raises
+when there is none.
 """
 
 from __future__ import annotations
 
 from ..chains.complexes import ChainHomotopy, ChainMap
-from ..chains.homotopy import homotopy_from_retraction
+from ..chains.homotopy import cokernel_contraction
 from ..chains.tensor import TensorLayout
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
@@ -127,19 +127,24 @@ def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,
                         aw_map: ChainMap | None = None) -> ChainHomotopy:
     """H with d H + H d = id - EZ o AW on N(A (x) B); must always exist.
 
-    `homotopy_from_retraction` checks AW o EZ = id first: it makes
-    id - EZ o AW idempotent, so that finding no contraction of its image
-    proves there is no H.
+    `cokernel_contraction` checks AW o EZ = id first: with AW a chain map,
+    finding no contraction of coker EZ proves there is no H, and the one
+    it finds is H, checked here on N(A (x) B).
     """
     if ez_map is None:
         ez_map = ez(A, B, T)
     if aw_map is None:
         aw_map = aw(A, B, T)
     try:
-        h = homotopy_from_retraction(ez_map, aw_map)
+        found = cokernel_contraction(ez_map, aw_map.parts)
     except ValueError as exc:
         raise CertificateError("AW o EZ failed to be the identity") from exc
-    if h is None:
+    if found is None:
         raise CertificateError("EZ o AW is not homotopic to the identity; "
                                "this indicates corrupted level data")
+    h = ChainHomotopy(ez_map.compose(aw_map), ChainMap.identity(ez_map.target),
+                      found.parts, check=False)
+    if not h.validate():
+        raise CertificateError("computed homotopy fails "
+                               "d H + H d = id - EZ o AW")
     return h

@@ -20,10 +20,8 @@ from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
 from chaincert.chains.homology import homology
 from chaincert.chains.homotopy import (chain_homotopic, cokernel_contraction,
                                        contract_image, find_contraction,
-                                       homotopy_from_retraction,
                                        is_chain_homotopy_equivalence,
-                                       is_homotopy_equivalence, nullhomotopy,
-                                       quasi_iso)
+                                       is_homotopy_equivalence, quasi_iso)
 from chaincert.chains.tensor import (TensorLayout, braiding, interval_cylinder,
                                      tensor_chain_maps, tensor_complex)
 from chaincert.chains.truncate import WindowComplex, good_truncation, \
@@ -245,7 +243,7 @@ def test_contraction_examples():
         assert s is not None  # constructor re-verifies d s + s d = id
     assert find_contraction(sphere(ZZ, 1)) is None
     cone = mapping_cone(ChainMap.identity(sphere(ZZ, 1)))
-    assert find_contraction(cone.complex) is not None
+    assert find_contraction(cone) is not None
 
 
 def _forbid_flattening(monkeypatch):
@@ -304,7 +302,7 @@ def test_exact_complex_without_contraction(monkeypatch, ring, mods, diffs):
     assert whole_nullhomotopy(ChainMap.identity(C)) is None
     _forbid_flattening(monkeypatch)
     assert find_contraction(C) is None
-    assert nullhomotopy(ChainMap.identity(C)) is None
+    assert chain_homotopic(ChainMap.zero(C, C), ChainMap.identity(C)) is None
 
 
 def test_twisted_torsion_complex_contracts(monkeypatch):
@@ -332,9 +330,9 @@ def test_contraction_agrees_with_flattened_oracle(monkeypatch, ring):
             f = random_chain_map(X, Y, rng)
         else:  # X -> X + cone(id_Y), twisted: a homotopy equivalence
             total, injs, _ = direct_sum_complexes(
-                [X, mapping_cone(ChainMap.identity(Y)).complex])
+                [X, mapping_cone(ChainMap.identity(Y))])
             f = twist_complex_with_iso(total, rng)[1].compose(injs[0])
-        cones.append(mapping_cone(f).complex)
+        cones.append(mapping_cone(f))
     expected = [whole_nullhomotopy(ChainMap.identity(C)) is not None
                 for C in cones]
     assert True in expected and False in expected
@@ -345,8 +343,8 @@ def test_contraction_agrees_with_flattened_oracle(monkeypatch, ring):
     assert all(acyclic[i] for i, e in enumerate(expected) if e)
     _forbid_flattening(monkeypatch)
     assert [find_contraction(C) is not None for C in cones] == expected
-    assert [nullhomotopy(ChainMap.identity(C)) is not None
-            for C in cones] == expected
+    assert [chain_homotopic(ChainMap.zero(C, C), ChainMap.identity(C))
+            is not None for C in cones] == expected
 
 
 def _summand_idempotent(ring, rng):
@@ -363,7 +361,7 @@ def _summand_retract(ring, rng):
     Y = random_complex(ring, rng, max_top=2, max_rank=2)
     if rng.random() < 0.5:
         X = mapping_cone(ChainMap.identity(
-            random_complex(ring, rng, max_top=1, max_rank=2))).complex
+            random_complex(ring, rng, max_top=1, max_rank=2)))
     else:
         X = random_complex(ring, rng, max_top=2, max_rank=2)
     total, injs, projs = direct_sum_complexes([X, Y])
@@ -454,33 +452,20 @@ def test_plain_decision_agrees_with_the_witnessed_one(ring):
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
 def test_retraction_route_agrees_with_the_cone(ring):
-    """For r o f = id, a contraction of im(id - f o r) exists exactly when
-    the cone of f contracts, and it is a homotopy from f o r to id."""
+    """For a chain retraction r of f, coker f contracts exactly when the
+    cone of f does, and the contraction T is a homotopy from f o r to id
+    on the target of f itself."""
     rng = random.Random(5)
     pairs = [_summand_retract(ring, rng) for _ in range(16)]
     answers = []
     for f, r in pairs:
-        h = homotopy_from_retraction(f, r)
-        assert (h is not None) == (is_chain_homotopy_equivalence(f)
+        T = cokernel_contraction(f, r.parts)
+        assert (T is not None) == (is_chain_homotopy_equivalence(f)
                                    is not None)
-        if h is not None:
-            assert h.validate(strict=True)
-            assert chain_map_equal(h.from_map, f.compose(r))
-            assert chain_map_equal(h.to_map, ChainMap.identity(f.target))
-        answers.append(h is not None)
+        if T is not None:  # the checked constructor re-verifies it
+            ChainHomotopy(f.compose(r), ChainMap.identity(f.target), T.parts)
+        answers.append(T is not None)
     assert True in answers and False in answers
-
-
-def test_retraction_route_refuses_a_wrong_retraction():
-    # S^0 -> D^1 + S^0 is an equivalence, D^1 -> D^1 + S^0 is not
-    total, injs, projs = direct_sum_complexes([disk(ZZ, 1), sphere(ZZ, 0)])
-    assert homotopy_from_retraction(injs[1], projs[1]) is not None
-    assert homotopy_from_retraction(injs[0], projs[0]) is None
-    doubled = projs[1] + projs[1]  # r o f = 2 id
-    with pytest.raises(ValueError, match="r o f"):
-        homotopy_from_retraction(injs[1], doubled)
-    with pytest.raises(ValueError, match="r o f"):
-        homotopy_from_retraction(injs[1], projs[0])  # r o f = 0
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
@@ -517,11 +502,14 @@ def test_cokernel_contraction_answers_as_the_cone(ring):
 
 
 def test_cokernel_contraction_refuses_a_wrong_retraction():
+    # S^0 -> D^1 + S^0 is an equivalence, D^1 -> D^1 + S^0 is not
     total, injs, projs = direct_sum_complexes([disk(ZZ, 1), sphere(ZZ, 0)])
     assert cokernel_contraction(injs[1], projs[1].parts) is not None
     assert cokernel_contraction(injs[0], projs[0].parts) is None
-    with pytest.raises(ValueError, match="r_0 o f_0"):
-        cokernel_contraction(injs[1], (projs[1] + projs[1]).parts)
+    doubled = projs[1] + projs[1]  # r o f = 2 id
+    for wrong in (doubled, projs[0]):  # and r o f = 0
+        with pytest.raises(ValueError, match="r_0 o f_0"):
+            cokernel_contraction(injs[1], wrong.parts)
 
 
 def test_quasi_iso_examples():
@@ -546,9 +534,9 @@ def test_cone_of_map_from_zero():
     X = disk(ZZ, 2)
     cone = mapping_cone(ChainMap.zero(zero_complex(ZZ), X))
     for n in range(X.top + 1):
-        assert cone.complex.module(n) == X.module(n)
+        assert cone.module(n) == X.module(n)
         if n >= 1:
-            assert cone.complex.differential(n).action == X.differential(n).action
+            assert cone.differential(n).action == X.differential(n).action
 
 
 def test_cylinder_of_unit_identity():
@@ -663,7 +651,7 @@ def test_cylinder_matches_the_tensor_oracle(ring):
 
 def test_nullhomotopy_witness():
     X = disk(ZZ, 1)
-    h = nullhomotopy(ChainMap.identity(X))
+    h = chain_homotopic(ChainMap.zero(X, X), ChainMap.identity(X))
     assert h is not None
     h.validate(strict=True)
     g = chain_homotopic(ChainMap.identity(X), ChainMap.zero(X, X))

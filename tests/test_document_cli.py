@@ -760,6 +760,20 @@ def test_cli_ez_aw(capsys):
     assert json.loads(out)["aw_ez_identity"]
 
 
+def test_cli_verify_refuses_a_kind_it_does_not_check(tmp_path, capsys):
+    # an ez-aw report is no failed witness: verify does not check its kind
+    report = tmp_path / "ez_aw.json"
+    code, _ = run_cli(["ez-aw", "--doc", fixture("simplicial.json"),
+                       "--a", "sD1", "--b", "sS1", "--out", str(report)],
+                      capsys)
+    assert code == 0
+    assert main(["verify", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: kind: verify checks classification, lift and certify " \
+           "reports, not 'ez_aw'" in captured.err
+
+
 def test_cli_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "chaincert.cli", "classify",

@@ -177,3 +177,42 @@ def test_package_methods_are_read():
     offenders = [entry for entry in unread_methods(sources, "")
                  if entry.split()[-1] not in METHOD_EXCEPTIONS]
     assert not offenders, offenders
+
+
+def definitions_loading(sources: dict[str, str], name: str) -> list[str]:
+    """``path definition`` of each top-level function or class that loads
+    or imports ``name``, and ``path <module>`` for other top-level code
+    that does."""
+    found = set()
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            imported = any(alias.name == name for sub in ast.walk(node)
+                           if isinstance(sub, ast.ImportFrom)
+                           for alias in sub.names)
+            if _loads(node)[name] or imported:
+                where = node.name if isinstance(
+                    node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+                found.add(f"{path} {where}")
+    return sorted(found)
+
+
+def test_the_scan_sees_who_loads_a_name():
+    sources = {
+        "a.py": ("def target():\n    pass\n"
+                 "def caller():\n    return target()\n"
+                 "class Holder:\n    step = staticmethod(target)\n"),
+        "b.py": "from .a import target\n",
+        "c.py": "from . import a\nx = a.target\n",
+    }
+    assert definitions_loading(sources, "target") == [
+        "a.py Holder", "a.py caller", "b.py <module>", "c.py <module>"]
+
+
+def test_only_the_two_contractions_reach_contract_image():
+    # one route per homotopy question: a contraction of a complex or of a
+    # split map's cokernel; every other decision goes through these two
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert definitions_loading(sources, "contract_image") == [
+        "chains/homotopy.py cokernel_contraction",
+        "chains/homotopy.py find_contraction"]

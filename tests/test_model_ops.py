@@ -375,10 +375,11 @@ def test_chain_section_retraction_helpers():
 # degreewise "no" at a degree that splits, and "found": false on a square
 # that lifts.  The simplicial pipelines run next, with the lifts stubbed to
 # fail and the cylinder ends swapped; the EZ/AW predicates run with no
-# contraction found (both reach it through `homotopy_from_retraction`);
-# then the solver is stubbed to answer zero for every
-# unknown, a wrong answer for each call, and a contraction of a cokernel
-# must refuse it.
+# contraction found (both reach it through `cokernel_contraction`), and
+# the EZ/AW homotopies must refuse a zero contraction of the cokernel,
+# which is no homotopy on N(D^1 (x) D^1) nor on the D^2 cotensor; then
+# the solver is stubbed to answer zero for every unknown, a wrong answer
+# for each call, and a contraction of a cokernel must refuse it.
 CERTIFICATE_GUARDS = """
 import json
 import sys
@@ -386,7 +387,7 @@ from chaincert import certify
 from chaincert.chains import homotopy
 from chaincert.chains.build import (direct_sum_complex, disk, sphere,
                                     unit_complex, zero_complex)
-from chaincert.chains.complexes import ChainMap, LiftingProblem
+from chaincert.chains.complexes import ChainHomotopy, ChainMap, LiftingProblem
 from chaincert.errors import CertificateError
 from chaincert.exact import splitting
 from chaincert.exact.matrix import Matrix
@@ -396,7 +397,7 @@ from chaincert.io.document import complex_to_json
 from chaincert.io.reports import (classification_report, dump, lift_report,
                                   verify_report)
 from chaincert.models import classify, lifting
-from chaincert.simplicial import classify as sclassify
+from chaincert.simplicial import classify as sclassify, cotensor, ez_aw
 from chaincert.simplicial.module import (SimplicialMap, degreewise_tensor,
                                          end_inclusion, gamma, interval_object)
 
@@ -471,6 +472,19 @@ for suite in ("ez-aw", "ez-aw-dual"):
         case, certify.CertifyConfig(suite, 0, 1)))
 homotopy.contract_image = contract_image
 
+def zero_contraction(f, r):
+    B = f.target
+    return ChainHomotopy(ChainMap.zero(B, B), ChainMap.zero(B, B), [],
+                         check=False)
+
+ez_aw.cokernel_contraction = cotensor.cokernel_contraction = zero_contraction
+sD2 = gamma(disk(ZZ, 2))
+report({
+    "find_ez_aw_homotopy": lambda: ez_aw.find_ez_aw_homotopy(
+        D, D, degreewise_tensor(D, D)),
+    "ez_aw_dual_ops": lambda: cotensor.ez_aw_dual_ops(sD2, sD2, through=2),
+})
+
 def zero_solution(ring, variables, relations):
     return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
             for v in variables}
@@ -516,6 +530,8 @@ def test_witness_guards_survive_python_O():
     assert lines[4:7] == [f"{name} raised" for name in (
         "simplicial_homotopic", "solve_hlp_simplicial", "solve_hep_simplicial")]
     assert lines[7:9] == ["ez-aw fail", "ez-aw-dual fail"]
-    assert lines[9:] == [f"{name} raised" for name in (
+    assert lines[9:11] == [f"{name} raised" for name in (
+        "find_ez_aw_homotopy", "ez_aw_dual_ops")]
+    assert lines[11:] == [f"{name} raised" for name in (
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
         "chain_section", "chain_retraction", "cokernel_contraction")]

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from chaincert.chains.build import (concentrated, direct_sum_complexes, disk,
                                     interval, sphere, unit_complex)
 from chaincert.certify import SUITES, CertifyConfig
-from chaincert.chains.complexes import ChainComplex, ChainMap, chain_map_equal
-from chaincert.chains.homotopy import (homotopy_from_retraction,
+from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
+                                        chain_map_equal)
+from chaincert.chains.homotopy import (cokernel_contraction,
                                        is_chain_homotopy_equivalence)
 from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
@@ -243,7 +244,7 @@ def test_ez_aw_constant_pair_needs_no_homotopy():
 def test_ez_decided_by_its_retraction_as_by_the_cone(ring):
     """On the pinned ez-aw suite inputs, EZ with its retraction AW is an
     equivalence by both routes, and `find_ez_aw_homotopy` returns the
-    retraction route's homotopy."""
+    contraction of coker EZ as a homotopy from EZ o AW to the identity."""
     seed = 20260809  # tests/test_acceptance.py, criterion 2
     cfg = CertifyConfig("ez-aw", seed=seed, cases=1, ring=ring)
     for index in range(6):
@@ -253,11 +254,13 @@ def test_ez_decided_by_its_retraction_as_by_the_cone(ring):
         B = gamma(parse_chain_complex(ring, case["b"], "b"), verify=False)
         T = degreewise_tensor(A, B)
         E, W = ez(A, B, T), aw(A, B, T)
-        h = homotopy_from_retraction(E, W)
-        assert h is not None and h.validate(strict=True)
+        found = cokernel_contraction(E, W.parts)
+        assert found is not None
+        ChainHomotopy(E.compose(W), ChainMap.identity(T.normalized),
+                      found.parts)  # the checked constructor
         assert is_chain_homotopy_equivalence(E) is not None
         H = find_ez_aw_homotopy(A, B, T, E, W)
-        assert all(map_equal(a, b) for a, b in zip(H.parts, h.parts))
+        assert all(map_equal(a, b) for a, b in zip(H.parts, found.parts))
 
 
 def test_ez_aw_homotopy_refuses_a_wrong_retraction():
