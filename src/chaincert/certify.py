@@ -34,9 +34,11 @@ from .exact.splitting import is_split_epi, is_split_mono
 from .io.document import (chain_map_from_json, chain_map_to_json,
                           complex_to_json, parse_chain_complex,
                           parse_components, DocumentError)
-from .models.classify import (MCofibrationWitness, bousfield_classify,
-                              h_cofibration_bit, h_fibration_bit, model_bit,
-                              q_cofibration_bit, verify_m_cofibration)
+from .models.classify import (MCofibrationWitness, bit_degrees,
+                              bousfield_classify, h_cofibration_bit,
+                              h_fibration_bit, model_bit, q_cofibration_bit,
+                              q_cofibration_from_retractions,
+                              verify_m_cofibration)
 from .models.generators import (random_chain_map, random_complex,
                                 random_map_for_agreement, random_q_cofibration,
                                 random_split_mono, twist_complex_with_iso)
@@ -396,12 +398,16 @@ def _gen_enrich_h_over_q(rng, cfg):
 
 @_decodes(i="map", k="map")
 def _pred_enrich_h_over_q(case, cfg, i, k):
-    if not q_cofibration_bit(k).holds:
+    # the product searches k's retractions for its own; k's q-cofibration
+    # bit reads them, so k is searched once (a q-cofibration is split)
+    report = check_pushout_product_axiom(i, k,
+                                         expect_acyclic=bool(case["acyclic"]))
+    sigma = report.legs[1]
+    if sigma is None or not q_cofibration_from_retractions(
+            k, bit_degrees(k, "q", "cofibration"), sigma.get).holds:
         return INVALID
     if case["acyclic"] and not quasi_iso(k):
         return INVALID
-    report = check_pushout_product_axiom(i, k,
-                                         expect_acyclic=bool(case["acyclic"]))
     if report.legs[0] is None:   # i is not an h-cofibration
         return INVALID
     if not report.cofibration.holds:

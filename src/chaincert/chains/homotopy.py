@@ -3,9 +3,13 @@
 One entry point per input, each answer a witness that re-verifies
 exactly:
   * any map f: f is a homotopy equivalence iff its mapping cone
-    contracts.  `is_homotopy_equivalence` decides that;
-    `is_chain_homotopy_equivalence` makes the same contraction and reads
-    the inverse and both homotopies off it, for callers that emit them.
+    contracts.  A contractible complex is exact, so the cone is swept
+    for exactness first (`first_inexact_degree`, one Smith form per
+    degree) and contracted only when it is exact.
+    `is_homotopy_equivalence` decides that;
+    `is_chain_homotopy_equivalence` makes the same decision and reads
+    the inverse and both homotopies off the contraction
+    (`cone_equivalence`), for callers that emit them.
   * a degreewise split map f with graded retractions r:
     `cokernel_contraction(f, r)` contracts coker f instead, which is
     smaller; when r is a chain map its answer is a homotopy from f o r to
@@ -29,7 +33,7 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, map_equal
 from .complexes import ChainComplex, ChainHomotopy, ChainMap
 from .cones import mapping_cone
-from .homology import first_homology
+from .homology import first_inexact_degree
 
 
 def contract_image(p: ChainMap) -> ChainHomotopy | None:
@@ -116,12 +120,15 @@ def chain_homotopic(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
 def is_homotopy_equivalence(f: ChainMap) -> bool:
     """Decide whether f is a chain homotopy equivalence, without a witness.
 
-    f is one iff its mapping cone is contractible, and `find_contraction`
-    decides that with a validated contraction; the inverse and the two
-    homotopies that `is_chain_homotopy_equivalence` reads off it are not
-    built.
+    f is one iff its mapping cone is contractible.  A cone that is not
+    exact is not, and needs no contraction solve; an exact one is decided
+    by `find_contraction` with a validated contraction.  The inverse and
+    the two homotopies that `is_chain_homotopy_equivalence` reads off it
+    are not built.
     """
-    return find_contraction(mapping_cone(f)) is not None
+    cone = mapping_cone(f)
+    return (first_inexact_degree(cone) is None
+            and find_contraction(cone) is not None)
 
 
 def cokernel_contraction(f: ChainMap,
@@ -182,12 +189,20 @@ class HomotopyEquivalence:
     target_homotopy: ChainHomotopy  # from f o g to id_Y
 
 
-def is_chain_homotopy_equivalence(f: ChainMap,
-                                  cone: ChainComplex | None = None
+def is_chain_homotopy_equivalence(f: ChainMap
                                   ) -> HomotopyEquivalence | None:
-    """The decision of `is_homotopy_equivalence`, with its witness.
+    """The decision of `is_homotopy_equivalence`, with its witness
+    (`cone_equivalence`)."""
+    cone = mapping_cone(f)
+    if first_inexact_degree(cone) is not None:
+        return None
+    s = find_contraction(cone)
+    return None if s is None else cone_equivalence(f, s)
 
-    ``cone`` is ``mapping_cone(f)`` when the caller has built it already.
+
+def cone_equivalence(f: ChainMap, s: ChainHomotopy) -> HomotopyEquivalence:
+    """The homotopy inverse of f and both homotopies, read off a
+    contraction s of ``mapping_cone(f)``.
 
     With the cone convention d = [[-d_X, 0], [f, d_Y]] a contraction s of
     cone(f) has blocks s = [[A, G], [B, K]] satisfying
@@ -195,11 +210,6 @@ def is_chain_homotopy_equivalence(f: ChainMap,
     so g := G is a homotopy inverse.
     """
     X, Y = f.source, f.target
-    if cone is None:
-        cone = mapping_cone(f)
-    s = find_contraction(cone)
-    if s is None:
-        return None
     g_parts, k_parts, a_parts = [], [], []
     top = max(X.top, Y.top)
     for n in range(top + 1):
@@ -225,5 +235,5 @@ def is_chain_homotopy_equivalence(f: ChainMap,
 
 
 def quasi_iso(f: ChainMap) -> bool:
-    """True iff the mapping cone has vanishing homology in all degrees."""
-    return first_homology(mapping_cone(f)) is None
+    """True iff the mapping cone is exact, decided by one sweep."""
+    return first_inexact_degree(mapping_cone(f)) is None

@@ -110,7 +110,7 @@ class Matrix:
         return hash((self.ring, self.rows, self.cols, self.data))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def is_identity(self) -> bool:
         return (self.rows == self.cols

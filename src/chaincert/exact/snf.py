@@ -5,9 +5,11 @@ lifting question downstream reduces to calls of ``solve`` (or
 ``kernel_matrix``), each of which reduces to one Smith normal form.  A
 matrix is factored at most once: ``snf`` keeps the ``SNFResult`` in the
 matrix's ``smith`` slot and returns it on every later call, so repeated
-solves against one relations matrix share one factorization.  A matrix
-with no columns (the relations of a free module) is never factored:
-``solve`` and ``kernel_matrix`` answer it directly.
+solves against one relations matrix share one factorization.  Two
+cases need no factorization: a matrix with no columns (the relations of
+a free module), which ``solve`` and ``kernel_matrix`` answer directly,
+and a right-hand side that is exactly zero, which ``solve`` answers with
+the zero solution.
 
 Determinism contract: the pivot is always the entry of smallest nonzero
 absolute value in the remaining block, ties broken in row-major order,
@@ -286,8 +288,10 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
         raise ValueError(f"incompatible shapes {A.rows}x{A.cols} and "
                          f"{B.rows}x{B.cols}")
     ring = A.ring
+    if B.is_zero():
+        return Matrix.zero(ring, A.cols, B.cols)
     if A.cols == 0:
-        return Matrix.zero(ring, 0, B.cols) if B.is_zero() else None
+        return None
     n = ring.modulus if ring.is_modular else 0
     dec = snf(A)
     C = dec.U @ B

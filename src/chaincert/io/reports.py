@@ -11,10 +11,12 @@ certificate without any other file.
   `WITNESS_TYPES`, not from a recomputation.
 - Checked by honest recomputation: a cone_exactness witness, which is
   compared with the recomputed one.
-- Decided again: a classification "no" or "unknown", one bit alone by
-  `model_bit` (a degreewise "no" at one of the convention's degrees, at
-  that degree alone); a lift report's prechecks; and its "no lift" and
-  obstruction degree, by one sweep of `lift_steps` (`solve_by_degree`).
+- Decided again: a classification "no" or "unknown", one bit alone: a
+  weak equivalence by `weak_equivalence_holds`, which builds no witness
+  and presents no homology, any other bit by `model_bit` (a degreewise
+  "no" at one of the convention's degrees, at that degree alone); a lift
+  report's prechecks; and its "no lift" and obstruction degree, by one
+  sweep of `lift_steps` (`solve_by_degree`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..exact.equations import solve_by_degree
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule, cokernel, map_equal
 from ..models.classify import (BITS, WITNESS_TYPES, bit_degrees, check_data,
-                               flavor_data, model_bit)
+                               flavor_data, model_bit, weak_equivalence_holds)
 from ..models.lifting import lift_prechecks, lift_steps
 from ..models.verdict import NO, UNKNOWN, YES, Verdict
 from .document import (DocumentError, chain_map_from_json, chain_map_to_json,
@@ -194,6 +196,7 @@ def _redecide(f: ChainMap | CochainMap, flavor: str, bit_name: str,
 
     A degreewise "no" must name one of the convention's degrees in its
     obstruction, and is decided at that degree alone, where it must fail.
+    A weak-equivalence status is compared with `weak_equivalence_holds`.
     """
     degreewise = WITNESS_TYPES.get((flavor, bit_name)) in _DEGREEWISE_CHECKS
     if status == NO and degreewise:
@@ -210,10 +213,13 @@ def _redecide(f: ChainMap | CochainMap, flavor: str, bit_name: str,
             problems.append(f"{bit_name} status {status!r} at degree {n} "
                             f"disagrees with recomputation {fresh.status!r}")
         return
-    fresh = model_bit(f, flavor, bit_name)
-    if status != fresh.status:
+    if bit_name == "weak_equivalence":
+        fresh = YES if weak_equivalence_holds(f, flavor) else NO
+    else:
+        fresh = model_bit(f, flavor, bit_name).status
+    if status != fresh:
         problems.append(f"{bit_name} status {status!r} disagrees with "
-                        f"recomputation {fresh.status!r}")
+                        f"recomputation {fresh!r}")
 
 
 def verify_classification(data: dict) -> list[str]:

@@ -5,31 +5,42 @@ of each structure, which degrees it covers and which witness its "yes"
 carries.  Classifiers, pushout-product checks and lifting prechecks ask
 `classify` and `model_bit`; a caller that reads only whether a map is a
 weak equivalence asks `weak_equivalence_holds`, which builds no witness;
-`verify` asks `model_bit`, `bit_degrees` and `WITNESS_TYPES`:
+`verify` asks `model_bit`, `weak_equivalence_holds`, `bit_degrees` and
+`WITNESS_TYPES`:
 
   flavor     data     bit    decider, degrees       "yes" witness type
   h          chain    cof.   split mono, n >= 0     degreewise_retractions
                       fib.   split epi, n >= 1      degreewise_sections
-                      w.e.   homotopy equivalence   homotopy_equivalence
+                      w.e.   exact cone, contracts  homotopy_equivalence
   q          chain    cof.   q-cofibration, n >= 0  q_cofibration
                       fib.   surjective, n >= 1     degreewise_surjectivity
-                      w.e.   quasi-isomorphism      cone_exactness
+                      w.e.   exact cone             cone_exactness
   m          chain    cof.   unknown                (none)
                       fib.   split epi, n >= 1      degreewise_sections
-                      w.e.   quasi-isomorphism      cone_exactness
+                      w.e.   exact cone             cone_exactness
   bousfield  cochain  cof.   split mono, n >= 1     degreewise_retractions
                       fib.   split epi, n >= 0      degreewise_sections
                       w.e.   homotopy equivalence   cochain_homotopy_equivalence
+
+Every weak-equivalence decider sweeps the mapping cone for exactness
+first, one Smith form per degree (`first_inexact_degree`).  A
+quasi-isomorphism is an exact cone.  In h, q and m a cone that is not
+exact is a "no" at the lowest failing degree, with the homology
+presented there alone (`first_homology`); the Bousfield "no" names no
+degree.  An h or Bousfield "yes" contracts the cone only once it is
+exact, and an exact cone that does not contract is a "no" with no
+degree.
 
 `verify` accepts a "yes" on its witness alone, checked by multiplication
 (a q_cofibration witness against the closed-form cokernel [rel | f] of
 each component), except a cone_exactness witness, which it compares with
 a recomputation.
-It decides every "no" or "unknown" bit again with `model_bit`, that bit
-alone.  A degreewise "no" must name one of the convention's degrees as
-its obstruction degree and is decided again at that degree only, so a
-missing degree, one outside the convention, or one that does not fail is
-refused.
+It decides every "no" or "unknown" bit again, that bit alone: a
+weak equivalence with `weak_equivalence_holds`, any other bit with
+`model_bit`.  A degreewise "no" must name one of the convention's
+degrees as its obstruction degree and is decided again at that degree
+only, so a missing degree, one outside the convention, or one that does
+not fail is refused.
 
 Degreewise bits test degrees up to the larger top of the two endpoints;
 a cochain map's two ends share one top, ``g.top``.  A q-cofibration is,
@@ -53,10 +64,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..chains.cochain import CochainMap
-from ..chains.complexes import ChainComplex, ChainMap, chain_map_equal
+from ..chains.complexes import ChainMap, chain_map_equal
 from ..chains.cones import mapping_cone
 from ..chains.homology import first_homology
-from ..chains.homotopy import (HomotopyEquivalence,
+from ..chains.homotopy import (HomotopyEquivalence, cone_equivalence,
+                               find_contraction,
                                is_chain_homotopy_equivalence,
                                is_homotopy_equivalence, quasi_iso)
 from ..errors import CertificateError
@@ -220,11 +232,19 @@ def split_epi_bit(f: ChainMap, degrees) -> ClassBit:
 
 
 def homotopy_equivalence_bit(f: ChainMap) -> ClassBit:
+    """A cone that is not exact is a "no" at the degree where exactness
+    fails, with no contraction solve; only an exact cone is contracted."""
     cone = mapping_cone(f)
-    he = is_chain_homotopy_equivalence(f, cone)
-    if he is None:
-        return _homotopy_equivalence_obstruction(cone)
-    return yes(homotopy_equivalence_witness(he))
+    found = first_homology(cone)
+    if found is not None:
+        n, H = found
+        inv = H.minimal_presentation().minimal_invariants()
+        return no(degree=n, reason=f"mapping cone has homology {inv} "
+                                   f"in degree {n}")
+    s = find_contraction(cone)
+    if s is None:
+        return no(reason="mapping cone is acyclic but not contractible")
+    return yes(homotopy_equivalence_witness(cone_equivalence(f, s)))
 
 
 def homotopy_equivalence_witness(he: HomotopyEquivalence) -> dict:
@@ -243,16 +263,6 @@ def _cochain_homotopy_equivalence_bit(g: CochainMap) -> ClassBit:
     return yes({**homotopy_equivalence_witness(he),
                 "type": "cochain_homotopy_equivalence",
                 "reversed_top": g.top})
-
-
-def _homotopy_equivalence_obstruction(cone: ChainComplex) -> ClassBit:
-    found = first_homology(cone)
-    if found is None:
-        return no(reason="mapping cone is acyclic but not contractible")
-    n, H = found
-    inv = H.minimal_presentation().minimal_invariants()
-    return no(degree=n, reason=f"mapping cone has homology {inv} "
-                               f"in degree {n}")
 
 
 def surjectivity_bit(f: ChainMap, degrees) -> ClassBit:
@@ -276,12 +286,26 @@ def surjectivity_bit(f: ChainMap, degrees) -> ClassBit:
 def q_cofibration_bit(f: ChainMap, degrees: range | None = None) -> ClassBit:
     if degrees is None:
         degrees = bit_degrees(f, "q", "cofibration")
+    return q_cofibration_from_retractions(
+        f, degrees, lambda n: is_split_mono(f.component(n)))
+
+
+def q_cofibration_from_retractions(f: ChainMap, degrees,
+                                   retraction_of: Proposal) -> ClassBit:
+    """The q-cofibration bit of ``f`` over ``degrees``, where
+    ``retraction_of(n)`` is a retraction of f_n, or None when f_n has
+    none.
+
+    A caller that holds the retractions already (say, a pushout-product
+    leg's, checked by multiplication when they were found) passes them,
+    so f's components are not searched again.
+    """
     certs = {}
     for n in degrees:
         fn = f.component(n)
         # a retraction proves injectivity; the kernel is computed only to
         # tell the two "no" reasons apart
-        retraction = is_split_mono(fn)
+        retraction = retraction_of(n)
         if retraction is None and not kernel(fn)[0].is_zero_module():
             return no(degree=n, reason="not injective at this degree")
         section = projective_section(cokernel(fn)[0])

@@ -100,6 +100,18 @@ def _induced_homology_map(f: ChainMap, n: int) -> ModuleMap:
     return ModuleMap(hx.homology, hy.homology, z.action)
 
 
+def first_homology_by_scan(C: ChainComplex
+                           ) -> tuple[int, PresentedModule] | None:
+    """The lowest degree with nonzero homology and that homology, found by
+    presenting H_n in every degree in turn (the route the exactness sweep
+    replaced)."""
+    for n in range(C.top + 1):
+        H = homology_data(C, n).homology
+        if not H.is_zero_module():
+            return n, H
+    return None
+
+
 def homology_iso_all_degrees(f: ChainMap) -> bool:
     """Quasi-isomorphism decided by the induced maps on homology."""
     top = max(f.source.top, f.target.top)

@@ -17,7 +17,8 @@ from chaincert.chains.cones import (cocylinder_complex, cylinder_complex,
 from chaincert.chains import homcx
 from chaincert.chains.homcx import (ChainMapsSpace, HomWindow, hom_complex,
                                     hom_truncation)
-from chaincert.chains.homology import homology
+from chaincert.chains.homology import (first_homology, first_inexact_degree,
+                                       homology)
 from chaincert.chains.homotopy import (chain_homotopic, cokernel_contraction,
                                        contract_image, find_contraction,
                                        is_chain_homotopy_equivalence,
@@ -39,15 +40,17 @@ from chaincert.io.document import (chain_map_from_json, chain_map_to_json,
                                    cochain_map_from_json,
                                    complex_to_json, parse_chain_complex,
                                    parse_cochain_complex)
-from chaincert.models.classify import bit_degrees, degreewise_retractions
+from chaincert.models.classify import (bit_degrees, degreewise_retractions,
+                                       homotopy_equivalence_bit)
 from chaincert.models.generators import (random_chain_map, random_complex,
+                                         random_map_for_agreement,
                                          random_q_cofibration,
                                          random_split_mono,
                                          twist_complex_with_iso)
 from chaincert.simplicial.ez_aw import aw, ez
 from chaincert.simplicial.module import degreewise_tensor, gamma
 
-from oracles import homology_iso_all_degrees
+from oracles import first_homology_by_scan, homology_iso_all_degrees
 
 
 def complex_from_data(ring, modules, diff_matrices):
@@ -528,6 +531,56 @@ def test_quasi_iso_agrees_with_homology_oracle():
     two = ChainMap(U, U, [ModuleMap(U.module(0), U.module(0),
                                     Matrix(ZZ, 1, 1, [[2]]))])
     assert homology_iso_all_degrees(two) == quasi_iso(two)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_exactness_sweep_agrees_with_the_homology_scan(ring):
+    """On drawn complexes, torsion included, and on the cones of drawn
+    maps, the sweep names the degree where the per-degree scan first finds
+    homology, and `first_homology` presents the scan's H_n there.  The
+    first complex, R --(2,-1)--> R^2 --(1 2)--> R/2, has H_1 = R: its
+    cycle (0, 1) is one only modulo the relations of R/2."""
+    rng = random.Random(29)
+    free = PresentedModule.free(ring, 1)
+    complexes = [complex_from_data(
+        ring, [PresentedModule.cyclic(ring, 2),
+               PresentedModule.free(ring, 2), free],
+        [Matrix(ring, 1, 2, [[1, 2]]), Matrix(ring, 2, 1, [[2], [-1]])])]
+    for _ in range(15):
+        X = random_complex(ring, rng, max_top=3, max_rank=4)
+        Y = random_complex(ring, rng, max_top=3, max_rank=4)
+        complexes += [X, mapping_cone(random_chain_map(X, Y, rng)),
+                      mapping_cone(random_map_for_agreement(ring, rng)),
+                      mapping_cone(twist_complex_with_iso(X, rng)[1])]
+    degrees = []
+    for C in complexes:
+        expected = first_homology_by_scan(C)
+        n = first_inexact_degree(C)
+        degrees.append(n)
+        found = first_homology(C)
+        if expected is None:
+            assert n is None and found is None
+        else:
+            assert n == expected[0] and found[0] == n
+            assert found[1] == expected[1]
+    assert None in degrees
+    assert {0, 1, 2} <= set(degrees)
+
+
+def test_an_exact_complex_need_not_contract():
+    """Z --2--> Z --> Z/2 is exact but not contractible (Z/2 is not
+    projective), so 0 -> C passes the sweep and fails the contraction."""
+    free = PresentedModule.free(ZZ, 1)
+    C = complex_from_data(ZZ, [PresentedModule.cyclic(ZZ, 2), free, free],
+                          [Matrix(ZZ, 1, 1, [[1]]), Matrix(ZZ, 1, 1, [[2]])])
+    assert first_inexact_degree(C) is None and find_contraction(C) is None
+    f = ChainMap.zero(zero_complex(ZZ), C)
+    assert quasi_iso(f) and not is_homotopy_equivalence(f)
+    assert is_chain_homotopy_equivalence(f) is None
+    bit = homotopy_equivalence_bit(f)
+    assert not bit.holds
+    assert bit.to_json()["obstruction"] == {
+        "reason": "mapping cone is acyclic but not contractible"}
 
 
 def test_cone_of_map_from_zero():

@@ -12,10 +12,12 @@ from math import comb
 
 import pytest
 
+from chaincert.chains import homology as homology_module
 from chaincert.chains.build import (concentrated, direct_sum_complex, disk,
                                     sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
+from chaincert.chains.cones import mapping_cone
 from chaincert.cli import COMMANDS, build_parser, main
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, cokernel
@@ -671,6 +673,43 @@ def test_cli_verify_refuses_forged_q_cofibration_witnesses(tmp_path, capsys):
         assert verify_file(report, tmp_path, capsys) == (1, problems)
 
 
+def test_cli_verify_refuses_a_forged_weak_equivalence_status(
+        tmp_path, capsys, monkeypatch):
+    """A "no" on a homotopy equivalence and a "yes" on a map that is not a
+    quasi-isomorphism are both refused.  A true "no" verifies without a
+    presentation of the cone's homology."""
+    ident = ChainMap.identity(disk(ZZ, 1))
+    report = json.loads(dump(classification_report(ident, "h",
+                                                   classify(ident, "h"))))
+    assert report["verdict"]["weak_equivalence"]["status"] == "yes"
+    report["verdict"]["weak_equivalence"] = {"status": "no", "obstruction": {
+        "reason": "mapping cone is acyclic but not contractible"}}
+    assert verify_file(report, tmp_path, capsys) == (1, [
+        "weak_equivalence status 'no' disagrees with recomputation 'yes'"])
+
+    def refuse(C, n):
+        raise RuntimeError("verify presented homology to check a 'no'")
+
+    U = unit_complex(ZZ)
+    two = ChainMap(U, U, [ModuleMap(U.module(0), U.module(0),
+                                    Matrix(ZZ, 1, 1, [[2]]))])
+    cone = mapping_cone(two)
+    for flavor in ("q", "m"):
+        report = json.loads(dump(classification_report(two, flavor,
+                                                       classify(two, flavor))))
+        bit = report["verdict"]["weak_equivalence"]
+        assert bit["status"] == "no" and bit["obstruction"]["degree"] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(homology_module, "homology_data", refuse)
+            assert verify_report(report) == (True, [])
+        report["verdict"]["weak_equivalence"] = {"status": "yes", "witness": {
+            "type": "cone_exactness", "cone": graded_to_json(cone),
+            "degrees": {str(n): {"free_rank": 0, "factors": []}
+                        for n in range(cone.top + 1)}}}
+        assert verify_file(report, tmp_path, capsys) == (1, [
+            "cone exactness witness differs from the recomputed one"])
+
+
 def test_verify_accepts_q_cofibration_witnesses_with_the_older_fields():
     with open(fixture("interval.json")) as fh:
         f = parse_document(json.load(fh)).map("e0").value
@@ -717,6 +756,7 @@ def test_verify_accepts_a_yes_on_its_witness_alone(ring, monkeypatch):
     monkeypatch.setattr(classify_module, "classify", _refuse)
     monkeypatch.setattr(classify_module, "is_chain_homotopy_equivalence",
                         _refuse)
+    monkeypatch.setattr(classify_module, "find_contraction", _refuse)
     monkeypatch.setattr(reports_module, "classify", _refuse, raising=False)
     assert [verify_report(r) for r in reports] == results
 

@@ -379,12 +379,14 @@ def test_chain_section_retraction_helpers():
 # the EZ/AW homotopies must refuse a zero contraction of the cokernel,
 # which is no homotopy on N(D^1 (x) D^1) nor on the D^2 cotensor; then
 # the solver is stubbed to answer zero for every unknown, a wrong answer
-# for each call, and a contraction of a cokernel must refuse it.
+# for each call, and a contraction of a cokernel must refuse it.  Last,
+# the exactness sweep is stubbed to name degree 0 of D^1, where the
+# homology is zero, and `first_homology` must refuse that degree.
 CERTIFICATE_GUARDS = """
 import json
 import sys
 from chaincert import certify
-from chaincert.chains import homotopy
+from chaincert.chains import homology, homotopy
 from chaincert.chains.build import (direct_sum_complex, disk, sphere,
                                     unit_complex, zero_complex)
 from chaincert.chains.complexes import ChainHomotopy, ChainMap, LiftingProblem
@@ -506,8 +508,10 @@ calls = {
     "cokernel_contraction": lambda: homotopy.cokernel_contraction(
         ChainMap.zero(zero_complex(ZZ), D1.source),
         ChainMap.zero(D1.source, zero_complex(ZZ)).parts),
+    "first_homology": lambda: homology.first_homology(disk(ZZ, 1)),
 }
 classify.is_split_mono = lambda fn: None
+homology.first_inexact_degree = lambda C: 0
 splitting.solve_map_relations = zero_solution
 homotopy.solve_map_relations = zero_solution
 lifting.solve_by_degree = zero_sweep
@@ -534,4 +538,5 @@ def test_witness_guards_survive_python_O():
         "find_ez_aw_homotopy", "ez_aw_dual_ops")]
     assert lines[11:] == [f"{name} raised" for name in (
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
-        "chain_section", "chain_retraction", "cokernel_contraction")]
+        "chain_section", "chain_retraction", "cokernel_contraction",
+        "first_homology")]
