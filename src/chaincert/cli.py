@@ -31,7 +31,8 @@ from .models.classify import check_data, classify
 from .models.lifting import solve_lifting
 from .simplicial.cotensor import ez_aw_dual_ops, through_problem
 from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
-from .simplicial.module import cap_problem, degreewise_tensor, gamma, normalize
+from .simplicial.module import (cap_problem, degreewise_tensor, gamma,
+                                normalize, tensor_problem)
 
 USAGE_ERROR = 2
 
@@ -177,6 +178,9 @@ def cmd_ez_aw(args) -> int:
     doc = _load_document(args.document)
     A = doc.simplicial(args.a)
     B = doc.simplicial(args.b)
+    problem = tensor_problem(A, B)
+    if problem:
+        _fail(f"--a/--b: {problem}")
     problem = through_problem(A, B, args.through) if args.dual else None
     if problem:
         _fail(f"--through: {problem}")

@@ -1,12 +1,12 @@
 """Level data for simplicial modules: structure maps as sparse rows.
 
 Two level models cover every simplicial object in the package: the
-denormalization of a chain complex (summands indexed by surjections) and
-the levelwise tensor of two models.  Both expose, per level, which
-generator coordinates are degenerate, the rows of a simplicial operator
-and the relations on a chosen set of coordinates, and where a degeneracy
-sends a coordinate; the normalized complex, EZ, AW and the tensor maps
-are read off that bookkeeping without building a whole level.
+denormalization Gamma(C) of a chain complex (summands indexed by
+surjections), and the levelwise tensor Gamma(C) (x) Gamma(D) of two of
+them, the only tensor the package builds.  A ``GammaLevels`` exposes, per
+level, the rows of a simplicial operator, the relations on a chosen set
+of coordinates and where a degeneracy sends a coordinate; normalization,
+EZ and AW are read off that bookkeeping without building a whole level.
 
 The combinatorics of Gamma(C) do not depend on C.  ``operator_table``
 lists, for a simplicial operator alpha : [m] -> [n], where alpha^* sends
@@ -19,27 +19,18 @@ blocks (the ranks of C_k, its differentials and relations) at the offsets
 of the summands.  A degeneracy never meets the zero or differential case:
 eta o sigma is onto, so sigma^* is an index map.
 
-Coordinates are grouped by their degeneracy-position set, the positions
-j at which they lie in the image of s_j.  In the denormalization a
-coordinate of the eta summand has the non-jump positions of eta; in a
-tensor the pair (a, b) has the intersection of the two sets, so the
-non-degenerate pairs are those with disjoint sets (Eilenberg-Zilber).
-
-Two routes normalize a level model (``module.normalized_quotient``).  A
-``TensorLevels`` whose two factors are of exact type ``GammaLevels``, the
-tensor Gamma(C) (x) Gamma(D) of every monoidal check, takes the plan
-route.  Which pairs of summands (eta_1 : [n] ->> [p], eta_2 : [n] ->> [q])
-are non-degenerate, where each lands in the normalized basis and where
-each face sends it depend only on the ranks of the C_k and D_k, so
+The degeneracy positions of a summand eta are the j with
+eta[j] = eta[j + 1], where it lies in the image of s_j.  A pair of
+summands (eta_1 : [n] ->> [p], eta_2 : [n] ->> [q]) of the tensor is
+non-degenerate when the two sets are disjoint (Eilenberg-Zilber).  Which
+pairs those are, where each lands in the normalized basis and where each
+face sends it depend only on the ranks of the C_k and D_k, so
 ``pair_layout``, ``face_plan``, ``relation_plan`` and ``parts_plan``
 compile them once per shape into process-wide memos, and a case only
 fills in the entries of its own differentials, relations and maps.  The
 key is the factors' ``GammaLevels.shape()``: the rank of each C_k and
 D_k, with the nonzero relation columns of each for ``relation_plan``
-(zero columns are dropped), and the level n.  Every other model, Gamma(C)
-alone, a tensor with a tensor factor, or a subclass, takes the
-coordinate route through ``operator_rows`` and ``relations_on`` above,
-which stays the oracle for the plans.
+(zero columns are dropped), and the level n.
 
 The descent check is part of compilation.  ``face_plan`` sums the face
 terms sign * (X (x) Y), X the identity or d_p and Y the identity or d_q,
@@ -47,9 +38,8 @@ formally per pair of summands and per kind of term; a degenerate source
 pair whose terms into a non-degenerate pair do not cancel to zero raises
 ``degenerate part is not a subcomplex at level n``.  When they cancel,
 every degenerate column of the Moore rows into the non-degenerate pairs
-is zero, whatever the entries of C and D, so the per-case check of the
-coordinate route (those columns lie in the span of the relations) holds
-for every C and D of that shape.
+is zero, whatever the entries of C and D, so the Moore differential
+descends to the quotient for every C and D of that shape.
 """
 
 from __future__ import annotations
@@ -119,9 +109,9 @@ class GammaLevels:
     def __init__(self, C: ChainComplex):
         self.C = C
         self.ring = C.ring
-        # per level: summand offsets, the summand of each coordinate, and
-        # (degeneracy positions, coordinates) of each nonzero summand
-        self._layouts: dict[int, tuple[list[int], list[int], list]] = {}
+        # per level: the offset of each summand, and the summand of each
+        # coordinate
+        self._layouts: dict[int, tuple[list[int], list[int]]] = {}
         self._rows: dict[tuple[int, tuple], list[SparseRow]] = {}
         self._shape: Shape | None = None
 
@@ -137,21 +127,14 @@ class GammaLevels:
                                  for M in mods))
         return self._shape
 
-    def _layout(self, n: int) -> tuple[list[int], list[int], list]:
+    def _layout(self, n: int) -> tuple[list[int], list[int]]:
         if n not in self._layouts:
             offsets: list[int] = []
             owner: list[int] = []
-            groups: list[tuple[frozenset[int], range]] = []
             for s, eta in enumerate(sj.surjections(n)):
-                pos = len(owner)
-                g = self.C.module(sj.degree_of(eta)).generators
-                offsets.append(pos)
-                owner += [s] * g
-                if g:
-                    groups.append((frozenset(j for j in range(n)
-                                             if eta[j] == eta[j + 1]),
-                                   range(pos, pos + g)))
-            self._layouts[n] = offsets, owner, groups
+                offsets.append(len(owner))
+                owner += [s] * self.C.module(sj.degree_of(eta)).generators
+            self._layouts[n] = offsets, owner
         return self._layouts[n]
 
     def rank(self, n: int) -> int:
@@ -163,7 +146,7 @@ class GammaLevels:
         key = (n, alpha)
         if key not in self._rows:
             src_off = self._layout(n)[0]
-            tgt_off, tgt_owner, _ = self._layout(len(alpha) - 1)
+            tgt_off, tgt_owner = self._layout(len(alpha) - 1)
             table: list[SparseRow] = [[] for _ in tgt_owner]
             surj = sj.surjections(n)
             for s, entry in enumerate(operator_table(alpha, n)):
@@ -188,7 +171,7 @@ class GammaLevels:
         """Where sigma^* : level n -> level m sends the coordinates
         ``coords``, for a surjection sigma : [m] ->> [n]."""
         table = operator_table(sigma, n)
-        offsets, owner, _ = self._layout(n)
+        offsets, owner = self._layout(n)
         tgt_off = self._layout(len(sigma) - 1)[0]
         return [tgt_off[table[owner[c]][0]] + c - offsets[owner[c]]
                 for c in coords]
@@ -196,7 +179,7 @@ class GammaLevels:
     def relations_on(self, n: int, rows: list[int]) -> Matrix:
         """Level n's relations on the coordinates ``rows``, zero columns
         dropped: those of each summand's C_k, summands in order."""
-        offsets, owner, _ = self._layout(n)
+        offsets, owner = self._layout(n)
         surj = sj.surjections(n)
         columns: dict[tuple, SparseRow] = {}
         for t, r in enumerate(rows):
@@ -207,113 +190,42 @@ class GammaLevels:
                     columns.setdefault((s, j), []).append((t, v))
         return sparse_columns(self.ring, len(rows), columns)
 
-    def degeneracy_groups(self, n: int
-                          ) -> list[tuple[frozenset[int], range]]:
-        """(degeneracy positions, coordinates) for each nonzero summand,
-        in ascending coordinate order."""
-        return self._layout(n)[2]
-
     def nondegenerate_coords(self, n: int) -> list[int]:
         """The identity summand, which ``surjections(n)`` lists last."""
-        offsets, owner, _ = self._layout(n)
+        offsets, owner = self._layout(n)
         return list(range(offsets[-1], len(owner)))
 
 
 class TensorLevels:
-    """Levelwise tensor product A_n (x) B_n with diagonal structure maps.
+    """Levelwise tensor product Gamma(C)_n (x) Gamma(D)_n with diagonal
+    structure maps.
 
     The coordinate (a, b) of level n is a * rank B_n + b, as in
-    ``tensor_module`` and ``Matrix.kron``.
+    ``tensor_module`` and ``Matrix.kron``.  Only ``degreewise_tensor``
+    builds one; its normalized complex and maps come from the plans below.
     """
 
-    def __init__(self, A, B):
-        if A.ring != B.ring:
-            raise ValueError("ring mismatch")
+    def __init__(self, A: GammaLevels, B: GammaLevels):
         self.A = A
         self.B = B
         self.ring = A.ring
-        self._groups: dict[int, list[tuple[frozenset[int], list[int]]]] = {}
-        self._nondegenerate: dict[int, list[int]] = {}
 
     def rank(self, n: int) -> int:
         return self.A.rank(n) * self.B.rank(n)
 
-    def operator_rows(self, n: int, alpha: tuple[int, ...],
-                      rows) -> list[SparseRow]:
-        """Rows of alpha^* (x) alpha^*, each the product of two sparse
-        rows."""
-        gb_src, gb_tgt = self.B.rank(n), self.B.rank(len(alpha) - 1)
-        pairs = [divmod(r, gb_tgt) for r in rows]
-        a_idx = sorted({a for a, _ in pairs})
-        b_idx = sorted({b for _, b in pairs})
-        a_rows = dict(zip(a_idx, self.A.operator_rows(n, alpha, a_idx)))
-        b_rows = dict(zip(b_idx, self.B.operator_rows(n, alpha, b_idx)))
-        return [[(ca * gb_src + cb, va * vb)
-                 for ca, va in a_rows[a] for cb, vb in b_rows[b]]
-                for a, b in pairs]
-
-    def degenerate(self, n: int, sigma: tuple[int, ...], coords) -> list[int]:
-        """Where sigma^* (x) sigma^* sends the coordinates ``coords``."""
-        gb_src, gb_tgt = self.B.rank(n), self.B.rank(len(sigma) - 1)
-        pairs = [divmod(c, gb_src) for c in coords]
-        a_img = self.A.degenerate(n, sigma, [a for a, _ in pairs])
-        b_img = self.B.degenerate(n, sigma, [b for _, b in pairs])
-        return [x * gb_tgt + y for x, y in zip(a_img, b_img)]
-
-    def relations_on(self, n: int, rows: list[int]) -> Matrix:
-        """``tensor_module``'s relations on the coordinates ``rows``.
-
-        The columns keep its order, those of R_A (x) I before those of
-        I (x) R_B, and the ones that vanish on ``rows`` are dropped.  A
-        column of R_A (or R_B) that vanishes on every a (or b) of ``rows``
-        only gives such columns, so the factors are restricted first.
-        """
-        gb = self.B.rank(n)
-        pairs = [divmod(r, gb) for r in rows]
-        a_idx = sorted({a for a, _ in pairs})
-        b_idx = sorted({b for _, b in pairs})
-        a_rel = dict(zip(a_idx, self.A.relations_on(n, a_idx).data))
-        b_rel = dict(zip(b_idx, self.B.relations_on(n, b_idx).data))
-        columns: dict[tuple, SparseRow] = {}
-        for t, (a, b) in enumerate(pairs):
-            for j, v in enumerate(a_rel[a]):
-                if v:
-                    columns.setdefault((0, j, b), []).append((t, v))
-            for k, v in enumerate(b_rel[b]):
-                if v:
-                    columns.setdefault((1, a, k), []).append((t, v))
-        return sparse_columns(self.ring, len(rows), columns)
-
-    def degeneracy_groups(self, n: int
-                          ) -> list[tuple[frozenset[int], list[int]]]:
-        """The coordinates grouped by degeneracy positions, each group
-        ascending; read when this tensor is a factor of another."""
-        if n not in self._groups:
-            gb = self.B.rank(n)
-            merged: dict[frozenset[int], list[int]] = {}
-            for sa, a_coords in self.A.degeneracy_groups(n):
-                for sb, b_coords in self.B.degeneracy_groups(n):
-                    merged.setdefault(sa & sb, []).extend(
-                        a * gb + b for a in a_coords for b in b_coords)
-            self._groups[n] = [(s, sorted(c)) for s, c in merged.items()]
-        return self._groups[n]
-
     def nondegenerate_coords(self, n: int) -> list[int]:
-        """The pairs with disjoint degeneracy positions, ascending.
-
-        Cached per level; callers only read the list.
-        """
-        if n not in self._nondegenerate:
-            gb = self.B.rank(n)
-            b_groups = self.B.degeneracy_groups(n)
-            out: list[int] = []
-            for sa, a_coords in self.A.degeneracy_groups(n):
-                bs = sorted(b for sb, b_coords in b_groups if not sa & sb
-                            for b in b_coords)
-                out += [a * gb + b for a in a_coords for b in bs]
-            out.sort()
-            self._nondegenerate[n] = out
-        return self._nondegenerate[n]
+        """The non-degenerate pairs of ``pair_layout``, ascending: the
+        order of its normalized basis."""
+        ranks_a, ranks_b = self.A.shape()[0], self.B.shape()[0]
+        offsets_a, offsets_b = self.A._layout(n)[0], self.B._layout(n)[0]
+        gb = self.B.rank(n)
+        out: list[int] = []
+        for s, k, _, _, partners in pair_layout(ranks_a, ranks_b, n)[1]:
+            bs = [offsets_b[s2] + b for s2, k2, _ in partners
+                  for b in range(ranks_b[k2])]
+            for a in range(offsets_a[s], offsets_a[s] + ranks_a[k]):
+                out += [a * gb + b for b in bs]
+        return out
 
 
 # -- plans for Gamma(C) (x) Gamma(D), one per shape and level --------------
@@ -439,14 +351,18 @@ def face_plan(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...], n: int
 @lru_cache(maxsize=None)
 def relation_plan(shape_a: Shape, shape_b: Shape, n: int
                   ) -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """The columns of ``TensorLevels.relations_on`` at the non-degenerate
-    pairs of level n, in its order.
+    """The relation columns of level n of N(Gamma(C) (x) Gamma(D)).
 
-    Each column (side, k, j, row, step, count) holds column j of the
-    relations of C_k (side 0, R_C (x) I) or D_k (side 1, I (x) R_D):
-    entry x of that column at row row + x * step, for x < count.  Only
-    the nonzero columns of the factors' relations are listed, so no
-    column of the result is zero.
+    They are ``tensor_module``'s relations of the level read on the
+    non-degenerate pairs: first those of R_C (x) I, ordered by summand
+    of Gamma(C), then column of its C_k's relations, then coordinate of
+    Gamma(D); then those of I (x) R_D, ordered by coordinate of
+    Gamma(C), then summand of Gamma(D), then column of its D_k's
+    relations.  Each column (side, k, j, row, step, count) holds column
+    j of the relations of C_k (side 0) or D_k (side 1): entry x of that
+    column at row row + x * step, for x < count.  Only the nonzero
+    columns of the factors' relations are listed, so no column of the
+    result is zero.
     """
     (ranks_a, cols_a), (ranks_b, cols_b) = shape_a, shape_b
     left, right = [], []

@@ -25,34 +25,23 @@ from .levels import (GammaLevels, SparseRow, TensorLevels, face_plan,
                      verify_simplicial_identities)
 
 
-def normalized_quotient(levels, top: int) -> ChainComplex:
-    """Normalized complex on the non-degenerate coordinates.
+def normalized_quotient(levels: GammaLevels, top: int) -> ChainComplex:
+    """Normalized complex of Gamma(C) on the non-degenerate coordinates.
 
-    A ``TensorLevels`` of two ``GammaLevels`` (exact types) takes the plan
-    route: the per-shape plans of ``levels.py``, keyed by the factors'
-    ``shape()`` and the level, list the non-degenerate pairs of summands,
-    the relation columns and the face blocks, and this fills them with
-    the entries of C's and D's relations and differentials.  Their
-    compilation cancels the face terms from degenerate pairs formally,
-    which implies the descent check below for every C and D of the
-    shape (see the ``levels.py`` docstring).
-
-    Every other level model takes the coordinate route.  The degenerate
-    coordinates span a subcomplex of the Moore complex, so the
-    alternating face sum descends to the coordinate quotient; the descent
-    condition is verified exactly during construction, on the degenerate
-    columns of the Moore rows that are nonzero (a zero column always
-    solves).  Only the rows of the levels at non-degenerate coordinates
-    are built, sparse: the relations there and the Moore rows into them.
+    The degenerate coordinates span a subcomplex of the Moore complex, so
+    the alternating face sum descends to the coordinate quotient; the
+    descent condition is verified exactly during construction, on the
+    degenerate columns of the Moore rows that are nonzero (a zero column
+    always solves).  Only the rows of the levels at non-degenerate
+    coordinates are built, sparse: the relations there and the Moore rows
+    into them.  The tensor Gamma(C) (x) Gamma(D) is normalized from its
+    plans instead (``degreewise_tensor``).
 
     Given the descent, the result is a complex by construction: the
     Moore differential squares to zero by the simplicial identities, the
     faces carry level relations into level relations, and the quotient's
     relations are the level relations read on the kept coordinates.
     """
-    if (type(levels) is TensorLevels and type(levels.A) is GammaLevels
-            and type(levels.B) is GammaLevels):
-        return _planned_quotient(levels, top)
     ring = levels.ring
     coords = [levels.nondegenerate_coords(n) for n in range(top + 1)]
     mods = [PresentedModule(ring, len(full), levels.relations_on(n, full))
@@ -107,7 +96,16 @@ def _add_block(action: list[list[int]], c: int, left, right, row0: int,
 
 
 def _planned_quotient(levels: TensorLevels, top: int) -> ChainComplex:
-    """``normalized_quotient`` of Gamma(C) (x) Gamma(D) from its plans."""
+    """The normalized complex of Gamma(C) (x) Gamma(D) through ``top``.
+
+    The per-shape plans of ``levels.py``, keyed by the factors' ``shape()``
+    and the level, list the non-degenerate pairs of summands, the relation
+    columns and the face blocks, and this fills them with the entries of
+    C's and D's relations and differentials.  Their compilation cancels
+    the face terms from degenerate pairs formally, which is the descent
+    check for every C and D of the shape (see the ``levels.py``
+    docstring).
+    """
     ring = levels.ring
     shapes = levels.A.shape(), levels.B.shape()
     ranks_a, ranks_b = shapes[0][0], shapes[1][0]
@@ -178,6 +176,16 @@ class SimplicialModule:
 # would have more generators than this
 MAX_CAP_GENERATORS = 256
 
+# plain ez-aw is refused once a degree of N(A (x) B) would have more
+# generators than this; the largest pair of fixtures/, D3 x D3 of
+# disks_spheres.json, reaches 50.  For A = B a complex with one generator
+# in each degree 0..4 and d_4 = 1, the largest degree has 260 generators
+# and `ez-aw` takes 1.1 s; ranks (2, 2, 2, 2, 1) reach 470 and take 2.9 s
+# with a peak RSS of 54 MB, ranks (1, 1, 1, 1, 2) reach 700 and take
+# 7.6 s with 93 MB, and degrees 0..5 reach 1302 (one run each, two shared
+# vCPUs, Python 3.11).
+MAX_TENSOR_GENERATORS = 512
+
 
 def gamma_level_rank(C: ChainComplex, n: int) -> int:
     """Generators of level n of Gamma(C), counted without building it."""
@@ -200,6 +208,21 @@ def cap_problem(C: ChainComplex, cap: int) -> str | None:
         return None
     return (f"level {cap} would have {rank} generators, more than "
             f"{MAX_CAP_GENERATORS}")
+
+
+def tensor_problem(A: SimplicialModule, B: SimplicialModule) -> str | None:
+    """Why N(A (x) B) may not be built, or None.
+
+    The count is ``pair_layout``'s rank of each degree of N(A (x) B), so
+    this builds no level.
+    """
+    ranks_a, ranks_b = A.levels.shape()[0], B.levels.shape()[0]
+    rank, n = max((pair_layout(ranks_a, ranks_b, n)[0], n)
+                  for n in range(A.top + B.top + 1))
+    if rank <= MAX_TENSOR_GENERATORS:
+        return None
+    return (f"degree {n} of N(A (x) B) would have {rank} generators, more "
+            f"than {MAX_TENSOR_GENERATORS}")
 
 
 def gamma(C: ChainComplex, cap: int | None = None, *,
@@ -239,12 +262,20 @@ def normalize(A: SimplicialModule) -> ChainComplex:
 
 def degreewise_tensor(A: SimplicialModule,
                       B: SimplicialModule) -> SimplicialModule:
-    """(A (x) B)_n = A_n (x) B_n with diagonal faces and degeneracies."""
+    """(A (x) B)_n = A_n (x) B_n with diagonal faces and degeneracies.
+
+    A and B must be denormalizations: the tensor of every monoidal check
+    is Gamma(C) (x) Gamma(D), normalized from the plans of its shape.
+    """
     if A.ring != B.ring:
         raise ValueError("ring mismatch")
+    if not (isinstance(A.levels, GammaLevels)
+            and isinstance(B.levels, GammaLevels)):
+        raise NotImplementedError(
+            "degreewise tensors are built on denormalizations")
     levels = TensorLevels(A.levels, B.levels)
     top = A.top + B.top
-    normalized = normalized_quotient(levels, top)
+    normalized = _planned_quotient(levels, top)
     return SimplicialModule(normalized, levels, top + 1)
 
 
@@ -304,10 +335,6 @@ def tensor_normalized_parts(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
     ``parts_plan``.
     """
     src, tgt = srcT.levels, tgtT.levels
-    if not all(isinstance(x, GammaLevels)
-               for x in (src.A, src.B, tgt.A, tgt.B)):
-        raise NotImplementedError(
-            "level maps are read on denormalization levels")
     ring = srcT.ring
     ranks = (src.A.shape()[0], src.B.shape()[0], tgt.A.shape()[0],
              tgt.B.shape()[0])

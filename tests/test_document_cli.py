@@ -40,8 +40,11 @@ from chaincert.models.lifting import solve_lifting
 from chaincert.simplicial import cotensor as cotensor_module
 from chaincert.simplicial.cotensor import (MAX_COTENSOR_GENERATORS, cotensor,
                                           through_problem)
-from chaincert.simplicial.module import (MAX_CAP_GENERATORS, cap_problem,
-                                         gamma_level_rank)
+from chaincert.simplicial import module as module_module
+from chaincert.simplicial.module import (MAX_CAP_GENERATORS,
+                                         MAX_TENSOR_GENERATORS, cap_problem,
+                                         gamma, gamma_level_rank,
+                                         tensor_problem)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -1113,6 +1116,48 @@ def test_cli_verify_refuses_boolean_entries(tmp_path, capsys):
     path.write_text(json.dumps(report))
     assert main(["verify", str(path)]) == 2
     assert "error: map.components[0][0]: " in capsys.readouterr().err
+
+
+# -- the size guard of plain ez-aw -----------------------------------------
+
+
+def staircase(k):
+    """Gamma of Z in each degree 0..k, with d_k = 1 and the other
+    differentials zero."""
+    doc = ranks_complex([1] * (k + 1))
+    doc["differentials"][-1] = [[1]]
+    return gamma(parse_chain_complex(ZZ, doc, "C"), verify=False)
+
+
+def test_tensor_bound_counts_the_largest_normalized_degree(monkeypatch):
+    # counted from the plans, so no case here builds N(A (x) B)
+    assert tensor_problem(staircase(3), staircase(3)) is None   # 50
+    assert tensor_problem(staircase(4), staircase(4)) is None   # 260
+    assert "degree 8 of N(A (x) B) would have 1302 generators" in \
+        tensor_problem(staircase(5), staircase(5))
+    assert 260 < MAX_TENSOR_GENERATORS < 1302
+    with open(fixture("disks_spheres.json")) as fh:
+        D3 = parse_document(json.load(fh)).simplicial("D3")
+    assert tensor_problem(D3, D3) is None
+    with monkeypatch.context() as m:
+        m.setattr(module_module, "MAX_TENSOR_GENERATORS", 49)
+        assert tensor_problem(D3, D3) == (
+            "degree 5 of N(A (x) B) would have 50 generators, more than 49")
+        m.setattr(module_module, "MAX_TENSOR_GENERATORS", 50)
+        assert tensor_problem(D3, D3) is None
+
+
+def test_cli_ez_aw_over_the_tensor_bound_is_refused(monkeypatch, capsys):
+    # D3 x D3 of disks_spheres.json, the largest fixture pair at 50
+    # generators, against a bound lowered to 49
+    monkeypatch.setattr(module_module, "MAX_TENSOR_GENERATORS", 49)
+    for extra in ([], ["--dual"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["ez-aw", "--doc", fixture("disks_spheres.json"), "--a",
+                  "D3", "--b", "D3", *extra])
+        assert exit_.value.code == 2
+        assert "error: --a/--b: degree 5 of N(A (x) B) would have 50 " \
+               "generators, more than 49" in capsys.readouterr().err
 
 
 # -- the size guard of ez-aw --dual -----------------------------------------

@@ -179,21 +179,24 @@ def test_package_methods_are_read():
     assert not offenders, offenders
 
 
-def definitions_loading(sources: dict[str, str], name: str) -> list[str]:
-    """``path definition`` of each top-level function or class that loads
-    or imports ``name``, and ``path <module>`` for other top-level code
-    that does."""
+def _definitions(sources: dict[str, str], hit) -> list[str]:
+    """``path definition`` of each top-level function or class for which
+    ``hit`` holds, and ``path <module>`` for other top-level code."""
     found = set()
     for path, source in sources.items():
         for node in ast.parse(source).body:
-            imported = any(alias.name == name for sub in ast.walk(node)
-                           if isinstance(sub, ast.ImportFrom)
-                           for alias in sub.names)
-            if _loads(node)[name] or imported:
+            if hit(node):
                 where = node.name if isinstance(
                     node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
                 found.add(f"{path} {where}")
     return sorted(found)
+
+
+def definitions_loading(sources: dict[str, str], name: str) -> list[str]:
+    """Where ``name`` is loaded or imported, as ``_definitions`` lists."""
+    return _definitions(sources, lambda node: _loads(node)[name] or any(
+        alias.name == name for sub in ast.walk(node)
+        if isinstance(sub, ast.ImportFrom) for alias in sub.names))
 
 
 def test_the_scan_sees_who_loads_a_name():
@@ -216,3 +219,34 @@ def test_only_the_two_contractions_reach_contract_image():
     assert definitions_loading(sources, "contract_image") == [
         "chains/homotopy.py cokernel_contraction",
         "chains/homotopy.py find_contraction"]
+
+
+def definitions_calling(sources: dict[str, str], name: str) -> list[str]:
+    """Where ``name`` is called, as a name or an attribute, as
+    ``_definitions`` lists."""
+    def called(sub: ast.AST) -> bool:
+        return isinstance(sub, ast.Call) and name in (
+            getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+
+    return _definitions(sources, lambda node: any(
+        called(sub) for sub in ast.walk(node)))
+
+
+def test_the_scan_sees_who_calls_a_name():
+    sources = {
+        "a.py": ("class Target:\n    pass\n"
+                 "def builder():\n    return Target()\n"
+                 "def annotated(x: Target) -> Target:\n    return x\n"),
+        "b.py": "from . import a\nx = a.Target()\n",
+    }
+    assert definitions_calling(sources, "Target") == [
+        "a.py builder", "b.py <module>"]
+
+
+def test_only_degreewise_tensor_builds_tensor_levels():
+    # one tensor model: Gamma(C) (x) Gamma(D), whose factors
+    # degreewise_tensor checks before it normalizes by the plans
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert definitions_calling(sources, "TensorLevels") == [
+        "simplicial/module.py degreewise_tensor"]

@@ -79,14 +79,6 @@ def test_simplicial_identities_on_gamma():
         verify_simplicial_identities(GammaLevels(C), 4)
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
-def test_simplicial_identities_on_tensor_levels(ring):
-    for X, Y in ((disk(ring, 1), sphere(ring, 1)),
-                 (interval(ring), disk(ring, 2))):
-        verify_simplicial_identities(
-            TensorLevels(GammaLevels(X), GammaLevels(Y)), 4)
-
-
 def test_roundtrip_exact_on_examples():
     for C in (disk(ZZ, 1), sphere(ZZ, 2), interval(ZZ)):
         A = gamma(C)
@@ -319,9 +311,8 @@ def test_row_selected_levels_agree_with_full_matrices(ring):
     rng = random.Random(23)
     A = gamma(_torsion_complex(ring))
     B = gamma(random_complex(ring, rng, max_top=1, max_rank=2))
-    C = gamma(sphere(ring, 1))
     AB = degreewise_tensor(A, B)
-    for T in (A, AB, degreewise_tensor(AB, C)):
+    for T in (A, AB):
         levels, top = T.levels, T.top
         assert any(level_module(levels, n).relations.cols
                    for n in range(top + 1))
@@ -329,30 +320,34 @@ def test_row_selected_levels_agree_with_full_matrices(ring):
             full = scanned_nondegenerate(levels, n)
             assert levels.rank(n) == level_module(levels, n).generators
             assert levels.nondegenerate_coords(n) == full
-            assert levels.relations_on(n, full) == \
-                restricted_relations(levels, n, full)
-            if not n:
-                continue
-            rows = scanned_nondegenerate(levels, n - 1)
-            for i in range(n + 1):
-                F = face_matrix(levels, n, i)
+        assert T.normalized == dense_normalized_quotient(levels, top)
+    # the sparse reads of Gamma(C), which EZ, AW and normalize use
+    levels = A.levels
+    for n in range(A.top + 2):
+        full = scanned_nondegenerate(levels, n)
+        assert levels.relations_on(n, full) == \
+            restricted_relations(levels, n, full)
+        if not n:
+            continue
+        rows = scanned_nondegenerate(levels, n - 1)
+        for i in range(n + 1):
+            F = face_matrix(levels, n, i)
+            assert _dense(ring, levels.operator_rows(
+                n, coface(n, i), rows), F.cols) == \
+                F.submatrix(rows, range(F.cols))
+        for p in range(n):
+            for alpha in (tuple(range(p + 1)), tuple(range(n - p, n + 1))):
+                M = structure_matrix(levels, n, alpha)
                 assert _dense(ring, levels.operator_rows(
-                    n, coface(n, i), rows), F.cols) == \
-                    F.submatrix(rows, range(F.cols))
-            for p in range(n):
-                for alpha in (tuple(range(p + 1)), tuple(range(n - p, n + 1))):
-                    M = structure_matrix(levels, n, alpha)
-                    assert _dense(ring, levels.operator_rows(
-                        n, alpha, range(M.rows)), M.cols) == M
-            for j in range(n):
-                S = degeneracy_matrix(levels, n - 1, j)
-                image = levels.degenerate(n - 1, codegeneracy(n - 1, j),
-                                          range(S.cols))
-                assert S == _dense(ring, [[(c, 1) for c, r in enumerate(image)
-                                           if r == t] for t in range(S.rows)],
-                                   S.cols)
-        assert T.normalized == normalized_quotient(levels, top) == \
-            dense_normalized_quotient(levels, top)
+                    n, alpha, range(M.rows)), M.cols) == M
+        for j in range(n):
+            S = degeneracy_matrix(levels, n - 1, j)
+            image = levels.degenerate(n - 1, codegeneracy(n - 1, j),
+                                      range(S.cols))
+            assert S == _dense(ring, [[(c, 1) for c, r in enumerate(image)
+                                       if r == t] for t in range(S.rows)],
+                               S.cols)
+    assert A.normalized == normalized_quotient(levels, A.top)
 
 
 def _drawn_complex(ring, rng):
@@ -381,6 +376,9 @@ def test_sparse_constructions_equal_the_dense_oracles(ring, seed):
     X, Y = _drawn_complex(ring, rng), _drawn_complex(ring, rng)
     A, B = gamma(X, verify=False), gamma(Y, verify=False)
     T = degreewise_tensor(A, B)
+    for n in range(T.top + 2):
+        assert T.levels.nondegenerate_coords(n) == \
+            scanned_nondegenerate(T.levels, n)
     assert T.normalized == dense_normalized_quotient(T.levels, T.top)
     assert _same_actions(ez(A, B, T), dense_ez(A, B, T))
     assert _same_actions(aw(A, B, T), dense_aw(A, B, T))
@@ -390,28 +388,24 @@ def test_sparse_constructions_equal_the_dense_oracles(ring, seed):
     tgtT = degreewise_tensor(A, g.target)
     assert _same_actions(tensor_normalized_map(f, g, T, tgtT),
                          dense_tensor_normalized_map(f, g, T, tgtT))
-    assert T.normalized == normalized_quotient(_CoordinateRoute(A.levels,
-                                                                B.levels),
-                                               T.top)
     # a disk up to D^5 beside a sphere, and a map on the disk
     C = gamma(sphere(ring, rng.randint(0, 1)), verify=False)
     D = disk(ring, rng.randint(1, 5))
     GD = gamma(D, verify=False)
     DC = degreewise_tensor(GD, C)
+    for n in range(DC.top + 2):
+        assert DC.levels.nondegenerate_coords(n) == \
+            scanned_nondegenerate(DC.levels, n)
     assert DC.normalized == dense_normalized_quotient(DC.levels, DC.top)
     h = gamma_map(random_chain_map(D, D, rng), GD, GD)
     assert _same_actions(tensor_normalized_map(h, _identity(C), DC, DC),
                          dense_tensor_normalized_map(h, _identity(C), DC, DC))
-    # a tensor of a tensor: EZ and AW with a tensor as their left factor
-    TC = degreewise_tensor(T, C)
-    assert TC.normalized == dense_normalized_quotient(TC.levels, TC.top)
-    assert _same_actions(ez(T, C, TC), dense_ez(T, C, TC))
-    assert _same_actions(aw(T, C, TC), dense_aw(T, C, TC))
 
 
-class _CoordinateRoute(TensorLevels):
-    """A tensor that normalizes by the coordinate route: only the exact
-    type ``TensorLevels`` of two ``GammaLevels`` takes the plans."""
+def test_a_tensor_of_a_tensor_is_refused():
+    A, B = gamma(disk(ZZ, 1)), gamma(sphere(ZZ, 1))
+    with pytest.raises(NotImplementedError, match="denormalizations"):
+        degreewise_tensor(degreewise_tensor(A, B), A)
 
 
 def _identity(A):
@@ -425,14 +419,13 @@ class _CorruptedFace(GammaLevels):
     def operator_rows(self, n, alpha, rows):
         out = super().operator_rows(n, alpha, rows)
         if (n, alpha) == (1, coface(1, 0)):
-            degenerate = self.degeneracy_groups(1)[0][1][0]
-            out = [row + [(degenerate, 1)] for row in out]
+            out = [row + [(0, 1)] for row in out]
         return out
 
 
 def test_a_corrupted_face_fails_the_descent_check():
     levels = _CorruptedFace(disk(ZZ, 1))
-    assert levels.degeneracy_groups(1)[0][0] == frozenset({0})
+    assert levels.nondegenerate_coords(1) == [1]
     with pytest.raises(ValueError,
                        match="degenerate part is not a subcomplex"):
         normalized_quotient(levels, 1)
@@ -501,7 +494,7 @@ def test_the_plans_are_process_wide_caches(cold_plans, monkeypatch):
     compiled = {plan: plan.cache_info() for plan in PLANS}
     assert all(info.currsize for info in compiled.values())
     # Z --2--> Z has the shape of D^1 and other entries: the same plans
-    # serve it, and the plan route agrees with the coordinate route
+    # serve it, and agree with the dense oracle
     free = PresentedModule.free(ZZ, 1)
     twice = gamma(ChainComplex(ZZ, [free, free], [
         ModuleMap(free, free, Matrix(ZZ, 1, 1, [[2]]))]))
@@ -512,8 +505,7 @@ def test_the_plans_are_process_wide_caches(cold_plans, monkeypatch):
     for plan in (face_plan, relation_plan, parts_plan):
         assert plan.cache_info().hits > compiled[plan].hits
     assert T2.normalized != T.normalized
-    assert T2.normalized == normalized_quotient(
-        _CoordinateRoute(T2.levels.A, T2.levels.B), T2.top)
+    assert T2.normalized == dense_normalized_quotient(T2.levels, T2.top)
     # the benchmark's clear_caches starts every round with no plan
     monkeypatch.syspath_prepend(PERFBENCH)
     spec = importlib.util.spec_from_file_location(
@@ -525,12 +517,15 @@ def test_the_plans_are_process_wide_caches(cold_plans, monkeypatch):
 
 
 # the per-coordinate scan and whole levels, which the level classes no
-# longer have (tests/oracles.py builds them); a stub in their place catches
-# a construction that brings one back and reads it
-NEVER_READ = tuple((cls, name) for cls in (GammaLevels, TensorLevels)
-                   for name in ("degeneracy_positions", "module", "face",
-                                "degeneracy")) + ((SimplicialMap,
-                                                   "level_matrix"),)
+# longer have (tests/oracles.py builds them), and the coordinate route of a
+# tensor, which normalizes by its plans; a stub in their place catches a
+# construction that brings one back and reads it
+NEVER_READ = (tuple((cls, name) for cls in (GammaLevels, TensorLevels)
+                    for name in ("degeneracy_positions", "module", "face",
+                                 "degeneracy", "degeneracy_groups"))
+              + tuple((TensorLevels, name) for name in
+                      ("operator_rows", "degenerate", "relations_on"))
+              + ((SimplicialMap, "level_matrix"),))
 
 
 @pytest.mark.parametrize("argv", [
