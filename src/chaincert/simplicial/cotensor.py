@@ -43,12 +43,12 @@ from .module import (SimplicialMap, SimplicialModule, constant_module,
 # The default through 3 passes on every pair of fixtures/: the largest is
 # A = D3 of disks_spheres.json (a chain complex read through Gamma), whose
 # level 6 has 1225 generators.  The count ignores B, which matters little
-# at this size (whole `ez-aw --dual` runs, medians of five, two shared
-# vCPUs, Python 3.11): D3 x S0 takes 0.2 s and D3 x D3 0.34 s, both with a
-# peak RSS of about 19 MB.  For sD1 and sS1 of fixtures/simplicial.json
-# through 11 reaches 1014 generators and takes about 1.05 s (runs of
-# 0.97-1.31 s), with a peak RSS of 31 MB; through 12 reaches 1274 and is
-# refused.
+# at this size (whole `ez-aw --dual` runs on two shared vCPUs, Python
+# 3.11; each range spans medians of five taken at different times):
+# D3 x S0 takes 0.22-0.24 s and D3 x D3 0.21-0.37 s, both with
+# a peak RSS of about 19 MB.  For sD1 and sS1 of fixtures/simplicial.json
+# through 11 reaches 1014 generators and takes 0.22-0.39 s, with a peak
+# RSS of 19 MB; through 12 reaches 1274 and is refused.
 MAX_COTENSOR_GENERATORS = 1250
 
 

@@ -27,16 +27,7 @@ from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .module import SimplicialModule
-from .surjections import codegeneracy, compose, shuffles
-
-
-def _degeneracy_surjection(p: int, indices) -> tuple[int, ...]:
-    """sigma with sigma^* = s_{j_r} ... s_{j_1} on level p, for
-    j_1 < ... < j_r applied bottom up."""
-    sigma = tuple(range(p + 1))
-    for level, j in enumerate(sorted(indices), start=p):
-        sigma = compose(sigma, codegeneracy(level, j))
-    return sigma
+from .surjections import from_jumps, shuffles
 
 
 def ez(A: SimplicialModule, B: SimplicialModule,
@@ -47,7 +38,9 @@ def ez(A: SimplicialModule, B: SimplicialModule,
     (mu, nu) of s_nu x (x) s_mu y.  Degeneracies are index maps, and
     s_nu x (x) s_mu y has the degeneracy positions nu and mu of its two
     factors, which are disjoint, so every term is a non-degenerate
-    coordinate of level p + q.
+    coordinate of level p + q.  s_nu = sigma^* for the surjection
+    sigma : [p + q] ->> [p] that is constant exactly across the positions
+    nu, so its jump set is {j + 1 : j in mu}.
     """
     lay = TensorLayout(A.normalized, B.normalized)
     source = lay.complex()
@@ -67,9 +60,9 @@ def ez(A: SimplicialModule, B: SimplicialModule,
             cols_b = B.levels.nondegenerate_coords(q)
             for sh in shuffles(p, q):
                 left = A.levels.degenerate(
-                    p, _degeneracy_surjection(p, sh.nu), cols_a)
+                    p, from_jumps(n, tuple(j + 1 for j in sh.mu)), cols_a)
                 right = B.levels.degenerate(
-                    q, _degeneracy_surjection(q, sh.mu), cols_b)
+                    q, from_jumps(n, tuple(j + 1 for j in sh.nu)), cols_b)
                 j = col
                 for x in left:
                     for y in right:

@@ -1,27 +1,40 @@
 """Level data for simplicial modules: structure maps as sparse rows.
 
 Two level models cover every simplicial object in the package: the
-denormalization Gamma(C) of a chain complex (summands indexed by
-surjections), and the levelwise tensor Gamma(C) (x) Gamma(D) of two of
-them, the only tensor the package builds.  A ``GammaLevels`` exposes, per
-level, the rows of a simplicial operator, the relations on a chosen set
-of coordinates and where a degeneracy sends a coordinate; normalization,
-EZ and AW are read off that bookkeeping without building a whole level.
+denormalization Gamma(C) of a chain complex, and the levelwise tensor
+Gamma(C) (x) Gamma(D) of two of them, the only tensor the package
+builds.  A ``GammaLevels`` exposes, per level, the rows of a simplicial
+operator, the relations on a chosen set of coordinates and where a
+degeneracy sends a coordinate; normalization, EZ and AW are read off that
+bookkeeping without building a whole level.
 
-The combinatorics of Gamma(C) do not depend on C.  ``operator_table``
-lists, for a simplicial operator alpha : [m] -> [n], where alpha^* sends
-each summand eta : [n] ->> [k] of level n: to the summand eta' of level
-m, where eta o alpha = iota o eta', by the identity when iota is an
-isomorphism, by the differential of C when iota misses exactly the bottom
-element 0, and to zero otherwise.  It is one process-wide memo keyed on
-(alpha, n), shared by every Gamma(C); a ``GammaLevels`` adds only C's own
-blocks (the ranks of C_k, its differentials and relations) at the offsets
-of the summands.  A degeneracy never meets the zero or differential case:
-eta o sigma is onto, so sigma^* is an index map.
+Level n of Gamma(C) is the direct sum, over the surjections
+eta : [n] ->> [k], of C_k (Dold 1958; Goerss-Jardine, Simplicial
+Homotopy Theory, III.2).  Such an eta is its jump set J, the k-subset of
+{1..n} where its value goes up, so eta(x) counts the jumps <= x.  The
+summands come in one order, k ascending and then J lexicographic, and
+``nonzero_summands`` lists those whose C_k is nonzero; no other summand
+holds a coordinate, and none is ever visited.
 
-The degeneracy positions of a summand eta are the j with
-eta[j] = eta[j + 1], where it lies in the image of s_j.  A pair of
-summands (eta_1 : [n] ->> [p], eta_2 : [n] ->> [q]) of the tensor is
+The combinatorics of Gamma(C) do not depend on C.  For alpha : [m] -> [n],
+alpha^* sends the summand eta to the summand eta' of level m, where
+eta o alpha = iota o eta' with iota injective: by the identity when iota
+is onto, by the differential of C when iota misses exactly 0, and to
+zero otherwise.  ``act`` reads that off J alone.  Let gap 0 be
+{1..alpha(0)}, gap i be {alpha(i-1)+1..alpha(i)} for 1 <= i <= m, and
+gap m+1 be {alpha(m)+1..n}.  Since eta o alpha(i) counts the jumps
+<= alpha(i), it starts at the number of jumps in gap 0, goes up at i by
+the number in gap i, and ends short of k by the number in gap m+1.  Its
+image is all of [k] exactly when gaps 0 and m+1 hold no jump and no gap
+holds two, and it is {1..k} exactly when instead gap 0 holds one jump.
+Otherwise it misses a value other than 0: k when gap m+1 holds a jump,
+or the value a gap of two or more jumps steps over.  In the two
+surviving cases eta' goes up where eta o alpha does, so
+J' = {i in 1..m : gap i holds a jump}.  A surjection sigma leaves gaps
+0 and m+1 empty and no gap with two points, so sigma^* is an index map.
+
+The degeneracy positions of a summand are the j with j + 1 not a jump,
+where it lies in the image of s_j.  A pair of summands of the tensor is
 non-degenerate when the two sets are disjoint (Eilenberg-Zilber).  Which
 pairs those are, where each lands in the normalized basis and where each
 face sends it depend only on the ranks of the C_k and D_k, so
@@ -45,8 +58,8 @@ descends to the quotient for every C and D of that shape.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import lru_cache
-from math import comb
 
 from ..chains.complexes import ChainComplex
 from ..exact.matrix import Matrix
@@ -58,31 +71,25 @@ SparseRow = list[tuple[int, int]]
 # the shape of a Gamma(C): the rank of each C_k, and the nonzero columns
 # of each C_k's relations
 Shape = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+# a summand of a level of Gamma(C): its jump set, ascending
+Jumps = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def operator_table(alpha: tuple[int, ...], n: int
-                   ) -> tuple[tuple[int, bool] | None, ...]:
-    """alpha^* on the summands of level n of any Gamma(C).
+def act(alpha: tuple[int, ...], jumps: Jumps
+        ) -> tuple[Jumps, bool] | None:
+    """alpha^* on the summand with jump set ``jumps`` of any Gamma(C).
 
     ``alpha`` is the value tuple of an order-preserving map [m] -> [n].
-    Entry s is for the s-th surjection eta of ``surjections(n)``: None
-    when alpha^* kills its summand, else (t, via_d) when alpha^* sends it
-    to the t-th summand of level m by the differential (via_d) or by the
-    identity.
+    None when alpha^* kills the summand, else (jumps', via_d) when it
+    sends it to the summand jumps' of level m by the differential (via_d)
+    or by the identity; the module docstring proves the rule.
     """
-    index = {eta: t for t, eta in enumerate(sj.surjections(len(alpha) - 1))}
-    out: list[tuple[int, bool] | None] = []
-    for eta in sj.surjections(n):
-        k = sj.degree_of(eta)
-        eta2, image = sj.epi_mono_factor(sj.compose(eta, alpha))
-        if len(image) == k + 1:
-            out.append((index[eta2], False))
-        elif image == tuple(range(1, k + 1)):
-            out.append((index[eta2], True))
-        else:
-            out.append(None)
-    return tuple(out)
+    counts = [bisect_right(jumps, a) for a in alpha]
+    # the jumps in gap 0, ..., gap m
+    gaps = [b - a for a, b in zip([0] + counts, counts)]
+    if counts[-1] < len(jumps) or max(gaps) > 1:
+        return None
+    return tuple(i for i in range(1, len(alpha)) if gaps[i]), gaps[0] == 1
 
 
 def sparse_columns(ring: RingSpec, rows: int, columns: dict) -> Matrix:
@@ -99,19 +106,19 @@ def sparse_columns(ring: RingSpec, rows: int, columns: dict) -> Matrix:
 class GammaLevels:
     """Levels of the denormalization of a bounded complex.
 
-    Level n is the direct sum over surjections eta : [n] ->> [k] of C_k,
-    in the order of ``surjections(n)``; the simplicial operators act as
-    ``operator_table`` says.  That convention is the one for which degree
-    n of the normalized complex is the identity summand and the face d_0
-    induces the differential.
+    Level n is the direct sum over the jump sets J of C_|J|, in the order
+    of ``nonzero_summands``; the simplicial operators act as ``act``
+    says.  That convention is the one for which degree n of the
+    normalized complex is the identity summand and the face d_0 induces
+    the differential.
     """
 
     def __init__(self, C: ChainComplex):
         self.C = C
         self.ring = C.ring
-        # per level: the offset of each summand, and the summand of each
-        # coordinate
-        self._layouts: dict[int, tuple[list[int], list[int]]] = {}
+        # per level: the offset of each nonzero summand, and the summand
+        # of each coordinate
+        self._layouts: dict[int, tuple[dict[Jumps, int], list[Jumps]]] = {}
         self._rows: dict[tuple[int, tuple], list[SparseRow]] = {}
         self._shape: Shape | None = None
 
@@ -127,13 +134,14 @@ class GammaLevels:
                                  for M in mods))
         return self._shape
 
-    def _layout(self, n: int) -> tuple[list[int], list[int]]:
+    def _layout(self, n: int) -> tuple[dict[Jumps, int], list[Jumps]]:
         if n not in self._layouts:
-            offsets: list[int] = []
-            owner: list[int] = []
-            for s, eta in enumerate(sj.surjections(n)):
-                offsets.append(len(owner))
-                owner += [s] * self.C.module(sj.degree_of(eta)).generators
+            ranks = self.shape()[0]
+            offsets: dict[Jumps, int] = {}
+            owner: list[Jumps] = []
+            for jumps, k, _ in nonzero_summands(ranks, n):
+                offsets[jumps] = len(owner)
+                owner += [jumps] * ranks[k]
             self._layouts[n] = offsets, owner
         return self._layouts[n]
 
@@ -145,17 +153,15 @@ class GammaLevels:
         """The rows ``rows`` of alpha^* : level n -> level m, sparse."""
         key = (n, alpha)
         if key not in self._rows:
-            src_off = self._layout(n)[0]
             tgt_off, tgt_owner = self._layout(len(alpha) - 1)
             table: list[SparseRow] = [[] for _ in tgt_owner]
-            surj = sj.surjections(n)
-            for s, entry in enumerate(operator_table(alpha, n)):
-                if entry is None:
+            for jumps, c0 in self._layout(n)[0].items():
+                image = act(alpha, jumps)
+                # d into a zero C_{k-1} holds no entry
+                if image is None or image[0] not in tgt_off:
                     continue
-                t, via_d = entry
-                k = sj.degree_of(surj[s])
-                c0, r0 = src_off[s], tgt_off[t]
-                if via_d:
+                k, r0 = len(jumps), tgt_off[image[0]]
+                if image[1]:
                     d = self.C.differential(k).action
                     for a, brow in enumerate(d.data):
                         table[r0 + a] += [(c0 + b, v)
@@ -170,30 +176,31 @@ class GammaLevels:
     def degenerate(self, n: int, sigma: tuple[int, ...], coords) -> list[int]:
         """Where sigma^* : level n -> level m sends the coordinates
         ``coords``, for a surjection sigma : [m] ->> [n]."""
-        table = operator_table(sigma, n)
         offsets, owner = self._layout(n)
         tgt_off = self._layout(len(sigma) - 1)[0]
-        return [tgt_off[table[owner[c]][0]] + c - offsets[owner[c]]
-                for c in coords]
+        shift = {jumps: tgt_off[act(sigma, jumps)[0]] - offsets[jumps]
+                 for jumps in {owner[c] for c in coords}}
+        return [c + shift[owner[c]] for c in coords]
 
     def relations_on(self, n: int, rows: list[int]) -> Matrix:
         """Level n's relations on the coordinates ``rows``, zero columns
         dropped: those of each summand's C_k, summands in order."""
         offsets, owner = self._layout(n)
-        surj = sj.surjections(n)
-        columns: dict[tuple, SparseRow] = {}
+        columns: dict[tuple[int, int], SparseRow] = {}
         for t, r in enumerate(rows):
-            s = owner[r]
-            rel = self.C.module(sj.degree_of(surj[s])).relations
-            for j, v in enumerate(rel.data[r - offsets[s]]):
+            jumps = owner[r]
+            start = offsets[jumps]
+            rel = self.C.module(len(jumps)).relations
+            for j, v in enumerate(rel.data[r - start]):
                 if v:
-                    columns.setdefault((s, j), []).append((t, v))
+                    columns.setdefault((start, j), []).append((t, v))
         return sparse_columns(self.ring, len(rows), columns)
 
     def nondegenerate_coords(self, n: int) -> list[int]:
-        """The identity summand, which ``surjections(n)`` lists last."""
+        """The identity summand, J = {1..n}, which comes last."""
         offsets, owner = self._layout(n)
-        return list(range(offsets[-1], len(owner)))
+        start = offsets.get(tuple(range(1, n + 1)), len(owner))
+        return list(range(start, len(owner)))
 
 
 class TensorLevels:
@@ -233,23 +240,20 @@ class TensorLevels:
 
 @lru_cache(maxsize=None)
 def nonzero_summands(ranks: tuple[int, ...], n: int
-                     ) -> tuple[tuple[int, int, int], ...]:
-    """(s, k, mask) for each summand eta : [n] ->> [k] of level n of a
-    Gamma(C) with ``ranks[k]`` = rank C_k > 0: s is its index in
-    ``surjections(n)`` and bit j of mask is set when eta[j] = eta[j + 1],
-    its degeneracy positions.  In the order of ``surjections(n)``; the
+                     ) -> tuple[tuple[Jumps, int, int], ...]:
+    """(jumps, k, mask) for each summand of level n of a Gamma(C) with
+    ``ranks[k]`` = rank C_k > 0: jumps is its jump set, a k-subset of
+    {1..n}, and bit j of mask is set when j + 1 is not a jump, its
+    degeneracy positions.  In the order of the summands of a level; the
     summands of zero rank are never enumerated."""
     out = []
-    base = 0
-    for k in range(n + 1):
-        if k < len(ranks) and ranks[k]:
-            for t, jumps in enumerate(itertools.combinations(
-                    range(1, n + 1), k)):
+    for k in range(min(n + 1, len(ranks))):
+        if ranks[k]:
+            for jumps in itertools.combinations(range(1, n + 1), k):
                 mask = (1 << n) - 1
                 for x in jumps:
                     mask ^= 1 << (x - 1)
-                out.append((base + t, k, mask))
-        base += comb(n, k)
+                out.append((jumps, k, mask))
     return tuple(out)
 
 
@@ -258,52 +262,55 @@ def pair_layout(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...], n: int
                 ) -> tuple[int, tuple]:
     """The non-degenerate pairs of level n of Gamma(C) (x) Gamma(D).
 
-    Returns (rank, groups): one group (s, k, start, stride, partners) per
-    nonzero summand s of Gamma(C) that has a partner, and partners holds
-    (s2, k2, offset) for each nonzero summand s2 of Gamma(D) whose
-    degeneracy positions are disjoint from those of s.  The pair of
-    coordinate a of s and b of s2 is generator start + a * stride +
-    offset + b of the normalized module, the order of a * rank B_n + b.
+    Returns (rank, groups): one group (jumps, k, start, stride, partners)
+    per nonzero summand of Gamma(C) that has a partner, and partners holds
+    (jumps2, k2, offset) for each nonzero summand of Gamma(D) whose
+    degeneracy positions are disjoint from those of the first.  The pair
+    of coordinate a of the one and b of the other is generator
+    start + a * stride + offset + b of the normalized module, the order of
+    a * rank B_n + b.
     """
     b_summands = nonzero_summands(ranks_b, n)
     groups = []
     start = 0
-    for s, k, mask in nonzero_summands(ranks_a, n):
+    for jumps, k, mask in nonzero_summands(ranks_a, n):
         partners = []
         stride = 0
-        for s2, k2, mask2 in b_summands:
+        for jumps2, k2, mask2 in b_summands:
             if not mask & mask2:
-                partners.append((s2, k2, stride))
+                partners.append((jumps2, k2, stride))
                 stride += ranks_b[k2]
         if stride:
-            groups.append((s, k, start, stride, tuple(partners)))
+            groups.append((jumps, k, start, stride, tuple(partners)))
             start += ranks_a[k] * stride
     return start, tuple(groups)
 
 
-def _pair_index(groups: tuple) -> dict[tuple[int, int], tuple]:
-    """(first generator, stride, k, k2) of each pair of summands (s, s2)."""
-    return {(s, s2): (start + offset, stride, k, k2)
-            for s, k, start, stride, partners in groups
-            for s2, k2, offset in partners}
+def _pair_index(groups: tuple) -> dict[tuple[Jumps, Jumps], tuple]:
+    """(first generator, stride, k, k2) of each pair of summands."""
+    return {(jumps, jumps2): (start + offset, stride, k, k2)
+            for jumps, k, start, stride, partners in groups
+            for jumps2, k2, offset in partners}
 
 
+@lru_cache(maxsize=None)
 def _face_preimages(ranks: tuple[int, ...], n: int
-                    ) -> list[dict[int, list[tuple[int, bool]]]]:
+                    ) -> tuple[dict[Jumps, list[tuple[Jumps, bool]]], ...]:
     """Per face d_i of level n, the nonzero summands of level n it sends to
-    each nonzero summand of level n - 1, with ``operator_table``'s via_d."""
-    targets = {s for s, _, _ in nonzero_summands(ranks, n - 1)}
+    each nonzero summand of level n - 1, with ``act``'s via_d.  Memoized
+    like the plans: one Gamma(C) shape meets many partners."""
+    targets = {jumps for jumps, _, _ in nonzero_summands(ranks, n - 1)}
     sources = nonzero_summands(ranks, n)
     out = []
     for i in range(n + 1):
-        table = operator_table(sj.coface(n, i), n)
-        preimages: dict[int, list[tuple[int, bool]]] = {}
-        for s, _, _ in sources:
-            entry = table[s]
-            if entry is not None and entry[0] in targets:
-                preimages.setdefault(entry[0], []).append((s, entry[1]))
+        delta = sj.coface(n, i)
+        preimages: dict[Jumps, list[tuple[Jumps, bool]]] = {}
+        for jumps, _, _ in sources:
+            image = act(delta, jumps)
+            if image is not None and image[0] in targets:
+                preimages.setdefault(image[0], []).append((jumps, image[1]))
         out.append(preimages)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
-"""Order-preserving surjection combinatorics for the denormalization.
+"""Simplicial operators and shuffles as value tuples.
 
-A surjection [n] ->> [k] is stored as its value tuple (always starting
-at 0, increments 0 or 1); it is determined by its jump set, the k-subset
-of {1..n} of positions where the value increases.  Levels of the
-denormalization are indexed by these surjections in a canonical order:
-k ascending, then jump sets lexicographic.
+An order-preserving map alpha : [m] -> [n] is stored as its value tuple
+(alpha(0), ..., alpha(m)).  A surjection [n] ->> [k] is determined by its
+jump set, the k-subset of {1..n} where its value goes up; the summands of
+a level of the denormalization are these jump sets, and
+``levels.act`` reads every structure map off them.  A (p, q)-shuffle
+pairs the positions of two blocks, for EZ.
 """
 
 from __future__ import annotations
@@ -15,24 +16,11 @@ from functools import lru_cache
 
 
 def from_jumps(n: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
+    """The surjection out of [n] whose jump set is ``jumps``."""
     values = [0]
     for i in range(1, n + 1):
         values.append(values[-1] + (1 if i in jumps else 0))
     return tuple(values)
-
-
-@lru_cache(maxsize=None)
-def surjections(n: int) -> tuple[tuple[int, ...], ...]:
-    """All order-preserving surjections out of [n], canonically ordered."""
-    out = []
-    for k in range(n + 1):
-        for jumps in itertools.combinations(range(1, n + 1), k):
-            out.append(from_jumps(n, jumps))
-    return tuple(out)
-
-
-def degree_of(eta: tuple[int, ...]) -> int:
-    return eta[-1]
 
 
 def coface(n: int, i: int) -> tuple[int, ...]:
@@ -43,22 +31,6 @@ def coface(n: int, i: int) -> tuple[int, ...]:
 def codegeneracy(n: int, j: int) -> tuple[int, ...]:
     """sigma_j : [n+1] -> [n], repeating the value j."""
     return tuple(min(v, n) if v <= j else v - 1 for v in range(n + 2))
-
-
-def compose(eta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """eta o alpha as value tuples."""
-    return tuple(eta[a] for a in alpha)
-
-
-def epi_mono_factor(tau: tuple[int, ...]
-                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """tau = iota o eta' with eta' surjective and iota injective.
-
-    Returns (eta' value tuple, image of iota as a sorted tuple).
-    """
-    image = sorted(set(tau))
-    index = {v: i for i, v in enumerate(image)}
-    return tuple(index[v] for v in tau), tuple(image)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ the package's answer compares two computations, not one computation with
 itself.
 """
 
+import itertools
+
 from chaincert.chains.complexes import ChainComplex, ChainMap
 from chaincert.chains.homology import homology_data
 from chaincert.chains.tensor import TensorLayout
@@ -16,9 +18,7 @@ from chaincert.exact.modules import (ModuleMap, PresentedModule, cokernel,
                                      kernel, tensor_module)
 from chaincert.exact.snf import kernel_matrix
 from chaincert.simplicial.levels import TensorLevels
-from chaincert.simplicial.surjections import (codegeneracy, coface, compose,
-                                              epi_mono_factor, shuffles,
-                                              surjections)
+from chaincert.simplicial.surjections import codegeneracy, coface, shuffles
 
 
 def det(M: Matrix) -> int:
@@ -122,6 +122,51 @@ def homology_iso_all_degrees(f: ChainMap) -> bool:
 # -- whole levels: the dense constructions the level classes replaced ------
 
 
+def surjections(n: int) -> list[tuple[int, ...]]:
+    """Every order-preserving surjection out of [n] as a value tuple, in
+    the summand order of the levels: by degree k, then by the set of
+    positions where the value goes up, lexicographically."""
+    out = []
+    for k in range(n + 1):
+        for jumps in itertools.combinations(range(1, n + 1), k):
+            values = [0]
+            for x in range(1, n + 1):
+                values.append(values[-1] + (x in jumps))
+            out.append(tuple(values))
+    return out
+
+
+def compose(eta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """eta o alpha as value tuples."""
+    return tuple(eta[a] for a in alpha)
+
+
+def epi_mono_factor(tau: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """tau = iota o eta' with eta' surjective and iota injective.
+
+    Returns (eta' value tuple, image of iota as a sorted tuple).
+    """
+    image = sorted(set(tau))
+    index = {v: i for i, v in enumerate(image)}
+    return tuple(index[v] for v in tau), tuple(image)
+
+
+def summand_image(eta: tuple[int, ...], alpha: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], bool] | None:
+    """Where alpha^* sends the summand eta : [n] ->> [k] of Gamma(C), from
+    the epi-mono factorization eta o alpha = iota o eta': (eta', False)
+    when iota is onto, (eta', True) when iota misses exactly 0 (the
+    differential), None otherwise."""
+    k = eta[-1]
+    eta2, image = epi_mono_factor(compose(eta, alpha))
+    if len(image) == k + 1:
+        return eta2, False
+    if image == tuple(range(1, k + 1)):
+        return eta2, True
+    return None
+
+
 def level_module(levels, n: int) -> PresentedModule:
     """Level n as one presented module: the direct sum of C_k over the
     surjections [n] ->> [k], or the tensor of the factors' levels."""
@@ -158,15 +203,12 @@ def structure_matrix(levels, n: int, alpha: tuple[int, ...]) -> Matrix:
     for eta in surjections(n):
         k = eta[-1]
         g = C.module(k).generators
-        if g == 0:
+        entry = summand_image(eta, alpha)
+        if g == 0 or entry is None:
             continue
-        eta2, image = epi_mono_factor(compose(eta, alpha))
-        if len(image) == k + 1:
-            block = Matrix.identity(ring, g)
-        elif len(image) == k and image == tuple(range(1, k + 1)):
-            block = C.differential(k).action
-        else:
-            continue
+        eta2, via_d = entry
+        block = C.differential(k).action if via_d else \
+            Matrix.identity(ring, g)
         r0, c0 = tgt[eta2], src[eta]
         for a, brow in enumerate(block.data):
             rows[r0 + a][c0:c0 + block.cols] = brow

@@ -7,8 +7,6 @@ exact (integer arithmetic, zero tolerance).
 
 import time
 
-import pytest
-
 from chaincert.certify import CertifyConfig, run_suite
 from chaincert.chains.build import (brutal_truncation, concentrated, disk,
                                     interval, sphere, unit_complex,
@@ -17,7 +15,7 @@ from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.chains.tensor import interval_cylinder
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import ModuleMap, PresentedModule, map_equal
+from chaincert.exact.modules import ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.models.classify import (bousfield_classify, classify,
                                        h_cofibration_bit, h_fibration_bit)

@@ -24,7 +24,7 @@ from chaincert.chains.homotopy import (chain_homotopic, cokernel_contraction,
                                        is_chain_homotopy_equivalence,
                                        is_homotopy_equivalence, quasi_iso)
 from chaincert.chains.tensor import (TensorLayout, braiding, interval_cylinder,
-                                     tensor_chain_maps, tensor_complex)
+                                     tensor_complex)
 from chaincert.chains.truncate import WindowComplex, good_truncation, \
     window_of_complex
 from chaincert.certify import SUITES, CertifyConfig

@@ -6,11 +6,10 @@ import pytest
 
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.build import (brutal_truncation, concentrated, disk,
-                                    interval, sphere, unit_complex, zero_complex)
+                                    unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainComplex, ChainMap
 from chaincert.chains.cones import mapping_cone
-from chaincert.chains.homotopy import is_chain_homotopy_equivalence, quasi_iso
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod

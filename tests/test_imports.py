@@ -1,23 +1,24 @@
-"""Every name a package module imports is used there, every top-level
-function or class is read somewhere in the package or exported by it, and
-every method of a package class is read in the package.
+"""Every name a package or test module imports is used there, every
+top-level function or class is read somewhere in the package or exported
+by it, and every method of a package class is read in the package.
 
 There is no linter among the project's dependencies, so this reads each
-module of ``src/chaincert`` with ``ast``.  A name counts as used when it
-appears as a name anywhere in the module, annotations included (every
-module has ``from __future__ import annotations``, so they stay
-unquoted).  ``__init__.py`` files re-export what they import and are
-skipped.  A top-level name counts as read when some module of the
-package loads it as a name or an attribute outside its own definition; a
-public one may instead be exported by ``chaincert/__init__.py``.  What
-only the tests read lives in ``tests/``.
+module of ``src/chaincert`` and ``tests`` with ``ast``.  A name counts as
+used when it appears as a name anywhere in the module, annotations
+included (every package module has ``from __future__ import
+annotations``, so they stay unquoted).  ``__init__.py`` files re-export
+what they import and are skipped.  A top-level name counts as read when
+some module of the package loads it as a name or an attribute outside its
+own definition; a public one may instead be exported by
+``chaincert/__init__.py``.  What only the tests read lives in ``tests/``.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chaincert"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "chaincert"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -51,6 +52,14 @@ def test_package_modules_import_only_what_they_use():
     assert len(modules) > 20
     offenders = [f"{path.relative_to(PACKAGE)}:{line} {name}"
                  for path in modules
+                 for line, name in unused_imports(path.read_text())]
+    assert not offenders, offenders
+
+
+def test_test_modules_import_only_what_they_use():
+    modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) > 10
+    offenders = [f"{path.name}:{line} {name}" for path in modules
                  for line, name in unused_imports(path.read_text())]
     assert not offenders, offenders
 

@@ -9,9 +9,7 @@ import pytest
 
 from chaincert.chains.build import (brutal_truncation, concentrated, disk,
                                     interval, sphere, unit_complex, zero_complex)
-from chaincert.chains.complexes import (ChainComplex, ChainMap, LiftingProblem,
-                                        chain_map_equal)
-from chaincert.chains.homotopy import is_chain_homotopy_equivalence
+from chaincert.chains.complexes import ChainComplex, ChainMap, LiftingProblem
 from chaincert.chains.cones import (mapping_cocylinder, mapping_cylinder,
                                     pushout_complexes,
                                     pushout_induced_chain_map)
@@ -21,8 +19,7 @@ from chaincert.exact.matrix import Matrix
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.exact import snf
 from chaincert.exact.modules import (HomSpace, ModuleMap, PresentedModule,
-                                     direct_sum_module, factor_through,
-                                     map_equal)
+                                     direct_sum_module, factor_through)
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.document import chain_map_from_json
 from chaincert.exact.splitting import is_split_epi

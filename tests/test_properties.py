@@ -4,11 +4,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from chaincert.chains.build import disk, sphere, unit_complex
+from chaincert.chains.build import unit_complex
 from chaincert.chains.complexes import ChainMap, chain_map_equal
 from chaincert.chains.homcx import ChainMapsSpace, hom_complex
 from chaincert.chains.homotopy import quasi_iso
-from chaincert.chains.tensor import TensorLayout, braiding, tensor_complex
+from chaincert.chains.tensor import braiding, tensor_complex
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.reports import classification_report, verify_classification
 from chaincert.models.classify import classify

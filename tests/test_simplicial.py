@@ -1,6 +1,7 @@
 """Denormalization, normalization, degreewise tensor, EZ/AW identities."""
 
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -11,13 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chaincert.chains.build import (concentrated, direct_sum_complexes, disk,
-                                    interval, sphere, unit_complex)
+                                    interval, sphere)
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
                                         chain_map_equal)
 from chaincert.chains.homotopy import (cokernel_contraction,
                                        is_chain_homotopy_equivalence)
-from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import map_equal, ModuleMap, PresentedModule
 from chaincert.errors import CertificateError
@@ -25,9 +25,8 @@ from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.document import parse_chain_complex
 from chaincert.models.generators import random_chain_map, random_complex
 from chaincert.simplicial import levels as levels_module
-from chaincert.simplicial.levels import (GammaLevels, TensorLevels,
-                                         face_plan, operator_table,
-                                         pair_layout, parts_plan,
+from chaincert.simplicial.levels import (GammaLevels, TensorLevels, act,
+                                         face_plan, pair_layout, parts_plan,
                                          relation_plan,
                                          verify_simplicial_identities)
 from chaincert.simplicial.module import (SimplicialMap, constant_module,
@@ -36,15 +35,14 @@ from chaincert.simplicial.module import (SimplicialMap, constant_module,
                                          normalize, normalized_quotient,
                                          tensor_normalized_map)
 from chaincert.simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
-from chaincert.simplicial.surjections import (codegeneracy, coface, shuffles,
-                                              surjections)
+from chaincert.simplicial.surjections import codegeneracy, coface, shuffles
 
 from oracles import (degeneracy_matrix, dense_aw, dense_ez,
                      dense_normalized_quotient, dense_tensor_normalized_map,
                      face_matrix, full_injection, level_matrix, level_module,
                      normalized_kernel, normalized_projector,
                      restricted_relations, scanned_nondegenerate,
-                     structure_matrix)
+                     structure_matrix, summand_image, surjections)
 
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -434,23 +432,47 @@ def test_a_corrupted_face_fails_the_descent_check():
     assert normalized_quotient(GammaLevels(disk(ZZ, 1)), 1) == disk(ZZ, 1)
 
 
-def test_the_operator_table_is_one_process_wide_cache():
-    # a module-level memo with cache_clear, which the benchmark's
-    # clear_caches empties before every round
-    assert vars(levels_module)["operator_table"] is operator_table
-    operator_table.cache_clear()
-    assert operator_table.cache_info().currsize == 0
-    gamma(disk(ZZ, 1))
-    filled = operator_table.cache_info().currsize
-    assert filled > 0
-    gamma(sphere(Zmod(6), 1))
-    # a second complex reads the same combinatorics
-    assert operator_table.cache_info().currsize == filled
-    assert operator_table((0, 2), 2) == operator_table((0, 2), 2)
+def test_act_agrees_with_the_epi_mono_factorization():
+    # every order-preserving alpha : [m] -> [n] with m, n <= 6 on every
+    # summand of level n; none of it depends on C
+    jump_sets = [{eta: tuple(x for x in range(1, n + 1) if eta[x] > eta[x - 1])
+                  for eta in surjections(n)} for n in range(7)]
+    entries = 0
+    for n in range(7):
+        for m in range(7):
+            for alpha in itertools.combinations_with_replacement(
+                    range(n + 1), m + 1):
+                for eta, jumps in jump_sets[n].items():
+                    expected = summand_image(eta, alpha)
+                    if expected is not None:
+                        expected = jump_sets[m][expected[0]], expected[1]
+                    assert act(alpha, jumps) == expected
+                    entries += 1
+    assert entries == 290305
 
 
-PLANS = (levels_module.nonzero_summands, pair_layout, face_plan,
-         relation_plan, parts_plan)
+def test_operator_rows_visit_only_the_nonzero_summands(monkeypatch):
+    # level 11 of Gamma(D^1) has binom(11, 0) + binom(11, 1) = 12 nonzero
+    # summands among its 2^11 jump sets
+    real = levels_module.act
+    calls = []
+
+    def counted(alpha, jumps):
+        calls.append(jumps)
+        return real(alpha, jumps)
+
+    monkeypatch.setattr(levels_module, "act", counted)
+    levels = GammaLevels(disk(ZZ, 1))
+    for i in range(12):
+        calls.clear()
+        rows = levels.operator_rows(11, coface(11, i),
+                                    range(levels.rank(10)))
+        assert len(rows) == 11
+        assert 0 < len(calls) <= comb(11, 0) + comb(11, 1)
+
+
+PLANS = (levels_module.nonzero_summands, levels_module._face_preimages,
+         pair_layout, face_plan, relation_plan, parts_plan)
 
 
 @pytest.fixture
@@ -464,21 +486,20 @@ def cold_plans():
         plan.cache_clear()
 
 
-def test_a_corrupted_operator_table_entry_fails_the_plan(cold_plans,
-                                                         monkeypatch):
-    # d_1 sends the degenerate summand (0, 0) of level 1 to the vertex;
-    # without that entry the faces of the degenerate pair (0, 0) x (0, 0)
-    # of Gamma(D^1) (x) c(R) no longer cancel
+def test_a_corrupted_face_image_fails_the_plan(cold_plans, monkeypatch):
+    # d_1 sends the degenerate summand J = () of level 1 to the vertex;
+    # without that image the faces of the degenerate pair () x () of
+    # Gamma(D^1) (x) c(R) no longer cancel
     A, B = gamma(disk(ZZ, 1)), constant_module(ZZ)
-    real = levels_module.operator_table
-    assert real(coface(1, 1), 1)[0] == (0, False)
+    real = levels_module.act
+    assert real(coface(1, 1), ()) == ((), False)
 
-    def corrupted(alpha, n):
-        table = real(alpha, n)
-        return (None,) + table[1:] if (alpha, n) == (coface(1, 1), 1) \
-            else table
+    def corrupted(alpha, jumps):
+        if (alpha, jumps) == (coface(1, 1), ()):
+            return None
+        return real(alpha, jumps)
 
-    monkeypatch.setattr(levels_module, "operator_table", corrupted)
+    monkeypatch.setattr(levels_module, "act", corrupted)
     with pytest.raises(ValueError, match="degenerate part is not a "
                                          "subcomplex at level 1"):
         degreewise_tensor(A, B)

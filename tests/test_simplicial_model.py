@@ -6,13 +6,11 @@ import sys
 
 import pytest
 
-from chaincert.chains.build import disk, interval, sphere, unit_complex, \
-    zero_complex
+from chaincert.chains.build import disk, interval, sphere, zero_complex
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import (ChainMap, LiftingProblem,
                                         chain_map_equal)
-from chaincert.chains.homotopy import (is_chain_homotopy_equivalence,
-                                       is_homotopy_equivalence)
+from chaincert.chains.homotopy import is_homotopy_equivalence
 from chaincert.cli import main
 from chaincert.errors import CertificateError
 from chaincert.io.document import chain_map_from_json, parse_chain_complex
