@@ -10,10 +10,9 @@ the Hurewicz, Quillen, mixed, and dual Bousfield structures.
 from .exact.rings import RingSpec, ZZ, Zmod
 from .exact.matrix import Matrix
 from .exact.modules import (HomSpace, ModuleMap, PresentedModule, cokernel,
-                            direct_sum, hom_module, kernel, map_equal,
-                            tensor_module)
+                            direct_sum, kernel, map_equal, tensor_module)
 from .exact.snf import SNFResult, snf, solve
-from .exact.splitting import is_projective, is_split_epi, is_split_mono
+from .exact.splitting import is_split_epi, is_split_mono
 from .chains.build import (brutal_truncation, disk, interval, sphere,
                            unit_complex, zero_complex)
 from .chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
@@ -35,7 +34,6 @@ from .models.pushout import check_pushout_product_axiom, pushout, \
     pushout_product
 from .models.verdict import ClassBit, Verdict
 from .models.yoneda import p_epic_check, split_epi_via_yoneda
-from .io.document import document_to_json
 from .simplicial.classify import (interval_cotensor,
                                   pushout_product_simplicial,
                                   simplicial_classify, simplicial_homotopic,

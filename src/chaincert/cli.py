@@ -4,15 +4,19 @@ Every command emits a machine-readable JSON report on stdout.  Exit codes:
 0 = the operation ran and any claim it makes is certified, 1 = a claim was
 refuted (with a counterexample in the report), 2 = usage or parse error.
 
-Each call builds the argument parser of the command it names and no
+Each call uses the argument parser of the command it names and no
 other; without a known command name first (no arguments, ``--help``, a
-misspelt command) it builds the parser of every command, so the overview
+misspelt command) it uses the parser of every command, so the overview
 and the error list them all.  Both come from the one table `COMMANDS`.
+A parser is built on first use and kept for the life of the process, so
+repeated in-process calls of `main` (tests, library callers) build each
+parser once; a one-shot ``python -m chaincert.cli`` builds one either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -335,8 +339,14 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every command, or for ``command`` alone."""
+    """The parser for every command, or for ``command`` alone.
+
+    One parser per ``command`` is built and kept for the process: every
+    caller gets the same object, so callers must not mutate it (add
+    arguments, change defaults or prog).
+    """
     parser = argparse.ArgumentParser(
         prog="chaincert",
         description="exact-arithmetic model-structure certification "
@@ -357,8 +367,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the parser of the named command alone: building every command's
-    # parser costs about as much as running a quick command
+    # the parser of the named command alone, built once per process:
+    # building every command's parser costs about as much as running a
+    # quick command
     named = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(named).parse_args(argv)
     try:

@@ -367,10 +367,6 @@ class HomSpace:
         return ModuleMap(self.module, target_space.module, action, check=False)
 
 
-def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
-    return HomSpace(M, N).module
-
-
 # -- pushouts of module maps ------------------------------------------
 
 

@@ -47,11 +47,6 @@ def is_split_mono(f: ModuleMap) -> ModuleMap | None:
     return retraction
 
 
-def is_projective(M: PresentedModule) -> bool:
-    """True iff the canonical surjection R^g -> M splits."""
-    return projective_section(M) is not None
-
-
 def projective_section(M: PresentedModule) -> ModuleMap | None:
     """Section of the canonical surjection R^g -> M when M is projective."""
     projection = ModuleMap(PresentedModule.free(M.ring, M.generators), M,

@@ -457,19 +457,3 @@ def chain_map_to_json(f: ChainMap | CochainMap) -> dict:
     return {"source": complex_to_json(chain.source, cochain=cochain),
             "target": complex_to_json(chain.target, cochain=cochain),
             "components": components_to_json(f.parts)}
-
-
-def document_to_json(doc: Document) -> dict:
-    objects = {}
-    for name, obj in doc.objects.items():
-        kind = doc.object_kinds[name]
-        if kind == "simplicial_module":
-            objects[name] = simplicial_to_json(obj)
-        elif kind != "window_complex":
-            objects[name] = complex_to_json(
-                obj, cochain=kind == "cochain_complex")
-    maps = {name: {"source": entry.source_name, "target": entry.target_name,
-                   "components": components_to_json(entry.value.parts)}
-            for name, entry in doc.maps.items()}
-    return {"version": FORMAT_VERSION, "ring": doc.ring.to_json(),
-            "objects": objects, "maps": maps}

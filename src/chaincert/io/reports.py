@@ -11,6 +11,8 @@ certificate without any other file.
   `WITNESS_TYPES`, not from a recomputation.
 - Checked by honest recomputation: a cone_exactness witness, which is
   compared with the recomputed one.
+- Refused with a location: a classification bit whose status is not
+  "yes", "no" or "unknown".
 - Decided again: a classification "no" or "unknown", one bit alone: a
   weak equivalence by `weak_equivalence_holds`, which builds no witness
   and presents no homology, any other bit by `model_bit` (a degreewise
@@ -238,6 +240,9 @@ def verify_classification(data: dict) -> list[str]:
     for bit_name in BITS:
         bit = get_field(verdict, bit_name, "verdict")
         status = get_field(bit, "status", f"verdict.{bit_name}")
+        if status not in (YES, NO, UNKNOWN):
+            raise DocumentError(f"verdict.{bit_name}.status",
+                                f"expected {YES!r}, {NO!r} or {UNKNOWN!r}")
         convention = WITNESS_TYPES.get((flavor, bit_name))
         if status != YES or convention is None:
             _redecide(f, flavor, bit_name, bit, status, problems)

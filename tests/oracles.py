@@ -4,7 +4,8 @@ The package never calls these.  Each decides its question by a route of
 its own (determinants, induced maps on homology, kernels of faces, the
 Moore projector, whole level matrices), so that a test comparing it with
 the package's answer compares two computations, not one computation with
-itself.
+itself.  The last section holds helpers that only tests read: the hom
+module, a projectivity test and the document writer.
 """
 
 import itertools
@@ -13,10 +14,13 @@ from chaincert.chains.complexes import ChainComplex, ChainMap
 from chaincert.chains.homology import homology_data
 from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
-from chaincert.exact.modules import (ModuleMap, PresentedModule, cokernel,
-                                     direct_sum_module, factor_through,
-                                     kernel, tensor_module)
+from chaincert.exact.modules import (HomSpace, ModuleMap, PresentedModule,
+                                     cokernel, direct_sum_module,
+                                     factor_through, kernel, tensor_module)
 from chaincert.exact.snf import kernel_matrix
+from chaincert.exact.splitting import projective_section
+from chaincert.io.document import (FORMAT_VERSION, Document, complex_to_json,
+                                   components_to_json, simplicial_to_json)
 from chaincert.simplicial.levels import TensorLevels
 from chaincert.simplicial.surjections import codegeneracy, coface, shuffles
 
@@ -409,3 +413,30 @@ def normalized_kernel(levels, top: int
         diffs.append(w)
     return ChainComplex(ring, mods, diffs), inclusions
 
+
+# -- helpers only tests read ------------------------------------------
+
+
+def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
+    return HomSpace(M, N).module
+
+
+def is_projective(M: PresentedModule) -> bool:
+    """True iff the canonical surjection R^g -> M splits."""
+    return projective_section(M) is not None
+
+
+def document_to_json(doc: Document) -> dict:
+    objects = {}
+    for name, obj in doc.objects.items():
+        kind = doc.object_kinds[name]
+        if kind == "simplicial_module":
+            objects[name] = simplicial_to_json(obj)
+        elif kind != "window_complex":
+            objects[name] = complex_to_json(
+                obj, cochain=kind == "cochain_complex")
+    maps = {name: {"source": entry.source_name, "target": entry.target_name,
+                   "components": components_to_json(entry.value.parts)}
+            for name, entry in doc.maps.items()}
+    return {"version": FORMAT_VERSION, "ring": doc.ring.to_json(),
+            "objects": objects, "maps": maps}

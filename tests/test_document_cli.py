@@ -26,10 +26,9 @@ from chaincert.io import reports as reports_module
 from chaincert.io.document import (DocumentError, chain_map_from_json,
                                    chain_map_to_json, cochain_map_from_json,
                                    complex_to_json, components_to_json,
-                                   document_to_json, graded_to_json,
-                                   parse_chain_complex, parse_components,
-                                   parse_document, parse_matrix,
-                                   parse_module_map)
+                                   graded_to_json, parse_chain_complex,
+                                   parse_components, parse_document,
+                                   parse_matrix, parse_module_map)
 from chaincert.io.reports import (classification_report, dump, lift_report,
                                   verify_report)
 from chaincert.models import classify as classify_module
@@ -45,6 +44,8 @@ from chaincert.simplicial.module import (MAX_CAP_GENERATORS,
                                          MAX_TENSOR_GENERATORS, cap_problem,
                                          gamma, gamma_level_rank,
                                          tensor_problem)
+
+from oracles import document_to_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -270,6 +271,15 @@ def _drop_status(report):
     del report["verdict"]["fibration"]["status"]
 
 
+def _set_status(name, value):
+    """A damage that stores ``value``, which is no bit status, as the
+    fibration bit's status."""
+    def damage(report):
+        report["verdict"]["fibration"]["status"] = value
+    damage.__name__ = f"_status_{name}"
+    return damage
+
+
 def _letter_degree_key(report):
     degrees = report["verdict"]["cofibration"]["witness"]["degrees"]
     degrees["x"] = degrees.pop("0")
@@ -349,6 +359,9 @@ def _set_found(name, value):
     (interval_lift_report, _short_matrix, "lift[0]"),
     (interval_lift_report, _mismatched_corner, "top.target"),
     (interval_h_report, _drop_status, "verdict.fibration.status"),
+    *[(interval_h_report, _set_status(name, value),
+       "verdict.fibration.status")
+      for name, value in (("maybe", "maybe"), ("list", []), ("object", {}))],
     (interval_h_report, _letter_degree_key,
      "verdict.cofibration.witness.degrees.x"),
     (interval_h_report, _list_of_degrees,
@@ -835,24 +848,22 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "version" in proc.stderr
 
 
-def parse_outcome(parser, argv):
-    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``; the code
-    is None when parsing succeeds."""
+def outcome(call, argv):
+    """(result or exit code, stdout, stderr) of ``call(argv)``."""
     out, err = io.StringIO(), io.StringIO()
-    code = None
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            parser.parse_args(argv)
+            result = call(argv)
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_one_command_parser_matches_the_full_parser(name):
     for argv in ([name, "--help"], [name, "--no-such-option"]):
-        assert parse_outcome(build_parser(name), argv) == \
-            parse_outcome(build_parser(), argv)
+        assert outcome(build_parser(name).parse_args, argv) == \
+            outcome(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["classify"]],
@@ -862,7 +873,26 @@ def test_cli_main_answers_as_the_full_parser(argv, capsys):
         main(argv)
     captured = capsys.readouterr()
     assert (exit_.value.code, captured.out, captured.err) == \
-        parse_outcome(build_parser(), argv)
+        outcome(build_parser().parse_args, argv)
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path):
+    # main keeps one parser per command for the process; a call after a
+    # usage error, a --help and another command must answer as a call
+    # that builds its parser anew
+    assert build_parser("classify") is build_parser("classify")
+    report = str(tmp_path / "w.json")
+    first = ["classify", "--doc", fixture("interval.json"), "--map", "e0",
+             "--flavor", "h", "--out", report]
+    calls = [first, first + ["--no-such-option"], ["classify", "--help"],
+             ["verify", report], first]
+    reused = [outcome(main, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(main, argv))
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0]
+    assert reused == fresh
 
 
 # -- cochain documents ----------------------------------------------------

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (
     HomSpace, ModuleMap, PresentedModule, cokernel, direct_sum, factor_through,
-    hom_module, kernel, map_equal, present_submodule, pushout_modules,
-    tensor_module,
+    kernel, map_equal, present_submodule, pushout_modules, tensor_module,
 )
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact import modules
-from chaincert.exact.splitting import is_projective, is_split_epi, is_split_mono
+from chaincert.exact.splitting import is_split_epi, is_split_mono
 
-from oracles import kernel_hom_presentation, pushout_induced_map
+from oracles import (hom_module, is_projective, kernel_hom_presentation,
+                     pushout_induced_map)
 
 Z2 = PresentedModule.cyclic(ZZ, 2)
 Z3 = PresentedModule.cyclic(ZZ, 3)
