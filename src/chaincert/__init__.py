@@ -10,7 +10,7 @@ the Hurewicz, Quillen, mixed, and dual Bousfield structures.
 from .exact.rings import RingSpec, ZZ, Zmod
 from .exact.matrix import Matrix
 from .exact.modules import (HomSpace, ModuleMap, PresentedModule, cokernel,
-                            direct_sum, kernel, map_equal, tensor_module)
+                            direct_sum, kernel, map_equal, tensor_sum_module)
 from .exact.snf import SNFResult, snf, solve
 from .exact.splitting import is_split_epi, is_split_mono
 from .chains.build import (brutal_truncation, disk, interval, sphere,
@@ -23,7 +23,7 @@ from .chains.homcx import hom_complex
 from .chains.homology import homology
 from .chains.homotopy import (find_contraction, is_chain_homotopy_equivalence,
                               quasi_iso)
-from .chains.tensor import braiding, tensor_complex
+from .chains.tensor import tensor_complex
 from .chains.truncate import WindowComplex, good_truncation
 from .models.classify import (MCofibrationWitness, bousfield_classify,
                               classify, verify_m_cofibration)

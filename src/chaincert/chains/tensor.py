@@ -4,22 +4,40 @@ Degree n of X (x) Y is the direct sum of X_i (x) Y_j over i + j = n,
 summands ordered by ascending i; within a summand the generator pair
 (a, b) sits at index a * gens(Y_j) + b.  The differential is
 d(x (x) y) = d(x) (x) y + (-1)^{|x|} x (x) d(y).
+
+``TensorLayout`` computes each degree's summands and their offsets once.
+Each degree's relations, its differential and each component of
+f (x) g are one ``Matrix.kron_blocks`` call, which writes every
+Kronecker block straight into the degree's matrix, with identity factors
+given by their size (an identity map of ``tensor_module_maps`` is given
+as None): no identity factor, no single block and no zero block is ever
+built.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from ..exact.matrix import Matrix
-from ..exact.modules import (ModuleMap, PresentedModule, direct_sum_module,
-                             tensor_module)
+from ..exact.modules import ModuleMap, PresentedModule, tensor_sum_module
 from .build import interval
 from .complexes import ChainComplex, ChainMap
 
 
+# one degree of a layout: its summands (i, n - i) by ascending i, their
+# generator counts, the position of each summand by its i, and the
+# generator offset of each position
+Degree = tuple[tuple[tuple[int, int], ...], list[int], dict[int, int],
+               list[int]]
+
+
 class TensorLayout:
     """Summand bookkeeping for X (x) Y, shared by every construction
-    that needs to address individual bidegree blocks."""
+    that needs to address individual bidegree blocks.
+
+    Each degree's summands, their sizes and their offsets are computed
+    once, on first use, and kept."""
 
     def __init__(self, X: ChainComplex, Y: ChainComplex):
         if X.ring != Y.ring:
@@ -28,65 +46,62 @@ class TensorLayout:
         self.Y = Y
         self.ring = X.ring
         self.top = X.top + Y.top
+        self._degrees: dict[int, Degree] = {}
         self._modules: dict[int, PresentedModule] = {}
         self._complex: ChainComplex | None = None
 
-    def pairs(self, n: int) -> list[tuple[int, int]]:
-        lo = max(0, n - self.Y.top)
-        hi = min(n, self.X.top)
-        return [(i, n - i) for i in range(lo, hi + 1)]
+    def _degree(self, n: int) -> Degree:
+        """(pairs, sizes, index, starts) of degree n, built on first use."""
+        layout = self._degrees.get(n)
+        if layout is None:
+            lo = max(0, n - self.Y.top)
+            hi = min(n, self.X.top)
+            pairs = tuple((i, n - i) for i in range(lo, hi + 1))
+            sizes = [self.X.module(i).generators * self.Y.module(j).generators
+                     for i, j in pairs]
+            layout = (pairs, sizes, {i: p for p, (i, _) in enumerate(pairs)},
+                      [0, *accumulate(sizes)])
+            self._degrees[n] = layout
+        return layout
+
+    def pairs(self, n: int) -> tuple[tuple[int, int], ...]:
+        return self._degree(n)[0]
 
     def module(self, n: int) -> PresentedModule:
-        if n in self._modules:
-            return self._modules[n]
-        if n < 0 or n > self.top:
-            z = PresentedModule.zero(self.ring)
-            return z
-        summands = [tensor_module(self.X.module(i), self.Y.module(j))
-                    for i, j in self.pairs(n)]
-        total = direct_sum_module(self.ring, summands)
-        self._modules[n] = total
+        total = self._modules.get(n)
+        if total is None:
+            total = tensor_sum_module(
+                self.ring, [(self.X.module(i), self.Y.module(j))
+                            for i, j in self.pairs(n)])
+            self._modules[n] = total
         return total
 
     def offset(self, n: int, i: int) -> int:
-        off = 0
-        for (ii, jj) in self.pairs(n):
-            if ii == i:
-                return off
-            off += self.X.module(ii).generators * self.Y.module(jj).generators
-        raise KeyError(f"pair ({i},{n - i}) absent in degree {n}")
+        _, _, index, starts = self._degree(n)
+        if i not in index:
+            raise KeyError(f"pair ({i},{n - i}) absent in degree {n}")
+        return starts[index[i]]
 
     def address(self, n: int, i: int, a: int, b: int) -> int:
         gy = self.Y.module(n - i).generators
         return self.offset(n, i) + a * gy + b
 
     def differential(self, n: int) -> ModuleMap:
-        src, tgt = self.module(n), self.module(n - 1)
-        spairs, tpairs = self.pairs(n), self.pairs(n - 1)
-        row_sizes = [self.X.module(i).generators * self.Y.module(j).generators
-                     for i, j in tpairs]
-        col_sizes = [self.X.module(i).generators * self.Y.module(j).generators
-                     for i, j in spairs]
-        blocks: dict[tuple[int, int], Matrix] = {}
-        for sidx, (i, j) in enumerate(spairs):
-            gx = self.X.module(i).generators
-            gy = self.Y.module(j).generators
-            if i >= 1 and (i - 1, j) in tpairs:
-                tidx = tpairs.index((i - 1, j))
-                blk = self.X.differential(i).action.kron(
-                    Matrix.identity(self.ring, gy))
-                blocks[(tidx, sidx)] = blk
-            if j >= 1 and (i, j - 1) in tpairs:
-                tidx = tpairs.index((i, j - 1))
-                blk = Matrix.identity(self.ring, gx).kron(
-                    self.Y.differential(j).action)
-                if i % 2:
-                    blk = -blk
-                blocks[(tidx, sidx)] = blocks.get(
-                    (tidx, sidx), Matrix.zero(self.ring, row_sizes[tidx],
-                                              col_sizes[sidx])) + blk
-        action = Matrix.assemble(self.ring, row_sizes, col_sizes, blocks)
-        return ModuleMap(src, tgt, action, check=False)
+        """d_X (x) 1 + (-1)^i 1 (x) d_Y on each summand X_i (x) Y_j."""
+        spairs, col_sizes, _, _ = self._degree(n)
+        _, row_sizes, tindex, _ = self._degree(n - 1)
+        X, Y = self.X, self.Y
+        terms = []
+        for s, (i, j) in enumerate(spairs):
+            if i - 1 in tindex:
+                terms.append((tindex[i - 1], s, 1, X.differential(i).action,
+                              Y.module(j).generators))
+            if i in tindex:
+                terms.append((tindex[i], s, -1 if i % 2 else 1,
+                              X.module(i).generators, Y.differential(j).action))
+        action = Matrix.kron_blocks(self.ring, row_sizes, col_sizes, terms)
+        return ModuleMap(self.module(n), self.module(n - 1), action,
+                         check=False)
 
     def complex(self) -> ChainComplex:
         if self._complex is None:
@@ -100,20 +115,24 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     return TensorLayout(X, Y).complex()
 
 
-def tensor_chain_maps(f: ChainMap, g: ChainMap,
+def tensor_chain_maps(f: ChainMap | None, g: ChainMap | None,
                       source: TensorLayout | None = None,
                       target: TensorLayout | None = None) -> ChainMap:
-    """f (x) g on the tensor complexes."""
+    """f (x) g on the tensor complexes; a factor given as None is the
+    identity of its complex, and then both layouts must be given."""
     if source is None:
         source = TensorLayout(f.source, g.source)
     if target is None:
         target = TensorLayout(f.target, g.target)
     return ChainMap(source.complex(), target.complex(),
-                    tensor_module_maps(f.parts, g.parts, source, target),
+                    tensor_module_maps(None if f is None else f.parts,
+                                       None if g is None else g.parts,
+                                       source, target),
                     check=False)
 
 
-def tensor_module_maps(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
+def tensor_module_maps(f: Sequence[ModuleMap] | None,
+                       g: Sequence[ModuleMap] | None,
                        source: TensorLayout, target: TensorLayout
                        ) -> list[ModuleMap]:
     """The components of f (x) g for graded maps given degree by degree.
@@ -121,48 +140,24 @@ def tensor_module_maps(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
     ``f[i]`` maps X_i to X'_i and ``g[j]`` maps Y_j to Y'_j for the factors
     of ``source`` and ``target``; they need not commute with the
     differentials.  The (i, j) block is f[i] (x) g[j], well defined
-    because both factors are.
+    because both factors are.  A factor given as None is the identity,
+    of a complex that ``source`` and ``target`` share, and enters each
+    block by its size.
     """
-    ring = source.ring
+    X, Y = source.X, source.Y
     comps = []
     for n in range(max(source.top, target.top) + 1):
-        spairs = source.pairs(n)
-        tpairs = target.pairs(n)
-        row_sizes = [target.X.module(i).generators * target.Y.module(j).generators
-                     for i, j in tpairs]
-        col_sizes = [source.X.module(i).generators * source.Y.module(j).generators
-                     for i, j in spairs]
-        blocks = {}
-        for sidx, (i, j) in enumerate(spairs):
-            if (i, j) in tpairs:
-                tidx = tpairs.index((i, j))
-                blocks[(tidx, sidx)] = f[i].action.kron(g[j].action)
-        action = Matrix.assemble(ring, row_sizes, col_sizes, blocks)
+        spairs, col_sizes, _, _ = source._degree(n)
+        _, row_sizes, tindex, _ = target._degree(n)
+        action = Matrix.kron_blocks(
+            source.ring, row_sizes, col_sizes,
+            [(tindex[i], s, 1,
+              X.module(i).generators if f is None else f[i].action,
+              Y.module(j).generators if g is None else g[j].action)
+             for s, (i, j) in enumerate(spairs) if i in tindex])
         comps.append(ModuleMap(source.module(n), target.module(n), action,
                                check=False))
     return comps
-
-
-def braiding(X: ChainComplex, Y: ChainComplex) -> ChainMap:
-    """The symmetry X (x) Y -> Y (x) X with its Koszul sign (-1)^{ij}."""
-    src = TensorLayout(X, Y)
-    tgt = TensorLayout(Y, X)
-    ring = src.ring
-    comps = []
-    for n in range(src.top + 1):
-        total_s = src.module(n).generators
-        total_t = tgt.module(n).generators
-        rows = [[0] * total_s for _ in range(total_t)]
-        for (i, j) in src.pairs(n):
-            gx = X.module(i).generators
-            gy = Y.module(j).generators
-            sign = -1 if (i * j) % 2 else 1
-            for a in range(gx):
-                for b in range(gy):
-                    rows[tgt.address(n, j, b, a)][src.address(n, i, a, b)] = sign
-        comps.append(ModuleMap(src.module(n), tgt.module(n),
-                               Matrix(ring, total_t, total_s, rows), check=False))
-    return ChainMap(src.complex(), tgt.complex(), comps, check=False)
 
 
 def interval_cylinder(X: ChainComplex, I: ChainComplex

@@ -266,17 +266,22 @@ def _vectorized(ring: RingSpec, index: dict[str, int],
                 ) -> list[tuple[dict[int, Matrix], Matrix | None, Matrix]]:
     """The parts of `_assemble` for relations vectorized column-major,
     vec(L X R) = (R^T kron L) vec X, with unknown ``name`` at
-    ``index[name]`` and I kron mod as the modulus."""
+    ``index[name]`` and I kron mod as the modulus; the terms on one
+    unknown are summed by one `Matrix.kron_blocks`."""
     parts = []
     for rel in relations:
-        row: dict[int, Matrix] = {}
+        p, q = rel.rhs.rows, rel.rhs.cols
+        # per unknown: its size and the terms that name it
+        terms: dict[int, tuple[int, list]] = {}
         for coeff, L, name, R in rel.terms:
-            blk = R.transpose().kron(L).scale(coeff)
-            i = index[name]
-            row[i] = row[i] + blk if i in row else blk
+            _, group = terms.setdefault(index[name], (L.cols * R.rows, []))
+            group.append((0, 0, coeff, R.transpose(), L))
+        row = {i: Matrix.kron_blocks(ring, [p * q], [size], group)
+               for i, (size, group) in terms.items()}
         mod = _modulus(rel)
         parts.append((row, None if mod is None
-                      else Matrix.identity(ring, rel.rhs.cols).kron(mod),
+                      else Matrix.kron_blocks(ring, [p * q], [q * mod.cols],
+                                              [(0, 0, 1, q, mod)]),
                       rel.rhs.vec()))
     return parts
 

@@ -14,11 +14,14 @@ into a tuple and reduces every entry mod m.  Matrix's own operations and
 the kernel in ``exact/`` produce entries that are canonical already, so
 they wrap their finished tuples with ``_from_canonical``, which checks
 nothing.  Over Z/m the rule is: an operation whose result can leave
-[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron``) reduces each
-entry once before it wraps, and an operation that only moves or copies
+[0, m) (``+``, ``-``, negation, ``scale``, ``@``, ``kron_blocks``) reduces
+each entry once before it wraps, and an operation that only moves or copies
 canonical entries (``transpose``, ``hstack``, ``vstack``, ``submatrix``,
 ``vec``, ``unvec``, ``block_diagonal``, ``assemble``, ``hstack_all``,
 ``vstack_all``, ``identity``, ``zero``) never reduces.
+``kron_blocks`` is the one Kronecker product: it writes sums of
+c (A kron B) into the blocks of one matrix, with identity factors given
+by their size, and A kron B alone is its one-term case.
 Over Z every integer is canonical.  Operations that combine matrices
 require one ring; rings are interned (see ``rings.py``), so that check
 is usually a pointer compare.
@@ -30,7 +33,7 @@ sizes the tuple exactly.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .rings import RingSpec
@@ -197,30 +200,6 @@ class Matrix:
         data = list(zip(*self.data)) if self.rows else [()] * self.cols
         return _from_canonical(self.ring, self.cols, self.rows, tuple(data))
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; index (i,k),(j,l) -> i*other.rows+k etc."""
-        self._same_ring(other)
-        m = self.ring.modulus
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[0] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    orow = other.data[k]
-                    trow = out[i * other.rows + k]
-                    base = j * other.cols
-                    for l in range(other.cols):
-                        trow[base + l] = a * orow[l]
-        if m is None:
-            data = [tuple(row) for row in out]
-        else:
-            data = [tuple([x % m for x in row]) for row in out]
-        return _from_canonical(self.ring, rows, cols, tuple(data))
-
     # -- block and slicing helpers -------------------------------------
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -312,6 +291,41 @@ class Matrix:
                                tuple([tuple(row) for row in out]))
 
     @staticmethod
+    def kron_blocks(ring: RingSpec, row_sizes: Sequence[int],
+                    col_sizes: Sequence[int],
+                    terms: Iterable[tuple[int, int, int, "Matrix | int",
+                                          "Matrix | int"]]) -> "Matrix":
+        """The block matrix whose block (bi, bj) is the sum of c (A kron B)
+        over the terms (bi, bj, c, A, B); blocks no term names are zero.
+
+        A or B may be an int n, which stands for the identity I_n, so no
+        identity matrix is built.  Entry (i, j) of A and (k, l) of B meet
+        at (i * B.rows + k, j * B.cols + l) of the block.  Only the nonzero
+        entries of the factors are visited; the sums are reduced once at
+        the end.  A kron B alone is the one-term case.
+        """
+        roff = [0, *accumulate(row_sizes)]
+        coff = [0, *accumulate(col_sizes)]
+        out = [[0] * coff[-1] for _ in range(roff[-1])]
+        for bi, bj, c, A, B in terms:
+            rows_a, cols_a, entries_a = _factor(ring, A)
+            rows_b, cols_b, entries_b = _factor(ring, B)
+            if (rows_a * rows_b != row_sizes[bi]
+                    or cols_a * cols_b != col_sizes[bj]):
+                raise ValueError(f"block ({bi},{bj}) has wrong shape")
+            r0, c0 = roff[bi], coff[bj]
+            for i, j, a in entries_a:
+                ri, cj, ca = r0 + i * rows_b, c0 + j * cols_b, c * a
+                for k, l, b in entries_b:
+                    out[ri + k][cj + l] += ca * b
+        m = ring.modulus
+        if m is None:
+            data = [tuple(row) for row in out]
+        else:
+            data = [tuple([x % m for x in row]) for row in out]
+        return _from_canonical(ring, roff[-1], coff[-1], tuple(data))
+
+    @staticmethod
     def hstack_all(ring: RingSpec, rows: int,
                    blocks: Sequence["Matrix"]) -> "Matrix":
         """The blocks side by side, each row the concatenation of the
@@ -346,6 +360,20 @@ class Matrix:
 
     def to_json(self) -> list[list[int]]:
         return self.to_lists()
+
+
+def _factor(ring: RingSpec, F: Matrix | int
+            ) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(rows, cols, nonzero entries (i, j, a)) of a Kronecker factor; an
+    int n is I_n, whose entries are its diagonal."""
+    if isinstance(F, int):
+        if F < 0:
+            raise ValueError("negative matrix shape")
+        return F, F, [(i, i, 1) for i in range(F)]
+    if F.ring is not ring and F.ring != ring:
+        raise ValueError("ring mismatch")
+    return F.rows, F.cols, [(i, j, a) for i, row in enumerate(F.data)
+                            if any(row) for j, a in enumerate(row) if a]
 
 
 def _from_canonical(ring: RingSpec, rows: int, cols: int,

@@ -176,8 +176,8 @@ def present_submodule(ambient: PresentedModule, gens: Matrix
 
 
 def _drop_zero_columns(M: Matrix) -> Matrix:
-    keep = [j for j in range(M.cols) if any(M[i, j] != 0 for i in range(M.rows))]
-    return M.columns(keep)
+    keep = [j for j, column in enumerate(zip(*M.data)) if any(column)]
+    return M if len(keep) == M.cols else M.columns(keep)
 
 
 def kernel(f: ModuleMap) -> tuple[PresentedModule, ModuleMap]:
@@ -270,15 +270,31 @@ def summand_maps(total: PresentedModule, modules: Sequence[PresentedModule]
     return injections, projections
 
 
-def tensor_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
-    """M (x) N: generator pairs, relations from each factor."""
-    if M.ring != N.ring:
-        raise ValueError("ring mismatch")
-    ring = M.ring
-    gens = M.generators * N.generators
-    rel_left = M.relations.kron(Matrix.identity(ring, N.generators))
-    rel_right = Matrix.identity(ring, M.generators).kron(N.relations)
-    return PresentedModule(ring, gens, _drop_zero_columns(rel_left.hstack(rel_right)))
+def tensor_sum_module(ring: RingSpec,
+                      pairs: Sequence[tuple[PresentedModule, PresentedModule]]
+                      ) -> PresentedModule:
+    """The direct sum of M (x) N over ``pairs``, in their order; zero when
+    there are none, and M (x) N alone for one pair.
+
+    Within a summand the generator pair (a, b) sits at a * gens(N) + b.
+    The relations are block diagonal, each summand's R_M (x) I then
+    I (x) R_N, with zero columns dropped, all written by one
+    `Matrix.kron_blocks`.
+    """
+    row_sizes: list[int] = []
+    col_sizes: list[int] = []
+    terms = []
+    for p, (M, N) in enumerate(pairs):
+        if M.ring != ring or N.ring != ring:
+            raise ValueError("ring mismatch")
+        gM, gN = M.generators, N.generators
+        row_sizes.append(gM * gN)
+        col_sizes += [M.relations.cols * gN, gM * N.relations.cols]
+        terms += [(p, 2 * p, 1, M.relations, gN),
+                  (p, 2 * p + 1, 1, gM, N.relations)]
+    relations = Matrix.kron_blocks(ring, row_sizes, col_sizes, terms)
+    return PresentedModule(ring, relations.rows,
+                           _drop_zero_columns(relations))
 
 
 class HomSpace:
@@ -304,15 +320,18 @@ class HomSpace:
         gS, gT = source.generators, target.generators
         rS, rT = source.relations.cols, target.relations.cols
         # maps that are zero in Hom: phi = relT @ Z columnwise
-        zero_maps = Matrix.identity(ring, gS).kron(target.relations)
+        zero_maps = Matrix.kron_blocks(ring, [gS * gT], [gS * rT],
+                                       [(0, 0, 1, gS, target.relations)])
         if not rS:
             phi_part = Matrix.identity(ring, gT * gS)
             relations = _drop_zero_columns(zero_maps)
         else:
             # well-definedness: phi @ relS = relT @ Y for some Y, flattened
-            lhs = source.relations.transpose().kron(Matrix.identity(ring, gT))
-            rhs = Matrix.identity(ring, rS).kron(target.relations)
-            K = kernel_matrix(lhs.hstack(-rhs))
+            # to [relS^T (x) I | -(I (x) relT)]
+            K = kernel_matrix(Matrix.kron_blocks(
+                ring, [rS * gT], [gT * gS, rS * rT],
+                [(0, 0, 1, source.relations.transpose(), gT),
+                 (0, 1, -1, rS, target.relations)]))
             phi_part = _drop_zero_columns(
                 K.submatrix(range(gT * gS), range(K.cols)))
             relations = Matrix.zero(ring, phi_part.cols, 0)
@@ -378,5 +397,7 @@ def pushout_modules(f: ModuleMap, g: ModuleMap
     total, (injB, injC), _ = direct_sum([f.target, g.target])
     diff = ModuleMap(f.source, total,
                      f.action.vstack(-g.action), check=False)
-    P, proj = cokernel(diff)
-    return P, proj.compose(injB), proj.compose(injC)
+    # the projection onto the cokernel is the identity on generators
+    P, _ = cokernel(diff)
+    return (P, ModuleMap(f.target, P, injB.action, check=False),
+            ModuleMap(g.target, P, injC.action, check=False))

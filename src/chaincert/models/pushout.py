@@ -29,7 +29,8 @@ class PushoutProduct:
 
     It also keeps what `decide_pushout_product` reads: the legs i and k
     (k after any ring change), the tensor objects X x W, Y x V and Y x W,
-    and ``tensor``, the graded tensor of module maps between two of them.
+    and ``tensor``, the graded tensor of module maps between two of them,
+    which takes None for an identity factor.
     For chain maps these are `TensorLayout`s and `tensor_module_maps`; the
     simplicial product keeps N(i [] k) here, with N(i), N(k), the
     degreewise tensors and `tensor_normalized_parts`.
@@ -45,8 +46,8 @@ class PushoutProduct:
     xw: Any
     yv: Any
     yw: Any
-    tensor: Callable[[Sequence[ModuleMap], Sequence[ModuleMap], Any, Any],
-                     list[ModuleMap]]
+    tensor: Callable[[Sequence[ModuleMap] | None, Sequence[ModuleMap] | None,
+                      Any, Any], list[ModuleMap]]
 
 
 def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
@@ -60,15 +61,12 @@ def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
     yv = TensorLayout(Y, V)
     xv = TensorLayout(X, V)
     yw = TensorLayout(Y, W)
-    id_x = ChainMap.identity(X)
-    id_y = ChainMap.identity(Y)
-    id_v = ChainMap.identity(V)
-    id_w = ChainMap.identity(W)
-    leg_xw = tensor_chain_maps(id_x, k, xv, xw)   # X x V -> X x W
-    leg_yv = tensor_chain_maps(i, id_v, xv, yv)   # X x V -> Y x V
+    # None is the identity of its factor, which enters by its size
+    leg_xw = tensor_chain_maps(None, k, xv, xw)   # X x V -> X x W
+    leg_yv = tensor_chain_maps(i, None, xv, yv)   # X x V -> Y x V
     P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
-    u = tensor_chain_maps(i, id_w, xw, yw)        # X x W -> Y x W
-    v = tensor_chain_maps(id_y, k, yv, yw)        # Y x V -> Y x W
+    u = tensor_chain_maps(i, None, xw, yw)        # X x W -> Y x W
+    v = tensor_chain_maps(None, k, yv, yw)        # Y x V -> Y x W
     # u o leg_xw = i (x) k = v o leg_yv, blockwise kron products
     induced = pushout_induced_chain_map(P, u, v, check=False)
     return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv, i, k,
@@ -115,11 +113,11 @@ def decide_pushout_product(pp: PushoutProduct, expect_acyclic: bool
     rho, sigma = legs
     propose = None
     if rho is not None and sigma is not None:
-        i, Y, W = pp.i, pp.i.target, pp.k.target
+        i, Y = pp.i, pp.i.target
         complement = [ModuleMap.identity(Y.module(n))
                       - i.component(n).compose(rho[n])
                       for n in range(Y.top + 1)]
-        to_xw = pp.tensor(rho, ChainMap.identity(W).parts, pp.yw, pp.xw)
+        to_xw = pp.tensor(rho, None, pp.yw, pp.xw)    # rho (x) 1_W
         to_yv = pp.tensor(complement, sigma, pp.yw, pp.yv)
 
         def propose(n: int) -> ModuleMap | None:

@@ -24,8 +24,7 @@ from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
 from ..models.pushout import Legs, PushoutProduct, decide_pushout_product
 from ..models.verdict import ClassBit, Verdict
-from .cotensor import (CotensorData, _identity_simplicial, cotensor,
-                       ez_aw_dual_ops)
+from .cotensor import CotensorData, cotensor, ez_aw_dual_ops
 from .ez_aw import aw, ez
 from .levels import GammaLevels
 from .module import (SimplicialMap, SimplicialModule, constant_module,
@@ -164,8 +163,7 @@ def _evaluation_map(data: CotensorData, B: SimplicialModule,
     for n in range(data.complex.top + 1):
         cot_mod = data.complex.module(n)
         unit_tensor = degreewise_tensor(constant_module(ring), data.disks[n])
-        u = tensor_normalized_map(vertex, _identity_simplicial(data.disks[n]),
-                                  unit_tensor, data.tensors[n])
+        u = tensor_normalized_map(vertex, None, unit_tensor, data.tensors[n])
         # each generator F o u is a chain map N(c (x) Gamma D^n) = D^n -> N(B);
         # evaluate it at the disk generator
         action = Matrix.hstack_all(ring, NB.module(n).generators, [
@@ -289,11 +287,12 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     yv = degreewise_tensor(Y, V)
     xv = degreewise_tensor(X, V)
     yw = degreewise_tensor(Y, W)
-    leg_xw = tensor_normalized_map(_identity_simplicial(X), k, xv, xw)
-    leg_yv = tensor_normalized_map(i, _identity_simplicial(V), xv, yv)
+    # None is the identity of its factor
+    leg_xw = tensor_normalized_map(None, k, xv, xw)
+    leg_yv = tensor_normalized_map(i, None, xv, yv)
     P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
-    u = tensor_normalized_map(i, _identity_simplicial(W), xw, yw)
-    v = tensor_normalized_map(_identity_simplicial(Y), k, yv, yw)
+    u = tensor_normalized_map(i, None, xw, yw)
+    v = tensor_normalized_map(None, k, yv, yw)
     # u o leg_xw = N(i (x) k) = v o leg_yv: the level matrices are kron
     # products and keep degenerate coordinates apart from the others
     induced = pushout_induced_chain_map(P, u, v, check=False)

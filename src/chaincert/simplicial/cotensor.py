@@ -34,8 +34,8 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..exact.snf import solve
 from .ez_aw import aw, ez
-from .module import (SimplicialMap, SimplicialModule, constant_module,
-                     degreewise_tensor, gamma, gamma_level_rank, gamma_map,
+from .module import (SimplicialModule, constant_module, degreewise_tensor,
+                     gamma, gamma_level_rank, gamma_map,
                      tensor_normalized_map)
 
 # ``through`` is refused once the largest level of the cotensor, level
@@ -121,16 +121,11 @@ def cotensor(A: SimplicialModule, B: SimplicialModule, through: int
     diffs: list[ModuleMap] = []
     for n in range(1, top + 1):
         incl = gamma_map(disk_inclusion(ring, n), disks[n - 1], disks[n])
-        u = tensor_normalized_map(_identity_simplicial(A), incl,
-                                  tensors[n - 1], tensors[n])
+        u = tensor_normalized_map(None, incl, tensors[n - 1], tensors[n])
         action = spaces[n - 1].coords(*[F.compose(u) for F in spaces[n].gens])
         diffs.append(ModuleMap(mods[n], mods[n - 1], action, check=False))
     cx = ChainComplex(ring, mods, diffs, check=False)
     return CotensorData(A, B, cx, spaces, tensors, disks)
-
-
-def _identity_simplicial(A: SimplicialModule) -> SimplicialMap:
-    return SimplicialMap(A, A, ChainMap.identity(A.normalized))
 
 
 class HomDiskBridge:

@@ -208,8 +208,9 @@ class TensorLevels:
     structure maps.
 
     The coordinate (a, b) of level n is a * rank B_n + b, as in
-    ``tensor_module`` and ``Matrix.kron``.  Only ``degreewise_tensor``
-    builds one; its normalized complex and maps come from the plans below.
+    ``tensor_sum_module`` and ``Matrix.kron_blocks``.  Only
+    ``degreewise_tensor`` builds one; its normalized complex and maps come
+    from the plans below.
     """
 
     def __init__(self, A: GammaLevels, B: GammaLevels):
@@ -360,7 +361,7 @@ def relation_plan(shape_a: Shape, shape_b: Shape, n: int
                   ) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """The relation columns of level n of N(Gamma(C) (x) Gamma(D)).
 
-    They are ``tensor_module``'s relations of the level read on the
+    They are ``tensor_sum_module``'s relations of the level read on the
     non-degenerate pairs: first those of R_C (x) I, ordered by summand
     of Gamma(C), then column of its C_k's relations, then coordinate of
     Gamma(D); then those of I (x) R_D, ordered by coordinate of

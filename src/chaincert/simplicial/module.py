@@ -304,21 +304,24 @@ def gamma_map(f: ChainMap, source: SimplicialModule | None = None,
     return SimplicialMap(source, target, f)
 
 
-def tensor_normalized_map(f: SimplicialMap, g: SimplicialMap,
+def tensor_normalized_map(f: SimplicialMap | None, g: SimplicialMap | None,
                           srcT: SimplicialModule, tgtT: SimplicialModule
                           ) -> ChainMap:
-    """N(f (x) g) between degreewise tensors, read off the level maps.
+    """N(f (x) g) between degreewise tensors, read off the level maps; a
+    factor given as None is the identity of its simplicial module.
 
     A chain map by construction: f (x) g is a simplicial map, and
     `tensor_normalized_parts` reads its non-degenerate block.
     """
     return ChainMap(srcT.normalized, tgtT.normalized,
-                    tensor_normalized_parts(f.normalized_map.parts,
-                                            g.normalized_map.parts,
-                                            srcT, tgtT), check=False)
+                    tensor_normalized_parts(
+                        None if f is None else f.normalized_map.parts,
+                        None if g is None else g.normalized_map.parts,
+                        srcT, tgtT), check=False)
 
 
-def tensor_normalized_parts(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
+def tensor_normalized_parts(f: Sequence[ModuleMap] | None,
+                            g: Sequence[ModuleMap] | None,
                             srcT: SimplicialModule, tgtT: SimplicialModule
                             ) -> list[ModuleMap]:
     """The non-degenerate block of Gamma(f) (x) Gamma(g), degree by degree.
@@ -332,7 +335,8 @@ def tensor_normalized_parts(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
     non-degenerate block is the induced map of the quotients, well
     defined because the level relations are block diagonal over the
     summand pairs as well.  The blocks f_p (x) g_q come from the per-shape
-    ``parts_plan``.
+    ``parts_plan``.  A factor given as None is the identity, of a
+    complex that ``srcT`` and ``tgtT`` share.
     """
     src, tgt = srcT.levels, tgtT.levels
     ring = srcT.ring
@@ -342,7 +346,9 @@ def tensor_normalized_parts(f: Sequence[ModuleMap], g: Sequence[ModuleMap],
 
     def term(side: int, k: int) -> list[tuple[int, int, int]]:
         if (side, k) not in terms:
-            terms[side, k] = _entries((g if side else f)[k].action)
+            maps = g if side else f
+            terms[side, k] = ([(a, a, 1) for a in range(ranks[side][k])]
+                              if maps is None else _entries(maps[k].action))
         return terms[side, k]
 
     comps = []

@@ -2,10 +2,11 @@
 
 The package never calls these.  Each decides its question by a route of
 its own (determinants, induced maps on homology, kernels of faces, the
-Moore projector, whole level matrices), so that a test comparing it with
-the package's answer compares two computations, not one computation with
-itself.  The last section holds helpers that only tests read: the hom
-module, a projectivity test and the document writer.
+Moore projector, whole level matrices, Kronecker products entry by
+entry), so that a test comparing it with the package's answer compares
+two computations, not one computation with itself.  The last section
+holds helpers that only tests read: the hom module, a projectivity test,
+the braiding of a tensor product and the document writer.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from chaincert.chains.tensor import TensorLayout
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (HomSpace, ModuleMap, PresentedModule,
                                      cokernel, direct_sum_module,
-                                     factor_through, kernel, tensor_module)
+                                     factor_through, kernel)
 from chaincert.exact.snf import kernel_matrix
 from chaincert.exact.splitting import projective_section
 from chaincert.io.document import (FORMAT_VERSION, Document, complex_to_json,
@@ -58,15 +59,15 @@ def kernel_hom_presentation(M: PresentedModule, N: PresentedModule
     ring = M.ring
     gS, gT = M.generators, N.generators
     rS, rT = M.relations.cols, N.relations.cols
-    lhs = M.relations.transpose().kron(Matrix.identity(ring, gT))
-    rhs = Matrix.identity(ring, rS).kron(N.relations)
+    lhs = kron(M.relations.transpose(), Matrix.identity(ring, gT))
+    rhs = kron(Matrix.identity(ring, rS), N.relations)
     system = (lhs.hstack(-rhs) if rS
               else Matrix.zero(ring, 0, gT * gS + rS * rT))
     K = kernel_matrix(system)
     gens = _nonzero_columns(K.submatrix(range(gT * gS), range(K.cols)))
     relations = Matrix.zero(ring, gens.cols, 0)
     if gens.cols:
-        zero_maps = Matrix.identity(ring, gS).kron(N.relations)
+        zero_maps = kron(Matrix.identity(ring, gS), N.relations)
         Krel = kernel_matrix(gens.hstack(-zero_maps))
         relations = _nonzero_columns(
             Krel.submatrix(range(gens.cols), range(Krel.cols)))
@@ -175,8 +176,8 @@ def level_module(levels, n: int) -> PresentedModule:
     """Level n as one presented module: the direct sum of C_k over the
     surjections [n] ->> [k], or the tensor of the factors' levels."""
     if isinstance(levels, TensorLevels):
-        return tensor_module(level_module(levels.A, n),
-                             level_module(levels.B, n))
+        return kron_tensor_module(level_module(levels.A, n),
+                                  level_module(levels.B, n))
     return direct_sum_module(levels.ring, [levels.C.module(eta[-1])
                                            for eta in surjections(n)])
 
@@ -198,8 +199,8 @@ def structure_matrix(levels, n: int, alpha: tuple[int, ...]) -> Matrix:
     of the factors' matrices.
     """
     if isinstance(levels, TensorLevels):
-        return structure_matrix(levels.A, n, alpha).kron(
-            structure_matrix(levels.B, n, alpha))
+        return kron(structure_matrix(levels.A, n, alpha),
+                    structure_matrix(levels.B, n, alpha))
     C, ring, m = levels.C, levels.ring, len(alpha) - 1
     src, tgt = _summand_offsets(levels, n), _summand_offsets(levels, m)
     rows = [[0] * level_module(levels, n).generators
@@ -312,7 +313,7 @@ def dense_ez(A, B, T) -> ChainMap:
             for sh in shuffles(p, q):
                 left = _degeneracy_composite(A.levels, p, sh.nu, cols_a)
                 right = _degeneracy_composite(B.levels, q, sh.mu, cols_b)
-                term = left.kron(right).submatrix(rows, cols)
+                term = kron(left, right).submatrix(rows, cols)
                 block = block + term if sh.sign == 1 else block - term
             blocks.append(block)
         action = Matrix.zero(ring, len(rows), 0)
@@ -335,7 +336,7 @@ def dense_aw(A, B, T) -> ChainMap:
                                     scanned_nondegenerate(A.levels, p))
             back = _face_composite(B.levels, n, q, 0,
                                    scanned_nondegenerate(B.levels, q))
-            action = action.vstack(front.kron(back).submatrix(
+            action = action.vstack(kron(front, back).submatrix(
                 range(front.rows * back.rows), cols))
         comps.append(ModuleMap(source.module(n), target.module(n), action))
     return ChainMap(source, target, comps)
@@ -348,7 +349,7 @@ def dense_tensor_normalized_map(f, g, srcT, tgtT) -> ChainMap:
         src_mod = srcT.normalized.module(n)
         tgt_mod = tgtT.normalized.module(n)
         if n <= srcT.top:
-            action = level_matrix(f, n).kron(level_matrix(g, n)).submatrix(
+            action = kron(level_matrix(f, n), level_matrix(g, n)).submatrix(
                 scanned_nondegenerate(tgtT.levels, n),
                 scanned_nondegenerate(srcT.levels, n))
         else:
@@ -414,6 +415,101 @@ def normalized_kernel(levels, top: int
     return ChainComplex(ring, mods, diffs), inclusions
 
 
+# -- Kronecker products and the chain tensor ---------------------------
+
+
+def kron(A: Matrix, B: Matrix) -> Matrix:
+    """A (x) B entry by entry: (i * B.rows + k, j * B.cols + l) holds
+    A[i, j] * B[k, l]."""
+    if A.ring != B.ring:
+        raise ValueError("ring mismatch")
+    rows, cols = A.rows * B.rows, A.cols * B.cols
+    return Matrix(A.ring, rows, cols,
+                  [[A[r // B.rows, c // B.cols] * B[r % B.rows, c % B.cols]
+                    for c in range(cols)] for r in range(rows)])
+
+
+def kron_blocks_by_loops(ring, row_sizes, col_sizes, terms) -> Matrix:
+    """``Matrix.kron_blocks`` densely: each identity factor built, each
+    term's product taken by ``kron`` and added in entry by entry."""
+    out = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
+    for bi, bj, c, A, B in terms:
+        A, B = (Matrix.identity(ring, F) if isinstance(F, int) else F
+                for F in (A, B))
+        K = kron(A, B)
+        if (K.rows, K.cols) != (row_sizes[bi], col_sizes[bj]):
+            raise ValueError(f"block ({bi},{bj}) has wrong shape")
+        r0, c0 = sum(row_sizes[:bi]), sum(col_sizes[:bj])
+        for r in range(K.rows):
+            for s in range(K.cols):
+                out[r0 + r][c0 + s] += c * K[r, s]
+    return Matrix(ring, len(out), sum(col_sizes), out)
+
+
+def _tensor_pairs(X: ChainComplex, Y: ChainComplex, n: int
+                  ) -> list[tuple[int, int]]:
+    return [(i, n - i) for i in range(max(0, n - Y.top), min(n, X.top) + 1)]
+
+
+def _pair_sizes(X: ChainComplex, Y: ChainComplex, pairs) -> list[int]:
+    return [X.module(i).generators * Y.module(j).generators
+            for i, j in pairs]
+
+
+def kron_tensor_module(M: PresentedModule, N: PresentedModule
+                       ) -> PresentedModule:
+    """M (x) N with relations [R_M (x) I | I (x) R_N] from identity
+    matrices, zero columns dropped."""
+    ring = M.ring
+    rel = kron(M.relations, Matrix.identity(ring, N.generators)).hstack(
+        kron(Matrix.identity(ring, M.generators), N.relations))
+    return PresentedModule(ring, M.generators * N.generators,
+                           _nonzero_columns(rel))
+
+
+def kron_layout_module(X: ChainComplex, Y: ChainComplex, n: int
+                       ) -> PresentedModule:
+    """Degree n of X (x) Y as the direct sum of its summands' tensors."""
+    return direct_sum_module(X.ring, [
+        kron_tensor_module(X.module(i), Y.module(j))
+        for i, j in _tensor_pairs(X, Y, n)])
+
+
+def kron_layout_differential(X: ChainComplex, Y: ChainComplex, n: int
+                             ) -> Matrix:
+    """d_n of X (x) Y from d_X (x) I and (-1)^i I (x) d_Y, each built with
+    an identity matrix and summed block by block."""
+    ring = X.ring
+    spairs, tpairs = _tensor_pairs(X, Y, n), _tensor_pairs(X, Y, n - 1)
+    blocks: dict[tuple[int, int], Matrix] = {}
+    for s, (i, j) in enumerate(spairs):
+        gx, gy = X.module(i).generators, Y.module(j).generators
+        if (i - 1, j) in tpairs:
+            blocks[(tpairs.index((i - 1, j)), s)] = kron(
+                X.differential(i).action, Matrix.identity(ring, gy))
+        if (i, j - 1) in tpairs:
+            t = tpairs.index((i, j - 1))
+            blk = kron(Matrix.identity(ring, gx), Y.differential(j).action)
+            blk = -blk if i % 2 else blk
+            blocks[(t, s)] = blocks[(t, s)] + blk if (t, s) in blocks else blk
+    return Matrix.assemble(ring, _pair_sizes(X, Y, tpairs),
+                           _pair_sizes(X, Y, spairs), blocks)
+
+
+def kron_tensor_module_maps(f: ChainMap, g: ChainMap) -> list[Matrix]:
+    """The components of f (x) g, block (i, j) the product f_i (x) g_j."""
+    X, Y, X2, Y2 = f.source, g.source, f.target, g.target
+    out = []
+    for n in range(max(X.top + Y.top, X2.top + Y2.top) + 1):
+        spairs, tpairs = _tensor_pairs(X, Y, n), _tensor_pairs(X2, Y2, n)
+        blocks = {(tpairs.index(p), s): kron(f.component(p[0]).action,
+                                             g.component(p[1]).action)
+                  for s, p in enumerate(spairs) if p in tpairs}
+        out.append(Matrix.assemble(X.ring, _pair_sizes(X2, Y2, tpairs),
+                                   _pair_sizes(X, Y, spairs), blocks))
+    return out
+
+
 # -- helpers only tests read ------------------------------------------
 
 
@@ -424,6 +520,28 @@ def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
 def is_projective(M: PresentedModule) -> bool:
     """True iff the canonical surjection R^g -> M splits."""
     return projective_section(M) is not None
+
+
+def braiding(X: ChainComplex, Y: ChainComplex) -> ChainMap:
+    """The symmetry X (x) Y -> Y (x) X with its Koszul sign (-1)^{ij}; the
+    ChainMap constructor checks that it commutes with the differentials."""
+    src = TensorLayout(X, Y)
+    tgt = TensorLayout(Y, X)
+    ring = src.ring
+    comps = []
+    for n in range(src.top + 1):
+        total_s = src.module(n).generators
+        total_t = tgt.module(n).generators
+        rows = [[0] * total_s for _ in range(total_t)]
+        for (i, j) in src.pairs(n):
+            sign = -1 if (i * j) % 2 else 1
+            for a in range(X.module(i).generators):
+                for b in range(Y.module(j).generators):
+                    rows[tgt.address(n, j, b, a)][src.address(n, i, a, b)] = sign
+        comps.append(ModuleMap(src.module(n), tgt.module(n),
+                               Matrix(ring, total_t, total_s, rows),
+                               check=False))
+    return ChainMap(src.complex(), tgt.complex(), comps)
 
 
 def document_to_json(doc: Document) -> dict:

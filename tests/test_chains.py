@@ -23,8 +23,9 @@ from chaincert.chains.homotopy import (chain_homotopic, cokernel_contraction,
                                        contract_image, find_contraction,
                                        is_chain_homotopy_equivalence,
                                        is_homotopy_equivalence, quasi_iso)
-from chaincert.chains.tensor import (TensorLayout, braiding, interval_cylinder,
-                                     tensor_complex)
+from chaincert.chains.tensor import (TensorLayout, interval_cylinder,
+                                     tensor_chain_maps, tensor_complex,
+                                     tensor_module_maps)
 from chaincert.chains.truncate import WindowComplex, good_truncation, \
     window_of_complex
 from chaincert.certify import SUITES, CertifyConfig
@@ -50,7 +51,9 @@ from chaincert.models.generators import (random_chain_map, random_complex,
 from chaincert.simplicial.ez_aw import aw, ez
 from chaincert.simplicial.module import degreewise_tensor, gamma
 
-from oracles import first_homology_by_scan, homology_iso_all_degrees
+from oracles import (braiding, first_homology_by_scan,
+                     homology_iso_all_degrees, kron_layout_differential,
+                     kron_layout_module, kron_tensor_module_maps)
 
 
 def complex_from_data(ring, modules, diff_matrices):
@@ -114,9 +117,74 @@ def test_tensor_spheres():
 
 def test_braiding_is_chain_iso():
     X, Y = disk(ZZ, 1), sphere(ZZ, 1)
-    b = braiding(X, Y)          # construction validates the chain condition
+    b = braiding(X, Y)          # the constructor checks the chain condition
     c = braiding(Y, X)
     assert chain_map_equal(c.compose(b), ChainMap.identity(b.source))
+
+
+def drawn_complex(data, ring):
+    """A small complex, one time in eight the zero complex; random_complex
+    leaves zero modules below and between its pieces.  The choices come
+    from a drawn seed, not from draws of their own, which hypothesis
+    would pull towards the zero complex and top 0."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    if rng.randrange(8) == 0:
+        return zero_complex(ring)
+    return random_complex(ring, rng, max_top=rng.randint(0, 3), max_rank=3)
+
+
+RINGS = [ZZ, Zmod(4), Zmod(6)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tensor_layout_matches_the_kron_construction(ring, data):
+    X, Y = drawn_complex(data, ring), drawn_complex(data, ring)
+    lay = TensorLayout(X, Y)
+    for n in range(-1, lay.top + 3):
+        assert lay.module(n) == kron_layout_module(X, Y, n)
+        assert lay.differential(n).action == kron_layout_differential(X, Y, n)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_tensor_maps_match_the_kron_construction(ring, data):
+    # the sources and targets have tops of their own, so some degrees lie
+    # past a factor's top on one side only
+    X, X2, Y, Y2 = (drawn_complex(data, ring) for _ in range(4))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    f, g = random_chain_map(X, X2, rng), random_chain_map(Y, Y2, rng)
+    parts = tensor_module_maps(f.parts, g.parts, TensorLayout(X, Y),
+                               TensorLayout(X2, Y2))
+    assert [p.action for p in parts] == kron_tensor_module_maps(f, g)
+    # None stands for the identity of the factor that both layouts share
+    for left, right, lay in ((None, g, TensorLayout(X, Y2)),
+                             (f, None, TensorLayout(X2, Y))):
+        expect = kron_tensor_module_maps(
+            left or ChainMap.identity(X), right or ChainMap.identity(Y))
+        parts = tensor_module_maps(left and left.parts,
+                                   right and right.parts,
+                                   TensorLayout(X, Y), lay)
+        assert [p.action for p in parts] == expect
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_braiding_is_natural(ring, data):
+    # tau' o (f (x) g) = (g (x) f) o tau on the nose, which pins the
+    # Koszul signs of the differentials and of f (x) g
+    X, X2, Y, Y2 = (drawn_complex(data, ring) for _ in range(4))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    f, g = random_chain_map(X, X2, rng), random_chain_map(Y, Y2, rng)
+    tau, tau2 = braiding(X, Y), braiding(X2, Y2)    # both checked
+    fg, gf = tensor_chain_maps(f, g), tensor_chain_maps(g, f)
+    ChainMap(fg.source, fg.target, fg.parts)        # checks f (x) g
+    for n in range(max(tau.source.top, tau2.source.top) + 1):
+        assert (tau2.component(n).action @ fg.component(n).action
+                == gf.component(n).action @ tau.component(n).action)
 
 
 def test_associator_is_chain_map():

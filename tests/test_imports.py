@@ -11,6 +11,7 @@ what they import and are skipped.  A top-level name counts as read when
 some module of the package loads it as a name or an attribute outside its
 own definition; a public one may instead be exported by
 ``chaincert/__init__.py``.  What only the tests read lives in ``tests/``.
+Every exported name has a caller in the package, save a pinned list.
 """
 
 import ast
@@ -173,6 +174,59 @@ def test_package_public_names_are_read_or_exported():
     offenders = [entry for entry in unread_public_names(sources)
                  if entry.split()[-1] not in PUBLIC_EXCEPTIONS]
     assert not offenders, offenders
+
+
+def uncalled_exports(sources: dict[str, str]) -> list[str]:
+    """Each name ``__init__.py`` exports that no module of the package
+    reads or imports outside its own definition: what only tests and
+    users call.  An export bound by ``name = other`` at module level
+    stands for ``other``."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    init = trees.pop("__init__.py", ast.Module([]))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    aliases = {node.targets[0].id: node.value.id
+               for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.Assign) and len(node.targets) == 1
+               and isinstance(node.targets[0], ast.Name)
+               and isinstance(node.value, ast.Name)}
+    reads = sum((_loads(tree) for tree in trees.values()), Counter())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads[node.name] -= _loads(node)[node.name]
+    return sorted(name for name in exported
+                  if not reads[aliases.get(name, name)])
+
+
+def test_the_scan_sees_uncalled_exports():
+    sources = {
+        "__init__.py": ("from .a import called, uncalled, recursive, "
+                        "alias\nfrom .b import imported\n"),
+        "a.py": ("def called():\n    pass\n"
+                 "def uncalled():\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def user():\n    return called()\n"
+                 "alias = called\n"),
+        "b.py": "def imported():\n    pass\n",
+        "c.py": "from .b import imported\n",
+    }
+    assert uncalled_exports(sources) == ["recursive", "uncalled"]
+
+
+# exported but called only by tests and users; the list may only shrink,
+# and a name that gains a caller in the package leaves it
+UNCALLED_EXPORTS = {"factorize_h", "interval_cotensor", "simplicial_classify",
+                    "simplicial_homotopic", "solve_hlp_simplicial",
+                    "solve_hep_simplicial"}
+
+
+def test_every_export_has_a_caller_in_the_package():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert uncalled_exports(sources) == sorted(UNCALLED_EXPORTS)
 
 
 # read by tests only: the package's answer that tests/test_snf.py checks

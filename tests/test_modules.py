@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import (
     HomSpace, ModuleMap, PresentedModule, cokernel, direct_sum, factor_through,
-    kernel, map_equal, present_submodule, pushout_modules, tensor_module,
+    kernel, map_equal, present_submodule, pushout_modules, tensor_sum_module,
 )
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact import modules
@@ -76,13 +76,13 @@ def test_kernel_universal_property():
 
 
 def test_tensor_Z2_Z3_vanishes():
-    assert tensor_module(Z2, Z3).is_zero_module()
+    assert tensor_sum_module(ZZ, [(Z2, Z3)]).is_zero_module()
 
 
 def test_tensor_unit_law():
     for M in (Z2, PresentedModule.free(ZZ, 2),
               PresentedModule(ZZ, 2, Matrix(ZZ, 2, 1, [[2], [4]]))):
-        T = tensor_module(Z, M)
+        T = tensor_sum_module(ZZ, [(Z, M)])
         assert T.minimal_invariants() == M.minimal_invariants()
 
 

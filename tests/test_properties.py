@@ -8,7 +8,7 @@ from chaincert.chains.build import unit_complex
 from chaincert.chains.complexes import ChainMap, chain_map_equal
 from chaincert.chains.homcx import ChainMapsSpace, hom_complex
 from chaincert.chains.homotopy import quasi_iso
-from chaincert.chains.tensor import braiding, tensor_complex
+from chaincert.chains.tensor import tensor_complex
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.reports import classification_report, verify_classification
 from chaincert.models.classify import classify
@@ -17,7 +17,7 @@ from chaincert.models.generators import (random_complex,
                                          random_q_cofibration,
                                          random_split_mono)
 
-from oracles import homology_iso_all_degrees
+from oracles import braiding, homology_iso_all_degrees
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 

@@ -33,7 +33,8 @@ from chaincert.simplicial.module import (SimplicialMap, constant_module,
                                          degreewise_tensor, end_inclusion,
                                          gamma, gamma_map, interval_object,
                                          normalize, normalized_quotient,
-                                         tensor_normalized_map)
+                                         tensor_normalized_map,
+                                         tensor_normalized_parts)
 from chaincert.simplicial.ez_aw import aw, ez, find_ez_aw_homotopy
 from chaincert.simplicial.surjections import codegeneracy, coface, shuffles
 
@@ -386,6 +387,11 @@ def test_sparse_constructions_equal_the_dense_oracles(ring, seed):
     tgtT = degreewise_tensor(A, g.target)
     assert _same_actions(tensor_normalized_map(f, g, T, tgtT),
                          dense_tensor_normalized_map(f, g, T, tgtT))
+    # None stands for the identity of the factor that T and tgtT share
+    assert [p.action for p in tensor_normalized_parts(
+        None, g.normalized_map.parts, T, tgtT)] == [
+        p.action for p in dense_tensor_normalized_map(_identity(A), g, T,
+                                                      tgtT).parts]
     # a disk up to D^5 beside a sphere, and a map on the disk
     C = gamma(sphere(ring, rng.randint(0, 1)), verify=False)
     D = disk(ring, rng.randint(1, 5))
@@ -396,8 +402,12 @@ def test_sparse_constructions_equal_the_dense_oracles(ring, seed):
             scanned_nondegenerate(DC.levels, n)
     assert DC.normalized == dense_normalized_quotient(DC.levels, DC.top)
     h = gamma_map(random_chain_map(D, D, rng), GD, GD)
+    dense = dense_tensor_normalized_map(h, _identity(C), DC, DC)
     assert _same_actions(tensor_normalized_map(h, _identity(C), DC, DC),
-                         dense_tensor_normalized_map(h, _identity(C), DC, DC))
+                         dense)
+    assert [p.action for p in tensor_normalized_parts(
+        h.normalized_map.parts, None, DC, DC)] == [
+        p.action for p in dense.parts]
 
 
 def test_a_tensor_of_a_tensor_is_refused():

@@ -12,7 +12,7 @@ from chaincert.exact.modules import PresentedModule, direct_sum
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.exact.snf import kernel_matrix, snf, solve
 
-from oracles import det, is_invertible
+from oracles import det, is_invertible, kron, kron_blocks_by_loops
 
 
 def from_rows(ring, entries) -> Matrix:
@@ -315,7 +315,11 @@ def test_operations_build_canonical_matrices(ring, data):
     C, E = data.draw(matrix_of(ring, c, k)), data.draw(matrix_of(ring, r, k))
     s = data.draw(wide_entries)
     results = [
-        A + B, A - B, -A, A.scale(s), A @ C, A.kron(C), A.transpose(),
+        A + B, A - B, -A, A.scale(s), A @ C,
+        Matrix.kron_blocks(ring, [r * c, k * r], [c * k, k * r],
+                           [(0, 0, s, A, C), (0, 0, -1, A, C),
+                            (1, 1, 1, k, r), (1, 1, s, k, r)]),
+        A.transpose(),
         A.hstack(E), A.vstack(B),
         A.submatrix(data.draw(indices(r)), data.draw(indices(c))),
         A.submatrix(range(r), range(c)), A.vec(),
@@ -336,6 +340,59 @@ def test_operations_build_canonical_matrices(ring, data):
     results += [f.action for f in injections + projections]
     for M in results:
         assert_canonical(M)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kron_blocks_matches_the_dense_loops(ring, data):
+    # each row block factors as ra * rb and each column block as ca * cb,
+    # so a term in block (bi, bj) is an ra x ca matrix times an rb x cb
+    # one, either given by its size when it is square; sizes 0 give the
+    # 0 x n and n x 0 blocks, and drawn blocks often take several terms
+    dim = st.integers(min_value=0, max_value=2)
+    row_f = data.draw(st.lists(st.tuples(dim, dim), min_size=1, max_size=3))
+    col_f = data.draw(st.lists(st.tuples(dim, dim), min_size=1, max_size=3))
+
+    def factor(rows, cols):
+        if rows == cols and data.draw(st.booleans()):
+            return rows
+        return data.draw(matrix_of(ring, rows, cols))
+
+    terms = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
+        bi = data.draw(st.integers(0, len(row_f) - 1))
+        bj = data.draw(st.integers(0, len(col_f) - 1))
+        (ra, rb), (ca, cb) = row_f[bi], col_f[bj]
+        terms.append((bi, bj, data.draw(wide_entries), factor(ra, ca),
+                      factor(rb, cb)))
+    row_sizes = [a * b for a, b in row_f]
+    col_sizes = [a * b for a, b in col_f]
+    M = Matrix.kron_blocks(ring, row_sizes, col_sizes, terms)
+    assert_canonical(M)
+    assert M == kron_blocks_by_loops(ring, row_sizes, col_sizes, terms)
+
+
+def test_kron_blocks_by_hand():
+    ring = Zmod(6)
+    A = Matrix(ring, 1, 2, [[1, 5]])
+    # -(A (x) I_2) in the top right block of a 2+0 by 0+4 matrix
+    M = Matrix.kron_blocks(ring, [2, 0], [0, 4], [(0, 1, -1, A, 2)])
+    assert M.data == ((5, 0, 1, 0), (0, 5, 0, 1))
+    # two terms on one block: I_2 (x) A - A (x) I_2 over Z
+    B = Matrix(ZZ, 1, 2, [[1, 2]])
+    M = Matrix.kron_blocks(ZZ, [2], [4], [(0, 0, 1, 2, B), (0, 0, -1, B, 2)])
+    assert M == kron(Matrix.identity(ZZ, 2), B) - kron(B, Matrix.identity(ZZ, 2))
+    assert M.data == ((0, 2, -2, 0), (0, -1, 1, 0))
+    assert Matrix.kron_blocks(ZZ, [0, 3], [2], []) == Matrix.zero(ZZ, 3, 2)
+    # I_0 (x) a 2 x 2 matrix is the empty block
+    M = Matrix.kron_blocks(ZZ, [0, 1], [0, 1], [(0, 0, 1, 0, B.vstack(B)),
+                                                (1, 1, 7, 1, 1)])
+    assert M == Matrix(ZZ, 1, 1, [[7]])
+    with pytest.raises(ValueError, match="wrong shape"):
+        Matrix.kron_blocks(ZZ, [2], [3], [(0, 0, 1, 2, B)])
+    with pytest.raises(ValueError, match="negative"):
+        Matrix.kron_blocks(ZZ, [1], [1], [(0, 0, 1, -1, -1)])
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
@@ -404,7 +461,8 @@ def test_public_constructor_checks_shape_and_reduces():
 def test_combining_matrices_needs_one_ring():
     A, B = Matrix.identity(ZZ, 2), Matrix.identity(Zmod(6), 2)
     for op in (lambda: A + B, lambda: A @ B, lambda: A.hstack(B),
-               lambda: A.vstack(B), lambda: A.kron(B),
+               lambda: A.vstack(B),
+               lambda: Matrix.kron_blocks(ZZ, [4], [4], [(0, 0, 1, A, B)]),
                lambda: Matrix.block_diagonal(ZZ, [A, B]),
                lambda: Matrix.assemble(ZZ, [2], [2], {(0, 0): B}),
                lambda: Matrix.hstack_all(ZZ, 2, [A, B]),
