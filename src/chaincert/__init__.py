@@ -16,11 +16,10 @@ from .exact.splitting import is_split_epi, is_split_mono
 from .chains.build import (brutal_truncation, disk, interval, sphere,
                            unit_complex, zero_complex)
 from .chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
-                               LiftingProblem, chain_map_equal, validate)
+                               LiftingProblem, chain_map_equal)
 from .chains.cochain import CochainMap, dualize_map
 from .chains.cones import mapping_cocylinder, mapping_cone, mapping_cylinder
 from .chains.homcx import hom_complex
-from .chains.homology import homology
 from .chains.homotopy import (find_contraction, is_chain_homotopy_equivalence,
                               quasi_iso)
 from .chains.tensor import tensor_complex
@@ -30,8 +29,7 @@ from .models.classify import (MCofibrationWitness, bousfield_classify,
 from .models.factorize import factorize_h
 from .models.hlp_hep import hep_check, hlp_check
 from .models.lifting import solve_lifting
-from .models.pushout import check_pushout_product_axiom, pushout, \
-    pushout_product
+from .models.pushout import check_pushout_product_axiom, pushout_product
 from .models.verdict import ClassBit, Verdict
 from .models.yoneda import p_epic_check, split_epi_via_yoneda
 from .simplicial.classify import (interval_cotensor,

@@ -91,10 +91,6 @@ class ChainComplex:
         return f"ChainComplex({self.ring}, gens by degree {ranks})"
 
 
-def validate(C: ChainComplex) -> bool:
-    return C.validate(strict=False)
-
-
 class ChainMap:
     """Degreewise map commuting with the differentials."""
 

@@ -54,13 +54,6 @@ def homology_data(C: ChainComplex, n: int) -> HomologyData:
     return HomologyData(cyc, incl, w, H)
 
 
-def homology(C: ChainComplex, n: int) -> PresentedModule:
-    """H_n as a minimal presentation."""
-    if n < 0:
-        raise ValueError("homology needs n >= 0")
-    return homology_data(C, n).homology.minimal_presentation()
-
-
 def first_inexact_degree(C: ChainComplex) -> int | None:
     """The lowest degree n with H_n(C) nonzero, or None when C is exact.
 

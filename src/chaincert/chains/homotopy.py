@@ -13,7 +13,8 @@ exactly:
   * a degreewise split map f with graded retractions r:
     `cokernel_contraction(f, r)` contracts coker f instead, which is
     smaller; when r is a chain map its answer is a homotopy from f o r to
-    the identity (the EZ/AW comparisons are such maps).
+    the identity, which `homotopy_to_identity` checks (the EZ/AW
+    comparisons are such maps).
   * two maps f, g: `chain_homotopic` solves d H + H d = g - f in one sweep
     up the degrees (`solve_by_degree`), as the relation of degree n names
     only H_n and H_{n-1}.
@@ -178,6 +179,32 @@ def cokernel_contraction(f: ChainMap,
     # T = s e, by the proof above
     return ChainHomotopy(s.from_map, s.to_map, [
         part.compose(e[n]) for n, part in enumerate(s.parts)], check=False)
+
+
+def homotopy_to_identity(f: ChainMap, r: ChainMap,
+                         names: tuple[str, str]) -> ChainHomotopy:
+    """H with d H + H d = id - f o r, for chain maps f and r with
+    r o f = id; ``names`` names f and r in the errors.
+
+    H is `cokernel_contraction(f, r)`, a homotopy on f's target itself
+    since r is a chain map.  CertificateError when r o f is not the
+    identity, when there is no H, and unless H passes its check.
+    """
+    f_name, r_name = names
+    try:
+        found = cokernel_contraction(f, r.parts)
+    except ValueError as exc:
+        raise CertificateError(
+            f"{r_name} o {f_name} failed to be the identity") from exc
+    if found is None:
+        raise CertificateError(
+            f"{f_name} o {r_name} is not homotopic to the identity")
+    h = ChainHomotopy(f.compose(r), ChainMap.identity(f.target), found.parts,
+                      check=False)
+    if not h.validate():
+        raise CertificateError("computed homotopy fails d H + H d = id - "
+                               f"{f_name} o {r_name}")
+    return h
 
 
 @dataclass

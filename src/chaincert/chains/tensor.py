@@ -115,22 +115,6 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     return TensorLayout(X, Y).complex()
 
 
-def tensor_chain_maps(f: ChainMap | None, g: ChainMap | None,
-                      source: TensorLayout | None = None,
-                      target: TensorLayout | None = None) -> ChainMap:
-    """f (x) g on the tensor complexes; a factor given as None is the
-    identity of its complex, and then both layouts must be given."""
-    if source is None:
-        source = TensorLayout(f.source, g.source)
-    if target is None:
-        target = TensorLayout(f.target, g.target)
-    return ChainMap(source.complex(), target.complex(),
-                    tensor_module_maps(None if f is None else f.parts,
-                                       None if g is None else g.parts,
-                                       source, target),
-                    check=False)
-
-
 def tensor_module_maps(f: Sequence[ModuleMap] | None,
                        g: Sequence[ModuleMap] | None,
                        source: TensorLayout, target: TensorLayout

@@ -89,13 +89,6 @@ class Matrix:
             raise ValueError("negative matrix shape")
         return _from_canonical(ring, rows, cols, ((0,) * cols,) * rows)
 
-    @staticmethod
-    def diagonal(ring: RingSpec, rows: int, cols: int, diag: Sequence[int]) -> "Matrix":
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            m[i][i] = d
-        return Matrix(ring, rows, cols, m)
-
     # -- basic queries ------------------------------------------------
 
     def __getitem__(self, pos: tuple[int, int]) -> int:

@@ -75,12 +75,6 @@ class PresentedModule:
         rank, factors = self.minimal_invariants()
         return rank == 0 and not factors
 
-    def minimal_presentation(self) -> "PresentedModule":
-        rank, factors = self.minimal_invariants()
-        n = rank + len(factors)
-        rel = Matrix.diagonal(self.ring, n, len(factors), list(factors))
-        return PresentedModule(self.ring, n, rel)
-
     def to_json(self) -> dict:
         return {"generators": self.generators, "relations": self.relations.to_json()}
 

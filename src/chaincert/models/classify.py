@@ -238,7 +238,7 @@ def homotopy_equivalence_bit(f: ChainMap) -> ClassBit:
     found = first_homology(cone)
     if found is not None:
         n, H = found
-        inv = H.minimal_presentation().minimal_invariants()
+        inv = H.minimal_invariants()
         return no(degree=n, reason=f"mapping cone has homology {inv} "
                                    f"in degree {n}")
     s = find_contraction(cone)
@@ -326,7 +326,7 @@ def quasi_iso_bit(f: ChainMap) -> ClassBit:
     found = first_homology(cone)
     if found is not None:
         n, H = found
-        inv = H.minimal_presentation().minimal_invariants()
+        inv = H.minimal_invariants()
         return no(degree=n, reason=f"cone homology {inv} in degree {n}")
     return yes({"type": "cone_exactness", "cone": graded_to_json(cone),
                 "degrees": {str(n): {"free_rank": 0, "factors": []}

@@ -9,17 +9,31 @@ from ..chains.build import change_ring_map
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
 from ..chains.homotopy import cokernel_contraction, is_homotopy_equivalence
-from ..chains.tensor import TensorLayout, tensor_chain_maps, tensor_module_maps
+from ..chains.tensor import TensorLayout, tensor_module_maps
 from ..exact.modules import ModuleMap
 from .classify import bit_degrees, degreewise_retractions, retractions_bit
 from .verdict import ClassBit
-
-pushout = pushout_complexes
 
 # degree -> a retraction of a map's component in that degree
 Retractions = dict[int, ModuleMap]
 # the retractions of i and of k, None for a leg that does not split
 Legs = tuple[Retractions | None, Retractions | None]
+
+
+@dataclass(frozen=True)
+class TensorModel:
+    """A tensor product of complexes, as a pushout-product is built on it.
+
+    ``object(X, Y)`` is the tensor object of two complexes and
+    ``complex(T)`` its chain complex.  ``maps(f, g, S, T)`` is the graded
+    tensor of module maps from the object S to the object T, degree by
+    degree; a factor given as None is the identity of its complex.
+    """
+
+    object: Callable[[ChainComplex, ChainComplex], Any]
+    complex: Callable[[Any], ChainComplex]
+    maps: Callable[[Sequence[ModuleMap] | None, Sequence[ModuleMap] | None,
+                    Any, Any], list[ModuleMap]]
 
 
 @dataclass
@@ -29,11 +43,11 @@ class PushoutProduct:
 
     It also keeps what `decide_pushout_product` reads: the legs i and k
     (k after any ring change), the tensor objects X x W, Y x V and Y x W,
-    and ``tensor``, the graded tensor of module maps between two of them,
-    which takes None for an identity factor.
-    For chain maps these are `TensorLayout`s and `tensor_module_maps`; the
-    simplicial product keeps N(i [] k) here, with N(i), N(k), the
-    degreewise tensors and `tensor_normalized_parts`.
+    and ``tensor``, the model they were built in.  One construction serves
+    both models: `TensorLayout`s with `tensor_module_maps` for chain
+    complexes, and for simplicial modules Gamma(X) (x) Gamma(W) and so on
+    (`degreewise_tensor`) with `tensor_normalized_parts`, where every map
+    above is the normalization N(-) of the simplicial one.
     """
 
     map: ChainMap
@@ -46,31 +60,43 @@ class PushoutProduct:
     xw: Any
     yv: Any
     yw: Any
-    tensor: Callable[[Sequence[ModuleMap] | None, Sequence[ModuleMap] | None,
-                      Any, Any], list[ModuleMap]]
+    tensor: TensorModel
 
 
-def pushout_product(i: ChainMap, k: ChainMap) -> PushoutProduct:
-    """Compute i [] k; k may live over Z when i lives over Z/m."""
+def pushout_product(i: ChainMap, k: ChainMap,
+                    tensor: TensorModel | None = None) -> PushoutProduct:
+    """Compute i [] k; k may live over Z when i lives over Z/m.
+
+    The tensor is that of chain complexes unless ``tensor`` gives another
+    model (`pushout_product_simplicial` passes the simplicial one).
+    """
+    if tensor is None:
+        tensor = TensorModel(TensorLayout, TensorLayout.complex,
+                             tensor_module_maps)
     if k.source.ring != i.source.ring:
         # the enriched case: coerce the Z-side complex into the module ring
         k = change_ring_map(k, i.source.ring)
     X, Y = i.source, i.target
     V, W = k.source, k.target
-    xw = TensorLayout(X, W)
-    yv = TensorLayout(Y, V)
-    xv = TensorLayout(X, V)
-    yw = TensorLayout(Y, W)
-    # None is the identity of its factor, which enters by its size
-    leg_xw = tensor_chain_maps(None, k, xv, xw)   # X x V -> X x W
-    leg_yv = tensor_chain_maps(i, None, xv, yv)   # X x V -> Y x V
+    xw = tensor.object(X, W)
+    yv = tensor.object(Y, V)
+    xv = tensor.object(X, V)
+    yw = tensor.object(Y, W)
+
+    def tensor_map(f, g, source, target) -> ChainMap:
+        # a chain map by construction, as f and g are; None is an identity
+        return ChainMap(tensor.complex(source), tensor.complex(target),
+                        tensor.maps(f, g, source, target), check=False)
+
+    leg_xw = tensor_map(None, k.parts, xv, xw)   # X x V -> X x W
+    leg_yv = tensor_map(i.parts, None, xv, yv)   # X x V -> Y x V
     P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
-    u = tensor_chain_maps(i, None, xw, yw)        # X x W -> Y x W
-    v = tensor_chain_maps(None, k, yv, yw)        # Y x V -> Y x W
-    # u o leg_xw = i (x) k = v o leg_yv, blockwise kron products
+    u = tensor_map(i.parts, None, xw, yw)        # X x W -> Y x W
+    v = tensor_map(None, k.parts, yv, yw)        # Y x V -> Y x W
+    # u o leg_xw = i (x) k = v o leg_yv in either model, so P's map is one
     induced = pushout_induced_chain_map(P, u, v, check=False)
-    return PushoutProduct(induced, P, yw.complex(), inj_xw, inj_yv, i, k,
-                          xw, yv, yw, tensor_module_maps)
+    return PushoutProduct(induced, P, tensor.complex(yw), inj_xw, inj_yv, i,
+                          k, xw, yv, yw, tensor)
 
 
 def leg_retractions(i: ChainMap, k: ChainMap) -> Legs:
@@ -117,8 +143,8 @@ def decide_pushout_product(pp: PushoutProduct, expect_acyclic: bool
         complement = [ModuleMap.identity(Y.module(n))
                       - i.component(n).compose(rho[n])
                       for n in range(Y.top + 1)]
-        to_xw = pp.tensor(rho, None, pp.yw, pp.xw)    # rho (x) 1_W
-        to_yv = pp.tensor(complement, sigma, pp.yw, pp.yv)
+        to_xw = pp.tensor.maps(rho, None, pp.yw, pp.xw)    # rho (x) 1_W
+        to_yv = pp.tensor.maps(complement, sigma, pp.yw, pp.yv)
 
         def propose(n: int) -> ModuleMap | None:
             if n >= min(len(to_xw), len(to_yv)):

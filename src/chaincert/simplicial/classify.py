@@ -4,7 +4,10 @@ Everything is decided on normalized complexes: a simplicial map is a
 fibration / cofibration / weak equivalence exactly when its normalization
 is one in the Hurewicz structure.  The homotopy lifting and extension
 solvers follow the proof pipeline literally: normalize, lift against the
-shuffle comparison (or its dual), and denormalize.
+shuffle comparison (or its dual), and denormalize.  The pushout-product
+is not built here: `models/pushout.py` builds it once for both tensor
+models, and `pushout_product_simplicial` hands it the simplicial one,
+Gamma(C) (x) Gamma(D) read off the plans.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chains.build import interval
-from ..chains.complexes import (ChainHomotopy, ChainMap, LiftingProblem,
-                                chain_map_equal)
-from ..chains.cones import pushout_complexes, pushout_induced_chain_map
+from ..chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
+                                LiftingProblem, chain_map_equal)
 from ..chains.homotopy import chain_homotopic
 from ..chains.tensor import cylinder_map, interval_cylinder
 from ..errors import CertificateError
@@ -22,13 +24,14 @@ from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
-from ..models.pushout import Legs, PushoutProduct, decide_pushout_product
-from ..models.verdict import ClassBit, Verdict
+from ..models.pushout import (PushoutProductReport, TensorModel,
+                              decide_pushout_product, pushout_product)
+from ..models.verdict import Verdict
 from .cotensor import CotensorData, cotensor, ez_aw_dual_ops
 from .ez_aw import aw, ez
 from .levels import GammaLevels
 from .module import (SimplicialMap, SimplicialModule, constant_module,
-                     degreewise_tensor, end_inclusion, gamma_map,
+                     degreewise_tensor, end_inclusion, gamma,
                      interval_object, tensor_normalized_map,
                      tensor_normalized_parts)
 
@@ -236,23 +239,19 @@ def _hom_side_evaluation(trunc, B: SimplicialModule, end: int) -> ChainMap:
     return map_from_truncation(trunc, NB, comps, check=False)
 
 
-@dataclass
-class SimplicialPushoutProduct:
-    map: SimplicialMap
-    # the retractions of N(i) and of N(k), decided once
-    legs: Legs
-    # the h-cofibration bit of N(i [] k), with its degreewise retractions,
-    # built from the legs' retractions (`decide_pushout_product`)
-    cofibration: ClassBit
-    # N(i [] k) is an h-equivalence, decided with those retractions; None
-    # unless acyclicity is expected
-    acyclic: bool | None
-
-
 def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
                                *, expect_acyclic: bool = False
-                               ) -> SimplicialPushoutProduct:
+                               ) -> PushoutProductReport:
     """i [] k on the degreewise tensor, classified through normalization.
+
+    One construction with the chain-level product: `pushout_product`
+    builds N(i [] k) from N(i) and N(k) in the simplicial tensor model,
+    whose objects are Gamma(C) (x) Gamma(D) (`degreewise_tensor`) and
+    whose maps are read off the plans (`tensor_normalized_parts`).  Its
+    factors are Gamma of the normalized complexes of the ends of i and k.
+    For a denormalization, the only factor `degreewise_tensor` accepts,
+    that is the end itself; any other simplicial module is isomorphic to
+    it (Dold-Kan).  So N(i) and N(k) are all the construction reads.
 
     The legs' h-cofibration bits are those of N(i) and N(k), decided once,
     after any ring change of k.  The cofibration bit is the h-cofibration
@@ -277,37 +276,14 @@ def pushout_product_simplicial(i: SimplicialMap, k: SimplicialMap,
     h-equivalence with the retractions above, by one contraction of
     coker N(i [] k) (`decide_pushout_product`), sound and complete for
     any degreewise split map by the proof of `cokernel_contraction`.
-    Without ``expect_acyclic`` it is None.
+    Without ``expect_acyclic`` it is None.  The report is that of
+    `check_pushout_product_axiom`, with N(i [] k) as ``product.map``.
     """
-    if k.source.ring != i.source.ring:
-        k = _change_ring_simplicial(k, i.source.ring)
-    X, Y = i.source, i.target
-    V, W = k.source, k.target
-    xw = degreewise_tensor(X, W)
-    yv = degreewise_tensor(Y, V)
-    xv = degreewise_tensor(X, V)
-    yw = degreewise_tensor(Y, W)
-    # None is the identity of its factor
-    leg_xw = tensor_normalized_map(None, k, xv, xw)
-    leg_yv = tensor_normalized_map(i, None, xv, yv)
-    P, inj_xw, inj_yv = pushout_complexes(leg_xw, leg_yv)
-    u = tensor_normalized_map(i, None, xw, yw)
-    v = tensor_normalized_map(None, k, yv, yw)
-    # u o leg_xw = N(i (x) k) = v o leg_yv: the level matrices are kron
-    # products and keep degenerate coordinates apart from the others
-    induced = pushout_induced_chain_map(P, u, v, check=False)
-    source_obj = SimplicialModule(P, GammaLevels(P), P.top + 1)
-    product = SimplicialMap(source_obj, yw, induced)
-    pp = PushoutProduct(induced, P, yw.normalized, inj_xw, inj_yv,
-                        i.normalized_map, k.normalized_map, xw, yv, yw,
-                        tensor_normalized_parts)
-    return SimplicialPushoutProduct(product,
-                                    *decide_pushout_product(pp,
+    def tensor(C: ChainComplex, D: ChainComplex) -> SimplicialModule:
+        return degreewise_tensor(gamma(C, verify=False),
+                                 gamma(D, verify=False))
+
+    pp = pushout_product(i.normalized_map, k.normalized_map, TensorModel(
+        tensor, lambda T: T.normalized, tensor_normalized_parts))
+    return PushoutProductReport(pp, *decide_pushout_product(pp,
                                                             expect_acyclic))
-
-
-def _change_ring_simplicial(k: SimplicialMap, ring) -> SimplicialMap:
-    from ..chains.build import change_ring_map
-
-    nm = change_ring_map(k.normalized_map, ring)
-    return gamma_map(nm)

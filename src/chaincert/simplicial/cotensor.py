@@ -14,8 +14,9 @@ and EZ*) is built one degree at a time, by one multi-column `coords` call
 on the composed generator maps.  EZ* o AW* is the identity on the nose,
 so AW* is degreewise split with the chain retraction EZ*, and
 AW* o EZ* is homotopic to the identity by a contraction of coker AW*:
-`cokernel_contraction(AW*, EZ*)`, the entry point for split maps, checks
-the first identity by multiplication and builds that contraction.
+`homotopy_to_identity(AW*, EZ*)`, through `cokernel_contraction`, the
+entry point for split maps, checks the first identity by multiplication
+and builds that contraction.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from math import comb
 from ..chains.build import disk, unit_complex
 from ..chains.complexes import ChainComplex, ChainHomotopy, ChainMap
 from ..chains.homcx import ChainMapsSpace, hom_truncation
-from ..chains.homotopy import cokernel_contraction
+from ..chains.homotopy import homotopy_to_identity
 from ..chains.tensor import TensorLayout
 from ..chains.truncate import Truncation
-from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from ..exact.snf import solve
@@ -245,9 +245,9 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
 
     Each degree of AW* (f -> Phi(f) o AW) and of EZ* (F -> Phi^{-1}(F o EZ))
     is one multi-column encoding of the composed generator maps.  The
-    homotopy is `cokernel_contraction(AW*, EZ*)`, which checks
+    homotopy is `homotopy_to_identity(AW*, EZ*)`, which checks
     EZ* o AW* = id by multiplication first; with EZ* a chain map it is a
-    homotopy on N(B^A) itself, checked here.
+    homotopy on N(B^A) itself, checked there.
     """
     cot = cotensor(A, B, through)
     bridge = HomDiskBridge(A, B)
@@ -267,16 +267,5 @@ def ez_aw_dual_ops(A: SimplicialModule, B: SimplicialModule, through: int
 
     aw_star = ChainMap(trunc.complex, cot.complex, aw_parts)
     ez_star = ChainMap(cot.complex, trunc.complex, ez_parts)
-    try:
-        found = cokernel_contraction(aw_star, ez_star.parts)
-    except ValueError as exc:
-        raise CertificateError("EZ* o AW* failed to be the identity") from exc
-    if found is None:
-        raise CertificateError("AW* o EZ* is not homotopic to the identity")
-    homotopy = ChainHomotopy(aw_star.compose(ez_star),
-                             ChainMap.identity(aw_star.target), found.parts,
-                             check=False)
-    if not homotopy.validate():
-        raise CertificateError("computed homotopy fails "
-                               "d H + H d = id - AW* o EZ*")
+    homotopy = homotopy_to_identity(aw_star, ez_star, ("AW*", "EZ*"))
     return DualComparison(cot, trunc, aw_star, ez_star, homotopy)

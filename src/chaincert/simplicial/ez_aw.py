@@ -21,9 +21,8 @@ when there is none.
 from __future__ import annotations
 
 from ..chains.complexes import ChainHomotopy, ChainMap
-from ..chains.homotopy import cokernel_contraction
+from ..chains.homotopy import homotopy_to_identity
 from ..chains.tensor import TensorLayout
-from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
 from .module import SimplicialModule
@@ -120,24 +119,12 @@ def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,
                         aw_map: ChainMap | None = None) -> ChainHomotopy:
     """H with d H + H d = id - EZ o AW on N(A (x) B); must always exist.
 
-    `cokernel_contraction` checks AW o EZ = id first: with AW a chain map,
-    finding no contraction of coker EZ proves there is no H, and the one
-    it finds is H, checked here on N(A (x) B).
+    `homotopy_to_identity` checks AW o EZ = id first: with AW a chain
+    map, finding no contraction of coker EZ proves there is no H, and the
+    one it finds is H, checked on N(A (x) B).
     """
     if ez_map is None:
         ez_map = ez(A, B, T)
     if aw_map is None:
         aw_map = aw(A, B, T)
-    try:
-        found = cokernel_contraction(ez_map, aw_map.parts)
-    except ValueError as exc:
-        raise CertificateError("AW o EZ failed to be the identity") from exc
-    if found is None:
-        raise CertificateError("EZ o AW is not homotopic to the identity; "
-                               "this indicates corrupted level data")
-    h = ChainHomotopy(ez_map.compose(aw_map), ChainMap.identity(ez_map.target),
-                      found.parts, check=False)
-    if not h.validate():
-        raise CertificateError("computed homotopy fails "
-                               "d H + H d = id - EZ o AW")
-    return h
+    return homotopy_to_identity(ez_map, aw_map, ("EZ", "AW"))

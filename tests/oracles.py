@@ -6,7 +6,8 @@ Moore projector, whole level matrices, Kronecker products entry by
 entry), so that a test comparing it with the package's answer compares
 two computations, not one computation with itself.  The last section
 holds helpers that only tests read: the hom module, a projectivity test,
-the braiding of a tensor product and the document writer.
+the braiding of a tensor product, a minimal presentation of homology and
+the document writer.
 """
 
 import itertools
@@ -542,6 +543,18 @@ def braiding(X: ChainComplex, Y: ChainComplex) -> ChainMap:
                                Matrix(ring, total_t, total_s, rows),
                                check=False))
     return ChainMap(src.complex(), tgt.complex(), comps)
+
+
+def homology(C: ChainComplex, n: int) -> PresentedModule:
+    """H_n as a minimal presentation: R/(d) for each nontrivial invariant
+    factor d, then a free summand of its rank."""
+    if n < 0:
+        raise ValueError("homology needs n >= 0")
+    rank, factors = homology_data(C, n).homology.minimal_invariants()
+    rows = [[d if r == c else 0 for c, d in enumerate(factors)]
+            for r in range(len(factors) + rank)]
+    return PresentedModule(C.ring, len(rows),
+                           Matrix(C.ring, len(rows), len(factors), rows))
 
 
 def document_to_json(doc: Document) -> dict:

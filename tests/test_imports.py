@@ -11,7 +11,9 @@ what they import and are skipped.  A top-level name counts as read when
 some module of the package loads it as a name or an attribute outside its
 own definition; a public one may instead be exported by
 ``chaincert/__init__.py``.  What only the tests read lives in ``tests/``.
-Every exported name has a caller in the package, save a pinned list.
+Every exported name has a caller in the package, save a pinned list; for
+that scan a name is called only where it is loaded as a name, imported by
+name or read as ``module.name``, so a method that shares it does not count.
 """
 
 import ast
@@ -176,44 +178,75 @@ def test_package_public_names_are_read_or_exported():
     assert not offenders, offenders
 
 
+def _module_names(path: str, tree: ast.AST, paths) -> set[str]:
+    """The names that module ``path`` binds to a module of ``paths`` by a
+    relative import, such as ``sj`` in ``from . import surjections as
+    sj``."""
+    package = Path(path).parent.parts
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[:len(package) + 1 - node.level]
+            if node.module:
+                base += tuple(node.module.split("."))
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if "/".join(base + (alias.name,)) + ".py" in paths)
+    return bound
+
+
+def _calls(path: str, tree: ast.AST, paths) -> Counter:
+    """How often each free function or class is read: loaded as a name,
+    imported by name, or read as ``module.name``; a method of the same
+    name, read as ``x.name``, does not count."""
+    modules = _module_names(path, tree, paths)
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+    ) + Counter(alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
 def uncalled_exports(sources: dict[str, str]) -> list[str]:
     """Each name ``__init__.py`` exports that no module of the package
-    reads or imports outside its own definition: what only tests and
-    users call.  An export bound by ``name = other`` at module level
-    stands for ``other``."""
+    reads (`_calls`) outside its own definition: what only tests and
+    users call.  An alias ``name = other`` is read only where ``name``
+    is, not where ``other`` is."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
     init = trees.pop("__init__.py", ast.Module([]))
     exported = {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    aliases = {node.targets[0].id: node.value.id
-               for tree in trees.values() for node in tree.body
-               if isinstance(node, ast.Assign) and len(node.targets) == 1
-               and isinstance(node.targets[0], ast.Name)
-               and isinstance(node.value, ast.Name)}
-    reads = sum((_loads(tree) for tree in trees.values()), Counter())
-    for tree in trees.values():
+    reads = Counter()
+    for path, tree in trees.items():
+        reads += _calls(path, tree, sources)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                reads.update(alias.name for alias in node.names)
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                reads[node.name] -= _loads(node)[node.name]
-    return sorted(name for name in exported
-                  if not reads[aliases.get(name, name)])
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads[node.name] -= _calls(path, node, sources)[node.name]
+    return sorted(name for name in exported if reads[name] <= 0)
 
 
 def test_the_scan_sees_uncalled_exports():
     sources = {
         "__init__.py": ("from .a import called, uncalled, recursive, "
-                        "alias\nfrom .b import imported\n"),
+                        "alias, method, attribute\n"
+                        "from .b import imported\n"),
         "a.py": ("def called():\n    pass\n"
                  "def uncalled():\n    pass\n"
                  "def recursive(n):\n    return recursive(n - 1)\n"
                  "def user():\n    return called()\n"
-                 "alias = called\n"),
+                 "alias = called\n"
+                 "def method():\n    pass\n"
+                 "def attribute():\n    pass\n"),
         "b.py": "def imported():\n    pass\n",
-        "c.py": "from .b import imported\n",
+        "c.py": ("from .b import imported\n"
+                 "from . import a\n"
+                 "def run(x):\n"
+                 "    return x.method(), a.attribute()\n"),
     }
-    assert uncalled_exports(sources) == ["recursive", "uncalled"]
+    assert uncalled_exports(sources) == ["alias", "method", "recursive",
+                                         "uncalled"]
 
 
 # exported but called only by tests and users; the list may only shrink,
@@ -313,3 +346,13 @@ def test_only_degreewise_tensor_builds_tensor_levels():
                for path in sorted(PACKAGE.rglob("*.py"))}
     assert definitions_calling(sources, "TensorLevels") == [
         "simplicial/module.py degreewise_tensor"]
+
+
+def test_only_pushout_product_builds_a_pushout_product():
+    # one construction for chain complexes and simplicial modules: the
+    # tensor model is an argument, and a second builder would have to
+    # induce the map out of the pushout again
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert definitions_calling(sources, "pushout_induced_chain_map") == [
+        "models/pushout.py pushout_product"]

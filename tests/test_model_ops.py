@@ -13,7 +13,7 @@ from chaincert.chains.complexes import ChainComplex, ChainMap, LiftingProblem
 from chaincert.chains.cones import (mapping_cocylinder, mapping_cylinder,
                                     pushout_complexes,
                                     pushout_induced_chain_map)
-from chaincert.chains.tensor import interval_cylinder, tensor_chain_maps
+from chaincert.chains.tensor import interval_cylinder, tensor_module_maps
 from chaincert.chains.truncate import WindowComplex, good_truncation
 from chaincert.exact.matrix import Matrix
 from chaincert.certify import SUITES, CertifyConfig
@@ -303,7 +303,8 @@ def pushout_cylinder_comparison(i):
     layA, _, a_i1, _ = interval_cylinder(A, I)
     layX, _, x_i1, _ = interval_cylinder(X, I)
     Mi, _, _ = pushout_complexes(i, a_i1)
-    i_tensor = tensor_chain_maps(i, ChainMap.identity(I), layA, layX)
+    i_tensor = ChainMap(layA.complex(), layX.complex(),
+                        tensor_module_maps(i.parts, None, layA, layX))
     return pushout_induced_chain_map(Mi, x_i1, i_tensor)
 
 
@@ -373,8 +374,9 @@ def test_chain_section_retraction_helpers():
 # that lifts.  The simplicial pipelines run next, with the lifts stubbed to
 # fail and the cylinder ends swapped; the EZ/AW predicates run with no
 # contraction found (both reach it through `cokernel_contraction`), and
-# the EZ/AW homotopies must refuse a zero contraction of the cokernel,
-# which is no homotopy on N(D^1 (x) D^1) nor on the D^2 cotensor; then
+# the EZ/AW homotopies, both built by `homotopy_to_identity`, must refuse
+# a zero contraction of the cokernel, which is no homotopy on
+# N(D^1 (x) D^1) nor on the D^2 cotensor; then
 # the solver is stubbed to answer zero for every unknown, a wrong answer
 # for each call, and a contraction of a cokernel must refuse it.  Last,
 # the exactness sweep is stubbed to name degree 0 of D^1, where the
@@ -476,13 +478,15 @@ def zero_contraction(f, r):
     return ChainHomotopy(ChainMap.zero(B, B), ChainMap.zero(B, B), [],
                          check=False)
 
-ez_aw.cokernel_contraction = cotensor.cokernel_contraction = zero_contraction
+cokernel_contraction = homotopy.cokernel_contraction
+homotopy.cokernel_contraction = zero_contraction
 sD2 = gamma(disk(ZZ, 2))
 report({
     "find_ez_aw_homotopy": lambda: ez_aw.find_ez_aw_homotopy(
         D, D, degreewise_tensor(D, D)),
     "ez_aw_dual_ops": lambda: cotensor.ez_aw_dual_ops(sD2, sD2, through=2),
 })
+homotopy.cokernel_contraction = cokernel_contraction
 
 def zero_solution(ring, variables, relations):
     return {v.name: Matrix.zero(ring, v.target.generators, v.source.generators)
