@@ -24,8 +24,8 @@ def concentrated(module: PresentedModule, degree: int = 0) -> ChainComplex:
 
 
 def unit_complex(ring: RingSpec) -> ChainComplex:
-    """The tensor unit R[0]."""
-    return concentrated(PresentedModule.free(ring, 1), 0)
+    """The tensor unit R[0] = S^0."""
+    return sphere(ring, 0)
 
 
 def sphere(ring: RingSpec, n: int) -> ChainComplex:

@@ -106,9 +106,34 @@ def hom_truncation(X: ChainComplex, Y: ChainComplex) -> tuple[Truncation, HomWin
     return good_truncation(hw.window()), hw
 
 
+# the `hom` command refuses a pair once a degree of the hom window would
+# have more than this many unknowns.  The pair of ranks (9, 8, 7, 8) and
+# (17, 26, 12, 11) reaches 533 and `hom` takes 1.9 s over Z (3.8 s for
+# `hom_complex` over Z/6); ranks (56, 68, 63, 35) and (9, 6, 5, 4) reach
+# 1367 and take 21 s over Z, 48 s over Z/6 (one run each, two shared
+# vCPUs, Python 3.11).
+MAX_HOM_UNKNOWNS = 512
+
+
 def hom_complex(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     """tau_{>=0} Hom(X, Y): the enriching hom of Ch_{>=0}."""
     return hom_truncation(X, Y)[0].complex
+
+
+def hom_size_problem(X: ChainComplex, Y: ChainComplex) -> str | None:
+    """Why the hom window of X, Y may not be built, or None.
+
+    Degree n of the window (-1 <= n <= top Y) is solved over
+    sum_i gens(X_i) gens(Y_{i+n}) unknowns, the entries of its matrices,
+    counted without building anything.
+    """
+    size, n = max((sum(X.module(i).generators * Y.module(i + n).generators
+                       for i in range(X.top + 1)), n)
+                  for n in range(-1, Y.top + 1))
+    if size <= MAX_HOM_UNKNOWNS:
+        return None
+    return (f"degree {n} of Hom(X, Y) would have {size} unknowns, more "
+            f"than {MAX_HOM_UNKNOWNS}")
 
 
 class ChainMapsSpace:

@@ -111,8 +111,32 @@ class TensorLayout:
         return self._complex
 
 
+# the `tensor` command refuses a pair once a degree of X (x) Y would have
+# more generators than this.  For X, Y of ranks (9, 8, 7, 8) and
+# (17, 26, 12, 11) over Z the largest degree has 513 generators, and
+# `tensor` takes 0.2 s and writes 2.1 MB; ranks (56, 68, 63, 35) and
+# (9, 6, 5, 4) reach 1257 and take 1.2 s, write 12 MB and peak at 140 MB
+# RSS (one run each, two shared vCPUs, Python 3.11).
+MAX_CHAIN_TENSOR_GENERATORS = 512
+
+
 def tensor_complex(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     return TensorLayout(X, Y).complex()
+
+
+def tensor_size_problem(X: ChainComplex, Y: ChainComplex) -> str | None:
+    """Why X (x) Y may not be built, or None.
+
+    Degree n has sum_i gens(X_i) gens(Y_{n-i}) generators, counted
+    without building anything.
+    """
+    rank, n = max((sum(X.module(i).generators * Y.module(n - i).generators
+                       for i in range(n + 1)), n)
+                  for n in range(X.top + Y.top + 1))
+    if rank <= MAX_CHAIN_TENSOR_GENERATORS:
+        return None
+    return (f"degree {n} of X (x) Y would have {rank} generators, more "
+            f"than {MAX_CHAIN_TENSOR_GENERATORS}")
 
 
 def tensor_module_maps(f: Sequence[ModuleMap] | None,

@@ -23,8 +23,8 @@ import sys
 from .certify import CertifyConfig, SUITES, run_suite
 from .chains.cochain import dualize_map
 from .chains.complexes import LiftingProblem
-from .chains.homcx import hom_complex
-from .chains.tensor import tensor_complex
+from .chains.homcx import hom_complex, hom_size_problem
+from .chains.tensor import tensor_complex, tensor_size_problem
 from .chains.truncate import good_truncation, window_of_complex
 from .exact.rings import RingSpec, ZZ, Zmod
 from .io.document import (DocumentError, complex_to_json, map_to_json,
@@ -72,11 +72,15 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _ring_from_flag(value: str) -> RingSpec:
-    if value in ("z", "Z"):
+    """The ring ``--ring`` names: 'z' or 'z/<m>' with m >= 2, in either
+    case."""
+    text = value.lower()
+    if text == "z":
         return ZZ
-    if value.startswith("z/"):
-        return Zmod(int(value[2:]))
-    _fail(f"unknown ring {value!r}; use 'z' or 'z/<m>'")
+    modulus = text[2:]
+    if text.startswith("z/") and modulus.isdecimal() and int(modulus) >= 2:
+        return Zmod(int(modulus))
+    _fail(f"--ring: unknown ring {value!r}; use 'z' or 'z/<m>' with m >= 2")
 
 
 def cmd_validate(args) -> int:
@@ -121,6 +125,9 @@ def cmd_tensor(args) -> int:
     doc = _load_document(args.document)
     X = doc.chain_complex(args.x)
     Y = doc.chain_complex(args.y)
+    problem = tensor_size_problem(X, Y)
+    if problem:
+        _fail(f"--x/--y: {problem}")
     T = tensor_complex(X, Y)
     _emit({"kind": "tensor", "ring": doc.ring.to_json(),
            "result": complex_to_json(T)}, args.out)
@@ -131,6 +138,9 @@ def cmd_hom(args) -> int:
     doc = _load_document(args.document)
     X = doc.chain_complex(args.x)
     Y = doc.chain_complex(args.y)
+    problem = hom_size_problem(X, Y)
+    if problem:
+        _fail(f"--x/--y: {problem}")
     H = hom_complex(X, Y)
     _emit({"kind": "hom", "ring": doc.ring.to_json(),
            "result": complex_to_json(H)}, args.out)

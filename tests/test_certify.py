@@ -1,7 +1,9 @@
 """Suite engine: determinism, hypothesis-respecting shrinking, smoke runs."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -16,7 +18,19 @@ from chaincert.exact.modules import PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
 from chaincert.io.document import chain_map_to_json, complex_to_json
 from chaincert.io.reports import dump
+from chaincert.models.generators import unimodular
 from chaincert.simplicial.module import gamma, normalize
+
+# sha256 of what the suites draw and decide at seed 7.  A change to what
+# a generator draws changes these on purpose, and says so in CHANGES.md.
+DRAWN_CASES_SHA256 = {
+    "Z": "f00a8bd9f7584d2945506b9b3a604d2462e5e4954491aef6e9cdd08a479afdd3",
+    "Z/6": "39f168ebc764839602e943906857f9c186af1ed899513edb7eca0fa4d211912a",
+}
+REPORTS_SHA256 = {
+    "Z": "cff79edd4ae3ab98d036db2a9746f01049642b5793054806e6dba6037df6b30f",
+    "Z/6": "bee1715433953473692e7e8d8e55d685888126bf3483947551eb09d6dbd8fb9d",
+}
 
 
 def test_all_suites_smoke():
@@ -31,6 +45,41 @@ def test_reports_are_byte_identical():
     assert dump(a) == dump(b)
     c = run_suite(CertifyConfig("dold-kan", seed=12, cases=6))
     assert dump(a) != dump(c)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_drawn_cases_are_pinned(ring):
+    """The first 20 cases of every suite, generated as run_suite seeds
+    them, serialized with sorted keys, suites in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(SUITES):
+        config = CertifyConfig(name, seed=7, cases=20, ring=ring)
+        for index in range(20):
+            rng = random.Random(7 * 1_000_003 + index)
+            case = SUITES[name].generate(rng, config)
+            digest.update(json.dumps(case, sort_keys=True).encode())
+    assert digest.hexdigest() == DRAWN_CASES_SHA256[str(ring)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+def test_report_bytes_are_pinned(ring):
+    digest = hashlib.sha256()
+    for name in ("hlp-hep", "monoidal-h-acyclic", "q2h-we",
+                 "enrich-m-over-q"):
+        config = CertifyConfig(name, seed=7, cases=5, ring=ring)
+        digest.update(dump(run_suite(config)).encode())
+    assert digest.hexdigest() == REPORTS_SHA256[str(ring)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)
+def test_unimodular_returns_the_exact_inverse(ring):
+    """The drawn generators take U^-1 from `unimodular` and never solve
+    for it, so U U^-1 = I must hold on every draw."""
+    rng = random.Random(11)
+    for n in range(6):
+        for _ in range(40):
+            U, Uinv = unimodular(ring, n, rng, ops=rng.randint(0, 6))
+            assert (U @ Uinv).is_identity() and (Uinv @ U).is_identity()
 
 
 def test_zmod_elimination_keeps_entries_small():

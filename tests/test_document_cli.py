@@ -12,12 +12,17 @@ from math import comb
 
 import pytest
 
+from chaincert import cli as cli_module
+from chaincert.chains import homcx as homcx_module
 from chaincert.chains import homology as homology_module
+from chaincert.chains import tensor as tensor_module
 from chaincert.chains.build import (concentrated, direct_sum_complex, disk,
                                     sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import ChainMap, LiftingProblem
 from chaincert.chains.cones import mapping_cone
+from chaincert.chains.homcx import hom_size_problem
+from chaincert.chains.tensor import tensor_size_problem
 from chaincert.cli import COMMANDS, build_parser, main
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, PresentedModule, cokernel
@@ -786,6 +791,30 @@ def test_cli_certify_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flag, ring", [
+    ("z", {"kind": "Z"}), ("Z", {"kind": "Z"}),
+    ("z/6", {"kind": "Zmod", "modulus": 6}),
+    ("Z/6", {"kind": "Zmod", "modulus": 6}),
+    ("Z/2", {"kind": "Zmod", "modulus": 2})])
+def test_cli_ring_flag_takes_either_case(flag, ring, capsys):
+    code, out = run_cli(["certify", "--suite", "nonqhm", "--seed", "7",
+                         "--cases", "2", "--ring", flag], capsys)
+    assert code == 0
+    assert json.loads(out)["ring"] == ring
+
+
+@pytest.mark.parametrize("flag", ["z/x", "z/1", "z/0", "z/-3", "z/",
+                                  "Z/6/2", "q", "zz", ""])
+def test_cli_ring_flag_refusals_name_the_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["certify", "--suite", "nonqhm", "--cases", "1",
+              "--ring", flag])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: --ring: unknown ring {flag!r}; use 'z' or 'z/<m>' "
+        "with m >= 2\n")
+
+
 def test_cli_normalize_denormalize(capsys):
     code, out = run_cli(["denormalize", "--doc", fixture("disks_spheres.json"),
                          "--complex", "S1", "--cap", "4"], capsys)
@@ -1188,6 +1217,61 @@ def test_cli_ez_aw_over_the_tensor_bound_is_refused(monkeypatch, capsys):
         assert exit_.value.code == 2
         assert "error: --a/--b: degree 5 of N(A (x) B) would have 50 " \
                "generators, more than 49" in capsys.readouterr().err
+
+
+# -- the size guards of tensor and hom --------------------------------------
+
+
+def test_tensor_and_hom_bounds_count_each_degree(monkeypatch):
+    # tensor degree n: sum_i gens X_i * gens Y_{n-i}, here 4, 13, 22, 15;
+    # hom degree n: sum_i gens X_i * gens Y_{i+n}, here 23, 14, 5
+    X = parse_chain_complex(ZZ, ranks_complex([1, 2, 3]), "X")
+    Y = parse_chain_complex(ZZ, ranks_complex([4, 5]), "Y")
+    assert tensor_size_problem(X, Y) is None
+    assert hom_size_problem(X, Y) is None
+    monkeypatch.setattr(tensor_module, "MAX_CHAIN_TENSOR_GENERATORS", 21)
+    monkeypatch.setattr(homcx_module, "MAX_HOM_UNKNOWNS", 22)
+    assert tensor_size_problem(X, Y) == (
+        "degree 2 of X (x) Y would have 22 generators, more than 21")
+    assert hom_size_problem(X, Y) == (
+        "degree -1 of Hom(X, Y) would have 23 unknowns, more than 22")
+    monkeypatch.setattr(tensor_module, "MAX_CHAIN_TENSOR_GENERATORS", 22)
+    monkeypatch.setattr(homcx_module, "MAX_HOM_UNKNOWNS", 23)
+    assert tensor_size_problem(X, Y) is None
+    assert hom_size_problem(X, Y) is None
+
+
+def test_fixture_pairs_are_within_the_tensor_and_hom_bounds():
+    for name in sorted(os.listdir(FIXTURES)):
+        doc = parse_document(_load_fixture(name))
+        complexes = [doc.chain_complex(key) for key, kind in
+                     doc.object_kinds.items()
+                     if kind in ("chain_complex", "simplicial_module")]
+        for X in complexes:
+            for Y in complexes:
+                assert tensor_size_problem(X, Y) is None, name
+                assert hom_size_problem(X, Y) is None, name
+
+
+@pytest.mark.parametrize("command, x, message", [
+    ("tensor", [23], "degree 0 of X (x) Y would have 529 generators, more "
+                     "than 512"),
+    ("hom", [0, 23], "degree -1 of Hom(X, Y) would have 529 unknowns, more "
+                     "than 512")])
+def test_cli_tensor_and_hom_over_the_bound_are_refused(
+        command, x, message, tmp_path, monkeypatch, capsys):
+    # refused from the ranks alone: nothing is built
+    def build(X, Y):
+        raise RuntimeError(f"{command} built over the bound")
+
+    monkeypatch.setattr(cli_module, f"{command}_complex", build)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(minimal_doc(objects={
+        "X": ranks_complex(x), "Y": ranks_complex([23])})))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--doc", str(doc), "--x", "X", "--y", "Y"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"error: --x/--y: {message}\n"
 
 
 # -- the size guard of ez-aw --dual -----------------------------------------

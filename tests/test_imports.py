@@ -165,9 +165,11 @@ def test_the_scan_sees_unread_public_names_and_methods():
     assert unread_methods(sources, "b") == []
 
 
-# read outside the package only: perfbench/ imports it until the next
-# benchmark change folds it into `classify --flavor bousfield`
-PUBLIC_EXCEPTIONS = {"bousfield_report"}
+# read outside the package only: perfbench/ imports them.
+# `bousfield_report` stays until the next benchmark change folds it into
+# `classify --flavor bousfield`; `direct_sum_complexes` lost its last
+# package caller when the generators began writing sums directly
+PUBLIC_EXCEPTIONS = {"bousfield_report", "direct_sum_complexes"}
 
 
 def test_package_public_names_are_read_or_exported():
