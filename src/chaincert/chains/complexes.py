@@ -1,15 +1,16 @@
 """Bounded non-negatively graded chain complexes of presented modules.
 
 Trusted by construction, checked at the boundary.  ``ChainComplex``,
-``ChainMap``, ``ChainHomotopy`` (here), ``WindowComplex``
+``ChainMap``, ``ChainHomotopy``, ``Retractions`` (here), ``WindowComplex``
 (``truncate.py``) and ``ModuleMap`` (``exact/modules.py``) check their
 defining identity at construction: d o d = 0, the commuting squares, the
-homotopy relation, relations carried into relations.  ``check=False``
-skips it.  Only an internal construction passes it, for a result whose
-identity follows from how it is built (block-diagonal sums, conjugation
-by a change of basis, the cone and cylinder formulas, the decoding of a
-chain-maps module), and its docstring says why.  A construction whose
-identity needs a condition on its inputs checks it or keeps the check.
+homotopy relation, r_n o f_n = id, relations carried into relations.
+``check=False`` skips it.  Only an internal construction passes it, for
+a result whose identity follows from how it is built (block-diagonal
+sums, conjugation by a change of basis, the cone and cylinder formulas,
+the decoding of a chain-maps module) or that its caller has just
+checked, and a comment or docstring beside it says why.  A construction
+whose identity needs a condition on its inputs checks it or keeps it.
 Two kinds of data are always checked: data from outside (``io/document.py``
 and the public default of every constructor) and witnesses, the answers
 the solver finds (homotopies, inverses, lifts, and the maps ``verify``
@@ -20,8 +21,9 @@ there.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from ..errors import CertificateError
 from ..exact.modules import ModuleMap, PresentedModule, map_equal
 from ..exact.rings import RingSpec
 
@@ -171,6 +173,26 @@ def chain_map_equal(f: ChainMap, g: ChainMap) -> bool:
         return False
     top = max(f.source.top, f.target.top)
     return all(map_equal(f.component(n), g.component(n)) for n in range(top + 1))
+
+
+class Retractions:
+    """Graded retractions r_n of f, a chain or cochain map: r_n o f_n = id
+    modulo the relations in each degree n of ``parts``, checked by
+    multiplication (CertificateError) unless ``check=False``.  The r_n
+    need not commute with the differentials."""
+
+    __slots__ = ("map", "parts")
+
+    def __init__(self, f, parts: Mapping[int, ModuleMap], *,
+                 check: bool = True):
+        self.map = f
+        self.parts = dict(parts)
+        if check:
+            for n, r in self.parts.items():
+                fn = f.component(n)
+                if not map_equal(r.compose(fn), ModuleMap.identity(fn.source)):
+                    raise CertificateError(
+                        f"r_{n} o f_{n} is not the identity")
 
 
 class ChainHomotopy:

@@ -10,10 +10,10 @@ exactly:
     `is_chain_homotopy_equivalence` makes the same decision and reads
     the inverse and both homotopies off the contraction
     (`cone_equivalence`), for callers that emit them.
-  * a degreewise split map f with graded retractions r:
-    `cokernel_contraction(f, r)` contracts coker f instead, which is
-    smaller; when r is a chain map its answer is a homotopy from f o r to
-    the identity, which `homotopy_to_identity` checks (the EZ/AW
+  * a degreewise split map f with checked graded retractions r
+    (`Retractions`): `cokernel_contraction(r)` contracts coker f instead,
+    which is smaller; when r is a chain map its answer is a homotopy from
+    f o r to the identity, which `homotopy_to_identity` checks (the EZ/AW
     comparisons are such maps).
   * two maps f, g: `chain_homotopic` solves d H + H d = g - f in one sweep
     up the degrees (`solve_by_degree`), as the relation of degree n names
@@ -25,14 +25,13 @@ built one degree at a time by `contract_image`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from ..errors import CertificateError
 from ..exact.equations import (MapVariable, MatrixRelation, solve_by_degree,
                                solve_map_relations, well_definedness)
 from ..exact.matrix import Matrix
-from ..exact.modules import ModuleMap, map_equal
-from .complexes import ChainComplex, ChainHomotopy, ChainMap
+from ..exact.modules import ModuleMap
+from .complexes import ChainComplex, ChainHomotopy, ChainMap, Retractions
 from .cones import mapping_cone
 from .homology import first_inexact_degree
 
@@ -132,14 +131,14 @@ def is_homotopy_equivalence(f: ChainMap) -> bool:
             and find_contraction(cone) is not None)
 
 
-def cokernel_contraction(f: ChainMap,
-                         r: Mapping[int, ModuleMap] | Sequence[ModuleMap]
-                         ) -> ChainHomotopy | None:
+def cokernel_contraction(retractions: Retractions) -> ChainHomotopy | None:
     """T with (e d e) T + T (e d e) = e and T = e T e, where e = id - f r on
-    f's target B; or None, which proves that f is no h-equivalence.
+    the target B of f = ``retractions.map``; or None, which proves that f
+    is no h-equivalence.
 
-    ``r[n]`` retracts f_n in every degree (ValueError unless r_n f_n = id,
-    checked by multiplication); the r_n need not commute with d.
+    ``retractions`` must hold r_n, checked by its constructor, in every
+    degree of f, also past B's top (a KeyError names a degree they miss,
+    which would otherwise pass unchecked); the r_n need not commute with d.
 
     Proof.  e is a graded idempotent with e f = 0, so e d f = e f d = 0
     and (e d e)^2 = e d (id - f r) d e = 0: (B, e d e) is a complex, e an
@@ -162,11 +161,9 @@ def cokernel_contraction(f: ChainMap,
     r d T = d r T = 0 and r' = r: T is a homotopy from f r to id on (B, d)
     itself.
     """
+    f = retractions.map
     A, B = f.source, f.target
-    for n in range(max(A.top, B.top) + 1):
-        fn = f.component(n)
-        if not map_equal(r[n].compose(fn), ModuleMap.identity(fn.source)):
-            raise ValueError(f"r_{n} o f_{n} is not the identity")
+    r = [retractions.parts[n] for n in range(max(A.top, B.top) + 1)]
     e = [ModuleMap.identity(B.module(n)) - f.component(n).compose(r[n])
          for n in range(B.top + 1)]
     # a complex with an idempotent chain map, by the proof above
@@ -186,16 +183,17 @@ def homotopy_to_identity(f: ChainMap, r: ChainMap,
     """H with d H + H d = id - f o r, for chain maps f and r with
     r o f = id; ``names`` names f and r in the errors.
 
-    H is `cokernel_contraction(f, r)`, a homotopy on f's target itself
-    since r is a chain map.  CertificateError when r o f is not the
-    identity, when there is no H, and unless H passes its check.
+    H is `cokernel_contraction` of r as `Retractions` of f, a homotopy on
+    f's target itself since r is a chain map.  CertificateError when r o f
+    is not the identity, when there is no H, and unless H passes its check.
     """
     f_name, r_name = names
     try:
-        found = cokernel_contraction(f, r.parts)
-    except ValueError as exc:
+        retractions = Retractions(f, dict(enumerate(r.parts)))
+    except CertificateError as exc:
         raise CertificateError(
             f"{r_name} o {f_name} failed to be the identity") from exc
+    found = cokernel_contraction(retractions)
     if found is None:
         raise CertificateError(
             f"{f_name} o {r_name} is not homotopic to the identity")

@@ -243,10 +243,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    path = args.witness if args.witness else args.verify
-    if not path:
-        _fail("verify needs a witness file")
-    ok, problems = verify_report(_read_json(path))
+    ok, problems = verify_report(_read_json(args.witness))
     _emit({"kind": "verify", "ok": ok, "problems": problems}, args.out)
     return 0 if ok else 1
 
@@ -319,8 +316,7 @@ def _certify_args(p):
 
 
 def _verify_args(p):
-    p.add_argument("witness", nargs="?", help="witness report (JSON)")
-    p.add_argument("--verify", dest="verify", help="witness report (JSON)")
+    p.add_argument("witness", help="witness report (JSON)")
     p.add_argument("--out")
 
 

@@ -50,9 +50,11 @@ bit stays unknown and is certified only from a factorization witness
 (`verify_m_cofibration`).  The Bousfield dual on cochain complexes swaps
 which class skips degree 0; its degreewise bits read the components g^k
 of the cochain map, and its weak equivalences are decided on the
-grading-reversed chain map ``g.chain``.  Chain homotopy equivalence and
-quasi-isomorphism are never conflated.  Simplicial maps are classified
-by their normalization in the h structure.
+grading-reversed chain map ``g.chain``.  A split-mono "yes" is one
+checked `Retractions` value (`degreewise_retractions`), which callers
+pass on, so no retraction is multiplied out twice.  Chain homotopy
+equivalence and quasi-isomorphism are never conflated.  Simplicial maps
+are classified by their normalization in the h structure.
 
 Deciders are looked up as module globals at call time, so that a tracer
 which rebinds them sees every call.
@@ -61,10 +63,10 @@ which rebinds them sees every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
 from ..chains.cochain import CochainMap
-from ..chains.complexes import ChainMap, chain_map_equal
+from ..chains.complexes import ChainMap, Retractions, chain_map_equal
 from ..chains.cones import mapping_cone
 from ..chains.homology import first_homology
 from ..chains.homotopy import (HomotopyEquivalence, cone_equivalence,
@@ -176,49 +178,47 @@ def bousfield_classify(g: CochainMap) -> Verdict:
     return classify(g, "bousfield")
 
 
-# a candidate retraction of a map's component in a degree, or None
-Proposal = Callable[[int], ModuleMap | None]
-
-
 def degreewise_retractions(f: ChainMap, degrees,
-                           propose: Proposal | None = None
-                           ) -> tuple[dict[int, ModuleMap], int | None]:
+                           candidates: Mapping[int, ModuleMap] | None = None
+                           ) -> tuple[Retractions, int | None]:
     """Retractions of the components of ``f`` in ``degrees``, up to the
     first degree that has none, and that degree (None when every degree
     has one).
 
-    ``propose(n)``, when given, may offer a retraction r of f_n.  It is kept
-    when r o f_n = id holds modulo the relations, checked by
-    multiplication; otherwise degree n is searched with `is_split_mono`.
-    So a proposal never changes the answer, only how it is found.
+    ``candidates``, when given, may hold a retraction r of f_n for some
+    degrees n.  It is kept when r o f_n = id holds modulo the relations,
+    checked by multiplication; otherwise degree n is searched with
+    `is_split_mono`.  So a candidate never changes the answer, only how
+    it is found.
     """
     found: dict[int, ModuleMap] = {}
+    missing = None
     for n in degrees:
         fn = f.component(n)
-        r = propose(n) if propose is not None else None
+        r = candidates.get(n) if candidates is not None else None
         if r is None or not map_equal(r.compose(fn),
                                       ModuleMap.identity(fn.source)):
             r = is_split_mono(fn)
         if r is None:
-            return found, n
+            missing = n
+            break
         found[n] = r
-    return found, None
+    # each r_n is checked: a candidate above, a search by `is_split_mono`
+    return Retractions(f, found, check=False), missing
 
 
-def split_mono_bit(f: ChainMap, degrees, propose: Proposal | None = None
-                   ) -> ClassBit:
+def split_mono_bit(f: ChainMap, degrees) -> ClassBit:
     """The split-mono bit over ``degrees``, by `degreewise_retractions`."""
-    return retractions_bit(*degreewise_retractions(f, degrees, propose))
+    return retractions_bit(*degreewise_retractions(f, degrees))
 
 
-def retractions_bit(found: dict[int, ModuleMap], missing: int | None
-                    ) -> ClassBit:
+def retractions_bit(found: Retractions, missing: int | None) -> ClassBit:
     """The split-mono bit of an answer of `degreewise_retractions`."""
     if missing is not None:
         return no(degree=missing, reason="no retraction at this degree")
     return yes({"type": "degreewise_retractions",
                 "degrees": {str(n): r.action.to_json()
-                            for n, r in found.items()}})
+                            for n, r in found.parts.items()}})
 
 
 def split_epi_bit(f: ChainMap, degrees) -> ClassBit:
@@ -283,29 +283,21 @@ def surjectivity_bit(f: ChainMap, degrees) -> ClassBit:
     return yes({"type": "degreewise_surjectivity", "degrees": certs})
 
 
-def q_cofibration_bit(f: ChainMap, degrees: range | None = None) -> ClassBit:
+def q_cofibration_bit(f: ChainMap, degrees: range | None = None,
+                      retractions: Retractions | None = None) -> ClassBit:
+    """The q-cofibration bit of ``f`` over ``degrees`` (by default the
+    convention's).  A caller that holds ``retractions`` of f in these
+    degrees (say, a pushout-product leg's) passes them, so f is not
+    searched again with `is_split_mono`."""
     if degrees is None:
         degrees = bit_degrees(f, "q", "cofibration")
-    return q_cofibration_from_retractions(
-        f, degrees, lambda n: is_split_mono(f.component(n)))
-
-
-def q_cofibration_from_retractions(f: ChainMap, degrees,
-                                   retraction_of: Proposal) -> ClassBit:
-    """The q-cofibration bit of ``f`` over ``degrees``, where
-    ``retraction_of(n)`` is a retraction of f_n, or None when f_n has
-    none.
-
-    A caller that holds the retractions already (say, a pushout-product
-    leg's, checked by multiplication when they were found) passes them,
-    so f's components are not searched again.
-    """
     certs = {}
     for n in degrees:
         fn = f.component(n)
+        retraction = (is_split_mono(fn) if retractions is None
+                      else retractions.parts[n])
         # a retraction proves injectivity; the kernel is computed only to
         # tell the two "no" reasons apart
-        retraction = retraction_of(n)
         if retraction is None and not kernel(fn)[0].is_zero_module():
             return no(degree=n, reason="not injective at this degree")
         section = projective_section(cokernel(fn)[0])

@@ -16,8 +16,6 @@ import random
 from ..chains.build import direct_sum_complex
 from ..chains.complexes import ChainComplex, ChainMap
 from ..chains.homcx import ChainMapsSpace
-from ..chains.homotopy import quasi_iso
-from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
@@ -235,7 +233,8 @@ def random_q_cofibration(ring: RingSpec, rng: random.Random, *,
 
     The map is U_n [I; 0] in each degree, for the acyclic variant too:
     P is then a sum of disks, so the cokernel is contractible and the map
-    is a quasi-isomorphism, which is checked.
+    is a quasi-isomorphism.  Not checked here: each suite that draws one
+    decides that again, or that it is an h-equivalence.
     """
     A = random_complex(ring, rng, max_top=max_top,
                        max_rank=max(1, max_rank // 2),
@@ -256,11 +255,7 @@ def random_q_cofibration(ring: RingSpec, rng: random.Random, *,
         # proj_P inj_A = 0, so u is not used; it is still drawn, which
         # keeps the rng stream, and with it every later case, unchanged
         random_chain_map(P, A, rng, bound=1)
-    out = _summand_into_twist(A, P, rng)
-    if acyclic and not quasi_iso(out):
-        raise CertificateError("acyclic q-cofibration is not a "
-                               "quasi-isomorphism")
-    return out
+    return _summand_into_twist(A, P, rng)
 
 
 def random_map_for_agreement(ring: RingSpec, rng: random.Random,

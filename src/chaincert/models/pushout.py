@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..chains.build import change_ring_map
-from ..chains.complexes import ChainComplex, ChainMap
+from ..chains.complexes import ChainComplex, ChainMap, Retractions
 from ..chains.cones import pushout_complexes, pushout_induced_chain_map
 from ..chains.homotopy import cokernel_contraction, is_homotopy_equivalence
 from ..chains.tensor import TensorLayout, tensor_module_maps
@@ -14,8 +14,6 @@ from ..exact.modules import ModuleMap
 from .classify import bit_degrees, degreewise_retractions, retractions_bit
 from .verdict import ClassBit
 
-# degree -> a retraction of a map's component in that degree
-Retractions = dict[int, ModuleMap]
 # the retractions of i and of k, None for a leg that does not split
 Legs = tuple[Retractions | None, Retractions | None]
 
@@ -100,9 +98,9 @@ def pushout_product(i: ChainMap, k: ChainMap,
 
 
 def leg_retractions(i: ChainMap, k: ChainMap) -> Legs:
-    """The h-cofibration witnesses of the two legs as module maps: the
-    retractions of every degree of `bit_degrees`, or None for a leg that
-    has no retraction in some degree."""
+    """The h-cofibration witnesses of the two legs: the retractions of
+    every degree of `bit_degrees`, or None for a leg that has no
+    retraction in some degree."""
     def split(f: ChainMap) -> Retractions | None:
         found, missing = degreewise_retractions(
             f, bit_degrees(f, "h", "cofibration"))
@@ -117,7 +115,7 @@ def decide_pushout_product(pp: PushoutProduct, expect_acyclic: bool
     retraction built from the legs', and, only when ``expect_acyclic``,
     whether i [] k is an h-equivalence (otherwise None).
 
-    With rho and sigma the legs' retractions, each degree is proposed
+    With rho and sigma the legs' retractions, each degree's candidate is
 
         r = inj_xw o (rho (x) 1_W) + inj_yv o ((1 - i rho) (x) sigma),
 
@@ -131,34 +129,32 @@ def decide_pushout_product(pp: PushoutProduct, expect_acyclic: bool
     for completeness: with k an isomorphism, i [] k is one even when i
     does not split.
 
-    Acyclicity is read off the retractions of i [] k by one contraction
-    of its cokernel (`cokernel_contraction`); only a product with no
-    retraction is decided by its cone.  No witness of it is kept.
+    Acyclicity is read off those retractions, checked once, by one
+    contraction of the cokernel (`cokernel_contraction`); only a product
+    with no retraction is decided by its cone.  No witness of it is kept.
     """
     legs = leg_retractions(pp.i, pp.k)
     rho, sigma = legs
-    propose = None
+    candidates = None
     if rho is not None and sigma is not None:
         i, Y = pp.i, pp.i.target
         complement = [ModuleMap.identity(Y.module(n))
-                      - i.component(n).compose(rho[n])
+                      - i.component(n).compose(rho.parts[n])
                       for n in range(Y.top + 1)]
-        to_xw = pp.tensor.maps(rho, None, pp.yw, pp.xw)    # rho (x) 1_W
-        to_yv = pp.tensor.maps(complement, sigma, pp.yw, pp.yv)
-
-        def propose(n: int) -> ModuleMap | None:
-            if n >= min(len(to_xw), len(to_yv)):
-                return None   # past a tensor's top: left to the search
-            return ModuleMap(pp.target.module(n), pp.source.module(n),
-                             to_xw[n].action.vstack(to_yv[n].action),
-                             check=False)
+        to_xw = pp.tensor.maps(rho.parts, None, pp.yw, pp.xw)  # rho (x) 1_W
+        to_yv = pp.tensor.maps(complement, sigma.parts, pp.yw, pp.yv)
+        # none past a tensor's top: those degrees are left to the search
+        candidates = {n: ModuleMap(pp.target.module(n), pp.source.module(n),
+                                   to_xw[n].action.vstack(to_yv[n].action),
+                                   check=False)
+                      for n in range(min(len(to_xw), len(to_yv)))}
 
     found, missing = degreewise_retractions(
-        pp.map, bit_degrees(pp.map, "h", "cofibration"), propose)
+        pp.map, bit_degrees(pp.map, "h", "cofibration"), candidates)
     acyclic = None
     if expect_acyclic:
         acyclic = (is_homotopy_equivalence(pp.map) if missing is not None
-                   else cokernel_contraction(pp.map, found) is not None)
+                   else cokernel_contraction(found) is not None)
     return legs, retractions_bit(found, missing), acyclic
 
 

@@ -10,7 +10,7 @@ from chaincert.chains.build import (change_ring, concentrated,
                                     sphere, unit_complex, zero_complex)
 from chaincert.chains.cochain import dualize_map
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
-                                        chain_map_equal)
+                                        Retractions, chain_map_equal)
 from chaincert.chains.cones import (cocylinder_complex, cylinder_complex,
                                     mapping_cocylinder, mapping_cone,
                                     mapping_cylinder, pushout_complexes)
@@ -27,6 +27,7 @@ from chaincert.chains.tensor import (TensorLayout, interval_cylinder,
 from chaincert.chains.truncate import WindowComplex, good_truncation, \
     window_of_complex
 from chaincert.certify import SUITES, CertifyConfig
+from chaincert.errors import CertificateError
 from chaincert.exact import equations
 from chaincert.exact.equations import (MapVariable, MatrixRelation,
                                        well_definedness)
@@ -531,7 +532,7 @@ def test_retraction_route_agrees_with_the_cone(ring):
     pairs = [_summand_retract(ring, rng) for _ in range(16)]
     answers = []
     for f, r in pairs:
-        T = cokernel_contraction(f, r.parts)
+        T = cokernel_contraction(Retractions(f, dict(enumerate(r.parts))))
         assert (T is not None) == (is_chain_homotopy_equivalence(f)
                                    is not None)
         if T is not None:  # the checked constructor re-verifies it
@@ -554,7 +555,7 @@ def test_cokernel_contraction_answers_as_the_cone(ring):
         r, missing = degreewise_retractions(
             f, bit_degrees(f, "h", "cofibration"))
         assert missing is None
-        T = cokernel_contraction(f, r)
+        T = cokernel_contraction(r)
         assert (T is not None) == is_homotopy_equivalence(f)
         answers.append(T is not None)
         if T is None:
@@ -564,7 +565,7 @@ def test_cokernel_contraction_answers_as_the_cone(ring):
         # d T + T d = id - f r'
         r_prime = ChainMap(B, A, [ModuleMap(
             B.module(n), A.module(n),
-            (r[n] - r[n].compose(B.differential(n + 1))
+            (r.parts[n] - r.parts[n].compose(B.differential(n + 1))
              .compose(T.component(n))).action) for n in range(B.top + 1)])
         assert chain_map_equal(r_prime.compose(f), ChainMap.identity(A))
         ChainHomotopy(f.compose(r_prime), ChainMap.identity(B), [
@@ -574,14 +575,20 @@ def test_cokernel_contraction_answers_as_the_cone(ring):
 
 
 def test_cokernel_contraction_refuses_a_wrong_retraction():
+    """A wrong retraction is refused where the retractions are built,
+    before any contraction is sought."""
     # S^0 -> D^1 + S^0 is an equivalence, D^1 -> D^1 + S^0 is not
     total, injs, projs = direct_sum_complexes([disk(ZZ, 1), sphere(ZZ, 0)])
-    assert cokernel_contraction(injs[1], projs[1].parts) is not None
-    assert cokernel_contraction(injs[0], projs[0].parts) is None
+
+    def retractions(f, r):
+        return Retractions(f, dict(enumerate(r.parts)))
+
+    assert cokernel_contraction(retractions(injs[1], projs[1])) is not None
+    assert cokernel_contraction(retractions(injs[0], projs[0])) is None
     doubled = projs[1] + projs[1]  # r o f = 2 id
     for wrong in (doubled, projs[0]):  # and r o f = 0
-        with pytest.raises(ValueError, match="r_0 o f_0"):
-            cokernel_contraction(injs[1], wrong.parts)
+        with pytest.raises(CertificateError, match="r_0 o f_0"):
+            retractions(injs[1], wrong)
 
 
 def test_quasi_iso_examples():

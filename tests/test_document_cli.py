@@ -206,6 +206,22 @@ def test_cli_witness_verify_roundtrip(tmp_path, capsys, command):
     assert json.loads(out)["ok"]
 
 
+def test_verify_reads_its_witness_from_one_required_argument(tmp_path,
+                                                            capsys):
+    witness = tmp_path / "w.json"
+    run_cli(ROUNDTRIP_COMMANDS["interval-h"] + ["--out", str(witness)],
+            capsys)
+    assert run_cli(["verify", str(witness)], capsys)[0] == 0
+    for argv, message in (
+            (["verify"], "the following arguments are required: witness"),
+            (["verify", "--verify", str(witness)],
+             "unrecognized arguments: --verify")):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_tampered_inverse(tmp_path, capsys):
     witness = tmp_path / "w.json"
     run_cli(ROUNDTRIP_COMMANDS["interval-h"] + ["--out", str(witness)],

@@ -10,7 +10,15 @@ annotations``, so they stay unquoted).  ``__init__.py`` files re-export
 what they import and are skipped.  A top-level name counts as read when
 some module of the package loads it as a name or an attribute outside its
 own definition; a public one may instead be exported by
-``chaincert/__init__.py``.  What only the tests read lives in ``tests/``.
+``chaincert/__init__.py``.  A load ``self.<name>`` inside a class body
+reads that class's own method ``<name>`` and nothing else.  No other
+receiver is resolved: ``x.<name>`` on any other name or expression
+(``f.component(n)``, ``snf(...).diagonal``, ``cls.<name>``,
+``super().<name>``) counts as a read of every method and top-level name
+called ``<name>``, and a name read only through ``getattr`` with a string
+is not seen.  A method that a subclass reads through ``self`` would be
+reported unread; no package class inherits from another.  What only the
+tests read lives in ``tests/``.
 Every exported name has a caller in the package, save a pinned list; for
 that scan a name is called only where it is loaded as a name, imported by
 name or read as ``module.name``, so a method that shares it does not count.
@@ -76,17 +84,40 @@ def _loads(tree: ast.AST) -> Counter:
         and isinstance(node.ctx, ast.Load))
 
 
+def _self_loads(tree: ast.AST) -> Counter:
+    """How often each attribute is loaded as ``self.<name>``."""
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _reads(body: list[ast.stmt]) -> Counter:
+    """`_loads` of top-level statements, less each ``self.<name>`` load
+    inside a class body: that reads the class's own ``<name>`` only."""
+    reads = Counter()
+    for node in body:
+        reads += _loads(node)
+        if isinstance(node, ast.ClassDef):
+            reads -= _self_loads(node)
+    return reads
+
+
+def _package_reads(trees) -> Counter:
+    return sum((_reads(tree.body) for tree in trees), Counter())
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """``path:line name`` of each private top-level function or class that
     no module reads outside its own definition."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
-    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    reads = _package_reads(trees.values())
     return sorted(
         f"{path}:{node.lineno} {node.name}"
         for path, tree in trees.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
-        and loads[node.name] == _loads(node)[node.name])
+        and reads[node.name] == _reads([node])[node.name])
 
 
 def test_the_scan_sees_unread_private_names():
@@ -121,7 +152,7 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
     no module reads outside its own definition and ``__init__.py`` does
     not export."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
-    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    reads = _package_reads(trees.values())
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees.get("__init__.py", ast.Module([])))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -130,22 +161,24 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
         for path, tree in trees.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_") and node.name not in exported
-        and loads[node.name] == _loads(node)[node.name])
+        and reads[node.name] == _reads([node])[node.name])
 
 
 def unread_methods(sources: dict[str, str], prefix: str) -> list[str]:
     """``path:line Class.method`` of each method, dunders aside, of a class
     in a module under ``prefix`` that no module reads as an attribute
-    outside its own definition."""
+    outside its own definition; ``self.<method>`` counts only inside the
+    method's own class."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
-    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    reads = _package_reads(trees.values())
     return sorted(
         f"{path}:{method.lineno} {node.name}.{method.name}"
         for path, tree in trees.items() if path.startswith(prefix)
         for node in tree.body if isinstance(node, ast.ClassDef)
         for method in node.body if isinstance(method, ast.FunctionDef)
         and not method.name.startswith("__")
-        and loads[method.name] == _loads(method)[method.name])
+        and reads[method.name] + _self_loads(node)[method.name]
+        == _loads(method)[method.name])
 
 
 def test_the_scan_sees_unread_public_names_and_methods():
@@ -154,14 +187,19 @@ def test_the_scan_sees_unread_public_names_and_methods():
         "a.py": ("def exported():\n    pass\n"
                  "def helper():\n    pass\n"
                  "class Levels:\n"
-                 "    def read(self):\n        return self.used\n"
+                 "    def read(self):\n"
+                 "        return self.used(), self.helper\n"
                  "    def used(self):\n        return 1\n"
                  "    def only_itself(self):\n"
-                 "        return self.only_itself()\n"),
-        "b.py": "from .a import Levels\nLevels().read()\n",
+                 "        return self.only_itself()\n"
+                 # self.used in Levels reads Levels.used, not this one
+                 "class Other:\n"
+                 "    def used(self):\n        return 2\n"),
+        "b.py": "from .a import Levels, Other\nLevels().read()\nOther\n",
     }
     assert unread_public_names(sources) == ["a.py:3 helper"]
-    assert unread_methods(sources, "a") == ["a.py:10 Levels.only_itself"]
+    assert unread_methods(sources, "a") == ["a.py:10 Levels.only_itself",
+                                            "a.py:13 Other.used"]
     assert unread_methods(sources, "b") == []
 
 

@@ -378,7 +378,9 @@ def test_chain_section_retraction_helpers():
 # a zero contraction of the cokernel, which is no homotopy on
 # N(D^1 (x) D^1) nor on the D^2 cotensor; then
 # the solver is stubbed to answer zero for every unknown, a wrong answer
-# for each call, and a contraction of a cokernel must refuse it.  Last,
+# for each call, and a contraction of a cokernel must refuse it; a
+# retraction r with r o f = 0 must be refused where `Retractions` is
+# built.  Last,
 # the exactness sweep is stubbed to name degree 0 of D^1, where the
 # homology is zero, and `first_homology` must refuse that degree.
 CERTIFICATE_GUARDS = """
@@ -388,7 +390,8 @@ from chaincert import certify
 from chaincert.chains import homology, homotopy
 from chaincert.chains.build import (direct_sum_complex, disk, sphere,
                                     unit_complex, zero_complex)
-from chaincert.chains.complexes import ChainHomotopy, ChainMap, LiftingProblem
+from chaincert.chains.complexes import (ChainHomotopy, ChainMap,
+                                        LiftingProblem, Retractions)
 from chaincert.errors import CertificateError
 from chaincert.exact import splitting
 from chaincert.exact.matrix import Matrix
@@ -473,8 +476,8 @@ for suite in ("ez-aw", "ez-aw-dual"):
         case, certify.CertifyConfig(suite, 0, 1)))
 homotopy.contract_image = contract_image
 
-def zero_contraction(f, r):
-    B = f.target
+def zero_contraction(retractions):
+    B = retractions.map.target
     return ChainHomotopy(ChainMap.zero(B, B), ChainMap.zero(B, B), [],
                          check=False)
 
@@ -507,8 +510,10 @@ calls = {
     "chain_section": lambda: lifting.chain_section(ident),
     "chain_retraction": lambda: lifting.chain_retraction(ident),
     "cokernel_contraction": lambda: homotopy.cokernel_contraction(
-        ChainMap.zero(zero_complex(ZZ), D1.source),
-        ChainMap.zero(D1.source, zero_complex(ZZ)).parts),
+        Retractions(ChainMap.zero(zero_complex(ZZ), D1.source), dict(
+            enumerate(ChainMap.zero(D1.source, zero_complex(ZZ)).parts)))),
+    "Retractions": lambda: Retractions(
+        ident, {0: ModuleMap.zero_map(U.module(0), U.module(0))}),
     "first_homology": lambda: homology.first_homology(disk(ZZ, 1)),
 }
 classify.is_split_mono = lambda fn: None
@@ -540,4 +545,4 @@ def test_witness_guards_survive_python_O():
     assert lines[11:] == [f"{name} raised" for name in (
         "q_cofibration_bit", "is_split_mono", "is_split_epi", "find_lift",
         "chain_section", "chain_retraction", "cokernel_contraction",
-        "first_homology")]
+        "Retractions", "first_homology")]

@@ -1,11 +1,12 @@
 """The pushout-product's retraction built from its legs' retractions.
 
-`decide_pushout_product` proposes r = inj_xw (rho (x) 1) + inj_yv ((1 - i
-rho) (x) sigma) in every degree and keeps it when r o (i [] k) = id holds
-modulo the relations; `is_split_mono` decides a degree only when a leg
-does not split or that check fails.  These tests hold the closed form to
-the search, on drawn pairs and in the certify suites, and exercise both
-ways into the search.
+`decide_pushout_product` offers r = inj_xw (rho (x) 1) + inj_yv ((1 - i
+rho) (x) sigma) as the candidate of every degree and keeps it when
+r o (i [] k) = id holds modulo the relations; `is_split_mono` decides a
+degree only when a leg does not split or that check fails.  These tests
+hold the closed form to the search, on drawn pairs and in the certify
+suites, exercise both ways into the search, and check that each
+retraction is multiplied out once.
 """
 
 import json
@@ -17,13 +18,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.build import disk, sphere, unit_complex, zero_complex
 from chaincert.chains.complexes import ChainMap
 from chaincert.cli import main
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import ModuleMap, map_equal
 from chaincert.exact.rings import ZZ, Zmod
-from chaincert.models.classify import bit_degrees, split_mono_bit
+from chaincert.models.classify import (bit_degrees, degreewise_retractions,
+                                       retractions_bit, split_mono_bit)
 from chaincert.models.generators import random_q_cofibration, random_split_mono
 from chaincert.models.pushout import (check_pushout_product_axiom,
                                       pushout_product)
@@ -196,18 +199,17 @@ def test_a_leg_that_does_not_split_falls_back_to_the_search(k, holds):
 
 
 def test_a_wrong_proposal_is_searched_again():
-    """A proposal that fails r o f_n = id never changes the answer."""
+    """A candidate that fails r o f_n = id never changes the answer."""
     rng = random.Random(5)
     for f in (random_split_mono(ZZ, rng, max_rank=3), _times(3)):
         degrees = bit_degrees(f, "h", "cofibration")
-
-        def zero(n):
-            fn = f.component(n)
-            return ModuleMap.zero_map(fn.target, fn.source)
-
+        zero = {n: ModuleMap.zero_map(f.component(n).target,
+                                      f.component(n).source)
+                for n in degrees}
         with searches_recorded() as sources:
-            proposed = split_mono_bit(f, degrees, zero)
-        assert proposed.to_json() == split_mono_bit(f, degrees).to_json()
+            offered = retractions_bit(
+                *degreewise_retractions(f, degrees, zero))
+        assert offered.to_json() == split_mono_bit(f, degrees).to_json()
         assert sources
 
 
@@ -232,3 +234,41 @@ def test_leg_decisions_are_made_once_per_product(monkeypatch):
     assert report.cofibration.holds and report.acyclic
     legs = [f for f in calls if f is i or f is k]
     assert len(legs) == 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+@pytest.mark.parametrize("suite", ["monoidal-h-acyclic",
+                                   "monoidal-smod-acyclic"])
+def test_each_retraction_is_multiplied_out_once(monkeypatch, suite, ring):
+    """Each r_n of the leg i and of i [] k that reaches
+    `cokernel_contraction` was multiplied against f_n once, where it was
+    found or checked, and never again by the contraction."""
+    products = []
+    compose = ModuleMap.compose
+
+    def recording(self, other):
+        products.append((self, other))
+        return compose(self, other)
+
+    contracted = []
+
+    def record(real):
+        def contract(retractions):
+            contracted.append(retractions)
+            return real(retractions)
+        return contract
+
+    monkeypatch.setattr(ModuleMap, "compose", recording)
+    _wrap_everywhere(monkeypatch, "cokernel_contraction", record)
+    cfg = CertifyConfig(suite, seed=7, cases=4, ring=ring)
+    verdicts = [SUITES[suite].predicate(SUITES[suite].generate(
+        random.Random(cfg.seed * 1_000_003 + index), cfg), cfg)
+        for index in range(cfg.cases)]
+    assert verdicts.count("pass") == cfg.cases
+    # the product's retractions, then the leg's, in every case
+    assert len(contracted) == 2 * cfg.cases
+    for retractions in contracted:
+        f = retractions.map
+        for n, r in retractions.parts.items():
+            fn = f.component(n)
+            assert sum(a is r and b is fn for a, b in products) == 1, n

@@ -15,7 +15,7 @@ from chaincert.chains.build import (concentrated, direct_sum_complexes, disk,
                                     interval, sphere)
 from chaincert.certify import SUITES, CertifyConfig
 from chaincert.chains.complexes import (ChainComplex, ChainHomotopy, ChainMap,
-                                        chain_map_equal)
+                                        Retractions, chain_map_equal)
 from chaincert.chains.homotopy import (cokernel_contraction,
                                        is_chain_homotopy_equivalence)
 from chaincert.exact.matrix import Matrix
@@ -245,7 +245,8 @@ def test_ez_decided_by_its_retraction_as_by_the_cone(ring):
         B = gamma(parse_chain_complex(ring, case["b"], "b"), verify=False)
         T = degreewise_tensor(A, B)
         E, W = ez(A, B, T), aw(A, B, T)
-        found = cokernel_contraction(E, W.parts)
+        found = cokernel_contraction(
+            Retractions(E, dict(enumerate(W.parts))))
         assert found is not None
         ChainHomotopy(E.compose(W), ChainMap.identity(T.normalized),
                       found.parts)  # the checked constructor

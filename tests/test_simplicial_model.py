@@ -428,8 +428,8 @@ def test_disk_maps_reuse_the_window_differential(monkeypatch):
 
 
 def test_dual_ops_refuse_a_broken_aw(monkeypatch):
-    """EZ* o AW* = id is checked by `cokernel_contraction`; its failure
-    is a CertificateError, not a ValueError."""
+    """EZ* o AW* = id is checked where `homotopy_to_identity` builds the
+    `Retractions`; its failure is a CertificateError, not a ValueError."""
     def zero_aw(A, D, T):
         W = aw(A, D, T)
         return W - W

@@ -6,10 +6,11 @@ validation; everything else, tests and the benchmark included, builds
 matrices through the public constructor, so the first test fails if the
 private name appears outside ``src/chaincert/exact/``.  Internal
 constructions build complexes, chain maps and module maps that are right
-by construction with ``check=False`` (see ``chains/complexes.py``); the
-second test makes every such constructor check anyway and reruns the
-suites, the fixtures and the h-factorizations of the hlp-hep suite's
-maps, so a false "by construction" claim fails there.
+by construction, and retractions that their caller has just checked,
+with ``check=False`` (see ``chains/complexes.py``); the second test makes
+every such constructor check anyway and reruns the suites, the fixtures
+and the h-factorizations of the hlp-hep suite's maps, so a false "by
+construction" claim fails there.
 """
 
 import json
@@ -19,7 +20,7 @@ import re
 from pathlib import Path
 
 from chaincert.certify import SUITES, CertifyConfig
-from chaincert.chains.complexes import ChainComplex, ChainMap
+from chaincert.chains.complexes import ChainComplex, ChainMap, Retractions
 from chaincert.chains.truncate import WindowComplex
 from chaincert.cli import main
 from chaincert.exact.modules import ModuleMap
@@ -114,7 +115,8 @@ def test_unchecked_constructions_pass_when_forced_to_check(
     plain = _reports(capsys, tmp_path)
     assert len(plain) > 2 * len(SUITES)
     factorizations = _factorizations()
-    for cls in (ChainComplex, ChainMap, ModuleMap, WindowComplex):
+    for cls in (ChainComplex, ChainMap, ModuleMap, Retractions,
+                WindowComplex):
         monkeypatch.setattr(cls, "__init__", _always_check(cls.__init__))
     assert _factorizations() == factorizations
     forced = _reports(capsys, tmp_path)
