@@ -24,8 +24,10 @@ from .chains.build import brutal_truncation, concentrated, interval, \
     unit_complex, zero_complex
 from .chains.cochain import dualize_map
 from .chains.complexes import ChainMap, LiftingProblem
-from .chains.homotopy import (cokernel_contraction, is_homotopy_equivalence,
-                              quasi_iso)
+from .chains.cones import mapping_cone
+from .chains.homology import first_inexact_degree
+from .chains.homotopy import (cokernel_contraction, find_contraction,
+                              is_homotopy_equivalence, quasi_iso)
 from .chains.tensor import cylinder_map, interval_cylinder
 from .errors import CertificateError
 from .exact.modules import ModuleMap, PresentedModule, map_equal
@@ -248,9 +250,14 @@ def _gen_q2h(rng, cfg):
 
 @_decodes(j="map")
 def _pred_q2h(case, cfg, j):
-    if not (q_cofibration_bit(j).holds and quasi_iso(j)):
+    # one cone serves both: j is a quasi-isomorphism iff it is exact, and
+    # then a homotopy equivalence iff it contracts
+    if not q_cofibration_bit(j).holds:
         return INVALID
-    return PASS if is_homotopy_equivalence(j) else FAIL
+    cone = mapping_cone(j)
+    if first_inexact_degree(cone) is not None:
+        return INVALID
+    return PASS if find_contraction(cone) is not None else FAIL
 
 
 def _gen_nonqhm(rng, cfg):
@@ -435,11 +442,15 @@ def _pred_enrich_m_over_q(case, cfg, base, equiv, k):
     witness = MCofibrationWitness(base.target, base, equiv)
     if not verify_m_cofibration(j, witness):
         return INVALID
-    if not q_cofibration_bit(k).holds:
+    # as in enrich-h-over-q: k's q-cofibration bit reads the retractions
+    # the product found for k, so k is searched once
+    report = check_pushout_product_axiom(j, k)
+    sigma = report.legs[1]
+    if sigma is None or not q_cofibration_bit(sigma.map,
+                                              retractions=sigma).holds:
         return INVALID
     if case["acyclic"] and not quasi_iso(k):
         return INVALID
-    report = check_pushout_product_axiom(j, k)
     if not report.cofibration.holds:
         return FAIL
     if case["acyclic"] and not quasi_iso(report.product.map):

@@ -203,7 +203,8 @@ def degreewise_retractions(f: ChainMap, degrees,
             missing = n
             break
         found[n] = r
-    # each r_n is checked: a candidate above, a search by `is_split_mono`
+    # each r_n is checked: a candidate above, a searched one by
+    # `is_split_mono` on this content, now or earlier in the process
     return Retractions(f, found, check=False), missing
 
 

@@ -396,3 +396,60 @@ def test_only_pushout_product_builds_a_pushout_product():
                for path in sorted(PACKAGE.rglob("*.py"))}
     assert definitions_calling(sources, "pushout_induced_chain_map") == [
         "models/pushout.py pushout_product"]
+
+
+def _functools_caches(tree: ast.Module) -> list[ast.expr]:
+    """Every load of ``lru_cache`` or ``cache`` from functools, as a name
+    imported from it or as ``functools.<name>``."""
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names if alias.name in ("lru_cache", "cache")}
+    return [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in imported)
+            or (isinstance(node, ast.Attribute)
+                and node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools")]
+
+
+def unreachable_caches(sources: dict[str, str]) -> list[str]:
+    """``path:line`` of each functools cache that does not decorate a
+    top-level function.  The benchmark empties the package's caches before
+    every round by calling each ``cache_clear`` among module globals; a
+    cache on a nested function or a method is not among them, and would
+    carry answers from one round into the next."""
+    found = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        reachable = {id(node) for top in tree.body
+                     if isinstance(top, ast.FunctionDef)
+                     for decorator in top.decorator_list
+                     for node in ast.walk(decorator)}
+        found += [f"{path}:{node.lineno}" for node in _functools_caches(tree)
+                  if id(node) not in reachable]
+    return sorted(found)
+
+
+def test_the_scan_sees_unreachable_caches():
+    sources = {
+        "a.py": ("import functools\nfrom functools import lru_cache\n"
+                 "@functools.lru_cache(maxsize=None)\ndef top(n):\n"
+                 "    @lru_cache(maxsize=8)\n    def nested(m):\n"
+                 "        return m\n    return nested(n)\n"
+                 "@lru_cache\ndef bare():\n    return 1\n"),
+        "b.py": ("from functools import cache as memo\nimport functools\n"
+                 "class C:\n    @memo\n    def method(self):\n        return 1\n"
+                 "def build():\n    return functools.cache(len)\n"),
+    }
+    assert unreachable_caches(sources) == ["a.py:5", "b.py:4", "b.py:8"]
+
+
+def test_every_package_cache_is_a_module_global():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    # the memo of split answers, the plans of simplicial/ and the parser
+    caches = [node for source in sources.values()
+              for node in _functools_caches(ast.parse(source))]
+    assert len(caches) >= 9
+    assert unreachable_caches(sources) == []

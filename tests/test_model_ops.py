@@ -377,8 +377,9 @@ def test_chain_section_retraction_helpers():
 # the EZ/AW homotopies, both built by `homotopy_to_identity`, must refuse
 # a zero contraction of the cokernel, which is no homotopy on
 # N(D^1 (x) D^1) nor on the D^2 cotensor; then
-# the solver is stubbed to answer zero for every unknown, a wrong answer
-# for each call, and a contraction of a cokernel must refuse it; a
+# the memo of split answers is emptied and the solver is stubbed to answer
+# zero for every unknown, a wrong answer for each call, and a contraction
+# of a cokernel must refuse it; a
 # retraction r with r o f = 0 must be refused where `Retractions` is
 # built.  Last,
 # the exactness sweep is stubbed to name degree 0 of D^1, where the
@@ -518,6 +519,8 @@ calls = {
 }
 classify.is_split_mono = lambda fn: None
 homology.first_inexact_degree = lambda C: 0
+# forget the answers found above, so the stubbed solver is asked again
+splitting._answer.cache_clear()
 splitting.solve_map_relations = zero_solution
 homotopy.solve_map_relations = zero_solution
 lifting.solve_by_degree = zero_sweep
