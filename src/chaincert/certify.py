@@ -145,7 +145,10 @@ def _pred_ez_aw(case, cfg, CA, CB):
     T = degreewise_tensor(A, B)
     E = ez(A, B, T)
     W = aw(A, B, T)
-    if not (E.validate() and W.validate()):
+    try:
+        E.validate()
+        W.validate()
+    except ValueError:
         return FAIL  # not even chain maps
     try:
         find_ez_aw_homotopy(A, B, T, E, W)  # checks AW o EZ = id first
@@ -567,11 +570,13 @@ def _with_entry(case, path, value):
     return out
 
 
-def shrink_case(case: dict, predicate: Callable[[dict], str],
-                max_rounds: int = 25) -> dict:
+_SHRINK_ROUNDS = 25
+
+
+def shrink_case(case: dict, predicate: Callable[[dict], str]) -> dict:
     """Greedy structural shrinking while the predicate still fails."""
     current = case
-    for _ in range(max_rounds):
+    for _ in range(_SHRINK_ROUNDS):
         improved = False
         smaller = _drop_top(current)
         if smaller is not None and predicate(smaller) == FAIL:

@@ -48,22 +48,19 @@ class ChainComplex:
         self.diffs = tuple(differentials)
         self.top = len(modules) - 1
         if check:
-            self.validate(strict=True)
+            self.validate()
 
-    def validate(self, *, strict: bool = False) -> bool:
-        """d_n o d_{n+1} = 0 for all n, and endpoints line up."""
+    def validate(self) -> bool:
+        """d_n o d_{n+1} = 0 for all n, and endpoints line up; True, or
+        ValueError naming the first degree where not."""
         for n in range(1, self.top + 1):
             d = self.diffs[n - 1]
             if d.source != self.mods[n] or d.target != self.mods[n - 1]:
-                if strict:
-                    raise ValueError(f"differential at degree {n} has wrong endpoints")
-                return False
+                raise ValueError(f"differential at degree {n} has wrong endpoints")
         for n in range(2, self.top + 1):
             composite = self.diffs[n - 2].compose(self.diffs[n - 1])
             if not composite.is_zero():
-                if strict:
-                    raise ValueError(f"d o d is nonzero entering degree {n - 2}")
-                return False
+                raise ValueError(f"d o d is nonzero entering degree {n - 2}")
         return True
 
     def module(self, n: int) -> PresentedModule:
@@ -109,22 +106,20 @@ class ChainMap:
             parts.append(ModuleMap.zero_map(source.module(n), target.module(n)))
         self.parts = tuple(parts[: top + 1])
         if check:
-            self.validate(strict=True)
+            self.validate()
 
-    def validate(self, *, strict: bool = False) -> bool:
+    def validate(self) -> bool:
+        """Endpoints line up and every square commutes; True, or
+        ValueError naming the first degree where not."""
         top = max(self.source.top, self.target.top)
         for n, f in enumerate(self.parts):
             if f.source != self.source.module(n) or f.target != self.target.module(n):
-                if strict:
-                    raise ValueError(f"component {n} has wrong endpoints")
-                return False
+                raise ValueError(f"component {n} has wrong endpoints")
         for n in range(1, top + 1):
             lhs = self.component(n - 1).compose(self.source.differential(n))
             rhs = self.target.differential(n).compose(self.component(n))
             if not map_equal(lhs, rhs):
-                if strict:
-                    raise ValueError(f"square at degree {n} does not commute")
-                return False
+                raise ValueError(f"square at degree {n} does not commute")
         return True
 
     def component(self, n: int) -> ModuleMap:
@@ -159,10 +154,6 @@ class ChainMap:
         comps = [self.component(n) - other.component(n)
                  for n in range(len(self.parts))]
         return ChainMap(self.source, self.target, comps, check=False)
-
-    def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, [-p for p in self.parts],
-                        check=False)
 
     def __repr__(self) -> str:
         return f"ChainMap({[p.action.to_lists() for p in self.parts]})"
@@ -215,7 +206,7 @@ class ChainHomotopy:
             parts.append(ModuleMap.zero_map(X.module(n), Y.module(n + 1)))
         self.parts = tuple(parts[: top + 1])
         if check:
-            self.validate(strict=True)
+            self.validate()
 
     def component(self, n: int) -> ModuleMap:
         X, Y = self.from_map.source, self.from_map.target
@@ -223,7 +214,9 @@ class ChainHomotopy:
             return self.parts[n]
         return ModuleMap.zero_map(X.module(n), Y.module(n + 1))
 
-    def validate(self, *, strict: bool = False) -> bool:
+    def validate(self) -> bool:
+        """to - from = d H + H d in every degree; True, or ValueError
+        naming the first degree where not."""
         X, Y = self.from_map.source, self.from_map.target
         top = max(X.top, Y.top)
         for n in range(top + 1):
@@ -232,9 +225,7 @@ class ChainHomotopy:
             if n >= 1:
                 got = got + self.component(n - 1).compose(X.differential(n))
             if not map_equal(want, got):
-                if strict:
-                    raise ValueError(f"homotopy relation fails at degree {n}")
-                return False
+                raise ValueError(f"homotopy relation fails at degree {n}")
         return True
 
 

@@ -78,8 +78,11 @@ def contract_image(p: ChainMap) -> ChainHomotopy | None:
         s_n = p.component(n + 1).action @ sol["s"]
         parts.append(ModuleMap(src, tgt, s_n, check=False))
     h = ChainHomotopy(ChainMap.zero(C, C), p, parts, check=False)
-    if not h.validate():
-        raise CertificateError("computed contraction s fails d s + s d = p")
+    try:
+        h.validate()
+    except ValueError as exc:
+        raise CertificateError(
+            "computed contraction s fails d s + s d = p") from exc
     return h
 
 
@@ -199,9 +202,11 @@ def homotopy_to_identity(f: ChainMap, r: ChainMap,
             f"{f_name} o {r_name} is not homotopic to the identity")
     h = ChainHomotopy(f.compose(r), ChainMap.identity(f.target), found.parts,
                       check=False)
-    if not h.validate():
+    try:
+        h.validate()
+    except ValueError as exc:
         raise CertificateError("computed homotopy fails d H + H d = id - "
-                               f"{f_name} o {r_name}")
+                               f"{f_name} o {r_name}") from exc
     return h
 
 

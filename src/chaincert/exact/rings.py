@@ -54,45 +54,10 @@ class RingSpec:
             return a
         return a % self.modulus
 
-    def is_zero(self, a: int) -> bool:
-        return self.canon(a) == 0
-
     def is_unit(self, a: int) -> bool:
         if self.kind == "Z":
             return a in (1, -1)
         return gcd(a, self.modulus) == 1
-
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse of a unit."""
-        if self.kind == "Z":
-            if a not in (1, -1):
-                raise ValueError(f"{a} is not a unit in Z")
-            return a
-        if gcd(a, self.modulus) != 1:
-            raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        return pow(a, -1, self.modulus)
-
-    def unit_multiplier_to_divisor(self, a: int) -> tuple[int, int]:
-        """Write a = u * g with u a unit and g the canonical divisor class.
-
-        Over Z the canonical associate of a is |a| (u = sign).  Over Z/m it
-        is gcd(a, m), with 0 standing for the class of m; the unit u is found
-        in the coprime arithmetic progression a/g + k*(m/g).
-        """
-        if self.kind == "Z":
-            if a == 0:
-                return 1, 0
-            return (1, a) if a > 0 else (-1, -a)
-        m = self.modulus
-        a = a % m
-        if a == 0:
-            return 1, 0
-        g = gcd(a, m)
-        aa, mm = a // g, m // g
-        u = aa
-        while gcd(u, m) != 1:
-            u += mm
-        return u % m, g
 
     def __str__(self) -> str:
         return "Z" if self.kind == "Z" else f"Z/{self.modulus}"

@@ -62,10 +62,6 @@ class SNFResult:
         n = min(self.D.rows, self.D.cols)
         return [self.D[i, i] for i in range(n)]
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal if d != 0]
 
@@ -241,9 +237,13 @@ def _factor(M: Matrix) -> SNFResult:
             if d == 0:
                 A[i][i] = 0
                 continue
-            u, g = ring.unit_multiplier_to_divisor(d)
+            g = gcd(d, m)
             if g != d:
-                uinv = ring.inverse(u)
+                # d = u * g with u the first unit in d/g + k*(m/g)
+                u = d // g
+                while gcd(u, m) != 1:
+                    u += m // g
+                uinv = pow(u, -1, m)
                 U[i] = [uinv * x for x in U[i]]
                 A[i] = [uinv * x for x in A[i]]
             A[i][i] = g

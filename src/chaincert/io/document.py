@@ -73,19 +73,19 @@ _RING_FORMS = ('a ring is {"kind": "Z"} or {"kind": "Zmod", "modulus": m} '
                'with an integer m >= 2')
 
 
-def parse_ring(data: Any, location: str = "ring") -> RingSpec:
+def parse_ring(data: Any) -> RingSpec:
     if not isinstance(data, dict):
-        raise DocumentError(location, f"invalid ring {data!r}; {_RING_FORMS}")
+        raise DocumentError("ring", f"invalid ring {data!r}; {_RING_FORMS}")
     if data.get("kind") == "Zmod" and "modulus" not in data:
-        raise DocumentError(f"{location}.modulus",
+        raise DocumentError("ring.modulus",
                             f"required field is missing; {_RING_FORMS}")
     if data.get("kind") == "Z" and "modulus" in data:
-        raise DocumentError(f"{location}.modulus",
+        raise DocumentError("ring.modulus",
                             f"the integers carry no modulus; {_RING_FORMS}")
     try:
         return RingSpec.from_json(data)
     except ValueError as exc:
-        raise DocumentError(location, f"invalid ring: {exc}; {_RING_FORMS}")
+        raise DocumentError("ring", f"invalid ring: {exc}; {_RING_FORMS}")
 
 
 def parse_matrix(ring: RingSpec, data: Any, rows: int, cols: int,
@@ -315,10 +315,9 @@ def chain_maps_from_json(ring: RingSpec, data: Any, names: Sequence[str]
     return maps
 
 
-def cochain_map_from_json(ring: RingSpec, data: Any, location: str = "map"
-                          ) -> CochainMap:
+def cochain_map_from_json(ring: RingSpec, data: Any) -> CochainMap:
     """A cochain map stored with its endpoints (see chain_map_to_json)."""
-    return _map_from_json(ring, data, location, parse_cochain_complex,
+    return _map_from_json(ring, data, "map", parse_cochain_complex,
                           _build_cochain_map)
 
 

@@ -146,10 +146,12 @@ def model_bit(f: ChainMap | CochainMap, flavor: str, kind: str,
     if degrees is None:
         degrees = bit_degrees(f, flavor, kind)
     if kind == "cofibration":
-        decide = q_cofibration_bit if flavor == "q" else split_mono_bit
-    else:
-        decide = surjectivity_bit if flavor == "q" else split_epi_bit
-    return decide(f, degrees)
+        if flavor == "q":
+            return q_cofibration_bit(f, degrees)
+        return split_mono_bit(f, degrees)
+    if flavor == "q":
+        return surjectivity_bit(f, degrees)
+    return split_epi_bit(f, degrees)
 
 
 def weak_equivalence_holds(f: ChainMap | CochainMap, flavor: str) -> bool:

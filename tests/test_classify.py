@@ -136,6 +136,14 @@ def test_verify_m_cofibration_examples():
     composite = neg.compose(i)
     assert verify_m_cofibration(composite, MCofibrationWitness(D, i, neg))
 
+    # id_D is a q-cofibration and neg a homotopy equivalence, but neg o id_D
+    # is not id_D; a witness out of D does not start where 0 -> D does
+    ident = ChainMap.identity(D)
+    assert verify_m_cofibration(ident, MCofibrationWitness(D, ident, ident))
+    assert not verify_m_cofibration(ident, MCofibrationWitness(D, ident, neg))
+    with pytest.raises(ValueError, match="witness endpoints"):
+        verify_m_cofibration(i, MCofibrationWitness(D, ident, ident))
+
 
 def test_bousfield_identity_and_duality():
     X = disk(ZZ, 1)

@@ -235,14 +235,16 @@ def test_cli_verify_rejects_tampered_inverse(tmp_path, capsys):
     assert not json.loads(out)["ok"]
 
 
-def interval_lift_report():
-    """e0 : R -> I against I -> 0, with e0 on top: the identity of I lifts."""
+def interval_lift_report(against_identity=False):
+    """e0 : R -> I against I -> 0, or against the identity of I, with e0 on
+    top and that map below: the identity of I lifts."""
     with open(fixture("interval.json")) as fh:
         doc = parse_document(json.load(fh))
     e0 = doc.map("e0").value
     I = e0.target
-    to_zero = ChainMap.zero(I, zero_complex(doc.ring))
-    problem = LiftingProblem(e0, to_zero, e0, to_zero)
+    right = (ChainMap.identity(I) if against_identity
+             else ChainMap.zero(I, zero_complex(doc.ring)))
+    problem = LiftingProblem(e0, right, e0, right)
     report = json.loads(dump(lift_report(problem, solve_lifting(problem, "h"),
                                          "h")))
     assert report["found"]
@@ -579,6 +581,43 @@ def verify_file(report, tmp_path, capsys):
     path.write_text(json.dumps(report))
     code, out = run_cli(["verify", str(path)], capsys)
     return code, json.loads(out)["problems"]
+
+
+def _top_through_e1(report):
+    # I has v0, v1 in degree 0 and e in degree 1 with d e = v1 - v0, and e0
+    # and e1 pick out v0 and v1.  e1 on top against the identity: the
+    # square no longer commutes, so no lift exists, from degree 0 on
+    report["top"]["components"] = [[[0], [1]]]
+    report["found"] = False
+    del report["lift"]
+    report["obstruction_degree"] = 0
+
+
+def _lift_drops_degree_1(report):
+    report["lift"][1] = [[0]]
+
+
+def _zero_lift(report):
+    report["lift"] = [[[0, 0], [0, 0]], [[0]]]
+
+
+def _lift_onto_v0(report):
+    # v0, v1 -> v0 and e -> 0 fixes v0 but is not the identity below
+    report["lift"] = [[[1, 1], [0, 0]], [[0]]]
+
+
+@pytest.mark.parametrize("against_identity, damage, problem", [
+    (True, _top_through_e1, "stored square does not commute"),
+    (True, _lift_drops_degree_1,
+     "stored lift is not a chain map: square at degree 1 does not commute"),
+    (False, _zero_lift, "lift does not restrict to the top leg"),
+    (True, _lift_onto_v0, "lift does not project to the bottom leg")])
+def test_cli_verify_refuses_a_forged_lift(tmp_path, capsys, against_identity,
+                                          damage, problem):
+    report = interval_lift_report(against_identity)
+    assert verify_file(report, tmp_path, capsys) == (0, [])
+    damage(report)
+    assert verify_file(report, tmp_path, capsys) == (1, [problem])
 
 
 def test_cli_verify_decides_no_lift_again(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used there, every
 top-level function or class is read somewhere in the package or exported
-by it, and every method of a package class is read in the package.
+by it, every method of a package class is read in the package, and every
+default of a package function is overridden by some call.
 
 There is no linter among the project's dependencies, so this reads each
 module of ``src/chaincert`` and ``tests`` with ``ast``.  A name counts as
@@ -16,20 +17,32 @@ receiver is resolved: ``x.<name>`` on any other name or expression
 (``f.component(n)``, ``snf(...).diagonal``, ``cls.<name>``,
 ``super().<name>``) counts as a read of every method and top-level name
 called ``<name>``, and a name read only through ``getattr`` with a string
-is not seen.  A method that a subclass reads through ``self`` would be
-reported unread; no package class inherits from another.  What only the
-tests read lives in ``tests/``.
+is not seen.  So a method counts as read whenever any method of the same
+name is read: ``SNFResult.rank`` (read as ``GammaLevels.rank``) and
+``RingSpec.is_zero`` (read as ``Matrix.is_zero``) passed this scan
+although neither ever ran.  A method that a subclass reads through
+``self`` would be reported unread; no package class inherits from
+another.  What only the tests read lives in ``tests/``.
 Every exported name has a caller in the package, save a pinned list; for
 that scan a name is called only where it is loaded as a name, imported by
 name or read as ``module.name``, so a method that shares it does not count.
+Every defaulted parameter of a package function, method or constructor
+is passed, by position or by keyword, by some call in ``src/``, ``tests/``
+or ``perfbench/``; a default that no call overrides is a constant.  A call
+matches by its bare name, ``f(...)`` and ``x.f(...)`` alike, and
+``Class(...)`` calls ``Class.__init__``; ``*args`` passes every positional
+parameter and ``**kw`` every parameter.  A function called through a
+local alias (``decide = f`` then ``decide(x)``) is not seen, so the
+package calls each function by its own name.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "chaincert"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "chaincert"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -453,3 +466,99 @@ def test_every_package_cache_is_a_module_global():
               for node in _functools_caches(ast.parse(source))]
     assert len(caches) >= 9
     assert unreachable_caches(sources) == []
+
+
+def _functions(tree: ast.AST):
+    """``(name, definition, is_method)`` of each function and method in
+    ``tree``, nested ones included; ``__init__`` goes by its class's name,
+    and other dunders are left out."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        for func in node.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if not isinstance(node, ast.ClassDef):
+                yield func.name, func, False
+            elif func.name == "__init__":
+                yield node.name, func, True
+            elif not func.name.startswith("__"):
+                yield func.name, func, True
+
+
+def _options(func: ast.FunctionDef, method: bool) -> list[tuple]:
+    """``(position, name)`` of each defaulted parameter of ``func``; a
+    method's positions start after ``self`` or ``cls``, and a keyword-only
+    parameter has position None."""
+    params = func.args.posonlyargs + func.args.args
+    if method and not any(getattr(d, "id", None) == "staticmethod"
+                          for d in func.decorator_list):
+        params = params[1:]
+    first = len(params) - len(func.args.defaults)
+    return ([(i, p.arg) for i, p in enumerate(params) if i >= first]
+            + [(None, p.arg) for p, default in zip(func.args.kwonlyargs,
+                                                   func.args.kw_defaults)
+               if default is not None])
+
+
+def _passed(trees) -> dict[str, set]:
+    """For each name called as ``f(...)`` or ``x.f(...)``, the positions
+    and keywords some call passes; "*" stands for every position and "**"
+    for every parameter."""
+    passed = defaultdict(set)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            got = passed[getattr(call.func, "id", None)
+                         or getattr(call.func, "attr", None)]
+            got.update(range(len(call.args)))
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                got.add("*")
+            got.update(kw.arg or "**" for kw in call.keywords)
+    return passed
+
+
+def never_set_options(package: dict[str, str],
+                      callers: dict[str, str]) -> list[str]:
+    """``path:line name(param=)`` of each defaulted parameter of a function,
+    method or constructor in ``package`` that no call in ``callers`` passes,
+    by position or by keyword."""
+    passed = _passed(ast.parse(source) for source in callers.values())
+    found = []
+    for path, source in package.items():
+        for name, func, method in _functions(ast.parse(source)):
+            got = passed[name]
+            found += [f"{path}:{func.lineno} {name}({param}=)"
+                      for position, param in _options(func, method)
+                      if not {"**", param} & got
+                      and (position is None or not {"*", position} & got)]
+    return sorted(found)
+
+
+def test_the_scan_sees_never_set_options():
+    package = {"a.py": ("def f(x, y=1, *, z=2):\n    pass\n"
+                        "def g(x=0):\n    pass\n"
+                        "class C:\n"
+                        "    def __init__(self, a=1, b=2):\n        pass\n"
+                        "    def m(self, p=1, q=2):\n        pass\n"
+                        "    @staticmethod\n"
+                        "    def s(p=1, q=2):\n        pass\n")}
+    callers = {"a.py": package["a.py"],
+               "b.py": ("f(1, 2)\n"       # y by position, z never
+                        "g(**{})\n"        # passes every parameter
+                        "C(b=3)\n"         # a never
+                        "C.s(*[1, 2])\n"   # a static method has no self
+                        "c.m(1)\n")}       # p after self, q never
+    assert never_set_options(package, callers) == [
+        "a.py:1 f(z=)", "a.py:6 C(a=)", "a.py:8 m(q=)"]
+
+
+def test_every_option_is_set_by_some_call():
+    package = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    callers = {str(path.relative_to(ROOT)): path.read_text()
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert len(callers) > 50
+    assert never_set_options(package, callers) == []
