@@ -34,7 +34,7 @@ from .models.verdict import ClassBit, Verdict
 from .models.yoneda import p_epic_check, split_epi_via_yoneda
 from .simplicial.classify import (interval_cotensor,
                                   pushout_product_simplicial,
-                                  simplicial_classify, simplicial_homotopic,
+                                  simplicial_homotopic,
                                   solve_hep_simplicial, solve_hlp_simplicial)
 from .simplicial.cotensor import ez_aw_dual_ops
 from .simplicial.ez_aw import aw, ez, find_ez_aw_homotopy

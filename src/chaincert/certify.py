@@ -151,7 +151,7 @@ def _pred_ez_aw(case, cfg, CA, CB):
     except ValueError:
         return FAIL  # not even chain maps
     try:
-        find_ez_aw_homotopy(A, B, T, E, W)  # checks AW o EZ = id first
+        find_ez_aw_homotopy(E, W)  # checks AW o EZ = id first
     except CertificateError:
         return FAIL
     return PASS

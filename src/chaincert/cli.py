@@ -64,11 +64,16 @@ def _fail(message: str) -> None:
 
 
 def _emit(report: dict, out: str | None) -> None:
+    """Write the report to ``out``, if given, and then to stdout, so that
+    a file that cannot be written fails before any output."""
     text = dump(report)
-    sys.stdout.write(text)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"--out: cannot write {out!r}: {exc.strerror}")
+    sys.stdout.write(text)
 
 
 def _ring_from_flag(value: str) -> RingSpec:
@@ -202,7 +207,7 @@ def cmd_ez_aw(args) -> int:
     E = ez(A, B, T)
     W = aw(A, B, T)
     # raises CertificateError unless AW o EZ = id
-    homotopy = find_ez_aw_homotopy(A, B, T, E, W)
+    homotopy = find_ez_aw_homotopy(E, W)
     report = {
         "kind": "ez_aw",
         "ring": doc.ring.to_json(),

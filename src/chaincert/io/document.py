@@ -381,16 +381,22 @@ def parse_document(data: dict) -> Document:
     if version != FORMAT_VERSION:
         raise DocumentError("version", f"unsupported version {version!r}")
     doc = Document(parse_ring(data.get("ring")))
-    for name, odata in sorted(data.get("objects", {}).items()):
+    objects, maps = data.get("objects", {}), data.get("maps", {})
+    for key, value in (("objects", objects), ("maps", maps)):
+        if not isinstance(value, dict):
+            raise DocumentError(key, "expected a JSON object")
+    for name, odata in sorted(objects.items()):
         loc = f"objects.{name}"
         if not isinstance(odata, dict) or "type" not in odata:
             raise DocumentError(loc, "object needs a 'type' field")
+        if not isinstance(odata["type"], str):
+            raise DocumentError(f"{loc}.type", "expected a string")
         parser = _OBJECT_PARSERS.get(odata["type"])
         if parser is None:
             raise DocumentError(loc, f"unknown object type {odata['type']!r}")
         doc.objects[name] = parser(doc.ring, odata, loc)
         doc.object_kinds[name] = odata["type"]
-    for name, mdata in sorted(data.get("maps", {}).items()):
+    for name, mdata in sorted(maps.items()):
         loc = f"maps.{name}"
         doc.maps[name] = _parse_map(doc, name, mdata, loc)
     return doc

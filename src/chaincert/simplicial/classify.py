@@ -22,11 +22,10 @@ from ..chains.tensor import cylinder_map, interval_cylinder
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap
-from ..models.classify import classify, h_cofibration_bit, h_fibration_bit
+from ..models.classify import h_cofibration_bit, h_fibration_bit
 from ..models.lifting import find_lift
 from ..models.pushout import (PushoutProductReport, TensorModel,
                               decide_pushout_product, pushout_product)
-from ..models.verdict import Verdict
 from .cotensor import CotensorData, cotensor, ez_aw_dual_ops
 from .ez_aw import aw, ez
 from .levels import GammaLevels
@@ -40,11 +39,6 @@ def _require(holds: bool, failure: str) -> None:
     """Raise CertificateError unless a re-check of a computed map holds."""
     if not holds:
         raise CertificateError(failure)
-
-
-def simplicial_classify(f: SimplicialMap) -> Verdict:
-    """Classify through the normalization, Hurewicz flavor."""
-    return classify(f.normalized_map, "h")
 
 
 def simplicial_homotopic(f: SimplicialMap, g: SimplicialMap

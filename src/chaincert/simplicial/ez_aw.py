@@ -113,18 +113,11 @@ def aw(A: SimplicialModule, B: SimplicialModule,
     return ChainMap(source, target, comps, check=False)
 
 
-def find_ez_aw_homotopy(A: SimplicialModule, B: SimplicialModule,
-                        T: SimplicialModule,
-                        ez_map: ChainMap | None = None,
-                        aw_map: ChainMap | None = None) -> ChainHomotopy:
+def find_ez_aw_homotopy(ez_map: ChainMap, aw_map: ChainMap) -> ChainHomotopy:
     """H with d H + H d = id - EZ o AW on N(A (x) B); must always exist.
 
     `homotopy_to_identity` checks AW o EZ = id first: with AW a chain
     map, finding no contraction of coker EZ proves there is no H, and the
     one it finds is H, checked on N(A (x) B).
     """
-    if ez_map is None:
-        ez_map = ez(A, B, T)
-    if aw_map is None:
-        aw_map = aw(A, B, T)
     return homotopy_to_identity(ez_map, aw_map, ("EZ", "AW"))

@@ -4,9 +4,10 @@ Two level models cover every simplicial object in the package: the
 denormalization Gamma(C) of a chain complex, and the levelwise tensor
 Gamma(C) (x) Gamma(D) of two of them, the only tensor the package
 builds.  A ``GammaLevels`` exposes, per level, the rows of a simplicial
-operator, the relations on a chosen set of coordinates and where a
-degeneracy sends a coordinate; normalization, EZ and AW are read off that
-bookkeeping without building a whole level.
+operator and where a degeneracy sends a coordinate; EZ and AW are read
+off that bookkeeping without building a whole level.  Both
+normalizations are filled in from the per-shape plans below, N(Gamma(C))
+as N(Gamma(C) (x) c(R)) (see ``simplicial/module.py``).
 
 Level n of Gamma(C) is the direct sum, over the surjections
 eta : [n] ->> [k], of C_k (Dold 1958; Goerss-Jardine, Simplicial
@@ -62,8 +63,6 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from ..chains.complexes import ChainComplex
-from ..exact.matrix import Matrix
-from ..exact.rings import RingSpec
 from . import surjections as sj
 
 # a sparse matrix row: (column, entry) for each nonzero entry
@@ -90,17 +89,6 @@ def act(alpha: tuple[int, ...], jumps: Jumps
     if counts[-1] < len(jumps) or max(gaps) > 1:
         return None
     return tuple(i for i in range(1, len(alpha)) if gaps[i]), gaps[0] == 1
-
-
-def sparse_columns(ring: RingSpec, rows: int, columns: dict) -> Matrix:
-    """The matrix with ``rows`` rows whose columns, in the order of their
-    keys, hold the (row, entry) pairs of ``columns``."""
-    order = sorted(columns)
-    out = [[0] * len(order) for _ in range(rows)]
-    for c, key in enumerate(order):
-        for t, v in columns[key]:
-            out[t][c] = v
-    return Matrix(ring, rows, len(order), out)
 
 
 class GammaLevels:
@@ -181,20 +169,6 @@ class GammaLevels:
         shift = {jumps: tgt_off[act(sigma, jumps)[0]] - offsets[jumps]
                  for jumps in {owner[c] for c in coords}}
         return [c + shift[owner[c]] for c in coords]
-
-    def relations_on(self, n: int, rows: list[int]) -> Matrix:
-        """Level n's relations on the coordinates ``rows``, zero columns
-        dropped: those of each summand's C_k, summands in order."""
-        offsets, owner = self._layout(n)
-        columns: dict[tuple[int, int], SparseRow] = {}
-        for t, r in enumerate(rows):
-            jumps = owner[r]
-            start = offsets[jumps]
-            rel = self.C.module(len(jumps)).relations
-            for j, v in enumerate(rel.data[r - start]):
-                if v:
-                    columns.setdefault((start, j), []).append((t, v))
-        return sparse_columns(self.ring, len(rows), columns)
 
     def nondegenerate_coords(self, n: int) -> list[int]:
         """The identity summand, J = {1..n}, which comes last."""

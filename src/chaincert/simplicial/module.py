@@ -1,11 +1,11 @@
 """Simplicial modules: the denormalization, normalization, and tensors.
 
 The canonical representation of a simplicial module is its normalized
-complex; levels are derived data.  Normalization reads off the
-non-degenerate coordinates, which is valid because levels decompose as
-normalized part plus the degenerate coordinate block.  The tests check
-it against the intersection of the kernels of the positive faces and
-against the canonical projector.
+complex; levels are derived data.  Both normalizations, N(Gamma(C)) as
+N(Gamma(C) (x) c(R)) and N(Gamma(C) (x) Gamma(D)), read the
+non-degenerate coordinates off the per-shape plans of ``levels.py``,
+whose compilation checks that the degenerate block is a subcomplex.
+The tests check both against quotients of whole level matrices.
 """
 
 from __future__ import annotations
@@ -13,66 +13,14 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
+from ..chains.build import interval, unit_complex
 from ..chains.complexes import ChainComplex, ChainMap
 from ..errors import CertificateError
 from ..exact.matrix import Matrix
 from ..exact.modules import ModuleMap, PresentedModule
 from ..exact.rings import RingSpec
-from ..exact.snf import solve
-from . import surjections as sj
-from .levels import (GammaLevels, SparseRow, TensorLevels, face_plan,
-                     pair_layout, parts_plan, relation_plan, sparse_columns,
-                     verify_simplicial_identities)
-
-
-def normalized_quotient(levels: GammaLevels, top: int) -> ChainComplex:
-    """Normalized complex of Gamma(C) on the non-degenerate coordinates.
-
-    The degenerate coordinates span a subcomplex of the Moore complex, so
-    the alternating face sum descends to the coordinate quotient; the
-    descent condition is verified exactly during construction, on the
-    degenerate columns of the Moore rows that are nonzero (a zero column
-    always solves).  Only the rows of the levels at non-degenerate
-    coordinates are built, sparse: the relations there and the Moore rows
-    into them.  The tensor Gamma(C) (x) Gamma(D) is normalized from its
-    plans instead (``degreewise_tensor``).
-
-    Given the descent, the result is a complex by construction: the
-    Moore differential squares to zero by the simplicial identities, the
-    faces carry level relations into level relations, and the quotient's
-    relations are the level relations read on the kept coordinates.
-    """
-    ring = levels.ring
-    coords = [levels.nondegenerate_coords(n) for n in range(top + 1)]
-    mods = [PresentedModule(ring, len(full), levels.relations_on(n, full))
-            for n, full in enumerate(coords)]
-    diffs: list[ModuleMap] = []
-    for n in range(1, top + 1):
-        moore: list[dict[int, int]] = [{} for _ in coords[n - 1]]
-        for i in range(n + 1):
-            sign = -1 if i % 2 else 1
-            for acc, row in zip(moore, levels.operator_rows(
-                    n, sj.coface(n, i), coords[n - 1])):
-                for j, v in row:
-                    acc[j] = acc.get(j, 0) + sign * v
-        kept = {c: j for j, c in enumerate(coords[n])}
-        action = [[0] * len(kept) for _ in moore]
-        degenerate: dict[int, SparseRow] = {}
-        for t, acc in enumerate(moore):
-            for c, v in acc.items():
-                j = kept.get(c)
-                if j is not None:
-                    action[t][j] = v
-                elif ring.canon(v):
-                    degenerate.setdefault(c, []).append((t, v))
-        if degenerate and solve(mods[n - 1].relations, sparse_columns(
-                ring, len(moore), degenerate)) is None:
-            raise ValueError(f"degenerate part is not a subcomplex "
-                             f"at level {n}")
-        diffs.append(ModuleMap(mods[n], mods[n - 1],
-                               Matrix(ring, len(moore), len(kept), action),
-                               check=False))
-    return ChainComplex(ring, mods, diffs, check=False)
+from .levels import (GammaLevels, TensorLevels, face_plan, pair_layout,
+                     parts_plan, relation_plan, verify_simplicial_identities)
 
 
 def _entries(M: Matrix) -> list[tuple[int, int, int]]:
@@ -176,6 +124,18 @@ class SimplicialModule:
 # would have more generators than this
 MAX_CAP_GENERATORS = 256
 
+# and once checking the simplicial identities through cap would take more
+# steps than this.  Level n counts n^2 * (n * (summands + 1) + generators),
+# its nonzero summands and generators counted as in `cap_problem`: the
+# check pairs about n^2 operators there, and each pairing costs about n
+# to name the operators, about n per summand and about one per generator.
+# S^1 through 48 ran 51 s; the largest caps accepted take 0.6 to 0.8 s
+# for 0, S^0, S^1, D^1, D^2 and S^3 (38, 32, 18, 18, 12, 11), 0.19 s for
+# ranks (1, 2, 3, 2) through 8, and 1.4 s for Z^16 -> Z^16 with every
+# entry of d nonzero through 15 (one run each, two shared vCPUs,
+# Python 3.11).
+MAX_CAP_STEPS = 600_000
+
 # plain ez-aw is refused once a degree of N(A (x) B) would have more
 # generators than this; the largest pair of fixtures/, D3 x D3 of
 # disks_spheres.json, reaches 50.  For A = B a complex with one generator
@@ -197,17 +157,28 @@ def cap_problem(C: ChainComplex, cap: int) -> str | None:
 
     The cap is at least the top degree.  Level n of Gamma(C) has
     sum_k binom(n, k) * rank C_k generators (one copy of C_k per
-    surjection [n] -> [k]), so this builds no level.
+    surjection [n] -> [k]), in sum_k binom(n, k) summands over the
+    nonzero C_k, so this builds no level.  The steps are summed only until
+    they pass the bound, which a level n >= 1 adds at least n^3 to, so
+    any cap costs a few dozen levels of arithmetic.
     """
     if cap < C.top:
         return "cap must be an integer >= the top degree"
     if cap <= C.top + 1:
         return None
     rank = gamma_level_rank(C, cap)
-    if rank <= MAX_CAP_GENERATORS:
-        return None
-    return (f"level {cap} would have {rank} generators, more than "
-            f"{MAX_CAP_GENERATORS}")
+    if rank > MAX_CAP_GENERATORS:
+        return (f"level {cap} would have {rank} generators, more than "
+                f"{MAX_CAP_GENERATORS}")
+    nonzero = [k for k in range(C.top + 1) if C.module(k).generators]
+    steps = 0
+    for n in range(cap + 1):
+        summands = sum(comb(n, k) for k in nonzero)
+        steps += n * n * (n * (summands + 1) + gamma_level_rank(C, n))
+        if steps > MAX_CAP_STEPS:
+            return (f"checking the simplicial identities through level "
+                    f"{cap} would take more than {MAX_CAP_STEPS} steps")
+    return None
 
 
 def tensor_problem(A: SimplicialModule, B: SimplicialModule) -> str | None:
@@ -227,23 +198,28 @@ def tensor_problem(A: SimplicialModule, B: SimplicialModule) -> str | None:
 
 def gamma(C: ChainComplex, cap: int | None = None, *,
           verify: bool = True) -> SimplicialModule:
-    """Denormalization with levels materialized and verified through cap."""
+    """Denormalization, its levels read lazily from C.
+
+    With ``verify``, the simplicial identities hold as exact matrix
+    identities through cap, and `normalize` gives C back in its
+    presentation without zero relation columns.
+    """
     if cap is None:
         cap = C.top + 1
     levels = GammaLevels(C)
+    A = SimplicialModule(C, levels, cap)
     if verify:
         verify_simplicial_identities(levels, cap)
-        roundtrip = normalized_quotient(levels, C.top)
-        if roundtrip != without_zero_relations(C):
+        if normalize(A) != without_zero_relations(C):
             raise CertificateError("denormalization failed to normalize back")
-    return SimplicialModule(C, levels, cap)
+    return A
 
 
 def without_zero_relations(C: ChainComplex) -> ChainComplex:
     """C with every relation column that is zero (mod m) dropped.
 
     The same complex, in the presentation the round trip through the
-    levels gives it, since `GammaLevels.relations_on` drops zero columns.
+    plans gives it, since `relation_plan` lists only nonzero columns.
     Unchecked: the modules and differentials are C's, each module with
     the same relation span.
     """
@@ -256,8 +232,15 @@ def without_zero_relations(C: ChainComplex) -> ChainComplex:
 
 
 def normalize(A: SimplicialModule) -> ChainComplex:
-    """Recompute the normalized complex from the level data."""
-    return normalized_quotient(A.levels, A.normalized.top)
+    """The normalized complex of a denormalization, recomputed from the
+    plans as N(A (x) c(R)): every position of c(R) is degenerate, so the
+    non-degenerate pairs are A's identity summand at coordinates a * 1 + 0,
+    and the plans give C_n's nonzero relation columns and C's
+    differential.  c(R) is built unverified, as its round trip would
+    come back here.
+    """
+    unit = gamma(unit_complex(A.ring), verify=False)
+    return degreewise_tensor(A, unit).normalized
 
 
 def degreewise_tensor(A: SimplicialModule,
@@ -368,15 +351,11 @@ def tensor_normalized_parts(f: Sequence[ModuleMap] | None,
 
 def constant_module(ring: RingSpec) -> SimplicialModule:
     """c(R), the tensor unit: every level is R."""
-    from ..chains.build import unit_complex
-
     return gamma(unit_complex(ring))
 
 
 def interval_object(ring: RingSpec) -> SimplicialModule:
     """The simplicial interval, i.e. the denormalization of N(Z Delta^1)."""
-    from ..chains.build import interval
-
     return gamma(interval(ring))
 
 

@@ -45,7 +45,7 @@ from chaincert.simplicial import cotensor as cotensor_module
 from chaincert.simplicial.cotensor import (MAX_COTENSOR_GENERATORS, cotensor,
                                           through_problem)
 from chaincert.simplicial import module as module_module
-from chaincert.simplicial.module import (MAX_CAP_GENERATORS,
+from chaincert.simplicial.module import (MAX_CAP_GENERATORS, MAX_CAP_STEPS,
                                          MAX_TENSOR_GENERATORS, cap_problem,
                                          gamma, gamma_level_rank,
                                          tensor_problem)
@@ -106,6 +106,36 @@ def test_dangling_reference_error():
         parse_document(bad)
     assert "maps.f" in str(err.value)
     assert "missing" in str(err.value)
+
+
+@pytest.mark.parametrize("overrides, location", [
+    ({"objects": []}, "objects"),
+    ({"maps": []}, "maps"),
+    ({"objects": {"A": {"type": ["x"]}}}, "objects.A.type"),
+], ids=["objects-list", "maps-list", "type-list"])
+def test_cli_malformed_document_fails_with_a_location(tmp_path, capsys,
+                                                      overrides, location):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(minimal_doc(**overrides)))
+    with pytest.raises(DocumentError) as err:
+        parse_document(minimal_doc(**overrides))
+    assert err.value.location == location
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", str(doc)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+
+def test_cli_out_into_a_missing_directory_fails_before_any_output(
+        tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", fixture("interval.json"), "--out", str(out)])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: cannot write ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["source", "target"])
@@ -1120,6 +1150,50 @@ def test_cap_bound_counts_generators_at_the_cap_level():
                                "C")
     assert cap_problem(at_bound, 2) is None
     assert cap_problem(over, 2) is not None
+
+
+def test_cap_bound_counts_the_steps_of_the_identity_check():
+    # level n counts n^2 * (n * (summands + 1) + generators), by value:
+    # nothing is built, so a cap far past any run is decided at once
+    S0 = sphere(ZZ, 0)
+    assert sum(n * n * (2 * n + 1) for n in range(33)) <= MAX_CAP_STEPS
+    assert sum(n * n * (2 * n + 1) for n in range(34)) > MAX_CAP_STEPS
+    assert cap_problem(S0, 32) is None
+    assert cap_problem(S0, 33) == (
+        f"checking the simplicial identities through level 33 would take "
+        f"more than {MAX_CAP_STEPS} steps")
+    assert "through level 1000000 " in cap_problem(S0, 10 ** 6)
+    for C in (sphere(ZZ, 1), disk(ZZ, 1)):
+        assert cap_problem(C, 18) is None
+        assert "steps" in cap_problem(C, 19)
+        assert "steps" in cap_problem(C, 48)
+    # the refusal by generators comes first and is unchanged
+    ranks = parse_chain_complex(ZZ, ranks_complex([1, 2, 3, 2]), "C")
+    assert cap_problem(ranks, 8) is None
+    assert "295 generators" in cap_problem(ranks, 9)
+
+
+def test_document_cap_past_the_steps_bound_is_refused():
+    doc = minimal_doc(objects={"A": {
+        "type": "simplicial_module", "cap": 1000000,
+        "normalized": ranks_complex([1])}})
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert err.value.location == "objects.A.cap"
+    assert "steps" in str(err.value)
+
+
+def test_cli_denormalize_cap_past_the_steps_bound_is_refused(capsys):
+    for name in ("S1", "D1"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["denormalize", "--doc", fixture("disks_spheres.json"),
+                  "--complex", name, "--cap", "48"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --cap: checking the simplicial identities through "
+            "level 48")
 
 
 def test_document_cap_over_the_bound_is_refused():

@@ -445,6 +445,7 @@ def no_lift(r):
 refuse("no_lift", lift_report(square, lifting.solve_lifting(square), "h"),
        no_lift)
 D = gamma(disk(ZZ, 1))
+DD = degreewise_tensor(D, D)
 Zs = gamma(zero_complex(ZZ), verify=False)
 T = degreewise_tensor(Zs, interval_object(ZZ))
 cot = sclassify.interval_cotensor(D)
@@ -487,7 +488,7 @@ homotopy.cokernel_contraction = zero_contraction
 sD2 = gamma(disk(ZZ, 2))
 report({
     "find_ez_aw_homotopy": lambda: ez_aw.find_ez_aw_homotopy(
-        D, D, degreewise_tensor(D, D)),
+        ez_aw.ez(D, D, DD), ez_aw.aw(D, D, DD)),
     "ez_aw_dual_ops": lambda: cotensor.ez_aw_dual_ops(sD2, sD2, through=2),
 })
 homotopy.cokernel_contraction = cokernel_contraction

@@ -17,13 +17,13 @@ from chaincert.io.document import chain_map_from_json, parse_chain_complex
 from chaincert.exact.matrix import Matrix
 from chaincert.exact.modules import HomSpace, ModuleMap, PresentedModule
 from chaincert.exact.rings import ZZ, Zmod
+from chaincert.models.classify import classify
 from chaincert.models.generators import (random_complex, random_q_cofibration,
                                          random_split_epi, random_split_mono)
 from chaincert.models.lifting import solve_lifting
 from chaincert.simplicial import classify as sclassify
 from chaincert.simplicial.classify import (interval_cotensor,
                                            pushout_product_simplicial,
-                                           simplicial_classify,
                                            simplicial_homotopic,
                                            solve_hep_simplicial,
                                            solve_hlp_simplicial)
@@ -55,14 +55,15 @@ def test_every_object_fibrant_and_cofibrant():
     rng = random.Random(13)
     for _ in range(3):
         A = gamma(random_complex(ZZ, rng, max_top=2, max_rank=2), verify=False)
-        assert simplicial_classify(to_zero_map(A)).fibration.holds
-        assert simplicial_classify(from_zero_map(A)).cofibration.holds
+        assert classify(to_zero_map(A).normalized_map, "h").fibration.holds
+        assert classify(from_zero_map(A).normalized_map,
+                        "h").cofibration.holds
 
 
 def test_identity_all_three():
     A = gamma(disk(ZZ, 1))
     ident = SimplicialMap(A, A, ChainMap.identity(A.normalized))
-    v = simplicial_classify(ident)
+    v = classify(ident.normalized_map, "h")
     assert v.cofibration.holds and v.fibration.holds and v.weak_equivalence.holds
 
 
@@ -72,7 +73,7 @@ def test_gamma_of_brutal_truncation_is_fibration():
     C = disk(ZZ, 1)
     quotient, q = brutal_truncation(C)
     f = gamma_map(q)
-    assert simplicial_classify(f).fibration.holds
+    assert classify(f.normalized_map, "h").fibration.holds
 
 
 def test_simplicial_homotopic_examples():
@@ -173,7 +174,7 @@ def test_interval_cotensor_and_hep():
     B = gamma(disk(ZZ, 1))
     cot = interval_cotensor(B)
     # ev0 and ev1 are fibrations (sections exist degreewise)
-    v0 = simplicial_classify(cot.ev0)
+    v0 = classify(cot.ev0.normalized_map, "h")
     assert v0.fibration.holds
     assert v0.weak_equivalence.holds
 
